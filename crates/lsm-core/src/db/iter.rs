@@ -162,8 +162,8 @@ impl<'a> DbIterator<'a> {
                 continue;
             }
             let ukey = user_key(self.inner.key()).to_vec();
-            let emit = match ty {
-                ValueType::Value => Some((ukey.clone(), self.inner.value().to_vec())),
+            let value = match ty {
+                ValueType::Value => Some(self.inner.value().to_vec()),
                 ValueType::Deletion => None,
             };
             // Skip every older version of this user key.
@@ -173,8 +173,8 @@ impl<'a> DbIterator<'a> {
                     break;
                 }
             }
-            if emit.is_some() {
-                return emit;
+            if let Some(value) = value {
+                return Some((ukey, value));
             }
         }
         None

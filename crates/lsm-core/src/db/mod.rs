@@ -36,9 +36,16 @@ use iter::{DbIterator, LevelIterator};
 use options::Options;
 use smr_sim::{Disk, IoKind, ObsEventKind, ObsLayer};
 
-/// A finished compaction output awaiting placement:
-/// `(file id, encoded table bytes, smallest key, largest key)`.
-type PendingOutput = (FileId, Vec<u8>, Vec<u8>, Vec<u8>);
+/// Finished compaction outputs awaiting placement. The encoded tables
+/// sit in the `(file id, bytes)` shape [`PlacementPolicy::place_outputs`]
+/// takes, so the builder's buffer is handed over as it is, never cloned;
+/// each table's key range rides at the same index.
+#[derive(Default)]
+struct PendingOutputs {
+    tables: Vec<(FileId, Vec<u8>)>,
+    /// `(smallest, largest)` internal key of `tables[i]`.
+    ranges: Vec<(Vec<u8>, Vec<u8>)>,
+}
 
 /// First file id reserved for value-log segments. Segment ids live far
 /// above anything the version set's file-id counter can reach, so the
@@ -1026,18 +1033,22 @@ impl DbCore {
         // itself at or below the smallest snapshot may go).
         let version = self.versions.current();
         let smallest_snapshot = self.smallest_snapshot();
-        let mut outputs: Vec<PendingOutput> = Vec::new();
+        let mut outputs = PendingOutputs::default();
         let mut builder: Option<TableBuilder> = None;
+        // The one buffer that must outlive `merged.next()`; reused for
+        // every key. The entry itself is read in place from the iterator.
         let mut last_user_key: Option<Vec<u8>> = None;
         let mut last_seq_for_key = MAX_SEQUENCE;
         let mut gp_index = 0usize;
         let mut gp_overlap = 0u64;
         while merged.valid() {
-            let ikey = merged.key().to_vec();
-            let ukey = user_key(&ikey);
+            let ikey = merged.key();
+            let ukey = user_key(ikey);
             let first_occurrence = last_user_key.as_deref() != Some(ukey);
             if first_occurrence {
-                last_user_key = Some(ukey.to_vec());
+                let last = last_user_key.get_or_insert_with(Vec::new);
+                last.clear();
+                last.extend_from_slice(ukey);
                 last_seq_for_key = MAX_SEQUENCE;
                 // Output splitting on grandparent overlap.
                 while gp_index < c.grandparents.len()
@@ -1053,7 +1064,7 @@ impl DbCore {
                     gp_overlap = 0;
                 }
             }
-            let (seq, ty) = try_parse_trailer(&ikey)?;
+            let (seq, ty) = try_parse_trailer(ikey)?;
             let drop_entry = if last_seq_for_key <= smallest_snapshot {
                 // A newer version of this key is visible at every live
                 // snapshot: nothing can observe this one.
@@ -1066,7 +1077,7 @@ impl DbCore {
             last_seq_for_key = seq;
             if !drop_entry {
                 let b = builder.get_or_insert_with(|| TableBuilder::new(self.opts.table_options()));
-                b.add(&ikey, merged.value());
+                b.add(ikey, merged.value());
                 if b.file_size_estimate() >= self.opts.sstable_size {
                     let b = builder.take().expect("builder present");
                     Self::finish_output(&mut outputs, &mut self.versions, b);
@@ -1092,17 +1103,13 @@ impl DbCore {
         }
 
         // Place outputs contiguously (or per-file, policy's choice).
-        let placed: Vec<(FileId, Vec<u8>)> = outputs
-            .iter()
-            .map(|(id, data, _, _)| (*id, data.clone()))
-            .collect();
         let (set_id, output_bands) = {
             let mut guard = self.ctx.lock();
-            let set_id = self.policy.place_outputs(&mut guard.fs, &placed)?;
+            let set_id = self.policy.place_outputs(&mut guard.fs, &outputs.tables)?;
             // Count distinct fixed bands the outputs landed in (Fig. 3a).
             let mut bands = std::collections::BTreeSet::new();
             if let Some(bs) = guard.fs.disk().band_size() {
-                for (id, _) in &placed {
+                for (id, _) in &outputs.tables {
                     let ext = guard.fs.file_extent(*id)?;
                     let first = ext.offset / bs;
                     let last = (ext.end() - 1) / bs;
@@ -1120,15 +1127,16 @@ impl DbCore {
             }
         }
         let mut output_bytes = 0u64;
-        for (id, data, smallest, largest) in &outputs {
+        let output_files = outputs.tables.len();
+        for ((id, data), (smallest, largest)) in outputs.tables.iter().zip(outputs.ranges) {
             output_bytes += data.len() as u64;
             edit.add_file(
                 c.level + 1,
                 FileMetaData {
                     id: *id,
                     size: data.len() as u64,
-                    smallest: smallest.clone(),
-                    largest: largest.clone(),
+                    smallest,
+                    largest,
                     set_id,
                 },
             );
@@ -1153,7 +1161,7 @@ impl DbCore {
             level: c.level,
             input_files: c.num_input_files(),
             input_bytes,
-            output_files: outputs.len(),
+            output_files,
             output_bytes,
             start_ns,
             duration_ns: end_ns - start_ns,
@@ -1183,14 +1191,16 @@ impl DbCore {
     }
 
     fn finish_output(
-        outputs: &mut Vec<PendingOutput>,
+        outputs: &mut PendingOutputs,
         versions: &mut VersionSet,
         builder: TableBuilder,
     ) {
-        let id = versions.new_file_id();
         let smallest = builder.first_key().expect("non-empty output").to_vec();
         let largest = builder.last_key().to_vec();
-        outputs.push((id, builder.finish(), smallest, largest));
+        outputs.ranges.push((smallest, largest));
+        outputs
+            .tables
+            .push((versions.new_file_id(), builder.finish()));
     }
 
     // ----- snapshots -----

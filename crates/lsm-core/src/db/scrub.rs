@@ -50,13 +50,14 @@ use super::DbCore;
 use crate::error::{Error, Result};
 use crate::iterator::InternalIterator;
 use crate::sstable::block::Block;
-use crate::sstable::table::{check_block, parse_footer, BlockHandle, BLOCK_TRAILER_SIZE};
+use crate::sstable::table::{
+    check_block, locate, parse_footer, strip_trailer, verify_block, BlockHandle, BLOCK_TRAILER_SIZE,
+};
 use crate::sstable::TableBuilder;
 use crate::types::FileId;
 use crate::util::crc32c;
 use crate::version::{FileMetaData, FileMetaHandle, VersionEdit};
 use smr_sim::{DiskError, Extent, IoKind, ObsEventKind, ObsLayer};
-use std::sync::OnceLock;
 
 /// Tuning for one scrub step.
 #[derive(Clone, Copy, Debug)]
@@ -138,38 +139,16 @@ impl ScrubReport {
     }
 }
 
-const POLY: u32 = 0x82F63B78;
-
-/// Raw (init 0, no xor-out) CRC32C table for single-byte messages.
-fn t0() -> &'static [u32; 256] {
-    static T: OnceLock<[u32; 256]> = OnceLock::new();
-    T.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ POLY
-                } else {
-                    crc >> 1
-                };
-            }
-            *e = crc;
-        }
-        t
-    })
-}
-
 /// Advances a raw CRC by one zero byte.
 fn step_zero(syn: u32) -> u32 {
-    (syn >> 8) ^ t0()[(syn & 0xff) as usize]
+    (syn >> 8) ^ crc32c::byte_table()[(syn & 0xff) as usize]
 }
 
 /// Attempts to repair a single flipped bit anywhere in a block image
 /// (`contents | type byte | masked CRC32C LE`), including flips inside
 /// the stored CRC field. Returns the repaired image, or `None` when the
 /// damage is not a single-bit flip. The result always passes
-/// [`check_block`].
+/// [`verify_block`].
 pub fn correct_single_bit(image: &[u8]) -> Option<Vec<u8>> {
     if image.len() < BLOCK_TRAILER_SIZE {
         return None;
@@ -178,7 +157,7 @@ pub fn correct_single_bit(image: &[u8]) -> Option<Vec<u8>> {
     // The checksum covers the contents plus the type byte.
     let msg_len = split + 1;
     let stored = u32::from_le_bytes(image[split + 1..split + 5].try_into().ok()?);
-    let computed_raw = crc32c::extend(crc32c::crc32c(&image[..split]), &image[split..=split]);
+    let computed_raw = crc32c::crc32c(&image[..msg_len]);
     let computed = crc32c::mask(computed_raw);
     if stored == computed && image[split] == 0 {
         return Some(image.to_vec());
@@ -199,7 +178,7 @@ pub fn correct_single_bit(image: &[u8]) -> Option<Vec<u8>> {
     let syndrome = crc32c::unmask(stored) ^ computed_raw;
     let mut syn = [0u32; 8];
     for (b, s) in syn.iter_mut().enumerate() {
-        *s = t0()[1usize << b];
+        *s = crc32c::byte_table()[1usize << b];
     }
     for p in (0..msg_len).rev() {
         for (b, s) in syn.iter().enumerate() {
@@ -222,7 +201,7 @@ pub fn correct_single_bit(image: &[u8]) -> Option<Vec<u8>> {
 
 /// Returns the candidate image iff it verifies as a well-formed block.
 fn verified(image: Vec<u8>) -> Option<Vec<u8>> {
-    check_block(&image).ok().map(|_| image)
+    verify_block(&image).is_ok().then_some(image)
 }
 
 /// The extent of an injected persistent fault, if `e` is one.
@@ -492,14 +471,14 @@ impl DbCore {
             if handle.offset >= stop_offset {
                 break;
             }
-            let raw =
-                self.read_raw(file, handle.offset, handle.size + BLOCK_TRAILER_SIZE as u64)?;
-            let contents = check_block(&raw).map_err(|e| match e {
-                Error::Corruption(msg) => Error::Corruption(format!(
-                    "file {file} block at offset {}: {msg} (re-read during salvage)",
-                    handle.offset
-                )),
-                other => other,
+            let raw = self.read_raw(file, handle.offset, handle.disk_span()?.0)?;
+            let contents = check_block(raw).map_err(|e| {
+                locate(e, || {
+                    format!(
+                        "file {file} block at offset {} (re-read during salvage)",
+                        handle.offset
+                    )
+                })
             })?;
             Self::salvage_entries(file, handle, contents, &mut entries)?;
             ii.next();
@@ -513,12 +492,10 @@ impl DbCore {
         contents: Vec<u8>,
         out: &mut Vec<(Vec<u8>, Vec<u8>)>,
     ) -> Result<()> {
-        let block = std::sync::Arc::new(Block::new(contents).map_err(|e| match e {
-            Error::Corruption(msg) => Error::Corruption(format!(
-                "file {file} block at offset {}: {msg}",
-                handle.offset
-            )),
-            other => other,
+        let block = std::sync::Arc::new(Block::new(contents).map_err(|e| {
+            locate(e, || {
+                format!("file {file} block at offset {}", handle.offset)
+            })
         })?);
         let mut bi = block.iter();
         bi.seek_to_first();
@@ -538,7 +515,7 @@ impl DbCore {
         handle: BlockHandle,
         scan: &mut FileScan,
     ) -> Result<Option<Vec<u8>>> {
-        let len = handle.size + BLOCK_TRAILER_SIZE as u64;
+        let (len, _) = handle.disk_span()?;
         let file_ext = self.ctx.lock().fs.file_extent(file)?;
         let block_ext = Extent::new(file_ext.offset + handle.offset, len);
         scan.verified += 1;
@@ -558,8 +535,8 @@ impl DbCore {
                 };
             }
         };
-        match check_block(&raw) {
-            Ok(contents) => Ok(Some(contents)),
+        match verify_block(&raw) {
+            Ok(_) => Ok(Some(strip_trailer(raw))),
             Err(_) => {
                 scan.corrupt += 1;
                 self.ctx
@@ -577,8 +554,7 @@ impl DbCore {
                     Some(fixed) => {
                         scan.corrected += 1;
                         // The trailer was verified by the corrector.
-                        let contents = fixed[..fixed.len() - BLOCK_TRAILER_SIZE].to_vec();
-                        Ok(Some(contents))
+                        Ok(Some(strip_trailer(fixed)))
                     }
                     None => {
                         scan.lost += 1;
@@ -700,7 +676,7 @@ mod tests {
             for bit in [0u8, 3, 7] {
                 let mut damaged = image.clone();
                 damaged[pos] ^= 1 << bit;
-                assert!(check_block(&damaged).is_err(), "flip at {pos} undetected");
+                assert!(verify_block(&damaged).is_err(), "flip at {pos} undetected");
                 let fixed = correct_single_bit(&damaged)
                     .unwrap_or_else(|| panic!("flip at byte {pos} bit {bit} not corrected"));
                 assert_eq!(fixed, image);

@@ -263,7 +263,8 @@ impl FileStore {
         kind: IoKind,
     ) -> Result<Vec<u8>> {
         let ext = self.file_extent(id)?;
-        if offset + len > ext.len {
+        // Offsets and lengths reach here from on-disk block handles.
+        if offset.checked_add(len).is_none_or(|end| end > ext.len) {
             return Err(Error::InvalidArgument(format!(
                 "read past end of file {id}: {offset}+{len} > {}",
                 ext.len

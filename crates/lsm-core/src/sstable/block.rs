@@ -70,11 +70,30 @@ impl BlockBuilder {
 
     /// Serialises the block (entries + restart array + count).
     pub fn finish(mut self) -> Vec<u8> {
+        self.seal();
+        self.buf
+    }
+
+    /// Appends the restart array and count and returns the finished
+    /// block's bytes, which stay in the builder until [`Self::reset`] —
+    /// a table builder seals, copies the bytes out once, and resets, so
+    /// one allocation serves every block of the table.
+    pub(crate) fn seal(&mut self) -> &[u8] {
         for &r in &self.restarts {
             put_fixed32(&mut self.buf, r);
         }
         put_fixed32(&mut self.buf, self.restarts.len() as u32);
-        self.buf
+        &self.buf
+    }
+
+    /// Empties the builder for the next block, keeping its allocations.
+    pub(crate) fn reset(&mut self) {
+        self.buf.clear();
+        self.restarts.clear();
+        self.restarts.push(0);
+        self.counter = 0;
+        self.last_key.clear();
+        self.entries = 0;
     }
 
     /// Bytes the finished block would occupy.
@@ -91,17 +110,13 @@ impl BlockBuilder {
     pub fn is_empty(&self) -> bool {
         self.entries == 0
     }
-
-    /// The last key added (empty before the first add).
-    pub fn last_key(&self) -> &[u8] {
-        &self.last_key
-    }
 }
 
-/// An immutable, parsed block.
+/// An immutable, parsed block. Owns the buffer the device read filled:
+/// the block cache and every iterator share the block, never its bytes.
 #[derive(Debug)]
 pub struct Block {
-    data: Arc<Vec<u8>>,
+    data: Vec<u8>,
     restarts_offset: usize,
     num_restarts: usize,
 }
@@ -119,7 +134,7 @@ impl Block {
         }
         let restarts_offset = data.len() - 4 - num_restarts * 4;
         Ok(Block {
-            data: Arc::new(data),
+            data,
             restarts_offset,
             num_restarts,
         })
@@ -355,6 +370,29 @@ mod tests {
         assert_eq!(user_key(it.key()), b"only");
         it.next();
         assert!(!it.valid());
+    }
+
+    #[test]
+    fn reset_builder_matches_a_fresh_one() {
+        let mut reused = BlockBuilder::new(3);
+        for k in ["zebra", "zoo", "zulu", "zygote"] {
+            reused.add(&ik(k), b"first block");
+        }
+        reused.seal();
+        reused.reset();
+        assert!(reused.is_empty());
+        let mut fresh = BlockBuilder::new(3);
+        // Shares a prefix with the last key before the reset: the first
+        // entry after it must still be written whole.
+        for k in ["zygote2", "zygote3"] {
+            reused.add(&ik(k), b"second");
+            fresh.add(&ik(k), b"second");
+        }
+        assert_eq!(
+            reused.current_size_estimate(),
+            fresh.current_size_estimate()
+        );
+        assert_eq!(reused.seal(), fresh.finish());
     }
 
     #[test]

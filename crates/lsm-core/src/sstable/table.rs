@@ -13,12 +13,14 @@
 //! contents plus the type byte.
 
 use crate::context::SharedCtx;
-use crate::error::{corruption, Result};
+use crate::error::{corruption, Error, Result};
 use crate::iterator::InternalIterator;
 use crate::sstable::block::{Block, BlockBuilder, BlockIter};
 use crate::types::{self, make_internal_key, user_key, FileId, ValueType, MAX_SEQUENCE};
 use crate::util::bloom::BloomFilter;
-use crate::util::coding::{decode_fixed64, get_varint64, put_fixed64, put_varint64};
+use crate::util::coding::{
+    decode_fixed32, decode_fixed64, get_varint64, put_fixed64, put_varint64,
+};
 use crate::util::crc32c;
 use smr_sim::IoKind;
 use std::sync::Arc;
@@ -49,6 +51,20 @@ impl BlockHandle {
         let mut v = Vec::with_capacity(20);
         self.encode(&mut v);
         v
+    }
+
+    /// Length of the block on disk (contents plus trailer) and the file
+    /// offset one past it. Handles are decoded from disk bytes, so a sum
+    /// that overflows is corruption to report, never arithmetic to trust.
+    pub(crate) fn disk_span(&self) -> Result<(u64, u64)> {
+        let len = self.size.checked_add(BLOCK_TRAILER_SIZE as u64);
+        match len.and_then(|len| Some((len, self.offset.checked_add(len)?))) {
+            Some(span) => Ok(span),
+            None => corruption(format!(
+                "block handle out of range (offset {}, size {})",
+                self.offset, self.size
+            )),
+        }
     }
 
     pub(crate) fn decode(src: &[u8]) -> Result<(BlockHandle, usize)> {
@@ -119,7 +135,11 @@ pub struct TableBuilder {
     buf: Vec<u8>,
     block: BlockBuilder,
     index_entries: Vec<(Vec<u8>, BlockHandle)>,
-    pending: Option<(Vec<u8>, BlockHandle)>,
+    /// Handle of the last flushed block, whose index entry waits for the
+    /// next key (or the end of the table) to pick its separator;
+    /// `last_key` is that block's last key until then.
+    pending: Option<BlockHandle>,
+    /// User keys for the bloom filter; stays empty when the filter is off.
     user_keys: Vec<Vec<u8>>,
     first_key: Option<Vec<u8>>,
     last_key: Vec<u8>,
@@ -145,13 +165,16 @@ impl TableBuilder {
     /// Adds an entry; internal keys must arrive in strictly increasing
     /// order.
     pub fn add(&mut self, ikey: &[u8], value: &[u8]) {
-        if let Some((last, handle)) = self.pending.take() {
-            self.index_entries.push((separator(&last, ikey), handle));
+        if let Some(handle) = self.pending.take() {
+            self.index_entries
+                .push((separator(&self.last_key, ikey), handle));
         }
         if self.first_key.is_none() {
             self.first_key = Some(ikey.to_vec());
         }
-        self.user_keys.push(user_key(ikey).to_vec());
+        if self.opts.bloom_bits_per_key > 0 {
+            self.user_keys.push(user_key(ikey).to_vec());
+        }
         self.block.add(ikey, value);
         self.last_key.clear();
         self.last_key.extend_from_slice(ikey);
@@ -168,7 +191,7 @@ impl TableBuilder {
         };
         buf.extend_from_slice(contents);
         buf.push(0); // type byte: uncompressed
-        let crc = crc32c::mask(crc32c::extend(crc32c::crc32c(contents), &[0]));
+        let crc = crc32c::mask(crc32c::crc32c(&buf[handle.offset as usize..]));
         buf.extend_from_slice(&crc.to_le_bytes());
         handle
     }
@@ -177,13 +200,8 @@ impl TableBuilder {
         if self.block.is_empty() {
             return;
         }
-        let last = self.block.last_key().to_vec();
-        let block = std::mem::replace(
-            &mut self.block,
-            BlockBuilder::new(self.opts.restart_interval),
-        );
-        let handle = Self::write_raw_block(&mut self.buf, &block.finish());
-        self.pending = Some((last, handle));
+        self.pending = Some(Self::write_raw_block(&mut self.buf, self.block.seal()));
+        self.block.reset();
     }
 
     /// Number of entries added so far.
@@ -209,8 +227,8 @@ impl TableBuilder {
     /// Finishes the table and returns the file bytes.
     pub fn finish(mut self) -> Vec<u8> {
         self.flush_block();
-        if let Some((last, handle)) = self.pending.take() {
-            self.index_entries.push((successor(&last), handle));
+        if let Some(handle) = self.pending.take() {
+            self.index_entries.push((successor(&self.last_key), handle));
         }
         // Filter block.
         let filter_handle = if self.opts.bloom_bits_per_key > 0 {
@@ -236,6 +254,14 @@ impl TableBuilder {
     }
 }
 
+/// Prefixes a `Corruption` message with where on disk it was found.
+pub(crate) fn locate(e: Error, place: impl FnOnce() -> String) -> Error {
+    match e {
+        Error::Corruption(msg) => Error::Corruption(format!("{}: {msg}", place())),
+        other => other,
+    }
+}
+
 /// [`check_block`] with file/offset context in the error and the host's
 /// checksum-failure counter bumped — every on-disk block read goes
 /// through here so corruption reports say *which* block was bad.
@@ -243,35 +269,57 @@ fn check_block_at(
     ctx: &mut crate::context::StoreCtx,
     file: FileId,
     offset: u64,
-    contents_and_trailer: &[u8],
+    contents_and_trailer: Vec<u8>,
 ) -> Result<Vec<u8>> {
     check_block(contents_and_trailer).map_err(|e| {
         ctx.fs.disk_mut().stats_mut().faults.checksum_failures += 1;
-        match e {
-            crate::error::Error::Corruption(msg) => crate::error::Error::Corruption(format!(
-                "file {file} block at offset {offset}: {msg}"
-            )),
-            other => other,
-        }
+        locate(e, || format!("file {file} block at offset {offset}"))
     })
 }
 
-pub(crate) fn check_block(contents_and_trailer: &[u8]) -> Result<Vec<u8>> {
-    if contents_and_trailer.len() < BLOCK_TRAILER_SIZE {
+/// The one block verification routine: checks the trailer's type byte and
+/// masked CRC-32C over `contents | type` and returns the contents.
+pub(crate) fn verify_block(contents_and_trailer: &[u8]) -> Result<&[u8]> {
+    let Some(split) = contents_and_trailer.len().checked_sub(BLOCK_TRAILER_SIZE) else {
         return corruption("block shorter than trailer");
-    }
-    let split = contents_and_trailer.len() - BLOCK_TRAILER_SIZE;
-    let (contents, trailer) = contents_and_trailer.split_at(split);
-    let ty = trailer[0];
-    if ty != 0 {
+    };
+    let (checked, stored) = contents_and_trailer.split_at(split + 1);
+    if checked[split] != 0 {
         return corruption("unknown block type");
     }
-    let stored = u32::from_le_bytes(trailer[1..5].try_into().expect("4 bytes"));
-    let actual = crc32c::mask(crc32c::extend(crc32c::crc32c(contents), &[ty]));
-    if stored != actual {
+    if decode_fixed32(stored) != crc32c::mask(crc32c::crc32c(checked)) {
         return corruption("block checksum mismatch");
     }
-    Ok(contents.to_vec())
+    Ok(&checked[..split])
+}
+
+/// Verifies a block in the buffer the device read filled and returns
+/// that same buffer cut down to the contents — no second allocation
+/// between the platter and the [`Block`].
+pub(crate) fn check_block(contents_and_trailer: Vec<u8>) -> Result<Vec<u8>> {
+    verify_block(&contents_and_trailer)?;
+    Ok(strip_trailer(contents_and_trailer))
+}
+
+/// Cuts a verified block image down to its contents, in place.
+pub(crate) fn strip_trailer(mut image: Vec<u8>) -> Vec<u8> {
+    image.truncate(image.len() - BLOCK_TRAILER_SIZE);
+    image
+}
+
+/// Reads the block at `handle` from the device and verifies it: the
+/// buffer `SparseStore` filled comes back holding just the contents.
+fn read_checked(
+    ctx: &mut crate::context::StoreCtx,
+    file: FileId,
+    handle: BlockHandle,
+    kind: IoKind,
+) -> Result<Vec<u8>> {
+    let (len, _) = handle
+        .disk_span()
+        .map_err(|e| locate(e, || format!("file {file}")))?;
+    let raw = ctx.fs.read_file(file, handle.offset, len, kind)?;
+    check_block_at(ctx, file, handle.offset, raw)
 }
 
 /// Parses the footer of a table, returning (filter handle, index handle).
@@ -301,43 +349,29 @@ impl Table {
     /// Opens a table by reading its footer, index and filter (charged as
     /// `Meta` reads; amortised by the table cache).
     pub fn open(ctx: &SharedCtx, file: FileId, file_size: u64) -> Result<Table> {
+        // `file_size` comes from the manifest — disk bytes, like the
+        // handles below.
+        let Some(footer_offset) = file_size.checked_sub(FOOTER_SIZE as u64) else {
+            return corruption(format!("file {file} smaller than footer"));
+        };
         let mut guard = ctx.lock();
-        let footer = guard.fs.read_file(
-            file,
-            file_size - FOOTER_SIZE as u64,
-            FOOTER_SIZE as u64,
-            IoKind::Meta,
-        )?;
-        let (filter_handle, index_handle) = parse_footer(&footer).map_err(|e| match e {
-            crate::error::Error::Corruption(msg) => {
-                crate::error::Error::Corruption(format!("file {file} footer: {msg}"))
-            }
-            other => other,
-        })?;
-        let index_raw = guard.fs.read_file(
-            file,
-            index_handle.offset,
-            index_handle.size + BLOCK_TRAILER_SIZE as u64,
-            IoKind::Meta,
-        )?;
-        let index = Arc::new(Block::new(check_block_at(
+        let footer = guard
+            .fs
+            .read_file(file, footer_offset, FOOTER_SIZE as u64, IoKind::Meta)?;
+        let (filter_handle, index_handle) =
+            parse_footer(&footer).map_err(|e| locate(e, || format!("file {file} footer")))?;
+        let index = Arc::new(Block::new(read_checked(
             &mut guard,
             file,
-            index_handle.offset,
-            &index_raw,
+            index_handle,
+            IoKind::Meta,
         )?)?);
         let bloom = if filter_handle.size > 0 {
-            let raw = guard.fs.read_file(
-                file,
-                filter_handle.offset,
-                filter_handle.size + BLOCK_TRAILER_SIZE as u64,
-                IoKind::Meta,
-            )?;
-            BloomFilter::decode(&check_block_at(
+            BloomFilter::decode(&read_checked(
                 &mut guard,
                 file,
-                filter_handle.offset,
-                &raw,
+                filter_handle,
+                IoKind::Meta,
             )?)
         } else {
             None
@@ -379,17 +413,8 @@ impl Table {
                 return Ok(block);
             }
         }
-        let raw = guard.fs.read_file(
-            self.file,
-            handle.offset,
-            handle.size + BLOCK_TRAILER_SIZE as u64,
-            kind,
-        )?;
-        let block = Arc::new(Block::new(check_block_at(
-            &mut guard,
-            self.file,
-            handle.offset,
-            &raw,
+        let block = Arc::new(Block::new(read_checked(
+            &mut guard, self.file, handle, kind,
         )?)?);
         if use_cache {
             let charge = block.size() as u64;
@@ -535,23 +560,26 @@ pub fn scan_all(data: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         return corruption("table smaller than footer");
     }
     let (_, index_handle) = parse_footer(&data[data.len() - FOOTER_SIZE..])?;
-    let end = (index_handle.offset + index_handle.size) as usize + BLOCK_TRAILER_SIZE;
-    if end > data.len() {
-        return corruption("index handle out of range");
-    }
-    let index = Arc::new(Block::new(check_block(
-        &data[index_handle.offset as usize..end],
-    )?)?);
+    // The verified contents of the block at `handle`, copied out of the
+    // table image into the buffer its `Block` owns.
+    let block_at = |handle: BlockHandle, what: &str| -> Result<Arc<Block>> {
+        let (_, end) = handle.disk_span()?;
+        match usize::try_from(end).ok().filter(|&end| end <= data.len()) {
+            // `offset <= end` holds: `disk_span` summed without overflow.
+            Some(end) => {
+                let contents = verify_block(&data[handle.offset as usize..end])?;
+                Ok(Arc::new(Block::new(contents.to_vec())?))
+            }
+            None => corruption(format!("{what} out of range")),
+        }
+    };
+    let index = block_at(index_handle, "index handle")?;
     let mut out = Vec::new();
     let mut ii = index.iter();
     ii.seek_to_first();
     while ii.valid() {
         let (h, _) = BlockHandle::decode(ii.value())?;
-        let bend = (h.offset + h.size) as usize + BLOCK_TRAILER_SIZE;
-        if bend > data.len() {
-            return corruption("data block out of range");
-        }
-        let block = Arc::new(Block::new(check_block(&data[h.offset as usize..bend])?)?);
+        let block = block_at(h, "data block")?;
         let mut bi = block.iter();
         bi.seek_to_first();
         while bi.valid() {
@@ -689,6 +717,78 @@ mod tests {
         assert!(msg.contains("file 1"), "{msg}");
         assert!(msg.contains("offset 0"), "{msg}");
         assert_eq!(ctx.lock().fs.disk().stats().faults.checksum_failures, 1);
+    }
+
+    /// A table image whose footer points its index at `index_handle`.
+    fn table_with_index_handle(index_handle: BlockHandle) -> Vec<u8> {
+        let mut data = build_table(10);
+        let mut footer = Vec::new();
+        BlockHandle { offset: 0, size: 0 }.encode(&mut footer);
+        index_handle.encode(&mut footer);
+        footer.resize(FOOTER_SIZE - 8, 0);
+        put_fixed64(&mut footer, TABLE_MAGIC);
+        let n = data.len();
+        data[n - FOOTER_SIZE..].copy_from_slice(&footer);
+        data
+    }
+
+    #[test]
+    fn open_rejects_file_smaller_than_footer() {
+        // The size is the manifest's word, not the file's: a damaged
+        // manifest entry must surface as corruption, not a subtraction
+        // overflow.
+        let data = build_table(10);
+        let ctx = ctx_with_file(&data);
+        for size in [0, 1, FOOTER_SIZE as u64 - 1] {
+            let err = Table::open(&ctx, 1, size).unwrap_err();
+            assert!(
+                matches!(&err, Error::Corruption(m) if m.contains("file 1 smaller than footer")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn wrapping_block_handles_are_corruption_not_panics() {
+        // size + trailer wraps; offset + size + trailer wraps; and a sum
+        // that wraps to a small `end` below `offset`.
+        let wrapping = [
+            BlockHandle {
+                offset: 0,
+                size: u64::MAX - 2,
+            },
+            BlockHandle {
+                offset: u64::MAX - 100,
+                size: 200,
+            },
+            BlockHandle {
+                offset: 64,
+                size: u64::MAX - 64,
+            },
+        ];
+        for handle in wrapping {
+            let data = table_with_index_handle(handle);
+            let err = scan_all(&data).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{handle:?}: {err}");
+            let ctx = ctx_with_file(&data);
+            let err = Table::open(&ctx, 1, data.len() as u64).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{handle:?}: {err}");
+        }
+        // A data-block handle inside an intact index block: the open
+        // succeeds, the block read must fail cleanly.
+        let mut b = TableBuilder::new(TableOptions::default());
+        b.add(&ik("k", 1), b"v");
+        b.flush_block();
+        let handle = b.pending.as_mut().expect("one block flushed");
+        handle.size = u64::MAX - 2;
+        let data = b.finish();
+        assert!(matches!(scan_all(&data), Err(Error::Corruption(_))));
+        let ctx = ctx_with_file(&data);
+        let table = Table::open(&ctx, 1, data.len() as u64).unwrap();
+        let err = table
+            .get(&ctx, &types::lookup_key(b"k", MAX_SEQUENCE))
+            .unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
     }
 
     #[test]

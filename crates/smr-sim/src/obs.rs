@@ -386,50 +386,85 @@ impl LatencyHistogram {
     }
 }
 
+/// Metrics of one kind keyed by ([`ObsLayer`], name). Nested so that a
+/// bump looks its name up as the borrowed `&str` the caller passed — the
+/// owned `String` key is allocated once, on first insert — while
+/// iteration stays in deterministic (layer, name) order for export.
+#[derive(Clone, Debug)]
+struct ByName<V>(BTreeMap<ObsLayer, BTreeMap<String, V>>);
+
+impl<V> Default for ByName<V> {
+    fn default() -> Self {
+        ByName(BTreeMap::new())
+    }
+}
+
+impl<V> ByName<V> {
+    fn get(&self, layer: ObsLayer, name: &str) -> Option<&V> {
+        self.0.get(&layer)?.get(name)
+    }
+
+    /// The metric's slot, created with `V::default()` on first use.
+    fn slot(&mut self, layer: ObsLayer, name: &str) -> &mut V
+    where
+        V: Default,
+    {
+        let names = self.0.entry(layer).or_default();
+        // Two borrowed lookups on the hot path (the borrow checker
+        // rejects returning out of a single `get_mut` match) still beat
+        // building a `String` per bump for `entry`.
+        if !names.contains_key(name) {
+            names.insert(name.to_string(), V::default());
+        }
+        names.get_mut(name).expect("present or just inserted")
+    }
+
+    fn iter(&self) -> impl Iterator<Item = ((ObsLayer, &str), &V)> {
+        self.0.iter().flat_map(|(&layer, names)| {
+            names
+                .iter()
+                .map(move |(name, v)| ((layer, name.as_str()), v))
+        })
+    }
+}
+
 /// Named counters and gauges, keyed by layer. BTreeMap keys give
 /// deterministic iteration order for export.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<(ObsLayer, String), u64>,
-    gauges: BTreeMap<(ObsLayer, String), f64>,
+    counters: ByName<u64>,
+    gauges: ByName<f64>,
 }
 
 impl MetricsRegistry {
     /// Adds `delta` to a counter, creating it at zero first if absent.
     pub fn counter_add(&mut self, layer: ObsLayer, name: &str, delta: u64) {
-        *self.counters.entry((layer, name.to_string())).or_insert(0) += delta;
+        *self.counters.slot(layer, name) += delta;
     }
 
     /// Current counter value (0 if never touched).
     pub fn counter(&self, layer: ObsLayer, name: &str) -> u64 {
-        self.counters
-            .get(&(layer, name.to_string()))
-            .copied()
-            .unwrap_or(0)
+        self.counters.get(layer, name).copied().unwrap_or(0)
     }
 
     /// Sets a gauge. Non-finite values are clamped to 0.0 so NaN can never
     /// reach an export.
     pub fn gauge_set(&mut self, layer: ObsLayer, name: &str, value: f64) {
-        let v = if value.is_finite() { value } else { 0.0 };
-        self.gauges.insert((layer, name.to_string()), v);
+        *self.gauges.slot(layer, name) = if value.is_finite() { value } else { 0.0 };
     }
 
     /// Current gauge value (0.0 if never set).
     pub fn gauge(&self, layer: ObsLayer, name: &str) -> f64 {
-        self.gauges
-            .get(&(layer, name.to_string()))
-            .copied()
-            .unwrap_or(0.0)
+        self.gauges.get(layer, name).copied().unwrap_or(0.0)
     }
 
     /// Counters in deterministic (layer, name) order.
-    pub fn counters(&self) -> impl Iterator<Item = (&(ObsLayer, String), &u64)> {
+    pub fn counters(&self) -> impl Iterator<Item = ((ObsLayer, &str), &u64)> {
         self.counters.iter()
     }
 
     /// Gauges in deterministic (layer, name) order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&(ObsLayer, String), &f64)> {
+    pub fn gauges(&self) -> impl Iterator<Item = ((ObsLayer, &str), &f64)> {
         self.gauges.iter()
     }
 }
@@ -439,7 +474,7 @@ impl MetricsRegistry {
 pub struct Obs {
     /// Counter/gauge registry.
     pub registry: MetricsRegistry,
-    hists: BTreeMap<(ObsLayer, String), LatencyHistogram>,
+    hists: ByName<LatencyHistogram>,
     /// Event ring buffer.
     pub tracer: EventTracer,
 }
@@ -463,19 +498,16 @@ impl Obs {
     /// Records one latency sample into the named histogram, creating the
     /// histogram on first use.
     pub fn latency(&mut self, layer: ObsLayer, name: &str, ns: u64) {
-        self.hists
-            .entry((layer, name.to_string()))
-            .or_default()
-            .record(ns);
+        self.hists.slot(layer, name).record(ns);
     }
 
     /// Looks up a histogram by (layer, name).
     pub fn histogram(&self, layer: ObsLayer, name: &str) -> Option<&LatencyHistogram> {
-        self.hists.get(&(layer, name.to_string()))
+        self.hists.get(layer, name)
     }
 
     /// Histograms in deterministic (layer, name) order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&(ObsLayer, String), &LatencyHistogram)> {
+    pub fn histograms(&self) -> impl Iterator<Item = ((ObsLayer, &str), &LatencyHistogram)> {
         self.hists.iter()
     }
 

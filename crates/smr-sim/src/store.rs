@@ -56,28 +56,24 @@ impl SparseStore {
         }
     }
 
-    /// Reads `buf.len()` bytes starting at `offset` into `buf`.
-    pub fn read(&self, offset: u64, buf: &mut [u8]) {
+    /// Reads `len` bytes starting at `offset` into a fresh vector. This
+    /// is the one allocation of a device read: the vector is filled
+    /// chunk by chunk (never zero-initialised first) and handed up, by
+    /// value, to whoever asked the disk for the bytes.
+    pub fn read_vec(&self, offset: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
         let mut pos = offset;
-        let mut rest: &mut [u8] = buf;
-        while !rest.is_empty() {
+        while out.len() < len {
             let chunk_idx = pos >> CHUNK_SHIFT;
             let within = (pos & ((CHUNK_SIZE as u64) - 1)) as usize;
-            let n = rest.len().min(CHUNK_SIZE - within);
+            let n = (len - out.len()).min(CHUNK_SIZE - within);
             match self.chunks.get(&chunk_idx) {
-                Some(chunk) => rest[..n].copy_from_slice(&chunk[within..within + n]),
-                None => rest[..n].fill(0),
+                Some(chunk) => out.extend_from_slice(&chunk[within..within + n]),
+                None => out.resize(out.len() + n, 0),
             }
             pos += n as u64;
-            rest = &mut rest[n..];
         }
-    }
-
-    /// Reads `len` bytes starting at `offset` into a fresh vector.
-    pub fn read_vec(&self, offset: u64, len: usize) -> Vec<u8> {
-        let mut v = vec![0u8; len];
-        self.read(offset, &mut v);
-        v
+        out
     }
 }
 

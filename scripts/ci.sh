@@ -34,15 +34,32 @@ echo "seal-lint json self-check ok"
 # keep them green by name.)
 cargo test -q --test vlog_crash_points --test crash_points --test recovery_hardening
 
+# Byte-identity oracle. Every BENCH_pr*.json below is a pure function of
+# the code and its seeds — simulated clock only, no host time — and the
+# committed copy is what that function returned when it last changed on
+# purpose. A regenerated artifact that differs from the committed one
+# therefore means simulated behaviour moved: a host-only change (buffer
+# ownership, checksum kernels, allocation reuse) must pass this gate
+# untouched, and a change that means to move an artifact commits the new
+# bytes with it.
+same_as_committed() {
+    git diff --exit-code -- "$1" || {
+        echo "$1: regenerated artifact differs from the committed one"
+        exit 1
+    }
+}
+
 # Observability artifact: produce the metrics trajectory at smoke scale
 # and schema-check it (fails on missing keys or any NaN/Inf leak).
 cargo run -q --release -p bench -- --metrics-out BENCH_pr2.json --tiny
+same_as_committed BENCH_pr2.json
 cargo run -q --release -p bench -- --metrics-check BENCH_pr2.json
 
 # Serving artifact: the canonical latency-under-load sweep, then the
 # schema check (required keys, no NaN/Inf) and the headline property —
 # SEALDB sustains the highest saturation throughput of the three stores.
 cargo run -q --release -p bench -- --serve-out BENCH_pr3.json --serving
+same_as_committed BENCH_pr3.json
 cargo run -q --release -p bench -- --serve-check BENCH_pr3.json
 sats=$(grep -o '"saturation_ops_per_sec":[0-9.]*' BENCH_pr3.json | cut -d: -f2)
 echo "$sats" | awk 'NR==1{l=$1} NR==2{m=$1} NR==3{s=$1}
@@ -57,6 +74,7 @@ echo "$sats" | awk 'NR==1{l=$1} NR==2{m=$1} NR==3{s=$1}
 # keys while the scrub-off baselines lose a deterministic set (the
 # checker enforces this; the awk pass restates it as a visible gate).
 cargo run -q --release -p bench -- --scrub-out BENCH_pr5.json --tiny
+same_as_committed BENCH_pr5.json
 cargo run -q --release -p bench -- --scrub-check BENCH_pr5.json
 grep -o '"scrub":[a-z]*,"scrub_budget":[0-9]*,"fault_regions":[0-9]*,"lost_keys":[0-9]*' BENCH_pr5.json |
 awk -F'[:,]' '$2=="true" && $8 != 0 { printf "scrub-on cell lost %s keys\n", $8; bad=1 }
@@ -71,6 +89,7 @@ awk -F'[:,]' '$2=="true" && $8 != 0 { printf "scrub-on cell lost %s keys\n", $8;
 # acked writes, while the primary-only baselines lose their unshipped
 # tail (the checker enforces this; the awk pass restates it as a gate).
 cargo run -q --release -p bench -- --replicate-out BENCH_pr6.json --tiny
+same_as_committed BENCH_pr6.json
 cargo run -q --release -p bench -- --replicate-check BENCH_pr6.json
 grep -o '"ack":"[a-z]*","link_latency_ns":[0-9]*,"kill_after":[0-9]*,"writes":[0-9]*,"acked_writes":[0-9]*,"acked_lost":[0-9]*' BENCH_pr6.json |
 awk -F'[:,]' '{ gsub(/"/, "") }
@@ -86,6 +105,7 @@ awk -F'[:,]' '{ gsub(/"/, "") }
 # saturation rises strictly with shard count, and the migration loses
 # ZERO acked keys while actually moving data.
 cargo run -q --release -p bench -- --shard-out BENCH_pr7.json --serving
+same_as_committed BENCH_pr7.json
 cargo run -q --release -p bench -- --shard-check BENCH_pr7.json
 grep -o '"saturation_ops_per_sec":[0-9.]*' BENCH_pr7.json | cut -d: -f2 |
 awk 'NR>1 && $1 <= prev { printf "shard saturation not strictly increasing: %s after %s\n", $1, prev; exit 1 }
@@ -105,6 +125,7 @@ awk -F'[:,]' '{ moved=$2; lost=$12 }
 # every cell (>=2x on workload A), sustains a higher saturation knee,
 # and no cell loses a single key.
 cargo run -q --release -p bench -- --vlog-out BENCH_pr8.json --tiny --value 4096 --load-mb 4 --ycsb-ops 4000
+same_as_committed BENCH_pr8.json
 cargo run -q --release -p bench -- --vlog-check BENCH_pr8.json
 grep -o '"workload":"[AF]","vlog":[a-z]*,"update_wa":[0-9.]*,[^}]*"saturation_ops_per_sec":[0-9.]*,[^}]*"lost_keys":[0-9]*' BENCH_pr8.json |
 awk -F'[:,]' '{ gsub(/"/, "") }
@@ -135,6 +156,10 @@ cargo run -q -p bench -- --chaos-out BENCH_pr10.json --tiny --chaos-schedules "$
 cargo run -q -p bench -- --chaos-out BENCH_pr10.json.rerun --tiny --chaos-schedules "${CHAOS_SCHEDULES:-25}"
 cmp BENCH_pr10.json BENCH_pr10.json.rerun
 rm BENCH_pr10.json.rerun
+# The committed artifact is the default 25-schedule run.
+if [[ "${CHAOS_SCHEDULES:-25}" == 25 ]]; then
+    same_as_committed BENCH_pr10.json
+fi
 cargo run -q -p bench -- --chaos-check BENCH_pr10.json
 grep -o '"violations_total":[0-9]*' BENCH_pr10.json | cut -d: -f2 |
 awk '{ v=$1 } END { if (v != 0) { printf "chaos oracle reported %d violations\n", v; exit 1 }
@@ -145,3 +170,11 @@ awk '{ if ($1 < 4) { printf "chaos coverage spans only %d device fault classes\n
 grep -o '"cluster":{[^}]*}' BENCH_pr10.json | tr ',' '\n' | grep -c ':' |
 awk '{ if ($1 < 3) { printf "chaos coverage spans only %d cluster fault classes\n", $1; exit 1 }
        printf "chaos cluster coverage ok: %d classes\n", $1 }'
+
+# seal-perf (benchmark/) is a workspace of its own that binds the crates'
+# public surface by name (benchmark/src/surface.rs): build and test it
+# against this tree, then let it check itself and run every workload once
+# at smoke scale, so the crates cannot drift from what the benchmark
+# calls. Results land in benchmark/results/ci/ (ignored by git).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --smoke ci

@@ -1,0 +1,104 @@
+//! On-disk format pins: FNV-1a fingerprints of the bytes the engine
+//! writes for fixed inputs. Host-side refactors (buffer ownership, CRC
+//! kernels, allocation reuse) must leave every one of these untouched —
+//! a moved constant means the *format* or the *simulated behaviour*
+//! changed, which is never a host-only change. Constants recorded at the
+//! commit before the checksum-once / copy-once block pipeline landed.
+
+use lsm_core::sstable::{TableBuilder, TableOptions};
+use lsm_core::types::{make_internal_key, ValueType};
+use lsm_core::util::rng::XorShift64;
+use lsm_core::LogWriter;
+use sealdb::{StoreConfig, StoreKind};
+
+fn fnv1a(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// 1 000 entries, keys sharing a prefix (so prefix compression and the
+/// index separators both do work), values of varying length.
+fn table_bytes(bloom_bits_per_key: usize) -> Vec<u8> {
+    let mut rng = XorShift64::new(0x7ab1e);
+    let mut b = TableBuilder::new(TableOptions {
+        block_size: 4096,
+        restart_interval: 16,
+        bloom_bits_per_key,
+    });
+    for i in 0..1000u64 {
+        let key = format!("user{:012}", i * 7919);
+        let mut value = vec![0u8; 20 + rng.next_below(200) as usize];
+        for byte in value.iter_mut() {
+            *byte = rng.next_u64() as u8;
+        }
+        b.add(
+            &make_internal_key(key.as_bytes(), 1000 - i, ValueType::Value),
+            &value,
+        );
+    }
+    b.finish()
+}
+
+#[test]
+fn table_builder_bytes_are_pinned() {
+    let plain = table_bytes(0);
+    assert_eq!(
+        (plain.len(), fnv1a(&plain)),
+        (142_160, 0xb383_6c91_9529_e22d)
+    );
+    let bloomed = table_bytes(10);
+    assert_eq!(
+        (bloomed.len(), fnv1a(&bloomed)),
+        (143_416, 0xc2d3_6bc8_40aa_487f)
+    );
+}
+
+#[test]
+fn log_writer_stream_is_pinned() {
+    let mut rng = XorShift64::new(0x106);
+    let mut w = LogWriter::new();
+    // Lengths from 0 to ~40 KiB: FULL records, block-tail padding and
+    // FIRST/MIDDLE/LAST chains all occur.
+    for i in 0..100u64 {
+        let len = match i % 10 {
+            0 => 0,
+            9 => 33_000 + rng.next_below(8000) as usize,
+            _ => rng.next_below(3000) as usize,
+        };
+        let record: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+        w.add_record(&record);
+    }
+    let stream = w.take();
+    assert_eq!(
+        (stream.len(), fnv1a(&stream)),
+        (487_820, 0x4a65_fa69_4037_8f29)
+    );
+}
+
+#[test]
+fn store_metrics_after_fixed_run_are_pinned() {
+    // 16 KiB tables: 2 000 puts of ~270 B flush 40 times and compact
+    // through two levels, so WAL, flush, compaction read/write, table
+    // open, block-cache hits and misses and dynamic-band placement all
+    // leave their counters in the snapshot.
+    let mut store = StoreConfig::new(StoreKind::SealDb, 16 << 10, 256 << 20)
+        .build()
+        .expect("store builds");
+    let mut rng = XorShift64::new(0x5ea1);
+    for _ in 0..2000 {
+        let key = format!("user{:010}", rng.next_below(1_000_000));
+        let value = vec![rng.next_u64() as u8; 256];
+        store.put(key.as_bytes(), &value).expect("put");
+    }
+    for k in 0..200u64 {
+        let key = format!("user{:010}", k * 4999);
+        store.get(key.as_bytes()).expect("get");
+    }
+    let json = store.metrics_snapshot().to_json(0);
+    assert_eq!(
+        (json.len(), fnv1a(json.as_bytes())),
+        (2172, 0x304b_f547_d552_9f1a),
+        "metrics snapshot moved"
+    );
+}

@@ -63,7 +63,10 @@ pub fn new_ctx(fs: FileStore, block_cache_bytes: u64, table_cache_entries: u64) 
 }
 
 /// Fetches an open table reader through the table cache, opening (and
-/// charging `Meta` reads for footer/index/filter) on a miss.
+/// charging `Meta` reads for footer/index/filter) on a miss. Tables this
+/// process built are already here — `DbCore::install_tables` hands their
+/// readers over from memory — so a miss means the reader was evicted or
+/// the table predates the last restart.
 pub fn get_table(ctx: &SharedCtx, id: FileId, size: u64) -> Result<Arc<Table>> {
     if let Some(t) = ctx.lock().table_cache.get(&id) {
         return Ok(t);

@@ -22,7 +22,7 @@ use crate::filestore::{CrashImage, FileStore};
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::memtable::MemTable;
 use crate::policy::PlacementPolicy;
-use crate::sstable::TableBuilder;
+use crate::sstable::{Table, TableBuilder};
 use crate::types::{
     lookup_key, try_parse_trailer, user_key, FileId, SequenceNumber, ValueType, MAX_SEQUENCE,
 };
@@ -35,6 +35,7 @@ use batch::WriteBatch;
 use iter::{DbIterator, LevelIterator};
 use options::Options;
 use smr_sim::{Disk, IoKind, ObsEventKind, ObsLayer};
+use std::sync::Arc;
 
 /// Finished compaction outputs awaiting placement. The encoded tables
 /// sit in the `(file id, bytes)` shape [`PlacementPolicy::place_outputs`]
@@ -269,6 +270,11 @@ impl DbCore {
         let mut report = RecoveryReport::default();
         {
             let mut guard = ctx.lock();
+            // A restart keeps no open readers: every table the recovered
+            // version references is opened — and so verified — from the
+            // device again, and a file id the recovered counter hands out
+            // a second time can never meet the reader of its first owner.
+            guard.table_cache.clear();
             let manifest = versions.recover(&mut guard.fs)?;
             report.manifest_edits_applied = manifest.edits_applied;
             report.manifest_records_dropped = manifest.records_dropped;
@@ -365,15 +371,16 @@ impl DbCore {
 
     /// Rebuilds the database from a crash image: the file store reverts
     /// to the captured power-cut state, both caches drop (they may hold
-    /// blocks from the discarded future), the placement policy relearns
-    /// exactly the surviving extents, and normal recovery (manifest +
-    /// WAL replay + orphan cleanup) runs on what the disk retained.
+    /// blocks and readers from the discarded future — the block cache
+    /// here, the table cache in [`DbCore::reopen`]), the placement policy
+    /// relearns exactly the surviving extents, and normal recovery
+    /// (manifest + WAL replay + orphan cleanup) runs on what the disk
+    /// retained.
     pub fn restore_crash_image(mut self, image: &CrashImage) -> Result<DbCore> {
         {
             let mut guard = self.ctx.lock();
             guard.fs.restore_crash_image(image);
             guard.block_cache.clear();
-            guard.table_cache.clear();
             let live = guard.fs.file_extents();
             self.policy.rebuild(&live);
         }
@@ -847,12 +854,13 @@ impl DbCore {
         }
         let smallest = builder.first_key().expect("non-empty memtable").to_vec();
         let largest = builder.last_key().to_vec();
-        let data = builder.finish();
-        let size = data.len() as u64;
+        let output = [(file_id, builder.finish())];
+        let size = output[0].1.len() as u64;
         let set_id = {
             let mut guard = self.ctx.lock();
             guard.fs.disk_mut().set_trace_tag(0);
-            self.policy.place_flush(&mut guard.fs, file_id, &data)?
+            self.policy
+                .place_flush(&mut guard.fs, file_id, &output[0].1)?
         };
         let mut edit = VersionEdit::default();
         edit.add_file(
@@ -873,9 +881,9 @@ impl DbCore {
         } else {
             None
         };
+        self.install_tables(edit, &output)?;
         {
             let mut guard = self.ctx.lock();
-            self.versions.log_and_apply(&mut guard.fs, edit)?;
             if let Some(id) = new_wal {
                 guard.fs.delete_log(self.wal_id)?;
                 guard.fs.create_log(id)?;
@@ -1144,9 +1152,9 @@ impl DbCore {
         if let Some(last) = c.inputs[0].last() {
             edit.compact_pointers.push((c.level, last.largest.clone()));
         }
+        self.install_tables(edit, &outputs.tables)?;
         {
             let mut guard = self.ctx.lock();
-            self.versions.log_and_apply(&mut guard.fs, edit)?;
             for f in c.inputs.iter().flatten() {
                 self.policy.delete_file(&mut guard.fs, f.id)?;
             }
@@ -1187,6 +1195,29 @@ impl DbCore {
             lvl as u64,
             output_bytes,
         );
+        Ok(())
+    }
+
+    /// The one place a table the engine built becomes live — flush,
+    /// compaction and scrub's rebuild all install through here. Commits
+    /// `edit`, which adds `tables` (already placed on the device) to the
+    /// version, then hands each table's reader to the table cache, made
+    /// from the image the builder still holds, so no compaction opens its
+    /// inputs cold (LevelDB's verify-after-build does the same through
+    /// the page cache; DESIGN.md §5). The readers pass [`Table::open`]'s
+    /// checks before anything is committed and enter the cache only after
+    /// the edit is: outputs orphaned by a failed placement or manifest
+    /// write never get a reader.
+    fn install_tables(&mut self, edit: VersionEdit, tables: &[(FileId, Vec<u8>)]) -> Result<()> {
+        let readers = tables
+            .iter()
+            .map(|(id, image)| Ok((*id, Arc::new(Table::from_image(*id, image)?))))
+            .collect::<Result<Vec<_>>>()?;
+        let mut guard = self.ctx.lock();
+        self.versions.log_and_apply(&mut guard.fs, edit)?;
+        for (id, reader) in readers {
+            guard.table_cache.insert(id, reader, 1);
+        }
         Ok(())
     }
 
@@ -1632,6 +1663,135 @@ mod tests {
         }
         db.flush().unwrap();
         assert_eq!(db.get(&kv(7).0).unwrap(), Some(b"final".to_vec()));
+    }
+
+    fn live_ids(db: &DbCore) -> std::collections::BTreeSet<FileId> {
+        let v = db.current_version();
+        v.files.iter().flatten().map(|f| f.id).collect()
+    }
+
+    #[test]
+    fn fresh_tables_enter_the_table_cache_without_device_reads() {
+        let mut db = open_db(16 << 10);
+        for i in 0..3000u64 {
+            let (k, v) = kv((i * 2654435761) % 3000);
+            db.put(&k, &v).unwrap();
+        }
+        db.flush().unwrap();
+        assert!(db.compaction_log().iter().any(|c| !c.trivial_move));
+        let guard = db.ctx().lock();
+        // Every compaction found its inputs' readers where flush or an
+        // earlier compaction left them.
+        let (hits, misses) = guard.table_cache.hit_stats();
+        assert!(hits > 0);
+        assert_eq!(misses, 0);
+        assert_eq!(guard.fs.disk().stats().kind(IoKind::Meta).logical_read, 0);
+        // Exactly the live tables have readers: inputs were evicted.
+        assert_eq!(guard.table_cache.len(), live_ids(&db).len());
+    }
+
+    #[test]
+    fn failed_placement_leaves_no_reader_for_orphaned_outputs() {
+        type Arm = fn(&mut Disk);
+        let faults: [(Arm, Arm); 2] = [
+            (
+                |d| d.fail_writes_after(Some(3)),
+                |d| d.fail_writes_after(None),
+            ),
+            (
+                |d| d.faults_mut().tear_write_after(3),
+                |d| d.faults_mut().disarm_torn_writes(),
+            ),
+        ];
+        for (arm, disarm) in faults {
+            let cap = 1024 * MB;
+            let disk = Disk::new(cap, Layout::Hdd, TimeModel::hdd_st1000dm003(cap));
+            // One 32 KiB table per flush, 8 KiB compaction outputs: the
+            // first L0 compaction places a dozen files, one write each.
+            let mut opts = Options::scaled(8 << 10);
+            opts.write_buffer_size = 32 << 10;
+            opts.wal_buffer_bytes = 0;
+            opts.deferred_compaction = true;
+            let alloc = Ext4Sim::new(cap - opts.log_zone_bytes, 16 * MB);
+            let policy = crate::policy::PerFilePolicy::new(Box::new(alloc));
+            let mut db = DbCore::open(disk, opts, Box::new(policy)).unwrap();
+            let mut n = 0u64;
+            while db.current_version().level_file_count(0) < 4 {
+                let (k, v) = kv((n * 2654435761) % 100_000);
+                db.put(&k, &v).unwrap();
+                n += 1;
+            }
+            let live_before = live_ids(&db);
+
+            // The fault lands inside `place_outputs`: three outputs reach
+            // the device, the fourth write fails, no edit is committed.
+            arm(db.ctx().lock().fs.disk_mut());
+            assert!(db.compact_step().is_err());
+            disarm(db.ctx().lock().fs.disk_mut());
+            assert_eq!(live_ids(&db), live_before, "nothing was installed");
+            let on_device: Vec<FileId> = {
+                let guard = db.ctx().lock();
+                guard.fs.file_extents().iter().map(|(id, _)| *id).collect()
+            };
+            let orphans: Vec<FileId> = on_device
+                .into_iter()
+                .filter(|id| !live_before.contains(id))
+                .collect();
+            assert!(orphans.len() >= 3, "placed outputs: {orphans:?}");
+            {
+                let mut guard = db.ctx().lock();
+                assert_eq!(guard.table_cache.len(), live_before.len());
+                for id in &orphans {
+                    assert!(guard.table_cache.get(id).is_none(), "reader for {id}");
+                }
+            }
+
+            // The retry runs the same compaction under fresh ids.
+            assert!(db.compact_step().unwrap());
+            assert_eq!(db.current_version().level_file_count(0), 0);
+            for i in 0..n {
+                let (k, v) = kv((i * 2654435761) % 100_000);
+                assert_eq!(db.get(&k).unwrap(), Some(v), "key {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn crash_restore_empties_the_table_cache_before_ids_are_reused() {
+        let mut db = open_db(16 << 10);
+        let load = |db: &mut DbCore, tag: &str| {
+            // Scrambled order: overlapping L0 files, so compactions emit
+            // runs of consecutive file ids.
+            for n in 0..1500u64 {
+                let i = (n * 2654435761) % 1500;
+                let (k, _) = kv(i);
+                db.put(&k, format!("{tag}-{i:06}-{}", "y".repeat(90)).as_bytes())
+                    .unwrap();
+            }
+            db.flush().unwrap();
+        };
+        load(&mut db, "durable");
+        let image = db.ctx().lock().fs.crash_image();
+        let at_image = live_ids(&db);
+        // The future the power cut discards: its tables have readers.
+        load(&mut db, "discarded");
+        let discarded: Vec<FileId> = live_ids(&db).difference(&at_image).copied().collect();
+        assert!(!discarded.is_empty());
+        assert!(db.ctx().lock().table_cache.len() >= discarded.len());
+
+        let mut db = db.restore_crash_image(&image).unwrap();
+        assert!(db.ctx().lock().table_cache.is_empty());
+        assert_eq!(live_ids(&db), at_image);
+        // The recovered counter hands the discarded ids out again.
+        load(&mut db, "rewritten");
+        assert!(
+            discarded.iter().any(|id| live_ids(&db).contains(id)),
+            "expected a reused file id among {discarded:?}"
+        );
+        for i in 0..1500u64 {
+            let want = format!("rewritten-{i:06}-{}", "y".repeat(90)).into_bytes();
+            assert_eq!(db.get(&kv(i).0).unwrap(), Some(want), "key {i}");
+        }
     }
 
     #[test]

@@ -592,11 +592,11 @@ impl DbCore {
         };
         let largest = builder.last_key().to_vec();
         let id = self.versions.new_file_id();
-        let data = builder.finish();
-        let size = data.len() as u64;
+        let output = [(id, builder.finish())];
+        let size = output[0].1.len() as u64;
         let set_id = {
             let mut guard = self.ctx.lock();
-            self.policy.place_outputs(&mut guard.fs, &[(id, data)])?
+            self.policy.place_outputs(&mut guard.fs, &output)?
         };
         let mut edit = VersionEdit::default();
         edit.delete_file(level, old.id);
@@ -610,9 +610,9 @@ impl DbCore {
                 set_id,
             },
         );
+        self.install_tables(edit, &output)?;
         {
             let mut guard = self.ctx.lock();
-            self.versions.log_and_apply(&mut guard.fs, edit)?;
             self.policy.delete_file(&mut guard.fs, old.id)?;
         }
         crate::context::evict_file(&self.ctx, old.id);

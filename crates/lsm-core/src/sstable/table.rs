@@ -262,21 +262,6 @@ pub(crate) fn locate(e: Error, place: impl FnOnce() -> String) -> Error {
     }
 }
 
-/// [`check_block`] with file/offset context in the error and the host's
-/// checksum-failure counter bumped — every on-disk block read goes
-/// through here so corruption reports say *which* block was bad.
-fn check_block_at(
-    ctx: &mut crate::context::StoreCtx,
-    file: FileId,
-    offset: u64,
-    contents_and_trailer: Vec<u8>,
-) -> Result<Vec<u8>> {
-    check_block(contents_and_trailer).map_err(|e| {
-        ctx.fs.disk_mut().stats_mut().faults.checksum_failures += 1;
-        locate(e, || format!("file {file} block at offset {offset}"))
-    })
-}
-
 /// The one block verification routine: checks the trailer's type byte and
 /// masked CRC-32C over `contents | type` and returns the contents.
 pub(crate) fn verify_block(contents_and_trailer: &[u8]) -> Result<&[u8]> {
@@ -309,17 +294,63 @@ pub(crate) fn strip_trailer(mut image: Vec<u8>) -> Vec<u8> {
 
 /// Reads the block at `handle` from the device and verifies it: the
 /// buffer `SparseStore` filled comes back holding just the contents.
-fn read_checked(
+/// Every on-device block read goes through here, so a failed check
+/// always bumps the host's checksum-failure counter; the error is left
+/// for the caller to [`locate`].
+fn read_verified(
     ctx: &mut crate::context::StoreCtx,
     file: FileId,
     handle: BlockHandle,
     kind: IoKind,
 ) -> Result<Vec<u8>> {
-    let (len, _) = handle
-        .disk_span()
-        .map_err(|e| locate(e, || format!("file {file}")))?;
+    let (len, _) = handle.disk_span()?;
     let raw = ctx.fs.read_file(file, handle.offset, len, kind)?;
-    check_block_at(ctx, file, handle.offset, raw)
+    check_block(raw).inspect_err(|_| {
+        ctx.fs.disk_mut().stats_mut().faults.checksum_failures += 1;
+    })
+}
+
+/// The footer at the tail of a finished table image.
+fn image_footer(image: &[u8]) -> Result<&[u8]> {
+    match image.len().checked_sub(FOOTER_SIZE) {
+        Some(at) => Ok(&image[at..]),
+        None => corruption("table smaller than footer"),
+    }
+}
+
+/// The verified contents of the block at `handle` inside a finished
+/// table image, copied out into the buffer its [`Block`] will own.
+fn image_block(image: &[u8], handle: BlockHandle) -> Result<Vec<u8>> {
+    let (_, end) = handle.disk_span()?;
+    match usize::try_from(end).ok().filter(|&end| end <= image.len()) {
+        // `offset <= end` holds: `disk_span` summed without overflow.
+        Some(end) => Ok(verify_block(&image[handle.offset as usize..end])?.to_vec()),
+        None => corruption("block handle past the end of the table"),
+    }
+}
+
+/// The one footer → reader routine: parses `footer`, then takes the
+/// index and (when the table has one) the filter through `fetch`, which
+/// returns a block's *verified* contents — off the device for
+/// [`Table::open`], out of the finished image for [`Table::from_image`]
+/// and [`scan_all`]. Errors say which part of the table was bad; the
+/// caller adds which table.
+fn load_meta(
+    footer: &[u8],
+    mut fetch: impl FnMut(BlockHandle) -> Result<Vec<u8>>,
+) -> Result<(Arc<Block>, Option<BloomFilter>)> {
+    let (filter_handle, index_handle) =
+        parse_footer(footer).map_err(|e| locate(e, || "footer".into()))?;
+    let mut block = |what: &str, handle: BlockHandle| {
+        fetch(handle).map_err(|e| locate(e, || format!("{what} block at offset {}", handle.offset)))
+    };
+    let index = Block::new(block("index", index_handle)?)?;
+    let bloom = if filter_handle.size > 0 {
+        BloomFilter::decode(&block("filter", filter_handle)?)
+    } else {
+        None
+    };
+    Ok((Arc::new(index), bloom))
 }
 
 /// Parses the footer of a table, returning (filter handle, index handle).
@@ -346,8 +377,8 @@ pub struct Table {
 }
 
 impl Table {
-    /// Opens a table by reading its footer, index and filter (charged as
-    /// `Meta` reads; amortised by the table cache).
+    /// Opens a table by reading its footer, index and filter off the
+    /// device (charged as `Meta` reads; amortised by the table cache).
     pub fn open(ctx: &SharedCtx, file: FileId, file_size: u64) -> Result<Table> {
         // `file_size` comes from the manifest — disk bytes, like the
         // handles below.
@@ -358,27 +389,30 @@ impl Table {
         let footer = guard
             .fs
             .read_file(file, footer_offset, FOOTER_SIZE as u64, IoKind::Meta)?;
-        let (filter_handle, index_handle) =
-            parse_footer(&footer).map_err(|e| locate(e, || format!("file {file} footer")))?;
-        let index = Arc::new(Block::new(read_checked(
-            &mut guard,
-            file,
-            index_handle,
-            IoKind::Meta,
-        )?)?);
-        let bloom = if filter_handle.size > 0 {
-            BloomFilter::decode(&read_checked(
-                &mut guard,
-                file,
-                filter_handle,
-                IoKind::Meta,
-            )?)
-        } else {
-            None
-        };
+        let (index, bloom) = load_meta(&footer, |handle| {
+            read_verified(&mut guard, file, handle, IoKind::Meta)
+        })
+        .map_err(|e| locate(e, || format!("file {file}")))?;
         Ok(Table {
             file,
             file_size,
+            index,
+            bloom,
+        })
+    }
+
+    /// Makes the reader of a table the engine has just built, from the
+    /// finished image still in memory: the same footer parse and the same
+    /// index and filter checks as [`Table::open`], with no device read.
+    /// Data blocks are not touched; they are verified whenever they are
+    /// read back off the device.
+    pub fn from_image(file: FileId, image: &[u8]) -> Result<Table> {
+        let (index, bloom) = image_footer(image)
+            .and_then(|footer| load_meta(footer, |handle| image_block(image, handle)))
+            .map_err(|e| locate(e, || format!("file {file} (image)")))?;
+        Ok(Table {
+            file,
+            file_size: image.len() as u64,
             index,
             bloom,
         })
@@ -413,9 +447,14 @@ impl Table {
                 return Ok(block);
             }
         }
-        let block = Arc::new(Block::new(read_checked(
-            &mut guard, self.file, handle, kind,
-        )?)?);
+        let block = read_verified(&mut guard, self.file, handle, kind)
+            .and_then(Block::new)
+            .map_err(|e| {
+                locate(e, || {
+                    format!("file {} block at offset {}", self.file, handle.offset)
+                })
+            })?;
+        let block = Arc::new(block);
         if use_cache {
             let charge = block.size() as u64;
             guard.block_cache.insert(key, Arc::clone(&block), charge);
@@ -556,30 +595,13 @@ impl InternalIterator for TableIterator {
 /// Parses a fully materialised table (compaction reads files whole in one
 /// sequential sweep) into its (internal key, value) entries.
 pub fn scan_all(data: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-    if data.len() < FOOTER_SIZE {
-        return corruption("table smaller than footer");
-    }
-    let (_, index_handle) = parse_footer(&data[data.len() - FOOTER_SIZE..])?;
-    // The verified contents of the block at `handle`, copied out of the
-    // table image into the buffer its `Block` owns.
-    let block_at = |handle: BlockHandle, what: &str| -> Result<Arc<Block>> {
-        let (_, end) = handle.disk_span()?;
-        match usize::try_from(end).ok().filter(|&end| end <= data.len()) {
-            // `offset <= end` holds: `disk_span` summed without overflow.
-            Some(end) => {
-                let contents = verify_block(&data[handle.offset as usize..end])?;
-                Ok(Arc::new(Block::new(contents.to_vec())?))
-            }
-            None => corruption(format!("{what} out of range")),
-        }
-    };
-    let index = block_at(index_handle, "index handle")?;
+    let (index, _) = load_meta(image_footer(data)?, |handle| image_block(data, handle))?;
     let mut out = Vec::new();
     let mut ii = index.iter();
     ii.seek_to_first();
     while ii.valid() {
         let (h, _) = BlockHandle::decode(ii.value())?;
-        let block = block_at(h, "data block")?;
+        let block = Arc::new(Block::new(image_block(data, h)?)?);
         let mut bi = block.iter();
         bi.seek_to_first();
         while bi.valid() {
@@ -657,6 +679,63 @@ mod tests {
         assert!(table.get(&ctx, &lk).unwrap().is_none());
         let after = ctx.lock().fs.disk().stats().kind(IoKind::Get).ops;
         assert_eq!(before, after, "bloom miss must avoid block reads");
+    }
+
+    #[test]
+    fn image_reader_matches_device_reader_without_meta_reads() {
+        let data = build_table(500);
+        let ctx = ctx_with_file(&data);
+        let from_image = Table::from_image(1, &data).unwrap();
+        let meta = |ctx: &SharedCtx| ctx.lock().fs.disk().stats().kind(IoKind::Meta).ops;
+        assert_eq!(meta(&ctx), 0, "an image reader costs no device read");
+        let from_device = Table::open(&ctx, 1, data.len() as u64).unwrap();
+        assert_eq!(meta(&ctx), 3, "footer + index + filter");
+        assert_eq!(from_image.file_size(), from_device.file_size());
+        for key in ["key000000", "key000250", "key000499", "key0002505", "zzz"] {
+            let lk = types::lookup_key(key.as_bytes(), MAX_SEQUENCE);
+            assert_eq!(
+                from_image.bloom_excludes(key.as_bytes()),
+                from_device.bloom_excludes(key.as_bytes()),
+                "{key}"
+            );
+            assert_eq!(
+                from_image.get(&ctx, &lk).unwrap(),
+                from_device.get(&ctx, &lk).unwrap(),
+                "{key}"
+            );
+        }
+    }
+
+    #[test]
+    fn image_reader_runs_the_checks_open_runs() {
+        let data = build_table(100);
+        let n = data.len();
+        let (filter, index) = parse_footer(&data[n - FOOTER_SIZE..]).unwrap();
+        // One flipped byte in the index, in the filter, in the magic.
+        for at in [index.offset as usize + 3, filter.offset as usize + 3, n - 1] {
+            let mut bad = data.clone();
+            bad[at] ^= 0x40;
+            let err = Table::from_image(7, &bad).unwrap_err();
+            assert!(
+                matches!(&err, Error::Corruption(m) if m.contains("file 7")),
+                "byte {at}: {err}"
+            );
+            let ctx = ctx_with_file(&bad);
+            let err = Table::open(&ctx, 1, n as u64).unwrap_err();
+            assert!(
+                matches!(&err, Error::Corruption(m) if m.contains("file 1")),
+                "byte {at}: {err}"
+            );
+        }
+        // Data blocks are not part of the reader: a flip there passes
+        // both, and is caught when the block is read.
+        let mut bad = data.clone();
+        bad[10] ^= 0x40;
+        assert!(Table::from_image(7, &bad).is_ok());
+        assert!(matches!(
+            Table::from_image(7, &data[..FOOTER_SIZE - 1]),
+            Err(Error::Corruption(_))
+        ));
     }
 
     #[test]
@@ -769,6 +848,8 @@ mod tests {
         for handle in wrapping {
             let data = table_with_index_handle(handle);
             let err = scan_all(&data).unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "{handle:?}: {err}");
+            let err = Table::from_image(1, &data).unwrap_err();
             assert!(matches!(err, Error::Corruption(_)), "{handle:?}: {err}");
             let ctx = ctx_with_file(&data);
             let err = Table::open(&ctx, 1, data.len() as u64).unwrap_err();

@@ -888,7 +888,7 @@ impl ValueLog {
         // simulated disk.
         let chunk_end = used.min(off + budget_bytes);
         let chunk = if chunk_end > off {
-            fs.read_file(victim, off, chunk_end - off, IoKind::Meta)?
+            fs.read_file(victim, off, chunk_end - off, IoKind::VlogGc)?
         } else {
             Vec::new()
         };
@@ -931,7 +931,7 @@ impl ValueLog {
         if off == chunk_base && off < used {
             // The budget is smaller than the next record: read it
             // whole anyway so the scan always advances.
-            let header = fs.read_file(victim, off, RECORD_HEADER, IoKind::Meta)?;
+            let header = fs.read_file(victim, off, RECORD_HEADER, IoKind::VlogGc)?;
             let klen = u64::from(u32::from_le_bytes([
                 header[4], header[5], header[6], header[7],
             ]));
@@ -944,7 +944,7 @@ impl ValueLog {
                 .get(&victim)
                 .is_some_and(|d| d.offsets.contains(&off));
             if !known_dead {
-                let bytes = fs.read_file(victim, off, rec_len, IoKind::Meta)?;
+                let bytes = fs.read_file(victim, off, rec_len, IoKind::VlogGc)?;
                 let (key, value) = Self::decode_record(&bytes)?;
                 entries.push(GcEntry {
                     key,
@@ -1380,6 +1380,62 @@ mod tests {
         assert!(vl.stats().relocated_bytes > 0);
         assert_eq!(vl.stats().reclaimed_bytes, reclaimed);
         assert!(vl.retire_segment(&mut fs, &mut policy, victim).is_err());
+    }
+
+    #[test]
+    fn gc_victim_reads_are_billed_to_vlog_gc_at_the_cost_meta_paid() {
+        // Two identical devices: one drains a victim through `gc_scan`,
+        // the other replays the same reads under the label they used to
+        // carry. The label picks the ledger bucket, never the price.
+        let load = |fs: &mut FileStore, policy: &mut PerFilePolicy| {
+            let mut vl = ValueLog::new(small_params());
+            let mut ptrs = Vec::new();
+            for i in 0..10u8 {
+                let key = format!("gc-{i:03}");
+                ptrs.push(vl.append(fs, policy, key.as_bytes(), &[i; 900]).unwrap());
+            }
+            vl.note_dead(ptrs[1]);
+            vl
+        };
+        let (mut fs, mut policy) = fixture();
+        let mut vl = load(&mut fs, &mut policy);
+        let (mut twin, mut twin_policy) = fixture();
+        load(&mut twin, &mut twin_policy);
+        assert_eq!(fs.disk().clock_ns(), twin.disk().clock_ns());
+
+        let before = fs.disk().stats().clone();
+        let t0 = fs.disk().clock_ns();
+        fs.disk_mut().trace_mut().set_enabled(true);
+        // A 1 KiB budget walks the chunked path; a 16-byte one the
+        // read-the-next-record-whole fallback.
+        for budget in [1024, 16].into_iter().cycle() {
+            if vl
+                .gc_scan(&mut fs, budget)
+                .unwrap()
+                .expect("victim")
+                .finished
+            {
+                break;
+            }
+        }
+        let reads: Vec<Extent> = fs.disk().trace().events().iter().map(|e| e.ext).collect();
+        assert!(reads.len() >= 5, "both scan paths read: {reads:?}");
+        let elapsed = fs.disk().clock_ns() - t0;
+        let after = fs.disk().stats().clone();
+        let gc = after.kind(IoKind::VlogGc);
+        assert_eq!(gc.time_ns - before.kind(IoKind::VlogGc).time_ns, elapsed);
+        assert_eq!(gc.ops, reads.len() as u64);
+        assert_eq!(gc.logical_written, 0, "reads never enter WA");
+        assert_eq!(after.kind(IoKind::Meta).ops, before.kind(IoKind::Meta).ops);
+
+        for ext in reads {
+            twin.disk_mut().read(ext, IoKind::Meta).unwrap();
+        }
+        assert_eq!(twin.disk().clock_ns(), fs.disk().clock_ns());
+        assert_eq!(
+            twin.disk().stats().kind(IoKind::Meta).time_ns - before.kind(IoKind::Meta).time_ns,
+            elapsed
+        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! kernels, allocation reuse) must leave every one of these untouched —
 //! a moved constant means the *format* or the *simulated behaviour*
 //! changed, which is never a host-only change. Constants recorded at the
-//! commit before the checksum-once / copy-once block pipeline landed.
+//! commit before the checksum-once / copy-once block pipeline landed; a
+//! change that moves simulated behaviour on purpose re-records only the
+//! metrics pin and says why next to it.
 
 use lsm_core::sstable::{TableBuilder, TableOptions};
 use lsm_core::types::{make_internal_key, ValueType};
@@ -96,9 +98,14 @@ fn store_metrics_after_fixed_run_are_pinned() {
         store.get(key.as_bytes()).expect("get");
     }
     let json = store.metrics_snapshot().to_json(0);
+    // Re-recorded for the build-time table handoff (ISSUE 13): fresh
+    // tables enter the table cache from the builder's image, so the
+    // simulated clock (no footer/index/filter reads during the load) and
+    // the table-cache hit/miss counters moved on purpose. The two format
+    // pins above did not.
     assert_eq!(
         (json.len(), fnv1a(json.as_bytes())),
-        (2172, 0x304b_f547_d552_9f1a),
+        (2163, 0x03de_8b54_1405_edd3),
         "metrics snapshot moved"
     );
 }

@@ -4,6 +4,7 @@
 //! in-memory model (`BTreeMap`). Seeded xorshift generation instead of a
 //! property-testing framework: no external crates, reproducible cases.
 
+use lsm_core::cache::LruCache;
 use lsm_core::util::rng::XorShift64;
 use sealdb::{StoreConfig, StoreKind};
 use std::collections::BTreeMap;
@@ -43,16 +44,36 @@ fn value(k: u16, v: u8) -> Vec<u8> {
 
 #[test]
 fn all_stores_agree_with_model() {
+    agree_with_model(None);
+}
+
+/// Two table readers at a time: nearly every lookup finds the reader its
+/// table was handed at build time already evicted and opens the table
+/// from the device instead — the answers may not depend on which.
+#[test]
+fn all_stores_agree_with_model_when_readers_are_evicted() {
+    let misses = agree_with_model(Some(2));
+    assert!(misses > 0, "a two-entry table cache must evict");
+}
+
+/// Runs the seeded cases against every store (with the table cache cut to
+/// `table_cache_entries` when given); returns the table-cache misses seen.
+fn agree_with_model(table_cache_entries: Option<u64>) -> u64 {
     let mut rng = XorShift64::new(0x51035);
+    let mut misses = 0;
     for _case in 0..24 {
         let ops = random_ops(&mut rng);
         // Tiny tables force flushes and compactions inside the test.
         let mut stores: Vec<_> = StoreKind::ALL
             .iter()
             .map(|&kind| {
-                StoreConfig::new(kind, 8 << 10, 256 << 20)
+                let store = StoreConfig::new(kind, 8 << 10, 256 << 20)
                     .build()
-                    .expect("build")
+                    .expect("build");
+                if let Some(entries) = table_cache_entries {
+                    store.db.ctx().lock().table_cache = LruCache::new(entries);
+                }
+                store
             })
             .collect();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
@@ -101,6 +122,8 @@ fn all_stores_agree_with_model() {
             let expected: Vec<(Vec<u8>, Vec<u8>)> =
                 model.iter().map(|(a, b)| (a.clone(), b.clone())).collect();
             assert_eq!(&all, &expected, "{} final state mismatch", s.name());
+            misses += s.db.ctx().lock().table_cache.hit_stats().1;
         }
     }
+    misses
 }

@@ -554,7 +554,9 @@ fn obs_metric_naming(tokens: &[Token], code: &[usize], rule: Rule, emit: &mut Em
             }
         }
         for name in names {
-            if !is_snake_case(&name.text) {
+            // Names may group by dotted prefix (`compaction.l0.bytes_in`);
+            // every part is held to snake_case.
+            if !name.text.split('.').all(is_snake_case) {
                 emit(
                     name.line,
                     rule,
@@ -788,6 +790,15 @@ mod tests {
             &[Rule::ObsMetricNaming],
         );
         assert!(good.is_empty());
+        let grouped = run(
+            r#"obs.counter_add(ObsLayer::Lsm, "compaction.bridged_bytes", 1);"#,
+            &[Rule::ObsMetricNaming],
+        );
+        assert!(grouped.is_empty());
+        for bad_group in ["compaction.BridgedBytes", "compaction..bytes", ".bytes"] {
+            let src = format!(r#"obs.counter_add(ObsLayer::Lsm, "{bad_group}", 1);"#);
+            assert_eq!(run(&src, &[Rule::ObsMetricNaming]).len(), 1, "{bad_group}");
+        }
         let undeclared = run(
             r#"obs.counter_add(LAYER, "ok_name", 1);"#,
             &[Rule::ObsMetricNaming],

@@ -8,12 +8,16 @@ use crate::types::{
     internal_compare, lookup_key, try_parse_trailer, user_key, SequenceNumber, ValueType,
 };
 use crate::version::FileMetaHandle;
-use smr_sim::IoKind;
+use smr_sim::{IoKind, ObsLayer};
 use std::cmp::Ordering;
 
 /// Iterates a sorted, disjoint level by opening one table at a time —
 /// LevelDB's "concatenating" iterator. Keeps merging fan-in at one child
 /// per level regardless of file counts.
+///
+/// Driving a compaction (`IoKind::CompactionRead`), it also keeps a
+/// physically contiguous run of tables one device stream: see
+/// [`LevelIterator::bridge_to_next`].
 #[derive(Debug)]
 pub struct LevelIterator {
     ctx: SharedCtx,
@@ -59,8 +63,43 @@ impl LevelIterator {
         }
     }
 
+    /// Set-run streaming. Between the last data block of the table being
+    /// left and the first of its successor lie this table's filter, index
+    /// and footer; skipping them ends the drive's sequential stream, and
+    /// the successor's first block pays a seek and half a rotation. When
+    /// the successor starts exactly where this table's extent ends, read
+    /// through that tail instead, so stream and head arrive at the next
+    /// table and the run is consumed as one sweep. The bytes are dropped
+    /// unparsed — the open reader already holds this table's metadata —
+    /// and so is a failed read: the next block then pays the seek it
+    /// would have paid anyway, and the merge cannot depend on bytes it
+    /// does not use. With no adjacent successor nothing extra is read.
+    fn bridge_to_next(&mut self) {
+        if !matches!(self.kind, IoKind::CompactionRead) {
+            return;
+        }
+        let (Some(from), Some(next)) = (self.files.get(self.idx), self.files.get(self.idx + 1))
+        else {
+            return;
+        };
+        let Some((offset, len)) = self.cur.as_ref().and_then(|c| c.unread_tail()) else {
+            return;
+        };
+        let mut guard = self.ctx.lock();
+        if guard.fs.file_follows(from.id, next.id)
+            && guard.fs.read_file(from.id, offset, len, self.kind).is_ok()
+        {
+            guard.fs.disk_mut().obs_mut().counter_add(
+                ObsLayer::Lsm,
+                "compaction.bridged_bytes",
+                len,
+            );
+        }
+    }
+
     fn skip_exhausted(&mut self) {
         while self.cur.as_ref().is_some_and(|c| !c.valid()) {
+            self.bridge_to_next();
             self.idx += 1;
             if self.idx >= self.files.len() {
                 self.stash_cur_error();
@@ -197,5 +236,176 @@ impl<'a> DbIterator<'a> {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::context::new_ctx;
+    use crate::filestore::FileStore;
+    use crate::sstable::table::parse_footer;
+    use crate::sstable::{Table, TableBuilder, TableOptions, FOOTER_SIZE};
+    use crate::types::make_internal_key;
+    use crate::version::FileMetaData;
+    use smr_sim::{Disk, Extent, Layout, TimeModel};
+    use std::sync::Arc;
+
+    const MB: u64 = 1 << 20;
+
+    /// Table `t` of three: 200 keys in its own disjoint range, ~25 blocks.
+    fn table(t: u64) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let mut b = TableBuilder::new(TableOptions {
+            block_size: 512,
+            ..Default::default()
+        });
+        for i in 0..200u64 {
+            let key = format!("key{:06}", t * 1000 + i);
+            b.add(
+                &make_internal_key(key.as_bytes(), 1, ValueType::Value),
+                format!("value{i:06}").as_bytes(),
+            );
+        }
+        let (first, last) = (b.first_key().unwrap().to_vec(), b.last_key().to_vec());
+        (b.finish(), first, last)
+    }
+
+    /// Bytes of `image` before its filter block: the data blocks.
+    fn data_len(image: &[u8]) -> u64 {
+        let (filter, _) = parse_footer(&image[image.len() - FOOTER_SIZE..]).unwrap();
+        assert!(filter.size > 0, "tables here carry a filter");
+        filter.offset
+    }
+
+    struct Laid {
+        ctx: SharedCtx,
+        files: Vec<FileMetaHandle>,
+        images: Vec<Vec<u8>>,
+        extents: Vec<Extent>,
+    }
+
+    /// Three tables on a fresh drive, `gap` bytes between neighbours,
+    /// their readers in the table cache as `install_tables` leaves them.
+    fn lay_out(gap: u64) -> Laid {
+        let cap = 64 * MB;
+        let disk = Disk::new(cap, Layout::Hdd, TimeModel::hdd_st1000dm003(cap));
+        let mut fs = FileStore::new(disk, 4 * MB);
+        let (mut files, mut images, mut extents) = (Vec::new(), Vec::new(), Vec::new());
+        let mut at = 0u64;
+        for t in 0..3u64 {
+            let (image, smallest, largest) = table(t);
+            let ext = Extent::new(at, image.len() as u64);
+            fs.write_file_at(t + 1, ext, &image, IoKind::Flush).unwrap();
+            at = ext.end() + gap;
+            files.push(Arc::new(FileMetaData {
+                id: t + 1,
+                size: ext.len,
+                smallest,
+                largest,
+                set_id: 0,
+            }));
+            images.push(image);
+            extents.push(ext);
+        }
+        let ctx = new_ctx(fs, 8 * MB, 100);
+        for (f, image) in files.iter().zip(&images) {
+            let reader = Arc::new(Table::from_image(f.id, image).unwrap());
+            ctx.lock().table_cache.insert(f.id, reader, 1);
+        }
+        Laid {
+            ctx,
+            files,
+            images,
+            extents,
+        }
+    }
+
+    type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// Drains a level iterator of `kind`; returns the entries, its
+    /// deferred error, and what the pass cost the device:
+    /// (seeks, bytes read under `kind`).
+    fn drain(laid: &Laid, kind: IoKind) -> (Entries, Option<Error>, u64, u64) {
+        let cost = |ctx: &SharedCtx| {
+            let guard = ctx.lock();
+            let stats = guard.fs.disk().stats();
+            (stats.seeks, stats.kind(kind).logical_read)
+        };
+        let (seeks0, bytes0) = cost(&laid.ctx);
+        let mut it = LevelIterator::new(laid.ctx.clone(), laid.files.clone(), kind);
+        let mut out = Vec::new();
+        it.seek_to_first();
+        while it.valid() {
+            out.push((it.key().to_vec(), it.value().to_vec()));
+            it.next();
+        }
+        let (seeks1, bytes1) = cost(&laid.ctx);
+        (out, it.take_error(), seeks1 - seeks0, bytes1 - bytes0)
+    }
+
+    fn bridged_bytes(laid: &Laid) -> u64 {
+        let guard = laid.ctx.lock();
+        let reg = &guard.fs.disk().obs().registry;
+        reg.counter(ObsLayer::Lsm, "compaction.bridged_bytes")
+    }
+
+    #[test]
+    fn a_contiguous_run_is_one_device_stream() {
+        let laid = lay_out(0);
+        let data: u64 = laid.images.iter().map(|i| data_len(i)).sum();
+        let tails: u64 = laid.images[..2]
+            .iter()
+            .map(|i| i.len() as u64 - data_len(i))
+            .sum();
+        let (entries, err, seeks, bytes) = drain(&laid, IoKind::CompactionRead);
+        assert!(err.is_none());
+        assert_eq!(entries.len(), 600);
+        // One seek to the head of the run; the last table has no
+        // successor, so its tail is not read.
+        assert_eq!(seeks, 1);
+        assert_eq!(bytes, data + tails);
+        assert_eq!(bridged_bytes(&laid), tails);
+        // A user scan is not a compaction: same entries, no tails, and a
+        // seek at every table boundary.
+        let (scanned, err, seeks, bytes) = drain(&laid, IoKind::Scan);
+        assert!(err.is_none());
+        assert_eq!(scanned, entries);
+        assert_eq!((seeks, bytes), (3, data));
+        assert_eq!(bridged_bytes(&laid), tails);
+    }
+
+    #[test]
+    fn tables_placed_apart_are_read_exactly_as_before() {
+        let laid = lay_out(4096);
+        let data: u64 = laid.images.iter().map(|i| data_len(i)).sum();
+        let (entries, err, seeks, bytes) = drain(&laid, IoKind::CompactionRead);
+        assert!(err.is_none());
+        assert_eq!(entries.len(), 600);
+        assert_eq!((seeks, bytes), (3, data));
+        assert_eq!(bridged_bytes(&laid), 0);
+    }
+
+    #[test]
+    fn a_failed_bridge_read_costs_a_seek_and_nothing_else() {
+        let clean = lay_out(0);
+        let (want, _, _, _) = drain(&clean, IoKind::CompactionRead);
+        let laid = lay_out(0);
+        // A latent sector error inside table 1's filter block.
+        let tail_at = laid.extents[0].offset + data_len(&laid.images[0]);
+        laid.ctx
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .fail_reads_permanently(Extent::new(tail_at + 100, 64));
+        let (entries, err, seeks, _) = drain(&laid, IoKind::CompactionRead);
+        assert!(err.is_none(), "{err:?}");
+        assert_eq!(entries, want);
+        // Table 2's first block re-seeks; table 2 → 3 still bridges.
+        assert_eq!(seeks, 2);
+        let tail3 = laid.images[1].len() as u64 - data_len(&laid.images[1]);
+        assert_eq!(bridged_bytes(&laid), tail3);
+        let guard = laid.ctx.lock();
+        assert_eq!(guard.fs.disk().stats().faults.unrecoverable_reads, 1);
     }
 }

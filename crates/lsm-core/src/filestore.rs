@@ -244,6 +244,16 @@ impl FileStore {
             .ok_or_else(|| Error::InvalidArgument(format!("unknown file {id}")))
     }
 
+    /// Whether file `next` starts on the device exactly where file `prev`
+    /// ends, so that one sequential sweep covers both. Unknown ids are
+    /// not adjacent to anything.
+    pub fn file_follows(&self, prev: FileId, next: FileId) -> bool {
+        match (self.files.get(&prev), self.files.get(&next)) {
+            (Some(prev), Some(next)) => prev.end() == next.offset,
+            _ => false,
+        }
+    }
+
     /// Whether a file id is registered.
     pub fn has_file(&self, id: FileId) -> bool {
         self.files.contains_key(&id)
@@ -523,6 +533,18 @@ mod tests {
         assert!(s
             .write_file_range(9, (1 << 16) - 10, &[0u8; 20], IoKind::VlogAppend)
             .is_err());
+    }
+
+    #[test]
+    fn file_follows_is_exact_and_directed() {
+        let mut s = fs();
+        s.register_file(1, Extent::new(0, 4096));
+        s.register_file(2, Extent::new(4096, 100));
+        s.register_file(3, Extent::new(4197, 100)); // one byte of gap
+        assert!(s.file_follows(1, 2));
+        assert!(!s.file_follows(2, 1));
+        assert!(!s.file_follows(2, 3));
+        assert!(!s.file_follows(1, 9) && !s.file_follows(9, 1));
     }
 
     #[test]

@@ -499,6 +499,7 @@ impl Table {
             use_cache: !matches!(kind, IoKind::CompactionRead),
             index_iter: self.index.iter(),
             block_iter: None,
+            fetched_to: None,
             error: None,
         }
     }
@@ -513,6 +514,8 @@ pub struct TableIterator {
     use_cache: bool,
     index_iter: BlockIter,
     block_iter: Option<BlockIter>,
+    /// File offset one past the data block loaded last.
+    fetched_to: Option<u64>,
     error: Option<crate::error::Error>,
 }
 
@@ -523,12 +526,30 @@ impl TableIterator {
             return;
         }
         match BlockHandle::decode(self.index_iter.value()).and_then(|(h, _)| {
-            self.table
-                .read_block(&self.ctx, h, self.kind, self.use_cache)
+            let block = self
+                .table
+                .read_block(&self.ctx, h, self.kind, self.use_cache)?;
+            Ok((block, h.disk_span()?.1))
         }) {
-            Ok(block) => self.block_iter = Some(block.iter()),
+            Ok((block, end)) => {
+                self.block_iter = Some(block.iter());
+                self.fetched_to = Some(end);
+            }
             Err(e) => self.error = Some(e),
         }
+    }
+
+    /// Where this iterator's device stream stands: `(offset, len)` of the
+    /// file's bytes past the data block loaded last — after the final
+    /// data block, that is the filter, index and footer. `None` before
+    /// the first block is loaded and while a read error is pending.
+    pub(crate) fn unread_tail(&self) -> Option<(u64, u64)> {
+        if self.error.is_some() {
+            return None;
+        }
+        let from = self.fetched_to?;
+        let len = self.table.file_size.checked_sub(from)?;
+        (len > 0).then_some((from, len))
     }
 
     /// Skips forward through index entries until the data iterator is
@@ -592,8 +613,10 @@ impl InternalIterator for TableIterator {
     }
 }
 
-/// Parses a fully materialised table (compaction reads files whole in one
-/// sequential sweep) into its (internal key, value) entries.
+/// Parses a table image held whole in memory into its (internal key,
+/// value) entries, verifying every block on the way. No engine path reads
+/// a table this way (compactions pull blocks through [`TableIterator`]);
+/// it serves tests, probes and tools that hold a builder's output.
 pub fn scan_all(data: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
     let (index, _) = load_meta(image_footer(data)?, |handle| image_block(data, handle))?;
     let mut out = Vec::new();

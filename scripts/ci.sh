@@ -2,8 +2,21 @@
 # Full CI gate: formatting, release build, complete test suite,
 # lint-clean clippy, and the workspace's own static-analysis pass.
 # Run from anywhere; operates on the repo root.
+#
+#   scripts/ci.sh          the gate (~10 min)
+#   scripts/ci.sh --full   the gate, plus every figure artifact under
+#                          results/ regenerated at the default scale and
+#                          held to the committed bytes (~5 min more)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+full=0
+for arg in "$@"; do
+    case "$arg" in
+        --full) full=1 ;;
+        *) echo "usage: scripts/ci.sh [--full]" >&2; exit 2 ;;
+    esac
+done
 
 cargo fmt --all --check
 cargo build --release
@@ -170,6 +183,25 @@ awk '{ if ($1 < 4) { printf "chaos coverage spans only %d device fault classes\n
 grep -o '"cluster":{[^}]*}' BENCH_pr10.json | tr ',' '\n' | grep -c ':' |
 awk '{ if ($1 < 3) { printf "chaos coverage spans only %d cluster fault classes\n", $1; exit 1 }
        printf "chaos cluster coverage ok: %d classes\n", $1 }'
+
+# Figure artifacts (--full only; ROADMAP item 4c's nightly mode). The
+# results/*.csv files and the report text are simulated-clock output like
+# the BENCH artifacts above, so they answer to the same yardstick. The
+# committed run_summary.log is the report as `seal-bench all` prints it,
+# minus the one kind of line that reads the host clock.
+if (( full )); then
+    cargo run -q --release -p bench -- all --out results |
+        grep -v '^  \[wall-clock ' > results/run_summary.log
+    for artifact in results/*.csv results/run_summary.log; do
+        same_as_committed "$artifact"
+    done
+    stray=$(git ls-files --others --exclude-standard -- results)
+    if [[ -n "$stray" ]]; then
+        echo "results/: regenerated files that are not committed: $stray"
+        exit 1
+    fi
+    echo "results/ ok: every figure artifact regenerated byte-identically"
+fi
 
 # seal-perf (benchmark/) is a workspace of its own that binds the crates'
 # public surface by name (benchmark/src/surface.rs): build and test it

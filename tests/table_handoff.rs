@@ -2,12 +2,15 @@
 //! just written gets its reader from the image still in memory, so a
 //! load never reads its own footers back — and the device copy is still
 //! verified wherever it *is* read (reopen, scrub, an evicted reader).
+//! The readers handed over are also what lets a compaction stream a
+//! contiguous set as one device run (set-run streaming): its store-level
+//! checks live here too.
 
 use lsm_core::sstable::table::parse_footer;
 use lsm_core::sstable::FOOTER_SIZE;
 use lsm_core::ScrubConfig;
 use sealdb::{Store, StoreConfig, StoreKind};
-use smr_sim::{Extent, IoKind};
+use smr_sim::{Extent, IoKind, ObsLayer};
 use workloads::RecordGenerator;
 
 const RECORDS: u64 = 3000;
@@ -45,6 +48,87 @@ fn a_load_never_reads_its_own_table_metadata_back() {
         assert!(hits > 0, "{kind:?}: compactions look their inputs up");
         assert_eq!(misses, 0, "{kind:?}: and always find them");
     }
+}
+
+/// Every store streams its compaction inputs through the set-run bridge
+/// (there is no switch), so a load that compacts through several levels
+/// must still hold exactly what was put.
+#[test]
+fn every_store_kind_agrees_with_the_model_after_a_load() {
+    for kind in StoreKind::ALL {
+        let (mut store, gen) = loaded(kind);
+        let mut model: Vec<_> = (0..RECORDS).map(|i| (gen.key(i), gen.value(i))).collect();
+        model.sort();
+        for (key, value) in &model {
+            assert_eq!(
+                store.get(key).expect("get").as_ref(),
+                Some(value),
+                "{kind:?}"
+            );
+        }
+        let scanned = store.scan(b"", usize::MAX).expect("scan");
+        assert!(scanned == model, "{kind:?}: scan differs from the model");
+    }
+}
+
+/// DESIGN.md §5's "victim + contiguous set" as a measurement: SEALDB's
+/// compactions read their inputs in far fewer device runs than files,
+/// LevelDB's scattered files are a run each, and the obs counters carry
+/// the same totals as the compaction log.
+#[test]
+fn sets_make_compaction_inputs_few_runs() {
+    let per_compaction = |kind: StoreKind| {
+        let (store, _) = loaded(kind);
+        let real: Vec<_> = store.snapshot().real_compactions().cloned().collect();
+        assert!(real.len() > 20, "{kind:?}: {} compactions", real.len());
+        let files: usize = real.iter().map(|c| c.input_files).sum();
+        let runs: usize = real.iter().map(|c| c.input_runs).sum();
+        let guard = store.db.ctx().lock();
+        let reg = &guard.fs.disk().obs().registry;
+        assert_eq!(
+            reg.counter(ObsLayer::Lsm, "compaction.input_runs"),
+            runs as u64,
+            "{kind:?}"
+        );
+        let bridged = reg.counter(ObsLayer::Lsm, "compaction.bridged_bytes");
+        let n = real.len() as f64;
+        (files as f64 / n, runs as f64 / n, bridged)
+    };
+    let (files, runs, bridged) = per_compaction(StoreKind::SealDb);
+    assert!(
+        runs < files / 2.0,
+        "SEALDB: {runs:.2} runs of {files:.2} files"
+    );
+    assert!(bridged > 0);
+    let (files, runs, _) = per_compaction(StoreKind::LevelDb);
+    assert!(
+        runs > files * 0.9,
+        "LevelDB: {runs:.2} runs of {files:.2} files"
+    );
+}
+
+/// The bridge reads a table's tail only when the next input starts where
+/// this one ends. SMRDB gives every table a band of its own, so none of
+/// its compaction inputs ever does, and the bridge must be invisible to
+/// it: the device statistics and the simulated clock after a fixed load
+/// are the ones recorded at the commit before set-run streaming.
+#[test]
+fn smrdb_device_statistics_are_what_they_were_before_the_bridge() {
+    let (store, _) = loaded(StoreKind::SmrDb);
+    let log = store.db.compaction_log();
+    assert!(log.iter().any(|c| !c.trivial_move && c.input_files > 2));
+    assert!(log.iter().all(|c| c.input_runs == c.input_files), "{log:?}");
+    let guard = store.db.ctx().lock();
+    let disk = guard.fs.disk();
+    let stats = format!("{:?}", disk.stats());
+    let fnv = stats.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(
+        (disk.clock_ns(), disk.stats().seeks, stats.len(), fnv),
+        (1_309_544_630, 221, 1557, 0x8c28_f08f_a341_50f3),
+        "{stats}"
+    );
 }
 
 #[test]

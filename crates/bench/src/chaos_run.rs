@@ -226,17 +226,6 @@ pub fn chaos_sweep(scale: &BenchScale, schedules: usize) -> Result<String> {
     Ok(sweep_to_json(scale, schedules, &cells, &coverage))
 }
 
-/// Pulls the `u64` following `"key":` out of one fragment.
-fn frag_value(frag: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let i = frag.find(&pat)? + pat.len();
-    let rest = &frag[i..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Counts the entries of the `"tag":{..}` coverage object.
 fn coverage_entries(content: &str, tag: &str) -> usize {
     let pat = format!("\"{tag}\":{{");
@@ -261,6 +250,7 @@ fn coverage_entries(content: &str, tag: &str) -> usize {
 /// cluster fault classes. Returns the list of problems; empty means
 /// valid.
 pub fn check_chaos_json(content: &str) -> Vec<String> {
+    let first = |frag: &str, key: &str| crate::json_nums::<u64>(frag, key).next();
     let mut problems = Vec::new();
     let marker = format!("\"schema\":\"{CHAOS_SCHEMA}\"");
     if !content.contains(&marker) {
@@ -271,12 +261,8 @@ pub fn check_chaos_json(content: &str) -> Vec<String> {
             problems.push(format!("missing key {key}"));
         }
     }
-    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
-        if content.contains(bad) {
-            problems.push(format!("artifact contains non-finite token {bad:?}"));
-        }
-    }
-    let declared = frag_value(content, "schedules").unwrap_or(0) as usize;
+    problems.extend(crate::non_finite_tokens(content));
+    let declared = first(content, "schedules").unwrap_or(0) as usize;
     if declared == 0 {
         problems.push("artifact declares zero schedules".to_string());
     }
@@ -286,7 +272,7 @@ pub fn check_chaos_json(content: &str) -> Vec<String> {
             problems.push(format!("key {key} appears {n} times, expected {declared}"));
         }
     }
-    if frag_value(content, "violations_total") != Some(0) {
+    if first(content, "violations_total") != Some(0) {
         problems.push("oracle violations recorded: violations_total != 0".to_string());
     }
     let mut acked_total = 0u64;
@@ -296,22 +282,22 @@ pub fn check_chaos_json(content: &str) -> Vec<String> {
             cell[..end].to_string()
         };
         for must_be_zero in ["acked_lost", "promised_lost", "violations"] {
-            if frag_value(cell, must_be_zero) != Some(0) {
+            if first(cell, must_be_zero) != Some(0) {
                 problems.push(format!("cell seed {seed}: {must_be_zero} != 0"));
             }
         }
-        let acked = frag_value(cell, "acked_writes").unwrap_or(0);
+        let acked = first(cell, "acked_writes").unwrap_or(0);
         if acked == 0 {
             problems.push(format!("cell seed {seed}: served no traffic"));
         }
         acked_total += acked;
-        if frag_value(cell, "hash_groups_checked") == Some(0) {
+        if first(cell, "hash_groups_checked") == Some(0) {
             problems.push(format!(
                 "cell seed {seed}: no group had two survivors to compare"
             ));
         }
-        if frag_value(cell, "scrub_remediated").unwrap_or(0)
-            < frag_value(cell, "scrub_blocks_corrupt").unwrap_or(u64::MAX)
+        if first(cell, "scrub_remediated").unwrap_or(0)
+            < first(cell, "scrub_blocks_corrupt").unwrap_or(u64::MAX)
         {
             problems.push(format!("cell seed {seed}: scrub accounting leaks"));
         }

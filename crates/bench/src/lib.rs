@@ -92,9 +92,56 @@ pub fn mib(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1u64 << 20) as f64)
 }
 
+/// One problem per non-finite number token in an artifact. Every
+/// artifact formats numbers at fixed precision and the metrics registry
+/// clamps non-finite values, so any of these tokens is a regression.
+pub fn non_finite_tokens(content: &str) -> Vec<String> {
+    ["NaN", "nan\"", ":inf", ":-inf", "Infinity"]
+        .into_iter()
+        .filter(|bad| content.contains(bad))
+        .map(|bad| format!("artifact contains non-finite token {bad:?}"))
+        .collect()
+}
+
+/// Every `"key":<number>` in flat JSON that parses as `T`, in order of
+/// appearance — the artifact checkers' only JSON reader.
+pub fn json_nums<'a, T: std::str::FromStr + 'a>(
+    content: &'a str,
+    key: &str,
+) -> impl Iterator<Item = T> + 'a {
+    let pat = format!("\"{key}\":");
+    let mut rest = content;
+    std::iter::from_fn(move || {
+        rest = &rest[rest.find(&pat)? + pat.len()..];
+        let end = rest
+            .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        Some(rest[..end].parse().ok())
+    })
+    .flatten()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn json_nums_reads_every_match_in_order() {
+        let doc = r#"{"a":1,"b":{"a":2.5,"x":"a"},"a":-3,"a":"no"}"#;
+        assert_eq!(
+            json_nums::<f64>(doc, "a").collect::<Vec<_>>(),
+            [1.0, 2.5, -3.0]
+        );
+        // An integer reader skips what is not an integer.
+        assert_eq!(json_nums::<u64>(doc, "a").collect::<Vec<_>>(), [1]);
+        assert_eq!(json_nums::<u64>(doc, "missing").next(), None);
+    }
+
+    #[test]
+    fn non_finite_tokens_are_reported() {
+        assert!(non_finite_tokens(r#"{"a":1.5,"info":2}"#).is_empty());
+        assert_eq!(non_finite_tokens(r#"{"a":NaN,"b":inf}"#).len(), 2);
+    }
 
     #[test]
     fn per_store_parallel_preserves_order() {

@@ -16,145 +16,141 @@
 //!   --out DIR        CSV output directory       (default results/)
 //!   --tiny           CI-speed smoke scale
 //!   --serving        canonical latency-under-load sweep scale
-//!   --metrics-out F  run the observability trajectory, write artifact F
-//!   --metrics-check F  validate a previously written artifact
-//!   --serve-out F    run the latency-under-load sweep, write artifact F
-//!   --serve-check F  validate a previously written serve artifact
-//!   --scrub-out F    run the durability-under-latent-errors sweep, write artifact F
-//!   --scrub-check F  validate a previously written scrub artifact
-//!   --replicate-out F    run the replication/failover sweep, write artifact F
-//!   --replicate-check F  validate a previously written replication artifact
-//!   --shard-out F    run the multi-shard scale-out sweep, write artifact F
-//!   --shard-check F  validate a previously written shard artifact
-//!   --vlog-out F     run the key-value-separation sweep, write artifact F
-//!   --vlog-check F   validate a previously written vlog artifact
-//!   --chaos-out F    run the composed-fault chaos sweep, write artifact F
-//!   --chaos-check F  validate a previously written chaos artifact
+//!   --X-out F        regenerate artifact X, write it to F
+//!   --X-check F      validate a previously written artifact X
+//!                    X: metrics (BENCH_pr2, observability trajectory),
+//!                       serve (pr3, latency under load), scrub (pr5,
+//!                       durability under latent errors), replicate
+//!                       (pr6, replication/failover), shard (pr7,
+//!                       multi-shard scale-out), vlog (pr8, key-value
+//!                       separation), chaos (pr10, composed faults)
 //!   --chaos-schedules N  seeded schedules in the chaos sweep (default 25)
 //! ```
 //!
 //! `serve` as an experiment name runs the sweep and prints the latency
-//! table; `--metrics-out` / `--metrics-check` / `--serve-out` /
-//! `--serve-check` work without an experiment name.
+//! table; the `--X-out` / `--X-check` flags work without an experiment
+//! name.
 
 use bench::experiments::{self, Report};
 use bench::BenchScale;
+use lsm_core::Result;
 use std::io::Write as _;
 
-#[derive(Default)]
-struct MetricsArgs {
-    out: Option<String>,
-    check: Option<String>,
-    serve_out: Option<String>,
-    serve_check: Option<String>,
-    scrub_out: Option<String>,
-    scrub_check: Option<String>,
-    replicate_out: Option<String>,
-    replicate_check: Option<String>,
-    shard_out: Option<String>,
-    shard_check: Option<String>,
-    vlog_out: Option<String>,
-    vlog_check: Option<String>,
-    chaos_out: Option<String>,
-    chaos_check: Option<String>,
+/// One regenerable, checkable `BENCH_pr*.json` artifact: `--{flag}-out`
+/// runs it, `--{flag}-check` validates it.
+struct Artifact {
+    flag: &'static str,
+    what: &'static str,
+    run: fn(&BenchScale, &Args) -> Result<String>,
+    check: fn(&str) -> Vec<String>,
+}
+
+const ARTIFACTS: [Artifact; 7] = [
+    Artifact {
+        flag: "metrics",
+        what: "metrics",
+        run: |scale, _| bench::metrics_run::metrics_trajectory(scale),
+        check: bench::metrics_run::check_metrics_json,
+    },
+    Artifact {
+        flag: "serve",
+        what: "serve",
+        run: |scale, _| bench::serve_run::serve_sweep(scale),
+        check: bench::serve_run::check_serve_json,
+    },
+    Artifact {
+        flag: "scrub",
+        what: "scrub",
+        run: |scale, _| bench::scrub_run::scrub_sweep(scale),
+        check: bench::scrub_run::check_scrub_json,
+    },
+    Artifact {
+        flag: "replicate",
+        what: "replication",
+        run: |scale, _| bench::replicate_run::replicate_sweep(scale),
+        check: bench::replicate_run::check_replicate_json,
+    },
+    Artifact {
+        flag: "shard",
+        what: "shard",
+        run: |scale, _| bench::shard_run::shard_sweep(scale),
+        check: bench::shard_run::check_shard_json,
+    },
+    Artifact {
+        flag: "vlog",
+        what: "vlog",
+        run: |scale, _| bench::vlog_run::vlog_sweep(scale),
+        check: bench::vlog_run::check_vlog_json,
+    },
+    Artifact {
+        flag: "chaos",
+        what: "chaos",
+        run: |scale, args| bench::chaos_run::chaos_sweep(scale, args.chaos_schedules),
+        check: bench::chaos_run::check_chaos_json,
+    },
+];
+
+struct Args {
+    experiments: Vec<String>,
+    out_dir: String,
+    /// Per [`ARTIFACTS`] entry: the `--X-out` path, if given.
+    out: [Option<String>; ARTIFACTS.len()],
+    /// Per [`ARTIFACTS`] entry: the `--X-check` path, if given.
+    check: [Option<String>; ARTIFACTS.len()],
     chaos_schedules: usize,
 }
 
-fn parse_args() -> (Vec<String>, BenchScale, String, MetricsArgs) {
+fn parse_args() -> (BenchScale, Args) {
     let mut scale = BenchScale::default();
-    let mut out_dir = "results".to_string();
-    let mut metrics = MetricsArgs {
+    let mut parsed = Args {
+        experiments: Vec::new(),
+        out_dir: "results".to_string(),
+        out: Default::default(),
+        check: Default::default(),
         chaos_schedules: 25,
-        ..MetricsArgs::default()
     };
-    let mut experiments = Vec::new();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
-    let need = |i: &mut usize, args: &[String]| -> u64 {
+    let text = |i: &mut usize| -> String {
         *i += 1;
-        args.get(*i)
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("missing/invalid numeric value for {}", args[*i - 1]);
-                std::process::exit(2);
-            })
+        args.get(*i).cloned().unwrap_or_else(|| {
+            eprintln!("missing value for {}", args[*i - 1]);
+            std::process::exit(2);
+        })
+    };
+    let need = |i: &mut usize| -> u64 {
+        text(i).parse().unwrap_or_else(|_| {
+            eprintln!("invalid numeric value for {}", args[*i - 1]);
+            std::process::exit(2);
+        })
     };
     while i < args.len() {
         match args[i].as_str() {
-            "--sstable-kb" => scale.sstable = need(&mut i, &args) << 10,
-            "--load-mb" => scale.load_bytes = need(&mut i, &args) << 20,
-            "--value" => scale.value_size = need(&mut i, &args) as usize,
-            "--read-ops" => scale.read_ops = need(&mut i, &args),
-            "--ycsb-ops" => scale.ycsb_ops = need(&mut i, &args),
-            "--seed" => scale.seed = need(&mut i, &args),
+            "--sstable-kb" => scale.sstable = need(&mut i) << 10,
+            "--load-mb" => scale.load_bytes = need(&mut i) << 20,
+            "--value" => scale.value_size = need(&mut i) as usize,
+            "--read-ops" => scale.read_ops = need(&mut i),
+            "--ycsb-ops" => scale.ycsb_ops = need(&mut i),
+            "--seed" => scale.seed = need(&mut i),
             "--tiny" => scale = BenchScale::tiny(),
             "--serving" => scale = BenchScale::serving(),
-            "--out" => {
-                i += 1;
-                out_dir = args.get(i).cloned().unwrap_or(out_dir);
+            "--out" => parsed.out_dir = text(&mut i),
+            "--chaos-schedules" => parsed.chaos_schedules = need(&mut i) as usize,
+            other => {
+                let artifact_flag = other.strip_prefix("--").and_then(|rest| {
+                    let (flag, slot) = rest.rsplit_once('-')?;
+                    Some((ARTIFACTS.iter().position(|a| a.flag == flag)?, slot))
+                });
+                match artifact_flag {
+                    Some((k, "out")) => parsed.out[k] = Some(text(&mut i)),
+                    Some((k, "check")) => parsed.check[k] = Some(text(&mut i)),
+                    _ => parsed.experiments.push(other.to_string()),
+                }
             }
-            "--metrics-out" => {
-                i += 1;
-                metrics.out = args.get(i).cloned();
-            }
-            "--metrics-check" => {
-                i += 1;
-                metrics.check = args.get(i).cloned();
-            }
-            "--serve-out" => {
-                i += 1;
-                metrics.serve_out = args.get(i).cloned();
-            }
-            "--serve-check" => {
-                i += 1;
-                metrics.serve_check = args.get(i).cloned();
-            }
-            "--scrub-out" => {
-                i += 1;
-                metrics.scrub_out = args.get(i).cloned();
-            }
-            "--scrub-check" => {
-                i += 1;
-                metrics.scrub_check = args.get(i).cloned();
-            }
-            "--replicate-out" => {
-                i += 1;
-                metrics.replicate_out = args.get(i).cloned();
-            }
-            "--replicate-check" => {
-                i += 1;
-                metrics.replicate_check = args.get(i).cloned();
-            }
-            "--shard-out" => {
-                i += 1;
-                metrics.shard_out = args.get(i).cloned();
-            }
-            "--shard-check" => {
-                i += 1;
-                metrics.shard_check = args.get(i).cloned();
-            }
-            "--vlog-out" => {
-                i += 1;
-                metrics.vlog_out = args.get(i).cloned();
-            }
-            "--vlog-check" => {
-                i += 1;
-                metrics.vlog_check = args.get(i).cloned();
-            }
-            "--chaos-out" => {
-                i += 1;
-                metrics.chaos_out = args.get(i).cloned();
-            }
-            "--chaos-check" => {
-                i += 1;
-                metrics.chaos_check = args.get(i).cloned();
-            }
-            "--chaos-schedules" => metrics.chaos_schedules = need(&mut i, &args) as usize,
-            other => experiments.push(other.to_string()),
         }
         i += 1;
     }
-    (experiments, scale, out_dir, metrics)
+    (scale, parsed)
 }
 
 fn run_one(name: &str, scale: &BenchScale) -> Option<Report> {
@@ -196,267 +192,68 @@ const ALL: [&str; 12] = [
     "ablation", "hasmr",
 ];
 
-fn run_metrics(scale: &BenchScale, metrics: &MetricsArgs) {
-    if let Some(path) = &metrics.out {
-        let started = std::time::Instant::now();
-        match bench::metrics_run::metrics_trajectory(scale) {
-            Ok(json) => {
-                std::fs::write(path, &json).expect("write metrics artifact");
-                println!(
-                    "wrote metrics artifact {path} ({} bytes) [wall-clock {:.1} s]",
-                    json.len(),
-                    started.elapsed().as_secs_f64()
-                );
+/// Runs every `--X-out` and `--X-check` given, in [`ARTIFACTS`] order;
+/// returns whether there was any.
+fn run_artifacts(scale: &BenchScale, args: &Args) -> bool {
+    let mut any = false;
+    for (k, a) in ARTIFACTS.iter().enumerate() {
+        let what = a.what;
+        if let Some(path) = &args.out[k] {
+            any = true;
+            let started = std::time::Instant::now();
+            let json = (a.run)(scale, args).unwrap_or_else(|e| {
+                eprintln!("{what} run failed: {e}");
+                std::process::exit(1);
+            });
+            std::fs::write(path, &json).expect("write artifact");
+            // The chaos artifact declares how many schedules it ran.
+            let schedules = bench::json_nums::<u64>(&json, "schedules")
+                .next()
+                .map_or(String::new(), |n| format!(", {n} schedules"));
+            println!(
+                "wrote {what} artifact {path} ({} bytes{schedules}) [wall-clock {:.1} s]",
+                json.len(),
+                started.elapsed().as_secs_f64()
+            );
+        }
+        if let Some(path) = &args.check[k] {
+            any = true;
+            let content = std::fs::read_to_string(path).unwrap_or_else(|e| {
+                eprintln!("cannot read {what} artifact {path}: {e}");
+                std::process::exit(1);
+            });
+            let problems = (a.check)(&content);
+            for p in &problems {
+                eprintln!("{what} artifact {path}: {p}");
             }
-            Err(e) => {
-                eprintln!("metrics trajectory failed: {e}");
+            if !problems.is_empty() {
                 std::process::exit(1);
             }
+            println!("{what} artifact {path} is valid");
         }
     }
-    if let Some(path) = &metrics.check {
-        let content = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read metrics artifact {path}: {e}");
-            std::process::exit(1);
-        });
-        let problems = bench::metrics_run::check_metrics_json(&content);
-        if problems.is_empty() {
-            println!("metrics artifact {path} is valid");
-        } else {
-            for p in &problems {
-                eprintln!("metrics artifact {path}: {p}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &metrics.serve_out {
-        let started = std::time::Instant::now();
-        match bench::serve_run::serve_sweep(scale) {
-            Ok(json) => {
-                std::fs::write(path, &json).expect("write serve artifact");
-                println!(
-                    "wrote serve artifact {path} ({} bytes) [wall-clock {:.1} s]",
-                    json.len(),
-                    started.elapsed().as_secs_f64()
-                );
-            }
-            Err(e) => {
-                eprintln!("serve sweep failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = &metrics.serve_check {
-        let content = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read serve artifact {path}: {e}");
-            std::process::exit(1);
-        });
-        let problems = bench::serve_run::check_serve_json(&content);
-        if problems.is_empty() {
-            println!("serve artifact {path} is valid");
-        } else {
-            for p in &problems {
-                eprintln!("serve artifact {path}: {p}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &metrics.scrub_out {
-        let started = std::time::Instant::now();
-        match bench::scrub_run::scrub_sweep(scale) {
-            Ok(json) => {
-                std::fs::write(path, &json).expect("write scrub artifact");
-                println!(
-                    "wrote scrub artifact {path} ({} bytes) [wall-clock {:.1} s]",
-                    json.len(),
-                    started.elapsed().as_secs_f64()
-                );
-            }
-            Err(e) => {
-                eprintln!("scrub sweep failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = &metrics.scrub_check {
-        let content = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read scrub artifact {path}: {e}");
-            std::process::exit(1);
-        });
-        let problems = bench::scrub_run::check_scrub_json(&content);
-        if problems.is_empty() {
-            println!("scrub artifact {path} is valid");
-        } else {
-            for p in &problems {
-                eprintln!("scrub artifact {path}: {p}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &metrics.replicate_out {
-        let started = std::time::Instant::now();
-        match bench::replicate_run::replicate_sweep(scale) {
-            Ok(json) => {
-                std::fs::write(path, &json).expect("write replication artifact");
-                println!(
-                    "wrote replication artifact {path} ({} bytes) [wall-clock {:.1} s]",
-                    json.len(),
-                    started.elapsed().as_secs_f64()
-                );
-            }
-            Err(e) => {
-                eprintln!("replication sweep failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = &metrics.replicate_check {
-        let content = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read replication artifact {path}: {e}");
-            std::process::exit(1);
-        });
-        let problems = bench::replicate_run::check_replicate_json(&content);
-        if problems.is_empty() {
-            println!("replication artifact {path} is valid");
-        } else {
-            for p in &problems {
-                eprintln!("replication artifact {path}: {p}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &metrics.shard_out {
-        let started = std::time::Instant::now();
-        match bench::shard_run::shard_sweep(scale) {
-            Ok(json) => {
-                std::fs::write(path, &json).expect("write shard artifact");
-                println!(
-                    "wrote shard artifact {path} ({} bytes) [wall-clock {:.1} s]",
-                    json.len(),
-                    started.elapsed().as_secs_f64()
-                );
-            }
-            Err(e) => {
-                eprintln!("shard sweep failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = &metrics.shard_check {
-        let content = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read shard artifact {path}: {e}");
-            std::process::exit(1);
-        });
-        let problems = bench::shard_run::check_shard_json(&content);
-        if problems.is_empty() {
-            println!("shard artifact {path} is valid");
-        } else {
-            for p in &problems {
-                eprintln!("shard artifact {path}: {p}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &metrics.vlog_out {
-        let started = std::time::Instant::now();
-        match bench::vlog_run::vlog_sweep(scale) {
-            Ok(json) => {
-                std::fs::write(path, &json).expect("write vlog artifact");
-                println!(
-                    "wrote vlog artifact {path} ({} bytes) [wall-clock {:.1} s]",
-                    json.len(),
-                    started.elapsed().as_secs_f64()
-                );
-            }
-            Err(e) => {
-                eprintln!("vlog sweep failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = &metrics.vlog_check {
-        let content = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read vlog artifact {path}: {e}");
-            std::process::exit(1);
-        });
-        let problems = bench::vlog_run::check_vlog_json(&content);
-        if problems.is_empty() {
-            println!("vlog artifact {path} is valid");
-        } else {
-            for p in &problems {
-                eprintln!("vlog artifact {path}: {p}");
-            }
-            std::process::exit(1);
-        }
-    }
-    if let Some(path) = &metrics.chaos_out {
-        let started = std::time::Instant::now();
-        match bench::chaos_run::chaos_sweep(scale, metrics.chaos_schedules) {
-            Ok(json) => {
-                std::fs::write(path, &json).expect("write chaos artifact");
-                println!(
-                    "wrote chaos artifact {path} ({} bytes, {} schedules) [wall-clock {:.1} s]",
-                    json.len(),
-                    metrics.chaos_schedules,
-                    started.elapsed().as_secs_f64()
-                );
-            }
-            Err(e) => {
-                eprintln!("chaos sweep failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = &metrics.chaos_check {
-        let content = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read chaos artifact {path}: {e}");
-            std::process::exit(1);
-        });
-        let problems = bench::chaos_run::check_chaos_json(&content);
-        if problems.is_empty() {
-            println!("chaos artifact {path} is valid");
-        } else {
-            for p in &problems {
-                eprintln!("chaos artifact {path}: {p}");
-            }
-            std::process::exit(1);
-        }
-    }
+    any
 }
 
 fn main() {
-    let (mut wanted, scale, out_dir, metrics) = parse_args();
-    if metrics.out.is_some()
-        || metrics.check.is_some()
-        || metrics.serve_out.is_some()
-        || metrics.serve_check.is_some()
-        || metrics.scrub_out.is_some()
-        || metrics.scrub_check.is_some()
-        || metrics.replicate_out.is_some()
-        || metrics.replicate_check.is_some()
-        || metrics.shard_out.is_some()
-        || metrics.shard_check.is_some()
-        || metrics.vlog_out.is_some()
-        || metrics.vlog_check.is_some()
-        || metrics.chaos_out.is_some()
-        || metrics.chaos_check.is_some()
-    {
-        run_metrics(&scale, &metrics);
-        if wanted.is_empty() {
+    let (scale, args) = parse_args();
+    let ran_artifacts = run_artifacts(&scale, &args);
+    let mut wanted = args.experiments;
+    if wanted.is_empty() {
+        if ran_artifacts {
             return;
         }
-    }
-    if wanted.is_empty() {
         eprintln!("usage: seal-bench <fig02|fig03|table2|fig08..fig14|serve|all> [options]");
-        eprintln!("       seal-bench --metrics-out FILE | --metrics-check FILE [options]");
-        eprintln!("       seal-bench --serve-out FILE | --serve-check FILE [options]");
-        eprintln!("       seal-bench --scrub-out FILE | --scrub-check FILE [options]");
-        eprintln!("       seal-bench --replicate-out FILE | --replicate-check FILE [options]");
-        eprintln!("       seal-bench --shard-out FILE | --shard-check FILE [options]");
-        eprintln!("       seal-bench --vlog-out FILE | --vlog-check FILE [options]");
-        eprintln!("       seal-bench --chaos-out FILE | --chaos-check FILE [--chaos-schedules N] [options]");
+        for a in &ARTIFACTS {
+            eprintln!(
+                "       seal-bench --{0}-out FILE | --{0}-check FILE [options]",
+                a.flag
+            );
+        }
+        eprintln!("       (--chaos-out also takes --chaos-schedules N)");
         std::process::exit(2);
     }
+    let out_dir = args.out_dir;
     if wanted.iter().any(|w| w == "all") {
         wanted = ALL.iter().map(|s| s.to_string()).collect();
     }

@@ -92,13 +92,7 @@ pub fn check_metrics_json(content: &str) -> Vec<String> {
             problems.push(format!("key {key} appears {n} times, expected {expected}"));
         }
     }
-    // The registry clamps non-finite values and the formatter renders
-    // fixed precision, so any of these tokens means a regression.
-    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
-        if content.contains(bad) {
-            problems.push(format!("artifact contains non-finite token {bad:?}"));
-        }
-    }
+    problems.extend(crate::non_finite_tokens(content));
     problems
 }
 

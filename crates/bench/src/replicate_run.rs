@@ -24,7 +24,7 @@
 //! Everything runs on the simulated clock with seeded jitter, so two
 //! runs at the same seed produce byte-identical artifacts.
 
-use crate::BenchScale;
+use crate::{json_nums, BenchScale};
 use lsm_core::Result;
 use seal_replica::{AckPolicy, Cluster, ReplicaConfig, ShipMode};
 use std::collections::BTreeMap;
@@ -242,17 +242,6 @@ pub fn replicate_sweep(scale: &BenchScale) -> Result<String> {
     Ok(sweep_to_json(scale, &run_replicate_sweep(scale)?))
 }
 
-/// Pulls the `u64` following `"key":` out of one cell object.
-fn cell_value(cell: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let i = cell.find(&pat)? + pat.len();
-    let rest = &cell[i..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Pulls the string following `"key":"` out of one cell object.
 fn cell_str(cell: &str, key: &str) -> Option<String> {
     let pat = format!("\"{key}\":\"");
@@ -288,11 +277,7 @@ pub fn check_replicate_json(content: &str) -> Vec<String> {
             ));
         }
     }
-    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
-        if content.contains(bad) {
-            problems.push(format!("artifact contains non-finite token {bad:?}"));
-        }
-    }
+    problems.extend(crate::non_finite_tokens(content));
     let mut saw_quorum = false;
     let mut primary_lost = 0u64;
     let mut groups: BTreeMap<(String, String, u64), Vec<(u64, u64)>> = BTreeMap::new();
@@ -304,11 +289,11 @@ pub fn check_replicate_json(content: &str) -> Vec<String> {
             rest[..rest.find('"').unwrap_or(0)].to_string()
         };
         let ack = cell_str(cell, "ack").unwrap_or_default();
-        let link = cell_value(cell, "link_latency_ns").unwrap_or(0);
-        let kill = cell_value(cell, "kill_after").unwrap_or(0);
-        let lost = cell_value(cell, "acked_lost").unwrap_or(u64::MAX);
-        let rto = cell_value(cell, "rto_ns").unwrap_or(0);
-        let detect = cell_value(cell, "detect_ns").unwrap_or(0);
+        let link = json_nums(cell, "link_latency_ns").next().unwrap_or(0);
+        let kill = json_nums(cell, "kill_after").next().unwrap_or(0);
+        let lost = json_nums(cell, "acked_lost").next().unwrap_or(u64::MAX);
+        let rto = json_nums(cell, "rto_ns").next().unwrap_or(0);
+        let detect = json_nums(cell, "detect_ns").next().unwrap_or(0);
         match ack.as_str() {
             "quorum" | "all" => {
                 saw_quorum = true;

@@ -16,7 +16,7 @@
 //! Everything runs on the simulated clock with seeded fault placement,
 //! so two runs at the same seed produce byte-identical artifacts.
 
-use crate::BenchScale;
+use crate::{json_nums, BenchScale};
 use lsm_core::{Result, ScrubConfig};
 use sealdb::{Store, StoreKind};
 use smr_sim::Extent;
@@ -211,17 +211,6 @@ pub fn scrub_sweep(scale: &BenchScale) -> Result<String> {
     Ok(sweep_to_json(scale, &run_scrub_sweep(scale)?))
 }
 
-/// Pulls the `u64` following `"key":` out of one cell object.
-fn cell_value(cell: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let i = cell.find(&pat)? + pat.len();
-    let rest = &cell[i..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Validates a scrub artifact: schema marker, the full cell grid, no
 /// NaN/Inf — and the durability invariant itself: every scrub-on cell
 /// lost zero keys, and at least one scrub-off baseline lost some.
@@ -246,17 +235,13 @@ pub fn check_scrub_json(content: &str) -> Vec<String> {
             ));
         }
     }
-    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
-        if content.contains(bad) {
-            problems.push(format!("artifact contains non-finite token {bad:?}"));
-        }
-    }
+    problems.extend(crate::non_finite_tokens(content));
     let mut baseline_lost = 0u64;
     let mut saw_on = false;
     let mut saw_off = false;
     for cell in content.split("{\"scrub\":").skip(1) {
         let on = cell.starts_with("true");
-        let lost = cell_value(cell, "lost_keys").unwrap_or(u64::MAX);
+        let lost = json_nums(cell, "lost_keys").next().unwrap_or(u64::MAX);
         if on {
             saw_on = true;
             if lost != 0 {
@@ -264,7 +249,7 @@ pub fn check_scrub_json(content: &str) -> Vec<String> {
                     "durability invariant violated: scrub-on cell lost {lost} keys"
                 ));
             }
-            if cell_value(cell, "files_repaired") == Some(0) {
+            if json_nums(cell, "files_repaired").next() == Some(0u64) {
                 problems.push("scrub-on cell repaired no files".to_string());
             }
         } else {

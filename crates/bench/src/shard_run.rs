@@ -8,13 +8,14 @@
 //! strictly with the shard count — that monotonicity, the bounded key
 //! placement imbalance of the router, and the zero-acked-key-loss audit
 //! of a mid-run split migration are the gates [`check_shard_json`]
-//! (and `scripts/ci.sh`) enforce. Cells run one per OS thread (each
+//! enforces. Cells run one per OS thread (each
 //! cluster owns its own simulated disks) and everything rides the
 //! simulated clock: two same-seed sweeps serialize byte-identically.
 
 use crate::BenchScale;
 use lsm_core::Result;
-use seal_shard::{imbalance, serve, ClusterServeConfig, ShardCluster, ShardConfig};
+use seal_front::ServeConfig;
+use seal_shard::{imbalance, serve, ShardCluster, ShardConfig};
 use std::fmt::Write as _;
 use workloads::{ArrivalProcess, WorkloadSpec};
 
@@ -98,8 +99,8 @@ fn cluster_at(shards: usize, scale: &BenchScale) -> Result<ShardCluster> {
     ShardCluster::new(cfg)
 }
 
-fn serve_cfg(scale: &BenchScale, ops: u64, records: u64) -> ClusterServeConfig {
-    ClusterServeConfig::new(
+fn serve_cfg(scale: &BenchScale, ops: u64, records: u64) -> ServeConfig {
+    ServeConfig::new(
         WorkloadSpec::serve_mix(),
         ArrivalProcess::ClosedLoop { think_ns: 0 },
         CLIENTS,
@@ -127,12 +128,12 @@ fn run_cell(shards: usize, scale: &BenchScale) -> Result<ShardCell> {
     )?;
     Ok(ShardCell {
         shards,
-        saturation_ops_per_sec: r.throughput_ops_per_sec,
-        latency: r.latency,
-        write_calls: r.write_calls,
-        write_ops: r.write_ops,
-        max_group_wire: r.max_group_wire,
-        queue_depth_max: r.queue_depth_max,
+        saturation_ops_per_sec: r.serve.throughput_ops_per_sec,
+        latency: r.serve.latency,
+        write_calls: r.serve.write_calls,
+        write_ops: r.serve.write_ops,
+        max_group_wire: r.serve.max_group_wire,
+        queue_depth_max: r.serve.queue_depth_max,
         key_imbalance: imbalance(&placed),
         ops_imbalance: r.ops_imbalance(),
         per_shard_ops: r.per_shard_ops,
@@ -287,19 +288,8 @@ pub fn shard_sweep(scale: &BenchScale) -> Result<String> {
     Ok(sweep_to_json(scale, &run_sweep(scale)?))
 }
 
-/// Pulls `"key":value` numbers out of flat JSON in order of appearance.
 fn num_values(content: &str, key: &str) -> Vec<f64> {
-    let pat = format!("\"{key}\":");
-    content
-        .match_indices(&pat)
-        .filter_map(|(i, _)| {
-            let rest = &content[i + pat.len()..];
-            let end = rest
-                .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse::<f64>().ok()
-        })
-        .collect()
+    crate::json_nums(content, key).collect()
 }
 
 /// Validates a shard artifact: schema marker, one cell per
@@ -352,11 +342,7 @@ pub fn check_shard_json(content: &str) -> Vec<String> {
         Some(&moved) if moved > 0.0 => {}
         _ => problems.push("migration moved no keys".to_string()),
     }
-    for bad in ["NaN", "nan\"", ":inf", ":-inf", "Infinity"] {
-        if content.contains(bad) {
-            problems.push(format!("artifact contains non-finite token {bad:?}"));
-        }
-    }
+    problems.extend(crate::non_finite_tokens(content));
     problems
 }
 

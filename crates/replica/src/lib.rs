@@ -410,10 +410,7 @@ impl Cluster {
     /// Advances node `idx`'s disk clock to at least `t_ns`.
     fn sync_node_clock(&mut self, idx: usize, t_ns: u64) {
         if let Some(store) = self.nodes[idx].store.as_mut() {
-            let c = store.clock_ns();
-            if t_ns > c {
-                store.db.ctx().lock().fs.disk_mut().advance_ns(t_ns - c);
-            }
+            store.advance_clock_to(t_ns);
         }
     }
 

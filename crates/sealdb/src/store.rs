@@ -331,45 +331,23 @@ impl Store {
     /// and writes the pointer fixups through the normal write path —
     /// unaccounted, so GC traffic cannot deflate the WA denominator.
     /// The victim band returns to the allocator only after the fixups
-    /// are durable. Returns whether any GC work was done.
+    /// are durable. Returns whether any GC work was done. This is
+    /// [`Store::vlog_gc_step_shipping`] with nobody to ship to, so a
+    /// fixup or barrier error surfaces immediately.
     pub fn vlog_gc_step(&mut self, budget_bytes: u64) -> Result<bool> {
-        let Some(relocation) = self.vlog_gc_relocate(budget_bytes)? else {
-            return Ok(false);
-        };
-        if let Some(e) = relocation.error {
-            // No replicas to ship to here, so a post-commit fixup error
-            // surfaces immediately (the scan is unfinished; the next
-            // step re-picks the victim).
-            return Err(e);
+        match self.vlog_gc_step_shipping(budget_bytes)? {
+            None => Ok(false),
+            Some(GcShipment {
+                barrier_error: Some(e),
+                ..
+            }) => Err(e),
+            Some(_) => Ok(true),
         }
-        let (victim, finished) = (relocation.victim, relocation.finished);
-        if finished {
-            // Durability barrier: the fixups must survive a crash before
-            // the victim's bytes can be freed, or recovery could replay
-            // pointers into a recycled band.
-            self.db.sync_wal()?;
-            if let Some(a) = self.ord_audit.as_mut() {
-                a.record_durable(self.db.clock_ns());
-                a.record_recycle(self.db.clock_ns(), victim);
-            }
-            let vlog = self.vlog.as_mut().expect("relocate checked vlog");
-            self.db
-                .with_fs_and_policy(|fs, policy| vlog.retire_segment(fs, policy, victim))?;
-            if vlog.take_dirty() {
-                let blob = vlog.checkpoint();
-                self.db.commit_aux_state(blob)?;
-                if let Some(a) = self.ord_audit.as_mut() {
-                    a.record_checkpoint_commit(self.db.clock_ns(), &vlog.segment_ids());
-                }
-            }
-        }
-        Ok(true)
     }
 
-    /// Runs one budgeted cooperative-GC step exactly like
-    /// [`Store::vlog_gc_step`] — same relocation, same
-    /// fixups-durable-before-recycle barrier — but additionally returns
-    /// what a replication primary must ship: GC fixups consume sequence
+    /// Runs one budgeted cooperative-GC step — relocation, then the
+    /// fixups-durable-before-recycle barrier — and returns what a
+    /// replication primary must ship: GC fixups consume sequence
     /// numbers on the primary (they go through the unaccounted write
     /// path), so a primary that runs GC without shipping the consumed
     /// range leaves every replica with a sequence gap that poisons all
@@ -425,9 +403,9 @@ impl Store {
     /// the relocated live records with the sequence range their fixups
     /// consumed — the caller owns the durability barrier, the
     /// retirement, and (on a replication primary) shipping the consumed
-    /// range. Shared by [`Store::vlog_gc_step`] /
-    /// [`Store::vlog_gc_step_shipping`] (correct barrier) and the chaos
-    /// knob in `chaos_knobs.rs` (deliberately missing barrier).
+    /// range. Shared by [`Store::vlog_gc_step_shipping`] (correct
+    /// barrier) and the chaos knob in `chaos_knobs.rs` (deliberately
+    /// missing barrier).
     pub(crate) fn vlog_gc_relocate(&mut self, budget_bytes: u64) -> Result<Option<GcRelocation>> {
         let Some(vlog) = self.vlog.as_mut() else {
             return Ok(None);
@@ -844,6 +822,15 @@ impl Store {
     /// Simulated clock, ns.
     pub fn clock_ns(&self) -> u64 {
         self.db.clock_ns()
+    }
+
+    /// Lets simulated time pass with the disk idle until the clock reads
+    /// at least `t_ns` (a no-op when it already does).
+    pub fn advance_clock_to(&mut self, t_ns: u64) {
+        let now = self.clock_ns();
+        if t_ns > now {
+            self.db.ctx().lock().fs.disk_mut().advance_ns(t_ns - now);
+        }
     }
 
     /// Enables or disables physical-placement tracing.

@@ -10,11 +10,11 @@
 //! * **Routing** — a consistent-hash [`HashRing`] with virtual nodes
 //!   maps keys to shards; placement imbalance is bounded by the vnode
 //!   count, not luck.
-//! * **Serving** — [`serve`] drives a multi-client workload through
-//!   per-shard request queues with LevelDB-style group commit per
-//!   shard (sharing `seal-front`'s cap semantics via
-//!   [`seal_front::group_fits`]), choosing the next event by
-//!   `(time, admission index, shard)` so ties break deterministically.
+//! * **Serving** — [`serve`] runs `seal-front`'s serve loop
+//!   ([`seal_front::serve_queues`]) with one request queue per active
+//!   shard and the ring as its router: same arrivals, group commit,
+//!   degraded reads and idle background work as a single store, ties
+//!   between shards broken by index.
 //! * **Migration** — band-granular split of the hottest shard (chosen
 //!   from the per-shard observability gauges) and merge of a retiring
 //!   shard, moving keys in band-sized batches with a full audit trail.
@@ -29,7 +29,7 @@ mod serve;
 
 pub use migrate::{MigrationKind, MigrationReport};
 pub use ring::{fnv1a64, HashRing};
-pub use serve::{serve, ClusterServeConfig, ClusterServeResult};
+pub use serve::{serve, ClusterServeResult};
 
 use lsm_core::{Error, Result};
 use sealdb::{Store, StoreConfig, StoreKind};
@@ -286,15 +286,6 @@ impl ShardCluster {
         Ok(())
     }
 
-    /// Advances shard `idx`'s disk clock to at least `t_ns`.
-    pub(crate) fn sync_shard_clock(&mut self, idx: usize, t_ns: u64) {
-        let store = &mut self.shards[idx].store;
-        let c = store.clock_ns();
-        if t_ns > c {
-            store.db.ctx().lock().fs.disk_mut().advance_ns(t_ns - c);
-        }
-    }
-
     /// Syncs every active shard forward to the cluster frontier and
     /// returns that start time — the prologue of cluster-wide phases.
     pub(crate) fn sync_all(&mut self) -> u64 {
@@ -303,7 +294,7 @@ impl ShardCluster {
             start = start.max(self.shards[idx].store.clock_ns());
         }
         for idx in self.active_shards() {
-            self.sync_shard_clock(idx, start);
+            self.shards[idx].store.advance_clock_to(start);
         }
         self.now_ns = start;
         start

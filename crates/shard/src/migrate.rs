@@ -128,7 +128,7 @@ impl ShardCluster {
             store,
             active: true,
         });
-        self.sync_shard_clock(to, t0);
+        self.shards[to].store.advance_clock_to(t0);
         let moved_points = self.ring.split(from, to);
         debug_assert!(moved_points > 0, "split moved no ring points");
         // Only keys resident on `from` can have changed owner.
@@ -139,8 +139,8 @@ impl ShardCluster {
             .collect();
         let (moved_keys, moved_bytes, batches) = self.move_in_bands(from, to, &moving)?;
         let end = self.store(from).clock_ns().max(self.store(to).clock_ns());
-        self.sync_shard_clock(from, end);
-        self.sync_shard_clock(to, end);
+        self.shards[from].store.advance_clock_to(end);
+        self.shards[to].store.advance_clock_to(end);
         self.now_ns = self.now_ns.max(end);
         Ok(MigrationReport {
             kind: MigrationKind::Split { from, to },
@@ -188,7 +188,7 @@ impl ShardCluster {
             end = end.max(self.store(*owner).clock_ns());
         }
         for owner in by_owner.keys() {
-            self.sync_shard_clock(*owner, end);
+            self.shards[*owner].store.advance_clock_to(end);
         }
         self.now_ns = self.now_ns.max(end);
         Ok(MigrationReport {

@@ -1,132 +1,47 @@
-//! The cluster serving loop: many clients, one router, N shard queues.
+//! Cluster serving: `seal-front`'s serve loop with one request queue
+//! per active shard and the consistent-hash ring as its router.
 //!
-//! A discrete-event simulation across every shard's simulated clock.
-//! Arrivals are drawn exactly like `seal-front`'s single-store loop
-//! (same op/key streams for a given seed) and routed at admission time;
-//! each shard serves its own FIFO queue, merging queued writes behind a
-//! serving write into one group commit under the shared
-//! [`seal_front::group_fits`] cap semantics. The next event is always
-//! the minimum over `(time, admission index, shard)` — arrivals and
-//! service starts interleave deterministically no matter how many
-//! shards run "in parallel".
+//! Everything about the loop — arrivals, admission, per-queue group
+//! commit, degraded reads, idle background work — is
+//! [`seal_front::serve_queues`]; a single store is its one-queue case,
+//! so a cluster run and a single-store run with the same seed draw the
+//! same operations. What the cluster adds is here: shard clocks synced
+//! to a common frontier before and after, the ring as the routing
+//! function, queue index ↔ shard slot mapping (merged-away slots get no
+//! queue), and the per-shard router observability.
 //!
 //! Throughput is aggregate: completed operations over the cluster span
-//! (first service start to last completion on any shard). More shards
-//! mean more disks serving concurrently, so saturation throughput
-//! scales out until the hottest shard — zipfian traffic concentrates —
-//! becomes the bottleneck.
+//! (sync frontier to last completion on any shard). More shards mean
+//! more disks serving concurrently, so saturation throughput scales out
+//! until the hottest shard — zipfian traffic concentrates — becomes the
+//! bottleneck.
 
 use crate::ShardCluster;
-use lsm_core::util::rng::XorShift64;
-use lsm_core::{Result, WriteBatch};
-use seal_front::{group_fits, LatencySummary};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use workloads::distributions::{Distribution, Latest, ScrambledZipfian, Uniform};
-use workloads::ycsb::{Dist, WorkloadSpec};
-use workloads::{ArrivalProcess, InterArrival, RecordGenerator};
+use lsm_core::Result;
+use seal_front::{serve_queues, ServeConfig, ServeResult};
+use sealdb::Store;
+use workloads::RecordGenerator;
 
-/// Configuration of one cluster serving run.
-#[derive(Clone, Debug)]
-pub struct ClusterServeConfig {
-    /// Number of virtual clients (cluster-wide).
-    pub clients: usize,
-    /// Total operations to serve across all clients and shards.
-    pub total_ops: u64,
-    /// Records preloaded into the cluster (the YCSB keyspace).
-    pub record_count: u64,
-    /// Operation mix and key distribution.
-    pub spec: WorkloadSpec,
-    /// Traffic shape (per client).
-    pub arrival: ArrivalProcess,
-    /// Seed for every RNG stream the run owns.
-    pub seed: u64,
-    /// Group-commit size cap in batch wire bytes (LevelDB: 1 MiB),
-    /// enforced per shard.
-    pub max_group_bytes: usize,
-    /// Whether a shard's idle gaps run background compaction steps.
-    pub idle_compaction: bool,
-}
-
-impl ClusterServeConfig {
-    /// A serving run with the default group cap and idle compaction on.
-    pub fn new(
-        spec: WorkloadSpec,
-        arrival: ArrivalProcess,
-        clients: usize,
-        total_ops: u64,
-        record_count: u64,
-    ) -> Self {
-        ClusterServeConfig {
-            clients,
-            total_ops,
-            record_count,
-            spec,
-            arrival,
-            seed: 0x5EA1_F007,
-            max_group_bytes: 1 << 20,
-            idle_compaction: true,
-        }
-    }
-
-    /// Same run with a different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
-/// Everything one cluster serving run measured.
+/// Everything one cluster serving run measured: the shared
+/// [`ServeResult`] over all shards plus what only a cluster has.
 #[derive(Clone, Debug)]
 pub struct ClusterServeResult {
+    /// The aggregate run. `sim_ns` is the cluster span — sync frontier
+    /// to last completion on any shard — and `queue_depth_max` the
+    /// deepest per-shard queue.
+    pub serve: ServeResult,
     /// Active shards that served the run.
     pub shards: usize,
-    /// Operations completed.
-    pub ops: u64,
-    /// Cluster span: first service start to last completion, ns.
-    pub sim_ns: u64,
-    /// Aggregate completed operations per simulated second.
-    pub throughput_ops_per_sec: f64,
-    /// End-to-end latency (arrival → completion): queueing + service.
-    pub latency: LatencySummary,
-    /// Queueing delay alone (arrival → service start).
-    pub queue_delay: LatencySummary,
     /// Operations served by each shard slot (merged-away slots read 0).
     pub per_shard_ops: Vec<u64>,
     /// `Store::write` calls issued by each shard slot.
     pub per_shard_write_calls: Vec<u64>,
-    /// Deepest per-shard queue observed at any service start.
-    pub queue_depth_max: usize,
-    /// Total `Store::write` calls (each one WAL append + sync).
-    pub write_calls: u64,
-    /// Write operations carried by those calls.
-    pub write_ops: u64,
-    /// Largest write group merged on any shard.
-    pub max_group_len: usize,
-    /// Largest committed group in wire bytes; never exceeds the cap
-    /// unless a single oversized batch committed alone.
-    pub max_group_wire: usize,
-    /// Background compaction steps run in shard idle gaps.
-    pub idle_compactions: u64,
-    /// Point reads that found their key.
-    pub hits: u64,
-    /// Point reads that missed.
-    pub misses: u64,
     /// Keyspace size after the run (preload plus serve-phase inserts) —
     /// the audit horizon.
     pub records_after: u64,
 }
 
 impl ClusterServeResult {
-    /// Mean write operations per WAL commit (1.0 = no grouping).
-    pub fn avg_group_size(&self) -> f64 {
-        if self.write_calls == 0 {
-            0.0
-        } else {
-            self.write_ops as f64 / self.write_calls as f64
-        }
-    }
-
     /// Max-over-mean of per-shard served operations (active slots).
     pub fn ops_imbalance(&self) -> f64 {
         let active: Vec<u64> = self
@@ -139,381 +54,56 @@ impl ClusterServeResult {
     }
 }
 
-/// One operation, decided at admission so queued writes are visible to
-/// the shard's group commit.
-enum Op {
-    Get(Vec<u8>),
-    Write(WriteBatch),
-    Scan(Vec<u8>, usize),
-    Rmw(Vec<u8>, Vec<u8>),
-}
-
-impl Op {
-    /// The key whose hash routes this operation.
-    fn route_key(&self) -> &[u8] {
-        match self {
-            Op::Get(k) | Op::Scan(k, _) | Op::Rmw(k, _) => k,
-            Op::Write(b) => match b.iter().next() {
-                Some((_, _, k, _)) => k,
-                None => &[],
-            },
-        }
-    }
-}
-
-/// A request sitting in one shard's queue.
-struct Request {
-    arrival_ns: u64,
-    client: usize,
-    op: Op,
-}
-
-/// Shared operation-drawing state, mirroring `seal-front`'s so a
-/// cluster run draws the same op/key streams as a single-store run
-/// with the same seed.
-struct OpDraw<'a> {
-    gen: &'a RecordGenerator,
-    spec: WorkloadSpec,
-    op_rng: XorShift64,
-    key_rng: XorShift64,
-    dist: Box<dyn Distribution>,
-    n_now: u64,
-}
-
-impl<'a> OpDraw<'a> {
-    fn new(gen: &'a RecordGenerator, spec: WorkloadSpec, record_count: u64, seed: u64) -> Self {
-        let dist: Box<dyn Distribution> = match spec.dist {
-            Dist::Uniform => Box::new(Uniform),
-            Dist::Zipfian => Box::new(ScrambledZipfian::new(record_count)),
-            Dist::Latest => Box::new(Latest::new(record_count * 2)),
-        };
-        OpDraw {
-            gen,
-            spec,
-            op_rng: XorShift64::new(seed),
-            key_rng: XorShift64::new(seed ^ 0xDEAD_BEEF),
-            dist,
-            n_now: record_count,
-        }
-    }
-
-    fn draw(&mut self) -> Op {
-        let r = (self.op_rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let m = &self.spec.mix;
-        if r < m.read {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            Op::Get(self.gen.key(i))
-        } else if r < m.read + m.update {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            let mut b = WriteBatch::new();
-            b.put(&self.gen.key(i), &self.gen.value(i));
-            Op::Write(b)
-        } else if r < m.read + m.update + m.insert {
-            let i = self.n_now;
-            self.n_now += 1;
-            let mut b = WriteBatch::new();
-            b.put(&self.gen.key(i), &self.gen.value(i));
-            Op::Write(b)
-        } else if r < m.read + m.update + m.insert + m.scan {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            let len = 1 + (self.key_rng.next_below(self.spec.max_scan_len as u64) as usize);
-            Op::Scan(self.gen.key(i), len)
-        } else {
-            let i = self.dist.next(&mut self.key_rng, self.n_now);
-            Op::Rmw(self.gen.key(i), self.gen.value(i))
-        }
-    }
-}
-
 /// Serves `cfg.total_ops` operations against a preloaded cluster and
-/// reports aggregate latency and per-shard load.
-///
-/// Every active shard is flipped into deferred-compaction (serve) mode
-/// for the duration and restored afterwards.
+/// reports aggregate latency and per-shard load. Scans are
+/// partition-local (the routed shard's range); cross-shard scans are
+/// the scatter-gather [`ShardCluster::scan`] API.
 pub fn serve(
     cluster: &mut ShardCluster,
     gen: &RecordGenerator,
-    cfg: &ClusterServeConfig,
+    cfg: &ServeConfig,
 ) -> Result<ClusterServeResult> {
-    assert!(cfg.clients > 0, "serve needs at least one client");
+    cluster.sync_all();
     let active = cluster.active_shards();
-    assert!(!active.is_empty(), "serve needs at least one active shard");
-    for &idx in &active {
-        cluster.store_mut(idx).set_deferred_compaction(true);
+    let mut queue_of = vec![usize::MAX; cluster.total_shards()];
+    for (q, &slot) in active.iter().enumerate() {
+        queue_of[slot] = q;
     }
-    let result = serve_loop(cluster, gen, cfg);
-    for &idx in &active {
-        cluster.store_mut(idx).set_deferred_compaction(false);
-    }
-    result
-}
-
-fn serve_loop(
-    cluster: &mut ShardCluster,
-    gen: &RecordGenerator,
-    cfg: &ClusterServeConfig,
-) -> Result<ClusterServeResult> {
-    let start = cluster.sync_all();
-    let slots = cluster.total_shards();
-    let mut draw = OpDraw::new(gen, cfg.spec, cfg.record_count, cfg.seed);
-
-    // Per-client traffic state: gap generator and unissued-op quota.
-    let mut gaps: Vec<InterArrival> = (0..cfg.clients)
-        .map(|c| InterArrival::new(cfg.arrival, cfg.seed ^ (0xC11E57 + c as u64 * 0x9E37_79B9)))
+    let ring = &cluster.ring;
+    let mut stores: Vec<&mut Store> = cluster
+        .shards
+        .iter_mut()
+        .filter(|s| s.active)
+        .map(|s| &mut s.store)
         .collect();
-    let mut remaining: Vec<u64> = {
-        let base = cfg.total_ops / cfg.clients as u64;
-        let extra = (cfg.total_ops % cfg.clients as u64) as usize;
-        (0..cfg.clients)
-            .map(|c| base + u64::from(c < extra))
-            .collect()
-    };
-    let open_loop = matches!(cfg.arrival, ArrivalProcess::OpenLoopPoisson { .. });
+    let served = serve_queues(&mut stores, |key| queue_of[ring.route(key)], gen, cfg)?;
 
-    // Future arrivals, ordered by (time, admission index, client); the
-    // admission index breaks ties deterministically.
-    let mut arrivals: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut next_idx = 0u64;
-    for c in 0..cfg.clients {
-        if remaining[c] == 0 {
-            continue;
-        }
-        let t = if open_loop {
-            start + gaps[c].next_gap_ns()
-        } else {
-            start
-        };
-        arrivals.push(Reverse((t, next_idx, c)));
-        next_idx += 1;
-        remaining[c] -= 1;
-    }
-
-    let mut pending: Vec<VecDeque<Request>> = (0..slots).map(|_| VecDeque::new()).collect();
-    let mut latencies: Vec<u64> = Vec::with_capacity(cfg.total_ops as usize);
-    let mut queue_delays: Vec<u64> = Vec::with_capacity(cfg.total_ops as usize);
-    let mut per_shard_ops = vec![0u64; slots];
-    let mut per_shard_write_calls = vec![0u64; slots];
-    let mut per_shard_depth_max = vec![0usize; slots];
-    let mut write_calls = 0u64;
-    let mut write_ops = 0u64;
-    let mut max_group_len = 0usize;
-    let mut max_group_wire = 0usize;
-    let mut idle_compactions = 0u64;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let mut completed = 0u64;
-    let mut last_done = start;
-
-    while completed < cfg.total_ops {
-        // The next service event: the shard that can begin serving its
-        // queue head earliest. A shard is ready at max(its disk clock,
-        // the head's arrival); ties break by shard index.
-        let next_service: Option<(u64, usize)> = (0..slots)
-            .filter(|&s| !pending[s].is_empty())
-            .map(|s| {
-                let head = pending[s].front().expect("non-empty");
-                (cluster.store(s).clock_ns().max(head.arrival_ns), s)
-            })
-            .min();
-
-        // Admit every arrival due at or before the next service event
-        // (or, with no serviceable shard, at the next arrival instant):
-        // an admitted write becomes visible to the group commit of the
-        // service it queues behind.
-        if let Some(&Reverse((t_a, _, _))) = arrivals.peek() {
-            let horizon = match next_service {
-                Some((t_s, _)) => t_s,
-                None => {
-                    // Cluster fully idle: spend the gap on background
-                    // compaction, shard by shard — the stand-in for the
-                    // compaction threads sharing each disk.
-                    if cfg.idle_compaction {
-                        for s in cluster.active_shards() {
-                            while cluster.store(s).clock_ns() < t_a
-                                && cluster.store(s).needs_compaction()
-                            {
-                                if !cluster.store_mut(s).compact_step()? {
-                                    break;
-                                }
-                                idle_compactions += 1;
-                            }
-                        }
-                    }
-                    t_a
-                }
-            };
-            if t_a <= horizon {
-                while let Some(&Reverse((t, _, c))) = arrivals.peek() {
-                    if t > horizon {
-                        break;
-                    }
-                    arrivals.pop();
-                    let op = draw.draw();
-                    let shard = cluster.route(op.route_key());
-                    pending[shard].push_back(Request {
-                        arrival_ns: t,
-                        client: c,
-                        op,
-                    });
-                    if open_loop && remaining[c] > 0 {
-                        arrivals.push(Reverse((t + gaps[c].next_gap_ns(), next_idx, c)));
-                        next_idx += 1;
-                        remaining[c] -= 1;
-                    }
-                }
-                continue; // recompute the service event with the new queue state
-            }
-        }
-
-        let Some((t_s, s)) = next_service else {
-            break; // no pending work and no arrivals left
-        };
-
-        // An idle gap before this shard's head arrived: drive its
-        // background compaction, then let the clock catch up. The
-        // compaction may overshoot — the request then queues behind it,
-        // exactly like a foreground write behind a busy disk.
-        let head_arrival = pending[s].front().expect("non-empty").arrival_ns;
-        if cfg.idle_compaction {
-            while cluster.store(s).clock_ns() < head_arrival && cluster.store(s).needs_compaction()
-            {
-                if !cluster.store_mut(s).compact_step()? {
-                    break;
-                }
-                idle_compactions += 1;
-            }
-        }
-        if cluster.store(s).clock_ns() < head_arrival {
-            cluster.sync_shard_clock(s, head_arrival);
-        }
-        let _ = t_s;
-
-        per_shard_depth_max[s] = per_shard_depth_max[s].max(pending[s].len());
-        let service_start = cluster.store(s).clock_ns();
-        let head = pending[s].pop_front().expect("non-empty queue");
-        let mut members: Vec<(u64, usize)> = vec![(head.arrival_ns, head.client)];
-        match head.op {
-            Op::Write(mut batch) => {
-                // Group commit: absorb queued writes behind the head on
-                // THIS shard, under the shared cap semantics. A queued
-                // request whose arrival is still in this shard's future
-                // (admitted under another shard's later horizon) cannot
-                // join a group that commits before it arrives.
-                loop {
-                    let fits = match pending[s].front() {
-                        Some(next) if next.arrival_ns <= service_start => match &next.op {
-                            Op::Write(b) => group_fits(&batch, b, cfg.max_group_bytes),
-                            _ => false,
-                        },
-                        _ => false,
-                    };
-                    if !fits {
-                        break;
-                    }
-                    let next = pending[s].pop_front().expect("checked front");
-                    let Op::Write(b) = next.op else {
-                        unreachable!("checked write")
-                    };
-                    batch.append(&b);
-                    members.push((next.arrival_ns, next.client));
-                }
-                write_calls += 1;
-                per_shard_write_calls[s] += 1;
-                write_ops += members.len() as u64;
-                max_group_len = max_group_len.max(members.len());
-                max_group_wire = max_group_wire.max(batch.byte_size());
-                cluster.store_mut(s).write(batch)?;
-            }
-            Op::Get(key) => {
-                if cluster.store_mut(s).get(&key)?.is_some() {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-            }
-            Op::Scan(key, len) => {
-                // Partition-local scan: the serving loop reads the
-                // routed shard's range; cross-shard scans are the
-                // scatter-gather `ShardCluster::scan` API.
-                cluster.store_mut(s).scan(&key, len)?;
-            }
-            Op::Rmw(key, value) => {
-                if cluster.store_mut(s).get(&key)?.is_some() {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-                cluster.store_mut(s).put(&key, &value)?;
-            }
-        }
-        let done = cluster.store(s).clock_ns();
-        last_done = last_done.max(done);
-        per_shard_ops[s] += members.len() as u64;
-        for &(arrival, client) in &members {
-            latencies.push(done - arrival);
-            queue_delays.push(service_start - arrival);
-            completed += 1;
-            if !open_loop && remaining[client] > 0 {
-                arrivals.push(Reverse((
-                    done + gaps[client].next_gap_ns(),
-                    next_idx,
-                    client,
-                )));
-                next_idx += 1;
-                remaining[client] -= 1;
-            }
-        }
-    }
-
-    let sim_ns = last_done - start;
-    let latency = LatencySummary::from_samples(&mut latencies);
-    let queue_delay = LatencySummary::from_samples(&mut queue_delays);
-    let queue_depth_max = per_shard_depth_max.iter().copied().max().unwrap_or(0);
-    let result = ClusterServeResult {
-        shards: cluster.active_shards().len(),
-        ops: completed,
-        sim_ns,
-        throughput_ops_per_sec: if sim_ns == 0 {
-            0.0
-        } else {
-            completed as f64 * 1e9 / sim_ns as f64
-        },
-        latency,
-        queue_delay,
-        per_shard_ops,
-        per_shard_write_calls,
-        queue_depth_max,
-        write_calls,
-        write_ops,
-        max_group_len,
-        max_group_wire,
-        idle_compactions,
-        hits,
-        misses,
-        records_after: draw.n_now,
-    };
-    for s in cluster.active_shards() {
-        cluster.publish_router_obs(
-            s,
-            result.per_shard_ops[s],
-            result.per_shard_write_calls[s],
-            per_shard_depth_max[s],
-        );
-    }
+    let mut per_shard_ops = vec![0u64; queue_of.len()];
+    let mut per_shard_write_calls = vec![0u64; queue_of.len()];
     // The cluster frontier advances to the last completion.
-    let end = cluster.now_ns().max(last_done);
-    for s in cluster.active_shards() {
-        cluster.sync_shard_clock(s, end);
+    let end = cluster.now_ns + served.result.sim_ns;
+    for (&slot, q) in active.iter().zip(&served.queues) {
+        per_shard_ops[slot] = q.ops;
+        per_shard_write_calls[slot] = q.write_calls;
+        cluster.publish_router_obs(slot, q.ops, q.write_calls, q.depth_max);
+        cluster.store_mut(slot).advance_clock_to(end);
     }
     cluster.now_ns = end;
-    Ok(result)
+    Ok(ClusterServeResult {
+        serve: served.result,
+        shards: active.len(),
+        per_shard_ops,
+        per_shard_write_calls,
+        records_after: served.records_after,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ShardConfig;
-    use workloads::WorkloadSpec as Spec;
+    use sealdb::{StoreConfig, StoreKind};
+    use workloads::{ArrivalProcess, WorkloadSpec as Spec};
 
     const SST: u64 = 32 << 10;
     const CAP: u64 = 1 << 30;
@@ -524,8 +114,8 @@ mod tests {
         c
     }
 
-    fn closed(clients: usize, ops: u64, records: u64) -> ClusterServeConfig {
-        ClusterServeConfig::new(
+    fn closed(clients: usize, ops: u64, records: u64) -> ServeConfig {
+        ServeConfig::new(
             Spec::serve_mix(),
             ArrivalProcess::ClosedLoop { think_ns: 0 },
             clients,
@@ -539,10 +129,10 @@ mod tests {
         let gen = RecordGenerator::new(16, 100, 1);
         let mut c = serving_cluster(4, 1200, &gen);
         let r = serve(&mut c, &gen, &closed(8, 800, 1200)).unwrap();
-        assert_eq!(r.ops, 800);
+        assert_eq!(r.serve.ops, 800);
         assert_eq!(r.shards, 4);
-        assert!(r.sim_ns > 0);
-        assert_eq!(r.misses, 0, "preloaded zipfian reads must not miss");
+        assert!(r.serve.sim_ns > 0);
+        assert_eq!(r.serve.misses, 0, "preloaded zipfian reads must not miss");
         assert_eq!(r.per_shard_ops.iter().sum::<u64>(), 800);
         assert!(
             r.per_shard_ops.iter().all(|&n| n > 0),
@@ -562,6 +152,7 @@ mod tests {
             let mut c = serving_cluster(shards, 1500, &gen);
             serve(&mut c, &gen, &closed(8, 600, 1500))
                 .unwrap()
+                .serve
                 .throughput_ops_per_sec
         };
         let one = sat(1);
@@ -578,7 +169,7 @@ mod tests {
         let mut c = serving_cluster(2, 800, &gen);
         let mut cfg = closed(8, 600, 800);
         cfg.max_group_bytes = 600;
-        let r = serve(&mut c, &gen, &cfg).unwrap();
+        let r = serve(&mut c, &gen, &cfg).unwrap().serve;
         assert_eq!(r.ops, 600);
         assert!(r.max_group_len > 1, "groups must form under 8 hot clients");
         assert!(
@@ -597,18 +188,16 @@ mod tests {
             let mut c = serving_cluster(3, 1000, &gen);
             let cfg = closed(6, 500, 1000).with_seed(seed);
             let r = serve(&mut c, &gen, &cfg).unwrap();
-            (
-                r.sim_ns,
-                r.latency,
-                r.per_shard_ops.clone(),
-                c.state_hashes().unwrap(),
-            )
+            (r.serve, r.per_shard_ops, c.state_hashes().unwrap())
         };
         let a = go(11);
         let b = go(11);
         assert_eq!(a, b);
         let c = go(12);
-        assert_ne!(a.0, c.0, "a different seed must shift the schedule");
+        assert_ne!(
+            a.0.sim_ns, c.0.sim_ns,
+            "a different seed must shift the schedule"
+        );
     }
 
     #[test]
@@ -628,5 +217,92 @@ mod tests {
                 .to_json(0)
                 .contains(&format!("\"instance\":\"shard-{s}\"")));
         }
+    }
+
+    /// A one-shard cluster is the one-queue case: it serves exactly what
+    /// `run_serve` serves on a bare store built and preloaded the same
+    /// way — every measured field, and the clock it ends on.
+    #[test]
+    fn one_shard_cluster_serves_exactly_like_a_bare_store() {
+        let gen = RecordGenerator::new(16, 100, 1);
+        const RECORDS: u64 = 1000;
+        let shard_cfg = ShardConfig::new(1, SST, CAP);
+        let arrivals = [
+            ArrivalProcess::ClosedLoop { think_ns: 0 },
+            ArrivalProcess::OpenLoopPoisson { ops_per_sec: 150.0 },
+        ];
+        for spec in [Spec::a(), Spec::serve_mix()] {
+            for arrival in arrivals {
+                let cfg = ServeConfig::new(spec, arrival, 4, 400, RECORDS).with_seed(17);
+                let mut cluster = ShardCluster::new(shard_cfg.clone()).unwrap();
+                cluster.load(&gen, RECORDS).unwrap();
+                let clustered = serve(&mut cluster, &gen, &cfg).unwrap();
+
+                let mut sc = StoreConfig::new(StoreKind::SealDb, SST, CAP);
+                sc.seed = shard_cfg.seed;
+                let mut store = sc.build().unwrap();
+                for i in 0..RECORDS {
+                    let j = workloads::permute(i, RECORDS, shard_cfg.seed);
+                    store.put(&gen.key(j), &gen.value(j)).unwrap();
+                }
+                store.flush().unwrap();
+                let bare = seal_front::run_serve(&mut store, &gen, &cfg).unwrap();
+
+                let what = format!("workload {} under {arrival:?}", spec.name);
+                assert_eq!(clustered.serve, bare, "{what}");
+                assert_eq!(clustered.per_shard_ops, [bare.ops], "{what}");
+                assert_eq!(cluster.store(0).clock_ns(), store.clock_ns(), "{what}");
+                assert_eq!(cluster.now_ns(), store.clock_ns(), "{what}");
+            }
+        }
+    }
+
+    /// Sharded serving inherits the loop's degraded mode: a shard whose
+    /// reads keep failing serves them as misses while the run — and the
+    /// healthy shard — carries on.
+    #[test]
+    fn a_faulty_shard_degrades_instead_of_aborting_the_cluster() {
+        let gen = RecordGenerator::new(16, 100, 1);
+        const RECORDS: u64 = 1000;
+        let mut c = serving_cluster(2, RECORDS, &gen);
+        {
+            let store = c.store_mut(0);
+            let f = store
+                .db
+                .current_version()
+                .files
+                .iter()
+                .flatten()
+                .max_by_key(|f| f.size)
+                .expect("load left no tables")
+                .clone();
+            let ext = store.db.ctx().lock().fs.file_extent(f.id).unwrap();
+            store
+                .db
+                .ctx()
+                .lock()
+                .fs
+                .disk_mut()
+                .faults_mut()
+                .fail_reads_permanently(ext);
+        }
+        let mut cfg = ServeConfig::new(
+            Spec::c(),
+            ArrivalProcess::ClosedLoop { think_ns: 0 },
+            4,
+            600,
+            RECORDS,
+        );
+        cfg.read_retries = 1;
+        cfg.client_error_budget = u64::MAX;
+        let r = serve(&mut c, &gen, &cfg).unwrap();
+        assert_eq!(r.serve.ops, 600, "every op is served, none abandoned");
+        assert!(r.serve.failed_reads > 0, "reads into the dead table fail");
+        // Only shard 0 can fail a read, and the closed keyspace makes
+        // failed reads the only misses: shard 1 served all of its share.
+        assert!(r.serve.failed_reads <= r.per_shard_ops[0]);
+        assert_eq!(r.serve.misses, r.serve.failed_reads);
+        assert!(r.per_shard_ops[1] > 0);
+        assert_eq!(r.per_shard_ops.iter().sum::<u64>(), 600);
     }
 }

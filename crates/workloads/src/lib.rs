@@ -23,4 +23,4 @@ pub use distributions::{
 };
 pub use generator::RecordGenerator;
 pub use micro::{fill_random, fill_seq, permute, read_random, read_seq, MicroResult};
-pub use ycsb::{run as run_ycsb, Dist, Mix, WorkloadSpec, YcsbResult};
+pub use ycsb::{run as run_ycsb, Dist, Mix, OpStream, WorkloadSpec, YcsbOp, YcsbResult};

@@ -229,6 +229,100 @@ impl YcsbResult {
     }
 }
 
+/// One operation drawn from an [`OpStream`], by record index — the
+/// consumer turns indices into key/value bytes with its
+/// [`RecordGenerator`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum YcsbOp {
+    /// Point read of an existing record.
+    Read(u64),
+    /// Overwrite of an existing record.
+    Update(u64),
+    /// Insert of the next new record (the keyspace grows by one).
+    Insert(u64),
+    /// Range scan from a record, for up to this many rows.
+    Scan(u64, usize),
+    /// Read-modify-write of an existing record.
+    Rmw(u64),
+}
+
+/// The seeded YCSB operation stream: which operation comes next and on
+/// which record. Every driver — [`run`], the serving front-end, and
+/// through it the shard router — iterates this one generator, so runs
+/// with the same `(spec, record_count, seed)` see the same operations in
+/// the same order. The op choice and the key choice draw from separate
+/// RNG streams (`seed` and `seed ^ 0xDEADBEEF`).
+pub struct OpStream {
+    mix: Mix,
+    max_scan_len: u64,
+    op_rng: XorShift64,
+    key_rng: XorShift64,
+    dist: Box<dyn Distribution>,
+    n_now: u64,
+}
+
+impl std::fmt::Debug for OpStream {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OpStream")
+            .field("mix", &self.mix)
+            .field("records", &self.n_now)
+            .finish_non_exhaustive()
+    }
+}
+
+impl OpStream {
+    /// A stream of `spec` operations over a keyspace preloaded with
+    /// `record_count` records.
+    pub fn new(spec: &WorkloadSpec, record_count: u64, seed: u64) -> Self {
+        let dist: Box<dyn Distribution> = match spec.dist {
+            Dist::Uniform => Box::new(Uniform),
+            Dist::Zipfian => Box::new(ScrambledZipfian::new(record_count)),
+            Dist::Latest => Box::new(Latest::new(record_count * 2)),
+        };
+        OpStream {
+            mix: spec.mix,
+            // `WorkloadSpec` fields are public: a zero scan length still
+            // yields one-row scans instead of an empty-range draw.
+            max_scan_len: (spec.max_scan_len as u64).max(1),
+            op_rng: XorShift64::new(seed),
+            key_rng: XorShift64::new(seed ^ 0xDEADBEEF),
+            dist,
+            n_now: record_count,
+        }
+    }
+
+    /// Keyspace size so far: the preload plus every insert drawn.
+    pub fn records(&self) -> u64 {
+        self.n_now
+    }
+
+    fn next_key(&mut self) -> u64 {
+        self.dist.next(&mut self.key_rng, self.n_now)
+    }
+}
+
+impl Iterator for OpStream {
+    type Item = YcsbOp;
+
+    fn next(&mut self) -> Option<YcsbOp> {
+        let r = (self.op_rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        let m = self.mix;
+        Some(if r < m.read {
+            YcsbOp::Read(self.next_key())
+        } else if r < m.read + m.update {
+            YcsbOp::Update(self.next_key())
+        } else if r < m.read + m.update + m.insert {
+            self.n_now += 1;
+            YcsbOp::Insert(self.n_now - 1)
+        } else if r < m.read + m.update + m.insert + m.scan {
+            let i = self.next_key();
+            YcsbOp::Scan(i, 1 + self.key_rng.next_below(self.max_scan_len) as usize)
+        } else {
+            YcsbOp::Rmw(self.next_key())
+        })
+    }
+}
+
 /// Executes `op_count` operations of `spec` against a store preloaded
 /// with `record_count` records.
 pub fn run(
@@ -239,48 +333,29 @@ pub fn run(
     op_count: u64,
     seed: u64,
 ) -> Result<YcsbResult> {
-    let mut rng = XorShift64::new(seed);
-    let mut key_rng = XorShift64::new(seed ^ 0xDEADBEEF);
-    let mut n_now = record_count;
-    let mut dist: Box<dyn Distribution> = match spec.dist {
-        Dist::Uniform => Box::new(Uniform),
-        Dist::Zipfian => Box::new(ScrambledZipfian::new(record_count)),
-        Dist::Latest => Box::new(Latest::new(record_count * 2)),
-    };
     let mut hits = 0;
     let mut misses = 0;
-    let start = store.clock_ns();
-    for _ in 0..op_count {
-        let r = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        let m = &spec.mix;
-        if r < m.read {
-            let k = gen.key(dist.next(&mut key_rng, n_now));
-            if store.get(&k)?.is_some() {
-                hits += 1;
-            } else {
-                misses += 1;
-            }
-        } else if r < m.read + m.update {
-            let i = dist.next(&mut key_rng, n_now);
-            store.put(&gen.key(i), &gen.value(i))?;
-        } else if r < m.read + m.update + m.insert {
-            let i = n_now;
-            n_now += 1;
-            store.put(&gen.key(i), &gen.value(i))?;
-        } else if r < m.read + m.update + m.insert + m.scan {
-            let start_i = dist.next(&mut key_rng, n_now);
-            let len = 1 + (key_rng.next_below(spec.max_scan_len as u64) as usize);
-            store.scan(&gen.key(start_i), len)?;
+    let mut read = |store: &mut Store, key: &[u8]| -> Result<()> {
+        if store.get(key)?.is_some() {
+            hits += 1;
         } else {
-            // Read-modify-write.
-            let i = dist.next(&mut key_rng, n_now);
-            let k = gen.key(i);
-            if store.get(&k)?.is_some() {
-                hits += 1;
-            } else {
-                misses += 1;
+            misses += 1;
+        }
+        Ok(())
+    };
+    let start = store.clock_ns();
+    for op in OpStream::new(spec, record_count, seed).take(op_count as usize) {
+        match op {
+            YcsbOp::Read(i) => read(store, &gen.key(i))?,
+            YcsbOp::Update(i) | YcsbOp::Insert(i) => store.put(&gen.key(i), &gen.value(i))?,
+            YcsbOp::Scan(i, len) => {
+                store.scan(&gen.key(i), len)?;
             }
-            store.put(&k, &gen.value(i))?;
+            YcsbOp::Rmw(i) => {
+                let k = gen.key(i);
+                read(store, &k)?;
+                store.put(&k, &gen.value(i))?;
+            }
         }
     }
     Ok(YcsbResult {
@@ -314,6 +389,30 @@ mod tests {
         assert_eq!(WorkloadSpec::d().dist, Dist::Latest);
         assert_eq!(WorkloadSpec::e().mix.scan, 0.95);
         assert_eq!(WorkloadSpec::f().mix.rmw, 0.5);
+    }
+
+    #[test]
+    fn zero_max_scan_len_yields_one_row_scans() {
+        let spec = WorkloadSpec {
+            mix: Mix {
+                read: 0.0,
+                update: 0.0,
+                insert: 0.0,
+                scan: 1.0,
+                rmw: 0.0,
+            },
+            max_scan_len: 0,
+            ..WorkloadSpec::e()
+        };
+        let ops: Vec<YcsbOp> = OpStream::new(&spec, 1000, 9).take(200).collect();
+        assert!(ops.iter().all(|op| matches!(op, YcsbOp::Scan(_, 1))));
+        // The floor costs no RNG draw of its own: a length-1 spec sees
+        // the same start keys.
+        let one = WorkloadSpec {
+            max_scan_len: 1,
+            ..spec
+        };
+        assert!(OpStream::new(&one, 1000, 9).take(200).eq(ops));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use lsm_core::types::{make_internal_key, ValueType};
 use lsm_core::util::rng::XorShift64;
 use lsm_core::LogWriter;
 use sealdb::{StoreConfig, StoreKind};
+use workloads::{OpStream, WorkloadSpec, YcsbOp};
 
 fn fnv1a(data: &[u8]) -> u64 {
     data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -110,4 +111,64 @@ fn store_metrics_after_fixed_run_are_pinned() {
         (2222, 0xbb35_b027_ecdf_3dac),
         "metrics snapshot moved"
     );
+}
+
+/// The YCSB op stream every driver iterates: the first 10 000 operations
+/// of each shipped workload over a 10 000-record keyspace, folded as
+/// (kind, record index, scan length). Constants recorded from the serve
+/// loop's private `OpDraw` at the commit before `OpStream` replaced it
+/// (updates and inserts were both a one-put batch there, so they share a
+/// tag here).
+#[test]
+fn ycsb_op_stream_is_pinned() {
+    let mut specs = WorkloadSpec::all();
+    specs.push(WorkloadSpec::serve_mix());
+    let pins: [(u64, [u64; 7]); 2] = [
+        (
+            0x5EA1_F007,
+            [
+                0x7253_3ac5_9a3f_e9dd,
+                0x3c40_8774_84a2_c71e,
+                0x7e54_988c_d81e_2908,
+                0x4f46_58e4_318f_56e7,
+                0x72a1_55d0_6030_28eb,
+                0x85cb_52e8_ac8a_d77f,
+                0xaba2_ead8_1ac0_527c,
+            ],
+        ),
+        (
+            42,
+            [
+                0xf7ea_5caa_cdc4_7ff6,
+                0x4f2d_ebcb_c84b_acf4,
+                0x5898_d3fc_52b3_00fa,
+                0xc8f7_0360_9067_97a8,
+                0xe5c0_0361_c923_5c5c,
+                0xccae_285f_e06b_418e,
+                0xa048_dfa7_9284_768d,
+            ],
+        ),
+    ];
+    for (seed, hashes) in pins {
+        for (spec, pin) in specs.iter().zip(hashes) {
+            let mut bytes = Vec::with_capacity(10_000 * 17);
+            for op in OpStream::new(spec, 10_000, seed).take(10_000) {
+                let (tag, i, len) = match op {
+                    YcsbOp::Read(i) => (0u8, i, 0),
+                    YcsbOp::Update(i) | YcsbOp::Insert(i) => (1, i, 0),
+                    YcsbOp::Scan(i, len) => (2, i, len as u64),
+                    YcsbOp::Rmw(i) => (3, i, 0),
+                };
+                bytes.push(tag);
+                bytes.extend_from_slice(&i.to_le_bytes());
+                bytes.extend_from_slice(&len.to_le_bytes());
+            }
+            assert_eq!(
+                fnv1a(&bytes),
+                pin,
+                "workload {} seed {seed:#x}: op stream moved",
+                spec.name
+            );
+        }
+    }
 }

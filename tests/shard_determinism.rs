@@ -4,7 +4,8 @@
 //! and a mid-run shard split must never lose an acknowledged key.
 
 use bench::{shard_run, BenchScale};
-use seal_shard::{serve, ClusterServeConfig, ShardCluster, ShardConfig};
+use seal_front::ServeConfig;
+use seal_shard::{serve, ShardCluster, ShardConfig};
 use workloads::{ArrivalProcess, RecordGenerator, WorkloadSpec};
 
 fn small_scale() -> BenchScale {
@@ -15,8 +16,8 @@ fn small_scale() -> BenchScale {
     s
 }
 
-fn serve_cfg(clients: usize, ops: u64, records: u64, seed: u64) -> ClusterServeConfig {
-    ClusterServeConfig::new(
+fn serve_cfg(clients: usize, ops: u64, records: u64, seed: u64) -> ServeConfig {
+    ServeConfig::new(
         WorkloadSpec::serve_mix(),
         ArrivalProcess::ClosedLoop { think_ns: 0 },
         clients,
@@ -72,9 +73,9 @@ fn mid_run_migration_replays_identically_and_loses_nothing() {
 
         let r3 = serve(&mut c, &gen, &serve_cfg(6, 200, r2.records_after, 33)).unwrap();
         (
-            r1.sim_ns,
-            r2.sim_ns,
-            r3.sim_ns,
+            r1.serve.sim_ns,
+            r2.serve.sim_ns,
+            r3.serve.sim_ns,
             split,
             merge,
             c.state_hashes().unwrap(),
@@ -98,6 +99,7 @@ fn saturation_scales_with_shard_count() {
         c.load(&gen, RECORDS).unwrap();
         serve(&mut c, &gen, &serve_cfg(8, 600, RECORDS, 13))
             .unwrap()
+            .serve
             .throughput_ops_per_sec
     };
     let one = sat(1);

@@ -17,7 +17,6 @@ pub mod scale;
 pub mod scrub_run;
 pub mod serve_run;
 pub mod shard_run;
-pub mod timing;
 pub mod vlog_run;
 
 pub use scale::BenchScale;

@@ -1,12 +1,19 @@
 //! The chaos orchestrator and its end-to-end durability oracle.
 //!
-//! A [`ChaosHarness`] composes the full stack the way production
-//! would: several replication groups (each a [`seal_replica::Cluster`]
-//! of vlog-enabled SEALDB stores), a consistent-hash ring routing
-//! client keys across groups, and a migration override table on top of
-//! the ring. Events from a [`crate::ChaosEvent`] schedule are applied
-//! one by one on the shared simulated timeline; the harness tracks
-//! every value it promised a client in a global `promised` map.
+//! A [`ChaosHarness`] drives the composed stack as the type production
+//! would use: a [`ShardCluster`] whose shards are replication groups
+//! (each a [`seal_replica::Cluster`] of vlog-enabled SEALDB stores).
+//! Client traffic goes through the cluster's router and migrations run
+//! the cluster's own band-granular split/merge. Events from a
+//! [`crate::ChaosEvent`] schedule are applied one by one on the shared
+//! simulated timeline; the harness tracks every value it promised a
+//! client in a global `promised` map.
+//!
+//! Faults only ever target the `cfg.groups` configured groups (the
+//! generator's disruption-credit rule is keyed by that index). A
+//! migration splits one of them onto an **extra slot** (index ≥
+//! `cfg.groups`), and the next migration merges that slot away again,
+//! so the configured groups stay put for the whole schedule.
 //!
 //! After the schedule, [`ChaosHarness::check`] runs the oracle:
 //!
@@ -35,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use lsm_core::{Result, ScrubConfig, ScrubReport, WriteBatch};
 use seal_replica::{Cluster, ReplicaConfig};
-use seal_shard::HashRing;
+use seal_shard::{ShardCluster, ShardConfig};
 use sealdb::{Store, VlogParams};
 use smr_sim::{ClusterFaultClass, DeviceFaultClass, Extent, FaultPlan};
 
@@ -43,10 +50,6 @@ use crate::schedule::ChaosEvent;
 
 /// Number of distinct client keys the traffic model cycles over.
 pub const KEYSPACE: u32 = 128;
-
-/// Number of routing buckets (key index modulo this); migration moves
-/// whole buckets between groups.
-pub const BUCKETS: u32 = 16;
 
 /// Shape of one chaos run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,7 +133,7 @@ impl Coverage {
 /// reproducible bug (feed the schedule to [`crate::shrink`]).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OracleReport {
-    /// Replica groups in the run.
+    /// Replica groups in the run, extra migration slots included.
     pub groups: usize,
     /// Schedule events actually applied.
     pub events_applied: u64,
@@ -176,10 +179,10 @@ pub struct OracleReport {
 #[derive(Debug)]
 pub struct ChaosHarness {
     cfg: ChaosConfig,
-    groups: Vec<Cluster>,
-    ring: HashRing,
-    /// Migration overrides: bucket → group, shadowing the ring.
-    overrides: BTreeMap<u32, usize>,
+    seed: u64,
+    cluster: ShardCluster<Cluster>,
+    /// The extra slot the last split created, until a merge retires it.
+    extra: Option<usize>,
     /// Every value promised to a client, by key index (`None` = a
     /// promised deletion).
     promised: BTreeMap<u32, Option<Vec<u8>>>,
@@ -187,7 +190,7 @@ pub struct ChaosHarness {
     /// permanent device damage (quarantine sheds data locally) or a
     /// write error left them ahead of the shipped frame stream.
     damaged: BTreeSet<(usize, usize)>,
-    /// Per group, the latest scheduled partition heal bound.
+    /// Per group slot, the latest scheduled partition heal bound.
     partition_end: Vec<u64>,
     /// Monotonic operation counter feeding key values and probes.
     seq: u64,
@@ -256,19 +259,33 @@ fn scrub_until_full_pass(store: &mut Store) -> bool {
 /// Reads `key` on node `idx`, retrying through the transient-fault
 /// budget (each distinct offset fails at most once).
 fn get_with_retry(c: &mut Cluster, idx: usize, key: &[u8]) -> Result<Option<Vec<u8>>> {
-    let mut last = None;
-    for _ in 0..4 {
-        match c.get_of(idx, key) {
-            Ok(v) => return Ok(v),
-            Err(e) => last = Some(e),
+    let mut got = c.get_of(idx, key);
+    for _ in 0..3 {
+        if got.is_err() {
+            got = c.get_of(idx, key);
         }
     }
-    Err(last.expect("retry loop ran at least once"))
+    got
 }
 
-/// Client key bytes for key index `idx`.
+/// Builds replication group `g`: own seed derived from the run's, every
+/// node running key-value separation.
+fn build_group(cfg: &ChaosConfig, seed: u64, g: usize) -> Result<Cluster> {
+    let mut rc = ReplicaConfig::new(cfg.replicas, cfg.sstable_size, cfg.disk_capacity);
+    rc.seed = crate::schedule::SplitMix::new(seed ^ (g as u64 + 1)).next_u64();
+    Cluster::new(rc.with_vlog(VlogParams {
+        segment_bytes: 32 << 10,
+        value_threshold: 64,
+        ..VlogParams::default()
+    }))
+}
+
+/// Client key bytes for key index `idx`. The constant tail is for the
+/// router's unfinalized FNV-1a, where a key's last bytes barely reach
+/// the high bits the ring orders by: bare `k00042` keys put 108 of 128
+/// on one group and a split of the other moved nothing.
 pub fn key_bytes(idx: u32) -> Vec<u8> {
-    format!("k{idx:05}").into_bytes()
+    format!("k{idx:05}-chaos").into_bytes()
 }
 
 /// Deterministic value payload for key `idx` at operation `seq` —
@@ -284,25 +301,16 @@ impl ChaosHarness {
     /// key-value separation, with per-group seeds derived from `seed`.
     pub fn new(cfg: ChaosConfig, seed: u64) -> Result<ChaosHarness> {
         assert!(cfg.groups >= 1, "a chaos run needs at least one group");
-        let mut ring = HashRing::new(8);
-        let mut groups = Vec::with_capacity(cfg.groups);
-        for g in 0..cfg.groups {
-            ring.add_shard(g);
-            let mut rc = ReplicaConfig::new(cfg.replicas, cfg.sstable_size, cfg.disk_capacity);
-            rc.seed = crate::schedule::SplitMix::new(seed ^ (g as u64 + 1)).next_u64();
-            let rc = rc.with_vlog(VlogParams {
-                segment_bytes: 32 << 10,
-                value_threshold: 64,
-                ..VlogParams::default()
-            });
-            groups.push(Cluster::new(rc)?);
-        }
+        let groups = (0..cfg.groups)
+            .map(|g| build_group(&cfg, seed, g))
+            .collect::<Result<Vec<Cluster>>>()?;
+        let shard_cfg = ShardConfig::new(cfg.groups, cfg.sstable_size, cfg.disk_capacity);
         Ok(ChaosHarness {
             partition_end: vec![0; cfg.groups],
+            cluster: ShardCluster::from_nodes(shard_cfg, groups),
             cfg,
-            groups,
-            ring,
-            overrides: BTreeMap::new(),
+            seed,
+            extra: None,
             promised: BTreeMap::new(),
             damaged: BTreeSet::new(),
             seq: 0,
@@ -313,24 +321,9 @@ impl ChaosHarness {
         })
     }
 
-    /// Direct access to one replication group — for tests and
-    /// debugging tools that need to inspect cluster internals between
-    /// events; schedules themselves only go through
-    /// [`ChaosHarness::apply_event`].
-    pub fn group_mut(&mut self, g: usize) -> &mut Cluster {
-        &mut self.groups[g]
-    }
-
     /// The group key index `idx` currently routes to.
     pub fn route(&self, idx: u32) -> usize {
-        let bucket = idx % BUCKETS;
-        match self.overrides.get(&bucket) {
-            Some(&g) => g,
-            None => {
-                let g = self.ring.route(format!("bucket{bucket:03}").as_bytes());
-                g % self.cfg.groups
-            }
-        }
+        self.cluster.route(&key_bytes(idx))
     }
 
     /// Applies the whole schedule, then runs the oracle.
@@ -374,12 +367,13 @@ impl ChaosHarness {
             ChaosEvent::Revive { group } => self.ev_revive(group % self.cfg.groups)?,
             ChaosEvent::Failover { group } => self.ev_failover(group % self.cfg.groups)?,
             ChaosEvent::RestartPrimary { group } => {
-                self.groups[group % self.cfg.groups].restart_primary()?;
+                let g = group % self.cfg.groups;
+                self.cluster.node_mut(g).restart_primary()?;
                 true
             }
             ChaosEvent::GcDrain { group } => self.ev_gc_drain(group % self.cfg.groups)?,
             ChaosEvent::ScrubPass { group } => self.ev_scrub_pass(group % self.cfg.groups)?,
-            ChaosEvent::Migrate { bucket, to } => self.ev_migrate(bucket, to)?,
+            ChaosEvent::Migrate { from } => self.ev_migrate(from % self.cfg.groups)?,
         };
         if done {
             self.applied += 1;
@@ -399,7 +393,6 @@ impl ChaosHarness {
         for i in 0..count {
             let idx = (base.wrapping_add(i)) % KEYSPACE;
             self.seq += 1;
-            let g = self.route(idx);
             let key = key_bytes(idx);
             let delete = self.seq.is_multiple_of(7);
             let value = if delete {
@@ -408,8 +401,8 @@ impl ChaosHarness {
                 Some(value_bytes(idx, self.seq))
             };
             let res = match &value {
-                None => self.groups[g].delete(&key),
-                Some(v) => self.groups[g].put(&key, v),
+                None => self.cluster.delete(&key),
+                Some(v) => self.cluster.put(&key, v),
             };
             if res.is_ok() {
                 self.promised.insert(idx, value);
@@ -423,7 +416,7 @@ impl ChaosHarness {
     }
 
     fn ev_torn_write(&mut self, g: usize) -> Result<bool> {
-        let c = &mut self.groups[g];
+        let c = self.cluster.node_mut(g);
         with_primary_faults(c, |f| f.tear_write_after(0));
         self.seq += 1;
         let probe_key = format!("torn-probe-{:08}", self.seq).into_bytes();
@@ -451,7 +444,7 @@ impl ChaosHarness {
     }
 
     fn ev_corrupt_extent(&mut self, g: usize) -> Result<bool> {
-        let c = &mut self.groups[g];
+        let c = self.cluster.node_mut(g);
         flush_with_retry(c.primary_store_mut());
         let Some(ext) = largest_table_extent(c.primary_store_mut()) else {
             return Ok(false);
@@ -494,7 +487,7 @@ impl ChaosHarness {
 
     fn ev_transient_reads(&mut self, g: usize, n: u64) -> Result<bool> {
         let budget = n.clamp(1, 3);
-        let c = &mut self.groups[g];
+        let c = self.cluster.node_mut(g);
         with_primary_faults(c, |f| f.fail_reads_transiently(budget));
         // Absorb most of the budget right away with throwaway reads of
         // promised keys; whatever survives is soaked up by the retry
@@ -506,7 +499,7 @@ impl ChaosHarness {
             .filter(|&idx| self.route(idx) == g)
             .take(4)
             .collect();
-        let c = &mut self.groups[g];
+        let c = self.cluster.node_mut(g);
         let p = c.primary_index();
         for _ in 0..2 {
             for &idx in &keys {
@@ -517,7 +510,7 @@ impl ChaosHarness {
     }
 
     fn ev_permanent_damage(&mut self, g: usize, whole_band: bool) -> Result<bool> {
-        let c = &mut self.groups[g];
+        let c = self.cluster.node_mut(g);
         flush_with_retry(c.primary_store_mut());
         let Some(ext) = largest_table_extent(c.primary_store_mut()) else {
             return Ok(false);
@@ -565,7 +558,7 @@ impl ChaosHarness {
     }
 
     fn ev_fail_slow(&mut self, g: usize, mult: u64) -> Result<bool> {
-        let c = &mut self.groups[g];
+        let c = self.cluster.node_mut(g);
         let ext =
             largest_table_extent(c.primary_store_mut()).unwrap_or_else(|| Extent::new(0, 1 << 20));
         with_primary_faults(c, |f| f.slow_reads(ext, mult.clamp(2, 16)));
@@ -580,7 +573,7 @@ impl ChaosHarness {
     }
 
     fn ev_partition(&mut self, g: usize, pick: usize, dur_ns: u64) -> Result<bool> {
-        let c = &mut self.groups[g];
+        let c = self.cluster.node_mut(g);
         let choices = Self::live_replica_choices(c);
         if choices.is_empty() {
             return Ok(false);
@@ -594,7 +587,7 @@ impl ChaosHarness {
     }
 
     fn ev_kill_replica(&mut self, g: usize, pick: usize) -> Result<bool> {
-        let c = &mut self.groups[g];
+        let c = self.cluster.node_mut(g);
         let choices = Self::live_replica_choices(c);
         if choices.is_empty() {
             return Ok(false);
@@ -604,33 +597,27 @@ impl ChaosHarness {
         Ok(true)
     }
 
+    /// Heals group `g`: steps past its partition heal bound so frames
+    /// buffered behind it drain (catch-up streaming then brings a
+    /// rejoined node fully up to date), and rejoins every dead replica.
+    /// A revive with nothing dead still healed partitions, so it always
+    /// counts as applied.
     fn ev_revive(&mut self, g: usize) -> Result<bool> {
-        // Heal first: catch-up streaming brings the rejoined node fully
-        // up to date, so frames still buffered behind a partition must
-        // drain before anything else judges survivor state.
-        let dt = {
-            let c = &self.groups[g];
-            self.partition_end[g].saturating_sub(c.now_ns()) + 5_000_000
-        };
-        let c = &mut self.groups[g];
+        let c = self.cluster.node_mut(g);
+        let dt = self.partition_end[g].saturating_sub(c.now_ns()) + 5_000_000;
         c.advance_ns(dt)?;
         let p = c.primary_index();
-        let mut any = false;
         for i in 0..=c.config().replicas {
             if i != p && !c.alive(i) {
                 c.rejoin(i)?;
                 self.damaged.remove(&(g, i));
-                any = true;
             }
         }
-        // A revive with nothing dead still healed partitions; count it
-        // applied so coverage reflects the generator's intent.
-        let _ = any;
         Ok(true)
     }
 
     fn ev_failover(&mut self, g: usize) -> Result<bool> {
-        let c = &mut self.groups[g];
+        let c = self.cluster.node_mut(g);
         let p = c.primary_index();
         let detect_end = c.now_ns() + c.config().detect_timeout_ns;
         let replicas = c.config().replicas;
@@ -645,7 +632,7 @@ impl ChaosHarness {
 
     fn ev_gc_drain(&mut self, g: usize) -> Result<bool> {
         let buggy = self.cfg.buggy_gc;
-        let c = &mut self.groups[g];
+        let c = self.cluster.node_mut(g);
         flush_with_retry(c.primary_store_mut());
         let mut errs = 0u32;
         for _ in 0..64 {
@@ -676,7 +663,7 @@ impl ChaosHarness {
     }
 
     fn ev_scrub_pass(&mut self, g: usize) -> Result<bool> {
-        let store = self.groups[g].primary_store_mut();
+        let store = self.cluster.node_mut(g).primary_store_mut();
         if !scrub_until_full_pass(store) {
             self.violations
                 .push(format!("group {g}: scheduled scrub never finished a pass"));
@@ -684,34 +671,34 @@ impl ChaosHarness {
         Ok(true)
     }
 
-    fn ev_migrate(&mut self, bucket: u32, to: usize) -> Result<bool> {
-        let b = bucket % BUCKETS;
-        let to = to % self.cfg.groups;
-        if self.route(b) == to {
+    /// Runs the cluster's real migration: split `from` onto a freshly
+    /// built extra slot, or — while an extra slot is live — merge it
+    /// away again. A migration that errors is skipped: the cluster's
+    /// failure-atomic order leaves every key served where it was.
+    fn ev_migrate(&mut self, from: usize) -> Result<bool> {
+        if let Some(slot) = self.extra {
+            // A merge whose source deletes failed has still switched.
+            let merged = self.cluster.merge_shard(slot);
+            if !self.cluster.is_active(slot) {
+                self.extra = None;
+            }
+            return Ok(merged.is_ok());
+        }
+        // Migration reads its movers back from the source primary. One
+        // whose scrub quarantined a table has shed (or reverted) keys
+        // locally, so it cannot be a source until a failover replaces it.
+        let p = self.cluster.node(from).primary_index();
+        if self.damaged.contains(&(from, p)) {
             return Ok(false);
         }
-        let entries: Vec<(u32, Option<Vec<u8>>)> = self
-            .promised
-            .iter()
-            .filter(|(idx, _)| *idx % BUCKETS == b)
-            .map(|(idx, v)| (*idx, v.clone()))
-            .collect();
-        for (idx, value) in entries {
-            let key = key_bytes(idx);
-            let res = match &value {
-                Some(v) => self.groups[to].put(&key, v),
-                None => self.groups[to].delete(&key),
-            };
-            if res.is_err() {
-                // Abort: the bucket keeps routing to its old group,
-                // which still holds every promised value; the target
-                // group stays internally convergent (committed batches
-                // ship even when the write errors).
-                return Ok(false);
-            }
+        let slot = self.cluster.total_shards();
+        let group = build_group(&self.cfg, self.seed, slot)?;
+        let split = self.cluster.split(from, group);
+        if self.cluster.total_shards() > slot {
+            self.partition_end.push(0);
+            self.extra = Some(slot);
         }
-        self.overrides.insert(b, to);
-        Ok(true)
+        Ok(split.is_ok())
     }
 
     /// Runs the epilogue (heal, rejoin, settle, verification scrub)
@@ -720,19 +707,20 @@ impl ChaosHarness {
     /// the full schedule.
     pub fn check(&mut self) -> Result<OracleReport> {
         let mut report = OracleReport {
-            groups: self.cfg.groups,
+            groups: self.cluster.total_shards(),
             events_applied: self.applied,
             events_skipped: self.skipped,
             coverage: self.coverage.clone(),
             violations: std::mem::take(&mut self.violations),
             ..OracleReport::default()
         };
-        for g in 0..self.cfg.groups {
+        // Every slot, merged-away ones included: a retired group's
+        // evacuation deletes are acked writes it must still hold.
+        for g in 0..self.cluster.total_shards() {
             // 1. Clear injected device fault state (scrub already
             //    realized permanent damage as quarantine/repair when
             //    it was planted).
-            let c = &mut self.groups[g];
-            with_primary_faults(c, |f| {
+            with_primary_faults(self.cluster.node_mut(g), |f| {
                 f.disarm_torn_writes();
                 f.clear_corruption();
                 f.clear_fail_slow();
@@ -740,15 +728,8 @@ impl ChaosHarness {
             });
             // 2. Step past every scheduled partition heal bound so
             //    buffered frames drain, then rejoin the dead.
-            let dt = self.partition_end[g].saturating_sub(c.now_ns()) + 5_000_000;
-            c.advance_ns(dt)?;
-            let p = c.primary_index();
-            for i in 0..=c.config().replicas {
-                if i != p && !c.alive(i) {
-                    c.rejoin(i)?;
-                    self.damaged.remove(&(g, i));
-                }
-            }
+            self.ev_revive(g)?;
+            let c = self.cluster.node_mut(g);
             c.settle()?;
             // 3. Verification scrub over tables and value log.
             if !scrub_until_full_pass(c.primary_store_mut()) {
@@ -757,19 +738,14 @@ impl ChaosHarness {
                     .push(format!("group {g}: epilogue scrub never finished a pass"));
             }
             // 4. Durability: no acked write may be lost cluster-wide.
-            let mut deep = None;
-            let mut audit_err = None;
-            for _ in 0..5 {
-                match c.audit_deep() {
-                    Ok(r) => {
-                        deep = Some(r);
-                        break;
-                    }
-                    Err(e) => audit_err = Some(e),
+            let mut deep = c.audit_deep();
+            for _ in 0..4 {
+                if deep.is_err() {
+                    deep = c.audit_deep();
                 }
             }
             match deep {
-                Some(r) => {
+                Ok(r) => {
                     report.acked_writes += r.acked_writes;
                     report.primary_misses += r.primary_misses;
                     report.acked_lost += r.acked_lost;
@@ -780,10 +756,9 @@ impl ChaosHarness {
                         ));
                     }
                 }
-                None => report.violations.push(format!(
-                    "group {g}: deep audit kept failing: {}",
-                    audit_err.map_or_else(|| "no error captured".to_string(), |e| e.to_string())
-                )),
+                Err(e) => report
+                    .violations
+                    .push(format!("group {g}: deep audit kept failing: {e}")),
             }
             // 5. Survivor agreement among undamaged live nodes.
             let mut hashes: Vec<(usize, u64)> = Vec::new();
@@ -823,7 +798,7 @@ impl ChaosHarness {
         for (idx, want) in expected {
             let g = self.route(idx);
             let key = key_bytes(idx);
-            let c = &mut self.groups[g];
+            let c = self.cluster.node_mut(g);
             let p = c.primary_index();
             let mut order = vec![p];
             order.extend((0..=c.config().replicas).filter(|&i| i != p));
@@ -908,25 +883,68 @@ mod tests {
         assert_eq!(r1, r2);
     }
 
-    #[test]
-    fn migration_moves_a_bucket_and_keeps_promises() {
+    fn loaded_harness() -> ChaosHarness {
         let cfg = ChaosConfig {
-            events: 4,
+            events: 0,
             ..ChaosConfig::default()
         };
         let mut h = ChaosHarness::new(cfg, 5).unwrap();
-        h.apply_event(&ChaosEvent::WriteBurst { base: 0, count: 64 })
-            .unwrap();
-        // Move bucket 3 to whichever group it does not live on.
-        let before = h.route(3);
-        let to = (before + 1) % 2;
-        assert!(h
-            .apply_event(&ChaosEvent::Migrate { bucket: 3, to })
-            .unwrap());
-        assert_eq!(h.route(3), to);
+        // Every key twice over: both groups flush a table past the 4 KiB
+        // the permanent-damage events need.
+        h.apply_event(&ChaosEvent::WriteBurst {
+            base: 0,
+            count: 256,
+        })
+        .unwrap();
+        h
+    }
+
+    #[test]
+    fn migrate_splits_then_merges_through_the_real_path() {
+        let mut h = loaded_harness();
+        let routes = |h: &ChaosHarness| (0..KEYSPACE).map(|i| h.route(i)).collect::<Vec<_>>();
+        let before = routes(&h);
+        assert!(h.apply_event(&ChaosEvent::Migrate { from: 0 }).unwrap());
+        // The split built a third group and moved only group 0's keys.
+        assert_eq!(h.cluster.total_shards(), 3);
+        let split = routes(&h);
+        assert!(split.contains(&2), "the extra slot owns no key");
+        for (was, now) in before.iter().zip(&split) {
+            assert!(now == was || (*was == 0 && *now == 2), "{was} -> {now}");
+        }
+        // Traffic reaches the extra slot, then the next migration —
+        // whatever group it names — merges that slot away again.
+        h.apply_event(&ChaosEvent::WriteBurst {
+            base: 64,
+            count: 96,
+        })
+        .unwrap();
+        assert!(h.apply_event(&ChaosEvent::Migrate { from: 1 }).unwrap());
+        assert!(!h.cluster.is_active(2));
+        assert!(routes(&h).iter().all(|&g| g < 2));
         let report = h.check().unwrap();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.groups, 3, "the retired slot is still audited");
+        assert_eq!(report.promised_checked, u64::from(KEYSPACE));
         assert_eq!(report.promised_lost, 0);
+    }
+
+    #[test]
+    fn migrate_is_skipped_while_the_source_primary_is_damaged() {
+        let mut h = loaded_harness();
+        let g = (0..2)
+            .find(|&group| {
+                h.apply_event(&ChaosEvent::UnrecoverableRead { group })
+                    .unwrap()
+            })
+            .expect("no group holds a table large enough to damage");
+        assert!(!h.apply_event(&ChaosEvent::Migrate { from: g }).unwrap());
+        assert_eq!(h.cluster.total_shards(), 2);
+        // A failover replaces the damaged primary: the group can split.
+        assert!(h.apply_event(&ChaosEvent::Failover { group: g }).unwrap());
+        assert!(h.apply_event(&ChaosEvent::Migrate { from: g }).unwrap());
+        let report = h.check().unwrap();
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
@@ -942,7 +960,10 @@ mod tests {
         };
         use ChaosEvent::*;
         let events = vec![
-            WriteBurst { base: 0, count: 80 },
+            WriteBurst {
+                base: 0,
+                count: 320,
+            },
             KillReplica { group: 0, pick: 0 },
             Partition {
                 group: 1,
@@ -955,8 +976,8 @@ mod tests {
             },
             UnrecoverableRead { group: 0 },
             GcDrain { group: 0 },
-            Migrate { bucket: 2, to: 1 },
-            Migrate { bucket: 5, to: 0 },
+            Migrate { from: 1 },
+            Migrate { from: 0 },
             ScrubPass { group: 1 },
             Revive { group: 1 },
             Failover { group: 1 },
@@ -971,6 +992,7 @@ mod tests {
         let mut h = ChaosHarness::new(cfg, 99).unwrap();
         let report = h.run(&events).unwrap();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.events_skipped, 0, "every composed event must apply");
         assert!(report.failovers >= 1);
         assert!(report.coverage.device_classes() >= 2);
         assert!(report.coverage.cluster_classes() >= 3);

@@ -30,6 +30,6 @@ pub mod schedule;
 /// Delta-debugging minimization of failing schedules into replayable repros.
 pub mod shrink;
 
-pub use harness::{ChaosConfig, ChaosHarness, Coverage, OracleReport, BUCKETS, KEYSPACE};
+pub use harness::{ChaosConfig, ChaosHarness, Coverage, OracleReport, KEYSPACE};
 pub use schedule::{generate, ChaosEvent, SplitMix};
 pub use shrink::{schedule_fails, shrink, ChaosRepro};

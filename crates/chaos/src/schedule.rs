@@ -168,15 +168,15 @@ pub enum ChaosEvent {
         /// Target replica group.
         group: usize,
     },
-    /// Migrate one routing bucket to group `to`: replay every promised
-    /// key of the bucket onto the destination, then flip the routing
-    /// override — shard migration that must be loss-free even when it
-    /// runs while another group is killed or partitioned.
+    /// Run the shard cluster's real band-granular migration: split
+    /// group `from` onto a freshly built extra group, or — if the last
+    /// migration left an extra group live — merge that group away
+    /// again. Must be loss-free even while another group is killed or
+    /// partitioned; skipped while `from`'s primary carries device damage
+    /// (a migration reads its movers back from the source primary).
     Migrate {
-        /// Routing bucket (modulo the harness bucket count).
-        bucket: u32,
-        /// Destination group (modulo the group count).
-        to: usize,
+        /// Group to split (modulo the group count); ignored by a merge.
+        from: usize,
     },
 }
 
@@ -310,10 +310,7 @@ pub fn generate(seed: u64, cfg: &ChaosConfig) -> Vec<ChaosEvent> {
             92..=95 => ChaosEvent::ScrubPass { group: g },
             _ => {
                 if cfg.groups > 1 {
-                    ChaosEvent::Migrate {
-                        bucket: rng.below(u64::from(crate::harness::BUCKETS)) as u32,
-                        to: rng.below(cfg.groups as u64) as usize,
-                    }
+                    ChaosEvent::Migrate { from: g }
                 } else {
                     ChaosEvent::GcDrain { group: g }
                 }

@@ -80,11 +80,6 @@ pub fn default_allowlist() -> Vec<AllowEntry> {
     vec![
         AllowEntry {
             rule: Rule::NoWallClock,
-            pattern: "crates/bench/src/timing.rs",
-            justification: "the timing harness measures real elapsed wall time by design",
-        },
-        AllowEntry {
-            rule: Rule::NoWallClock,
             pattern: "crates/bench/src/main.rs",
             justification: "progress reporting on stderr times the run itself, not results",
         },
@@ -167,8 +162,8 @@ mod tests {
     #[test]
     fn literal_and_star() {
         assert!(path_matches(
-            "crates/bench/src/timing.rs",
-            "crates/bench/src/timing.rs"
+            "crates/bench/src/main.rs",
+            "crates/bench/src/main.rs"
         ));
         assert!(path_matches(
             "crates/*/src/lib.rs",

@@ -312,8 +312,8 @@ mod tests {
     fn applicable_rules_respect_scope_and_allowlist() {
         let opts = Options::workspace();
         let allow = default_allowlist();
-        // timing.rs: wall clock allowed, ambient randomness still banned.
-        let rules = applicable_rules("crates/bench/src/timing.rs", &opts, &allow);
+        // bench main.rs: wall clock allowed, ambient randomness still banned.
+        let rules = applicable_rules("crates/bench/src/main.rs", &opts, &allow);
         assert!(!rules.contains(&Rule::NoWallClock));
         assert!(rules.contains(&Rule::NoAmbientRandomness));
         // disk.rs: ordered-iteration rule in force.
@@ -329,7 +329,7 @@ mod tests {
     #[test]
     fn everything_mode_ignores_scope_and_allowlist() {
         let opts = Options::everything();
-        let rules = applicable_rules("crates/bench/src/timing.rs", &opts, &[]);
+        let rules = applicable_rules("crates/bench/src/main.rs", &opts, &[]);
         assert_eq!(rules.len(), Rule::ALL.len());
     }
 

@@ -31,7 +31,7 @@
 //! configuration and seed replays byte-identically.
 
 use lsm_core::{Error, LogWriter, Result, ValueType, WalStream, WriteBatch};
-use sealdb::{Store, StoreConfig, StoreKind, VlogParams};
+use sealdb::{KvNode, Store, StoreConfig, StoreKind, VlogParams};
 use smr_sim::{Backoff, IoKind, NetModel, ObsLayer};
 use std::collections::BTreeMap;
 
@@ -452,11 +452,8 @@ impl Cluster {
         // Opportunistically drain replica deliveries that are due.
         self.pump_all(self.now_ns)?;
         let p = self.primary;
-        self.sync_node_clock(p, self.now_ns);
         let (rep, last, entries, clock, write_err) = {
-            let store = self.nodes[p].store.as_mut().ok_or_else(|| {
-                Error::InvalidArgument(format!("primary node {p} is dead; cannot write"))
-            })?;
+            let store = self.live_store_at_now(p, "write")?;
             let first = store.last_sequence() + 1;
             batch.set_sequence(first);
             let last = first + u64::from(batch.count()) - 1;
@@ -620,12 +617,8 @@ impl Cluster {
     /// done.
     pub fn vlog_gc_step(&mut self, budget_bytes: u64) -> Result<bool> {
         self.pump_all(self.now_ns)?;
-        let p = self.primary;
-        self.sync_node_clock(p, self.now_ns);
         let (shipment, clock) = {
-            let store = self.nodes[p].store.as_mut().ok_or_else(|| {
-                Error::InvalidArgument(format!("primary node {p} is dead; cannot run GC"))
-            })?;
+            let store = self.live_store_at_now(self.primary, "run GC")?;
             let shipment = store.vlog_gc_step_shipping(budget_bytes)?;
             (shipment, store.clock_ns())
         };
@@ -672,12 +665,7 @@ impl Cluster {
     /// read path the chaos oracle uses to check a promised value against
     /// every live node, not just the primary. A dead node is an error.
     pub fn get_of(&mut self, idx: usize, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.sync_node_clock(idx, self.now_ns);
-        let store = self.nodes[idx]
-            .store
-            .as_mut()
-            .ok_or_else(|| Error::InvalidArgument(format!("node {idx} is dead; cannot read")))?;
-        store.get(key)
+        self.live_store_at_now(idx, "read")?.get(key)
     }
 
     /// Processes every due delivery on every live replica up to `t_ns`.
@@ -938,16 +926,12 @@ impl Cluster {
     /// kill (RPO = 0); primary-only clusters lose the unshipped tail.
     pub fn audit(&mut self) -> Result<AuditReport> {
         self.pump_all(self.now_ns)?;
-        let p = self.primary;
         let expected: Vec<(Vec<u8>, Option<Vec<u8>>)> = self
             .acked
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
-        self.sync_node_clock(p, self.now_ns);
-        let store = self.nodes[p].store.as_mut().ok_or_else(|| {
-            Error::InvalidArgument(format!("primary node {p} is dead; cannot audit"))
-        })?;
+        let store = self.live_store_at_now(self.primary, "audit")?;
         let mut lost = 0u64;
         for (k, v) in expected {
             if store.get(&k)? != v {
@@ -1026,34 +1010,43 @@ impl Cluster {
     /// [`Cluster::state_hash`] for an arbitrary live node — survivor
     /// agreement checks hash every caught-up node and compare.
     pub fn state_hash_of(&mut self, idx: usize) -> Result<u64> {
+        self.live_store_at_now(idx, "hash")?.state_hash()
+    }
+
+    /// Node `idx`'s store with its disk clock synced to the cluster
+    /// clock; a dead node is an error naming what could not be done.
+    fn live_store_at_now(&mut self, idx: usize, what: &str) -> Result<&mut Store> {
         self.sync_node_clock(idx, self.now_ns);
-        let store = self.nodes[idx]
+        self.nodes[idx]
             .store
             .as_mut()
-            .ok_or_else(|| Error::InvalidArgument(format!("node {idx} is dead; cannot hash")))?;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let fold = |h: &mut u64, bytes: &[u8]| {
-            *h = (*h ^ bytes.len() as u64).wrapping_mul(0x100_0000_01b3);
-            for &b in bytes {
-                *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        let mut start: Vec<u8> = Vec::new();
-        loop {
-            let page = store.scan(&start, 1024)?;
-            for (k, v) in &page {
-                fold(&mut h, k);
-                fold(&mut h, v);
-            }
-            match page.last() {
-                Some((k, _)) if page.len() == 1024 => {
-                    start = k.clone();
-                    start.push(0);
-                }
-                _ => break,
-            }
-        }
-        Ok(h)
+            .ok_or_else(|| Error::InvalidArgument(format!("node {idx} is dead; cannot {what}")))
+    }
+}
+
+/// A replication group as one routable node: writes ack under the
+/// group's policy, reads and scans are served by the current primary at
+/// the cluster clock.
+impl KvNode for Cluster {
+    fn write(&mut self, batch: WriteBatch) -> Result<()> {
+        self.write_batch(batch)
+    }
+
+    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.get_of(self.primary, key)
+    }
+
+    fn scan(&mut self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.live_store_at_now(self.primary, "scan")?
+            .scan(start, limit)
+    }
+
+    fn clock_ns(&self) -> u64 {
+        self.now_ns
+    }
+
+    fn advance_clock_to(&mut self, t_ns: u64) {
+        self.now_ns = self.now_ns.max(t_ns);
     }
 }
 

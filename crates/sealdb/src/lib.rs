@@ -41,6 +41,8 @@
 pub mod chaos_knobs;
 /// Store construction configuration (drive kind, policy, sizes).
 pub mod config;
+/// The node interface routing layers are generic over.
+mod node;
 /// Set-based placement over any allocator, with GC relocation.
 pub mod policy;
 /// Set-region bookkeeping: registration, fading, victim priority.
@@ -49,6 +51,7 @@ pub mod set;
 pub mod store;
 
 pub use config::{StoreConfig, StoreKind};
+pub use node::KvNode;
 pub use policy::SetPolicy;
 pub use seal_vlog::{ValueLog, VlogParams};
 pub use set::{SetRegion, SetRegistry};

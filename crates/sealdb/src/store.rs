@@ -299,6 +299,35 @@ impl Store {
         Ok(out)
     }
 
+    /// FNV-1a digest of the store's full key/value state (length-prefixed
+    /// keys and values, scan order, paged) — the fingerprint determinism
+    /// tests and survivor-agreement checks compare across stores.
+    pub fn state_hash(&mut self) -> Result<u64> {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let fold = |h: &mut u64, bytes: &[u8]| {
+            *h = (*h ^ bytes.len() as u64).wrapping_mul(0x100_0000_01b3);
+            for &b in bytes {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        let mut start: Vec<u8> = Vec::new();
+        loop {
+            let page = self.scan(&start, 1024)?;
+            for (k, v) in &page {
+                fold(&mut h, k);
+                fold(&mut h, v);
+            }
+            match page.last() {
+                Some((k, _)) if page.len() == 1024 => {
+                    start = k.clone();
+                    start.push(0);
+                }
+                _ => break,
+            }
+        }
+        Ok(h)
+    }
+
     /// Maps a stored LSM value to the user value: the identity for
     /// inline stores, tag-decode plus pointer chase for vlog stores. A
     /// pointer into a quarantined or corrupt record fails closed.

@@ -15,13 +15,18 @@
 //!   shard and the ring as its router: same arrivals, group commit,
 //!   degraded reads and idle background work as a single store, ties
 //!   between shards broken by index.
-//! * **Migration** — band-granular split of the hottest shard (chosen
-//!   from the per-shard observability gauges) and merge of a retiring
-//!   shard, moving keys in band-sized batches with a full audit trail.
+//! * **Migration** — band-granular split of a shard (the hottest one,
+//!   chosen from the per-shard observability gauges) and merge of a
+//!   retiring shard, moving keys in band-sized batches with a full
+//!   audit trail.
 //!
-//! Every shard is an ordinary [`Store`] built from a [`StoreConfig`]
-//! with an instance label (`shard-0`, `shard-1`, ...), so per-shard
-//! metrics registries stay distinguishable when aggregated.
+//! Routing and migration are generic over [`KvNode`], so the same
+//! cluster type shards bare stores (`ShardCluster`, the default) or
+//! whole replication groups (`ShardCluster<seal_replica::Cluster>`).
+//! [`ShardCluster::new`] builds every shard as an ordinary [`Store`]
+//! from a [`StoreConfig`] with an instance label (`shard-0`,
+//! `shard-1`, ...), so per-shard metrics registries stay
+//! distinguishable when aggregated.
 
 mod migrate;
 mod ring;
@@ -31,8 +36,8 @@ pub use migrate::{MigrationKind, MigrationReport};
 pub use ring::{fnv1a64, HashRing};
 pub use serve::{serve, ClusterServeResult};
 
-use lsm_core::{Error, Result};
-use sealdb::{Store, StoreConfig, StoreKind};
+use lsm_core::{Error, Result, WriteBatch};
+use sealdb::{KvNode, Store, StoreConfig, StoreKind};
 use smr_sim::ObsLayer;
 use workloads::RecordGenerator;
 
@@ -79,14 +84,17 @@ impl ShardConfig {
     }
 }
 
-/// One cluster member: a store plus its routing liveness. A merged-away
-/// shard keeps its (emptied) store so indices stay stable, but owns no
+/// One cluster member: a node plus its routing liveness. A merged-away
+/// shard keeps its (emptied) node so indices stay stable, but owns no
 /// ring points and receives no traffic.
 #[derive(Debug)]
-struct Shard {
-    store: Store,
+struct Shard<N> {
+    node: N,
     active: bool,
 }
+
+/// Resident records of one shard, as `(key, value)` pairs.
+type Records = Vec<(Vec<u8>, Vec<u8>)>;
 
 /// Result of re-reading every key the cluster has acknowledged.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,90 +103,6 @@ pub struct AuditReport {
     pub checked: u64,
     /// Keys whose routed shard no longer serves the promised value.
     pub lost: u64,
-}
-
-/// Cluster-wide rollup of every shard's recovery and scrub counters —
-/// one snapshot of how much self-healing the deployment has done, in
-/// the same gauge style [`Store::metrics_snapshot`] exports per store.
-/// Built by [`ShardCluster::recovery_summary`]; the chaos oracle
-/// asserts on its scrub accounting balance after composed-fault runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoverySummary {
-    /// Shard slots summed (merged-away slots included — their stores
-    /// still exist and may have recovered or scrubbed).
-    pub shards: u64,
-    /// WAL records replayed across all shards' most recent recoveries.
-    pub wal_records_recovered: u64,
-    /// WAL records skipped as torn or CRC-failed.
-    pub wal_records_skipped: u64,
-    /// WAL bytes dropped while resynchronising.
-    pub wal_bytes_dropped: u64,
-    /// Manifest records dropped after the first corrupt one.
-    pub manifest_records_dropped: u64,
-    /// Orphan data files reclaimed at recovery.
-    pub orphan_files_dropped: u64,
-    /// Files quarantined by reopen validation.
-    pub recovery_files_quarantined: u64,
-    /// Table bytes scrub has read and verified, lifetime.
-    pub scrub_bytes_verified: u64,
-    /// Blocks that failed their first checksum pass.
-    pub scrub_blocks_corrupt: u64,
-    /// Corrupt blocks recovered by single-bit correction.
-    pub scrub_blocks_corrected: u64,
-    /// Blocks lost outright.
-    pub scrub_blocks_lost: u64,
-    /// Files rebuilt onto healthy space.
-    pub scrub_files_repaired: u64,
-    /// Files dropped from a version as unrecoverable.
-    pub scrub_files_quarantined: u64,
-    /// Damaged extents fenced off the allocation path.
-    pub scrub_extents_fenced: u64,
-    /// Completed full scrub passes.
-    pub scrub_full_passes: u64,
-}
-
-impl RecoverySummary {
-    /// The rollup as stable `(gauge name, value)` pairs, declaration
-    /// order — the export shape dashboards and artifacts consume.
-    pub fn gauges(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("cluster_shards", self.shards),
-            ("cluster_wal_records_recovered", self.wal_records_recovered),
-            ("cluster_wal_records_skipped", self.wal_records_skipped),
-            ("cluster_wal_bytes_dropped", self.wal_bytes_dropped),
-            (
-                "cluster_manifest_records_dropped",
-                self.manifest_records_dropped,
-            ),
-            ("cluster_orphan_files_dropped", self.orphan_files_dropped),
-            (
-                "cluster_recovery_files_quarantined",
-                self.recovery_files_quarantined,
-            ),
-            ("cluster_scrub_bytes_verified", self.scrub_bytes_verified),
-            ("cluster_scrub_blocks_corrupt", self.scrub_blocks_corrupt),
-            (
-                "cluster_scrub_blocks_corrected",
-                self.scrub_blocks_corrected,
-            ),
-            ("cluster_scrub_blocks_lost", self.scrub_blocks_lost),
-            ("cluster_scrub_files_repaired", self.scrub_files_repaired),
-            (
-                "cluster_scrub_files_quarantined",
-                self.scrub_files_quarantined,
-            ),
-            ("cluster_scrub_extents_fenced", self.scrub_extents_fenced),
-            ("cluster_scrub_full_passes", self.scrub_full_passes),
-        ]
-    }
-
-    /// Whether every corrupt block scrub found was accounted for: either
-    /// corrected in place or declared lost (and its file repaired or
-    /// quarantined). An imbalance means a block vanished from the books
-    /// — one of the chaos oracle's invariants.
-    pub fn scrub_accounting_balanced(&self) -> bool {
-        self.scrub_blocks_corrupt == self.scrub_blocks_corrected + self.scrub_blocks_lost
-    }
 }
 
 /// Max-over-mean of a count vector — the load-imbalance figure the
@@ -196,38 +120,38 @@ pub fn imbalance(counts: &[u64]) -> f64 {
     max / mean
 }
 
-/// N independent store shards behind a consistent-hash router, on one
+/// N independent nodes behind a consistent-hash router, on one
 /// deterministic simulated timeline.
 #[derive(Debug)]
-pub struct ShardCluster {
+pub struct ShardCluster<N: KvNode = Store> {
     cfg: ShardConfig,
-    shards: Vec<Shard>,
+    shards: Vec<Shard<N>>,
     ring: HashRing,
-    /// Cluster-logical time: the latest completion frontier. Shard disk
+    /// Cluster-logical time: the latest completion frontier. Shard
     /// clocks are synced forward to this before cluster-wide phases.
     now_ns: u64,
 }
 
-impl ShardCluster {
-    /// Builds a cluster of `cfg.shards` fresh shard stores.
-    pub fn new(cfg: ShardConfig) -> Result<ShardCluster> {
-        assert!(cfg.shards >= 1, "a cluster needs at least one shard");
+impl<N: KvNode> ShardCluster<N> {
+    /// A cluster over caller-built nodes, one shard slot each
+    /// (`cfg.shards` must equal `nodes.len()`).
+    pub fn from_nodes(cfg: ShardConfig, nodes: Vec<N>) -> ShardCluster<N> {
+        assert!(!nodes.is_empty(), "a cluster needs at least one shard");
+        assert_eq!(cfg.shards, nodes.len(), "one node per configured shard");
         let mut ring = HashRing::new(cfg.vnodes);
-        let mut shards = Vec::with_capacity(cfg.shards);
-        for idx in 0..cfg.shards {
-            let store = build_shard_store(&cfg, idx)?;
+        for idx in 0..nodes.len() {
             ring.add_shard(idx);
-            shards.push(Shard {
-                store,
-                active: true,
-            });
         }
-        Ok(ShardCluster {
+        let shards = nodes
+            .into_iter()
+            .map(|node| Shard { node, active: true })
+            .collect();
+        ShardCluster {
             cfg,
             shards,
             ring,
             now_ns: 0,
-        })
+        }
     }
 
     /// The cluster configuration.
@@ -267,14 +191,15 @@ impl ShardCluster {
         self.ring.route(key)
     }
 
-    /// Direct access to shard `idx`'s store (tests and the serve loop).
-    pub fn store_mut(&mut self, idx: usize) -> &mut Store {
-        &mut self.shards[idx].store
+    /// Direct access to shard `idx`'s node (tests, fault injection and
+    /// the serve loop).
+    pub fn node_mut(&mut self, idx: usize) -> &mut N {
+        &mut self.shards[idx].node
     }
 
-    /// Read access to shard `idx`'s store.
-    pub fn store(&self, idx: usize) -> &Store {
-        &self.shards[idx].store
+    /// Read access to shard `idx`'s node.
+    pub fn node(&self, idx: usize) -> &N {
+        &self.shards[idx].node
     }
 
     pub(crate) fn check_active(&self, idx: usize) -> Result<()> {
@@ -291,10 +216,10 @@ impl ShardCluster {
     pub(crate) fn sync_all(&mut self) -> u64 {
         let mut start = self.now_ns;
         for idx in self.active_shards() {
-            start = start.max(self.shards[idx].store.clock_ns());
+            start = start.max(self.shards[idx].node.clock_ns());
         }
         for idx in self.active_shards() {
-            self.shards[idx].store.advance_clock_to(start);
+            self.shards[idx].node.advance_clock_to(start);
         }
         self.now_ns = start;
         start
@@ -302,27 +227,32 @@ impl ShardCluster {
 
     // ----- routed single operations -----
 
+    /// The active node `key` routes to.
+    fn routed(&mut self, key: &[u8]) -> Result<&mut N> {
+        let idx = self.route(key);
+        self.check_active(idx)?;
+        Ok(&mut self.shards[idx].node)
+    }
+
     /// Inserts one key/value pair on its routed shard. Single-shard
     /// operations run on that shard's own clock (shards load and serve
     /// in parallel); only cluster-wide phases synchronise timelines.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        let idx = self.route(key);
-        self.check_active(idx)?;
-        self.shards[idx].store.put(key, value)
+        let mut b = WriteBatch::new();
+        b.put(key, value);
+        self.routed(key)?.write(b)
     }
 
     /// Point-reads a key from its routed shard.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let idx = self.route(key);
-        self.check_active(idx)?;
-        self.shards[idx].store.get(key)
+        self.routed(key)?.get(key)
     }
 
     /// Deletes a key on its routed shard.
     pub fn delete(&mut self, key: &[u8]) -> Result<()> {
-        let idx = self.route(key);
-        self.check_active(idx)?;
-        self.shards[idx].store.delete(key)
+        let mut b = WriteBatch::new();
+        b.delete(key);
+        self.routed(key)?.write(b)
     }
 
     /// Scatter-gather range scan: every active shard scans locally from
@@ -331,91 +261,42 @@ impl ShardCluster {
     pub fn scan(&mut self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut merged: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for idx in self.active_shards() {
-            merged.extend(self.shards[idx].store.scan(start, limit)?);
+            merged.extend(self.shards[idx].node.scan(start, limit)?);
         }
         merged.sort();
         merged.truncate(limit);
         Ok(merged)
     }
 
-    // ----- bulk load -----
-
-    /// Random-order loads records `0..n` of `gen` through the router
-    /// and flushes every shard. Returns the per-shard key placement.
-    pub fn load(&mut self, gen: &RecordGenerator, n: u64) -> Result<Vec<u64>> {
-        let mut placed = vec![0u64; self.shards.len()];
-        for i in 0..n {
-            let j = workloads::permute(i, n.max(1), self.cfg.seed);
-            let key = gen.key(j);
-            let idx = self.route(&key);
-            self.check_active(idx)?;
-            self.shards[idx].store.put(&key, &gen.value(j))?;
-            placed[idx] += 1;
-        }
-        for idx in self.active_shards() {
-            self.shards[idx].store.flush()?;
-        }
-        Ok(placed)
-    }
-
     // ----- state inspection -----
 
-    /// Keys currently resident on each shard slot (paged scans;
-    /// merged-away shards report 0).
-    pub fn shard_key_counts(&mut self) -> Result<Vec<u64>> {
-        let mut counts = vec![0u64; self.shards.len()];
-        for idx in self.active_shards() {
-            let mut start: Vec<u8> = Vec::new();
-            loop {
-                let page = self.shards[idx].store.scan(&start, 1024)?;
-                counts[idx] += page.len() as u64;
-                match page.last() {
-                    Some((k, _)) if page.len() == 1024 => {
-                        start = k.clone();
-                        start.push(0);
-                    }
-                    _ => break,
-                }
-            }
-        }
-        Ok(counts)
-    }
-
-    /// FNV-1a digest of shard `idx`'s full key/value state — the
-    /// per-shard fingerprint the determinism tests compare.
-    pub fn state_hash(&mut self, idx: usize) -> Result<u64> {
-        let store = &mut self.shards[idx].store;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let fold = |h: &mut u64, bytes: &[u8]| {
-            *h = (*h ^ bytes.len() as u64).wrapping_mul(0x100_0000_01b3);
-            for &b in bytes {
-                *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
-        };
+    /// Every record resident on shard `idx`, key order (paged scans).
+    pub(crate) fn resident_keys(&mut self, idx: usize) -> Result<Records> {
+        let mut all = Vec::new();
         let mut start: Vec<u8> = Vec::new();
         loop {
-            let page = store.scan(&start, 1024)?;
-            for (k, v) in &page {
-                fold(&mut h, k);
-                fold(&mut h, v);
-            }
-            match page.last() {
-                Some((k, _)) if page.len() == 1024 => {
+            let page = self.shards[idx].node.scan(&start, 1024)?;
+            let full = page.len() == 1024;
+            all.extend(page);
+            match all.last() {
+                Some((k, _)) if full => {
                     start = k.clone();
                     start.push(0);
                 }
                 _ => break,
             }
         }
-        Ok(h)
+        Ok(all)
     }
 
-    /// State hashes of every active shard, ascending index order.
-    pub fn state_hashes(&mut self) -> Result<Vec<u64>> {
-        self.active_shards()
-            .into_iter()
-            .map(|idx| self.state_hash(idx))
-            .collect()
+    /// Keys currently resident on each shard slot (merged-away shards
+    /// report 0).
+    pub fn shard_key_counts(&mut self) -> Result<Vec<u64>> {
+        let mut counts = vec![0u64; self.shards.len()];
+        for idx in self.active_shards() {
+            counts[idx] = self.resident_keys(idx)?.len() as u64;
+        }
+        Ok(counts)
     }
 
     /// Re-reads records `0..n` of `gen` through the router and counts
@@ -431,34 +312,42 @@ impl ShardCluster {
         }
         Ok(AuditReport { checked: n, lost })
     }
+}
 
-    /// Rolls every shard's [`lsm_core::DbCore::recovery_report`] and
-    /// scrub lifetime totals into one [`RecoverySummary`]. All shard
-    /// slots are summed, merged-away ones included, so the rollup never
-    /// loses healing history when the topology changes.
-    pub fn recovery_summary(&self) -> RecoverySummary {
-        let mut s = RecoverySummary::default();
-        for shard in &self.shards {
-            let db = &shard.store.db;
-            let r = db.recovery_report();
-            let sc = db.scrub_report();
-            s.shards += 1;
-            s.wal_records_recovered += r.wal_records_recovered;
-            s.wal_records_skipped += r.wal_records_skipped;
-            s.wal_bytes_dropped += r.wal_bytes_dropped;
-            s.manifest_records_dropped += r.manifest_records_dropped;
-            s.orphan_files_dropped += r.orphan_files_dropped;
-            s.recovery_files_quarantined += r.files_quarantined;
-            s.scrub_bytes_verified += sc.bytes_verified;
-            s.scrub_blocks_corrupt += sc.blocks_corrupt;
-            s.scrub_blocks_corrected += sc.blocks_corrected;
-            s.scrub_blocks_lost += sc.blocks_lost;
-            s.scrub_files_repaired += sc.files_repaired;
-            s.scrub_files_quarantined += sc.files_quarantined;
-            s.scrub_extents_fenced += sc.extents_fenced;
-            s.scrub_full_passes += sc.full_passes;
+impl ShardCluster {
+    /// Builds a cluster of `cfg.shards` fresh shard stores.
+    pub fn new(cfg: ShardConfig) -> Result<ShardCluster> {
+        let stores = (0..cfg.shards)
+            .map(|idx| build_shard_store(&cfg, idx))
+            .collect::<Result<Vec<Store>>>()?;
+        Ok(ShardCluster::from_nodes(cfg, stores))
+    }
+
+    /// Random-order loads records `0..n` of `gen` through the router
+    /// and flushes every shard. Returns the per-shard key placement.
+    pub fn load(&mut self, gen: &RecordGenerator, n: u64) -> Result<Vec<u64>> {
+        let mut placed = vec![0u64; self.shards.len()];
+        for i in 0..n {
+            let j = workloads::permute(i, n.max(1), self.cfg.seed);
+            let key = gen.key(j);
+            let idx = self.route(&key);
+            self.check_active(idx)?;
+            self.shards[idx].node.put(&key, &gen.value(j))?;
+            placed[idx] += 1;
         }
-        s
+        for idx in self.active_shards() {
+            self.shards[idx].node.flush()?;
+        }
+        Ok(placed)
+    }
+
+    /// State hashes ([`Store::state_hash`]) of every active shard,
+    /// ascending index order.
+    pub fn state_hashes(&mut self) -> Result<Vec<u64>> {
+        self.active_shards()
+            .into_iter()
+            .map(|idx| self.shards[idx].node.state_hash())
+            .collect()
     }
 
     // ----- observability-driven placement -----
@@ -472,7 +361,7 @@ impl ShardCluster {
         let mut best: Option<(u64, u64, u64, std::cmp::Reverse<usize>)> = None;
         let mut who = 0usize;
         for idx in self.active_shards() {
-            let store = &self.shards[idx].store;
+            let store = &self.shards[idx].node;
             let m = store.metrics_snapshot();
             let routed = m.obs.registry.counter(ObsLayer::Router, "ops");
             let s = store.stall_stats();
@@ -487,6 +376,15 @@ impl ShardCluster {
         who
     }
 
+    /// Splits the hottest shard (per the obs gauges) onto a newly built
+    /// shard store — [`ShardCluster::split`] with a deterministic
+    /// victim choice.
+    pub fn split_hottest(&mut self) -> Result<MigrationReport> {
+        let from = self.hottest_shard();
+        let store = build_shard_store(&self.cfg, self.total_shards())?;
+        self.split(from, store)
+    }
+
     /// Publishes the router-layer view of shard `idx` into its own obs
     /// bundle, namespaced by the store's instance label in exports.
     pub(crate) fn publish_router_obs(
@@ -496,8 +394,7 @@ impl ShardCluster {
         write_calls: u64,
         depth_max: usize,
     ) {
-        let store = &mut self.shards[idx].store;
-        let ctx = store.db.ctx();
+        let ctx = self.shards[idx].node.db.ctx();
         let mut guard = ctx.lock();
         let obs = guard.fs.disk_mut().obs_mut();
         obs.counter_add(ObsLayer::Router, "ops", ops);
@@ -584,9 +481,9 @@ mod tests {
     #[test]
     fn shard_instances_namespace_metrics() {
         let c = cluster(2);
-        assert_eq!(c.store(0).instance_name(), "shard-0");
-        assert_eq!(c.store(1).instance_name(), "shard-1");
-        let json = c.store(1).metrics_snapshot().to_json(0);
+        assert_eq!(c.node(0).instance_name(), "shard-0");
+        assert_eq!(c.node(1).instance_name(), "shard-1");
+        let json = c.node(1).metrics_snapshot().to_json(0);
         assert!(json.contains("\"instance\":\"shard-1\""));
     }
 
@@ -598,61 +495,24 @@ mod tests {
         assert_eq!(imbalance(&[30, 10, 20]), 1.5);
     }
 
+    /// A one-shard cluster is a bare store behind a router that always
+    /// answers 0: same puts, same state.
     #[test]
-    fn recovery_summary_rolls_up_scrub_and_recovery_counters() {
-        let mut c = cluster(3);
+    fn one_shard_cluster_hashes_like_a_bare_store() {
+        let cfg = ShardConfig::new(1, SST, CAP);
+        let mut bare = build_shard_store(&cfg, 0).unwrap();
+        let mut c = ShardCluster::new(cfg).unwrap();
         let gen = RecordGenerator::new(16, 64, 7);
-        c.load(&gen, 600).unwrap();
-        // A clean cluster reads all-zero healing counters.
-        let clean = c.recovery_summary();
-        assert_eq!(clean.shards, 3);
-        assert_eq!(clean.scrub_blocks_corrupt, 0);
-        assert!(clean.scrub_accounting_balanced());
-        // Narrow single-bit damage on shard 0, then a repairing scrub.
-        {
-            let store = c.store_mut(0);
-            let f = store
-                .db
-                .current_version()
-                .files
-                .iter()
-                .flatten()
-                .max_by_key(|f| f.size)
-                .expect("load left no tables")
-                .clone();
-            let ext = store.db.ctx().lock().fs.file_extent(f.id).unwrap();
-            store
-                .db
-                .ctx()
-                .lock()
-                .fs
-                .disk_mut()
-                .faults_mut()
-                .corrupt_extent(smr_sim::Extent::new(ext.offset + 100, 8));
-            let cfg = lsm_core::ScrubConfig {
-                bytes_per_step: 1 << 20,
-                repair: true,
-            };
-            store.scrub_full(&cfg).unwrap();
+        for i in 0..1500u64 {
+            c.put(&gen.key(i), &gen.value(i)).unwrap();
+            bare.put(&gen.key(i), &gen.value(i)).unwrap();
+            if i % 5 == 0 {
+                c.delete(&gen.key(i / 2)).unwrap();
+                bare.delete(&gen.key(i / 2)).unwrap();
+            }
         }
-        let s = c.recovery_summary();
-        assert_eq!(s.shards, 3);
-        assert!(s.scrub_bytes_verified > 0);
-        assert!(s.scrub_blocks_corrupt > 0, "scrub must find the damage");
-        assert!(
-            s.scrub_blocks_corrected > 0,
-            "single-bit damage must correct: {s:?}"
-        );
-        assert!(s.scrub_accounting_balanced(), "{s:?}");
-        // Gauge export: stable names, values straight from the fields.
-        let g = s.gauges();
-        assert_eq!(g.len(), 15);
-        assert_eq!(g[0], ("cluster_shards", 3));
-        assert!(g
-            .iter()
-            .any(|&(n, v)| n == "cluster_scrub_blocks_corrected" && v == s.scrub_blocks_corrected));
-        // The damage never reached acked data.
-        assert_eq!(c.audit(&gen, 600).unwrap().lost, 0);
+        assert_eq!(c.state_hashes().unwrap(), [bare.state_hash().unwrap()]);
+        assert_eq!(c.node(0).clock_ns(), bare.clock_ns());
     }
 
     #[test]

@@ -1,27 +1,39 @@
-//! Band-granular shard migration: split the hottest shard, merge a
-//! retiring one.
+//! Band-granular shard migration: split a shard, merge a retiring one.
 //!
 //! Both directions move data in **band-sized write batches**
 //! ([`crate::ShardConfig::band_size`], 10 × SSTable at the paper's
-//! ratio): the destination absorbs one band's worth of keys per
-//! `Store::write`, then the source deletes the same keys in one batch —
-//! so a migration is a bounded number of large sequential commits, not
-//! a per-key chatter, and every moved key is either still on the source
-//! or already acked on the destination at all times (copy-then-delete).
+//! ratio), so a migration is a bounded number of large sequential
+//! commits, not a per-key chatter. Both are one routine,
+//! [`ShardCluster::relocate`], run against the *prospective* ring, and
+//! its order is what makes a migration failure-atomic:
 //!
-//! A split picks its victim off the per-shard observability gauges
-//! ([`crate::ShardCluster::hottest_shard`]) and edits only that shard's
-//! ring arcs, so the blast radius is one shard's keyspace; a merge
-//! removes the victim's arcs and re-routes its residents to whatever
-//! shard now owns them. Both return a [`MigrationReport`] and both
-//! leave the cluster auditable: the acked-key loss audit is the gate
-//! the determinism tests and BENCH_pr7 checker enforce.
+//! 1. read the source's residents and pick the ones the prospective
+//!    ring routes elsewhere;
+//! 2. write every band to its destination (the live ring still routes
+//!    those keys to the source, which still holds them);
+//! 3. switch the live ring;
+//! 4. delete the moved keys from the source.
+//!
+//! An error in step 1 or 2 leaves routing untouched and every key
+//! served where it was; the copies already sent are deleted again,
+//! best effort. An error in step 4 leaves unrouted leftovers on the
+//! source, never a routed key without its value. Residents are read
+//! back from the source node itself — not from any side table — so a
+//! source that has shed data is a hazard the *caller* must exclude
+//! (the chaos harness skips a split whose source primary took device
+//! damage).
+//!
+//! A split edits only the victim's ring arcs, so the blast radius is
+//! one shard's keyspace; a merge removes the victim's arcs and
+//! re-routes its residents to whatever shard now owns them. Both return
+//! a [`MigrationReport`] and both leave the cluster auditable: the
+//! acked-key loss audit is the gate the determinism tests and BENCH_pr7
+//! checker enforce.
 
-use crate::{Shard, ShardCluster};
+use crate::{HashRing, Records, Shard, ShardCluster};
 use lsm_core::{Error, Result, WriteBatch};
-
-/// Resident records of one shard, as `(key, value)` pairs.
-type Records = Vec<(Vec<u8>, Vec<u8>)>;
+use sealdb::KvNode;
+use std::collections::BTreeMap;
 
 /// Which direction a migration moved data.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,106 +67,133 @@ pub struct MigrationReport {
     pub duration_ns: u64,
 }
 
-impl ShardCluster {
-    /// Scans every resident key of shard `idx`, paged.
-    fn resident_keys(&mut self, idx: usize) -> Result<Records> {
-        let mut all = Vec::new();
-        let mut start: Vec<u8> = Vec::new();
-        loop {
-            let page = self.store_mut(idx).scan(&start, 1024)?;
-            let full = page.len() == 1024;
-            let last = page.last().map(|(k, _)| k.clone());
-            all.extend(page);
-            match last {
-                Some(k) if full => {
-                    start = k;
-                    start.push(0);
-                }
-                _ => break,
+/// What [`ShardCluster::relocate`] moved, and to whom.
+struct Moved {
+    keys: u64,
+    bytes: u64,
+    batches: u64,
+    /// Destinations that received at least one key, ascending.
+    owners: Vec<usize>,
+}
+
+impl<N: KvNode> ShardCluster<N> {
+    /// Moves every resident of `src` that `ring` routes elsewhere to its
+    /// new owner, one band per batch, and adopts `ring` — in the
+    /// failure-atomic order the module docs give.
+    fn relocate(&mut self, src: usize, ring: HashRing) -> Result<Moved> {
+        let band = self.cfg.band_size() as usize;
+        // Grouped by destination so each new owner absorbs its share in
+        // band-sized batches (owners iterate ascending).
+        let mut by_owner: BTreeMap<usize, Records> = BTreeMap::new();
+        for (k, v) in self.resident_keys(src)? {
+            let owner = ring.route(&k);
+            if owner != src {
+                by_owner.entry(owner).or_default().push((k, v));
             }
         }
-        Ok(all)
+        let mut moved = Moved {
+            keys: 0,
+            bytes: 0,
+            batches: 0,
+            owners: by_owner.keys().copied().collect(),
+        };
+        // The source-side delete of every band sent so far.
+        let mut sent: Vec<(usize, WriteBatch)> = Vec::new();
+        for (&owner, records) in &by_owner {
+            let mut rest = records.as_slice();
+            while !rest.is_empty() {
+                let mut put = WriteBatch::new();
+                let mut del = WriteBatch::new();
+                let mut n = 0;
+                for (k, v) in rest {
+                    if put.count() > 0 && put.byte_size() + k.len() + v.len() > band {
+                        break;
+                    }
+                    put.put(k, v);
+                    del.delete(k);
+                    n += 1;
+                    moved.bytes += (k.len() + v.len()) as u64;
+                }
+                rest = &rest[n..];
+                moved.keys += n as u64;
+                sent.push((owner, del));
+                if let Err(e) = self.shards[owner].node.write(put) {
+                    // A node may fail a write it has already committed,
+                    // so the failed band is taken back like the rest.
+                    for (o, del) in sent {
+                        let _ = self.shards[o].node.write(del);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        self.ring = ring;
+        moved.batches = sent.len() as u64;
+        for (_, del) in sent {
+            self.shards[src].node.write(del)?;
+        }
+        Ok(moved)
     }
 
-    /// Moves `records` from shard `src` to shard `dst` in band-sized
-    /// batches: write one band to `dst`, then delete the same keys from
-    /// `src` in one batch. Returns (keys, payload bytes, batches).
-    fn move_in_bands(
+    /// Closes a migration that started at `t0`: the participants still
+    /// taking traffic meet at the latest participant clock, and the
+    /// cluster frontier follows.
+    fn close(
         &mut self,
-        src: usize,
-        dst: usize,
-        records: &[(Vec<u8>, Vec<u8>)],
-    ) -> Result<(u64, u64, u64)> {
-        let band = self.config().band_size() as usize;
-        let mut moved_keys = 0u64;
-        let mut moved_bytes = 0u64;
-        let mut batches = 0u64;
-        let mut put = WriteBatch::new();
-        let mut del = WriteBatch::new();
-        let mut flush =
-            |this: &mut ShardCluster, put: &mut WriteBatch, del: &mut WriteBatch| -> Result<()> {
-                if put.count() == 0 {
-                    return Ok(());
-                }
-                batches += 1;
-                this.store_mut(dst).write(std::mem::take(put))?;
-                this.store_mut(src).write(std::mem::take(del))?;
-                Ok(())
-            };
-        for (k, v) in records {
-            if put.byte_size() + k.len() + v.len() > band && put.count() > 0 {
-                flush(self, &mut put, &mut del)?;
+        kind: MigrationKind,
+        t0: u64,
+        participants: &[usize],
+        moved: &Moved,
+    ) -> MigrationReport {
+        let clocks = participants.iter().map(|&i| self.shards[i].node.clock_ns());
+        let end = clocks.max().unwrap_or(t0);
+        for &i in participants {
+            if self.shards[i].active {
+                self.shards[i].node.advance_clock_to(end);
             }
-            put.put(k, v);
-            del.delete(k);
-            moved_keys += 1;
-            moved_bytes += (k.len() + v.len()) as u64;
         }
-        flush(self, &mut put, &mut del)?;
-        Ok((moved_keys, moved_bytes, batches))
+        self.now_ns = self.now_ns.max(end);
+        MigrationReport {
+            kind,
+            moved_keys: moved.keys,
+            moved_bytes: moved.bytes,
+            batches: moved.batches,
+            duration_ns: end - t0,
+        }
     }
 
-    /// Splits the hottest shard (per the obs gauges) onto a newly built
-    /// shard: builds the new store, hands it alternate ring arcs of the
-    /// victim, then moves exactly the keys whose ownership changed, one
-    /// band per batch. Deterministic end to end — victim choice, arc
-    /// reassignment, and move order all replay identically.
-    pub fn split_hottest(&mut self) -> Result<MigrationReport> {
-        let from = self.hottest_shard();
+    /// Splits shard `from` onto `new_node`, which becomes the next shard
+    /// slot: the new shard takes alternate ring arcs of `from` and
+    /// exactly the keys whose ownership changed, one band per batch.
+    /// Deterministic end to end — arc reassignment and move order replay
+    /// identically. If the copy fails, `new_node` is dropped and the
+    /// cluster is as it was.
+    pub fn split(&mut self, from: usize, new_node: N) -> Result<MigrationReport> {
+        self.check_active(from)?;
         let to = self.total_shards();
         let t0 = self.sync_all();
-        let store = crate::build_shard_store(self.config(), to)?;
+        let mut ring = self.ring.clone();
+        let moved_points = ring.split(from, to);
+        debug_assert!(moved_points > 0, "split moved no ring points");
         self.shards.push(Shard {
-            store,
+            node: new_node,
             active: true,
         });
-        self.shards[to].store.advance_clock_to(t0);
-        let moved_points = self.ring.split(from, to);
-        debug_assert!(moved_points > 0, "split moved no ring points");
-        // Only keys resident on `from` can have changed owner.
-        let residents = self.resident_keys(from)?;
-        let moving: Vec<(Vec<u8>, Vec<u8>)> = residents
-            .into_iter()
-            .filter(|(k, _)| self.route(k) == to)
-            .collect();
-        let (moved_keys, moved_bytes, batches) = self.move_in_bands(from, to, &moving)?;
-        let end = self.store(from).clock_ns().max(self.store(to).clock_ns());
-        self.shards[from].store.advance_clock_to(end);
-        self.shards[to].store.advance_clock_to(end);
-        self.now_ns = self.now_ns.max(end);
-        Ok(MigrationReport {
-            kind: MigrationKind::Split { from, to },
-            moved_keys,
-            moved_bytes,
-            batches,
-            duration_ns: end - t0,
-        })
+        self.shards[to].node.advance_clock_to(t0);
+        let moved = self.relocate(from, ring);
+        if moved.is_err() && self.ring.points_of(to) == 0 {
+            // The copy failed before the ring switched: the new shard
+            // never became routable.
+            self.shards.pop();
+        }
+        let moved = moved?;
+        Ok(self.close(MigrationKind::Split { from, to }, t0, &[from, to], &moved))
     }
 
-    /// Retires shard `victim`: removes its ring arcs, re-routes every
-    /// resident key to its new owner in band-sized batches, and marks
-    /// the slot inactive. The emptied store stays in place so shard
-    /// indices remain stable.
+    /// Retires shard `victim`: re-routes every resident key to its new
+    /// owner in band-sized batches, removes the victim's ring arcs, and
+    /// marks the slot inactive. The emptied node stays in place so
+    /// shard indices remain stable.
     pub fn merge_shard(&mut self, victim: usize) -> Result<MigrationReport> {
         self.check_active(victim)?;
         if self.active_shards().len() < 2 {
@@ -163,48 +202,24 @@ impl ShardCluster {
             ));
         }
         let t0 = self.sync_all();
-        self.ring.remove_shard(victim);
-        let residents = self.resident_keys(victim)?;
-        // Group the evacuation by destination so each new owner absorbs
-        // its share in band-sized batches (owners iterate ascending).
-        let mut by_owner: std::collections::BTreeMap<usize, Records> =
-            std::collections::BTreeMap::new();
-        for (k, v) in residents {
-            let owner = self.route(&k);
-            by_owner.entry(owner).or_default().push((k, v));
-        }
-        let mut moved_keys = 0u64;
-        let mut moved_bytes = 0u64;
-        let mut batches = 0u64;
-        for (owner, records) in &by_owner {
-            let (mk, mb, nb) = self.move_in_bands(victim, *owner, records)?;
-            moved_keys += mk;
-            moved_bytes += mb;
-            batches += nb;
-        }
-        self.shards[victim].active = false;
-        let mut end = self.store(victim).clock_ns();
-        for owner in by_owner.keys() {
-            end = end.max(self.store(*owner).clock_ns());
-        }
-        for owner in by_owner.keys() {
-            self.shards[*owner].store.advance_clock_to(end);
-        }
-        self.now_ns = self.now_ns.max(end);
-        Ok(MigrationReport {
-            kind: MigrationKind::Merge { removed: victim },
-            moved_keys,
-            moved_bytes,
-            batches,
-            duration_ns: end - t0,
-        })
+        let mut ring = self.ring.clone();
+        ring.remove_shard(victim);
+        let moved = self.relocate(victim, ring);
+        // Liveness follows the ring, even when a source delete failed
+        // after the switch.
+        self.shards[victim].active = self.ring.points_of(victim) > 0;
+        let moved = moved?;
+        let mut participants = vec![victim];
+        participants.extend(&moved.owners);
+        let kind = MigrationKind::Merge { removed: victim };
+        Ok(self.close(kind, t0, &participants, &moved))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{imbalance, ShardCluster, ShardConfig};
+    use crate::{imbalance, ShardConfig};
     use workloads::RecordGenerator;
 
     const SST: u64 = 32 << 10;
@@ -285,6 +300,116 @@ mod tests {
         assert!(err.to_string().contains("merged away"), "{err}");
         // The survivor cannot be merged away.
         assert!(c.merge_shard(1).is_err());
+    }
+
+    /// An in-memory [`KvNode`] whose `fail_at`-th write (1-based) fails
+    /// without applying.
+    #[derive(Debug, Default)]
+    struct FlakyNode {
+        map: std::collections::BTreeMap<Vec<u8>, Vec<u8>>,
+        writes: u64,
+        fail_at: u64,
+        clock: u64,
+    }
+
+    impl KvNode for FlakyNode {
+        fn write(&mut self, batch: WriteBatch) -> Result<()> {
+            self.writes += 1;
+            self.clock += 1;
+            if self.writes == self.fail_at {
+                return Err(Error::InvalidArgument("injected write failure".into()));
+            }
+            for (_, ty, k, v) in batch.iter() {
+                match ty {
+                    lsm_core::ValueType::Value => self.map.insert(k.to_vec(), v.to_vec()),
+                    lsm_core::ValueType::Deletion => self.map.remove(k),
+                };
+            }
+            Ok(())
+        }
+
+        fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+            Ok(self.map.get(key).cloned())
+        }
+
+        fn scan(&mut self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+            let from = self.map.range(start.to_vec()..);
+            Ok(from
+                .take(limit)
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect())
+        }
+
+        fn clock_ns(&self) -> u64 {
+            self.clock
+        }
+
+        fn advance_clock_to(&mut self, t_ns: u64) {
+            self.clock = self.clock.max(t_ns);
+        }
+    }
+
+    const FLAKY_KEYS: u64 = 600;
+
+    /// Three in-memory shards, tiny bands (many batches per move),
+    /// `FLAKY_KEYS` records routed in.
+    fn flaky_cluster(gen: &RecordGenerator) -> ShardCluster<FlakyNode> {
+        let nodes = (0..3).map(|_| FlakyNode::default()).collect();
+        let mut c = ShardCluster::from_nodes(ShardConfig::new(3, 256, CAP), nodes);
+        for i in 0..FLAKY_KEYS {
+            c.put(&gen.key(i), &gen.value(i)).unwrap();
+        }
+        c
+    }
+
+    fn routes(c: &ShardCluster<FlakyNode>, gen: &RecordGenerator) -> Vec<usize> {
+        (0..FLAKY_KEYS).map(|i| c.route(&gen.key(i))).collect()
+    }
+
+    /// The ring must not change before the last destination write: a
+    /// copy that fails midway leaves every key routed where it was and
+    /// readable there, with no stray copies or slots left behind.
+    #[test]
+    fn failed_copy_leaves_routing_and_data_untouched() {
+        let gen = RecordGenerator::new(16, 64, 5);
+        let mut c = flaky_cluster(&gen);
+        let before = routes(&c, &gen);
+        // Split: the new shard's third band write fails.
+        let flaky = FlakyNode {
+            fail_at: 3,
+            ..FlakyNode::default()
+        };
+        assert!(c.split(0, flaky).is_err());
+        assert_eq!(c.total_shards(), 3, "the failed split's shard is gone");
+        // Merge: a destination's third band write (from now) fails.
+        c.node_mut(2).fail_at = c.node(2).writes + 3;
+        assert!(c.merge_shard(1).is_err());
+        assert!(c.is_active(1));
+        assert_eq!(routes(&c, &gen), before);
+        assert_eq!(c.audit(&gen, FLAKY_KEYS).unwrap().lost, 0);
+        let resident: u64 = c.shard_key_counts().unwrap().iter().sum();
+        assert_eq!(resident, FLAKY_KEYS, "copies already sent were taken back");
+        // Both migrations go through once the nodes behave.
+        c.split(0, FlakyNode::default()).unwrap();
+        c.merge_shard(1).unwrap();
+        assert_eq!(c.audit(&gen, FLAKY_KEYS).unwrap().lost, 0);
+    }
+
+    /// A source delete failing after the switch loses nothing either:
+    /// the ring and shard liveness have moved, every key reads back from
+    /// its new owner, and the source only keeps unrouted leftovers.
+    #[test]
+    fn failed_source_delete_still_completes_the_switch() {
+        let gen = RecordGenerator::new(16, 64, 5);
+        let mut c = flaky_cluster(&gen);
+        c.node_mut(0).fail_at = c.node(0).writes + 2;
+        assert!(c.split(0, FlakyNode::default()).is_err());
+        assert_eq!(c.total_shards(), 4);
+        assert!(c.ring().points_of(3) > 0);
+        c.node_mut(1).fail_at = c.node(1).writes + 2;
+        assert!(c.merge_shard(1).is_err());
+        assert!(!c.is_active(1));
+        assert_eq!(c.audit(&gen, FLAKY_KEYS).unwrap().lost, 0);
     }
 
     #[test]

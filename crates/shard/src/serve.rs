@@ -74,7 +74,7 @@ pub fn serve(
         .shards
         .iter_mut()
         .filter(|s| s.active)
-        .map(|s| &mut s.store)
+        .map(|s| &mut s.node)
         .collect();
     let served = serve_queues(&mut stores, |key| queue_of[ring.route(key)], gen, cfg)?;
 
@@ -86,7 +86,7 @@ pub fn serve(
         per_shard_ops[slot] = q.ops;
         per_shard_write_calls[slot] = q.write_calls;
         cluster.publish_router_obs(slot, q.ops, q.write_calls, q.depth_max);
-        cluster.store_mut(slot).advance_clock_to(end);
+        cluster.node_mut(slot).advance_clock_to(end);
     }
     cluster.now_ns = end;
     Ok(ClusterServeResult {
@@ -207,7 +207,7 @@ mod tests {
         let mut c = serving_cluster(2, 600, &gen);
         let r = serve(&mut c, &gen, &closed(4, 300, 600)).unwrap();
         for s in c.active_shards() {
-            let m = c.store(s).metrics_snapshot();
+            let m = c.node(s).metrics_snapshot();
             assert_eq!(
                 m.obs.registry.counter(ObsLayer::Router, "ops"),
                 r.per_shard_ops[s],
@@ -251,7 +251,7 @@ mod tests {
                 let what = format!("workload {} under {arrival:?}", spec.name);
                 assert_eq!(clustered.serve, bare, "{what}");
                 assert_eq!(clustered.per_shard_ops, [bare.ops], "{what}");
-                assert_eq!(cluster.store(0).clock_ns(), store.clock_ns(), "{what}");
+                assert_eq!(cluster.node(0).clock_ns(), store.clock_ns(), "{what}");
                 assert_eq!(cluster.now_ns(), store.clock_ns(), "{what}");
             }
         }
@@ -266,7 +266,7 @@ mod tests {
         const RECORDS: u64 = 1000;
         let mut c = serving_cluster(2, RECORDS, &gen);
         {
-            let store = c.store_mut(0);
+            let store = c.node_mut(0);
             let f = store
                 .db
                 .current_version()

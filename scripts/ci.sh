@@ -18,6 +18,9 @@ for arg in "$@"; do
     esac
 done
 
+# Report-only: the lines / pub-items yardstick CHANGES.md entries quote.
+scripts/size.sh
+
 cargo fmt --all --check
 cargo build --release
 cargo test -q --workspace

@@ -26,10 +26,10 @@
 //! `debug_assert!`s are live, so a violated ack/durability/recycle
 //! edge fails the run even if every value still reads back.
 
+use crate::artifact::{self, row, run_cells, Row};
 use crate::BenchScale;
 use lsm_core::Result;
 use seal_chaos::{generate, ChaosConfig, ChaosHarness, Coverage, SplitMix};
-use std::fmt::Write as _;
 
 /// Schema marker the checker requires at the top of the artifact.
 pub const CHAOS_SCHEMA: &str = "sealdb-chaos-v1";
@@ -45,54 +45,6 @@ pub const MIN_DEVICE_CLASSES: usize = 4;
 
 /// Distinct cluster fault classes a valid artifact must have injected.
 pub const MIN_CLUSTER_CLASSES: usize = 3;
-
-/// Keys that must appear once per cell in a valid artifact.
-const CELL_KEYS: [&str; 13] = [
-    "{\"seed\":",
-    "\"events_applied\":",
-    "\"events_skipped\":",
-    "\"acked_writes\":",
-    "\"acked_lost\":",
-    "\"primary_misses\":",
-    "\"promised_checked\":",
-    "\"promised_lost\":",
-    "\"hash_groups_checked\":",
-    "\"failovers\":",
-    "\"scrub_blocks_corrupt\":",
-    "\"scrub_remediated\":",
-    "\"violations\":",
-];
-
-/// One chaos schedule's oracle verdict.
-#[derive(Clone, Debug)]
-pub struct ChaosCell {
-    /// Schedule/harness seed.
-    pub seed: u64,
-    /// Events applied.
-    pub events_applied: u64,
-    /// Events skipped as inapplicable.
-    pub events_skipped: u64,
-    /// Acked client writes audited.
-    pub acked_writes: u64,
-    /// Acked writes lost on every survivor (must be zero).
-    pub acked_lost: u64,
-    /// Acked keys a primary misserved but a survivor held.
-    pub primary_misses: u64,
-    /// Promised keys checked through the routing layer.
-    pub promised_checked: u64,
-    /// Promised keys unreadable on their routed group (must be zero).
-    pub promised_lost: u64,
-    /// Groups with ≥2 undamaged survivors compared for hash agreement.
-    pub hash_groups_checked: u64,
-    /// Failovers performed.
-    pub failovers: u64,
-    /// Corrupt blocks scrub detected.
-    pub scrub_blocks_corrupt: u64,
-    /// Remediations: corrected + lost + quarantined files/segments.
-    pub scrub_remediated: u64,
-    /// Oracle violations (must be zero).
-    pub violations: u64,
-}
 
 /// Events per generated schedule at this scale.
 pub fn events_per_schedule(scale: &BenchScale) -> usize {
@@ -110,136 +62,71 @@ fn chaos_config(scale: &BenchScale) -> ChaosConfig {
     }
 }
 
-/// Runs `schedules` seeded chaos schedules and returns the cells plus
-/// the merged fault-class coverage tally.
-pub fn run_chaos_sweep(scale: &BenchScale, schedules: usize) -> Result<(Vec<ChaosCell>, Coverage)> {
+/// Runs `schedules` seeded chaos schedules — one oracle verdict per cell,
+/// plus the merged fault-class coverage tally — and returns the artifact
+/// as JSON.
+pub fn chaos_sweep(scale: &BenchScale, schedules: usize) -> Result<String> {
     let cfg = chaos_config(scale);
-    let mut seeds = SplitMix::new(scale.seed ^ 0xC4A0_5EED_0BEA_7E11);
+    // Every seed is drawn before the fan-out and every report is folded
+    // after it, in seed order: which thread ran a schedule shows nowhere.
+    let mut draw = SplitMix::new(scale.seed ^ 0xC4A0_5EED_0BEA_7E11);
+    let seeds: Vec<u64> = (0..schedules).map(|_| draw.next_u64()).collect();
+    let reports = run_cells(schedules, |i| {
+        let events = generate(seeds[i], &cfg);
+        ChaosHarness::new(cfg.clone(), seeds[i])?.run(&events)
+    });
     let mut cells = Vec::with_capacity(schedules);
     let mut coverage = Coverage::default();
-    for _ in 0..schedules {
-        let seed = seeds.next_u64();
-        let events = generate(seed, &cfg);
-        let mut harness = ChaosHarness::new(cfg.clone(), seed)?;
-        let report = harness.run(&events)?;
+    let mut violations_total = 0u64;
+    for (&seed, report) in seeds.iter().zip(reports) {
+        let report = report?;
         for v in &report.violations {
             eprintln!("chaos seed {seed}: {v}");
         }
         coverage.merge(&report.coverage);
-        cells.push(ChaosCell {
-            seed,
-            events_applied: report.events_applied,
-            events_skipped: report.events_skipped,
-            acked_writes: report.acked_writes,
-            acked_lost: report.acked_lost,
-            primary_misses: report.primary_misses,
-            promised_checked: report.promised_checked,
-            promised_lost: report.promised_lost,
-            hash_groups_checked: report.hash_groups_checked,
-            failovers: report.failovers,
-            scrub_blocks_corrupt: report.scrub_blocks_corrupt,
-            scrub_remediated: report.scrub_blocks_corrected
+        violations_total += report.violations.len() as u64;
+        cells.push(row! {
+            "seed" => seed,
+            "events_applied" => report.events_applied,
+            // Skipped as inapplicable.
+            "events_skipped" => report.events_skipped,
+            "acked_writes" => report.acked_writes,
+            // Acked writes lost on every survivor (must be zero).
+            "acked_lost" => report.acked_lost,
+            // Acked keys a primary misserved but a survivor held.
+            "primary_misses" => report.primary_misses,
+            "promised_checked" => report.promised_checked,
+            // Promised keys unreadable on their routed group (must be zero).
+            "promised_lost" => report.promised_lost,
+            // Groups with ≥2 undamaged survivors compared for hash agreement.
+            "hash_groups_checked" => report.hash_groups_checked,
+            "failovers" => report.failovers,
+            "scrub_blocks_corrupt" => report.scrub_blocks_corrupt,
+            // Corrected + lost + quarantined files/segments.
+            "scrub_remediated" => report.scrub_blocks_corrected
                 + report.scrub_blocks_lost
                 + report.scrub_files_quarantined,
-            violations: report.violations.len() as u64,
+            "violations" => report.violations.len(),
         });
     }
-    Ok((cells, coverage))
-}
-
-fn cell_json(c: &ChaosCell) -> String {
-    format!(
-        concat!(
-            "{{\"seed\":{},\"events_applied\":{},\"events_skipped\":{},",
-            "\"acked_writes\":{},\"acked_lost\":{},\"primary_misses\":{},",
-            "\"promised_checked\":{},\"promised_lost\":{},",
-            "\"hash_groups_checked\":{},\"failovers\":{},",
-            "\"scrub_blocks_corrupt\":{},\"scrub_remediated\":{},",
-            "\"violations\":{}}}"
-        ),
-        c.seed,
-        c.events_applied,
-        c.events_skipped,
-        c.acked_writes,
-        c.acked_lost,
-        c.primary_misses,
-        c.promised_checked,
-        c.promised_lost,
-        c.hash_groups_checked,
-        c.failovers,
-        c.scrub_blocks_corrupt,
-        c.scrub_remediated,
-        c.violations,
-    )
-}
-
-fn coverage_json(tag: &str, map: &std::collections::BTreeMap<&'static str, u64>) -> String {
-    let mut s = format!("\"{tag}\":{{");
-    for (i, (k, v)) in map.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "\"{k}\":{v}");
-    }
-    s.push('}');
-    s
-}
-
-/// Serialises the sweep as the `BENCH_pr10.json` artifact.
-pub fn sweep_to_json(
-    scale: &BenchScale,
-    schedules: usize,
-    cells: &[ChaosCell],
-    coverage: &Coverage,
-) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        concat!(
-            "{{\"schema\":\"{}\",\"base_seed\":{},\"schedules\":{},",
-            "\"groups\":{},\"replicas\":{},\"events_per_schedule\":{},",
-            "\"coverage\":{{{},{}}},\"violations_total\":{},\"cells\":["
-        ),
-        CHAOS_SCHEMA,
-        scale.seed,
-        schedules,
-        GROUPS,
-        REPLICAS,
-        events_per_schedule(scale),
-        coverage_json("device", &coverage.device),
-        coverage_json("cluster", &coverage.cluster),
-        cells.iter().map(|c| c.violations).sum::<u64>(),
-    );
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&cell_json(c));
-    }
-    s.push_str("]}\n");
-    s
-}
-
-/// Runs the chaos sweep and returns the artifact as JSON.
-pub fn chaos_sweep(scale: &BenchScale, schedules: usize) -> Result<String> {
-    let (cells, coverage) = run_chaos_sweep(scale, schedules)?;
-    Ok(sweep_to_json(scale, schedules, &cells, &coverage))
-}
-
-/// Counts the entries of the `"tag":{..}` coverage object.
-fn coverage_entries(content: &str, tag: &str) -> usize {
-    let pat = format!("\"{tag}\":{{");
-    let Some(i) = content.find(&pat) else {
-        return 0;
+    let classes = |map: &std::collections::BTreeMap<&'static str, u64>| -> Row {
+        map.iter().map(|(class, n)| (*class, *n)).collect()
     };
-    let rest = &content[i + pat.len()..];
-    let Some(end) = rest.find('}') else { return 0 };
-    let body = &rest[..end];
-    if body.trim().is_empty() {
-        0
-    } else {
-        body.matches(':').count()
-    }
+    let doc = row! {
+        "schema" => CHAOS_SCHEMA,
+        "base_seed" => scale.seed,
+        "schedules" => schedules,
+        "groups" => GROUPS,
+        "replicas" => REPLICAS,
+        "events_per_schedule" => events_per_schedule(scale),
+        "coverage" => row! {
+            "device" => classes(&coverage.device),
+            "cluster" => classes(&coverage.cluster),
+        },
+        "violations_total" => violations_total,
+        "cells" => cells,
+    };
+    Ok(doc.to_json())
 }
 
 /// Validates a chaos artifact: schema marker, the declared cell count,
@@ -250,74 +137,57 @@ fn coverage_entries(content: &str, tag: &str) -> usize {
 /// cluster fault classes. Returns the list of problems; empty means
 /// valid.
 pub fn check_chaos_json(content: &str) -> Vec<String> {
-    let first = |frag: &str, key: &str| crate::json_nums::<u64>(frag, key).next();
-    let mut problems = Vec::new();
-    let marker = format!("\"schema\":\"{CHAOS_SCHEMA}\"");
-    if !content.contains(&marker) {
-        problems.push(format!("missing schema marker {marker}"));
-    }
-    for key in ["\"base_seed\":", "\"schedules\":", "\"coverage\":"] {
-        if !content.contains(key) {
-            problems.push(format!("missing key {key}"));
+    artifact::check(content, CHAOS_SCHEMA, |doc, problems| {
+        doc.u("base_seed")?;
+        let declared = doc.u("schedules")?;
+        if declared == 0 {
+            problems.push("artifact declares zero schedules".to_string());
         }
-    }
-    problems.extend(crate::non_finite_tokens(content));
-    let declared = first(content, "schedules").unwrap_or(0) as usize;
-    if declared == 0 {
-        problems.push("artifact declares zero schedules".to_string());
-    }
-    for key in CELL_KEYS {
-        let n = content.matches(key).count();
-        if n != declared {
-            problems.push(format!("key {key} appears {n} times, expected {declared}"));
+        let cells = doc.rows("cells")?;
+        artifact::expect_count(problems, declared as usize, "cells", cells.len());
+        if doc.u("violations_total")? != 0 {
+            problems.push("oracle violations recorded: violations_total != 0".to_string());
         }
-    }
-    if first(content, "violations_total") != Some(0) {
-        problems.push("oracle violations recorded: violations_total != 0".to_string());
-    }
-    let mut acked_total = 0u64;
-    for cell in content.split("{\"seed\":").skip(1) {
-        let seed = {
-            let end = cell.find(|c: char| !c.is_ascii_digit()).unwrap_or(0);
-            cell[..end].to_string()
-        };
-        for must_be_zero in ["acked_lost", "promised_lost", "violations"] {
-            if first(cell, must_be_zero) != Some(0) {
-                problems.push(format!("cell seed {seed}: {must_be_zero} != 0"));
+        let mut acked_total = 0u64;
+        for cell in cells {
+            let seed = cell.u("seed")?;
+            for must_be_zero in ["acked_lost", "promised_lost", "violations"] {
+                if cell.u(must_be_zero)? != 0 {
+                    problems.push(format!("cell seed {seed}: {must_be_zero} != 0"));
+                }
+            }
+            let acked = cell.u("acked_writes")?;
+            if acked == 0 {
+                problems.push(format!("cell seed {seed}: served no traffic"));
+            }
+            acked_total += acked;
+            if cell.u("hash_groups_checked")? == 0 {
+                problems.push(format!(
+                    "cell seed {seed}: no group had two survivors to compare"
+                ));
+            }
+            if cell.u("scrub_remediated")? < cell.u("scrub_blocks_corrupt")? {
+                problems.push(format!("cell seed {seed}: scrub accounting leaks"));
             }
         }
-        let acked = first(cell, "acked_writes").unwrap_or(0);
-        if acked == 0 {
-            problems.push(format!("cell seed {seed}: served no traffic"));
+        if acked_total == 0 {
+            problems.push("sweep served no traffic at all".to_string());
         }
-        acked_total += acked;
-        if first(cell, "hash_groups_checked") == Some(0) {
+        let coverage = doc.obj("coverage")?;
+        let dev = coverage.obj("device")?.pairs().len();
+        if dev < MIN_DEVICE_CLASSES {
             problems.push(format!(
-                "cell seed {seed}: no group had two survivors to compare"
+                "only {dev} device fault classes injected, need {MIN_DEVICE_CLASSES}"
             ));
         }
-        if first(cell, "scrub_remediated").unwrap_or(0)
-            < first(cell, "scrub_blocks_corrupt").unwrap_or(u64::MAX)
-        {
-            problems.push(format!("cell seed {seed}: scrub accounting leaks"));
+        let clu = coverage.obj("cluster")?.pairs().len();
+        if clu < MIN_CLUSTER_CLASSES {
+            problems.push(format!(
+                "only {clu} cluster fault classes injected, need {MIN_CLUSTER_CLASSES}"
+            ));
         }
-    }
-    if acked_total == 0 {
-        problems.push("sweep served no traffic at all".to_string());
-    }
-    let dev = coverage_entries(content, "device");
-    if dev < MIN_DEVICE_CLASSES {
-        problems.push(format!(
-            "only {dev} device fault classes injected, need {MIN_DEVICE_CLASSES}"
-        ));
-    }
-    let clu = coverage_entries(content, "cluster");
-    if clu < MIN_CLUSTER_CLASSES {
-        problems.push(format!(
-            "only {clu} cluster fault classes injected, need {MIN_CLUSTER_CLASSES}"
-        ));
-    }
-    problems
+        Ok(())
+    })
 }
 
 #[cfg(test)]

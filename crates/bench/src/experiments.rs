@@ -129,41 +129,28 @@ pub fn fig03(scale: &BenchScale) -> Result<Report> {
     let mut rows = String::from(
         "band_sstables,band_mb,avg_sstables_per_compaction,avg_bands_per_compaction,wa,awa,mwa\n",
     );
-    let outcomes: Vec<(u64, f64, f64, f64, f64, f64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = ratios
-            .iter()
-            .map(|&r| {
-                s.spawn(move || {
-                    let mut cfg = sealdb::StoreConfig::new(
-                        StoreKind::LevelDb,
-                        scale.sstable,
-                        scale.disk_capacity(),
-                    );
-                    cfg.band_ratio = r;
-                    cfg.seed = scale.seed;
-                    let mut store = cfg.build().expect("build");
-                    let gen = scale.generator();
-                    fill_random(&mut store, &gen, scale.load_records(), scale.seed).expect("load");
-                    let snap = store.snapshot();
-                    let real: Vec<_> = snap.real_compactions().collect();
-                    let n = real.len().max(1) as f64;
-                    let avg_files = real.iter().map(|c| c.output_files as f64).sum::<f64>() / n;
-                    let avg_bands = real.iter().map(|c| c.output_bands as f64).sum::<f64>() / n;
-                    (
-                        r,
-                        avg_files,
-                        avg_bands,
-                        snap.io.wa(),
-                        snap.io.awa(),
-                        snap.io.mwa(),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("join"))
-            .collect()
+    let outcomes = crate::artifact::run_cells(ratios.len(), |i| {
+        let r = ratios[i];
+        let mut cfg =
+            sealdb::StoreConfig::new(StoreKind::LevelDb, scale.sstable, scale.disk_capacity());
+        cfg.band_ratio = r;
+        cfg.seed = scale.seed;
+        let mut store = cfg.build().expect("build");
+        let gen = scale.generator();
+        fill_random(&mut store, &gen, scale.load_records(), scale.seed).expect("load");
+        let snap = store.snapshot();
+        let real: Vec<_> = snap.real_compactions().collect();
+        let n = real.len().max(1) as f64;
+        let avg_files = real.iter().map(|c| c.output_files as f64).sum::<f64>() / n;
+        let avg_bands = real.iter().map(|c| c.output_bands as f64).sum::<f64>() / n;
+        (
+            r,
+            avg_files,
+            avg_bands,
+            snap.io.wa(),
+            snap.io.awa(),
+            snap.io.mwa(),
+        )
     });
     for (r, avg_files, avg_bands, wa, awa, mwa) in outcomes {
         let band_mb = (r * scale.sstable) as f64 / MB;
@@ -914,43 +901,40 @@ pub fn hasmr(scale: &BenchScale) -> Result<Report> {
 /// load per store and reports throughput, tail latency, queue depth, and
 /// write stalls (the PR 3 `BENCH_pr3.json` artifact in table form).
 pub fn serve(scale: &BenchScale) -> Result<Report> {
+    let doc = crate::serve_run::serve_rows(scale)?;
+    serve_report(&doc).map_err(lsm_core::Error::InvalidArgument)
+}
+
+fn serve_report(doc: &crate::artifact::Row) -> std::result::Result<Report, String> {
     let mut report = Report::new("Serve — latency under offered load (multi-client front-end)");
-    let sweeps = crate::serve_run::run_sweep(scale)?;
     let mut rows = String::from(
         "store,offered_ops_per_sec,throughput_ops_per_sec,p50_ms,p95_ms,p99_ms,max_ms,queue_depth_max,stalls,avg_group_size\n",
     );
-    let ms = |ns: u64| ns as f64 / 1e6;
-    for sweep in &sweeps {
+    for sweep in doc.rows("stores")? {
+        let store = sweep.s("store")?;
         report.line(format!(
-            "{}: saturation {:.0} ops/s (closed loop, {} clients)",
-            sweep.store,
-            sweep.saturation_ops_per_sec,
-            crate::serve_run::CLIENTS
+            "{store}: saturation {:.0} ops/s (closed loop, {} clients)",
+            sweep.f("saturation_ops_per_sec")?,
+            doc.u("clients")?
         ));
-        for p in &sweep.points {
-            let r = &p.result;
+        for p in sweep.rows("points")? {
+            let ms = |key: &str| Ok::<f64, String>(p.u(key)? as f64 / 1e6);
+            let offered = p.f("offered_ops_per_sec")?;
+            let throughput = p.f("throughput_ops_per_sec")?;
+            let depth = p.u("queue_depth_max")?;
+            let stalls = p.u("stall_slowdowns")? + p.u("stall_stops")? + p.u("stall_memtables")?;
+            let group = p.f("avg_group_size")?;
             report.line(format!(
-                "  offered {:>8.0} ops/s -> {:>8.0} ops/s, p50 {:>8.3} ms, p99 {:>9.3} ms, depth {:>3}, stalls {:>4}, group {:.2}",
-                p.offered_ops_per_sec,
-                r.throughput_ops_per_sec,
-                ms(r.latency.p50_ns),
-                ms(r.latency.p99_ns),
-                r.queue_depth_max,
-                r.stalls.total_count(),
-                r.avg_group_size(),
+                "  offered {offered:>8.0} ops/s -> {throughput:>8.0} ops/s, p50 {:>8.3} ms, p99 {:>9.3} ms, depth {depth:>3}, stalls {stalls:>4}, group {group:.2}",
+                ms("p50_ns")?,
+                ms("p99_ns")?,
             ));
             rows.push_str(&format!(
-                "{},{:.3},{:.3},{:.4},{:.4},{:.4},{:.4},{},{},{:.3}\n",
-                sweep.store,
-                p.offered_ops_per_sec,
-                r.throughput_ops_per_sec,
-                ms(r.latency.p50_ns),
-                ms(r.latency.p95_ns),
-                ms(r.latency.p99_ns),
-                ms(r.latency.max_ns),
-                r.queue_depth_max,
-                r.stalls.total_count(),
-                r.avg_group_size(),
+                "{store},{offered:.3},{throughput:.3},{:.4},{:.4},{:.4},{:.4},{depth},{stalls},{group:.3}\n",
+                ms("p50_ns")?,
+                ms("p95_ns")?,
+                ms("p99_ns")?,
+                ms("max_ns")?,
             ));
         }
     }

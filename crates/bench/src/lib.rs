@@ -9,6 +9,7 @@
 //! deterministic, and "throughput" means operations per simulated
 //! second, exactly the quantity the paper plots.
 
+pub mod artifact;
 pub mod chaos_run;
 pub mod experiments;
 pub mod metrics_run;
@@ -54,26 +55,14 @@ pub fn loaded_store(kind: StoreKind, scale: &BenchScale) -> Result<(Store, Micro
     Ok((store, res))
 }
 
-/// Runs `f` once per store kind on its own OS thread (every store owns
-/// an independent simulated disk, so the fan-out is embarrassingly
-/// parallel) and returns results in input order.
+/// Runs `f` once per store kind through [`artifact::run_cells`] and
+/// returns results in input order.
 pub fn per_store_parallel<T, F>(kinds: &[StoreKind], f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(StoreKind) -> T + Sync,
 {
-    let mut out: Vec<Option<T>> = kinds.iter().map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for &kind in kinds {
-            let f = &f;
-            handles.push(s.spawn(move || f(kind)));
-        }
-        for (slot, h) in out.iter_mut().zip(handles) {
-            *slot = Some(h.join().expect("store thread panicked"));
-        }
-    });
-    out.into_iter().map(|o| o.expect("joined")).collect()
+    artifact::run_cells(kinds.len(), |i| f(kinds[i]))
 }
 
 /// A generator matching the scale's record shape.
@@ -91,56 +80,9 @@ pub fn mib(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / (1u64 << 20) as f64)
 }
 
-/// One problem per non-finite number token in an artifact. Every
-/// artifact formats numbers at fixed precision and the metrics registry
-/// clamps non-finite values, so any of these tokens is a regression.
-pub fn non_finite_tokens(content: &str) -> Vec<String> {
-    ["NaN", "nan\"", ":inf", ":-inf", "Infinity"]
-        .into_iter()
-        .filter(|bad| content.contains(bad))
-        .map(|bad| format!("artifact contains non-finite token {bad:?}"))
-        .collect()
-}
-
-/// Every `"key":<number>` in flat JSON that parses as `T`, in order of
-/// appearance — the artifact checkers' only JSON reader.
-pub fn json_nums<'a, T: std::str::FromStr + 'a>(
-    content: &'a str,
-    key: &str,
-) -> impl Iterator<Item = T> + 'a {
-    let pat = format!("\"{key}\":");
-    let mut rest = content;
-    std::iter::from_fn(move || {
-        rest = &rest[rest.find(&pat)? + pat.len()..];
-        let end = rest
-            .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-            .unwrap_or(rest.len());
-        Some(rest[..end].parse().ok())
-    })
-    .flatten()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_nums_reads_every_match_in_order() {
-        let doc = r#"{"a":1,"b":{"a":2.5,"x":"a"},"a":-3,"a":"no"}"#;
-        assert_eq!(
-            json_nums::<f64>(doc, "a").collect::<Vec<_>>(),
-            [1.0, 2.5, -3.0]
-        );
-        // An integer reader skips what is not an integer.
-        assert_eq!(json_nums::<u64>(doc, "a").collect::<Vec<_>>(), [1]);
-        assert_eq!(json_nums::<u64>(doc, "missing").next(), None);
-    }
-
-    #[test]
-    fn non_finite_tokens_are_reported() {
-        assert!(non_finite_tokens(r#"{"a":1.5,"info":2}"#).is_empty());
-        assert_eq!(non_finite_tokens(r#"{"a":NaN,"b":inf}"#).len(), 2);
-    }
 
     #[test]
     fn per_store_parallel_preserves_order() {

@@ -205,10 +205,16 @@ fn run_artifacts(scale: &BenchScale, args: &Args) -> bool {
                 eprintln!("{what} run failed: {e}");
                 std::process::exit(1);
             });
+            // What the writer produced must be what the reader accepts:
+            // `--X-out` never writes a file `--X-check` rejects for shape.
+            let doc = bench::artifact::parse(&json).unwrap_or_else(|e| {
+                eprintln!("{what} run wrote an artifact that does not re-parse: {e}");
+                std::process::exit(1);
+            });
             std::fs::write(path, &json).expect("write artifact");
             // The chaos artifact declares how many schedules it ran.
-            let schedules = bench::json_nums::<u64>(&json, "schedules")
-                .next()
+            let schedules = doc
+                .u("schedules")
                 .map_or(String::new(), |n| format!(", {n} schedules"));
             println!(
                 "wrote {what} artifact {path} ({} bytes{schedules}) [wall-clock {:.1} s]",

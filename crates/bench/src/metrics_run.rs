@@ -8,10 +8,10 @@
 //! runs at the same seed produce byte-identical artifacts; CI checks the
 //! schema and rejects any NaN/Inf leak.
 
+use crate::artifact::{self, row, Row};
 use crate::BenchScale;
-use lsm_core::Result;
+use lsm_core::{Error, Result};
 use sealdb::StoreKind;
-use std::fmt::Write as _;
 
 /// Schema marker the checker requires at the top of the artifact.
 pub const METRICS_SCHEMA: &str = "sealdb-metrics-v1";
@@ -37,7 +37,7 @@ const REQUIRED_KEYS: [&str; 9] = [
 pub fn metrics_trajectory(scale: &BenchScale) -> Result<String> {
     let gen = scale.generator();
     let records = scale.load_records().max(1);
-    let results = crate::per_store_parallel(&StoreKind::MAIN, |kind| -> Result<_> {
+    let stores = crate::per_store_parallel(&StoreKind::MAIN, |kind| -> Result<Row> {
         let mut store = crate::build_store(kind, scale)?;
         workloads::fill_random(&mut store, &gen, records, scale.seed)?;
         workloads::read_random(
@@ -48,52 +48,39 @@ pub fn metrics_trajectory(scale: &BenchScale) -> Result<String> {
             scale.seed ^ 0x9E37_79B9,
         )?;
         store.scan(&gen.key(0), 64)?;
-        Ok(store.metrics_snapshot())
+        // The snapshot serialises itself; reading it back as rows puts
+        // its bytes under the one writer and its shape under the reader.
+        let snapshot = store.metrics_snapshot().to_json(TRACE_TAIL) + "\n";
+        artifact::parse(&snapshot)
+            .map_err(|e| Error::Corruption(format!("{} metrics snapshot: {e}", kind.name())))
     });
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{METRICS_SCHEMA}\",\"seed\":{},\"sstable\":{},\"records\":{},\"stores\":[",
-        scale.seed, scale.sstable, records
-    );
-    for (i, r) in results.into_iter().enumerate() {
-        let snap = r?;
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&snap.to_json(TRACE_TAIL));
-    }
-    s.push_str("]}\n");
-    Ok(s)
+    let doc = row! {
+        "schema" => METRICS_SCHEMA,
+        "seed" => scale.seed,
+        "sstable" => scale.sstable,
+        "records" => records,
+        "stores" => stores.into_iter().collect::<Result<Vec<Row>>>()?,
+    };
+    Ok(doc.to_json())
 }
 
 /// Validates a metrics artifact: schema marker, one snapshot per main
 /// store, every required metric key present per store, and no NaN/Inf
 /// anywhere. Returns the list of problems; empty means valid.
 pub fn check_metrics_json(content: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    let marker = format!("\"schema\":\"{METRICS_SCHEMA}\"");
-    if !content.contains(&marker) {
-        problems.push(format!("missing schema marker {marker}"));
-    }
-    if !content.contains("\"seed\":") {
-        problems.push("missing key \"seed\"".to_string());
-    }
-    let stores = content.matches("\"store\":").count();
-    let expected = StoreKind::MAIN.len();
-    if stores != expected {
-        problems.push(format!(
-            "expected {expected} store snapshots, found {stores}"
-        ));
-    }
-    for key in REQUIRED_KEYS {
-        let n = content.matches(key).count();
-        if n != expected {
-            problems.push(format!("key {key} appears {n} times, expected {expected}"));
+    artifact::check(content, METRICS_SCHEMA, |doc, problems| {
+        doc.u("seed")?;
+        let stores = doc.rows("stores")?.len();
+        let expected = StoreKind::MAIN.len();
+        artifact::expect_count(problems, expected, "store snapshots", stores);
+        for key in REQUIRED_KEYS {
+            let n = content.matches(key).count();
+            if n != expected {
+                problems.push(format!("key {key} appears {n} times, expected {expected}"));
+            }
         }
-    }
-    problems.extend(crate::non_finite_tokens(content));
-    problems
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -134,7 +121,7 @@ mod tests {
     #[test]
     fn checker_rejects_missing_keys_and_nan() {
         assert!(!check_metrics_json("{}").is_empty());
-        let mut doc = format!("{{\"schema\":\"{METRICS_SCHEMA}\",\"seed\":1,\"stores\":[]}}");
+        let mut doc = format!("{{\"schema\":\"{METRICS_SCHEMA}\",\"seed\":1,\"stores\":[]}}\n");
         assert!(check_metrics_json(&doc)
             .iter()
             .any(|p| p.contains("store snapshots")));

@@ -24,11 +24,11 @@
 //! Everything runs on the simulated clock with seeded jitter, so two
 //! runs at the same seed produce byte-identical artifacts.
 
-use crate::{json_nums, BenchScale};
+use crate::artifact::{self, expect_count, row, run_cells, Row};
+use crate::BenchScale;
 use lsm_core::Result;
 use seal_replica::{AckPolicy, Cluster, ReplicaConfig, ShipMode};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Schema marker the checker requires at the top of the artifact.
 pub const REPLICATE_SCHEMA: &str = "sealdb-replicate-v1";
@@ -45,66 +45,6 @@ pub const LINK_LATENCIES_NS: [u64; 3] = [200_000, 1_000_000, 5_000_000];
 
 /// Replicas per cluster.
 pub const REPLICAS: usize = 2;
-
-/// Keys that must appear once per sweep cell in a valid artifact.
-const CELL_KEYS: [&str; 17] = [
-    "\"mode\":",
-    "\"ack\":",
-    "\"link_latency_ns\":",
-    "\"kill_after\":",
-    "\"writes\":",
-    "\"acked_writes\":",
-    "\"acked_lost\":",
-    "\"rto_ns\":",
-    "\"detect_ns\":",
-    "\"fence_ns\":",
-    "\"replay_ns\":",
-    "\"redirect_ns\":",
-    "\"promoted\":",
-    "\"replayed_records\":",
-    "\"catchup_frames\":",
-    "\"client_retries\":",
-    "\"state_hash\":",
-];
-
-/// One cell of the replication sweep.
-#[derive(Clone, Debug)]
-pub struct ReplicateCell {
-    /// Ship mode name (`wal` / `index`).
-    pub mode: &'static str,
-    /// Ack policy name (`primary` / `quorum`).
-    pub ack: &'static str,
-    /// Base one-way link latency, ns.
-    pub link_latency_ns: u64,
-    /// Writes issued before the primary kill.
-    pub kill_after: u64,
-    /// Total writes issued over the episode.
-    pub writes: u64,
-    /// Writes acknowledged to the client.
-    pub acked_writes: u64,
-    /// Acked writes the post-failover audit could not read back.
-    pub acked_lost: u64,
-    /// Measured recovery time objective, ns.
-    pub rto_ns: u64,
-    /// Detection phase, ns.
-    pub detect_ns: u64,
-    /// Fencing phase, ns.
-    pub fence_ns: u64,
-    /// Replay phase, ns.
-    pub replay_ns: u64,
-    /// Client redirect phase, ns.
-    pub redirect_ns: u64,
-    /// Node promoted to primary.
-    pub promoted: usize,
-    /// WAL records replayed at promotion.
-    pub replayed_records: u64,
-    /// Frames streamed to the rejoining old primary.
-    pub catchup_frames: u64,
-    /// Bounded-backoff retries the redirected client issued.
-    pub client_retries: u64,
-    /// Order-independent digest of the final primary's state.
-    pub state_hash: u64,
-}
 
 /// Writes per cell at this scale.
 pub fn writes_per_cell(scale: &BenchScale) -> u64 {
@@ -125,7 +65,7 @@ fn run_cell(
     ack: AckPolicy,
     link_latency_ns: u64,
     kill_after: u64,
-) -> Result<ReplicateCell> {
+) -> Result<Row> {
     let writes = writes_per_cell(scale);
     let mut conf = ReplicaConfig::new(REPLICAS, scale.sstable, scale.disk_capacity());
     conf.mode = mode;
@@ -150,105 +90,61 @@ fn run_cell(
     }
     let audit = cluster.audit()?;
     let state_hash = cluster.state_hash()?;
-    Ok(ReplicateCell {
-        mode: mode.name(),
-        ack: ack.name(),
-        link_latency_ns,
-        kill_after,
-        writes,
-        acked_writes: audit.acked_writes,
-        acked_lost: audit.acked_lost,
-        rto_ns: report.rto_ns,
-        detect_ns: report.detect_ns,
-        fence_ns: report.fence_ns,
-        replay_ns: report.replay_ns,
-        redirect_ns: report.redirect_ns,
-        promoted: report.promoted,
-        replayed_records: report.replayed_records,
-        catchup_frames,
-        client_retries: report.client_retries,
-        state_hash,
+    Ok(row! {
+        "mode" => mode.name(),
+        "ack" => ack.name(),
+        "link_latency_ns" => link_latency_ns,
+        "kill_after" => kill_after,
+        "writes" => writes,
+        "acked_writes" => audit.acked_writes,
+        // Acked writes the post-failover audit could not read back.
+        "acked_lost" => audit.acked_lost,
+        "rto_ns" => report.rto_ns,
+        "detect_ns" => report.detect_ns,
+        "fence_ns" => report.fence_ns,
+        "replay_ns" => report.replay_ns,
+        "redirect_ns" => report.redirect_ns,
+        "promoted" => report.promoted,
+        "replayed_records" => report.replayed_records,
+        // Frames streamed to the rejoining old primary.
+        "catchup_frames" => catchup_frames,
+        // Bounded-backoff retries the redirected client issued.
+        "client_retries" => report.client_retries,
+        // Order-independent digest of the final primary's state.
+        "state_hash" => state_hash,
     })
 }
 
-/// Runs the full mode × ack × kill-point × link-latency grid.
-pub fn run_replicate_sweep(scale: &BenchScale) -> Result<Vec<ReplicateCell>> {
-    let mut cells = Vec::new();
-    for &mode in &MODES {
-        for &ack in &ACKS {
-            for &kill_after in &kill_points(scale) {
-                for &link in &LINK_LATENCIES_NS {
-                    cells.push(run_cell(scale, mode, ack, link, kill_after)?);
+/// Runs the full mode × ack × kill-point × link-latency grid and returns
+/// the artifact as JSON.
+pub fn replicate_sweep(scale: &BenchScale) -> Result<String> {
+    let mut grid = Vec::new();
+    for mode in MODES {
+        for ack in ACKS {
+            for kill_after in kill_points(scale) {
+                for link in LINK_LATENCIES_NS {
+                    grid.push((mode, ack, link, kill_after));
                 }
             }
         }
     }
-    Ok(cells)
+    let cells = run_cells(grid.len(), |i| {
+        let (mode, ack, link, kill_after) = grid[i];
+        run_cell(scale, mode, ack, link, kill_after)
+    });
+    let doc = row! {
+        "schema" => REPLICATE_SCHEMA,
+        "seed" => scale.seed,
+        "sstable" => scale.sstable,
+        "replicas" => REPLICAS,
+        "writes_per_cell" => writes_per_cell(scale),
+        "cells" => cells.into_iter().collect::<Result<Vec<Row>>>()?,
+    };
+    Ok(doc.to_json())
 }
 
-fn cell_json(c: &ReplicateCell) -> String {
-    format!(
-        concat!(
-            "{{\"mode\":\"{}\",\"ack\":\"{}\",\"link_latency_ns\":{},",
-            "\"kill_after\":{},\"writes\":{},\"acked_writes\":{},",
-            "\"acked_lost\":{},\"rto_ns\":{},\"detect_ns\":{},",
-            "\"fence_ns\":{},\"replay_ns\":{},\"redirect_ns\":{},",
-            "\"promoted\":{},\"replayed_records\":{},\"catchup_frames\":{},",
-            "\"client_retries\":{},\"state_hash\":{}}}"
-        ),
-        c.mode,
-        c.ack,
-        c.link_latency_ns,
-        c.kill_after,
-        c.writes,
-        c.acked_writes,
-        c.acked_lost,
-        c.rto_ns,
-        c.detect_ns,
-        c.fence_ns,
-        c.replay_ns,
-        c.redirect_ns,
-        c.promoted,
-        c.replayed_records,
-        c.catchup_frames,
-        c.client_retries,
-        c.state_hash,
-    )
-}
-
-/// Serialises the sweep as the `BENCH_pr6.json` artifact.
-pub fn sweep_to_json(scale: &BenchScale, cells: &[ReplicateCell]) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{REPLICATE_SCHEMA}\",\"seed\":{},\"sstable\":{},\"replicas\":{},\"writes_per_cell\":{},\"cells\":[",
-        scale.seed,
-        scale.sstable,
-        REPLICAS,
-        writes_per_cell(scale),
-    );
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&cell_json(c));
-    }
-    s.push_str("]}\n");
-    s
-}
-
-/// Runs the replication sweep and returns the artifact as JSON.
-pub fn replicate_sweep(scale: &BenchScale) -> Result<String> {
-    Ok(sweep_to_json(scale, &run_replicate_sweep(scale)?))
-}
-
-/// Pulls the string following `"key":"` out of one cell object.
-fn cell_str(cell: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let i = cell.find(&pat)? + pat.len();
-    let rest = &cell[i..];
-    Some(rest[..rest.find('"')?].to_string())
-}
+/// What an RTO series is grouped by: (mode, ack, kill point).
+type RtoGroup<'a> = (&'a str, &'a str, u64);
 
 /// Validates a replication artifact: schema marker, the full cell grid,
 /// no NaN/Inf — and the durability invariants themselves: zero acked
@@ -258,84 +154,62 @@ fn cell_str(cell: &str, key: &str) -> Option<String> {
 /// each (mode, ack, kill point) group. Returns the list of problems;
 /// empty means valid.
 pub fn check_replicate_json(content: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    let marker = format!("\"schema\":\"{REPLICATE_SCHEMA}\"");
-    if !content.contains(&marker) {
-        problems.push(format!("missing schema marker {marker}"));
-    }
-    for key in ["\"seed\":", "\"replicas\":", "\"writes_per_cell\":"] {
-        if !content.contains(key) {
-            problems.push(format!("missing key {key}"));
+    artifact::check(content, REPLICATE_SCHEMA, |doc, problems| {
+        for key in ["seed", "replicas", "writes_per_cell"] {
+            doc.u(key)?;
         }
-    }
-    let expected_cells = MODES.len() * ACKS.len() * 2 * LINK_LATENCIES_NS.len();
-    for key in CELL_KEYS {
-        let n = content.matches(key).count();
-        if n != expected_cells {
-            problems.push(format!(
-                "key {key} appears {n} times, expected {expected_cells}"
-            ));
+        let cells = doc.rows("cells")?;
+        let expected_cells = MODES.len() * ACKS.len() * 2 * LINK_LATENCIES_NS.len();
+        expect_count(problems, expected_cells, "cells", cells.len());
+        let mut saw_quorum = false;
+        let mut primary_lost = 0u64;
+        let mut groups: BTreeMap<RtoGroup, Vec<(u64, u64)>> = BTreeMap::new();
+        for cell in cells {
+            let (mode, ack) = (cell.s("mode")?, cell.s("ack")?);
+            let link = cell.u("link_latency_ns")?;
+            let lost = cell.u("acked_lost")?;
+            let rto = cell.u("rto_ns")?;
+            match ack {
+                "quorum" | "all" => {
+                    saw_quorum = true;
+                    if lost != 0 {
+                        problems.push(format!(
+                            "durability invariant violated: {ack}-ack cell (mode {mode}, link {link}) lost {lost} acked writes"
+                        ));
+                    }
+                }
+                "primary" => primary_lost += lost,
+                other => problems.push(format!("cell has unknown ack policy {other:?}")),
+            }
+            if rto == 0 || rto < cell.u("detect_ns")? {
+                problems.push(format!(
+                    "cell (mode {mode}, ack {ack}, link {link}) has implausible rto {rto}"
+                ));
+            }
+            let group = (mode, ack, cell.u("kill_after")?);
+            groups.entry(group).or_default().push((link, rto));
         }
-    }
-    problems.extend(crate::non_finite_tokens(content));
-    let mut saw_quorum = false;
-    let mut primary_lost = 0u64;
-    let mut groups: BTreeMap<(String, String, u64), Vec<(u64, u64)>> = BTreeMap::new();
-    for cell in content.split("{\"mode\":").skip(1) {
-        // The split consumed the `"mode":` key; the value opens the
-        // fragment.
-        let mode = {
-            let rest = cell.strip_prefix('"').unwrap_or(cell);
-            rest[..rest.find('"').unwrap_or(0)].to_string()
-        };
-        let ack = cell_str(cell, "ack").unwrap_or_default();
-        let link = json_nums(cell, "link_latency_ns").next().unwrap_or(0);
-        let kill = json_nums(cell, "kill_after").next().unwrap_or(0);
-        let lost = json_nums(cell, "acked_lost").next().unwrap_or(u64::MAX);
-        let rto = json_nums(cell, "rto_ns").next().unwrap_or(0);
-        let detect = json_nums(cell, "detect_ns").next().unwrap_or(0);
-        match ack.as_str() {
-            "quorum" | "all" => {
-                saw_quorum = true;
-                if lost != 0 {
+        if !saw_quorum {
+            problems.push("artifact contains no quorum-ack cells".to_string());
+        }
+        if primary_lost == 0 {
+            problems.push(
+                "primary-only baselines lost no acked writes: the kill points never caught the async ship buffer".to_string(),
+            );
+        }
+        for ((mode, ack, kill), mut series) in groups {
+            series.sort_unstable();
+            for pair in series.windows(2) {
+                if pair[1].1 <= pair[0].1 {
                     problems.push(format!(
-                        "durability invariant violated: {ack}-ack cell (mode {mode}, link {link}) lost {lost} acked writes"
+                        "rto not monotone in link latency for (mode {mode}, ack {ack}, kill {kill}): {} ns @ link {} vs {} ns @ link {}",
+                        pair[0].1, pair[0].0, pair[1].1, pair[1].0
                     ));
                 }
             }
-            "primary" => primary_lost += lost,
-            other => problems.push(format!("cell has unknown ack policy {other:?}")),
         }
-        if rto == 0 || rto < detect {
-            problems.push(format!(
-                "cell (mode {mode}, ack {ack}, link {link}) has implausible rto {rto}"
-            ));
-        }
-        groups
-            .entry((mode, ack, kill))
-            .or_default()
-            .push((link, rto));
-    }
-    if !saw_quorum {
-        problems.push("artifact contains no quorum-ack cells".to_string());
-    }
-    if primary_lost == 0 {
-        problems.push(
-            "primary-only baselines lost no acked writes: the kill points never caught the async ship buffer".to_string(),
-        );
-    }
-    for ((mode, ack, kill), mut series) in groups {
-        series.sort_unstable();
-        for pair in series.windows(2) {
-            if pair[1].1 <= pair[0].1 {
-                problems.push(format!(
-                    "rto not monotone in link latency for (mode {mode}, ack {ack}, kill {kill}): {} ns @ link {} vs {} ns @ link {}",
-                    pair[0].1, pair[0].0, pair[1].1, pair[1].0
-                ));
-            }
-        }
-    }
-    problems
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -370,20 +244,25 @@ mod tests {
 
     #[test]
     fn quorum_cells_lose_nothing_and_primary_cells_lose_the_tail() {
-        let cells = run_replicate_sweep(&test_scale()).unwrap();
+        let doc = artifact::parse(artifact()).unwrap();
         let mut primary_lost = 0u64;
-        for c in &cells {
-            assert_eq!(c.acked_writes, c.writes, "every write was acked: {c:?}");
-            if c.ack == "quorum" {
-                assert_eq!(c.acked_lost, 0, "quorum cell lost acked writes: {c:?}");
+        for c in doc.rows("cells").unwrap() {
+            let u = |key| c.u(key).unwrap();
+            assert_eq!(
+                u("acked_writes"),
+                u("writes"),
+                "every write was acked: {c:?}"
+            );
+            if c.s("ack") == Ok("quorum") {
+                assert_eq!(u("acked_lost"), 0, "quorum cell lost acked writes: {c:?}");
             } else {
                 // The odd kill point guarantees a non-empty ship buffer.
-                assert!(c.acked_lost > 0, "primary-only cell lost nothing: {c:?}");
-                primary_lost += c.acked_lost;
+                assert!(u("acked_lost") > 0, "primary-only cell lost nothing: {c:?}");
+                primary_lost += u("acked_lost");
             }
-            assert!(c.rto_ns >= c.detect_ns && c.rto_ns > 0);
-            assert!(c.promoted > 0, "a replica must be promoted: {c:?}");
-            assert!(c.catchup_frames > 0, "rejoin streamed nothing: {c:?}");
+            assert!(u("rto_ns") >= u("detect_ns") && u("rto_ns") > 0);
+            assert!(u("promoted") > 0, "a replica must be promoted: {c:?}");
+            assert!(u("catchup_frames") > 0, "rejoin streamed nothing: {c:?}");
         }
         assert!(primary_lost > 0);
     }
@@ -434,5 +313,30 @@ mod tests {
         assert!(check_replicate_json(&flat)
             .iter()
             .any(|p| p.contains("not monotone")));
+    }
+
+    /// The holes the substring scan had: it never noticed a missing tail
+    /// or a cell list of the wrong shape, and it read a signed or
+    /// fractional loss count as `u64::MAX` keys.
+    #[test]
+    fn checker_rejects_truncated_and_mistyped_artifacts() {
+        let good = include_str!("../../../BENCH_pr6.json");
+        assert_eq!(check_replicate_json(good), Vec::<String>::new());
+        assert!(!check_replicate_json(&good[..good.len() - 4]).is_empty());
+        let nested = good
+            .replacen("\"cells\":[", "\"cells\":[[", 1)
+            .replacen("]}\n", "]]}\n", 1);
+        let problems = check_replicate_json(&nested);
+        assert!(
+            problems.iter().any(|p| p.contains("not a list of objects")),
+            "{problems:?}"
+        );
+        for forged in ["\"acked_lost\":0.5", "\"acked_lost\":-3"] {
+            let problems = check_replicate_json(&good.replacen("\"acked_lost\":0", forged, 1));
+            assert_eq!(
+                problems,
+                ["key \"acked_lost\" is not an integer: found a signed or fractional number"]
+            );
+        }
     }
 }

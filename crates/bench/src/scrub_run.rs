@@ -16,11 +16,11 @@
 //! Everything runs on the simulated clock with seeded fault placement,
 //! so two runs at the same seed produce byte-identical artifacts.
 
-use crate::{json_nums, BenchScale};
+use crate::artifact::{self, expect_count, row, run_cells, Row};
+use crate::BenchScale;
 use lsm_core::{Result, ScrubConfig};
 use sealdb::{Store, StoreKind};
 use smr_sim::Extent;
-use std::fmt::Write as _;
 
 /// Schema marker the checker requires at the top of the artifact.
 pub const SCRUB_SCHEMA: &str = "sealdb-scrub-v1";
@@ -37,44 +37,6 @@ pub const FAULT_COUNTS: [usize; 2] = [1, 4];
 /// within reach of the scrubber's single-bit corrector, which is what
 /// makes the zero-loss invariant achievable at all.
 pub const FAULT_REGION_BYTES: u64 = 64;
-
-/// Keys that must appear once per sweep cell in a valid artifact.
-const CELL_KEYS: [&str; 10] = [
-    "\"scrub\":",
-    "\"scrub_budget\":",
-    "\"fault_regions\":",
-    "\"lost_keys\":",
-    "\"read_errors\":",
-    "\"files_repaired\":",
-    "\"blocks_corrected\":",
-    "\"blocks_lost\":",
-    "\"bytes_fenced\":",
-    "\"fail_slow_reads\":",
-];
-
-/// One cell of the scrub sweep.
-#[derive(Clone, Debug)]
-pub struct ScrubCell {
-    /// Scrubber byte budget per step; 0 means scrubbing was off.
-    pub scrub_budget: u64,
-    /// Latent-error regions actually planted.
-    pub fault_regions: usize,
-    /// Keys that no longer read back correctly after the episode.
-    pub lost_keys: u64,
-    /// Keyspace-audit reads that returned an error (scrub-off: the
-    /// planted damage surfaces as checksum failures on every read).
-    pub read_errors: u64,
-    /// Tables the scrubber rewrote onto clean space.
-    pub files_repaired: u64,
-    /// Blocks recovered by single-bit correction.
-    pub blocks_corrected: u64,
-    /// Blocks beyond correction whose entries were dropped.
-    pub blocks_lost: u64,
-    /// Bytes fenced out of the allocator's free pool.
-    pub bytes_fenced: u64,
-    /// Reads slowed by the planted fail-slow region.
-    pub fail_slow_reads: u64,
-}
 
 /// Extents of the `k` largest live tables, largest first — deterministic
 /// targets that are guaranteed to hold several data blocks.
@@ -97,7 +59,7 @@ fn target_extents(store: &Store, k: usize) -> Vec<Extent> {
         .collect()
 }
 
-fn run_cell(scale: &BenchScale, budget: u64, fault_regions: usize) -> Result<ScrubCell> {
+fn run_cell(scale: &BenchScale, budget: u64, fault_regions: usize) -> Result<Row> {
     let (mut store, _) = crate::loaded_store(StoreKind::SealDb, scale)?;
     let gen = scale.generator();
     let records = scale.load_records().max(1);
@@ -138,77 +100,44 @@ fn run_cell(scale: &BenchScale, budget: u64, fault_regions: usize) -> Result<Scr
     }
     let report = *store.scrub_report();
     let faults = store.snapshot().io.faults;
-    Ok(ScrubCell {
-        scrub_budget: budget,
-        fault_regions: planted,
-        lost_keys,
-        read_errors,
-        files_repaired: report.files_repaired,
-        blocks_corrected: report.blocks_corrected,
-        blocks_lost: report.blocks_lost,
-        bytes_fenced: report.bytes_fenced,
-        fail_slow_reads: faults.fail_slow_reads,
+    Ok(row! {
+        "scrub" => budget > 0,
+        // Scrubber byte budget per step; 0 means scrubbing was off.
+        "scrub_budget" => budget,
+        // Regions actually planted (a small tree may hold fewer tables).
+        "fault_regions" => planted,
+        "lost_keys" => lost_keys,
+        // Scrub-off: the planted damage surfaces as checksum failures on
+        // every audit read through it.
+        "read_errors" => read_errors,
+        "files_repaired" => report.files_repaired,
+        "blocks_corrected" => report.blocks_corrected,
+        // Blocks beyond single-bit correction, whose entries were dropped.
+        "blocks_lost" => report.blocks_lost,
+        "bytes_fenced" => report.bytes_fenced,
+        "fail_slow_reads" => faults.fail_slow_reads,
     })
 }
 
-/// Runs the full sweep: per fault count, a scrub-off baseline followed
-/// by one cell per budget in [`SCRUB_BUDGETS`].
-pub fn run_scrub_sweep(scale: &BenchScale) -> Result<Vec<ScrubCell>> {
-    let mut cells = Vec::new();
-    for &k in &FAULT_COUNTS {
-        cells.push(run_cell(scale, 0, k)?);
-        for &budget in &SCRUB_BUDGETS {
-            cells.push(run_cell(scale, budget, k)?);
-        }
-    }
-    Ok(cells)
-}
-
-fn cell_json(c: &ScrubCell) -> String {
-    format!(
-        concat!(
-            "{{\"scrub\":{},\"scrub_budget\":{},\"fault_regions\":{},",
-            "\"lost_keys\":{},\"read_errors\":{},\"files_repaired\":{},",
-            "\"blocks_corrected\":{},\"blocks_lost\":{},\"bytes_fenced\":{},",
-            "\"fail_slow_reads\":{}}}"
-        ),
-        c.scrub_budget > 0,
-        c.scrub_budget,
-        c.fault_regions,
-        c.lost_keys,
-        c.read_errors,
-        c.files_repaired,
-        c.blocks_corrected,
-        c.blocks_lost,
-        c.bytes_fenced,
-        c.fail_slow_reads,
-    )
-}
-
-/// Serialises the sweep as the `BENCH_pr5.json` artifact.
-pub fn sweep_to_json(scale: &BenchScale, cells: &[ScrubCell]) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{SCRUB_SCHEMA}\",\"seed\":{},\"sstable\":{},\"records\":{},\"region_bytes\":{},\"cells\":[",
-        scale.seed,
-        scale.sstable,
-        scale.load_records().max(1),
-        FAULT_REGION_BYTES,
-    );
-    for (i, c) in cells.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&cell_json(c));
-    }
-    s.push_str("]}\n");
-    s
-}
-
-/// Runs the scrub sweep and returns the artifact as a JSON string.
+/// Runs the scrub sweep — per fault count, a scrub-off baseline followed
+/// by one cell per budget in [`SCRUB_BUDGETS`] — and returns the artifact
+/// as a JSON string.
 pub fn scrub_sweep(scale: &BenchScale) -> Result<String> {
-    Ok(sweep_to_json(scale, &run_scrub_sweep(scale)?))
+    let budgets = [&[0], &SCRUB_BUDGETS[..]].concat();
+    let grid: Vec<(usize, u64)> = FAULT_COUNTS
+        .iter()
+        .flat_map(|&k| budgets.iter().map(move |&budget| (k, budget)))
+        .collect();
+    let cells = run_cells(grid.len(), |i| run_cell(scale, grid[i].1, grid[i].0));
+    let doc = row! {
+        "schema" => SCRUB_SCHEMA,
+        "seed" => scale.seed,
+        "sstable" => scale.sstable,
+        "records" => scale.load_records().max(1),
+        "region_bytes" => FAULT_REGION_BYTES,
+        "cells" => cells.into_iter().collect::<Result<Vec<Row>>>()?,
+    };
+    Ok(doc.to_json())
 }
 
 /// Validates a scrub artifact: schema marker, the full cell grid, no
@@ -216,54 +145,42 @@ pub fn scrub_sweep(scale: &BenchScale) -> Result<String> {
 /// lost zero keys, and at least one scrub-off baseline lost some.
 /// Returns the list of problems; empty means valid.
 pub fn check_scrub_json(content: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    let marker = format!("\"schema\":\"{SCRUB_SCHEMA}\"");
-    if !content.contains(&marker) {
-        problems.push(format!("missing schema marker {marker}"));
-    }
-    for key in ["\"seed\":", "\"records\":", "\"region_bytes\":"] {
-        if !content.contains(key) {
-            problems.push(format!("missing key {key}"));
+    artifact::check(content, SCRUB_SCHEMA, |doc, problems| {
+        for key in ["seed", "records", "region_bytes"] {
+            doc.u(key)?;
         }
-    }
-    let expected_cells = FAULT_COUNTS.len() * (1 + SCRUB_BUDGETS.len());
-    for key in CELL_KEYS {
-        let n = content.matches(key).count();
-        if n != expected_cells {
-            problems.push(format!(
-                "key {key} appears {n} times, expected {expected_cells}"
-            ));
-        }
-    }
-    problems.extend(crate::non_finite_tokens(content));
-    let mut baseline_lost = 0u64;
-    let mut saw_on = false;
-    let mut saw_off = false;
-    for cell in content.split("{\"scrub\":").skip(1) {
-        let on = cell.starts_with("true");
-        let lost = json_nums(cell, "lost_keys").next().unwrap_or(u64::MAX);
-        if on {
-            saw_on = true;
-            if lost != 0 {
-                problems.push(format!(
-                    "durability invariant violated: scrub-on cell lost {lost} keys"
-                ));
+        let cells = doc.rows("cells")?;
+        let expected_cells = FAULT_COUNTS.len() * (1 + SCRUB_BUDGETS.len());
+        expect_count(problems, expected_cells, "cells", cells.len());
+        let mut baseline_lost = 0u64;
+        let mut saw_on = false;
+        let mut saw_off = false;
+        for cell in cells {
+            let lost = cell.u("lost_keys")?;
+            if cell.b("scrub")? {
+                saw_on = true;
+                if lost != 0 {
+                    problems.push(format!(
+                        "durability invariant violated: scrub-on cell lost {lost} keys"
+                    ));
+                }
+                if cell.u("files_repaired")? == 0 {
+                    problems.push("scrub-on cell repaired no files".to_string());
+                }
+            } else {
+                saw_off = true;
+                baseline_lost += lost;
             }
-            if json_nums(cell, "files_repaired").next() == Some(0u64) {
-                problems.push("scrub-on cell repaired no files".to_string());
-            }
-        } else {
-            saw_off = true;
-            baseline_lost += lost;
         }
-    }
-    if !saw_on || !saw_off {
-        problems.push("artifact must contain both scrub-on and scrub-off cells".to_string());
-    } else if baseline_lost == 0 {
-        problems
-            .push("scrub-off baselines lost no keys: the planted faults did not bite".to_string());
-    }
-    problems
+        if !saw_on || !saw_off {
+            problems.push("artifact must contain both scrub-on and scrub-off cells".to_string());
+        } else if baseline_lost == 0 {
+            problems.push(
+                "scrub-off baselines lost no keys: the planted faults did not bite".to_string(),
+            );
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -296,18 +213,22 @@ mod tests {
 
     #[test]
     fn scrub_on_loses_nothing_and_baseline_loses_something() {
-        let cells = run_scrub_sweep(&test_scale()).unwrap();
-        for c in &cells {
-            if c.scrub_budget > 0 {
-                assert_eq!(c.lost_keys, 0, "scrub-on cell lost keys: {c:?}");
-                assert!(c.files_repaired >= 1, "nothing repaired: {c:?}");
-                assert!(c.blocks_corrected >= 1, "nothing corrected: {c:?}");
-                assert!(c.bytes_fenced > 0, "nothing fenced: {c:?}");
+        let doc = artifact::parse(artifact()).unwrap();
+        for c in doc.rows("cells").unwrap() {
+            let u = |key| c.u(key).unwrap();
+            if u("scrub_budget") > 0 {
+                assert_eq!(u("lost_keys"), 0, "scrub-on cell lost keys: {c:?}");
+                assert!(u("files_repaired") >= 1, "nothing repaired: {c:?}");
+                assert!(u("blocks_corrected") >= 1, "nothing corrected: {c:?}");
+                assert!(u("bytes_fenced") > 0, "nothing fenced: {c:?}");
             } else {
-                assert!(c.lost_keys > 0, "baseline fault did not bite: {c:?}");
-                assert_eq!(c.read_errors, c.lost_keys);
+                assert!(u("lost_keys") > 0, "baseline fault did not bite: {c:?}");
+                assert_eq!(u("read_errors"), u("lost_keys"));
             }
-            assert!(c.fail_slow_reads > 0, "fail-slow region never read: {c:?}");
+            assert!(
+                u("fail_slow_reads") > 0,
+                "fail-slow region never read: {c:?}"
+            );
         }
     }
 

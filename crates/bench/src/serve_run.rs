@@ -10,11 +10,11 @@
 //! load levels, and everything rides the simulated clock: two same-seed
 //! sweeps serialize byte-identically.
 
+use crate::artifact::{self, expect_count, row, Row, Val::F};
 use crate::BenchScale;
 use lsm_core::Result;
 use seal_front::{run_serve, ServeConfig, ServeResult};
 use sealdb::{Store, StoreKind};
-use std::fmt::Write as _;
 use workloads::{ArrivalProcess, WorkloadSpec};
 
 /// Schema marker the checker requires at the top of the artifact.
@@ -26,247 +26,136 @@ pub const CLIENTS: usize = 4;
 /// Offered load as a fraction of the measured saturation throughput.
 pub const LOAD_MULTIPLIERS: [f64; 4] = [0.5, 0.8, 1.0, 1.3];
 
-/// Keys that must appear once per sweep point in a valid artifact.
-const POINT_KEYS: [&str; 12] = [
-    "\"offered_ops_per_sec\"",
-    "\"throughput_ops_per_sec\"",
-    "\"mean_ns\"",
-    "\"p50_ns\"",
-    "\"p95_ns\"",
-    "\"p99_ns\"",
-    "\"max_ns\"",
-    "\"queue_depth_max\"",
-    "\"stall_slowdowns\"",
-    "\"stall_stops\"",
-    "\"stall_memtables\"",
-    "\"avg_group_size\"",
-];
-
-fn point_json(offered_per_client: f64, r: &ServeResult) -> String {
-    format!(
-        concat!(
-            "{{\"offered_ops_per_sec\":{:.3},\"throughput_ops_per_sec\":{:.3},",
-            "\"mean_ns\":{:.1},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{},",
-            "\"queue_delay_mean_ns\":{:.1},\"queue_depth_max\":{},\"queue_depth_mean\":{:.3},",
-            "\"stall_slowdowns\":{},\"stall_stops\":{},\"stall_memtables\":{},\"stall_ns\":{},",
-            "\"write_calls\":{},\"write_ops\":{},\"avg_group_size\":{:.3},",
-            "\"idle_compactions\":{}}}"
-        ),
-        offered_per_client * CLIENTS as f64,
-        r.throughput_ops_per_sec,
-        r.latency.mean_ns,
-        r.latency.p50_ns,
-        r.latency.p95_ns,
-        r.latency.p99_ns,
-        r.latency.max_ns,
-        r.queue_delay.mean_ns,
-        r.queue_depth_max,
-        r.queue_depth_mean,
-        r.stalls.slowdown_count,
-        r.stalls.stop_count,
-        r.stalls.memtable_count,
-        r.stalls.total_ns(),
-        r.write_calls,
-        r.write_ops,
-        r.avg_group_size(),
-        r.idle_compactions,
-    )
+/// One offered-load level: everything the serving run measured there.
+fn point_row(offered_ops_per_sec: f64, r: &ServeResult) -> Row {
+    row! {
+        // Total across all clients, ops per simulated second.
+        "offered_ops_per_sec" => F(offered_ops_per_sec, 3),
+        "throughput_ops_per_sec" => F(r.throughput_ops_per_sec, 3),
+        "mean_ns" => F(r.latency.mean_ns, 1),
+        "p50_ns" => r.latency.p50_ns,
+        "p95_ns" => r.latency.p95_ns,
+        "p99_ns" => r.latency.p99_ns,
+        "max_ns" => r.latency.max_ns,
+        "queue_delay_mean_ns" => F(r.queue_delay.mean_ns, 1),
+        "queue_depth_max" => r.queue_depth_max,
+        "queue_depth_mean" => F(r.queue_depth_mean, 3),
+        "stall_slowdowns" => r.stalls.slowdown_count,
+        "stall_stops" => r.stalls.stop_count,
+        "stall_memtables" => r.stalls.memtable_count,
+        "stall_ns" => r.stalls.total_ns(),
+        "write_calls" => r.write_calls,
+        "write_ops" => r.write_ops,
+        "avg_group_size" => F(r.avg_group_size(), 3),
+        "idle_compactions" => r.idle_compactions,
+    }
 }
 
-/// One offered-load level of a store's sweep.
-#[derive(Clone, Debug)]
-pub struct SweepPoint {
-    /// Total offered load across all clients, ops per simulated second.
-    pub offered_ops_per_sec: f64,
-    /// Everything the serving run measured at this load.
-    pub result: ServeResult,
-}
-
-/// One store's full sweep.
-#[derive(Clone, Debug)]
-pub struct StoreSweep {
-    /// Display name of the store.
-    pub store: &'static str,
-    /// Closed-loop (zero think time) saturation throughput.
-    pub saturation_ops_per_sec: f64,
-    /// Open-loop points, in [`LOAD_MULTIPLIERS`] order.
-    pub points: Vec<SweepPoint>,
-}
-
-fn sweep_store(kind: StoreKind, scale: &BenchScale) -> Result<StoreSweep> {
+/// One store's full sweep: its closed-loop saturation and the open-loop
+/// points in [`LOAD_MULTIPLIERS`] order.
+fn sweep_store(kind: StoreKind, scale: &BenchScale) -> Result<Row> {
     let gen = scale.generator();
-    let records = scale.load_records().max(1);
-    let ops = scale.ycsb_ops.max(CLIENTS as u64);
+    let (_, records, ops) = swept_at(scale);
     let spec = WorkloadSpec::serve_mix();
     let fresh = || -> Result<Store> {
         let mut store = crate::build_store(kind, scale)?;
         workloads::fill_random(&mut store, &gen, records, scale.seed)?;
         Ok(store)
     };
+    let serve = |arrival: ArrivalProcess| -> Result<ServeResult> {
+        let cfg = ServeConfig::new(spec, arrival, CLIENTS, ops, records).with_seed(scale.seed);
+        run_serve(&mut fresh()?, &gen, &cfg)
+    };
 
     // Saturation: closed loop, zero think time — the store serves as
     // fast as it can.
-    let mut store = fresh()?;
-    let closed = ServeConfig::new(
-        spec,
-        ArrivalProcess::ClosedLoop { think_ns: 0 },
-        CLIENTS,
-        ops,
-        records,
-    )
-    .with_seed(scale.seed);
-    let sat = run_serve(&mut store, &gen, &closed)?;
-    let t_sat = sat.throughput_ops_per_sec;
+    let t_sat = serve(ArrivalProcess::ClosedLoop { think_ns: 0 })?.throughput_ops_per_sec;
 
     let mut points = Vec::with_capacity(LOAD_MULTIPLIERS.len());
     for mult in LOAD_MULTIPLIERS {
-        let per_client = t_sat * mult / CLIENTS as f64;
-        let mut store = fresh()?;
-        let cfg = ServeConfig::new(
-            spec,
-            ArrivalProcess::OpenLoopPoisson {
-                ops_per_sec: per_client,
-            },
-            CLIENTS,
-            ops,
-            records,
-        )
-        .with_seed(scale.seed);
-        let result = run_serve(&mut store, &gen, &cfg)?;
-        points.push(SweepPoint {
-            offered_ops_per_sec: per_client * CLIENTS as f64,
-            result,
-        });
+        let ops_per_sec = t_sat * mult / CLIENTS as f64;
+        let result = serve(ArrivalProcess::OpenLoopPoisson { ops_per_sec })?;
+        points.push(point_row(ops_per_sec * CLIENTS as f64, &result));
     }
-    Ok(StoreSweep {
-        store: kind.name(),
-        saturation_ops_per_sec: t_sat,
-        points,
+    Ok(row! {
+        "store" => kind.name(),
+        "saturation_ops_per_sec" => F(t_sat, 3),
+        "points" => points,
     })
 }
 
-/// Runs the sweep over [`StoreKind::MAIN`], one store per thread, and
-/// returns the structured results in presentation order.
-pub fn run_sweep(scale: &BenchScale) -> Result<Vec<StoreSweep>> {
-    crate::per_store_parallel(&StoreKind::MAIN, |kind| sweep_store(kind, scale))
-        .into_iter()
-        .collect()
+/// The scale an artifact header states: (sstable, records, ops).
+fn swept_at(scale: &BenchScale) -> (u64, u64, u64) {
+    let records = scale.load_records().max(1);
+    (scale.sstable, records, scale.ycsb_ops.max(CLIENTS as u64))
 }
 
-/// The artifact header's statement of the scale it was swept at.
-fn scale_header(scale: &BenchScale) -> String {
-    format!(
-        "\"sstable\":{},\"records\":{},\"ops\":{},",
-        scale.sstable,
-        scale.load_records().max(1),
-        scale.ycsb_ops.max(CLIENTS as u64)
-    )
-}
-
-/// Serialises a sweep as the `BENCH_pr3.json` artifact.
-pub fn sweep_to_json(scale: &BenchScale, sweeps: &[StoreSweep]) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"seed\":{},{}\"clients\":{},\"workload\":\"S\",\"stores\":[",
-        scale.seed,
-        scale_header(scale),
-        CLIENTS,
-    );
-    for (i, sweep) in sweeps.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"store\":\"{}\",\"saturation_ops_per_sec\":{:.3},\"points\":[",
-            sweep.store, sweep.saturation_ops_per_sec
-        );
-        for (j, p) in sweep.points.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&point_json(
-                p.offered_ops_per_sec / CLIENTS as f64,
-                &p.result,
-            ));
-        }
-        s.push_str("]}");
-    }
-    s.push_str("]}\n");
-    s
+/// Runs the sweep over [`StoreKind::MAIN`], one store per cell, and
+/// returns the `BENCH_pr3.json` document: what `seal-bench serve` and
+/// `sealdb-cli serve` tabulate and [`serve_sweep`] serialises.
+pub fn serve_rows(scale: &BenchScale) -> Result<Row> {
+    let stores = crate::per_store_parallel(&StoreKind::MAIN, |kind| sweep_store(kind, scale));
+    let (sstable, records, ops) = swept_at(scale);
+    Ok(row! {
+        "schema" => SERVE_SCHEMA,
+        "seed" => scale.seed,
+        "sstable" => sstable,
+        "records" => records,
+        "ops" => ops,
+        "clients" => CLIENTS,
+        "workload" => WorkloadSpec::serve_mix().name,
+        "stores" => stores.into_iter().collect::<Result<Vec<Row>>>()?,
+    })
 }
 
 /// Runs the serving sweep over [`StoreKind::MAIN`] and returns the
 /// artifact as a JSON string.
 pub fn serve_sweep(scale: &BenchScale) -> Result<String> {
-    Ok(sweep_to_json(scale, &run_sweep(scale)?))
+    Ok(serve_rows(scale)?.to_json())
 }
 
 /// Validates a serving artifact: schema marker, one sweep per main
-/// store, every point key present the right number of times, no
-/// NaN/Inf anywhere — and, for a sweep at the canonical `--serving`
-/// scale, the headline property: SEALDB sustains the highest saturation
-/// throughput of the stores swept. Returns the list of problems; empty
-/// means valid.
+/// store with every load point, no NaN/Inf anywhere — and, for a sweep
+/// at the canonical `--serving` scale, the headline property: SEALDB
+/// sustains the highest saturation throughput of the stores swept.
+/// Returns the list of problems; empty means valid.
 pub fn check_serve_json(content: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    let marker = format!("\"schema\":\"{SERVE_SCHEMA}\"");
-    if !content.contains(&marker) {
-        problems.push(format!("missing schema marker {marker}"));
-    }
-    for key in ["\"seed\":", "\"clients\":", "\"ops\":"] {
-        if !content.contains(key) {
-            problems.push(format!("missing key {key}"));
+    artifact::check(content, SERVE_SCHEMA, |doc, problems| {
+        let stores = doc.rows("stores")?;
+        expect_count(
+            problems,
+            StoreKind::MAIN.len(),
+            "store sweeps",
+            stores.len(),
+        );
+        let mut sats = Vec::new();
+        for sweep in stores {
+            let store = sweep.s("store")?;
+            sats.push((store, sweep.f("saturation_ops_per_sec")?));
+            let points = sweep.rows("points")?.len();
+            let what = format!("points of store {store}");
+            expect_count(problems, LOAD_MULTIPLIERS.len(), &what, points);
         }
-    }
-    let expected_stores = StoreKind::MAIN.len();
-    let stores = content.matches("\"store\":").count();
-    if stores != expected_stores {
-        problems.push(format!(
-            "expected {expected_stores} store sweeps, found {stores}"
-        ));
-    }
-    let sat = content.matches("\"saturation_ops_per_sec\":").count();
-    if sat != expected_stores {
-        problems.push(format!(
-            "key \"saturation_ops_per_sec\" appears {sat} times, expected {expected_stores}"
-        ));
-    }
-    let expected_points = expected_stores * LOAD_MULTIPLIERS.len();
-    for key in POINT_KEYS {
-        let n = content.matches(key).count();
-        if n != expected_points {
-            problems.push(format!(
-                "key {key} appears {n} times, expected {expected_points}"
-            ));
-        }
-    }
-    problems.extend(crate::non_finite_tokens(content));
-    // The headline property is claimed — and so gated — at the canonical
-    // `--serving` scale; a smaller sweep does not climb the L0 ladder far
-    // enough for set-aware compaction to decide the ranking.
-    if content.contains(&scale_header(&BenchScale::serving())) {
-        let sats: Vec<(&str, f64)> = content
-            .split("{\"store\":\"")
-            .skip(1)
-            .filter_map(|sweep| {
-                let sat = crate::json_nums(sweep, "saturation_ops_per_sec").next()?;
-                Some((sweep.split('"').next()?, sat))
-            })
-            .collect();
-        let sealdb = StoreKind::SealDb.name();
-        if let Some(&(_, best)) = sats.iter().find(|(store, _)| *store == sealdb) {
-            for &(store, sat) in sats.iter().filter(|(store, _)| *store != sealdb) {
-                if sat >= best {
-                    problems.push(format!(
-                        "SEALDB saturation {best:.3} not highest: {store} sustains {sat:.3}"
-                    ));
+        doc.u("seed")?;
+        doc.u("clients")?;
+        // The headline property is claimed — and so gated — at the canonical
+        // `--serving` scale; a smaller sweep does not climb the L0 ladder far
+        // enough for set-aware compaction to decide the ranking.
+        let scale = (doc.u("sstable")?, doc.u("records")?, doc.u("ops")?);
+        if scale == swept_at(&BenchScale::serving()) {
+            let sealdb = StoreKind::SealDb.name();
+            if let Some(&(_, best)) = sats.iter().find(|(store, _)| *store == sealdb) {
+                for &(store, sat) in sats.iter().filter(|(store, _)| *store != sealdb) {
+                    if sat >= best {
+                        problems.push(format!(
+                            "SEALDB saturation {best:.3} not highest: {store} sustains {sat:.3}"
+                        ));
+                    }
                 }
             }
         }
-    }
-    problems
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -291,8 +180,12 @@ mod tests {
         s
     }
 
-    fn values(content: &str, key: &str) -> Vec<f64> {
-        crate::json_nums(content, key).collect()
+    /// `key` of every point, store by store.
+    fn point_values(content: &str, key: &str) -> Vec<f64> {
+        let doc = artifact::parse(content).unwrap();
+        let stores = doc.rows("stores").unwrap();
+        let points = stores.iter().flat_map(|s| s.rows("points").unwrap());
+        points.map(|p| p.f(key).unwrap()).collect()
     }
 
     #[test]
@@ -310,7 +203,7 @@ mod tests {
     #[test]
     fn latency_rises_with_offered_load() {
         let artifact = artifact();
-        let p99 = values(artifact, "p99_ns");
+        let p99 = point_values(artifact, "p99_ns");
         let n = LOAD_MULTIPLIERS.len();
         assert_eq!(p99.len(), 3 * n);
         for (s, chunk) in p99.chunks(n).enumerate() {
@@ -323,8 +216,8 @@ mod tests {
         }
         // Throughput cannot exceed what was offered (open loop serves
         // only what arrived).
-        let offered = values(artifact, "offered_ops_per_sec");
-        let got = values(artifact, "throughput_ops_per_sec");
+        let offered = point_values(artifact, "offered_ops_per_sec");
+        let got = point_values(artifact, "throughput_ops_per_sec");
         for (o, g) in offered.iter().zip(&got) {
             assert!(g <= &(o * 1.05), "throughput {g} exceeds offered {o}");
         }
@@ -334,7 +227,7 @@ mod tests {
     fn checker_rejects_bad_artifacts() {
         assert!(!check_serve_json("{}").is_empty());
         let doc = format!(
-            "{{\"schema\":\"{SERVE_SCHEMA}\",\"seed\":1,\"clients\":4,\"ops\":9,\"stores\":[]}}"
+            "{{\"schema\":\"{SERVE_SCHEMA}\",\"seed\":1,\"clients\":4,\"ops\":9,\"stores\":[]}}\n"
         );
         assert!(check_serve_json(&doc)
             .iter()
@@ -347,7 +240,10 @@ mod tests {
         // out-saturates SEALDB.
         let good = include_str!("../../../BENCH_pr3.json");
         assert_eq!(check_serve_json(good), Vec::<String>::new());
-        let leveldb = values(good, "saturation_ops_per_sec")[0];
+        let doc = artifact::parse(good).unwrap();
+        let leveldb = doc.rows("stores").unwrap()[0]
+            .f("saturation_ops_per_sec")
+            .unwrap();
         let slower = good.replacen(
             &format!("\"saturation_ops_per_sec\":{leveldb:.3}"),
             "\"saturation_ops_per_sec\":999999999.000",

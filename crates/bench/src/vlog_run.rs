@@ -14,12 +14,12 @@
 //! at least 2× lower on workload A, a higher sustained op/s knee, and
 //! zero lost keys anywhere.
 
+use crate::artifact::{self, expect_count, row, run_cells, Row, Val::F};
 use crate::BenchScale;
 use lsm_core::Result;
 use seal_front::{run_serve, ServeConfig};
 use sealdb::{Store, StoreConfig, StoreKind, VlogParams};
 use smr_sim::IoStats;
-use std::fmt::Write as _;
 use workloads::{ArrivalProcess, WorkloadSpec};
 
 /// Schema marker the checker requires at the top of the artifact.
@@ -30,56 +30,6 @@ pub const CLIENTS: usize = 4;
 
 /// The update-heavy workloads of the sweep, in artifact order.
 pub const WORKLOADS: [&str; 2] = ["A", "F"];
-
-/// Keys that must appear once per sweep cell in a valid artifact.
-const CELL_KEYS: [&str; 10] = [
-    "\"workload\"",
-    "\"vlog\"",
-    "\"update_wa\"",
-    "\"wa_compaction\"",
-    "\"wa_vlog_gc\"",
-    "\"saturation_ops_per_sec\"",
-    "\"serve_ops_per_sec\"",
-    "\"p99_ns\"",
-    "\"drain_ns\"",
-    "\"lost_keys\"",
-];
-
-/// One (workload × store build) cell of the sweep.
-#[derive(Clone, Debug)]
-pub struct VlogCell {
-    /// Workload tag ("A" or "F").
-    pub workload: &'static str,
-    /// Whether key-value separation was on.
-    pub vlog: bool,
-    /// Store-internal write bytes per user payload byte over the serve
-    /// phase plus its deferred-debt drain: flush + compaction, and for
-    /// the vlog build also value-log appends and GC relocations.
-    pub update_wa: f64,
-    /// Compaction-attributable component of `update_wa`.
-    pub wa_compaction: f64,
-    /// Value-log-attributable component of `update_wa` (0 for inline).
-    pub wa_vlog_gc: f64,
-    /// Sustained throughput: served ops over serve *plus* drain time —
-    /// the op/s knee a store holds once its deferred debt is charged.
-    pub saturation_ops_per_sec: f64,
-    /// Foreground-only throughput of the closed-loop serve phase.
-    pub serve_ops_per_sec: f64,
-    /// p99 end-to-end latency of the serve phase, ns.
-    pub p99_ns: u64,
-    /// Simulated time spent paying deferred debt after the serve, ns.
-    pub drain_ns: u64,
-    /// Preloaded keys unreadable after serve + drain (must be 0).
-    pub lost_keys: u64,
-    /// Value-log bytes appended on behalf of user writes.
-    pub vlog_appended_bytes: u64,
-    /// Value-log bytes rewritten by GC relocation.
-    pub vlog_relocated_bytes: u64,
-    /// Segment bytes returned to the allocator by GC.
-    pub vlog_reclaimed_bytes: u64,
-    /// Segments GC retired during the drain lap.
-    pub vlog_segments_retired: u64,
-}
 
 fn spec_for(workload: &str) -> WorkloadSpec {
     match workload {
@@ -112,7 +62,8 @@ fn delta_ratio(num: u64, den: u64) -> f64 {
     }
 }
 
-fn run_cell(workload: &'static str, with_vlog: bool, scale: &BenchScale) -> Result<VlogCell> {
+/// One (workload × store build) cell of the sweep.
+fn run_cell(workload: &str, with_vlog: bool, scale: &BenchScale) -> Result<Row> {
     let gen = scale.generator();
     let records = scale.load_records().max(1);
     let ops = scale.ycsb_ops.max(CLIENTS as u64);
@@ -180,172 +131,111 @@ fn run_cell(workload: &'static str, with_vlog: bool, scale: &BenchScale) -> Resu
 
     let vstats = store.vlog.as_ref().map(|v| v.stats()).unwrap_or_default();
     let total_ns = served.sim_ns + drain_ns;
-    Ok(VlogCell {
-        workload,
-        vlog: with_vlog,
-        update_wa: delta_ratio(lsm + vlog_bytes, payload),
-        wa_compaction: delta_ratio(lsm, payload),
-        wa_vlog_gc: delta_ratio(vlog_bytes, payload),
-        saturation_ops_per_sec: if total_ns == 0 {
-            0.0
-        } else {
-            served.ops as f64 * 1e9 / total_ns as f64
-        },
-        serve_ops_per_sec: served.throughput_ops_per_sec,
-        p99_ns: served.latency.p99_ns,
-        drain_ns,
-        lost_keys,
-        vlog_appended_bytes: vstats.appended_bytes,
-        vlog_relocated_bytes: vstats.relocated_bytes,
-        vlog_reclaimed_bytes: vstats.reclaimed_bytes,
-        vlog_segments_retired: vstats.segments_retired,
+    let knee = if total_ns == 0 {
+        0.0
+    } else {
+        served.ops as f64 * 1e9 / total_ns as f64
+    };
+    Ok(row! {
+        "workload" => workload,
+        "vlog" => with_vlog,
+        // Store-internal write bytes per user payload byte over the serve
+        // phase plus its deferred-debt drain: flush + compaction, and for
+        // the vlog build also value-log appends and GC relocations.
+        "update_wa" => F(delta_ratio(lsm + vlog_bytes, payload), 4),
+        "wa_compaction" => F(delta_ratio(lsm, payload), 4),
+        "wa_vlog_gc" => F(delta_ratio(vlog_bytes, payload), 4),
+        // Sustained throughput: served ops over serve *plus* drain time —
+        // the op/s knee a store holds once its deferred debt is charged.
+        "saturation_ops_per_sec" => F(knee, 3),
+        // Foreground-only throughput of the closed-loop serve phase.
+        "serve_ops_per_sec" => F(served.throughput_ops_per_sec, 3),
+        "p99_ns" => served.latency.p99_ns,
+        "drain_ns" => drain_ns,
+        // Preloaded keys unreadable after serve + drain (must be 0).
+        "lost_keys" => lost_keys,
+        "vlog_appended_bytes" => vstats.appended_bytes,
+        "vlog_relocated_bytes" => vstats.relocated_bytes,
+        "vlog_reclaimed_bytes" => vstats.reclaimed_bytes,
+        "vlog_segments_retired" => vstats.segments_retired,
     })
 }
 
-/// Runs the four-cell sweep (two workloads × inline/vlog), cells in
-/// parallel (each owns an independent simulated disk).
-pub fn run_sweep(scale: &BenchScale) -> Result<Vec<VlogCell>> {
-    let cells: [(&'static str, bool); 4] = [("A", false), ("A", true), ("F", false), ("F", true)];
-    let mut out: Vec<Option<Result<VlogCell>>> = cells.iter().map(|_| None).collect();
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for &(w, v) in &cells {
-            handles.push(s.spawn(move || run_cell(w, v, scale)));
-        }
-        for (slot, h) in out.iter_mut().zip(handles) {
-            *slot = Some(h.join().expect("sweep cell thread panicked"));
-        }
-    });
-    out.into_iter().map(|o| o.expect("joined")).collect()
-}
-
-/// Serialises the sweep as the `BENCH_pr8.json` artifact — one cell per
-/// line, which is how [`cell_value`] finds a cell.
-pub fn sweep_to_json(scale: &BenchScale, cells: &[VlogCell]) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"schema\":\"{VLOG_SCHEMA}\",\"seed\":{},\"sstable\":{},\"records\":{},\"ops\":{},\"clients\":{},\"value_bytes\":{},\"segment_bytes\":{},\"cells\":[",
-        scale.seed,
-        scale.sstable,
-        scale.load_records().max(1),
-        scale.ycsb_ops.max(CLIENTS as u64),
-        CLIENTS,
-        scale.value_size,
-        scale.band_size(),
-    );
-    for (i, c) in cells.iter().enumerate() {
-        s.push_str(if i > 0 { ",\n" } else { "\n" });
-        let _ = write!(
-            s,
-            concat!(
-                "{{\"workload\":\"{}\",\"vlog\":{},\"update_wa\":{:.4},",
-                "\"wa_compaction\":{:.4},\"wa_vlog_gc\":{:.4},",
-                "\"saturation_ops_per_sec\":{:.3},\"serve_ops_per_sec\":{:.3},",
-                "\"p99_ns\":{},\"drain_ns\":{},\"lost_keys\":{},",
-                "\"vlog_appended_bytes\":{},\"vlog_relocated_bytes\":{},",
-                "\"vlog_reclaimed_bytes\":{},\"vlog_segments_retired\":{}}}"
-            ),
-            c.workload,
-            c.vlog,
-            c.update_wa,
-            c.wa_compaction,
-            c.wa_vlog_gc,
-            c.saturation_ops_per_sec,
-            c.serve_ops_per_sec,
-            c.p99_ns,
-            c.drain_ns,
-            c.lost_keys,
-            c.vlog_appended_bytes,
-            c.vlog_relocated_bytes,
-            c.vlog_reclaimed_bytes,
-            c.vlog_segments_retired,
-        );
-    }
-    s.push_str("\n]}\n");
-    s
-}
-
-/// Runs the sweep and returns the artifact as a JSON string.
+/// Runs the four-cell sweep (two workloads × inline/vlog) and returns the
+/// artifact as a JSON string.
 pub fn vlog_sweep(scale: &BenchScale) -> Result<String> {
-    Ok(sweep_to_json(scale, &run_sweep(scale)?))
+    let cells = run_cells(WORKLOADS.len() * 2, |i| {
+        run_cell(WORKLOADS[i / 2], i % 2 == 1, scale)
+    });
+    let doc = row! {
+        "schema" => VLOG_SCHEMA,
+        "seed" => scale.seed,
+        "sstable" => scale.sstable,
+        "records" => scale.load_records().max(1),
+        "ops" => scale.ycsb_ops.max(CLIENTS as u64),
+        "clients" => CLIENTS,
+        "value_bytes" => scale.value_size,
+        "segment_bytes" => scale.band_size(),
+        "cells" => cells.into_iter().collect::<Result<Vec<Row>>>()?,
+    };
+    Ok(doc.to_json())
+}
+
+/// The `(workload, vlog)` cell of a parsed sweep.
+fn cell_of<'a>(cells: &[&'a Row], workload: &str, vlog: bool) -> Option<&'a Row> {
+    let is = |c: &&Row| c.s("workload") == Ok(workload) && c.b("vlog") == Ok(vlog);
+    cells.iter().copied().find(is)
 }
 
 /// Validates a key-value-separation artifact: schema marker, all four
-/// cells, every cell key present the right number of times, no NaN/Inf,
-/// and the headline invariants (vlog update-WA strictly below inline
-/// per workload and at least 2x below on A; a higher sustained knee per
-/// workload; zero lost keys). Returns the problems; empty = valid.
+/// cells, no NaN/Inf, and the headline invariants (vlog update-WA
+/// strictly below inline per workload and at least 2x below on A; a
+/// higher sustained knee per workload; zero lost keys). Returns the
+/// problems; empty = valid.
 pub fn check_vlog_json(content: &str) -> Vec<String> {
-    let mut problems = Vec::new();
-    let marker = format!("\"schema\":\"{VLOG_SCHEMA}\"");
-    if !content.contains(&marker) {
-        problems.push(format!("missing schema marker {marker}"));
-    }
-    for key in [
-        "\"seed\":",
-        "\"clients\":",
-        "\"ops\":",
-        "\"segment_bytes\":",
-    ] {
-        if !content.contains(key) {
-            problems.push(format!("missing key {key}"));
+    artifact::check(content, VLOG_SCHEMA, |doc, problems| {
+        for key in ["seed", "clients", "ops", "segment_bytes"] {
+            doc.u(key)?;
         }
-    }
-    let expected_cells = WORKLOADS.len() * 2;
-    for key in CELL_KEYS {
-        let n = content.matches(&format!("{key}:")).count();
-        if n != expected_cells {
-            problems.push(format!(
-                "key {key} appears {n} times, expected {expected_cells}"
-            ));
-        }
-    }
-    problems.extend(crate::non_finite_tokens(content));
-    // Headline invariants: separation cuts update-WA at every cell (at
-    // least 2x on workload A) and sustains a higher op/s knee.
-    for w in WORKLOADS {
-        let pair = |key: &str| {
-            let of = |v: bool| cell_value(content, w, v, key);
-            of(false).zip(of(true))
-        };
-        match pair("update_wa") {
-            Some((inline, vlog)) => {
-                if vlog >= inline {
-                    problems.push(format!(
-                        "workload {w}: vlog update_wa {vlog} not below inline {inline}"
-                    ));
-                } else if w == "A" && vlog * 2.0 > inline {
-                    problems.push(format!(
-                        "workload A: vlog update_wa {vlog} not 2x below inline {inline}"
-                    ));
+        let cells = doc.rows("cells")?;
+        let expected_cells = WORKLOADS.len() * 2;
+        expect_count(problems, expected_cells, "cells", cells.len());
+        // Headline invariants: separation cuts update-WA at every cell (at
+        // least 2x on workload A) and sustains a higher op/s knee.
+        for w in WORKLOADS {
+            let pair = |key: &str| {
+                let of = |vlog: bool| cell_of(&cells, w, vlog)?.f(key).ok();
+                of(false).zip(of(true))
+            };
+            match pair("update_wa") {
+                Some((inline, vlog)) => {
+                    if vlog >= inline {
+                        problems.push(format!(
+                            "workload {w}: vlog update_wa {vlog} not below inline {inline}"
+                        ));
+                    } else if w == "A" && vlog * 2.0 > inline {
+                        problems.push(format!(
+                            "workload A: vlog update_wa {vlog} not 2x below inline {inline}"
+                        ));
+                    }
                 }
+                None => problems.push(format!("workload {w}: missing inline/vlog update_wa pair")),
             }
-            None => problems.push(format!("workload {w}: missing inline/vlog update_wa pair")),
+            match pair("saturation_ops_per_sec") {
+                Some((inline, vlog)) if vlog <= inline => problems.push(format!(
+                    "workload {w}: vlog knee {vlog} not above inline {inline}"
+                )),
+                Some(_) => {}
+                None => problems.push(format!("workload {w}: missing inline/vlog knee pair")),
+            }
         }
-        match pair("saturation_ops_per_sec") {
-            Some((inline, vlog)) if vlog <= inline => problems.push(format!(
-                "workload {w}: vlog knee {vlog} not above inline {inline}"
-            )),
-            Some(_) => {}
-            None => problems.push(format!("workload {w}: missing inline/vlog knee pair")),
+        for cell in cells {
+            if cell.u("lost_keys")? != 0 {
+                problems.push("artifact reports lost keys".to_string());
+            }
         }
-    }
-    for (i, _) in content.match_indices("\"lost_keys\":") {
-        let rest = &content[i + "\"lost_keys\":".len()..];
-        if !rest.starts_with('0') {
-            problems.push("artifact reports lost keys".to_string());
-        }
-    }
-    problems
-}
-
-/// Pulls one numeric field out of the `(workload, vlog)` cell of a
-/// one-cell-per-line artifact.
-pub fn cell_value(content: &str, workload: &str, vlog: bool, key: &str) -> Option<f64> {
-    let tag = format!("\"workload\":\"{workload}\",\"vlog\":{vlog},");
-    let line = content.lines().find(|l| l.contains(&tag))?;
-    crate::json_nums(line, key).next()
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -381,14 +271,22 @@ mod tests {
         assert!(problems.is_empty(), "artifact invalid: {problems:?}");
     }
 
+    /// One numeric field of the `(workload, vlog)` cell.
+    fn cell_value(content: &str, workload: &str, vlog: bool, key: &str) -> f64 {
+        let doc = artifact::parse(content).unwrap();
+        let cells = doc.rows("cells").unwrap();
+        let cell = cell_of(&cells, workload, vlog).unwrap();
+        cell.f(key).unwrap()
+    }
+
     #[test]
     fn checker_rejects_bad_artifacts() {
         assert!(!check_vlog_json("{}").is_empty());
         let good = artifact();
         // Flipping the invariant must trip the checker: swap the two
         // update_wa values of workload A.
-        let inline = cell_value(good, "A", false, "update_wa").unwrap();
-        let vlog = cell_value(good, "A", true, "update_wa").unwrap();
+        let inline = cell_value(good, "A", false, "update_wa");
+        let vlog = cell_value(good, "A", true, "update_wa");
         let bad = good
             .replace(
                 &format!("\"update_wa\":{inline:.4}"),
@@ -415,7 +313,7 @@ mod tests {
             .iter()
             .any(|p| p.contains("not 2x below inline")));
         // The vlog build of workload F sustaining a lower knee.
-        let knee = cell_value(good, "F", true, "saturation_ops_per_sec").unwrap();
+        let knee = cell_value(good, "F", true, "saturation_ops_per_sec");
         let slow = good.replace(
             &format!("\"saturation_ops_per_sec\":{knee:.3}"),
             "\"saturation_ops_per_sec\":1.000",
@@ -423,5 +321,14 @@ mod tests {
         assert!(check_vlog_json(&slow)
             .iter()
             .any(|p| p.contains("workload F: vlog knee")));
+    }
+
+    /// The hole the line scan had: inline/vlog pairs were located by
+    /// *line*, so the same JSON without its newlines was rejected.
+    #[test]
+    fn committed_artifact_is_one_line_and_valid() {
+        let good = include_str!("../../../BENCH_pr8.json");
+        assert_eq!(good.matches('\n').count(), 1);
+        assert_eq!(check_vlog_json(good), Vec::<String>::new());
     }
 }

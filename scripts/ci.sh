@@ -18,13 +18,27 @@ for arg in "$@"; do
     esac
 done
 
+# Report-only: wall seconds per stage and in total, printed at the end.
+# The north star counts "wall time of ci.sh" — a host-clock figure, so it
+# gates nothing and no file records it.
+stage_report=()
+stage_began=$SECONDS
+stage_done() {
+    stage_report+=("$(printf '%6ds  %s' "$((SECONDS - stage_began))" "$1")")
+    stage_began=$SECONDS
+}
+
 # Report-only: the lines / pub-items yardstick CHANGES.md entries quote.
 scripts/size.sh
 
 cargo fmt --all --check
+stage_done "fmt"
 cargo build --release
+stage_done "release build"
 cargo test -q --workspace
+stage_done "workspace tests"
 cargo clippy --workspace --all-targets -- -D warnings
+stage_done "clippy"
 
 # seal-lint: workspace determinism/recovery-safety/durability-ordering
 # invariants (DESIGN.md §11, §16). Any non-baselined finding is a hard
@@ -41,6 +55,7 @@ grep -q '"rule":"checkpoint-before-pointer"' lint-fixtures-a.json
 grep -q '"rule":"recycle-after-fixups-durable"' lint-fixtures-a.json
 rm -f lint-fixtures-a.json lint-fixtures-b.json
 echo "seal-lint json self-check ok"
+stage_done "seal-lint"
 
 # Runtime half of the ordering contract: the debug-profile crash-point
 # suites run with the OrderingAuditor live (debug_assert!s active), so
@@ -49,6 +64,7 @@ echo "seal-lint json self-check ok"
 # also runs debug, but these suites are the designated ordering oracle —
 # keep them green by name.)
 cargo test -q --test vlog_crash_points --test crash_points --test recovery_hardening
+stage_done "ordering-oracle suites"
 
 # Byte-identity oracle. Every BENCH_pr*.json below is a pure function of
 # the code and its seeds — simulated clock only, no host time — and the
@@ -104,6 +120,7 @@ for row in "${artifacts[@]}"; do
         same_as_committed "$file"
     fi
     "${bench[@]}" "--$flag-check" "$file"
+    stage_done "$file"
 done
 
 # Figure artifacts (--full only; ROADMAP item 4c's nightly mode). The
@@ -123,6 +140,7 @@ if (( full )); then
         exit 1
     fi
     echo "results/ ok: every figure artifact regenerated byte-identically"
+    stage_done "results/ (--full)"
 fi
 
 # seal-perf (benchmark/) is a workspace of its own that binds the crates'
@@ -132,3 +150,8 @@ fi
 # calls. Results land in benchmark/results/ci/ (ignored by git).
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --smoke ci
+stage_done "seal-perf tests + smoke"
+
+echo "ci.sh wall seconds per stage:"
+printf '%s\n' "${stage_report[@]}"
+printf '%6ds  total\n' "$SECONDS"

@@ -6,9 +6,10 @@
 //! ```
 //!
 //! `serve` skips the shell: it runs a small latency-under-load sweep
-//! (multi-client YCSB-A against every main store), prints the latency
-//! table, and with `--metrics-out` writes the same JSON artifact
-//! `seal-bench --serve-out` produces.
+//! (multi-client `WorkloadSpec::serve_mix`, 50% zipfian reads / 50%
+//! inserts, against every main store), prints the latency table, and with
+//! `--metrics-out` writes the same JSON artifact `seal-bench --serve-out`
+//! produces.
 //!
 //! Interactive commands:
 //!
@@ -124,52 +125,60 @@ fn run_serve(args: &[String]) {
     if let Some(seed) = flag("--seed").and_then(|s| s.parse().ok()) {
         scale.seed = seed;
     }
-    println!(
-        "serving sweep: YCSB-A, {} clients, {} preloaded records, {} ops per load point, seed {}",
-        bench::serve_run::CLIENTS,
-        scale.load_records(),
-        scale.ycsb_ops,
-        scale.seed
-    );
-    let sweeps = match bench::serve_run::run_sweep(&scale) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    for sweep in &sweeps {
-        println!(
-            "\n{} — saturation {:.0} op/s (closed loop, zero think time)",
-            sweep.store, sweep.saturation_ops_per_sec
-        );
-        println!(
-            "  {:>11} {:>11} {:>9} {:>9} {:>9} {:>7} {:>7} {:>6}",
-            "offered/s", "served/s", "p50 ms", "p95 ms", "p99 ms", "depth", "stalls", "group"
-        );
-        for p in &sweep.points {
-            let r = &p.result;
-            println!(
-                "  {:>11.0} {:>11.0} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>7} {:>6.2}",
-                p.offered_ops_per_sec,
-                r.throughput_ops_per_sec,
-                r.latency.p50_ns as f64 / 1e6,
-                r.latency.p95_ns as f64 / 1e6,
-                r.latency.p99_ns as f64 / 1e6,
-                r.queue_depth_max,
-                r.stalls.total_count(),
-                r.avg_group_size()
-            );
-        }
+    let doc = bench::serve_run::serve_rows(&scale).unwrap_or_else(|e| {
+        eprintln!("serve sweep failed: {e}");
+        std::process::exit(1);
+    });
+    if let Err(e) = print_sweep(&doc) {
+        eprintln!("serve sweep is malformed: {e}");
+        std::process::exit(1);
     }
     if let Some(path) = flag("--metrics-out") {
-        let json = bench::serve_run::sweep_to_json(&scale, &sweeps);
+        let json = doc.to_json();
         if let Err(e) = std::fs::write(path, &json) {
             eprintln!("cannot write serve artifact {path}: {e}");
             std::process::exit(1);
         }
         println!("\nwrote serve artifact {path} ({} bytes)", json.len());
     }
+}
+
+/// The banner and one latency table per store, read from the same
+/// document `--metrics-out` writes.
+fn print_sweep(doc: &bench::artifact::Row) -> Result<(), String> {
+    println!(
+        "serving sweep: workload {}, {} clients, {} preloaded records, {} ops per load point, seed {}",
+        doc.s("workload")?,
+        doc.u("clients")?,
+        doc.u("records")?,
+        doc.u("ops")?,
+        doc.u("seed")?
+    );
+    for sweep in doc.rows("stores")? {
+        println!(
+            "\n{} — saturation {:.0} op/s (closed loop, zero think time)",
+            sweep.s("store")?,
+            sweep.f("saturation_ops_per_sec")?
+        );
+        println!(
+            "  {:>11} {:>11} {:>9} {:>9} {:>9} {:>7} {:>7} {:>6}",
+            "offered/s", "served/s", "p50 ms", "p95 ms", "p99 ms", "depth", "stalls", "group"
+        );
+        for p in sweep.rows("points")? {
+            println!(
+                "  {:>11.0} {:>11.0} {:>9.3} {:>9.3} {:>9.3} {:>7} {:>7} {:>6.2}",
+                p.f("offered_ops_per_sec")?,
+                p.f("throughput_ops_per_sec")?,
+                p.u("p50_ns")? as f64 / 1e6,
+                p.u("p95_ns")? as f64 / 1e6,
+                p.u("p99_ns")? as f64 / 1e6,
+                p.u("queue_depth_max")?,
+                p.u("stall_slowdowns")? + p.u("stall_stops")? + p.u("stall_memtables")?,
+                p.f("avg_group_size")?
+            );
+        }
+    }
+    Ok(())
 }
 
 fn main() {

@@ -45,7 +45,6 @@ fn sweep_params(scale: &BenchScale) -> VlogParams {
     VlogParams {
         segment_bytes: scale.band_size(),
         value_threshold: 1,
-        ..VlogParams::default()
     }
 }
 

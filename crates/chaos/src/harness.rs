@@ -41,7 +41,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use lsm_core::{Result, ScrubConfig, ScrubReport, WriteBatch};
-use seal_replica::{Cluster, ReplicaConfig};
+use seal_replica::{Cluster, ReplicaConfig, DETECT_TIMEOUT_NS};
 use seal_shard::{ShardCluster, ShardConfig};
 use sealdb::{Store, VlogParams};
 use smr_sim::{ClusterFaultClass, DeviceFaultClass, Extent, FaultPlan};
@@ -276,7 +276,6 @@ fn build_group(cfg: &ChaosConfig, seed: u64, g: usize) -> Result<Cluster> {
     Cluster::new(rc.with_vlog(VlogParams {
         segment_bytes: 32 << 10,
         value_threshold: 64,
-        ..VlogParams::default()
     }))
 }
 
@@ -619,7 +618,7 @@ impl ChaosHarness {
     fn ev_failover(&mut self, g: usize) -> Result<bool> {
         let c = self.cluster.node_mut(g);
         let p = c.primary_index();
-        let detect_end = c.now_ns() + c.config().detect_timeout_ns;
+        let detect_end = c.now_ns() + DETECT_TIMEOUT_NS;
         let replicas = c.config().replicas;
         let promotable = (0..=replicas)
             .any(|i| i != p && c.alive(i) && !c.net_mut().faults().partitioned_at(i, detect_end));

@@ -53,8 +53,6 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Group-commit size cap in batch wire bytes (LevelDB: 1 MiB).
     pub max_group_bytes: usize,
-    /// Whether idle gaps run background compaction steps.
-    pub idle_compaction: bool,
     /// In-request retries for a point read that errors (latent sector
     /// error, corrupt block). Each retry waits `retry_backoff_ns` (then
     /// doubling) of simulated time before reissuing.
@@ -79,13 +77,14 @@ pub struct ServeConfig {
     /// When non-zero and the store has a value log, idle gaps also run
     /// one cooperative GC step with this byte budget
     /// ([`sealdb::Store::vlog_gc_step`]), standing in for the value
-    /// log's background GC thread the same way `idle_compaction` stands
-    /// in for the compaction thread. Zero disables in-flight vlog GC.
+    /// log's background GC thread the same way idle compaction steps
+    /// stand in for the compaction thread. Zero disables in-flight vlog
+    /// GC.
     pub idle_vlog_gc_bytes: u64,
 }
 
 impl ServeConfig {
-    /// A serving run with the default group cap and idle compaction on.
+    /// A serving run with the default group cap.
     pub fn new(
         spec: WorkloadSpec,
         arrival: ArrivalProcess,
@@ -101,7 +100,6 @@ impl ServeConfig {
             arrival,
             seed: 0x5EA1F007,
             max_group_bytes: 1 << 20,
-            idle_compaction: true,
             read_retries: 2,
             retry_backoff_ns: 500_000,
             retry_backoff_max_ns: 8_000_000,
@@ -210,6 +208,11 @@ pub struct ServeResult {
     pub repaired_in_flight: u64,
     /// Value-log GC steps run in idle gaps.
     pub vlog_gc_steps: u64,
+    /// Background steps (GC, compaction, scrub) that failed in an idle
+    /// gap. A background error never ends the run: the foreground meets
+    /// the same fault on its own path, where reads degrade gracefully
+    /// and a write error still surfaces.
+    pub idle_errors: u64,
     /// Operations abandoned by clients that blew their error budget.
     pub abandoned_ops: u64,
     /// Clients that gave up before issuing all their operations.
@@ -475,10 +478,12 @@ fn total_stalls(stores: &[&mut Store]) -> StallStats {
 /// then lets the clock catch up. Any of it may overshoot `until`; the
 /// next request then queues behind it, exactly like a foreground write
 /// behind a busy disk. Returns at once when the store is not idle, so
-/// the two sites that reach it for the same gap do the work once.
-fn idle_until(store: &mut Store, until: u64, cfg: &ServeConfig, r: &mut ServeResult) -> Result<()> {
+/// the two sites that reach it for the same gap do the work once. A
+/// step that fails is counted in [`ServeResult::idle_errors`] and the
+/// gap goes on to the next kind of work.
+fn idle_until(store: &mut Store, until: u64, cfg: &ServeConfig, r: &mut ServeResult) {
     if store.clock_ns() >= until {
-        return Ok(());
+        return;
     }
     // The value log's cooperative GC gets the first slice of the gap:
     // one budgeted step, relocating live values and recycling dead
@@ -487,15 +492,19 @@ fn idle_until(store: &mut Store, until: u64, cfg: &ServeConfig, r: &mut ServeRes
     // ordered the other way, update-heavy traffic starves the value log
     // and dead segments pile up.
     if cfg.idle_vlog_gc_bytes > 0 && store.vlog_gc_pending() {
-        store.vlog_gc_step(cfg.idle_vlog_gc_bytes)?;
-        r.vlog_gc_steps += 1;
+        match store.vlog_gc_step(cfg.idle_vlog_gc_bytes) {
+            Ok(_) => r.vlog_gc_steps += 1,
+            Err(_) => r.idle_errors += 1,
+        }
     }
-    if cfg.idle_compaction {
-        while store.clock_ns() < until && store.needs_compaction() {
-            if !store.compact_step()? {
+    while store.clock_ns() < until && store.needs_compaction() {
+        match store.compact_step() {
+            Ok(true) => r.idle_compactions += 1,
+            Ok(false) => break,
+            Err(_) => {
+                r.idle_errors += 1;
                 break;
             }
-            r.idle_compactions += 1;
         }
     }
     // Spare idle time also advances the scrubber: one budgeted step per
@@ -506,10 +515,12 @@ fn idle_until(store: &mut Store, until: u64, cfg: &ServeConfig, r: &mut ServeRes
             bytes_per_step: cfg.idle_scrub_bytes,
             repair: true,
         };
-        r.repaired_in_flight += store.scrub_step(&scrub_cfg)?.files_repaired;
+        match store.scrub_step(&scrub_cfg) {
+            Ok(report) => r.repaired_in_flight += report.files_repaired,
+            Err(_) => r.idle_errors += 1,
+        }
     }
     store.advance_clock_to(until);
-    Ok(())
 }
 
 fn serve_loop<R: Fn(&[u8]) -> usize>(
@@ -600,7 +611,7 @@ fn serve_loop<R: Fn(&[u8]) -> usize>(
                 Some((t_s, _)) => t_s,
                 None => {
                     for store in stores.iter_mut() {
-                        idle_until(store, t_a, cfg, &mut r)?;
+                        idle_until(store, t_a, cfg, &mut r);
                     }
                     t_a
                 }
@@ -635,7 +646,7 @@ fn serve_loop<R: Fn(&[u8]) -> usize>(
 
         // This store may sit idle until its head arrives (the head was
         // admitted under another queue's later horizon).
-        idle_until(store, queue[0].arrival_ns, cfg, &mut r)?;
+        idle_until(store, queue[0].arrival_ns, cfg, &mut r);
 
         // Serve the head request; a write absorbs queued writes behind
         // it (group commit).
@@ -1232,14 +1243,14 @@ mod tests {
         // closed keyspace proves no pointer ever dangles.
         let gen = RecordGenerator::new(16, 600, 1);
         let n = 400u64;
-        // GC step counts frozen at the commit before the loop became the
-        // one-queue case of `serve_queues`: its two idle sites see the
-        // same gap here and must run the step once, not twice.
-        for (spec, gc_steps) in [(WorkloadSpec::a(), 242), (WorkloadSpec::f(), 174)] {
+        // GC step counts frozen so that the loop's two idle sites, which
+        // see the same gap here, run the step once, not twice. A's was
+        // re-frozen (242 before) when the log went to one append head:
+        // segments now seal in write order, so its victims differ.
+        for (spec, gc_steps) in [(WorkloadSpec::a(), 266), (WorkloadSpec::f(), 174)] {
             let params = sealdb::VlogParams {
                 segment_bytes: 16 << 10,
                 value_threshold: 256,
-                ..Default::default()
             };
             let mut store = StoreConfig::new(StoreKind::SealDb, 32 << 10, 1 << 30)
                 .with_vlog(params)
@@ -1267,6 +1278,92 @@ mod tests {
             // GC relocations must not have broken any pointer.
             for i in 0..n {
                 assert!(store.get(&gen.key(i)).unwrap().is_some(), "key {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_vlog_segments_never_end_a_serving_run() {
+        // Two ways a value-log band goes bad under a read-only serve
+        // with idle GC and idle scrub on: flipped bits (GC frames the
+        // victim itself, meets the bad record and hands the segment to
+        // salvage + quarantine) and a dead region (the GC read errors
+        // until the scrubber condemns the segment; each failed step is
+        // counted). Either way every operation is served.
+        type Plant = fn(&mut smr_sim::FaultPlan, smr_sim::Extent);
+        // 26 records of 12 + 16 + 600 bytes fill a sealed 16 KiB segment:
+        // byte 16 000 is inside the last one, so the salvageable prefix
+        // is every other record of the segment.
+        let flipped_bits: Plant =
+            |faults, seg| faults.corrupt_extent(smr_sim::Extent::new(seg.offset + 16_000, 8));
+        let dead_region: Plant = |faults, seg| faults.fail_reads_permanently(seg);
+        for (plant, gc_errors) in [(flipped_bits, false), (dead_region, true)] {
+            let gen = RecordGenerator::new(16, 600, 1);
+            let n = 400u64;
+            let params = sealdb::VlogParams {
+                segment_bytes: 16 << 10,
+                value_threshold: 256,
+            };
+            let mut store = StoreConfig::new(StoreKind::SealDb, 32 << 10, 1 << 30)
+                .with_vlog(params)
+                .build()
+                .unwrap();
+            // The second pass overwrites half the keys, so sealed
+            // segments hold a mix of live and dead records.
+            fill_random(&mut store, &gen, n, 3).unwrap();
+            fill_random(&mut store, &gen, 200, 4).unwrap();
+            // Damage every other segment.
+            let mut damaged = Vec::new();
+            {
+                let ctx = store.db.ctx();
+                let mut guard = ctx.lock();
+                let segments: Vec<(u64, smr_sim::Extent)> = guard
+                    .fs
+                    .file_extents()
+                    .into_iter()
+                    .filter(|(id, _)| *id >= lsm_core::VLOG_FILE_BASE)
+                    .collect();
+                for (id, ext) in segments.into_iter().step_by(2) {
+                    plant(guard.fs.disk_mut().faults_mut(), ext);
+                    damaged.push(id);
+                }
+            }
+            let readable: Vec<u64> = (0..n).filter(|&i| store.get(&gen.key(i)).is_ok()).collect();
+            assert!(!readable.is_empty() && readable.len() < n as usize);
+
+            let mut cfg = ServeConfig::new(
+                WorkloadSpec::c(),
+                ArrivalProcess::ClosedLoop {
+                    think_ns: 40_000_000,
+                },
+                4,
+                200,
+                n,
+            );
+            cfg.idle_vlog_gc_bytes = 32 << 10;
+            cfg.idle_scrub_bytes = 64 << 10;
+            cfg.client_error_budget = u64::MAX;
+            let r = run_serve(&mut store, &gen, &cfg).expect("background damage ends no run");
+            assert_eq!(r.ops, 200);
+            assert_eq!(
+                r.idle_errors > 0,
+                gc_errors,
+                "{} idle errors",
+                r.idle_errors
+            );
+            // Every damaged band is out of the directory and off the disk...
+            let live = store.vlog.as_ref().unwrap().segment_ids();
+            for id in &damaged {
+                assert!(!live.contains(id), "segment {id} still in service");
+                assert!(!store.db.ctx().lock().fs.has_file(*id), "segment {id}");
+            }
+            // ...and no key that was readable lost its value to the repair.
+            for i in readable {
+                assert_eq!(
+                    store.get(&gen.key(i)).unwrap(),
+                    Some(gen.value(i)),
+                    "key {i}"
+                );
             }
         }
     }

@@ -1,7 +1,9 @@
 //! Shared store context: the file store plus the block and table caches,
-//! behind one lock so table iterators (which outlive any single engine
-//! call) can fetch blocks on demand while the engine keeps ownership
-//! simple.
+//! behind one lock so table iterators can fetch blocks on demand through
+//! the `InternalIterator` methods, which take no context argument. No
+//! iterator escapes an engine call (`scan` returns a `Vec`); the iterators
+//! hold a handle because the trait's signatures give them nothing to
+//! borrow from, not because they outlive the call.
 //!
 //! Locking discipline: nothing holds the context guard across a call that
 //! re-enters the context — every helper locks, performs one disk/cache

@@ -142,11 +142,6 @@ pub struct StallStats {
 }
 
 impl StallStats {
-    /// Total stall events of any kind.
-    pub fn total_count(&self) -> u64 {
-        self.slowdown_count + self.stop_count + self.memtable_count
-    }
-
     /// Total stalled time of any kind, ns.
     pub fn total_ns(&self) -> u64 {
         self.slowdown_ns + self.stop_ns + self.memtable_ns
@@ -743,11 +738,14 @@ impl DbCore {
     /// 3. **Memtable** — with the memtable full (and room in L0), the
     ///    flush itself is what the writer waits on.
     fn make_room_for_write(&mut self) -> Result<()> {
+        /// Simulated delay applied once per write while the slowdown
+        /// trigger is tripped (LevelDB sleeps 1 ms).
+        const SLOWDOWN_PENALTY_NS: u64 = 1_000_000;
         let mut allow_delay = true;
         loop {
             let l0 = self.versions.current().level_file_count(0);
             if allow_delay && l0 >= self.opts.l0_slowdown_trigger {
-                let penalty = self.opts.slowdown_penalty_ns;
+                let penalty = SLOWDOWN_PENALTY_NS;
                 self.ctx.lock().fs.disk_mut().advance_ns(penalty);
                 self.stalls.slowdown_count += 1;
                 self.stalls.slowdown_ns += penalty;
@@ -895,8 +893,12 @@ impl DbCore {
                 self.wal_id = id;
                 self.wal = Some(LogWriter::new());
             }
+            /// Rewrite the manifest as one snapshot record once it
+            /// exceeds this many bytes (keeps the log zone bounded on
+            /// long runs).
+            const MANIFEST_REWRITE_BYTES: u64 = 2 << 20;
             self.versions
-                .maybe_compact_manifest(&mut guard.fs, self.opts.manifest_rewrite_bytes)?;
+                .maybe_compact_manifest(&mut guard.fs, MANIFEST_REWRITE_BYTES)?;
         }
         self.flush_count += 1;
         self.mem = MemTable::new(self.opts.seed.wrapping_add(self.flush_count));

@@ -21,17 +21,14 @@ pub struct Options {
     pub num_levels: usize,
     /// L0 file-count compaction trigger (LevelDB: 4).
     pub l0_compaction_trigger: usize,
-    /// L0 file count at which each write is delayed once by
-    /// `slowdown_penalty_ns` (LevelDB's `kL0_SlowdownWritesTrigger`, 8).
-    /// Only observed in deferred-compaction mode.
+    /// L0 file count at which each write is delayed once, by 1 ms
+    /// (LevelDB's `kL0_SlowdownWritesTrigger`, 8). Only observed in
+    /// deferred-compaction mode.
     pub l0_slowdown_trigger: usize,
     /// L0 file count at which writes stop until compaction brings the
     /// count back down (LevelDB's `kL0_StopWritesTrigger`, 12). Only
     /// observed in deferred-compaction mode.
     pub l0_stop_trigger: usize,
-    /// Simulated delay applied once per write while the slowdown trigger
-    /// is tripped (LevelDB sleeps 1 ms).
-    pub slowdown_penalty_ns: u64,
     /// When true, writes no longer run compactions to quiescence inline.
     /// The write path applies LevelDB's backpressure (slowdown, stop,
     /// memtable-full stalls) and a caller — the serving front-end's idle
@@ -53,9 +50,6 @@ pub struct Options {
     pub table_cache_entries: u64,
     /// Conventional-zone bytes reserved for WAL/manifest logs.
     pub log_zone_bytes: u64,
-    /// Rewrite the manifest as one snapshot record once it exceeds this
-    /// many bytes (keeps the log zone bounded on long runs).
-    pub manifest_rewrite_bytes: u64,
     /// Whether puts are logged to the WAL before being applied.
     pub wal_enabled: bool,
     /// WAL bytes buffered in memory before reaching the disk (models the
@@ -84,7 +78,6 @@ impl Options {
             l0_compaction_trigger: 4,
             l0_slowdown_trigger: 8,
             l0_stop_trigger: 12,
-            slowdown_penalty_ns: 1_000_000,
             deferred_compaction: false,
             level_base_bytes: 10 * sstable_size,
             level_multiplier: 10,
@@ -92,7 +85,6 @@ impl Options {
             block_cache_bytes: 2 * sstable_size,
             table_cache_entries: 1000,
             log_zone_bytes: (16 * sstable_size).max(16 << 20),
-            manifest_rewrite_bytes: 2 << 20,
             wal_enabled: true,
             wal_buffer_bytes: 64 << 10,
             seed: 0x5EA1DB,

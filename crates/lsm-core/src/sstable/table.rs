@@ -462,29 +462,6 @@ impl Table {
         Ok(block)
     }
 
-    /// Point lookup: returns the first entry with internal key >= `ikey`
-    /// if it lives in the block the index points at. The caller checks
-    /// user-key equality and sequence visibility.
-    pub fn get(&self, ctx: &SharedCtx, ikey: &[u8]) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        if self.bloom_excludes(user_key(ikey)) {
-            return Ok(None);
-        }
-        let mut index_iter = self.index.iter();
-        index_iter.seek(ikey);
-        if !index_iter.valid() {
-            return Ok(None);
-        }
-        let (handle, _) = BlockHandle::decode(index_iter.value())?;
-        let block = self.read_block(ctx, handle, IoKind::Get, true)?;
-        let mut it = block.iter();
-        it.seek(ikey);
-        if it.valid() {
-            Ok(Some((it.key().to_vec(), it.value().to_vec())))
-        } else {
-            Ok(None)
-        }
-    }
-
     /// An iterator over the whole table; blocks are fetched lazily and
     /// charged with the supplied `kind` (Scan for user scans,
     /// CompactionRead when driven by a compaction).
@@ -672,6 +649,24 @@ mod tests {
         new_ctx(fs, 8 * MB, 100)
     }
 
+    /// Point lookup the way `DbCore::get_inner` does it: the bloom
+    /// filter, then a seek on a `Get` iterator.
+    fn lookup(
+        table: &Arc<Table>,
+        ctx: &SharedCtx,
+        ikey: &[u8],
+    ) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        if table.bloom_excludes(user_key(ikey)) {
+            return Ok(None);
+        }
+        let mut it = table.iter(Arc::clone(ctx), IoKind::Get);
+        it.seek(ikey);
+        match it.take_error() {
+            Some(e) => Err(e),
+            None => Ok(it.valid().then(|| (it.key().to_vec(), it.value().to_vec()))),
+        }
+    }
+
     #[test]
     fn build_and_scan_all() {
         let data = build_table(500);
@@ -688,10 +683,10 @@ mod tests {
         let data = build_table(500);
         let size = data.len() as u64;
         let ctx = ctx_with_file(&data);
-        let table = Table::open(&ctx, 1, size).unwrap();
+        let table = Arc::new(Table::open(&ctx, 1, size).unwrap());
         for i in [0usize, 1, 250, 498, 499] {
             let lk = types::lookup_key(format!("key{i:06}").as_bytes(), MAX_SEQUENCE);
-            let (k, v) = table.get(&ctx, &lk).unwrap().expect("found");
+            let (k, v) = lookup(&table, &ctx, &lk).unwrap().expect("found");
             assert_eq!(user_key(&k), format!("key{i:06}").as_bytes());
             assert_eq!(v, format!("value{i:06}").as_bytes());
         }
@@ -699,7 +694,7 @@ mod tests {
         let before = ctx.lock().fs.disk().stats().kind(IoKind::Get).ops;
         let lk = types::lookup_key(b"zzz-absent", MAX_SEQUENCE);
         assert!(table.bloom_excludes(b"zzz-absent"));
-        assert!(table.get(&ctx, &lk).unwrap().is_none());
+        assert!(lookup(&table, &ctx, &lk).unwrap().is_none());
         let after = ctx.lock().fs.disk().stats().kind(IoKind::Get).ops;
         assert_eq!(before, after, "bloom miss must avoid block reads");
     }
@@ -708,10 +703,10 @@ mod tests {
     fn image_reader_matches_device_reader_without_meta_reads() {
         let data = build_table(500);
         let ctx = ctx_with_file(&data);
-        let from_image = Table::from_image(1, &data).unwrap();
+        let from_image = Arc::new(Table::from_image(1, &data).unwrap());
         let meta = |ctx: &SharedCtx| ctx.lock().fs.disk().stats().kind(IoKind::Meta).ops;
         assert_eq!(meta(&ctx), 0, "an image reader costs no device read");
-        let from_device = Table::open(&ctx, 1, data.len() as u64).unwrap();
+        let from_device = Arc::new(Table::open(&ctx, 1, data.len() as u64).unwrap());
         assert_eq!(meta(&ctx), 3, "footer + index + filter");
         assert_eq!(from_image.file_size(), from_device.file_size());
         for key in ["key000000", "key000250", "key000499", "key0002505", "zzz"] {
@@ -722,8 +717,8 @@ mod tests {
                 "{key}"
             );
             assert_eq!(
-                from_image.get(&ctx, &lk).unwrap(),
-                from_device.get(&ctx, &lk).unwrap(),
+                lookup(&from_image, &ctx, &lk).unwrap(),
+                lookup(&from_device, &ctx, &lk).unwrap(),
                 "{key}"
             );
         }
@@ -786,11 +781,11 @@ mod tests {
         let data = build_table(500);
         let size = data.len() as u64;
         let ctx = ctx_with_file(&data);
-        let table = Table::open(&ctx, 1, size).unwrap();
+        let table = Arc::new(Table::open(&ctx, 1, size).unwrap());
         let lk = types::lookup_key(b"key000250", MAX_SEQUENCE);
-        table.get(&ctx, &lk).unwrap().unwrap();
+        lookup(&table, &ctx, &lk).unwrap().unwrap();
         let ops_after_first = ctx.lock().fs.disk().stats().kind(IoKind::Get).ops;
-        table.get(&ctx, &lk).unwrap().unwrap();
+        lookup(&table, &ctx, &lk).unwrap().unwrap();
         let ops_after_second = ctx.lock().fs.disk().stats().kind(IoKind::Get).ops;
         assert_eq!(ops_after_first, ops_after_second);
     }
@@ -812,9 +807,9 @@ mod tests {
         data[10] ^= 0xFF;
         let size = data.len() as u64;
         let ctx = ctx_with_file(&data);
-        let table = Table::open(&ctx, 1, size).unwrap();
+        let table = Arc::new(Table::open(&ctx, 1, size).unwrap());
         let lk = types::lookup_key(b"key000000", MAX_SEQUENCE);
-        let err = table.get(&ctx, &lk).unwrap_err();
+        let err = lookup(&table, &ctx, &lk).unwrap_err();
         let msg = format!("{err}");
         assert!(msg.contains("file 1"), "{msg}");
         assert!(msg.contains("offset 0"), "{msg}");
@@ -888,10 +883,8 @@ mod tests {
         let data = b.finish();
         assert!(matches!(scan_all(&data), Err(Error::Corruption(_))));
         let ctx = ctx_with_file(&data);
-        let table = Table::open(&ctx, 1, data.len() as u64).unwrap();
-        let err = table
-            .get(&ctx, &types::lookup_key(b"k", MAX_SEQUENCE))
-            .unwrap_err();
+        let table = Arc::new(Table::open(&ctx, 1, data.len() as u64).unwrap());
+        let err = lookup(&table, &ctx, &types::lookup_key(b"k", MAX_SEQUENCE)).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)), "{err}");
     }
 

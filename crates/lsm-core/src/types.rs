@@ -85,11 +85,6 @@ pub fn try_parse_trailer(ikey: &[u8]) -> crate::error::Result<(SequenceNumber, V
     Ok((packed >> 8, ty))
 }
 
-/// Sequence number embedded in an internal key.
-pub fn sequence_of(ikey: &[u8]) -> SequenceNumber {
-    parse_trailer(ikey).0
-}
-
 /// Orders internal keys: ascending user key, then *descending* sequence
 /// (so the newest version of a key sorts first), then descending type.
 pub fn internal_compare(a: &[u8], b: &[u8]) -> Ordering {

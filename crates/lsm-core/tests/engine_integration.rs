@@ -156,21 +156,19 @@ fn block_cache_hit_rate_improves_repeat_scans() {
 }
 
 #[test]
-fn lookup_key_semantics_through_table_get() {
+fn lookup_key_semantics_through_a_table_seek() {
     let mut db = open_db(16 << 10);
     db.put(b"alpha", b"1").unwrap();
     db.flush().unwrap();
     let version = db.current_version();
     let f = version.files[0][0].clone();
     let table = get_table(db.ctx(), f.id, f.size).unwrap();
-    let hit = table
-        .get(db.ctx(), &lookup_key(b"alpha", MAX_SEQUENCE))
-        .unwrap()
-        .expect("present");
-    assert_eq!(user_key(&hit.0), b"alpha");
-    assert_eq!(hit.1, b"1");
-    assert!(table
-        .get(db.ctx(), &lookup_key(b"zzz", MAX_SEQUENCE))
-        .unwrap()
-        .is_none());
+    let mut it = table.iter(db.ctx().clone(), IoKind::Get);
+    it.seek(&lookup_key(b"alpha", MAX_SEQUENCE));
+    assert!(it.valid(), "present");
+    assert_eq!(user_key(it.key()), b"alpha");
+    assert_eq!(it.value(), b"1");
+    it.seek(&lookup_key(b"zzz", MAX_SEQUENCE));
+    assert!(!it.valid());
+    assert!(it.take_error().is_none());
 }

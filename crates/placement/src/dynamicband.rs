@@ -90,11 +90,6 @@ impl DynamicBandAlloc {
             .collect()
     }
 
-    /// Fenced (quarantined) extents, sorted by offset.
-    pub fn fenced_extents(&self) -> &[Extent] {
-        &self.fenced
-    }
-
     /// Inserts `ext` into the free pool, dropping any parts that overlap
     /// a fenced region.
     fn insert_unfenced(&mut self, ext: Extent) {

@@ -81,11 +81,6 @@ impl Ext4Sim {
         }
     }
 
-    /// Number of block groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Block-group size in bytes.
     pub fn group_size(&self) -> u64 {
         self.group_size

@@ -90,6 +90,9 @@ impl AckPolicy {
     }
 }
 
+/// Time from a primary kill to the cluster noticing it, ns.
+pub const DETECT_TIMEOUT_NS: u64 = 10_000_000;
+
 /// Configuration of one replication cluster.
 #[derive(Clone, Debug)]
 pub struct ReplicaConfig {
@@ -113,8 +116,6 @@ pub struct ReplicaConfig {
     /// Per-message drop probability, permille (drops delay via
     /// retransmit, they never lose frames).
     pub drop_permille: u64,
-    /// Time from a primary kill to the cluster noticing it, ns.
-    pub detect_timeout_ns: u64,
     /// Under [`AckPolicy::PrimaryOnly`], ship after this many buffered
     /// writes.
     pub ship_every: usize,
@@ -145,7 +146,6 @@ impl ReplicaConfig {
             disk_capacity,
             link_latency_ns: 1_000_000,
             drop_permille: 0,
-            detect_timeout_ns: 10_000_000,
             ship_every: 8,
             retry_backoff_ns: 500_000,
             retry_backoff_max_ns: 8_000_000,
@@ -784,7 +784,7 @@ impl Cluster {
     }
 
     fn failover(&mut self, kill_ns: u64) -> Result<FailoverReport> {
-        let detect_ns = self.cfg.detect_timeout_ns;
+        let detect_ns = DETECT_TIMEOUT_NS;
         let detect_end = kill_ns + detect_ns;
         // Voters: live replicas reachable at detection time. A
         // partitioned replica cannot be fenced, so it cannot be
@@ -1301,7 +1301,6 @@ mod tests {
         let mut conf = cfg(2).with_vlog(sealdb::VlogParams {
             segment_bytes: 32 << 10,
             value_threshold: 64,
-            ..sealdb::VlogParams::default()
         });
         conf.ack = AckPolicy::All;
         let mut c = Cluster::new(conf).unwrap();
@@ -1330,42 +1329,64 @@ mod tests {
         // cluster-level GC step must replicate that range (as original
         // values, rewritten through each replica's own log) — running
         // store-level GC instead would leave a sequence gap that makes
-        // every later frame unappliable.
-        let conf = cfg(2).with_vlog(sealdb::VlogParams {
-            segment_bytes: 8 << 10,
-            value_threshold: 64,
-            ..sealdb::VlogParams::default()
-        });
-        let mut c = Cluster::new(conf).unwrap();
-        // Several overwrite rounds: sealed segments fill with dead
-        // records, leaving live survivors for GC to relocate.
-        for round in 0..6u32 {
-            for i in 0..40u32 {
-                c.put(&key(i), &vec![(round + 1) as u8; 512]).unwrap();
+        // every later frame unappliable. The same holds when GC finds
+        // its victim damaged and salvages it instead of draining it.
+        for damaged in [false, true] {
+            let conf = cfg(2).with_vlog(sealdb::VlogParams {
+                segment_bytes: 8 << 10,
+                value_threshold: 64,
+            });
+            let mut c = Cluster::new(conf).unwrap();
+            // Several overwrite rounds: sealed segments fill with dead
+            // records, leaving live survivors for GC to relocate.
+            for round in 0..6u32 {
+                for i in 0..40u32 {
+                    c.put(&key(i), &vec![(round + 1) as u8; 512]).unwrap();
+                }
+            }
+            c.primary_store_mut().flush().unwrap();
+            if damaged {
+                // 532-byte records, 15 to a segment: segment 13 holds
+                // five dead records, then the live keys 0..=9. Flipped
+                // bits in its eleventh record leave keys 0..=4 to
+                // salvage and lose keys 5..=9 on the primary.
+                let ctx = c.primary_store_mut().db.ctx();
+                let mut guard = ctx.lock();
+                let seg = guard.fs.file_extent(lsm_core::VLOG_FILE_BASE + 13).unwrap();
+                guard
+                    .fs
+                    .disk_mut()
+                    .faults_mut()
+                    .corrupt_extent(smr_sim::Extent::new(seg.offset + 5500, 8));
+            }
+            let before = c.primary_store_mut().last_sequence();
+            let mut steps = 0u32;
+            while c.vlog_gc_step(1 << 20).unwrap() {
+                steps += 1;
+                assert!(steps < 256, "GC never drained");
+            }
+            let after = c.primary_store_mut().last_sequence();
+            assert_eq!(
+                after - before,
+                if damaged { 5 } else { 10 },
+                "fixups for the live records GC could read"
+            );
+            // Later writes still apply everywhere and the nodes agree on
+            // the full logical state — the fixup range shipped cleanly.
+            for i in 100..110u32 {
+                c.put(&key(i), &value(i)).unwrap();
+            }
+            c.advance_ns(50_000_000).unwrap();
+            assert_eq!(c.durable_seq(1), c.primary_store_mut().last_sequence());
+            let h1 = c.state_hash_of(1).unwrap();
+            assert_eq!(h1, c.state_hash_of(2).unwrap());
+            if damaged {
+                // The primary fails closed on what it lost.
+                assert!(c.get_of(0, &key(7)).is_err());
+            } else {
+                assert_eq!(h1, c.state_hash_of(0).unwrap());
             }
         }
-        c.primary_store_mut().flush().unwrap();
-        let before = c.primary_store_mut().last_sequence();
-        let mut steps = 0u32;
-        while c.vlog_gc_step(1 << 20).unwrap() {
-            steps += 1;
-            assert!(steps < 256, "GC never drained");
-        }
-        let after = c.primary_store_mut().last_sequence();
-        assert!(
-            after > before,
-            "GC relocated nothing; the test exercised no fixups"
-        );
-        // Later writes still apply everywhere and all nodes agree on
-        // the full logical state — the fixup range shipped cleanly.
-        for i in 100..110u32 {
-            c.put(&key(i), &value(i)).unwrap();
-        }
-        c.advance_ns(50_000_000).unwrap();
-        assert_eq!(c.durable_seq(1), c.primary_store_mut().last_sequence());
-        let h0 = c.state_hash_of(0).unwrap();
-        assert_eq!(h0, c.state_hash_of(1).unwrap());
-        assert_eq!(h0, c.state_hash_of(2).unwrap());
     }
 
     #[test]

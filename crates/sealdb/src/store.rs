@@ -445,6 +445,13 @@ impl Store {
         else {
             return Ok(None);
         };
+        if scan.damaged.is_some() {
+            // The victim cannot be drained past its bad record: it goes
+            // the way of a segment the scrubber condemned.
+            return self
+                .vlog_salvage_and_quarantine(scan.segment, &mut ScrubReport::default())
+                .map(Some);
+        }
         // While the log's dead-record accounting is exact (no reopen
         // since the log was created), every scan entry is provably live
         // and the per-entry LSM point lookup — a head seek each on a
@@ -746,11 +753,16 @@ impl Store {
     /// Drains what is still readable out of a damaged segment, fixes up
     /// the salvaged pointers durably, then fences the band. Records past
     /// the first corrupt one are lost; their pointers serve degraded
-    /// (fail-closed reads) from here on.
-    fn vlog_salvage_and_quarantine(&mut self, seg: u64, report: &mut ScrubReport) -> Result<()> {
-        let Some(vlog) = self.vlog.as_mut() else {
-            return Ok(());
-        };
+    /// (fail-closed reads) from here on. Returns what the salvage
+    /// relocated, unfinished because nothing is left to retire: its
+    /// fixups consumed sequence numbers a replication primary must ship
+    /// like a GC step's.
+    fn vlog_salvage_and_quarantine(
+        &mut self,
+        seg: u64,
+        report: &mut ScrubReport,
+    ) -> Result<GcRelocation> {
+        let vlog = self.vlog.as_mut().expect("caller checked vlog");
         let entries = self.db.with_fs_and_policy(|fs, _| {
             // Seal first: salvage relocation must not append into the
             // very band about to be fenced.
@@ -764,7 +776,8 @@ impl Store {
         }
         let mut fixups = WriteBatch::new();
         let mut ptr_segments: Vec<u64> = Vec::new();
-        for entry in &entries {
+        let mut salvaged: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        for entry in entries {
             let live = match self.db.get(&entry.key)? {
                 Some(stored) => {
                     matches!(decode_stored(&stored), Ok(StoredValue::Pointer(p)) if p == entry.ptr)
@@ -780,6 +793,7 @@ impl Store {
             ptr_segments.push(new_ptr.segment);
             fixups.put(&entry.key, &encode_pointer(new_ptr));
             report.blocks_corrected += 1;
+            salvaged.push((entry.key, entry.value));
         }
         // Commit the segment directory *before* the fixup pointers reach
         // the WAL: relocation may have opened a new band, and a crash
@@ -793,6 +807,7 @@ impl Store {
                 a.record_checkpoint_commit(self.db.clock_ns(), &vlog.segment_ids());
             }
         }
+        let first_seq = self.db.last_sequence() + 1;
         if !fixups.is_empty() {
             if let Some(a) = self.ord_audit.as_mut() {
                 let now = self.db.clock_ns();
@@ -824,7 +839,13 @@ impl Store {
                 a.record_checkpoint_commit(self.db.clock_ns(), &vlog.segment_ids());
             }
         }
-        Ok(())
+        Ok(GcRelocation {
+            victim: seg,
+            finished: false,
+            entries: salvaged,
+            first_seq,
+            error: None,
+        })
     }
 
     /// Scrubs every live table once (see [`DbCore::scrub_full`]).
@@ -1325,14 +1346,9 @@ mod tests {
             seal_vlog::VlogParams {
                 segment_bytes: 32 << 10,
                 value_threshold: 64,
-                ..seal_vlog::VlogParams::default()
             },
         );
         let mut s = cfg.build().unwrap();
-        // Two writes per key: the second crosses the hotness threshold,
-        // so every key's live version lands in a *sealed-to-be* hot
-        // segment (write-once keys would sit in the forever-open cold
-        // head, out of the GC's reach).
         for round in 0..2u64 {
             for i in 0..60u64 {
                 let key = format!("k{i:03}");
@@ -1341,7 +1357,7 @@ mod tests {
             }
         }
         // Churn a subset: keys k000..k009 are never written again, so
-        // their live records sit in hot segments otherwise full of
+        // their live records sit in segments otherwise full of
         // garbage — the scan must relocate them and write fixups.
         for round in 0..4u64 {
             for i in 10..60u64 {

@@ -111,11 +111,6 @@ impl FaultPlan {
         self.power_lost = false;
     }
 
-    /// True while a torn write is armed or has fired.
-    pub fn torn_write_pending(&self) -> bool {
-        self.torn_countdown.is_some() || self.power_lost
-    }
-
     /// Registers an extent whose future reads return seeded bit-flips.
     pub fn corrupt_extent(&mut self, ext: Extent) {
         if !ext.is_empty() {

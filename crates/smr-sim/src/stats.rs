@@ -193,11 +193,6 @@ impl IoStats {
         self.by_kind.iter().map(|c| c.device_written).sum()
     }
 
-    /// Total bytes the device physically read, all kinds.
-    pub fn device_read_total(&self) -> u64 {
-        self.by_kind.iter().map(|c| c.device_read).sum()
-    }
-
     /// Bytes written by the LSM-tree itself (flush + compaction outputs):
     /// the numerator of the compaction-WA component.
     pub fn lsm_written(&self) -> u64 {

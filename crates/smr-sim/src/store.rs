@@ -32,11 +32,6 @@ impl SparseStore {
         self.chunks.len()
     }
 
-    /// Bytes of backing memory currently allocated.
-    pub fn resident_bytes(&self) -> u64 {
-        (self.chunks.len() * CHUNK_SIZE) as u64
-    }
-
     /// Writes `data` starting at byte `offset`.
     pub fn write(&mut self, offset: u64, data: &[u8]) {
         let mut pos = offset;

@@ -51,11 +51,6 @@ impl TraceRecorder {
         self.enabled = enabled;
     }
 
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one event if enabled.
     pub fn record(&mut self, tag: u64, file: u64, ext: Extent, dir: TraceDir, kind: IoKind) {
         if self.enabled {

@@ -35,7 +35,6 @@ pub struct Zipfian {
     theta: f64,
     alpha: f64,
     zetan: f64,
-    zeta2: f64,
     eta: f64,
 }
 
@@ -56,7 +55,6 @@ impl Zipfian {
             theta,
             alpha,
             zetan,
-            zeta2,
             eta,
         }
     }
@@ -72,16 +70,6 @@ impl Zipfian {
         }
         let v = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         v.min(self.n - 1)
-    }
-
-    /// Number of items.
-    pub fn item_count(&self) -> u64 {
-        self.n
-    }
-
-    /// The zeta(2)/zeta(n) pair (exposed for testing).
-    pub fn zetas(&self) -> (f64, f64) {
-        (self.zeta2, self.zetan)
     }
 }
 

@@ -185,13 +185,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// The same workload paced at `ops_per_sec` per client (selects the
-    /// front-end's open-loop Poisson arrivals).
-    pub fn with_rate(mut self, ops_per_sec: f64) -> Self {
-        self.ops_per_sec = ops_per_sec;
-        self
-    }
-
     /// The six workloads of the paper's Fig. 9, in order.
     pub fn all() -> Vec<WorkloadSpec> {
         vec![
@@ -427,7 +420,6 @@ mod tests {
             let params = sealdb::VlogParams {
                 segment_bytes: 16 << 10,
                 value_threshold: 256,
-                ..Default::default()
             };
             let mut store = StoreConfig::new(StoreKind::SealDb, 32 << 10, 1 << 30)
                 .with_vlog(params)

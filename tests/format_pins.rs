@@ -11,7 +11,7 @@ use lsm_core::sstable::{TableBuilder, TableOptions};
 use lsm_core::types::{make_internal_key, ValueType};
 use lsm_core::util::rng::XorShift64;
 use lsm_core::LogWriter;
-use sealdb::{StoreConfig, StoreKind};
+use sealdb::{StoreConfig, StoreKind, ValueLog, VlogParams};
 use workloads::{OpStream, WorkloadSpec, YcsbOp};
 
 fn fnv1a(data: &[u8]) -> u64 {
@@ -110,6 +110,49 @@ fn store_metrics_after_fixed_run_are_pinned() {
         (json.len(), fnv1a(json.as_bytes())),
         (2222, 0xbb35_b027_ecdf_3dac),
         "metrics snapshot moved"
+    );
+}
+
+/// The value log's segment directory as the manifest carries it
+/// (checkpoint version 2: one active slot, a sealed bit per segment) for
+/// a fixed three-segment log — two sealed bands and the open head.
+#[test]
+fn vlog_checkpoint_blob_is_pinned() {
+    let params = VlogParams {
+        segment_bytes: 32 << 10,
+        value_threshold: 64,
+    };
+    let mut store = StoreConfig::new(StoreKind::SealDb, 16 << 10, 256 << 20)
+        .with_vlog(params)
+        .build()
+        .expect("store builds");
+    // 1 026-byte records, 31 to a segment: 70 of them open a third.
+    for i in 0..70u8 {
+        let key = format!("user{i:010}");
+        store.put(key.as_bytes(), &[i; 1000]).expect("put");
+    }
+    let blob = store.vlog.as_ref().expect("vlog on").checkpoint();
+    assert_eq!(
+        (blob.len(), fnv1a(&blob)),
+        (34, 0xcfa4_073c_8b4f_c405),
+        "{blob:?}"
+    );
+    let mut recover = |blob: &[u8]| {
+        let mut log = ValueLog::new(params);
+        store
+            .db
+            .with_fs_and_policy(|fs, policy| log.recover(fs, policy, Some(blob)))
+    };
+    assert_eq!(recover(&blob).expect("version 2").segments_recovered, 3);
+    // A version-1 blob (two active slots, a hot flag) is an unknown
+    // version like any other: no store outlives a process, so nothing
+    // was ever written that needs migrating.
+    let mut v1 = blob.clone();
+    v1[0] = 1;
+    let err = recover(&v1).expect_err("version 1 rejected").to_string();
+    assert!(
+        err.contains("unknown value-log checkpoint version"),
+        "{err}"
     );
 }
 

@@ -16,7 +16,6 @@ fn vlog_store(seed: u64) -> Store {
     let mut cfg = StoreConfig::new(StoreKind::SealDb, 16 << 10, 512 << 20).with_vlog(VlogParams {
         segment_bytes: 32 << 10,
         value_threshold: 64,
-        ..VlogParams::default()
     });
     cfg.seed = seed;
     cfg.build().unwrap()

@@ -5,7 +5,8 @@
 //! saturation throughput, then open-loop Poisson points at fractions and
 //! multiples of it trace the latency-vs-offered-load curve — throughput
 //! plateaus at the knee while p99 and queue depth climb, and past the
-//! knee the L0 slowdown/stop triggers surface as stall counts. Every
+//! knee the L0 slowdown trigger surfaces as stall counts (the stop
+//! trigger must not: compaction in the slowdown sleep holds L0). Every
 //! point runs on a freshly preloaded store so no state leaks between
 //! load levels, and everything rides the simulated clock: two same-seed
 //! sweeps serialize byte-identically.
@@ -116,8 +117,9 @@ pub fn serve_sweep(scale: &BenchScale) -> Result<String> {
 
 /// Validates a serving artifact: schema marker, one sweep per main
 /// store with every load point, no NaN/Inf anywhere — and, for a sweep
-/// at the canonical `--serving` scale, the headline property: SEALDB
-/// sustains the highest saturation throughput of the stores swept.
+/// at the canonical `--serving` scale, the headline properties: SEALDB
+/// sustains the highest saturation throughput of the stores swept, and
+/// no store stops a write at any load point.
 /// Returns the list of problems; empty means valid.
 pub fn check_serve_json(content: &str) -> Vec<String> {
     artifact::check(content, SERVE_SCHEMA, |doc, problems| {
@@ -129,20 +131,31 @@ pub fn check_serve_json(content: &str) -> Vec<String> {
             stores.len(),
         );
         let mut sats = Vec::new();
+        let mut stops = Vec::new();
         for sweep in stores {
             let store = sweep.s("store")?;
             sats.push((store, sweep.f("saturation_ops_per_sec")?));
-            let points = sweep.rows("points")?.len();
+            let points = sweep.rows("points")?;
+            for p in &points {
+                stops.push((store, p.f("offered_ops_per_sec")?, p.u("stall_stops")?));
+            }
             let what = format!("points of store {store}");
-            expect_count(problems, LOAD_MULTIPLIERS.len(), &what, points);
+            expect_count(problems, LOAD_MULTIPLIERS.len(), &what, points.len());
         }
         doc.u("seed")?;
         doc.u("clients")?;
-        // The headline property is claimed — and so gated — at the canonical
-        // `--serving` scale; a smaller sweep does not climb the L0 ladder far
-        // enough for set-aware compaction to decide the ranking.
+        // The headline properties are claimed — and so gated — at the
+        // canonical `--serving` scale; a smaller sweep does not climb the L0
+        // ladder far enough for set-aware compaction to decide the ranking.
         let scale = (doc.u("sstable")?, doc.u("records")?, doc.u("ops")?);
         if scale == swept_at(&BenchScale::serving()) {
+            // Compaction in the writers' slowdown sleep keeps L0 off the
+            // stop trigger at every offered load, overload included.
+            for &(store, offered, n) in stops.iter().filter(|&&(_, _, n)| n > 0) {
+                problems.push(format!(
+                    "{store} stopped writes {n} times at {offered:.3} ops/s offered"
+                ));
+            }
             let sealdb = StoreKind::SealDb.name();
             if let Some(&(_, best)) = sats.iter().find(|(store, _)| *store == sealdb) {
                 for &(store, sat) in sats.iter().filter(|(store, _)| *store != sealdb) {
@@ -252,5 +265,10 @@ mod tests {
         assert!(check_serve_json(&slower)
             .iter()
             .any(|p| p.contains("not highest: LevelDB")));
+        // ...and so that one point stopped writes.
+        let stopped = good.replacen("\"stall_stops\":0", "\"stall_stops\":4", 1);
+        assert!(check_serve_json(&stopped)
+            .iter()
+            .any(|p| p.contains("stopped writes 4 times")));
     }
 }

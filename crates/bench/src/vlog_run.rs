@@ -96,7 +96,7 @@ fn run_cell(workload: &str, with_vlog: bool, scale: &BenchScale) -> Result<Row> 
     // segments sealed so far (bounded — endless laps would churn live
     // data forever, which no real collector does).
     let drain_start = store.clock_ns();
-    while store.needs_compaction() && store.compact_step()? {}
+    store.compact_until(u64::MAX, &mut 0)?;
     let gc_budget = scale.band_size();
     let lap = store.vlog.as_ref().map_or(0, |v| v.segment_count() as u64);
     let retired_before = store
@@ -112,7 +112,7 @@ fn run_cell(workload: &str, with_vlog: bool, scale: &BenchScale) -> Result<Row> 
             < lap
     {
         store.vlog_gc_step(gc_budget)?;
-        while store.needs_compaction() && store.compact_step()? {}
+        store.compact_until(u64::MAX, &mut 0)?;
     }
     let drain_ns = store.clock_ns() - drain_start;
 

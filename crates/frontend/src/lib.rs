@@ -26,8 +26,9 @@
 //! * **Write backpressure** — the store runs in deferred-compaction
 //!   mode, so L0 slowdown/stop triggers and memtable-full stalls hit
 //!   the serving path exactly as they would a real writer, and the
-//!   front-end drives [`sealdb::Store::compact_step`] during idle gaps,
-//!   standing in for the background compaction thread.
+//!   front-end drives [`sealdb::Store::compact_until`] during idle gaps,
+//!   standing in for the background compaction thread (which the store
+//!   itself also runs while a slowed-down writer sleeps).
 
 use lsm_core::{Result, ScrubConfig, StallStats, WriteBatch};
 use sealdb::Store;
@@ -53,9 +54,10 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Group-commit size cap in batch wire bytes (LevelDB: 1 MiB).
     pub max_group_bytes: usize,
-    /// In-request retries for a point read that errors (latent sector
-    /// error, corrupt block). Each retry waits `retry_backoff_ns` (then
-    /// doubling) of simulated time before reissuing.
+    /// In-request retries for a read — point get or range scan — that
+    /// errors (latent sector error, corrupt block). Each retry waits
+    /// `retry_backoff_ns` (then doubling) of simulated time before
+    /// reissuing.
     pub read_retries: u32,
     /// Backoff before the first read retry, ns; doubles per retry up to
     /// [`ServeConfig::retry_backoff_max_ns`].
@@ -65,10 +67,10 @@ pub struct ServeConfig {
     /// single wait past the sweep horizon. Values below
     /// `retry_backoff_ns` clamp up to it.
     pub retry_backoff_max_ns: u64,
-    /// Failed point reads a client tolerates before giving up and
+    /// Failed operations a client tolerates before giving up and
     /// abandoning the rest of its operations (degraded-mode SLO: a
     /// client facing a broken shard walks away rather than hammering
-    /// it). Failed reads are served as misses either way.
+    /// it). Failed reads are served empty either way.
     pub client_error_budget: u64,
     /// When non-zero, idle gaps also run one scrub step with this byte
     /// budget, so repair proceeds under load in the space compaction
@@ -198,11 +200,11 @@ pub struct ServeResult {
     pub hits: u64,
     /// Point reads that missed.
     pub misses: u64,
-    /// Point reads that succeeded only after at least one in-request
-    /// retry (the request was served, but degraded).
+    /// Reads (point or scan) that succeeded only after at least one
+    /// in-request retry (the request was served, but degraded).
     pub degraded_reads: u64,
-    /// Point reads that exhausted their retry budget and were served as
-    /// misses.
+    /// Reads (point or scan) that exhausted their retry budget and were
+    /// served empty: a point read as a miss, a scan with no rows.
     pub failed_reads: u64,
     /// Files the in-flight scrubber repaired during idle gaps.
     pub repaired_in_flight: u64,
@@ -270,13 +272,23 @@ struct Request {
     op: Op,
 }
 
-/// What the degraded read path observed for one point read.
-struct ReadOutcome {
-    value: Option<Vec<u8>>,
+/// What the degraded read path observed for one read.
+struct ReadOutcome<T> {
+    value: T,
     /// Served, but only after at least one retry.
     retried: bool,
-    /// Retry budget exhausted; served as a miss.
+    /// Retry budget exhausted; served empty (a miss, or no rows).
     failed: bool,
+}
+
+impl<T> ReadOutcome<T> {
+    /// Counts this read into `r`'s degraded / failed tallies and returns
+    /// the failure events it adds to its operation.
+    fn tally(&self, r: &mut ServeResult) -> u32 {
+        r.degraded_reads += u64::from(self.retried);
+        r.failed_reads += u64::from(self.failed);
+        u32::from(self.failed)
+    }
 }
 
 /// Whether merging `next` into the group led by `head` keeps the merged
@@ -359,16 +371,20 @@ impl ClientBudget {
     }
 }
 
-/// A point read that survives device faults: on error, back off on the
-/// simulated clock (doubling, capped at `cfg.retry_backoff_max_ns`) and
-/// reissue, up to `cfg.read_retries` times. A read that keeps failing
-/// is served as a miss rather than tearing down the serving loop —
-/// availability degrades, the server stays up, and the scrubber repairs
-/// the damage out-of-band.
-fn degraded_get(store: &mut Store, cfg: &ServeConfig, key: &[u8]) -> ReadOutcome {
+/// A read — point or range — that survives device faults: on error,
+/// back off on the simulated clock (doubling, capped at
+/// `cfg.retry_backoff_max_ns`) and reissue, up to `cfg.read_retries`
+/// times. A read that keeps failing is served empty (a miss, no rows)
+/// rather than tearing down the serving loop — availability degrades,
+/// the server stays up, and the scrubber repairs the damage out-of-band.
+fn degraded_read<T: Default>(
+    store: &mut Store,
+    cfg: &ServeConfig,
+    mut read: impl FnMut(&mut Store) -> Result<T>,
+) -> ReadOutcome<T> {
     let mut attempt = 0u32;
     loop {
-        match store.get(key) {
+        match read(store) {
             Ok(value) => {
                 return ReadOutcome {
                     value,
@@ -384,7 +400,7 @@ fn degraded_get(store: &mut Store, cfg: &ServeConfig, key: &[u8]) -> ReadOutcome
             }
             Err(_) => {
                 return ReadOutcome {
-                    value: None,
+                    value: T::default(),
                     retried: attempt > 0,
                     failed: true,
                 }
@@ -497,15 +513,8 @@ fn idle_until(store: &mut Store, until: u64, cfg: &ServeConfig, r: &mut ServeRes
             Err(_) => r.idle_errors += 1,
         }
     }
-    while store.clock_ns() < until && store.needs_compaction() {
-        match store.compact_step() {
-            Ok(true) => r.idle_compactions += 1,
-            Ok(false) => break,
-            Err(_) => {
-                r.idle_errors += 1;
-                break;
-            }
-        }
+    if store.compact_until(until, &mut r.idle_compactions).is_err() {
+        r.idle_errors += 1;
     }
     // Spare idle time also advances the scrubber: one budgeted step per
     // gap, so repair makes progress under load without starving
@@ -657,21 +666,16 @@ fn serve_loop<R: Fn(&[u8]) -> usize>(
         let head = queue.pop_front().expect("non-empty queue");
         members.clear();
         members.push((head.arrival_ns, head.client));
-        let mut op_failure_events = 0u32;
-        let mut read = |store: &mut Store, r: &mut ServeResult, key: &[u8]| {
-            let out = degraded_get(store, cfg, key);
-            r.degraded_reads += u64::from(out.retried);
-            if out.failed {
-                r.failed_reads += 1;
-                op_failure_events += 1;
-            }
+        let get = |store: &mut Store, r: &mut ServeResult, key: &[u8]| {
+            let out = degraded_read(store, cfg, |s| s.get(key));
             if out.value.is_some() {
                 r.hits += 1;
             } else {
                 r.misses += 1;
             }
+            out.tally(r)
         };
-        match head.op {
+        let op_failure_events = match head.op {
             Op::Write(mut batch) => {
                 // A queued request whose arrival is still in this
                 // store's future cannot join a group that commits
@@ -695,17 +699,17 @@ fn serve_loop<R: Fn(&[u8]) -> usize>(
                 r.max_group_len = r.max_group_len.max(members.len());
                 r.max_group_wire = r.max_group_wire.max(batch.byte_size());
                 store.write(batch)?;
+                0
             }
-            Op::Get(key) => read(store, &mut r, &key),
-            Op::Scan(key, len) => {
-                // Queue-local: the routed store's range only.
-                store.scan(&key, len)?;
-            }
+            Op::Get(key) => get(store, &mut r, &key),
+            // Queue-local: the routed store's range only.
+            Op::Scan(key, len) => degraded_read(store, cfg, |s| s.scan(&key, len)).tally(&mut r),
             Op::Rmw(key, value) => {
-                read(store, &mut r, &key);
+                let failed = get(store, &mut r, &key);
                 store.put(&key, &value)?;
+                failed
             }
-        }
+        };
         // A client that has blown its error budget walks away: whatever
         // it had not yet issued is abandoned, not served. Checked before
         // completion bookkeeping so a closed-loop client that just gave
@@ -1055,6 +1059,95 @@ mod tests {
         );
     }
 
+    #[test]
+    fn saturated_inserts_compact_in_the_slowdown_sleep_and_never_stop() {
+        // Closed loop, zero think time, inserts only: the queue never
+        // empties, so no idle gap opens and the only background work is
+        // what a slowed-down writer's 1 ms sleep pays for. That alone
+        // must hold L0 off the stop trigger.
+        let gen = RecordGenerator::new(16, 1000, 1);
+        let mut spec = WorkloadSpec::serve_mix();
+        spec.mix.read = 0.0;
+        spec.mix.insert = 1.0;
+        let cfg = ServeConfig::new(
+            spec,
+            ArrivalProcess::ClosedLoop { think_ns: 0 },
+            4,
+            3000,
+            500,
+        );
+        let mut store = preloaded(StoreKind::SealDb, &gen, cfg.record_count);
+        let r = run_serve(&mut store, &gen, &cfg).unwrap();
+        assert_eq!(r.ops, 3000);
+        assert_eq!(r.idle_compactions, 0, "a saturated loop has no idle gap");
+        assert!(r.stalls.slowdown_count > 0, "{:?}", r.stalls);
+        assert_eq!(r.stalls.stop_count, 0, "{:?}", r.stalls);
+        let l0 = store.db.current_version().level_file_count(0);
+        assert!(l0 < store.db.options().l0_slowdown_trigger, "L0 {l0}");
+    }
+
+    /// A 2 000-record SEALDB store and its generator, every third table
+    /// carrying flipped bits 100 bytes in, inside its first data block:
+    /// reads through that block fail its checksum.
+    fn damaged_for_scans() -> (RecordGenerator, Store) {
+        let gen = RecordGenerator::new(16, 600, 1);
+        let store = preloaded(StoreKind::SealDb, &gen, 2000);
+        {
+            let ctx = store.db.ctx();
+            let mut guard = ctx.lock();
+            for (_, ext) in guard.fs.file_extents().into_iter().step_by(3) {
+                let bad = smr_sim::Extent::new(ext.offset + 100, 8);
+                guard.fs.disk_mut().faults_mut().corrupt_extent(bad);
+            }
+        }
+        (gen, store)
+    }
+
+    #[test]
+    fn a_scan_over_a_bad_block_is_complete_or_err() {
+        let (gen, mut store) = damaged_for_scans();
+        let model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> =
+            (0..2000).map(|i| (gen.key(i), gen.value(i))).collect();
+        let (mut complete, mut failed) = (0, 0);
+        for start in (0..1900).step_by(37) {
+            let from = gen.key(start);
+            match store.scan(&from, 100) {
+                Ok(rows) => {
+                    let want: Vec<(Vec<u8>, Vec<u8>)> = model
+                        .range(from..)
+                        .take(100)
+                        .map(|(k, v)| (k.clone(), v.clone()))
+                        .collect();
+                    assert!(rows == want, "scan from key {start}: wrong or missing rows");
+                    complete += 1;
+                }
+                Err(_) => failed += 1,
+            }
+        }
+        // Both outcomes occur: the damage is on some scans' paths only.
+        assert!(
+            complete > 0 && failed > 0,
+            "{complete} complete, {failed} failed"
+        );
+    }
+
+    #[test]
+    fn scans_over_bad_blocks_degrade_instead_of_ending_the_run() {
+        let (gen, mut store) = damaged_for_scans();
+        let mut cfg = ServeConfig::new(
+            WorkloadSpec::e(),
+            ArrivalProcess::ClosedLoop { think_ns: 0 },
+            4,
+            200,
+            2000,
+        );
+        cfg.client_error_budget = u64::MAX;
+        let r = run_serve(&mut store, &gen, &cfg).expect("a failed scan ends no run");
+        assert_eq!(r.ops, 200);
+        assert_eq!(r.abandoned_ops, 0);
+        assert!(r.failed_reads > 0, "no scan met the damage");
+    }
+
     /// Extent of the largest live table — the degraded-mode tests damage
     /// it so the read path is guaranteed to trip over the fault.
     fn largest_file_extent(store: &Store) -> smr_sim::Extent {
@@ -1147,7 +1240,7 @@ mod tests {
         cfg.retry_backoff_max_ns = 2_000_000;
         let key = gen.key(0);
         let t0 = store.clock_ns();
-        let out = degraded_get(&mut store, &cfg, &key);
+        let out = degraded_read(&mut store, &cfg, |s| s.get(&key));
         assert!(out.failed);
         let waited = store.clock_ns() - t0;
         // Uncapped doubling would wait 1+2+4+...+512 = 1023 ms; the cap

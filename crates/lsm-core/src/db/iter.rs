@@ -1,7 +1,7 @@
 //! Level-concatenating and user-facing database iterators.
 
 use crate::context::{get_table, SharedCtx};
-use crate::error::Error;
+use crate::error::{Error, Result};
 use crate::iterator::{InternalIterator, MergingIterator};
 use crate::sstable::TableIterator;
 use crate::types::{
@@ -187,15 +187,12 @@ impl<'a> DbIterator<'a> {
     }
 
     /// Produces the next visible (user key, value) pair, or `None` at the
-    /// end.
-    pub fn next_entry(&mut self) -> Option<(Vec<u8>, Vec<u8>)> {
+    /// end. A trailer that fails to parse means a corrupt entry slipped
+    /// past the block CRC: that is `Err(Corruption)`, as on the point-read
+    /// path, never a row silently skipped.
+    pub fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         while self.inner.valid() {
-            // A trailer that fails to parse means a corrupt entry slipped
-            // past the block CRC; skip it rather than take the scan down.
-            let Ok((seq, ty)) = try_parse_trailer(self.inner.key()) else {
-                self.inner.next();
-                continue;
-            };
+            let (seq, ty) = try_parse_trailer(self.inner.key())?;
             if seq > self.snapshot {
                 self.inner.next();
                 continue;
@@ -213,29 +210,28 @@ impl<'a> DbIterator<'a> {
                 }
             }
             if let Some(value) = value {
-                return Some((ukey, value));
+                return Ok(Some((ukey, value)));
             }
         }
-        None
+        Ok(None)
     }
 
-    /// Takes the first deferred read error any underlying source hit —
-    /// a scan that stopped on one looks exactly like a scan that
-    /// reached the end, so callers who care check this afterwards.
-    pub fn take_error(&mut self) -> Option<Error> {
-        self.inner.take_error()
-    }
-
-    /// Collects up to `limit` entries from the current position.
-    pub fn collect(&mut self, limit: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+    /// Collects up to `limit` entries from the current position. A source
+    /// that failed a read went invalid, which looks exactly like one that
+    /// reached its end, so its deferred error is taken afterwards and
+    /// returned in place of the rows: a scan is complete or it is `Err`.
+    pub fn collect(&mut self, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::with_capacity(limit.min(1024));
         while out.len() < limit {
-            match self.next_entry() {
+            match self.next_entry()? {
                 Some(e) => out.push(e),
                 None => break,
             }
         }
-        out
+        match self.inner.take_error() {
+            Some(e) => Err(e),
+            None => Ok(out),
+        }
     }
 }
 

@@ -491,6 +491,17 @@ impl DbCore {
         self.ctx.lock().fs.disk().clock_ns()
     }
 
+    /// Lets simulated time pass with the disk idle until the clock reads
+    /// at least `t_ns` (a no-op when it already does).
+    pub fn advance_clock_to(&mut self, t_ns: u64) {
+        let mut guard = self.ctx.lock();
+        let disk = guard.fs.disk_mut();
+        let now = disk.clock_ns();
+        if t_ns > now {
+            disk.advance_ns(t_ns - now);
+        }
+    }
+
     // ----- observability plumbing -----
     //
     // The disk owns the store's single `Obs` sink (one clock, one event
@@ -729,8 +740,10 @@ impl DbCore {
     /// surfaced as a first-class stall event.
     ///
     /// 1. **Slowdown** — once per write, if L0 has reached the slowdown
-    ///    trigger, inject a fixed simulated delay so compaction (driven by
-    ///    the front-end's idle loop) can win some ground.
+    ///    trigger, the writer sleeps 1 ms so the background thread can win
+    ///    some ground; the simulated background thread spends the sleep in
+    ///    [`DbCore::compact_until`]. A step may run past the sleep, and
+    ///    the elapsed time is the stall.
     /// 2. **Stop** — with the memtable full and L0 at the stop trigger,
     ///    the write cannot proceed at all; compaction runs inline (the
     ///    writer is blocked on the background thread) until L0 drops below
@@ -738,25 +751,23 @@ impl DbCore {
     /// 3. **Memtable** — with the memtable full (and room in L0), the
     ///    flush itself is what the writer waits on.
     fn make_room_for_write(&mut self) -> Result<()> {
-        /// Simulated delay applied once per write while the slowdown
-        /// trigger is tripped (LevelDB sleeps 1 ms).
+        /// The writer's sleep once per write while the slowdown trigger
+        /// is tripped (LevelDB sleeps 1 ms).
         const SLOWDOWN_PENALTY_NS: u64 = 1_000_000;
         let mut allow_delay = true;
         loop {
             let l0 = self.versions.current().level_file_count(0);
             if allow_delay && l0 >= self.opts.l0_slowdown_trigger {
-                let penalty = SLOWDOWN_PENALTY_NS;
-                self.ctx.lock().fs.disk_mut().advance_ns(penalty);
+                let t0 = self.clock_ns();
+                let until = t0 + SLOWDOWN_PENALTY_NS;
+                self.compact_until(until, &mut 0)?;
+                self.advance_clock_to(until);
+                let dt = self.clock_ns() - t0;
                 self.stalls.slowdown_count += 1;
-                self.stalls.slowdown_ns += penalty;
+                self.stalls.slowdown_ns += dt;
                 self.obs_counter(ObsLayer::Lsm, "stall.slowdown_count", 1);
-                self.obs_latency(ObsLayer::Lsm, "stall_slowdown_ns", penalty);
-                self.obs_event(
-                    ObsLayer::Lsm,
-                    ObsEventKind::WriteSlowdown,
-                    l0 as u64,
-                    penalty,
-                );
+                self.obs_latency(ObsLayer::Lsm, "stall_slowdown_ns", dt);
+                self.obs_event(ObsLayer::Lsm, ObsEventKind::WriteSlowdown, l0 as u64, dt);
                 allow_delay = false;
                 continue;
             }
@@ -816,6 +827,26 @@ impl DbCore {
     /// time on background work.
     pub fn needs_compaction(&self) -> bool {
         self.versions.compaction_score().1 >= 1.0
+    }
+
+    /// The background compaction thread, run until the simulated clock
+    /// reads `until`: while a compaction is due, one [`compact_step`],
+    /// each one that ran counted into `steps`. A step is never cut short,
+    /// so the clock may end past `until`; one that fails ends the loop
+    /// with its error, `steps` still counting those before it. Both
+    /// places the disk is free for background work come here: the
+    /// serving front-end's idle gaps and the writer's sleep on the
+    /// slowdown rung of [`DbCore::make_room_for_write`].
+    ///
+    /// [`compact_step`]: DbCore::compact_step
+    pub fn compact_until(&mut self, until: u64, steps: &mut u64) -> Result<()> {
+        while self.clock_ns() < until && self.needs_compaction() {
+            if !self.compact_step()? {
+                break;
+            }
+            *steps += 1;
+        }
+        Ok(())
     }
 
     /// Runs at most one compaction picked by score and victim priority —
@@ -1399,7 +1430,7 @@ impl DbCore {
         }
         let mut it = DbIterator::new(MergingIterator::new(children), snapshot);
         it.seek(start);
-        Ok(it.collect(limit))
+        it.collect(limit)
     }
 }
 
@@ -1971,14 +2002,14 @@ mod tests {
         );
     }
 
-    #[test]
-    fn deferred_mode_slowdown_stop_resume() {
+    /// A deferred-mode database whose L0 triggers trip quickly: a flush
+    /// every ~60 writes, compaction due at 2 files, slowdown at 3, stop at
+    /// 5. Nothing drains L0 between writes (no `compact_until` caller),
+    /// so the write path alone must enforce the backpressure ladder.
+    fn deferred_db() -> DbCore {
         let cap = 1024 * MB;
         let disk = Disk::new(cap, Layout::Hdd, TimeModel::hdd_st1000dm003(cap));
         let mut opts = Options::scaled(64 << 10);
-        // Flush every ~60 writes so the L0 triggers trip quickly; nothing
-        // drains L0 between writes (no compact_step caller), so the write
-        // path alone must enforce the backpressure ladder.
         opts.write_buffer_size = 8 << 10;
         opts.wal_buffer_bytes = 0;
         opts.deferred_compaction = true;
@@ -1987,35 +2018,105 @@ mod tests {
         opts.l0_stop_trigger = 5;
         let alloc = Ext4Sim::new(cap - opts.log_zone_bytes, 16 * MB);
         let policy = crate::policy::PerFilePolicy::new(Box::new(alloc));
-        let mut db = DbCore::open(disk, opts, Box::new(policy)).unwrap();
+        DbCore::open(disk, opts, Box::new(policy)).unwrap()
+    }
 
+    /// Write `i` of `n`, in scrambled order: L0 files overlap, so an L0
+    /// compaction merges them all and L0 actually drains.
+    fn put_scrambled(db: &mut DbCore, i: u64, n: u64) {
+        let (k, v) = kv((i * 2654435761) % n);
+        db.put(&k, &v).unwrap();
+    }
+
+    #[test]
+    fn deferred_mode_slowdown_stop_resume() {
         let n = 3000u64;
+        let mut db = deferred_db();
+        let mut prev = db.stall_stats();
+        for i in 0..n {
+            let l0_before = db.current_version().level_file_count(0);
+            let compactions_before = db.compaction_log().len();
+            put_scrambled(&mut db, i, n);
+            let s = db.stall_stats();
+
+            // Slowdown: at most one sleep per write, and only when the
+            // write saw L0 at/past the trigger — either on arrival, or
+            // after its own flush added the file that reached it (the
+            // make-room loop re-evaluates, like LevelDB's MakeRoomForWrite).
+            let slowed = s.slowdown_count - prev.slowdown_count;
+            let flushed = s.memtable_count > prev.memtable_count;
+            let expect = u64::from(l0_before >= 3 || (flushed && l0_before + 1 >= 3));
+            assert_eq!(
+                slowed, expect,
+                "write {i}: L0 {l0_before} flushed={flushed}"
+            );
+            // The compaction trigger sits below the slowdown trigger, so a
+            // compaction is due at every sleep: the background thread runs
+            // at least one step in it, and the sleep lasts at least 1 ms.
+            if slowed == 1 {
+                assert!(
+                    db.compaction_log().len() > compactions_before,
+                    "write {i}: slept without compacting"
+                );
+                assert!(s.slowdown_ns - prev.slowdown_ns >= 1_000_000, "write {i}");
+            }
+            prev = s;
+        }
+
+        let s = db.stall_stats();
+        assert!(s.slowdown_count > 0, "slowdown trigger never tripped");
+        assert!(s.memtable_count > 0, "memtable stalls never recorded");
+        // Compaction in the sleep holds L0 below the stop trigger.
+        assert_eq!(s.stop_count, 0, "a write stopped");
+        assert!(s.total_ns() == s.slowdown_ns + s.stop_ns + s.memtable_ns);
+
+        // The obs registry mirrors the engine's stall accounting.
+        {
+            let guard = db.ctx().lock();
+            let reg = &guard.fs.disk().obs().registry;
+            assert_eq!(
+                reg.counter(ObsLayer::Lsm, "stall.slowdown_count"),
+                s.slowdown_count
+            );
+            assert_eq!(
+                reg.counter(ObsLayer::Lsm, "stall.memtable_count"),
+                s.memtable_count
+            );
+        }
+
+        // Deferred mode still serves reads correctly.
+        for i in (0..n).step_by(211) {
+            let (k, v) = kv(i);
+            assert_eq!(db.get(&k).unwrap(), Some(v), "key {i}");
+        }
+
+        // The rungs the trigger order above never reaches, set up white-box
+        // (`Options::validate` forbids a slowdown trigger outside
+        // [compaction trigger, stop trigger); the version set keeps the
+        // compaction trigger it was opened with).
+        //
+        // A sleep with nothing due is the bare 1 ms: every write sleeps,
+        // and twenty writes neither flush nor make anything due.
+        let mut db = deferred_db();
+        db.opts.l0_slowdown_trigger = 0;
+        for i in 0..20 {
+            put_scrambled(&mut db, i, n);
+        }
+        let s = db.stall_stats();
+        assert_eq!((s.slowdown_count, s.slowdown_ns), (20, 20 * 1_000_000));
+        assert!(db.compaction_log().is_empty());
+
+        // Without the sleep L0 climbs to the stop rung, which stops the
+        // write until compaction drains L0 below the trigger; writes then
+        // resume unthrottled.
+        let mut db = deferred_db();
+        db.opts.l0_slowdown_trigger = usize::MAX;
         let mut prev = db.stall_stats();
         let mut resumed_after_stop = false;
         for i in 0..n {
             let l0_before = db.current_version().level_file_count(0);
-            // Scrambled order: L0 files overlap, so the forced compaction
-            // at the stop trigger merges them all and L0 actually drains.
-            let j = (i * 2654435761) % n;
-            let (k, v) = kv(j);
-            db.put(&k, &v).unwrap();
+            put_scrambled(&mut db, i, n);
             let s = db.stall_stats();
-
-            // Slowdown: at most one penalty per write, and only when the
-            // write saw L0 at/past the trigger — either on arrival, or
-            // after its own flush pushed L0 over (the make-room loop
-            // re-evaluates, like LevelDB's MakeRoomForWrite).
-            let slowed = s.slowdown_count - prev.slowdown_count;
-            let flushed = s.memtable_count > prev.memtable_count;
-            let l0_after = db.current_version().level_file_count(0);
-            let expect = u64::from(l0_before >= 3 || (flushed && l0_after >= 3));
-            assert_eq!(
-                slowed, expect,
-                "write {i}: L0 {l0_before}->{l0_after} flushed={flushed}"
-            );
-
-            // Stop: fires only with L0 exactly at the stop trigger (flushes
-            // add one file at a time) and always drains below it.
             if s.stop_count > prev.stop_count {
                 assert_eq!(l0_before, 5, "write {i}: stop away from trigger");
                 assert!(
@@ -2028,37 +2129,18 @@ mod tests {
             }
             prev = s;
         }
-
         let s = db.stall_stats();
-        assert!(s.slowdown_count > 0, "slowdown trigger never tripped");
-        assert!(s.stop_count > 0, "stop trigger never tripped");
-        assert!(s.memtable_count > 0, "memtable stalls never recorded");
-        assert_eq!(s.slowdown_ns, s.slowdown_count * 1_000_000);
-        assert!(s.stop_ns > 0 && s.total_ns() == s.slowdown_ns + s.stop_ns + s.memtable_ns);
+        assert!(
+            s.stop_count > 0 && s.stop_ns > 0,
+            "stop trigger never tripped"
+        );
+        assert_eq!(s.slowdown_count, 0);
         assert!(
             resumed_after_stop,
             "writes never resumed unthrottled after a stop"
         );
-
-        // The obs registry mirrors the engine's stall accounting.
-        let ctx = db.ctx();
-        let guard = ctx.lock();
+        let guard = db.ctx().lock();
         let reg = &guard.fs.disk().obs().registry;
-        assert_eq!(
-            reg.counter(ObsLayer::Lsm, "stall.slowdown_count"),
-            s.slowdown_count
-        );
         assert_eq!(reg.counter(ObsLayer::Lsm, "stall.stop_count"), s.stop_count);
-        assert_eq!(
-            reg.counter(ObsLayer::Lsm, "stall.memtable_count"),
-            s.memtable_count
-        );
-        drop(guard);
-
-        // Deferred mode still serves reads correctly.
-        for i in (0..n).step_by(211) {
-            let (k, v) = kv(i);
-            assert_eq!(db.get(&k).unwrap(), Some(v), "key {i}");
-        }
     }
 }

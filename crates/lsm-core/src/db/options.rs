@@ -31,11 +31,11 @@ pub struct Options {
     pub l0_stop_trigger: usize,
     /// When true, writes no longer run compactions to quiescence inline.
     /// The write path applies LevelDB's backpressure (slowdown, stop,
-    /// memtable-full stalls) and a caller — the serving front-end's idle
-    /// loop, standing in for the background thread — drives compactions
-    /// via [`crate::DbCore::compact_step`]. When false (the default) the
-    /// engine keeps the original quiesce-on-write behavior the paper's
-    /// db_bench-style experiments rely on.
+    /// memtable-full stalls) and the background thread is
+    /// [`crate::DbCore::compact_until`], run by the slowdown sleep and by
+    /// a caller's idle loop (the serving front-end's). When false (the
+    /// default) the engine keeps the original quiesce-on-write behavior
+    /// the paper's db_bench-style experiments rely on.
     pub deferred_compaction: bool,
     /// L1 byte budget; level i allows `base * AF^(i-1)`.
     pub level_base_bytes: u64,

@@ -71,7 +71,7 @@ pub struct StoreConfig {
     pub layout_override: Option<Layout>,
     /// Serve mode: writes apply LevelDB-style backpressure (slowdown /
     /// stop / memtable stalls) instead of compacting inline, and the
-    /// serving front-end drives compaction via [`Store::compact_step`]
+    /// serving front-end drives compaction via [`Store::compact_until`]
     /// during idle gaps.
     pub deferred_compaction: bool,
     /// Sync every WAL append to the simulated disk (`sync=true`

@@ -708,11 +708,12 @@ impl Store {
         self.db.set_deferred_compaction(on)
     }
 
-    /// Runs one background-compaction step; returns whether any work was
-    /// done. The serving front-end calls this in idle gaps, standing in
-    /// for LevelDB's background thread.
-    pub fn compact_step(&mut self) -> Result<bool> {
-        self.db.compact_step()
+    /// Background compaction until the clock reads `until`, each step
+    /// that ran counted into `steps` (see [`DbCore::compact_until`]); the
+    /// serving front-end spends idle gaps here, standing in for LevelDB's
+    /// background thread, and `u64::MAX` drains every due compaction.
+    pub fn compact_until(&mut self, until: u64, steps: &mut u64) -> Result<()> {
+        self.db.compact_until(until, steps)
     }
 
     /// Runs one budgeted scrub step (see [`DbCore::scrub_step`]): verify
@@ -877,10 +878,7 @@ impl Store {
     /// Lets simulated time pass with the disk idle until the clock reads
     /// at least `t_ns` (a no-op when it already does).
     pub fn advance_clock_to(&mut self, t_ns: u64) {
-        let now = self.clock_ns();
-        if t_ns > now {
-            self.db.ctx().lock().fs.disk_mut().advance_ns(t_ns - now);
-        }
+        self.db.advance_clock_to(t_ns)
     }
 
     /// Enables or disables physical-placement tracing.

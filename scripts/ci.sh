@@ -35,7 +35,9 @@ cargo fmt --all --check
 stage_done "fmt"
 cargo build --release
 stage_done "release build"
-cargo test -q --workspace
+# --no-fail-fast: one failing test binary must not hide whether the
+# others pass.
+cargo test -q --workspace --no-fail-fast
 stage_done "workspace tests"
 cargo clippy --workspace --all-targets -- -D warnings
 stage_done "clippy"
@@ -84,7 +86,8 @@ same_as_committed() {
 # One row per artifact: file | seal-bench flag | cargo profile | scale.
 # Each is regenerated, held to the committed bytes, then validated by
 # its checker in crates/bench/src/*_run.rs — schema, no NaN/Inf, and the
-# artifact's headline invariants (SEALDB saturates highest; scrub-on
+# artifact's headline invariants (SEALDB saturates highest and no store
+# stops a write at any offered load; scrub-on
 # cells lose zero keys; quorum cells lose zero acked writes; saturation
 # rises with shard count and the migration loses nothing; the value log
 # halves update-WA and lifts the knee; zero chaos-oracle violations

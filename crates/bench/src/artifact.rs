@@ -2,7 +2,7 @@
 //! every `BENCH_pr*.json` artifact.
 //!
 //! A sweep builds [`Row`]s — ordered `"name" => value` pairs, see
-//! [`row!`] — and [`Row::to_json`] is the only code that turns them into
+//! `row!` — and [`Row::to_json`] is the only code that turns them into
 //! bytes. [`parse`] is the only code that turns bytes back into rows, and
 //! it accepts exactly the writer's language: no whitespace but the final
 //! newline, no escapes, no exponents, no duplicate keys. Any byte state
@@ -147,7 +147,7 @@ impl Row {
     }
 
     /// The pairs, in written order.
-    pub fn pairs(&self) -> &[(String, Val)] {
+    pub(crate) fn pairs(&self) -> &[(String, Val)] {
         &self.0
     }
 
@@ -405,7 +405,7 @@ pub fn check(
 }
 
 /// The gate every sweep shares: it holds `expected` of `what`.
-pub fn expect_count(problems: &mut Vec<String>, expected: usize, what: &str, found: usize) {
+pub(crate) fn expect_count(problems: &mut Vec<String>, expected: usize, what: &str, found: usize) {
     if found != expected {
         problems.push(format!("expected {expected} {what}, found {found}"));
     }
@@ -415,7 +415,7 @@ pub fn expect_count(problems: &mut Vec<String>, expected: usize, what: &str, fou
 /// threads (every cell owns its simulated disks, so the fan-out is
 /// embarrassingly parallel) and returns the results by index: the bytes
 /// built from them cannot depend on the thread count.
-pub fn run_cells<T: Send>(n: usize, cell: impl Fn(usize) -> T + Sync) -> Vec<T> {
+pub(crate) fn run_cells<T: Send>(n: usize, cell: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
     // Relaxed: the counter only hands out indices; results travel by join.
     let next = AtomicUsize::new(0);

@@ -32,22 +32,22 @@ use lsm_core::Result;
 use seal_chaos::{generate, ChaosConfig, ChaosHarness, Coverage, SplitMix};
 
 /// Schema marker the checker requires at the top of the artifact.
-pub const CHAOS_SCHEMA: &str = "sealdb-chaos-v1";
+const CHAOS_SCHEMA: &str = "sealdb-chaos-v1";
 
 /// Replication groups per schedule.
-pub const GROUPS: usize = 2;
+const GROUPS: usize = 2;
 
 /// Replicas per group (each group runs `REPLICAS + 1` nodes).
-pub const REPLICAS: usize = 2;
+const REPLICAS: usize = 2;
 
 /// Distinct device fault classes a valid artifact must have injected.
-pub const MIN_DEVICE_CLASSES: usize = 4;
+const MIN_DEVICE_CLASSES: usize = 4;
 
 /// Distinct cluster fault classes a valid artifact must have injected.
-pub const MIN_CLUSTER_CLASSES: usize = 3;
+const MIN_CLUSTER_CLASSES: usize = 3;
 
 /// Events per generated schedule at this scale.
-pub fn events_per_schedule(scale: &BenchScale) -> usize {
+fn events_per_schedule(scale: &BenchScale) -> usize {
     (scale.ycsb_ops / 25).clamp(12, 40) as usize
 }
 
@@ -133,7 +133,7 @@ pub fn chaos_sweep(scale: &BenchScale, schedules: usize) -> Result<String> {
 /// no NaN/Inf — and the torture invariants themselves: zero oracle
 /// violations anywhere, zero acked/promised loss, real traffic and
 /// hash comparisons in every cell, and injected coverage spanning at
-/// least [`MIN_DEVICE_CLASSES`] device and [`MIN_CLUSTER_CLASSES`]
+/// least `MIN_DEVICE_CLASSES` device and `MIN_CLUSTER_CLASSES`
 /// cluster fault classes. Returns the list of problems; empty means
 /// valid.
 pub fn check_chaos_json(content: &str) -> Vec<String> {

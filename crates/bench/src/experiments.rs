@@ -21,7 +21,7 @@ pub struct Csv {
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     /// Experiment title.
-    pub title: String,
+    title: String,
     /// Human-readable summary lines.
     pub lines: Vec<String>,
     /// CSV series for plotting.
@@ -292,23 +292,21 @@ pub fn table2(scale: &BenchScale) -> Result<Report> {
 
 /// The four micro-benchmark phases for one store kind.
 #[derive(Debug)]
-pub struct MicroSuite {
+struct MicroSuite {
     /// Store kind.
     pub kind: StoreKind,
     /// Sequential load.
-    pub fillseq: MicroResult,
+    fillseq: MicroResult,
     /// Random load.
-    pub fillrandom: MicroResult,
+    fillrandom: MicroResult,
     /// Random point reads on the random-loaded database.
-    pub readrandom: MicroResult,
+    readrandom: MicroResult,
     /// Sequential range reads on the random-loaded database.
-    pub readseq: MicroResult,
-    /// Snapshot after the random load + reads.
-    pub snapshot: StoreSnapshot,
+    readseq: MicroResult,
 }
 
 /// Runs the §IV-A micro-benchmark suite for one store kind.
-pub fn micro_suite(kind: StoreKind, scale: &BenchScale) -> Result<MicroSuite> {
+fn micro_suite(kind: StoreKind, scale: &BenchScale) -> Result<MicroSuite> {
     let gen = scale.generator();
     let n = scale.load_records();
     // Sequential load on a fresh store.
@@ -320,14 +318,12 @@ pub fn micro_suite(kind: StoreKind, scale: &BenchScale) -> Result<MicroSuite> {
     let fillrandom = fill_random(&mut s2, &gen, n, scale.seed)?;
     let readrandom = read_random(&mut s2, &gen, n, scale.read_ops, scale.seed ^ 1)?;
     let readseq = read_seq(&mut s2, &gen, n, scale.read_ops, scale.seed ^ 2)?;
-    let snapshot = s2.snapshot();
     Ok(MicroSuite {
         kind,
         fillseq,
         fillrandom,
         readrandom,
         readseq,
-        snapshot,
     })
 }
 

@@ -35,7 +35,7 @@ pub fn build_store(kind: StoreKind, scale: &BenchScale) -> Result<Store> {
 
 /// Builds a store with an explicit disk-layout override (Fig. 2 runs
 /// LevelDB on a conventional HDD).
-pub fn build_store_with_layout(
+fn build_store_with_layout(
     kind: StoreKind,
     scale: &BenchScale,
     layout: smr_sim::Layout,
@@ -48,7 +48,7 @@ pub fn build_store_with_layout(
 
 /// Random-loads a fresh store of `kind` with `scale.load_records()`
 /// records; returns the store and the load result.
-pub fn loaded_store(kind: StoreKind, scale: &BenchScale) -> Result<(Store, MicroResult)> {
+fn loaded_store(kind: StoreKind, scale: &BenchScale) -> Result<(Store, MicroResult)> {
     let mut store = build_store(kind, scale)?;
     let gen = scale.generator();
     let res = workloads::fill_random(&mut store, &gen, scale.load_records(), scale.seed)?;
@@ -57,7 +57,7 @@ pub fn loaded_store(kind: StoreKind, scale: &BenchScale) -> Result<(Store, Micro
 
 /// Runs `f` once per store kind through [`artifact::run_cells`] and
 /// returns results in input order.
-pub fn per_store_parallel<T, F>(kinds: &[StoreKind], f: F) -> Vec<T>
+fn per_store_parallel<T, F>(kinds: &[StoreKind], f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(StoreKind) -> T + Sync,
@@ -68,11 +68,6 @@ where
 /// A generator matching the scale's record shape.
 pub fn generator(scale: &BenchScale) -> RecordGenerator {
     scale.generator()
-}
-
-/// Formats nanoseconds as seconds with 3 decimals.
-pub fn secs(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1e9)
 }
 
 /// Formats a byte count as mebibytes.
@@ -103,7 +98,6 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(secs(1_500_000_000), "1.500");
         assert_eq!(mib(3 << 20), "3.00");
     }
 }

@@ -14,7 +14,7 @@ use lsm_core::{Error, Result};
 use sealdb::StoreKind;
 
 /// Schema marker the checker requires at the top of the artifact.
-pub const METRICS_SCHEMA: &str = "sealdb-metrics-v1";
+const METRICS_SCHEMA: &str = "sealdb-metrics-v1";
 
 /// Trace events inlined per store (the ring itself retains more).
 const TRACE_TAIL: usize = 64;

@@ -31,30 +31,30 @@ use seal_replica::{AckPolicy, Cluster, ReplicaConfig, ShipMode};
 use std::collections::BTreeMap;
 
 /// Schema marker the checker requires at the top of the artifact.
-pub const REPLICATE_SCHEMA: &str = "sealdb-replicate-v1";
+const REPLICATE_SCHEMA: &str = "sealdb-replicate-v1";
 
 /// Ship modes swept.
-pub const MODES: [ShipMode; 2] = [ShipMode::WalApply, ShipMode::IndexLazy];
+const MODES: [ShipMode; 2] = [ShipMode::WalApply, ShipMode::IndexLazy];
 
 /// Ack policies swept.
-pub const ACKS: [AckPolicy; 2] = [AckPolicy::PrimaryOnly, AckPolicy::Quorum(1)];
+const ACKS: [AckPolicy; 2] = [AckPolicy::PrimaryOnly, AckPolicy::Quorum(1)];
 
 /// Base one-way link latencies swept, ns (≥5× apart so the RTO
 /// monotonicity invariant has headroom over the seeded jitter).
-pub const LINK_LATENCIES_NS: [u64; 3] = [200_000, 1_000_000, 5_000_000];
+const LINK_LATENCIES_NS: [u64; 3] = [200_000, 1_000_000, 5_000_000];
 
 /// Replicas per cluster.
-pub const REPLICAS: usize = 2;
+const REPLICAS: usize = 2;
 
 /// Writes per cell at this scale.
-pub fn writes_per_cell(scale: &BenchScale) -> u64 {
+fn writes_per_cell(scale: &BenchScale) -> u64 {
     (scale.ycsb_ops / 4).max(24)
 }
 
 /// The two kill points swept: a third and two-thirds into the stream,
 /// forced odd so a primary-only cell always has a non-empty async ship
 /// buffer to lose.
-pub fn kill_points(scale: &BenchScale) -> [u64; 2] {
+fn kill_points(scale: &BenchScale) -> [u64; 2] {
     let w = writes_per_cell(scale);
     [(w / 3) | 1, (2 * w / 3) | 1]
 }

@@ -23,20 +23,20 @@ use sealdb::{Store, StoreKind};
 use smr_sim::Extent;
 
 /// Schema marker the checker requires at the top of the artifact.
-pub const SCRUB_SCHEMA: &str = "sealdb-scrub-v1";
+const SCRUB_SCHEMA: &str = "sealdb-scrub-v1";
 
 /// Scrub per-step byte budgets swept (0 = scrub disabled is implicit:
 /// one baseline cell per fault count).
-pub const SCRUB_BUDGETS: [u64; 2] = [64 << 10, 1 << 20];
+const SCRUB_BUDGETS: [u64; 2] = [64 << 10, 1 << 20];
 
 /// Latent-error regions planted, one per distinct table.
-pub const FAULT_COUNTS: [usize; 2] = [1, 4];
+const FAULT_COUNTS: [usize; 2] = [1, 4];
 
 /// Bytes per planted latent-error region. Under a block it guarantees a
 /// single bit flip per block read — detectable by the block CRC and
 /// within reach of the scrubber's single-bit corrector, which is what
 /// makes the zero-loss invariant achievable at all.
-pub const FAULT_REGION_BYTES: u64 = 64;
+const FAULT_REGION_BYTES: u64 = 64;
 
 /// Extents of the `k` largest live tables, largest first — deterministic
 /// targets that are guaranteed to hold several data blocks.
@@ -120,7 +120,7 @@ fn run_cell(scale: &BenchScale, budget: u64, fault_regions: usize) -> Result<Row
 }
 
 /// Runs the scrub sweep — per fault count, a scrub-off baseline followed
-/// by one cell per budget in [`SCRUB_BUDGETS`] — and returns the artifact
+/// by one cell per budget in `SCRUB_BUDGETS` — and returns the artifact
 /// as a JSON string.
 pub fn scrub_sweep(scale: &BenchScale) -> Result<String> {
     let budgets = [&[0], &SCRUB_BUDGETS[..]].concat();

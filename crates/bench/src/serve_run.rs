@@ -19,13 +19,13 @@ use sealdb::{Store, StoreKind};
 use workloads::{ArrivalProcess, WorkloadSpec};
 
 /// Schema marker the checker requires at the top of the artifact.
-pub const SERVE_SCHEMA: &str = "sealdb-serve-v1";
+const SERVE_SCHEMA: &str = "sealdb-serve-v1";
 
 /// Virtual clients per serving run.
 pub const CLIENTS: usize = 4;
 
 /// Offered load as a fraction of the measured saturation throughput.
-pub const LOAD_MULTIPLIERS: [f64; 4] = [0.5, 0.8, 1.0, 1.3];
+const LOAD_MULTIPLIERS: [f64; 4] = [0.5, 0.8, 1.0, 1.3];
 
 /// One offered-load level: everything the serving run measured there.
 fn point_row(offered_ops_per_sec: f64, r: &ServeResult) -> Row {

@@ -20,16 +20,16 @@ use seal_shard::{imbalance, serve, ShardCluster, ShardConfig};
 use workloads::{ArrivalProcess, WorkloadSpec};
 
 /// Schema marker the checker requires at the top of the artifact.
-pub const SHARD_SCHEMA: &str = "sealdb-shard-v1";
+const SHARD_SCHEMA: &str = "sealdb-shard-v1";
 
 /// Virtual clients per cluster run (cluster-wide, not per shard).
 pub const CLIENTS: usize = 16;
 
 /// Shard counts swept, ascending; saturation must rise strictly.
-pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Scale-out factor over the canonical serving operation count.
-pub const OPS_SCALE: u64 = 10;
+const OPS_SCALE: u64 = 10;
 
 fn cluster_at(shards: usize, scale: &BenchScale) -> Result<ShardCluster> {
     let cfg = ShardConfig::new(shards, scale.sstable, scale.disk_capacity()).with_seed(scale.seed);
@@ -49,7 +49,7 @@ fn serve_cfg(scale: &BenchScale, ops: u64, records: u64) -> ServeConfig {
 
 /// Total operations of one cell at this scale (10× the canonical
 /// serving count, floored at one per client).
-pub fn cell_ops(scale: &BenchScale) -> u64 {
+fn cell_ops(scale: &BenchScale) -> u64 {
     (scale.ycsb_ops * OPS_SCALE).max(CLIENTS as u64)
 }
 
@@ -129,7 +129,7 @@ fn run_migration(scale: &BenchScale) -> Result<Row> {
     })
 }
 
-/// Runs one cell per [`SHARD_COUNTS`] entry plus the migration cell and
+/// Runs one cell per `SHARD_COUNTS` entry plus the migration cell and
 /// returns the artifact as a JSON string.
 pub fn shard_sweep(scale: &BenchScale) -> Result<String> {
     let cells = run_cells(SHARD_COUNTS.len() + 1, |i| match SHARD_COUNTS.get(i) {
@@ -153,7 +153,7 @@ pub fn shard_sweep(scale: &BenchScale) -> Result<String> {
 }
 
 /// Validates a shard artifact: schema marker, one cell per
-/// [`SHARD_COUNTS`] entry, saturation strictly increasing with shard
+/// `SHARD_COUNTS` entry, saturation strictly increasing with shard
 /// count, key placement imbalance within the routing bound, the
 /// migration audit losing zero acked keys, and no NaN/Inf anywhere.
 /// Returns the list of problems; empty means valid.

@@ -23,7 +23,7 @@ use smr_sim::IoStats;
 use workloads::{ArrivalProcess, WorkloadSpec};
 
 /// Schema marker the checker requires at the top of the artifact.
-pub const VLOG_SCHEMA: &str = "sealdb-vlog-v1";
+const VLOG_SCHEMA: &str = "sealdb-vlog-v1";
 
 /// Virtual clients per serving run.
 pub const CLIENTS: usize = 4;

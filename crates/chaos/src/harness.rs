@@ -1,8 +1,9 @@
 //! The chaos orchestrator and its end-to-end durability oracle.
 //!
 //! A [`ChaosHarness`] drives the composed stack as the type production
-//! would use: a [`ShardCluster`] whose shards are replication groups
-//! (each a [`seal_replica::Cluster`] of vlog-enabled SEALDB stores).
+//! would use: a [`ShardCluster`](seal_shard::ShardCluster) whose shards
+//! are replication groups (each a [`seal_replica::Cluster`] of
+//! vlog-enabled SEALDB stores).
 //! Client traffic goes through the cluster's router and migrations run
 //! the cluster's own band-granular split/merge. Events from a
 //! [`crate::ChaosEvent`] schedule are applied one by one on the shared
@@ -17,7 +18,8 @@
 //!
 //! After the schedule, [`ChaosHarness::check`] runs the oracle:
 //!
-//! 1. **No acked loss** — every group's [`Cluster::audit_deep`] must
+//! 1. **No acked loss** — every group's
+//!    [`Cluster::audit_deep`](seal_replica::Cluster::audit_deep) must
 //!    report zero acked writes that *no* survivor holds (a lagging or
 //!    damaged primary is a repairable miss, not loss).
 //! 2. **Routing durability** — every promised key must be served with
@@ -49,7 +51,7 @@ use smr_sim::{ClusterFaultClass, DeviceFaultClass, Extent, FaultPlan};
 use crate::schedule::ChaosEvent;
 
 /// Number of distinct client keys the traffic model cycles over.
-pub const KEYSPACE: u32 = 128;
+pub(crate) const KEYSPACE: u32 = 128;
 
 /// Shape of one chaos run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -98,23 +100,13 @@ pub struct Coverage {
 
 impl Coverage {
     /// Records one device-fault injection.
-    pub fn record_device(&mut self, class: DeviceFaultClass) {
+    fn record_device(&mut self, class: DeviceFaultClass) {
         *self.device.entry(class.name()).or_insert(0) += 1;
     }
 
     /// Records one cluster-fault injection.
-    pub fn record_cluster(&mut self, class: ClusterFaultClass) {
+    fn record_cluster(&mut self, class: ClusterFaultClass) {
         *self.cluster.entry(class.name()).or_insert(0) += 1;
-    }
-
-    /// Distinct device fault classes injected.
-    pub fn device_classes(&self) -> usize {
-        self.device.len()
-    }
-
-    /// Distinct cluster fault classes injected.
-    pub fn cluster_classes(&self) -> usize {
-        self.cluster.len()
     }
 
     /// Folds another coverage tally into this one.
@@ -130,7 +122,8 @@ impl Coverage {
 
 /// What the oracle concluded about one finished schedule. Violations
 /// empty ⇒ the run upheld every invariant; anything else is a
-/// reproducible bug (feed the schedule to [`crate::shrink`]).
+/// reproducible bug (minimize it with the ddmin shrinker in the
+/// `shrink` module's tests).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OracleReport {
     /// Replica groups in the run, extra migration slots included.
@@ -161,8 +154,6 @@ pub struct OracleReport {
     pub scrub_blocks_corrected: u64,
     /// Blocks lost outright.
     pub scrub_blocks_lost: u64,
-    /// Files rebuilt onto healthy space.
-    pub scrub_files_repaired: u64,
     /// Files or value-log segments quarantined.
     pub scrub_files_quarantined: u64,
     /// Failovers performed across all groups.
@@ -231,17 +222,19 @@ fn flush_with_retry(store: &mut Store) -> bool {
     false
 }
 
-/// Runs repairing scrub steps until one full pass completes. False if
-/// the pass could not be driven to completion.
-fn scrub_until_full_pass(store: &mut Store) -> bool {
+/// Runs repairing scrub steps on the group's primary until one full
+/// pass completes, through the cluster so the sequence ranges value-log
+/// salvage consumes reach the replicas. False if the pass could not be
+/// driven to completion.
+fn scrub_until_full_pass(c: &mut Cluster) -> bool {
     let cfg = ScrubConfig {
         bytes_per_step: 1 << 20,
         repair: true,
     };
-    let before = store.scrub_report().full_passes;
+    let before = c.primary_store_mut().scrub_report().full_passes;
     let mut errs = 0u32;
     for _ in 0..512 {
-        if store.scrub_step(&cfg).is_err() {
+        if c.scrub_step(&cfg).is_err() {
             // Transient read faults fail a step; the retried step
             // re-reads the same offsets and succeeds.
             errs += 1;
@@ -249,7 +242,7 @@ fn scrub_until_full_pass(store: &mut Store) -> bool {
                 return false;
             }
         }
-        if store.scrub_report().full_passes > before {
+        if c.primary_store_mut().scrub_report().full_passes > before {
             return true;
         }
     }
@@ -283,7 +276,7 @@ fn build_group(cfg: &ChaosConfig, seed: u64, g: usize) -> Result<Cluster> {
 /// router's unfinalized FNV-1a, where a key's last bytes barely reach
 /// the high bits the ring orders by: bare `k00042` keys put 108 of 128
 /// on one group and a split of the other moved nothing.
-pub fn key_bytes(idx: u32) -> Vec<u8> {
+fn key_bytes(idx: u32) -> Vec<u8> {
     format!("k{idx:05}-chaos").into_bytes()
 }
 
@@ -336,7 +329,7 @@ impl ChaosHarness {
     /// Applies one event. Returns whether it was applicable (an event
     /// whose precondition vanished — e.g. a kill with no live victim
     /// after shrinking — is skipped, never an error).
-    pub fn apply_event(&mut self, ev: &ChaosEvent) -> Result<bool> {
+    fn apply_event(&mut self, ev: &ChaosEvent) -> Result<bool> {
         let done = match *ev {
             ChaosEvent::WriteBurst { base, count } => self.ev_write_burst(base, count)?,
             ChaosEvent::TornWrite { group } => self.ev_torn_write(group % self.cfg.groups)?,
@@ -455,7 +448,7 @@ impl ChaosHarness {
         // block ⇒ single-bit-correctable.
         with_primary_faults(c, |f| f.corrupt_extent(Extent::new(ext.offset + 100, 8)));
         let before = *c.primary_store_mut().scrub_report();
-        let completed = scrub_until_full_pass(c.primary_store_mut());
+        let completed = scrub_until_full_pass(c);
         with_primary_faults(c, |f| f.clear_corruption());
         let after = *c.primary_store_mut().scrub_report();
         if !completed {
@@ -525,7 +518,7 @@ impl ChaosHarness {
             }
         });
         let before = *c.primary_store_mut().scrub_report();
-        let completed = scrub_until_full_pass(c.primary_store_mut());
+        let completed = scrub_until_full_pass(c);
         // The drive "remaps" the bad region once scrub has moved or
         // quarantined everything that lived there; the fenced extents
         // stay out of the allocator regardless.
@@ -662,8 +655,7 @@ impl ChaosHarness {
     }
 
     fn ev_scrub_pass(&mut self, g: usize) -> Result<bool> {
-        let store = self.cluster.node_mut(g).primary_store_mut();
-        if !scrub_until_full_pass(store) {
+        if !scrub_until_full_pass(self.cluster.node_mut(g)) {
             self.violations
                 .push(format!("group {g}: scheduled scrub never finished a pass"));
         }
@@ -731,7 +723,7 @@ impl ChaosHarness {
             let c = self.cluster.node_mut(g);
             c.settle()?;
             // 3. Verification scrub over tables and value log.
-            if !scrub_until_full_pass(c.primary_store_mut()) {
+            if !scrub_until_full_pass(c) {
                 report
                     .violations
                     .push(format!("group {g}: epilogue scrub never finished a pass"));
@@ -785,7 +777,6 @@ impl ChaosHarness {
             report.scrub_blocks_corrupt += s.blocks_corrupt;
             report.scrub_blocks_corrected += s.blocks_corrected;
             report.scrub_blocks_lost += s.blocks_lost;
-            report.scrub_files_repaired += s.files_repaired;
             report.scrub_files_quarantined += s.files_quarantined;
             report.failovers += c.stats.failovers;
         }
@@ -993,7 +984,7 @@ mod tests {
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.events_skipped, 0, "every composed event must apply");
         assert!(report.failovers >= 1);
-        assert!(report.coverage.device_classes() >= 2);
-        assert!(report.coverage.cluster_classes() >= 3);
+        assert!(report.coverage.device.len() >= 2);
+        assert!(report.coverage.cluster.len() >= 3);
     }
 }

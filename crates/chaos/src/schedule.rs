@@ -56,7 +56,7 @@ impl SplitMix {
 ///
 /// The `Debug` rendering of every variant is a valid Rust expression
 /// (under `use ChaosEvent::*;`), so a shrunk schedule can be pasted
-/// into a regression test verbatim — see [`crate::ChaosRepro`].
+/// into a regression test verbatim.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChaosEvent {
     /// Serve `count` client operations over key indices starting at

@@ -75,7 +75,7 @@ pub struct ServeConfig {
     /// When non-zero, idle gaps also run one scrub step with this byte
     /// budget, so repair proceeds under load in the space compaction
     /// leaves over. Zero disables in-flight scrubbing.
-    pub idle_scrub_bytes: u64,
+    idle_scrub_bytes: u64,
     /// When non-zero and the store has a value log, idle gaps also run
     /// one cooperative GC step with this byte budget
     /// ([`sealdb::Store::vlog_gc_step`]), standing in for the value
@@ -139,7 +139,7 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// Summarises a sample slice (sorted in place, nearest-rank
     /// percentiles).
-    pub fn from_samples(samples: &mut [u64]) -> Self {
+    fn from_samples(samples: &mut [u64]) -> Self {
         if samples.is_empty() {
             return LatencySummary::default();
         }
@@ -202,23 +202,23 @@ pub struct ServeResult {
     pub misses: u64,
     /// Reads (point or scan) that succeeded only after at least one
     /// in-request retry (the request was served, but degraded).
-    pub degraded_reads: u64,
+    degraded_reads: u64,
     /// Reads (point or scan) that exhausted their retry budget and were
     /// served empty: a point read as a miss, a scan with no rows.
     pub failed_reads: u64,
     /// Files the in-flight scrubber repaired during idle gaps.
-    pub repaired_in_flight: u64,
+    repaired_in_flight: u64,
     /// Value-log GC steps run in idle gaps.
     pub vlog_gc_steps: u64,
     /// Background steps (GC, compaction, scrub) that failed in an idle
     /// gap. A background error never ends the run: the foreground meets
     /// the same fault on its own path, where reads degrade gracefully
     /// and a write error still surfaces.
-    pub idle_errors: u64,
+    idle_errors: u64,
     /// Operations abandoned by clients that blew their error budget.
     pub abandoned_ops: u64,
     /// Clients that gave up before issuing all their operations.
-    pub clients_abandoned: u64,
+    clients_abandoned: u64,
 }
 
 impl ServeResult {
@@ -298,7 +298,7 @@ impl<T> ReadOutcome<T> {
 /// batch already at or past the cap simply admits no followers — it
 /// still commits, alone. Shared by `seal-front`'s serve loop and the
 /// shard router's per-shard group commit.
-pub fn group_fits(head: &WriteBatch, next: &WriteBatch, cap: usize) -> bool {
+fn group_fits(head: &WriteBatch, next: &WriteBatch, cap: usize) -> bool {
     head.byte_size() + next.body_bytes() <= cap
 }
 
@@ -349,7 +349,7 @@ impl ClientBudget {
     /// it failed at. Returns `true` exactly when this op newly tripped
     /// the client's budget (the caller abandons the client's remaining
     /// work once).
-    pub fn note_op(&mut self, client: usize, failure_events: u32) -> bool {
+    fn note_op(&mut self, client: usize, failure_events: u32) -> bool {
         if failure_events > 0 {
             self.failures[client] += 1;
         }
@@ -358,16 +358,6 @@ impl ClientBudget {
             return true;
         }
         false
-    }
-
-    /// Failed ops charged to `client` so far.
-    pub fn failures(&self, client: usize) -> u64 {
-        self.failures[client]
-    }
-
-    /// True once `client` has blown its budget.
-    pub fn tripped(&self, client: usize) -> bool {
-        self.gave_up[client]
     }
 }
 
@@ -1187,20 +1177,20 @@ mod tests {
         let mut b = ClientBudget::new(2, 2);
         // One op, two failure events: one charge, budget not tripped.
         assert!(!b.note_op(0, 2));
-        assert_eq!(b.failures(0), 1);
-        assert!(!b.tripped(0));
+        assert_eq!(b.failures[0], 1);
+        assert!(!b.gave_up[0]);
         // A clean op charges nothing.
         assert!(!b.note_op(0, 0));
-        assert_eq!(b.failures(0), 1);
+        assert_eq!(b.failures[0], 1);
         // The second failing op (again double-failed) trips the budget,
         // exactly once — the latch never re-fires.
         assert!(b.note_op(0, 2));
-        assert!(b.tripped(0));
+        assert!(b.gave_up[0]);
         assert!(!b.note_op(0, 1));
-        assert_eq!(b.failures(0), 3);
+        assert_eq!(b.failures[0], 3);
         // Other clients are untouched.
-        assert_eq!(b.failures(1), 0);
-        assert!(!b.tripped(1));
+        assert_eq!(b.failures[1], 0);
+        assert!(!b.gave_up[1]);
     }
 
     /// A zero configured budget behaves like 1 (the serve loop's
@@ -1210,7 +1200,7 @@ mod tests {
         let mut b = ClientBudget::new(1, 0);
         assert!(!b.note_op(0, 0));
         assert!(b.note_op(0, 1));
-        assert!(b.tripped(0));
+        assert!(b.gave_up[0]);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::rules::Rule;
 /// `**` matches any number of path segments (including zero), `*`
 /// matches any characters within one segment. Everything else is
 /// literal.
-pub fn path_matches(pattern: &str, path: &str) -> bool {
+pub(crate) fn path_matches(pattern: &str, path: &str) -> bool {
     let pat: Vec<&str> = pattern.split('/').collect();
     let segs: Vec<&str> = path.split('/').collect();
     match_segments(&pat, &segs)
@@ -67,7 +67,7 @@ fn segment_matches(pat: &str, seg: &str) -> bool {
 pub struct AllowEntry {
     /// The rule being exempted.
     pub rule: Rule,
-    /// Path pattern (see [`path_matches`]).
+    /// Path pattern (see `path_matches`).
     pub pattern: &'static str,
     /// Why the exemption is sound. Shown by `seal-lint --allowlist`.
     pub justification: &'static str,
@@ -93,7 +93,7 @@ pub fn default_allowlist() -> Vec<AllowEntry> {
 
 /// Scope table: which files each rule examines. Patterns are matched with
 /// [`path_matches`] against workspace-relative paths.
-pub fn default_scope(rule: Rule) -> Vec<&'static str> {
+pub(crate) fn default_scope(rule: Rule) -> Vec<&'static str> {
     match rule {
         // Determinism rules sweep every crate: one stray wall-clock read
         // or ambient RNG anywhere poisons byte-identical artifacts.
@@ -152,6 +152,9 @@ pub fn default_scope(rule: Rule) -> Vec<&'static str> {
         | Rule::FenceBeforeRepair
         | Rule::RecycleAfterFixupsDurable
         | Rule::NoDurabilityInDrop => vec!["crates/*/src/**", "src/**"],
+        // Library crates only: `surface` itself tells a crate's library
+        // files from its binaries, which are users, never subjects.
+        Rule::PubWithoutOutsideUser => vec!["crates/*/src/**"],
     }
 }
 

@@ -33,9 +33,9 @@ use std::collections::BTreeMap;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FnSummary {
     /// Effects present on every path through the function.
-    pub must: u8,
+    must: u8,
     /// Effects present on at least one path.
-    pub may: u8,
+    may: u8,
 }
 
 /// Call-graph summaries keyed by bare function name. Same-named
@@ -50,16 +50,6 @@ impl Summaries {
     /// name was seen.
     pub fn get(&self, name: &str) -> Option<FnSummary> {
         self.map.get(name).copied()
-    }
-
-    /// Number of summarised names (diagnostics/tests).
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no functions were summarised.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
     }
 }
 
@@ -144,18 +134,9 @@ fn call_effects(name: &str, sums: &Summaries) -> (u8, u8) {
     }
 }
 
-/// The ordering-rule family routed through this pass.
-pub const ORDERING_RULES: [Rule; 5] = [
-    Rule::SyncBeforeAck,
-    Rule::CheckpointBeforePointer,
-    Rule::FenceBeforeRepair,
-    Rule::RecycleAfterFixupsDurable,
-    Rule::NoDurabilityInDrop,
-];
-
 /// Checks one function against the active ordering rules, emitting a
 /// finding per violated trigger.
-pub fn check_fn(
+pub(crate) fn check_fn(
     f: &FnDef,
     sums: &Summaries,
     rules: &[Rule],
@@ -332,6 +313,15 @@ mod tests {
     use super::*;
     use crate::lexer::{lex, TokenKind};
     use crate::parser::parse;
+
+    /// The ordering-rule family routed through this pass.
+    const ORDERING_RULES: [Rule; 5] = [
+        Rule::SyncBeforeAck,
+        Rule::CheckpointBeforePointer,
+        Rule::FenceBeforeRepair,
+        Rule::RecycleAfterFixupsDurable,
+        Rule::NoDurabilityInDrop,
+    ];
 
     fn analyze(src: &str, rules: &[Rule]) -> Vec<(u32, Rule)> {
         let tokens = lex(src);

@@ -47,12 +47,12 @@ pub struct Token {
 
 impl Token {
     /// True if this token is the identifier `s`.
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokenKind::Ident && self.text == s
     }
 
     /// True if this token is the punctuation character `c`.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokenKind::Punct && self.text.len() == 1 && self.text.starts_with(c)
     }
 }
@@ -60,7 +60,7 @@ impl Token {
 /// Lexes `src` into a token stream. Unknown bytes are skipped (the tool
 /// lints its own workspace, so input is always valid Rust; resilience
 /// here just keeps a stray byte from aborting a whole-file scan).
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     Lexer {
         chars: src.chars().collect(),
         pos: 0,

@@ -9,15 +9,17 @@
 /// Rule scoping, path matching and the justified allowlist.
 pub mod config;
 /// Durability-ordering dataflow analysis with call-graph summaries.
-pub mod dataflow;
+mod dataflow;
 /// Hand-rolled Rust token lexer (no external parser crates).
-pub mod lexer;
+mod lexer;
 /// The durability-ordering effect annotation table.
-pub mod ordering;
+mod ordering;
 /// Recursive-descent parser producing the item/statement AST.
-pub mod parser;
+mod parser;
 /// The rule catalogue and per-file checking engine.
 pub mod rules;
+/// The workspace-level `pub-without-outside-user` rule.
+mod surface;
 
 use config::{default_allowlist, default_scope, path_matches, AllowEntry};
 use rules::{Finding, Rule};
@@ -30,9 +32,9 @@ use std::path::{Path, PathBuf};
 #[derive(Clone, Debug)]
 pub struct Options {
     /// Ignore the scope table: run every rule on every file.
-    pub all_rules_everywhere: bool,
+    all_rules_everywhere: bool,
     /// Apply the allowlist from [`config::default_allowlist`].
-    pub use_allowlist: bool,
+    use_allowlist: bool,
 }
 
 impl Options {
@@ -68,7 +70,9 @@ const LINT_FIXTURES_DIR: &str = "crates/lint/tests/fixtures";
 ///
 /// Runs in two passes: pass one reads and parses every file to build
 /// the cross-file call-graph summaries the ordering rules consume;
-/// pass two checks each file against its applicable rules.
+/// pass two checks each file against its applicable rules. The
+/// workspace-level `pub-without-outside-user` rule then runs once over
+/// the token streams pass one lexed.
 pub fn lint_root(root: &Path, opts: &Options) -> std::io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
@@ -87,7 +91,8 @@ pub fn lint_root(root: &Path, opts: &Options) -> std::io::Result<Vec<Finding>> {
         sources.push((rel.clone(), std::fs::read_to_string(root.join(rel))?));
     }
     let mut all_fns = Vec::new();
-    for (_, src) in &sources {
+    let mut lexed = Vec::with_capacity(sources.len());
+    for (rel, src) in &sources {
         let tokens = lexer::lex(src);
         let test_mask = rules::mask_test_code(&tokens);
         let code: Vec<usize> = (0..tokens.len())
@@ -99,6 +104,11 @@ pub fn lint_root(root: &Path, opts: &Options) -> std::io::Result<Vec<Finding>> {
             })
             .collect();
         all_fns.extend(parser::parse(&tokens, &code));
+        lexed.push(surface::LexedFile {
+            rel: rel.clone(),
+            tokens,
+            test_mask,
+        });
     }
     let summaries = dataflow::summarize(&all_fns);
     // Pass 2: per-file rule checks.
@@ -109,6 +119,16 @@ pub fn lint_root(root: &Path, opts: &Options) -> std::io::Result<Vec<Finding>> {
             continue;
         }
         findings.extend(rules::check_file(rel, src, &applicable, &summaries));
+    }
+    // The workspace-level rule, held to the same scopes, allowlist and
+    // suppression comments as the per-file ones.
+    for (idx, f) in surface::check(&lexed) {
+        let suppressed = rules::collect_suppressions(&lexed[idx].tokens);
+        if applicable_rules(&f.path, opts, &allowlist).contains(&f.rule)
+            && !rules::is_suppressed(&suppressed, f.line, f.rule)
+        {
+            findings.push(f);
+        }
     }
     findings.sort();
     Ok(findings)
@@ -229,7 +249,7 @@ fn json_string(out: &mut String, s: &str) {
 /// with a written justification.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BaselineEntry {
-    /// Path pattern matched with [`config::path_matches`].
+    /// Path pattern matched like the rule scopes (`*`, `**` globs).
     pub pattern: String,
     /// The rule being suppressed.
     pub rule: rules::Rule,

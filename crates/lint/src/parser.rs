@@ -12,12 +12,12 @@
 //!
 //! Shapes the parser understands:
 //! - `ident(...)`, `recv.ident(...)`, `path::ident(...)` and turbofish
-//!   `ident::<T>(...)` are [`CallSite`]s; `ident!(...)` is a macro, not
+//!   `ident::<T>(...)` are [`CallSite`](crate::parser::CallSite)s; `ident!(...)` is a macro, not
 //!   a call (so `write!` never looks like a pointer write).
 //! - `if`/`else if`/`else` chains and `match` arms become a
-//!   [`Stmt::Branch`] holding one block per alternative; an `if` with
+//!   [`Stmt::Branch`](crate::parser::Stmt::Branch) holding one block per alternative; an `if` with
 //!   no `else` carries an implicit empty arm.
-//! - `loop`/`while`/`for` bodies become [`Stmt::Loop`].
+//! - `loop`/`while`/`for` bodies become [`Stmt::Loop`](crate::parser::Stmt::Loop).
 //! - Bare nested blocks (`{ ... }`, including the diverging arm of
 //!   `let`-`else`) are treated as a single-alternative branch so their
 //!   effects never count as guaranteed.
@@ -30,11 +30,9 @@ pub struct FnDef {
     /// Bare function name (no path).
     pub name: String,
     /// Self type when defined inside an `impl` block.
-    pub impl_ty: Option<String>,
+    pub(crate) impl_ty: Option<String>,
     /// True when the enclosing impl is `impl Drop for ...`.
-    pub is_drop: bool,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
+    pub(crate) is_drop: bool,
     /// The function body.
     pub body: Block,
 }
@@ -43,12 +41,12 @@ pub struct FnDef {
 #[derive(Clone, Debug, Default)]
 pub struct Block {
     /// Statements in source order.
-    pub stmts: Vec<Stmt>,
+    pub(crate) stmts: Vec<Stmt>,
 }
 
 /// The statement shapes the dataflow pass distinguishes.
 #[derive(Clone, Debug)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     /// A call site, in evaluation-order position.
     Call(CallSite),
     /// Mutually exclusive alternatives (if/else arms, match arms). An
@@ -60,11 +58,9 @@ pub enum Stmt {
 
 /// One resolved call: `name(...)`, `recv.name(...)` or `path::name(...)`.
 #[derive(Clone, Debug)]
-pub struct CallSite {
+pub(crate) struct CallSite {
     /// The called function or method name (last path segment).
     pub name: String,
-    /// The receiver or path segment directly before the name, if any.
-    pub recv: Option<String>,
     /// 1-based source line of the call.
     pub line: u32,
 }
@@ -232,7 +228,6 @@ impl<'a> Parser<'a> {
 
     /// `fn name(sig) [-> T] { body }` — pos at `fn`.
     fn function(&mut self, impl_ctx: &Option<(Option<String>, bool)>) {
-        let line = self.tok(self.pos).map_or(0, |t| t.line);
         self.pos += 1; // 'fn'
         let Some(name_tok) = self.tok(self.pos) else {
             return;
@@ -273,7 +268,6 @@ impl<'a> Parser<'a> {
             name,
             impl_ty,
             is_drop,
-            line,
             body,
         });
     }
@@ -527,24 +521,8 @@ impl<'a> Parser<'a> {
         if self.tok(self.pos + 1).is_some_and(|a| a.is_punct('!')) {
             return; // macro, not a call
         }
-        // Receiver: `recv.name(` or `path::name(`.
-        let recv = if self.pos >= 2 && self.tok(self.pos - 1).is_some_and(|a| a.is_punct('.')) {
-            self.tok(self.pos - 2)
-                .filter(|a| a.kind == TokenKind::Ident)
-                .map(|a| a.text.clone())
-        } else if self.pos >= 3
-            && self.tok(self.pos - 1).is_some_and(|a| a.is_punct(':'))
-            && self.tok(self.pos - 2).is_some_and(|a| a.is_punct(':'))
-        {
-            self.tok(self.pos - 3)
-                .filter(|a| a.kind == TokenKind::Ident)
-                .map(|a| a.text.clone())
-        } else {
-            None
-        };
         out.push(Stmt::Call(CallSite {
             name: t.text.clone(),
-            recv,
             line: t.line,
         }));
     }
@@ -695,20 +673,14 @@ mod tests {
     }
 
     #[test]
-    fn receivers_are_captured() {
+    fn method_and_path_calls_are_captured_by_name() {
         let fns = parse_src("fn f() { db.write(b); Store::open(x); }");
         let mut sites = Vec::new();
         for s in &fns[0].body.stmts {
             if let Stmt::Call(c) = s {
-                sites.push((c.name.clone(), c.recv.clone()));
+                sites.push(c.name.clone());
             }
         }
-        assert_eq!(
-            sites,
-            [
-                ("write".to_string(), Some("db".to_string())),
-                ("open".to_string(), Some("Store".to_string())),
-            ]
-        );
+        assert_eq!(sites, ["write", "open"]);
     }
 }

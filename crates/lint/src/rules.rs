@@ -1,6 +1,6 @@
 //! The rule catalogue and the per-file checking engine.
 //!
-//! Rules operate on the token stream produced by [`crate::lexer`]. Two
+//! Rules operate on the token stream produced by the lexer. Two
 //! stream-wide analyses run before any rule: test-code masking (tokens
 //! inside `#[cfg(test)]`-gated modules and `#[test]` functions are
 //! invisible to every rule — tests may unwrap freely) and suppression
@@ -55,11 +55,14 @@ pub enum Rule {
     /// No durability work (`sync`/checkpoint) reachable from `Drop`
     /// impls, where ordering at crash is undefined.
     NoDurabilityInDrop,
+    /// Every `pub` item of a library crate is named outside that crate
+    /// (workspace-level; see the `surface` module).
+    PubWithoutOutsideUser,
 }
 
 impl Rule {
     /// Every rule, in diagnostic order.
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 14] = [
         Rule::NoWallClock,
         Rule::NoAmbientRandomness,
         Rule::NoUnorderedIteration,
@@ -73,6 +76,7 @@ impl Rule {
         Rule::FenceBeforeRepair,
         Rule::RecycleAfterFixupsDurable,
         Rule::NoDurabilityInDrop,
+        Rule::PubWithoutOutsideUser,
     ];
 
     /// Stable kebab-case name used in diagnostics and suppressions.
@@ -91,6 +95,7 @@ impl Rule {
             Rule::FenceBeforeRepair => "fence-before-repair",
             Rule::RecycleAfterFixupsDurable => "recycle-after-fixups-durable",
             Rule::NoDurabilityInDrop => "no-durability-in-drop",
+            Rule::PubWithoutOutsideUser => "pub-without-outside-user",
         }
     }
 
@@ -123,6 +128,9 @@ impl Rule {
                 "segment recycle dominated by durable pointer fixups"
             }
             Rule::NoDurabilityInDrop => "no sync/checkpoint work reachable from Drop impls",
+            Rule::PubWithoutOutsideUser => {
+                "every pub item of a library crate is named outside that crate"
+            }
         }
     }
 }
@@ -156,26 +164,11 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Convenience for single-file checks (unit tests, doc examples): the
-/// call-graph summary layer sees only this file's own functions.
-pub fn check_source(path: &str, src: &str, rules: &[Rule]) -> Vec<Finding> {
-    let tokens = lex(src);
-    let test_mask = mask_test_code(&tokens);
-    let code: Vec<usize> = (0..tokens.len())
-        .filter(|&i| {
-            !matches!(tokens[i].kind, TokenKind::Comment | TokenKind::DocComment) && !test_mask[i]
-        })
-        .collect();
-    let fns = crate::parser::parse(&tokens, &code);
-    let summaries = crate::dataflow::summarize(&fns);
-    check_file(path, src, rules, &summaries)
-}
-
 /// Checks one file's source against `rules`, honouring suppression
 /// comments and skipping test-gated code. `path` is only stamped into
 /// findings; scoping decisions happen in [`crate::lint_root`], which
 /// also computes the cross-file call-graph `summaries`.
-pub fn check_file(
+pub(crate) fn check_file(
     path: &str,
     src: &str,
     rules: &[Rule],
@@ -193,8 +186,7 @@ pub fn check_file(
         .collect();
     let mut out = Vec::new();
     let mut emit = |line: u32, rule: Rule, message: String| {
-        let hit = |l: u32| suppressed.get(&l).is_some_and(|set| set.contains(&rule));
-        if !(hit(line) || (line > 1 && hit(line - 1))) {
+        if !is_suppressed(&suppressed, line, rule) {
             out.push(Finding {
                 path: path.to_string(),
                 line,
@@ -219,6 +211,8 @@ pub fn check_file(
             | Rule::FenceBeforeRepair
             | Rule::RecycleAfterFixupsDurable
             | Rule::NoDurabilityInDrop => ordering_rules.push(rule),
+            // Workspace-level: `lint_root` runs it over every file at once.
+            Rule::PubWithoutOutsideUser => {}
         }
     }
     if !ordering_rules.is_empty() {
@@ -231,10 +225,17 @@ pub fn check_file(
     out
 }
 
+/// Whether a suppression in `map` silences `rule` at `line`: a comment
+/// on that line or on the line directly above it.
+pub(crate) fn is_suppressed(map: &BTreeMap<u32, Vec<Rule>>, line: u32, rule: Rule) -> bool {
+    let hit = |l: u32| map.get(&l).is_some_and(|set| set.contains(&rule));
+    hit(line) || (line > 1 && hit(line - 1))
+}
+
 /// Parses `// seal-lint: allow(rule-a, rule-b)` comments into a line →
 /// allowed-rules map. A suppression covers findings on its own line and
 /// on the line directly below it (comment-above style).
-fn collect_suppressions(tokens: &[Token]) -> BTreeMap<u32, Vec<Rule>> {
+pub(crate) fn collect_suppressions(tokens: &[Token]) -> BTreeMap<u32, Vec<Rule>> {
     let mut map: BTreeMap<u32, Vec<Rule>> = BTreeMap::new();
     for t in tokens {
         if !matches!(t.kind, TokenKind::Comment | TokenKind::DocComment) {
@@ -676,8 +677,20 @@ fn pub_item_docs(tokens: &[Token], test_mask: &[bool], rule: Rule, emit: &mut Em
 mod tests {
     use super::*;
 
+    /// Checks one source as `f.rs`: the call-graph summary layer sees
+    /// only this file's own functions.
     fn run(src: &str, rules: &[Rule]) -> Vec<Finding> {
-        check_source("f.rs", src, rules)
+        let tokens = lex(src);
+        let test_mask = mask_test_code(&tokens);
+        let code: Vec<usize> = (0..tokens.len())
+            .filter(|&i| {
+                !matches!(tokens[i].kind, TokenKind::Comment | TokenKind::DocComment)
+                    && !test_mask[i]
+            })
+            .collect();
+        let fns = crate::parser::parse(&tokens, &code);
+        let summaries = crate::dataflow::summarize(&fns);
+        check_file("f.rs", src, rules, &summaries)
     }
 
     #[test]

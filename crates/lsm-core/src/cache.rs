@@ -139,11 +139,6 @@ impl<K: Ord + Clone, V> LruCache<K, V> {
         self.map.is_empty()
     }
 
-    /// Charged bytes currently resident.
-    pub fn used_bytes(&self) -> u64 {
-        self.used
-    }
-
     /// (hits, misses) counters.
     pub fn hit_stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -180,7 +175,7 @@ mod tests {
         for i in 0..10 {
             c.insert(i, Arc::new(i), 10);
         }
-        assert!(c.used_bytes() <= 30);
+        assert!(c.used <= 30);
         assert!(c.len() <= 3);
         // Newest entries survive.
         assert!(c.get(&9).is_some());
@@ -206,7 +201,7 @@ mod tests {
         let mut c: LruCache<u32, u32> = LruCache::new(100);
         c.insert(1, Arc::new(1), 10);
         c.insert(1, Arc::new(2), 50);
-        assert_eq!(c.used_bytes(), 50);
+        assert_eq!(c.used, 50);
         assert_eq!(*c.get(&1).unwrap(), 2);
     }
 
@@ -216,11 +211,11 @@ mod tests {
         c.insert(1, Arc::new(1), 10);
         c.insert(2, Arc::new(2), 10);
         c.remove(&1);
-        assert_eq!(c.used_bytes(), 10);
+        assert_eq!(c.used, 10);
         assert!(c.get(&1).is_none());
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.used_bytes(), 0);
+        assert_eq!(c.used, 0);
     }
 
     #[test]

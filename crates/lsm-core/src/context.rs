@@ -56,7 +56,11 @@ pub struct StoreCtx {
 pub type SharedCtx = Arc<CtxMutex<StoreCtx>>;
 
 /// Creates a shared context with the given cache budgets.
-pub fn new_ctx(fs: FileStore, block_cache_bytes: u64, table_cache_entries: u64) -> SharedCtx {
+pub(crate) fn new_ctx(
+    fs: FileStore,
+    block_cache_bytes: u64,
+    table_cache_entries: u64,
+) -> SharedCtx {
     Arc::new(CtxMutex::new(StoreCtx {
         fs,
         block_cache: LruCache::new(block_cache_bytes),
@@ -81,6 +85,6 @@ pub fn get_table(ctx: &SharedCtx, id: FileId, size: u64) -> Result<Arc<Table>> {
 /// Evicts a deleted file from the caches. Stale block-cache entries for
 /// the file simply age out (file ids are never reused), but the table
 /// reader is dropped eagerly.
-pub fn evict_file(ctx: &SharedCtx, id: FileId) {
+pub(crate) fn evict_file(ctx: &SharedCtx, id: FileId) {
     ctx.lock().table_cache.remove(&id);
 }

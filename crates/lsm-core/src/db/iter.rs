@@ -17,7 +17,7 @@ use std::cmp::Ordering;
 ///
 /// Driving a compaction (`IoKind::CompactionRead`), it also keeps a
 /// physically contiguous run of tables one device stream: see
-/// [`LevelIterator::bridge_to_next`].
+/// `LevelIterator::bridge_to_next`.
 #[derive(Debug)]
 pub struct LevelIterator {
     ctx: SharedCtx,
@@ -181,16 +181,11 @@ impl<'a> DbIterator<'a> {
         self.inner.seek(&lookup_key(ukey, self.snapshot));
     }
 
-    /// Positions at the start of the database.
-    pub fn seek_to_first(&mut self) {
-        self.inner.seek_to_first();
-    }
-
     /// Produces the next visible (user key, value) pair, or `None` at the
     /// end. A trailer that fails to parse means a corrupt entry slipped
     /// past the block CRC: that is `Err(Corruption)`, as on the point-read
     /// path, never a row silently skipped.
-    pub fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+    fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         while self.inner.valid() {
             let (seq, ty) = try_parse_trailer(self.inner.key())?;
             if seq > self.snapshot {

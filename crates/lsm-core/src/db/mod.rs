@@ -98,13 +98,11 @@ pub struct RecoveryReport {
     pub wal_records_skipped: u64,
     /// WAL bytes discarded by the log reader while resynchronising.
     pub wal_bytes_dropped: u64,
-    /// Manifest edits applied.
-    pub manifest_edits_applied: u64,
     /// Manifest records dropped after the first corrupt one.
     pub manifest_records_dropped: u64,
     /// Data files found on disk but absent from the recovered version
     /// (placed by an edit that never committed) and reclaimed.
-    pub orphan_files_dropped: u64,
+    orphan_files_dropped: u64,
     /// Version files that failed validation on reopen and were removed
     /// from the tree rather than left to load-bear (see
     /// [`DbCore::quarantine_invalid_files`]).
@@ -168,13 +166,6 @@ pub struct Snapshot {
     seq: SequenceNumber,
 }
 
-impl Snapshot {
-    /// The pinned sequence number.
-    pub fn sequence(&self) -> SequenceNumber {
-        self.seq
-    }
-}
-
 /// The LSM-tree database.
 pub struct DbCore {
     opts: Options,
@@ -190,6 +181,15 @@ pub struct DbCore {
     snapshots: Vec<SequenceNumber>,
     /// What the last open/reopen had to repair.
     recovery: RecoveryReport,
+    /// Serve mode: when true, writes no longer run compactions to
+    /// quiescence inline. The write path applies LevelDB's backpressure
+    /// (slowdown, stop, memtable-full stalls) and the background thread
+    /// is [`DbCore::compact_until`], run by the slowdown sleep and by a
+    /// caller's idle loop (the serving front-end's). When false (the
+    /// default) the engine keeps the original quiesce-on-write behavior
+    /// the paper's db_bench-style experiments rely on. Only
+    /// [`DbCore::set_deferred_compaction`] flips it; it survives reopen.
+    deferred_compaction: bool,
     /// Write-stall accounting (deferred-compaction mode).
     stalls: StallStats,
     /// Resume point of the incremental scrubber: the (level, file id)
@@ -245,6 +245,7 @@ impl DbCore {
             flush_count: 0,
             snapshots: Vec::new(),
             recovery: RecoveryReport::default(),
+            deferred_compaction: false,
             stalls: StallStats::default(),
             scrub_cursor: None,
             scrub_totals: scrub::ScrubReport::default(),
@@ -262,6 +263,7 @@ impl DbCore {
             opts,
             ctx,
             mut policy,
+            deferred_compaction,
             ..
         } = self;
         let mut versions = VersionSet::new(opts.level_params());
@@ -276,7 +278,6 @@ impl DbCore {
             // a second time can never meet the reader of its first owner.
             guard.table_cache.clear();
             let manifest = versions.recover(&mut guard.fs)?;
-            report.manifest_edits_applied = manifest.edits_applied;
             report.manifest_records_dropped = manifest.records_dropped;
             let replay_from = versions.log_number();
             for log_id in guard.fs.log_ids() {
@@ -363,6 +364,7 @@ impl DbCore {
             flush_count: 0,
             snapshots: Vec::new(),
             recovery: report,
+            deferred_compaction,
             stalls: StallStats::default(),
             scrub_cursor: None,
             scrub_totals: scrub::ScrubReport::default(),
@@ -560,8 +562,8 @@ impl DbCore {
     /// Applies a batch atomically: WAL first, then the memtable. In the
     /// default mode, flush and compactions run inline to quiescence when
     /// thresholds trip; in deferred-compaction mode the write instead
-    /// passes through [`DbCore::make_room_for_write`]'s backpressure and
-    /// leaves compaction to [`DbCore::compact_step`] callers.
+    /// passes through `make_room_for_write`'s backpressure and leaves
+    /// compaction to [`DbCore::compact_until`].
     pub fn write(&mut self, batch: WriteBatch) -> Result<()> {
         self.write_inner(batch, true)
     }
@@ -571,7 +573,7 @@ impl DbCore {
             return Ok(());
         }
         let t0 = self.clock_ns();
-        if self.opts.deferred_compaction {
+        if self.deferred_compaction {
             self.make_room_for_write()?;
         }
         let seq = self.versions.last_sequence() + 1;
@@ -590,7 +592,7 @@ impl DbCore {
         if account {
             self.ctx.lock().fs.disk_mut().stats_mut().user_payload += batch.payload_bytes();
         }
-        if !self.opts.deferred_compaction {
+        if !self.deferred_compaction {
             self.maybe_flush_and_compact()?;
         }
         // Whole-op latency, flush/compaction stalls included: the paper's
@@ -701,7 +703,7 @@ impl DbCore {
                 "replicated batch covers sequences {first}..={last} but local state is at {applied}"
             )));
         }
-        if self.opts.deferred_compaction {
+        if self.deferred_compaction {
             self.make_room_for_write()?;
         }
         if let Some(wal) = self.wal.as_mut() {
@@ -713,7 +715,7 @@ impl DbCore {
         }
         self.versions.set_last_sequence(last);
         self.ctx.lock().fs.disk_mut().stats_mut().user_payload += batch.payload_bytes();
-        if !self.opts.deferred_compaction {
+        if !self.deferred_compaction {
             self.maybe_flush_and_compact()?;
         }
         self.obs_latency(ObsLayer::Replication, "apply_ns", self.clock_ns() - t0);
@@ -819,26 +821,24 @@ impl DbCore {
     /// mode, then flips to deferred for the measured phase so load-time
     /// compactions never pollute the stall accounting.
     pub fn set_deferred_compaction(&mut self, on: bool) {
-        self.opts.deferred_compaction = on;
+        self.deferred_compaction = on;
     }
 
     /// Whether the version tree currently wants a compaction (any level's
     /// score at or above 1.0) — the front-end's cue to spend idle disk
     /// time on background work.
-    pub fn needs_compaction(&self) -> bool {
+    pub(crate) fn needs_compaction(&self) -> bool {
         self.versions.compaction_score().1 >= 1.0
     }
 
     /// The background compaction thread, run until the simulated clock
-    /// reads `until`: while a compaction is due, one [`compact_step`],
+    /// reads `until`: while a compaction is due, one `compact_step`,
     /// each one that ran counted into `steps`. A step is never cut short,
     /// so the clock may end past `until`; one that fails ends the loop
     /// with its error, `steps` still counting those before it. Both
     /// places the disk is free for background work come here: the
     /// serving front-end's idle gaps and the writer's sleep on the
-    /// slowdown rung of [`DbCore::make_room_for_write`].
-    ///
-    /// [`compact_step`]: DbCore::compact_step
+    /// slowdown rung of `make_room_for_write`.
     pub fn compact_until(&mut self, until: u64, steps: &mut u64) -> Result<()> {
         while self.clock_ns() < until && self.needs_compaction() {
             if !self.compact_step()? {
@@ -852,7 +852,7 @@ impl DbCore {
     /// Runs at most one compaction picked by score and victim priority —
     /// the unit of background-thread work in deferred-compaction mode.
     /// Returns whether a compaction actually ran.
-    pub fn compact_step(&mut self) -> Result<bool> {
+    fn compact_step(&mut self) -> Result<bool> {
         let compaction = {
             let policy = &self.policy;
             let prio = |overlapped: &[FileMetaHandle]| -> u64 {
@@ -1318,11 +1318,6 @@ impl DbCore {
         }
     }
 
-    /// Number of live snapshots.
-    pub fn live_snapshots(&self) -> usize {
-        self.snapshots.len()
-    }
-
     /// The oldest sequence any reader may still observe.
     fn smallest_snapshot(&self) -> SequenceNumber {
         self.snapshots
@@ -1335,16 +1330,6 @@ impl DbCore {
     /// Point lookup as of a snapshot.
     pub fn get_at(&mut self, key: &[u8], snap: &Snapshot) -> Result<Option<Vec<u8>>> {
         self.get_internal(key, snap.seq)
-    }
-
-    /// Range scan as of a snapshot.
-    pub fn scan_at(
-        &mut self,
-        start: &[u8],
-        limit: usize,
-        snap: &Snapshot,
-    ) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        self.scan_internal(start, limit, snap.seq)
     }
 
     // ----- read path -----
@@ -1542,7 +1527,7 @@ mod tests {
         }
         db.flush().unwrap();
         assert!(db.flush_count() > 0);
-        assert!(db.current_version().total_files() > 0);
+        assert!(db.current_version().files.iter().flatten().count() > 0);
         for i in (0..n).step_by(97) {
             let (k, v) = kv(i);
             assert_eq!(db.get(&k).unwrap(), Some(v), "key {i}");
@@ -1691,10 +1676,10 @@ mod tests {
             }
         }
         // Snapshot scans see the old values too.
-        let got = db.scan_at(&kv(0).0, 5, &snap).unwrap();
+        let got = db.scan_internal(&kv(0).0, 5, snap.seq).unwrap();
         assert_eq!(got[0].1, kv(0).1);
         db.release_snapshot(snap);
-        assert_eq!(db.live_snapshots(), 0);
+        assert_eq!(db.snapshots.len(), 0);
     }
 
     #[test]
@@ -1777,10 +1762,10 @@ mod tests {
             let mut opts = Options::scaled(8 << 10);
             opts.write_buffer_size = 32 << 10;
             opts.wal_buffer_bytes = 0;
-            opts.deferred_compaction = true;
             let alloc = Ext4Sim::new(cap - opts.log_zone_bytes, 16 * MB);
             let policy = crate::policy::PerFilePolicy::new(Box::new(alloc));
             let mut db = DbCore::open(disk, opts, Box::new(policy)).unwrap();
+            db.set_deferred_compaction(true);
             let mut n = 0u64;
             while db.current_version().level_file_count(0) < 4 {
                 let (k, v) = kv((n * 2654435761) % 100_000);
@@ -1857,12 +1842,12 @@ mod tests {
         let mut opts = Options::scaled(8 << 10);
         opts.write_buffer_size = 32 << 10;
         opts.wal_buffer_bytes = 0;
-        opts.deferred_compaction = true;
         // Level 1 holds both rounds: the second step is L0→L1 again.
         opts.level_base_bytes = 1 << 20;
         let data = cap - opts.log_zone_bytes;
         let policy = crate::policy::PerFilePolicy::new(Box::new(Ext4Sim::new(data, data)));
         let mut db = DbCore::open(disk, opts, Box::new(policy)).unwrap();
+        db.set_deferred_compaction(true);
         let mut n = 0u64;
         let mut fill_l0 = |db: &mut DbCore| {
             while db.current_version().level_file_count(0) < 4 {
@@ -2012,13 +1997,14 @@ mod tests {
         let mut opts = Options::scaled(64 << 10);
         opts.write_buffer_size = 8 << 10;
         opts.wal_buffer_bytes = 0;
-        opts.deferred_compaction = true;
         opts.l0_compaction_trigger = 2;
         opts.l0_slowdown_trigger = 3;
         opts.l0_stop_trigger = 5;
         let alloc = Ext4Sim::new(cap - opts.log_zone_bytes, 16 * MB);
         let policy = crate::policy::PerFilePolicy::new(Box::new(alloc));
-        DbCore::open(disk, opts, Box::new(policy)).unwrap()
+        let mut db = DbCore::open(disk, opts, Box::new(policy)).unwrap();
+        db.set_deferred_compaction(true);
+        db
     }
 
     /// Write `i` of `n`, in scrambled order: L0 files overlap, so an L0

@@ -29,18 +29,10 @@ pub struct Options {
     /// count back down (LevelDB's `kL0_StopWritesTrigger`, 12). Only
     /// observed in deferred-compaction mode.
     pub l0_stop_trigger: usize,
-    /// When true, writes no longer run compactions to quiescence inline.
-    /// The write path applies LevelDB's backpressure (slowdown, stop,
-    /// memtable-full stalls) and the background thread is
-    /// [`crate::DbCore::compact_until`], run by the slowdown sleep and by
-    /// a caller's idle loop (the serving front-end's). When false (the
-    /// default) the engine keeps the original quiesce-on-write behavior
-    /// the paper's db_bench-style experiments rely on.
-    pub deferred_compaction: bool,
     /// L1 byte budget; level i allows `base * AF^(i-1)`.
     pub level_base_bytes: u64,
     /// The paper's amplification factor AF between adjacent levels (10).
-    pub level_multiplier: u64,
+    level_multiplier: u64,
     /// Output files stop growing when they overlap more than this many
     /// bytes of the grandparent level (LevelDB: 10 × max file size).
     pub max_grandparent_overlap_bytes: u64,
@@ -78,7 +70,6 @@ impl Options {
             l0_compaction_trigger: 4,
             l0_slowdown_trigger: 8,
             l0_stop_trigger: 12,
-            deferred_compaction: false,
             level_base_bytes: 10 * sstable_size,
             level_multiplier: 10,
             max_grandparent_overlap_bytes: 10 * sstable_size,
@@ -97,7 +88,7 @@ impl Options {
     }
 
     /// Level parameters for the version set.
-    pub fn level_params(&self) -> crate::version::LevelParams {
+    pub(crate) fn level_params(&self) -> crate::version::LevelParams {
         crate::version::LevelParams {
             num_levels: self.num_levels,
             l0_trigger: self.l0_compaction_trigger,
@@ -108,7 +99,7 @@ impl Options {
 
     /// Sanity-checks the option combination, returning a description of
     /// the first problem found.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.num_levels < 2 {
             return Err("num_levels must be at least 2".into());
         }
@@ -140,7 +131,7 @@ impl Options {
     }
 
     /// Table-build options.
-    pub fn table_options(&self) -> crate::sstable::TableOptions {
+    pub(crate) fn table_options(&self) -> crate::sstable::TableOptions {
         crate::sstable::TableOptions {
             block_size: self.block_size,
             restart_interval: self.restart_interval,

@@ -84,7 +84,7 @@ impl Default for ScrubConfig {
 
 /// Health verdict for one scanned file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FileHealth {
+enum FileHealth {
     /// Every block verified.
     Clean,
     /// Damaged data/filter blocks, but the footer and index parse: the
@@ -99,7 +99,7 @@ pub enum FileHealth {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Files whose blocks were verified.
-    pub files_scanned: u64,
+    files_scanned: u64,
     /// Table bytes read and verified.
     pub bytes_verified: u64,
     /// Blocks checked (data + index + filter).
@@ -149,7 +149,7 @@ fn step_zero(syn: u32) -> u32 {
 /// the stored CRC field. Returns the repaired image, or `None` when the
 /// damage is not a single-bit flip. The result always passes
 /// [`verify_block`].
-pub fn correct_single_bit(image: &[u8]) -> Option<Vec<u8>> {
+fn correct_single_bit(image: &[u8]) -> Option<Vec<u8>> {
     if image.len() < BLOCK_TRAILER_SIZE {
         return None;
     }

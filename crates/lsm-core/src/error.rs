@@ -54,6 +54,6 @@ impl From<AllocError> for Error {
 pub type Result<T> = std::result::Result<T, Error>;
 
 /// Shorthand constructor for corruption errors.
-pub fn corruption<T>(msg: impl Into<String>) -> Result<T> {
+pub(crate) fn corruption<T>(msg: impl Into<String>) -> Result<T> {
     Err(Error::Corruption(msg.into()))
 }

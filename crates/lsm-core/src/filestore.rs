@@ -10,13 +10,13 @@ use smr_sim::{Disk, DiskSnapshot, Extent, IoKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Chunk granularity of the conventional log zone.
-pub const LOG_CHUNK: u64 = 256 * 1024;
+pub(crate) const LOG_CHUNK: u64 = 256 * 1024;
 
 /// Transient-read retries attempted before surfacing the error.
-pub const READ_RETRY_BUDGET: u32 = 3;
+const READ_RETRY_BUDGET: u32 = 3;
 
 /// Simulated backoff charged before the first retry; doubles per retry.
-pub const READ_RETRY_BACKOFF_NS: u64 = 500_000;
+const READ_RETRY_BACKOFF_NS: u64 = 500_000;
 
 #[derive(Debug, Clone)]
 struct LogFile {
@@ -27,7 +27,6 @@ struct LogFile {
 #[derive(Debug)]
 struct LogZone {
     base: u64,
-    chunk_count: u64,
     free: BTreeSet<u64>,
 }
 
@@ -86,7 +85,6 @@ impl FileStore {
             logs: BTreeMap::new(),
             zone: LogZone {
                 base,
-                chunk_count,
                 free: (0..chunk_count).collect(),
             },
             crash_images: Vec::new(),
@@ -125,16 +123,11 @@ impl FileStore {
         if self.disk.take_crash_snapshots().is_empty() {
             return;
         }
-        self.crash_images.push(CrashImage {
-            disk: self.disk.snapshot(),
-            files: self.files.clone(),
-            logs: self.logs.clone(),
-            zone_free: self.zone.free.clone(),
-        });
+        self.crash_images.push(self.crash_image());
     }
 
     /// Takes a power-cut image of the store's current state on demand.
-    pub fn crash_image(&self) -> CrashImage {
+    pub(crate) fn crash_image(&self) -> CrashImage {
         CrashImage {
             disk: self.disk.snapshot(),
             files: self.files.clone(),
@@ -247,7 +240,7 @@ impl FileStore {
     /// Whether file `next` starts on the device exactly where file `prev`
     /// ends, so that one sequential sweep covers both. Unknown ids are
     /// not adjacent to anything.
-    pub fn file_follows(&self, prev: FileId, next: FileId) -> bool {
+    pub(crate) fn file_follows(&self, prev: FileId, next: FileId) -> bool {
         match (self.files.get(&prev), self.files.get(&next)) {
             (Some(prev), Some(next)) => prev.end() == next.offset,
             _ => false,
@@ -257,11 +250,6 @@ impl FileStore {
     /// Whether a file id is registered.
     pub fn has_file(&self, id: FileId) -> bool {
         self.files.contains_key(&id)
-    }
-
-    /// Number of registered table files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
     }
 
     /// Reads `len` bytes at `offset` within file `id`.
@@ -415,7 +403,7 @@ impl FileStore {
     }
 
     /// Reads a log file's full contents.
-    pub fn log_read_all(&mut self, id: FileId, kind: IoKind) -> Result<Vec<u8>> {
+    pub(crate) fn log_read_all(&mut self, id: FileId, kind: IoKind) -> Result<Vec<u8>> {
         let (chunks, len) = {
             let log = self
                 .logs
@@ -459,20 +447,10 @@ impl FileStore {
     }
 
     /// Ids of all logs currently present.
-    pub fn log_ids(&self) -> Vec<FileId> {
+    pub(crate) fn log_ids(&self) -> Vec<FileId> {
         let mut ids: Vec<FileId> = self.logs.keys().copied().collect();
         ids.sort_unstable();
         ids
-    }
-
-    /// Free chunks remaining in the log zone.
-    pub fn log_zone_free_chunks(&self) -> u64 {
-        self.zone.free.len() as u64
-    }
-
-    /// Total chunks in the log zone.
-    pub fn log_zone_chunks(&self) -> u64 {
-        self.zone.chunk_count
     }
 }
 
@@ -573,12 +551,12 @@ mod tests {
     #[test]
     fn log_delete_recycles_chunks() {
         let mut s = fs();
-        let before = s.log_zone_free_chunks();
+        let before = s.zone.free.len();
         s.create_log(5).unwrap();
         s.log_append(5, &vec![1u8; 1 << 20], IoKind::Wal).unwrap();
-        assert!(s.log_zone_free_chunks() < before);
+        assert!(s.zone.free.len() < before);
         s.delete_log(5).unwrap();
-        assert_eq!(s.log_zone_free_chunks(), before);
+        assert_eq!(s.zone.free.len(), before);
         assert!(!s.has_log(5));
     }
 
@@ -586,7 +564,7 @@ mod tests {
     fn log_zone_is_isolated_from_data() {
         let s = fs();
         assert_eq!(s.data_capacity(), 240 * MB);
-        assert_eq!(s.log_zone_chunks(), 64);
+        assert_eq!(s.zone.free.len(), 64, "a fresh zone is all free chunks");
     }
 
     #[test]
@@ -691,7 +669,7 @@ mod tests {
         assert!(s.take_crash_images().is_empty());
         // Restoring the first image rolls back to exactly two files.
         s.restore_crash_image(&images[0]);
-        assert_eq!(s.file_count(), 2);
+        assert_eq!(s.files.len(), 2);
         assert!(s.has_file(0) && s.has_file(1) && !s.has_file(2));
     }
 

@@ -54,7 +54,7 @@ pub mod wal;
 pub use db::{
     batch::WriteBatch,
     options::Options,
-    scrub::{FileHealth, ScrubConfig, ScrubReport},
+    scrub::{ScrubConfig, ScrubReport},
     CompactionRecord, DbCore, RecoveryReport, Snapshot, StallStats, VLOG_FILE_BASE,
 };
 pub use error::{Error, Result};

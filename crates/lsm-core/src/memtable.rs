@@ -81,7 +81,7 @@ impl MemTable {
     }
 
     /// Approximate memory used by entries (the flush trigger input).
-    pub fn approximate_memory_usage(&self) -> usize {
+    pub(crate) fn approximate_memory_usage(&self) -> usize {
         self.arena.len() + self.nodes.len() * std::mem::size_of::<Node>()
     }
 

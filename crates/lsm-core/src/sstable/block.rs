@@ -97,7 +97,7 @@ impl BlockBuilder {
     }
 
     /// Bytes the finished block would occupy.
-    pub fn current_size_estimate(&self) -> usize {
+    pub(crate) fn current_size_estimate(&self) -> usize {
         self.buf.len() + self.restarts.len() * 4 + 4
     }
 

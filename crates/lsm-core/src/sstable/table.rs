@@ -28,9 +28,9 @@ use std::sync::Arc;
 /// Footer size in bytes.
 pub const FOOTER_SIZE: usize = 48;
 /// Table magic number (LevelDB's).
-pub const TABLE_MAGIC: u64 = 0xdb4775248b80fb57;
+const TABLE_MAGIC: u64 = 0xdb4775248b80fb57;
 /// Per-block trailer: 1 type byte + 4 CRC bytes.
-pub const BLOCK_TRAILER_SIZE: usize = 5;
+pub(crate) const BLOCK_TRAILER_SIZE: usize = 5;
 
 /// Position of a block within the file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -205,22 +205,22 @@ impl TableBuilder {
     }
 
     /// Number of entries added so far.
-    pub fn num_entries(&self) -> u64 {
+    pub(crate) fn num_entries(&self) -> u64 {
         self.num_entries
     }
 
     /// Current file size estimate (finished blocks only).
-    pub fn file_size_estimate(&self) -> u64 {
+    pub(crate) fn file_size_estimate(&self) -> u64 {
         (self.buf.len() + self.block.current_size_estimate()) as u64
     }
 
     /// Smallest internal key added.
-    pub fn first_key(&self) -> Option<&[u8]> {
+    pub(crate) fn first_key(&self) -> Option<&[u8]> {
         self.first_key.as_deref()
     }
 
     /// Largest internal key added.
-    pub fn last_key(&self) -> &[u8] {
+    pub(crate) fn last_key(&self) -> &[u8] {
         &self.last_key
     }
 
@@ -406,7 +406,7 @@ impl Table {
     /// index and filter checks as [`Table::open`], with no device read.
     /// Data blocks are not touched; they are verified whenever they are
     /// read back off the device.
-    pub fn from_image(file: FileId, image: &[u8]) -> Result<Table> {
+    pub(crate) fn from_image(file: FileId, image: &[u8]) -> Result<Table> {
         let (index, bloom) = image_footer(image)
             .and_then(|footer| load_meta(footer, |handle| image_block(image, handle)))
             .map_err(|e| locate(e, || format!("file {file} (image)")))?;
@@ -418,18 +418,8 @@ impl Table {
         })
     }
 
-    /// File id this reader serves.
-    pub fn file_id(&self) -> FileId {
-        self.file
-    }
-
-    /// On-disk file size.
-    pub fn file_size(&self) -> u64 {
-        self.file_size
-    }
-
     /// Whether the bloom filter definitively excludes `ukey`.
-    pub fn bloom_excludes(&self, ukey: &[u8]) -> bool {
+    pub(crate) fn bloom_excludes(&self, ukey: &[u8]) -> bool {
         self.bloom.as_ref().is_some_and(|b| !b.may_contain(ukey))
     }
 
@@ -708,7 +698,7 @@ mod tests {
         assert_eq!(meta(&ctx), 0, "an image reader costs no device read");
         let from_device = Arc::new(Table::open(&ctx, 1, data.len() as u64).unwrap());
         assert_eq!(meta(&ctx), 3, "footer + index + filter");
-        assert_eq!(from_image.file_size(), from_device.file_size());
+        assert_eq!(from_image.file_size, from_device.file_size);
         for key in ["key000000", "key000250", "key000499", "key0002505", "zzz"] {
             let lk = types::lookup_key(key.as_bytes(), MAX_SEQUENCE);
             assert_eq!(

@@ -25,7 +25,7 @@ pub enum ValueType {
 
 impl ValueType {
     /// Decodes from the trailer's low byte.
-    pub fn from_u8(v: u8) -> Option<ValueType> {
+    pub(crate) fn from_u8(v: u8) -> Option<ValueType> {
         match v {
             0 => Some(ValueType::Deletion),
             1 => Some(ValueType::Value),
@@ -35,13 +35,18 @@ impl ValueType {
 }
 
 /// Packs sequence and type into the 8-byte trailer value.
-pub fn pack_seq_type(seq: SequenceNumber, ty: ValueType) -> u64 {
+fn pack_seq_type(seq: SequenceNumber, ty: ValueType) -> u64 {
     debug_assert!(seq <= MAX_SEQUENCE);
     (seq << 8) | ty as u64
 }
 
 /// Appends `user_key` plus the packed trailer to `dst`.
-pub fn append_internal_key(dst: &mut Vec<u8>, user_key: &[u8], seq: SequenceNumber, ty: ValueType) {
+pub(crate) fn append_internal_key(
+    dst: &mut Vec<u8>,
+    user_key: &[u8],
+    seq: SequenceNumber,
+    ty: ValueType,
+) {
     dst.extend_from_slice(user_key);
     put_fixed64(dst, pack_seq_type(seq, ty));
 }
@@ -62,7 +67,7 @@ pub fn user_key(ikey: &[u8]) -> &[u8] {
 /// Decoded trailer of an internal key. Panics on an unknown type byte —
 /// only for keys the engine built itself (memtable entries); keys read
 /// back from disk go through [`try_parse_trailer`].
-pub fn parse_trailer(ikey: &[u8]) -> (SequenceNumber, ValueType) {
+pub(crate) fn parse_trailer(ikey: &[u8]) -> (SequenceNumber, ValueType) {
     debug_assert!(ikey.len() >= 8);
     let packed = decode_fixed64(&ikey[ikey.len() - 8..]);
     let ty = ValueType::from_u8((packed & 0xFF) as u8).expect("valid value type");
@@ -71,7 +76,7 @@ pub fn parse_trailer(ikey: &[u8]) -> (SequenceNumber, ValueType) {
 
 /// Decoded trailer of an internal key that came off the disk: an unknown
 /// type byte or a short key is a corruption error, not a panic.
-pub fn try_parse_trailer(ikey: &[u8]) -> crate::error::Result<(SequenceNumber, ValueType)> {
+pub(crate) fn try_parse_trailer(ikey: &[u8]) -> crate::error::Result<(SequenceNumber, ValueType)> {
     if ikey.len() < 8 {
         return crate::error::corruption("internal key shorter than its trailer");
     }
@@ -108,7 +113,7 @@ pub fn lookup_key(user_key: &[u8], snapshot: SequenceNumber) -> Vec<u8> {
 
 /// Shortens `start` in place to a key that is still `>= start` and
 /// `< limit` (user-key space); used by table builders to cut index keys.
-pub fn find_shortest_separator(start: &mut Vec<u8>, limit: &[u8]) {
+pub(crate) fn find_shortest_separator(start: &mut Vec<u8>, limit: &[u8]) {
     let min_len = start.len().min(limit.len());
     let mut diff = 0;
     while diff < min_len && start[diff] == limit[diff] {
@@ -126,7 +131,7 @@ pub fn find_shortest_separator(start: &mut Vec<u8>, limit: &[u8]) {
 }
 
 /// Shortens `key` in place to a short key `>= key`.
-pub fn find_short_successor(key: &mut Vec<u8>) {
+pub(crate) fn find_short_successor(key: &mut Vec<u8>) {
     for i in 0..key.len() {
         if key[i] != 0xFF {
             key[i] += 1;

@@ -84,11 +84,6 @@ impl BloomFilter {
         }
         true
     }
-
-    /// Size of the encoded filter in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.bits.len() + 1
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +131,7 @@ mod tests {
         let keys: Vec<Vec<u8>> = (0..100).map(key).collect();
         let f = BloomFilter::build(&keys, 10);
         let enc = f.encode();
-        assert_eq!(enc.len(), f.encoded_len());
+        assert_eq!(enc.len(), f.bits.len() + 1, "bits plus the probe count");
         let g = BloomFilter::decode(&enc).unwrap();
         for k in &keys {
             assert!(g.may_contain(k));

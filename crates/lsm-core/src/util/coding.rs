@@ -2,27 +2,27 @@
 //! varints, the same wire formats LevelDB uses throughout its files.
 
 /// Appends a little-endian u32.
-pub fn put_fixed32(dst: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_fixed32(dst: &mut Vec<u8>, v: u32) {
     dst.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Appends a little-endian u64.
-pub fn put_fixed64(dst: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_fixed64(dst: &mut Vec<u8>, v: u64) {
     dst.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Decodes a little-endian u32 from the first 4 bytes of `src`.
-pub fn decode_fixed32(src: &[u8]) -> u32 {
+pub(crate) fn decode_fixed32(src: &[u8]) -> u32 {
     u32::from_le_bytes(src[..4].try_into().expect("4 bytes"))
 }
 
 /// Decodes a little-endian u64 from the first 8 bytes of `src`.
-pub fn decode_fixed64(src: &[u8]) -> u64 {
+pub(crate) fn decode_fixed64(src: &[u8]) -> u64 {
     u64::from_le_bytes(src[..8].try_into().expect("8 bytes"))
 }
 
 /// Appends a varint-encoded u32 (1-5 bytes).
-pub fn put_varint32(dst: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_varint32(dst: &mut Vec<u8>, v: u32) {
     put_varint64(dst, v as u64);
 }
 
@@ -53,20 +53,20 @@ pub fn get_varint64(src: &[u8]) -> Option<(u64, usize)> {
 }
 
 /// Decodes a varint u32 from the front of `src`.
-pub fn get_varint32(src: &[u8]) -> Option<(u32, usize)> {
+pub(crate) fn get_varint32(src: &[u8]) -> Option<(u32, usize)> {
     let (v, n) = get_varint64(src)?;
     u32::try_from(v).ok().map(|v| (v, n))
 }
 
 /// Appends a length-prefixed byte slice (varint length + bytes).
-pub fn put_length_prefixed(dst: &mut Vec<u8>, slice: &[u8]) {
+pub(crate) fn put_length_prefixed(dst: &mut Vec<u8>, slice: &[u8]) {
     put_varint64(dst, slice.len() as u64);
     dst.extend_from_slice(slice);
 }
 
 /// Reads a length-prefixed slice from the front of `src`, returning the
 /// slice and total bytes consumed.
-pub fn get_length_prefixed(src: &[u8]) -> Option<(&[u8], usize)> {
+pub(crate) fn get_length_prefixed(src: &[u8]) -> Option<(&[u8], usize)> {
     let (len, n) = get_varint64(src)?;
     let len = usize::try_from(len).ok()?;
     let end = n.checked_add(len)?;
@@ -76,15 +76,15 @@ pub fn get_length_prefixed(src: &[u8]) -> Option<(&[u8], usize)> {
     Some((&src[n..end], end))
 }
 
-/// Number of bytes `put_varint64` would emit for `v`.
-pub fn varint_length(v: u64) -> usize {
-    let bits = 64 - v.max(1).leading_zeros() as usize;
-    bits.div_ceil(7).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of bytes `put_varint64` should emit for `v`.
+    fn varint_length(v: u64) -> usize {
+        let bits = 64 - v.max(1).leading_zeros() as usize;
+        bits.div_ceil(7).max(1)
+    }
 
     #[test]
     fn fixed_roundtrip() {

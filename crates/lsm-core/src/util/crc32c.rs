@@ -98,7 +98,7 @@ pub fn mask(crc: u32) -> u32 {
 }
 
 /// Inverse of [`mask`].
-pub fn unmask(masked: u32) -> u32 {
+pub(crate) fn unmask(masked: u32) -> u32 {
     masked.wrapping_sub(MASK_DELTA).rotate_left(15)
 }
 

@@ -20,28 +20,28 @@ pub struct FileMetaData {
     /// Largest internal key in the table.
     pub largest: Vec<u8>,
     /// Set (on-disk region) this file belongs to; 0 = no set.
-    pub set_id: u64,
+    pub(crate) set_id: u64,
 }
 
 /// A delta against the current version.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct VersionEdit {
     /// New WAL id; logs older than this are obsolete after recovery.
-    pub log_number: Option<u64>,
+    pub(crate) log_number: Option<u64>,
     /// Next file id counter.
-    pub next_file: Option<u64>,
+    pub(crate) next_file: Option<u64>,
     /// Last sequence number.
     pub last_sequence: Option<u64>,
     /// Compaction pointers (level, internal key).
-    pub compact_pointers: Vec<(usize, Vec<u8>)>,
+    pub(crate) compact_pointers: Vec<(usize, Vec<u8>)>,
     /// Files removed (level, file id).
-    pub deleted: Vec<(usize, FileId)>,
+    pub(crate) deleted: Vec<(usize, FileId)>,
     /// Files added (level, metadata).
-    pub added: Vec<(usize, FileMetaData)>,
+    pub(crate) added: Vec<(usize, FileMetaData)>,
     /// Opaque auxiliary subsystem state carried alongside the file
     /// layout (the value log checkpoints its segment directory here).
     /// The latest blob wins; recovery hands it back verbatim.
-    pub aux: Option<Vec<u8>>,
+    pub(crate) aux: Option<Vec<u8>>,
 }
 
 const TAG_LOG_NUMBER: u64 = 1;
@@ -164,7 +164,7 @@ impl VersionEdit {
     }
 
     /// Convenience: records a file addition.
-    pub fn add_file(&mut self, level: usize, meta: FileMetaData) {
+    pub(crate) fn add_file(&mut self, level: usize, meta: FileMetaData) {
         self.added.push((level, meta));
     }
 

@@ -2,7 +2,7 @@
 //! with manifest logging and compaction picking.
 
 /// Manifest edit records (file adds/deletes, counters).
-pub mod edit;
+mod edit;
 /// The version set: manifest log, recovery, compaction picking.
 pub mod set;
 #[allow(clippy::module_inception)]
@@ -10,7 +10,6 @@ pub mod set;
 pub mod version;
 
 pub use edit::{FileMetaData, FileMetaHandle, VersionEdit};
-pub use set::{
-    Compaction, LevelParams, ManifestRecovery, VersionSet, FSMETA_LOG_ID, MANIFEST_LOG_ID,
-};
+pub(crate) use set::MANIFEST_LOG_ID;
+pub use set::{Compaction, LevelParams, ManifestRecovery, VersionSet, FSMETA_LOG_ID};
 pub use version::Version;

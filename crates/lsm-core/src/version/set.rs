@@ -14,21 +14,21 @@ use smr_sim::IoKind;
 use std::sync::Arc;
 
 /// Reserved log id for the manifest.
-pub const MANIFEST_LOG_ID: FileId = 1;
+pub(crate) const MANIFEST_LOG_ID: FileId = 1;
 
 /// Victim-priority hook: scores a compaction candidate given the
 /// next-level files its compaction would consume (SEALDB's set hook).
-pub type VictimPriority<'a> = &'a dyn Fn(&[FileMetaHandle]) -> u64;
+type VictimPriority<'a> = &'a dyn Fn(&[FileMetaHandle]) -> u64;
 
 /// Outcome of a manifest recovery: how much of the log was intact and
 /// how many trailing records were abandoned as corrupt or half-written.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ManifestRecovery {
     /// Version edits decoded and applied.
-    pub edits_applied: u64,
+    pub(crate) edits_applied: u64,
     /// Records dropped after the first corrupt one (the recovery falls
     /// back to the last consistent version).
-    pub records_dropped: u64,
+    pub(crate) records_dropped: u64,
 }
 /// Reserved log id for the (optional) filesystem-metadata journal.
 pub const FSMETA_LOG_ID: FileId = 0;
@@ -41,16 +41,16 @@ pub struct LevelParams {
     /// Number of levels (LevelDB: 7).
     pub num_levels: usize,
     /// L0 file-count compaction trigger (LevelDB: 4).
-    pub l0_trigger: usize,
+    pub(crate) l0_trigger: usize,
     /// Byte limit of L1; level `i` allows `base * multiplier^(i-1)`.
-    pub base_bytes: u64,
+    pub(crate) base_bytes: u64,
     /// The paper's amplification factor AF (10).
     pub multiplier: u64,
 }
 
 impl LevelParams {
     /// Byte limit for a level (level >= 1).
-    pub fn max_bytes(&self, level: usize) -> u64 {
+    fn max_bytes(&self, level: usize) -> u64 {
         debug_assert!(level >= 1);
         let mut b = self.base_bytes;
         for _ in 1..level {
@@ -68,10 +68,10 @@ pub struct Compaction {
     pub level: usize,
     /// `inputs[0]` = victims in `level`, `inputs[1]` = overlapped set in
     /// `level + 1`.
-    pub inputs: [Vec<FileMetaHandle>; 2],
+    pub(crate) inputs: [Vec<FileMetaHandle>; 2],
     /// Files in `level + 2` overlapping the output range, used to bound
     /// output file key ranges.
-    pub grandparents: Vec<FileMetaHandle>,
+    pub(crate) grandparents: Vec<FileMetaHandle>,
 }
 
 impl Compaction {
@@ -81,29 +81,8 @@ impl Compaction {
     }
 
     /// Total number of input files.
-    pub fn num_input_files(&self) -> usize {
+    pub(crate) fn num_input_files(&self) -> usize {
         self.inputs[0].len() + self.inputs[1].len()
-    }
-
-    /// User-key range spanned by all inputs: (smallest, largest).
-    pub fn user_range(&self) -> (Vec<u8>, Vec<u8>) {
-        let mut it = self.inputs.iter().flatten();
-        // Compactions are only constructed with at least one input file
-        // (`pick_compaction` returns `None` otherwise), and this runs at
-        // compaction time, not during crash recovery.
-        // seal-lint: allow(no-unwrap-in-recovery)
-        let first = it.next().expect("compaction has inputs");
-        let mut lo = user_key(&first.smallest).to_vec();
-        let mut hi = user_key(&first.largest).to_vec();
-        for f in it {
-            if user_key(&f.smallest) < lo.as_slice() {
-                lo = user_key(&f.smallest).to_vec();
-            }
-            if user_key(&f.largest) > hi.as_slice() {
-                hi = user_key(&f.largest).to_vec();
-            }
-        }
-        (lo, hi)
     }
 }
 
@@ -158,7 +137,7 @@ impl VersionSet {
     ///
     /// A corrupt or half-written record aborts the scan: the edits after
     /// it may depend on it, so recovery falls back to the last consistent
-    /// version (safe because [`VersionSet::log_and_apply`] stamps the
+    /// version (safe because `VersionSet::log_and_apply` stamps the
     /// counters into every record — any intact prefix carries a complete
     /// `next_file` / `last_sequence` / `log_number`). Only a manifest
     /// with no intact edit at all is an error.
@@ -235,7 +214,11 @@ impl VersionSet {
 
     /// Applies an edit to produce the next version and logs it to the
     /// manifest. Counter fields are stamped automatically.
-    pub fn log_and_apply(&mut self, fs: &mut FileStore, mut edit: VersionEdit) -> Result<()> {
+    pub(crate) fn log_and_apply(
+        &mut self,
+        fs: &mut FileStore,
+        mut edit: VersionEdit,
+    ) -> Result<()> {
         edit.next_file = Some(self.next_file);
         edit.last_sequence = Some(self.last_sequence);
         edit.log_number = Some(self.log_number);
@@ -259,7 +242,11 @@ impl VersionSet {
     /// grown past `limit` bytes (LevelDB rewrites its MANIFEST on reopen;
     /// this engine does it online since instances are long-lived).
     /// Returns whether a rewrite happened.
-    pub fn maybe_compact_manifest(&mut self, fs: &mut FileStore, limit: u64) -> Result<bool> {
+    pub(crate) fn maybe_compact_manifest(
+        &mut self,
+        fs: &mut FileStore,
+        limit: u64,
+    ) -> Result<bool> {
         if fs.log_len(MANIFEST_LOG_ID)? <= limit {
             return Ok(false);
         }
@@ -300,7 +287,7 @@ impl VersionSet {
     }
 
     /// Allocates a fresh file id.
-    pub fn new_file_id(&mut self) -> FileId {
+    pub(crate) fn new_file_id(&mut self) -> FileId {
         let id = self.next_file;
         self.next_file += 1;
         id
@@ -312,31 +299,31 @@ impl VersionSet {
     }
 
     /// Advances the last sequence number.
-    pub fn set_last_sequence(&mut self, seq: SequenceNumber) {
+    pub(crate) fn set_last_sequence(&mut self, seq: SequenceNumber) {
         debug_assert!(seq >= self.last_sequence);
         self.last_sequence = seq;
     }
 
     /// The WAL id whose writes are reflected in the current version.
-    pub fn log_number(&self) -> FileId {
+    pub(crate) fn log_number(&self) -> FileId {
         self.log_number
     }
 
     /// Records the active WAL id.
-    pub fn set_log_number(&mut self, id: FileId) {
+    pub(crate) fn set_log_number(&mut self, id: FileId) {
         self.log_number = id;
     }
 
     /// Latest auxiliary subsystem blob recovered from or logged to the
     /// manifest (see [`VersionEdit::aux`]). `None` when no subsystem has
     /// ever checkpointed.
-    pub fn aux(&self) -> Option<&[u8]> {
+    pub(crate) fn aux(&self) -> Option<&[u8]> {
         self.aux.as_deref()
     }
 
     /// The level most in need of compaction and its score (>= 1.0 means
     /// a compaction is due).
-    pub fn compaction_score(&self) -> (usize, f64) {
+    pub(crate) fn compaction_score(&self) -> (usize, f64) {
         let v = &self.current;
         let mut best = (
             0usize,
@@ -357,7 +344,10 @@ impl VersionSet {
     /// next-level files its compaction would consume; the candidate with
     /// the highest non-zero score wins, otherwise the round-robin
     /// compaction pointer decides (LevelDB's policy).
-    pub fn pick_compaction(&self, priority: Option<VictimPriority<'_>>) -> Option<Compaction> {
+    pub(crate) fn pick_compaction(
+        &self,
+        priority: Option<VictimPriority<'_>>,
+    ) -> Option<Compaction> {
         let (level, score) = self.compaction_score();
         if score < 1.0 {
             return None;
@@ -751,23 +741,5 @@ mod tests {
             c.inputs[0][0].id, 21,
             "priority picked the set with file 31"
         );
-    }
-
-    #[test]
-    fn user_range_spans_all_inputs() {
-        let c = Compaction {
-            level: 1,
-            inputs: [
-                vec![Arc::new(meta(1, "d", "k", 1))],
-                vec![
-                    Arc::new(meta(2, "a", "e", 1)),
-                    Arc::new(meta(3, "j", "q", 1)),
-                ],
-            ],
-            grandparents: Vec::new(),
-        };
-        let (lo, hi) = c.user_range();
-        assert_eq!(lo, b"a");
-        assert_eq!(hi, b"q");
     }
 }

@@ -16,7 +16,7 @@ pub struct Version {
 
 impl Version {
     /// Creates an empty version with `num_levels` levels.
-    pub fn empty(num_levels: usize) -> Self {
+    pub(crate) fn empty(num_levels: usize) -> Self {
         Version {
             files: vec![Vec::new(); num_levels],
         }
@@ -28,23 +28,13 @@ impl Version {
     }
 
     /// Total bytes in a level.
-    pub fn level_bytes(&self, level: usize) -> u64 {
+    pub(crate) fn level_bytes(&self, level: usize) -> u64 {
         self.files[level].iter().map(|f| f.size).sum()
     }
 
     /// Number of files in a level.
     pub fn level_file_count(&self, level: usize) -> usize {
         self.files[level].len()
-    }
-
-    /// Total files across all levels.
-    pub fn total_files(&self) -> usize {
-        self.files.iter().map(|l| l.len()).sum()
-    }
-
-    /// Total bytes across all levels.
-    pub fn total_bytes(&self) -> u64 {
-        (0..self.files.len()).map(|l| self.level_bytes(l)).sum()
     }
 
     /// Whether a file's user-key range intersects `[begin, end]`.
@@ -55,7 +45,12 @@ impl Version {
     /// Files in `level` whose user-key ranges intersect `[begin, end]`.
     /// For level 0 the range is expanded transitively (overlapping L0
     /// files must compact together, like LevelDB's `GetOverlappingInputs`).
-    pub fn overlapping_files(&self, level: usize, begin: &[u8], end: &[u8]) -> Vec<FileMetaHandle> {
+    pub(crate) fn overlapping_files(
+        &self,
+        level: usize,
+        begin: &[u8],
+        end: &[u8],
+    ) -> Vec<FileMetaHandle> {
         let mut begin = begin.to_vec();
         let mut end = end.to_vec();
         loop {
@@ -87,7 +82,7 @@ impl Version {
 
     /// Candidate files for a point lookup, in the order they must be
     /// consulted (L0 newest-first, then one file per deeper level).
-    pub fn files_for_get(&self, ukey: &[u8]) -> Vec<(usize, FileMetaHandle)> {
+    pub(crate) fn files_for_get(&self, ukey: &[u8]) -> Vec<(usize, FileMetaHandle)> {
         let mut out = Vec::new();
         // L0: every file whose range covers the key, newest first.
         let mut l0: Vec<FileMetaHandle> = self.files[0]
@@ -110,7 +105,7 @@ impl Version {
 
     /// Binary search for the first file in a sorted level whose largest
     /// user key is >= `ukey`.
-    pub fn find_file(&self, level: usize, ukey: &[u8]) -> Option<FileMetaHandle> {
+    fn find_file(&self, level: usize, ukey: &[u8]) -> Option<FileMetaHandle> {
         let files = &self.files[level];
         let idx = files.partition_point(|f| user_key(&f.largest) < ukey);
         files.get(idx).cloned()
@@ -118,7 +113,7 @@ impl Version {
 
     /// Whether any file in levels strictly deeper than `level` overlaps
     /// the user-key range (used to decide tombstone dropping).
-    pub fn range_overlaps_deeper(&self, level: usize, begin: &[u8], end: &[u8]) -> bool {
+    pub(crate) fn range_overlaps_deeper(&self, level: usize, begin: &[u8], end: &[u8]) -> bool {
         (level + 1..self.files.len()).any(|l| !self.overlapping_files(l, begin, end).is_empty())
     }
 
@@ -170,8 +165,11 @@ mod tests {
         let v = version();
         assert_eq!(v.level_file_count(0), 2);
         assert_eq!(v.level_bytes(1), 300);
-        assert_eq!(v.total_files(), 5);
-        assert_eq!(v.total_bytes(), 500);
+        assert_eq!(v.files.iter().flatten().count(), 5);
+        assert_eq!(
+            (0..v.files.len()).map(|l| v.level_bytes(l)).sum::<u64>(),
+            500
+        );
         v.check_invariants().unwrap();
     }
 

@@ -14,9 +14,9 @@ use crate::util::coding::decode_fixed32;
 use crate::util::crc32c;
 
 /// Log block size.
-pub const BLOCK_SIZE: usize = 32 * 1024;
+const BLOCK_SIZE: usize = 32 * 1024;
 /// Record header: crc(4) + length(2) + type(1).
-pub const HEADER_SIZE: usize = 7;
+const HEADER_SIZE: usize = 7;
 
 const FULL: u8 = 1;
 const FIRST: u8 = 2;
@@ -88,7 +88,7 @@ impl LogWriter {
     }
 
     /// Bytes pending in the buffer.
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.buf.len()
     }
 }
@@ -105,7 +105,7 @@ pub struct LogReader<'a> {
     data: &'a [u8],
     pos: usize,
     /// Corrupt byte ranges skipped so far (for diagnostics).
-    pub dropped_bytes: usize,
+    pub(crate) dropped_bytes: usize,
 }
 
 impl<'a> LogReader<'a> {
@@ -253,7 +253,7 @@ pub struct WalStream {
     /// Fragment chain in progress, carried across `next_record` calls.
     partial: Option<Vec<u8>>,
     /// Corrupt byte ranges skipped so far (for diagnostics).
-    pub dropped_bytes: usize,
+    pub(crate) dropped_bytes: usize,
 }
 
 impl WalStream {
@@ -270,11 +270,6 @@ impl WalStream {
             self.pos = 0;
         }
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes fed but not yet consumed by a parsed record.
-    pub fn buffered_len(&self) -> usize {
-        self.buf.len() - self.pos
     }
 
     /// Next fragment, `None` while its bytes are still in flight.
@@ -376,22 +371,22 @@ impl WalStream {
             }
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     /// Drains every record currently completable, ignoring corruption.
-    pub fn drain_records(&mut self) -> Vec<Vec<u8>> {
+    fn drain_records(s: &mut WalStream) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
-        while let Some(rec) = self.next_record() {
+        while let Some(rec) = s.next_record() {
             if let Ok(r) = rec {
                 out.push(r);
             }
         }
         out
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn roundtrip(records: &[Vec<u8>]) -> Vec<Vec<u8>> {
         let mut w = LogWriter::new();
@@ -475,11 +470,11 @@ mod tests {
         let mut got = Vec::new();
         for b in &bytes {
             s.feed(std::slice::from_ref(b));
-            got.extend(s.drain_records());
+            got.extend(drain_records(&mut s));
         }
         assert_eq!(got, recs);
         assert_eq!(s.dropped_bytes, 0);
-        assert_eq!(s.buffered_len(), 0);
+        assert_eq!(s.buf.len(), s.pos, "every fed byte parsed");
     }
 
     #[test]
@@ -507,9 +502,9 @@ mod tests {
         let cut = BLOCK_SIZE - 2; // inside the 3-byte zero padding
         let mut s = WalStream::new();
         s.feed(&bytes[..cut]);
-        assert_eq!(s.drain_records(), vec![a.clone()]);
+        assert_eq!(drain_records(&mut s), vec![a.clone()]);
         s.feed(&bytes[cut..]);
-        assert_eq!(s.drain_records(), vec![b"next-block".to_vec()]);
+        assert_eq!(drain_records(&mut s), vec![b"next-block".to_vec()]);
     }
 
     #[test]
@@ -543,7 +538,7 @@ mod tests {
         let mut from_stream = Vec::new();
         for chunk in bytes.chunks(311) {
             s.feed(chunk);
-            from_stream.extend(s.drain_records());
+            from_stream.extend(drain_records(&mut s));
         }
         assert_eq!(from_stream, from_reader);
         assert_eq!(from_stream, recs);

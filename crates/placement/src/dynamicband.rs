@@ -80,16 +80,6 @@ impl DynamicBandAlloc {
         self.free.total_bytes()
     }
 
-    /// Free regions smaller than `threshold` — the paper's *fragments*
-    /// (Fig. 13 ignores free regions larger than the average set size).
-    pub fn fragments(&self, threshold: u64) -> Vec<Extent> {
-        self.free
-            .regions()
-            .into_iter()
-            .filter(|e| e.len < threshold)
-            .collect()
-    }
-
     /// Inserts `ext` into the free pool, dropping any parts that overlap
     /// a fenced region.
     fn insert_unfenced(&mut self, ext: Extent) {
@@ -403,17 +393,6 @@ mod tests {
         assert_eq!(bands.len(), 1);
         assert_eq!(bands[0].0, Extent::new(8 * MB, 16 * MB));
         assert_eq!(bands[0].1, 2);
-    }
-
-    #[test]
-    fn fragments_below_threshold() {
-        let mut a = alloc();
-        let s1 = a.allocate(6 * MB).unwrap();
-        let _s2 = a.allocate(8 * MB).unwrap();
-        a.free(s1);
-        // 6 MB hole: too small for anything + guard beyond 2 MB.
-        assert_eq!(a.fragments(27 * MB).len(), 1);
-        assert_eq!(a.fragments(6 * MB).len(), 0);
     }
 
     #[test]

@@ -81,11 +81,6 @@ impl Ext4Sim {
         }
     }
 
-    /// Block-group size in bytes.
-    pub fn group_size(&self) -> u64 {
-        self.group_size
-    }
-
     fn group_of(&self, offset: u64) -> usize {
         (offset / self.group_size) as usize
     }

@@ -44,16 +44,6 @@ impl FixedBandAlloc {
     pub fn band_size(&self) -> u64 {
         self.band_size
     }
-
-    /// Number of free bands remaining.
-    pub fn free_band_count(&self) -> usize {
-        self.free_bands.len()
-    }
-
-    /// Bytes wasted to internal fragmentation (band tails past the data).
-    pub fn internal_waste(&self) -> u64 {
-        self.live.values().map(|&len| self.band_size - len).sum()
-    }
 }
 
 impl Allocator for FixedBandAlloc {
@@ -164,6 +154,11 @@ mod tests {
 
     const MB: u64 = 1 << 20;
 
+    /// Bytes wasted to internal fragmentation (band tails past the data).
+    fn internal_waste(a: &FixedBandAlloc) -> u64 {
+        a.live.values().map(|&len| a.band_size - len).sum()
+    }
+
     #[test]
     fn allocations_are_band_aligned() {
         let mut a = FixedBandAlloc::new(400 * MB, 40 * MB);
@@ -181,7 +176,7 @@ mod tests {
         let e2 = a.allocate(10 * MB).unwrap();
         // The second file does not share the first file's band.
         assert_eq!(e2.offset - e1.offset, 40 * MB);
-        assert_eq!(a.internal_waste(), 60 * MB);
+        assert_eq!(internal_waste(&a), 60 * MB);
     }
 
     #[test]
@@ -211,8 +206,8 @@ mod tests {
         a.free(e2);
         a.rebuild(&[e1, e3]);
         assert_eq!(a.allocated_bytes(), 30 * MB);
-        assert_eq!(a.free_band_count(), 8);
-        assert_eq!(a.internal_waste(), 50 * MB);
+        assert_eq!(a.free_bands.len(), 8);
+        assert_eq!(internal_waste(&a), 50 * MB);
         // e2's band is free again: the next full-band allocation fits.
         let e = a.allocate(40 * MB).unwrap();
         assert_eq!(e.offset, e2.offset);

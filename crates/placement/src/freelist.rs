@@ -68,18 +68,8 @@ impl FreeSpaceList {
     }
 
     /// Total free bytes tracked by the list.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.total
-    }
-
-    /// Number of free regions tracked.
-    pub fn region_count(&self) -> usize {
-        self.by_offset.len()
-    }
-
-    /// Number of non-empty size classes (length of the sorted array).
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
     }
 
     fn class_of(&self, len: u64) -> u64 {
@@ -274,7 +264,7 @@ mod tests {
         let got = fl.take(8 * MB).unwrap();
         assert_eq!(got, Extent::new(100 * MB, 8 * MB));
         assert_eq!(fl.total_bytes(), 0);
-        assert_eq!(fl.region_count(), 0);
+        assert_eq!(fl.by_offset.len(), 0);
     }
 
     #[test]
@@ -287,7 +277,7 @@ mod tests {
         // skipped; the 7 MB one taken.
         let got = fl.take(6 * MB).unwrap();
         assert_eq!(got, Extent::new(100 * MB, 7 * MB));
-        assert_eq!(fl.region_count(), 1);
+        assert_eq!(fl.by_offset.len(), 1);
     }
 
     #[test]
@@ -304,10 +294,10 @@ mod tests {
         let mut fl = FreeSpaceList::new(MB);
         fl.insert(Extent::new(0, 10 * MB));
         fl.insert(Extent::new(20 * MB, 10 * MB));
-        assert_eq!(fl.region_count(), 2);
+        assert_eq!(fl.by_offset.len(), 2);
         // The middle piece glues all three into one region.
         fl.insert(Extent::new(10 * MB, 10 * MB));
-        assert_eq!(fl.region_count(), 1);
+        assert_eq!(fl.by_offset.len(), 1);
         assert_eq!(fl.total_bytes(), 30 * MB);
         let got = fl.take(30 * MB).unwrap();
         assert_eq!(got, Extent::new(0, 30 * MB));
@@ -318,7 +308,7 @@ mod tests {
         let mut fl = FreeSpaceList::new(MB);
         fl.insert(Extent::new(0, MB));
         fl.insert(Extent::new(2 * MB, MB)); // 1 MB gap at [1MB, 2MB)
-        assert_eq!(fl.region_count(), 2);
+        assert_eq!(fl.by_offset.len(), 2);
         assert_eq!(fl.take(2 * MB), None); // neither region is 2 MB
     }
 
@@ -328,12 +318,12 @@ mod tests {
         for i in 0..10u64 {
             fl.insert(Extent::new(i * 100 * MB, (i + 1) * MB));
         }
-        assert_eq!(fl.class_count(), 10);
+        assert_eq!(fl.classes.len(), 10);
         for i in (0..10u64).rev() {
             let got = fl.take((i + 1) * MB).unwrap();
             assert_eq!(got.len, (i + 1) * MB);
         }
-        assert_eq!(fl.class_count(), 0);
+        assert_eq!(fl.classes.len(), 0);
         assert_eq!(fl.total_bytes(), 0);
     }
 

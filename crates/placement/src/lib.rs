@@ -20,13 +20,13 @@
 //! file store can be parameterised over them.
 
 /// The paper's dynamic-band free-space management.
-pub mod dynamicband;
+mod dynamicband;
 /// Ext4-like scatter allocation (block groups, goal search).
-pub mod ext4sim;
+mod ext4sim;
 /// Fixed-size band allocation for conventional SMR drives.
-pub mod fixedband;
+mod fixedband;
 /// Address-ordered free-space list shared by the allocators.
-pub mod freelist;
+mod freelist;
 
 pub use dynamicband::DynamicBandAlloc;
 pub use ext4sim::Ext4Sim;

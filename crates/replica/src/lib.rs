@@ -30,8 +30,10 @@
 //! full replicated log. Everything rides the simulated clock: the same
 //! configuration and seed replays byte-identically.
 
-use lsm_core::{Error, LogWriter, Result, ValueType, WalStream, WriteBatch};
-use sealdb::{KvNode, Store, StoreConfig, StoreKind, VlogParams};
+use lsm_core::{
+    Error, LogWriter, Result, ScrubConfig, ScrubReport, ValueType, WalStream, WriteBatch,
+};
+use sealdb::{GcShipment, KvNode, Store, StoreConfig, StoreKind, VlogParams};
 use smr_sim::{Backoff, IoKind, NetModel, ObsLayer};
 use std::collections::BTreeMap;
 
@@ -118,7 +120,7 @@ pub struct ReplicaConfig {
     pub drop_permille: u64,
     /// Under [`AckPolicy::PrimaryOnly`], ship after this many buffered
     /// writes.
-    pub ship_every: usize,
+    ship_every: usize,
     /// Client redirect retry backoff base, ns (see
     /// [`smr_sim::Backoff`]).
     pub retry_backoff_ns: u64,
@@ -169,12 +171,8 @@ pub struct ClusterStats {
     pub shipped_frames: u64,
     /// Total shipped frame bytes (per frame, not per link).
     pub shipped_bytes: u64,
-    /// Frames applied (or durably logged) on replicas.
-    pub applied_frames: u64,
     /// Frames that died in the primary's async ship buffer at a kill.
-    pub lost_unshipped_frames: u64,
-    /// In-flight frames fenced off at a promotion.
-    pub fenced_inflight_frames: u64,
+    lost_unshipped_frames: u64,
     /// Frames replayed to a rejoining node by catch-up streaming.
     pub catchup_frames: u64,
     /// Failovers performed.
@@ -387,11 +385,6 @@ impl Cluster {
         }
     }
 
-    /// Highest sequence node `idx` holds durably.
-    pub fn durable_seq(&self, idx: usize) -> u64 {
-        self.nodes[idx].durable_seq
-    }
-
     /// True while node `idx` has a live store.
     pub fn alive(&self, idx: usize) -> bool {
         self.nodes[idx].store.is_some()
@@ -423,17 +416,10 @@ impl Cluster {
         self.write_batch(b)
     }
 
-    /// Deletes a key under the configured ack policy.
-    pub fn delete(&mut self, key: &[u8]) -> Result<()> {
-        let mut b = WriteBatch::new();
-        b.delete(key);
-        self.write_batch(b)
-    }
-
     /// Applies a batch and returns once the ack policy is satisfied;
     /// the batch's entries are then recorded as promised to the client
     /// (the RPO audit set).
-    pub fn write_batch(&mut self, batch: WriteBatch) -> Result<()> {
+    fn write_batch(&mut self, batch: WriteBatch) -> Result<()> {
         self.write_inner(batch, true)
     }
 
@@ -626,6 +612,44 @@ impl Cluster {
         let Some(shipment) = shipment else {
             return Ok(false);
         };
+        self.ship_fixups(shipment)?;
+        Ok(true)
+    }
+
+    /// Runs one budgeted scrub step on the primary and replicates the
+    /// sequence ranges its value-log salvage consumed. Salvage relocates
+    /// a damaged segment's readable live records and writes pointer
+    /// fixups exactly as a GC step does (see [`Cluster::vlog_gc_step`]),
+    /// so a primary scrubbed directly through
+    /// [`Cluster::primary_store_mut`] opens the same sequence gap.
+    pub fn scrub_step(&mut self, cfg: &ScrubConfig) -> Result<ScrubReport> {
+        self.pump_all(self.now_ns)?;
+        let (step, clock) = {
+            let store = self.live_store_at_now(self.primary, "scrub")?;
+            let step = store.scrub_step_shipping(cfg)?;
+            (step, store.clock_ns())
+        };
+        self.now_ns = self.now_ns.max(clock);
+        let (report, shipments) = step;
+        // Every consumed range ships before the first error surfaces.
+        let mut first_error = None;
+        for shipment in shipments {
+            if let Err(e) = self.ship_fixups(shipment) {
+                first_error.get_or_insert(e);
+            }
+        }
+        match first_error {
+            Some(e) => Err(e),
+            None => Ok(report),
+        }
+    }
+
+    /// Ships a GC or salvage shipment's relocated records as one frame
+    /// stamped with the sequence range their fixups consumed on the
+    /// primary, then surfaces the shipment's error. Shipping is
+    /// best-effort (no client ack was promised); the error waits until
+    /// after it because the range was consumed either way.
+    fn ship_fixups(&mut self, shipment: GcShipment) -> Result<()> {
         if !shipment.entries.is_empty() {
             let mut batch = WriteBatch::new();
             for (k, v) in &shipment.entries {
@@ -635,19 +659,17 @@ impl Cluster {
             let last = shipment.first_seq + u64::from(batch.count()) - 1;
             let _ = self.ship_rep(batch.rep(), last);
         }
-        // Surfaced only now: even a failed barrier leaves the fixups'
-        // sequence range consumed, so the ship above must happen first.
-        if let Some(e) = shipment.barrier_error {
-            return Err(e);
+        match shipment.barrier_error {
+            Some(e) => Err(e),
+            None => Ok(()),
         }
-        Ok(true)
     }
 
     // ----- replica receive path -----
 
     /// Processes every delivery already due at the cluster clock. The
     /// write path does this opportunistically; call it before inspecting
-    /// replica state (e.g. [`Cluster::durable_seq`]) mid-stream.
+    /// replica state mid-stream.
     pub fn settle(&mut self) -> Result<()> {
         self.pump_all(self.now_ns)
     }
@@ -718,7 +740,6 @@ impl Cluster {
             }
         }
         node.durable_seq = node.durable_seq.max(frame.last_seq);
-        self.stats.applied_frames += 1;
         Ok(())
     }
 
@@ -823,9 +844,7 @@ impl Cluster {
         // Frames that land during detection + fencing still count.
         self.pump_node(candidate, fence_end)?;
         // Anything still in flight to the candidate is fenced off.
-        let fenced = self.nodes[candidate].pending.len() as u64;
         self.nodes[candidate].pending.clear();
-        self.stats.fenced_inflight_frames += fenced;
         // Promotion: the PR 1 crash-image + recovery path. For
         // IndexLazy the reopen replays the ship log (its id sits above
         // the WAL id horizon), materialising the replica lazily.
@@ -915,7 +934,6 @@ impl Cluster {
             )?;
         }
         self.stats.catchup_frames += caught;
-        self.stats.applied_frames -= caught; // catch-up counted separately
         Ok(caught)
     }
 
@@ -1118,7 +1136,7 @@ mod tests {
         load(&mut c, 0, 30);
         // Replicas hold the frames durably but have applied nothing.
         c.settle().unwrap();
-        assert_eq!(c.durable_seq(1), 30);
+        assert_eq!(c.nodes[1].durable_seq, 30);
         let r = c.kill_primary().unwrap();
         assert!(
             r.replayed_records >= 30,
@@ -1152,7 +1170,7 @@ mod tests {
         load(&mut c, 20, 30);
         let caught = c.rejoin(0).unwrap();
         assert_eq!(caught, 30, "catch-up must stream the full history");
-        assert_eq!(c.durable_seq(0), 30);
+        assert_eq!(c.nodes[0].durable_seq, 30);
         load(&mut c, 30, 35);
         // Kill again: the rejoined node is now a legitimate candidate.
         let second = c.kill_primary().unwrap();
@@ -1210,7 +1228,6 @@ mod tests {
 
     #[test]
     fn kill_during_scrub_in_progress_loses_nothing_acked() {
-        use lsm_core::ScrubConfig;
         let mut c = Cluster::new(cfg(2)).unwrap();
         load(&mut c, 0, 40);
         // Damage a table on the primary and start (but do not finish)
@@ -1272,7 +1289,7 @@ mod tests {
         // Node 2 is cut off before any traffic and never heals.
         c.net_mut().faults_mut().partition(2, 0, u64::MAX);
         load(&mut c, 0, 20);
-        assert_eq!(c.durable_seq(2), 0, "partitioned replica saw nothing");
+        assert_eq!(c.nodes[2].durable_seq, 0, "partitioned replica saw nothing");
         let r = c.kill_primary().unwrap();
         assert_eq!(
             r.promoted, 1,
@@ -1377,7 +1394,8 @@ mod tests {
                 c.put(&key(i), &value(i)).unwrap();
             }
             c.advance_ns(50_000_000).unwrap();
-            assert_eq!(c.durable_seq(1), c.primary_store_mut().last_sequence());
+            let last = c.primary_store_mut().last_sequence();
+            assert_eq!(c.nodes[1].durable_seq, last);
             let h1 = c.state_hash_of(1).unwrap();
             assert_eq!(h1, c.state_hash_of(2).unwrap());
             if damaged {
@@ -1387,6 +1405,65 @@ mod tests {
                 assert_eq!(h1, c.state_hash_of(0).unwrap());
             }
         }
+    }
+
+    #[test]
+    fn cluster_scrub_ships_salvage_sequences_and_replicas_stay_convergent() {
+        // A scrub that finds a damaged value-log segment salvages its
+        // readable live records through the same relocate-and-fixup path
+        // GC uses, consuming sequence numbers on the primary. Scrubbing
+        // through the cluster ships that range, so later frames still
+        // apply on every replica.
+        let conf = cfg(2).with_vlog(sealdb::VlogParams {
+            segment_bytes: 8 << 10,
+            value_threshold: 64,
+        });
+        let mut c = Cluster::new(conf).unwrap();
+        for round in 0..6u32 {
+            for i in 0..40u32 {
+                c.put(&key(i), &vec![(round + 1) as u8; 512]).unwrap();
+            }
+        }
+        // 532-byte records, 15 to a segment: sealed segment 13 holds five
+        // dead records, then keys 0..=9. Overwriting keys 5..=9 leaves
+        // its live records in front of the bits flipped in its eleventh
+        // record, so salvage relocates keys 0..=4 and loses nothing live.
+        for i in 5..10u32 {
+            c.put(&key(i), &vec![7u8; 512]).unwrap();
+        }
+        c.primary_store_mut().flush().unwrap();
+        {
+            let ctx = c.primary_store_mut().db.ctx();
+            let mut guard = ctx.lock();
+            let seg = guard.fs.file_extent(lsm_core::VLOG_FILE_BASE + 13).unwrap();
+            guard
+                .fs
+                .disk_mut()
+                .faults_mut()
+                .corrupt_extent(smr_sim::Extent::new(seg.offset + 5500, 8));
+        }
+        let scrub = ScrubConfig {
+            bytes_per_step: 1 << 20,
+            repair: true,
+        };
+        let before = c.primary_store_mut().last_sequence();
+        let passes = c.primary_store_mut().scrub_report().full_passes;
+        let mut corrected = 0;
+        while c.primary_store_mut().scrub_report().full_passes == passes {
+            corrected += c.scrub_step(&scrub).unwrap().blocks_corrected;
+        }
+        assert_eq!(corrected, 5, "salvage relocates the five live records");
+        assert_eq!(c.primary_store_mut().last_sequence() - before, 5);
+        for i in 100..110u32 {
+            c.put(&key(i), &value(i)).unwrap();
+        }
+        c.advance_ns(50_000_000).unwrap();
+        let last = c.primary_store_mut().last_sequence();
+        assert_eq!(c.nodes[1].durable_seq, last);
+        assert_eq!(c.nodes[2].durable_seq, last);
+        let h0 = c.state_hash_of(0).unwrap();
+        assert_eq!(h0, c.state_hash_of(1).unwrap());
+        assert_eq!(h0, c.state_hash_of(2).unwrap());
     }
 
     #[test]

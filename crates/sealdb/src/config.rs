@@ -69,11 +69,6 @@ pub struct StoreConfig {
     /// Overrides the disk layout chosen by the kind (e.g. Fig. 2 runs
     /// LevelDB on a conventional HDD).
     pub layout_override: Option<Layout>,
-    /// Serve mode: writes apply LevelDB-style backpressure (slowdown /
-    /// stop / memtable stalls) instead of compacting inline, and the
-    /// serving front-end drives compaction via [`Store::compact_until`]
-    /// during idle gaps.
-    pub deferred_compaction: bool,
     /// Sync every WAL append to the simulated disk (`sync=true`
     /// semantics) instead of buffering `wal_buffer_bytes` chunks.
     /// Replication nodes require this: an acked write must survive the
@@ -103,7 +98,6 @@ impl StoreConfig {
             wal: true,
             seed: 0x5EA1DB,
             layout_override: None,
-            deferred_compaction: false,
             sync_writes: false,
             instance: None,
             vlog: None,
@@ -113,22 +107,6 @@ impl StoreConfig {
     /// Enables key-value separation with explicit parameters.
     pub fn with_vlog(mut self, params: seal_vlog::VlogParams) -> Self {
         self.vlog = Some(params);
-        self
-    }
-
-    /// Enables key-value separation with segments sized to one whole
-    /// band at this configuration's scale and default thresholds.
-    pub fn with_default_vlog(self) -> Self {
-        let params = seal_vlog::VlogParams {
-            segment_bytes: self.band_size(),
-            ..seal_vlog::VlogParams::default()
-        };
-        self.with_vlog(params)
-    }
-
-    /// Same configuration in serve mode (see `deferred_compaction`).
-    pub fn serving(mut self) -> Self {
-        self.deferred_compaction = true;
         self
     }
 
@@ -150,7 +128,7 @@ impl StoreConfig {
     }
 
     /// Ext4 block-group size at this scale (128 MiB with 4 MiB tables).
-    pub fn block_group_size(&self) -> u64 {
+    fn block_group_size(&self) -> u64 {
         self.sstable_size * 32
     }
 
@@ -161,7 +139,6 @@ impl StoreConfig {
         };
         o.wal_enabled = self.wal;
         o.seed = self.seed;
-        o.deferred_compaction = self.deferred_compaction;
         if self.sync_writes {
             o.wal_buffer_bytes = 0;
         }

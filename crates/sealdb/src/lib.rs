@@ -38,7 +38,7 @@
 //! ```
 
 /// Deliberately-broken entry points for chaos fault injection.
-pub mod chaos_knobs;
+mod chaos_knobs;
 /// Store construction configuration (drive kind, policy, sizes).
 pub mod config;
 /// The node interface routing layers are generic over.

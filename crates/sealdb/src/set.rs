@@ -23,12 +23,12 @@ pub struct SetRegion {
     /// Members still valid (not yet consumed by a compaction).
     pub live: BTreeSet<FileId>,
     /// Whether the region came from a compaction (vs a flush).
-    pub from_compaction: bool,
+    pub(crate) from_compaction: bool,
 }
 
 impl SetRegion {
     /// Number of invalidated members.
-    pub fn invalid_count(&self) -> usize {
+    fn invalid_count(&self) -> usize {
         self.members.len() - self.live.len()
     }
 }
@@ -52,7 +52,12 @@ impl SetRegistry {
     }
 
     /// Registers a new set region and returns its id.
-    pub fn register(&mut self, ext: Extent, members: Vec<FileId>, from_compaction: bool) -> u64 {
+    pub(crate) fn register(
+        &mut self,
+        ext: Extent,
+        members: Vec<FileId>,
+        from_compaction: bool,
+    ) -> u64 {
         debug_assert!(!members.is_empty());
         let id = self.next_id;
         self.next_id += 1;
@@ -81,7 +86,7 @@ impl SetRegistry {
 
     /// Marks a member invalid. Returns the region's extent if the whole
     /// set has faded (the caller then recycles the space).
-    pub fn invalidate_file(&mut self, file: FileId) -> Option<Extent> {
+    pub(crate) fn invalidate_file(&mut self, file: FileId) -> Option<Extent> {
         let region_id = self.file_region.remove(&file)?;
         let region = self.regions.get_mut(&region_id).expect("region exists");
         let removed = region.live.remove(&file);
@@ -97,16 +102,8 @@ impl SetRegistry {
     }
 
     /// The set id a file belongs to, if any.
-    pub fn region_of(&self, file: FileId) -> Option<u64> {
+    fn region_of(&self, file: FileId) -> Option<u64> {
         self.file_region.get(&file).copied()
-    }
-
-    /// Invalid-member count of the region containing `file` (0 when the
-    /// file is in no set).
-    pub fn invalid_count_for_file(&self, file: FileId) -> u64 {
-        self.region_of(file)
-            .and_then(|id| self.regions.get(&id))
-            .map_or(0, |r| r.invalid_count() as u64)
     }
 
     /// The paper's victim priority: total invalid members across the
@@ -119,7 +116,7 @@ impl SetRegistry {
     /// round-robin pointer makes the picker hammer one key range and
     /// inflates WA from ~9.3x to ~19x — see the victim-priority ablation
     /// bench.
-    pub fn priority_for(&self, files: &[FileId]) -> u64 {
+    pub(crate) fn priority_for(&self, files: &[FileId]) -> u64 {
         let mut seen = BTreeSet::new();
         let mut score = 0u64;
         for &f in files {
@@ -155,7 +152,7 @@ impl SetRegistry {
     }
 
     /// Number of live regions.
-    pub fn live_count(&self) -> usize {
+    pub(crate) fn live_count(&self) -> usize {
         self.regions.len()
     }
 
@@ -178,7 +175,7 @@ mod tests {
         assert_eq!(r.region_of(11), Some(id));
         assert_eq!(r.live_count(), 1);
         assert_eq!(r.invalidate_file(10), None);
-        assert_eq!(r.invalid_count_for_file(11), 1);
+        assert_eq!(r.regions[&id].invalid_count(), 1);
         assert_eq!(r.invalidate_file(11), None);
         // Last member fades the whole region.
         assert_eq!(r.invalidate_file(12), Some(Extent::new(0, 12 * MB)));
@@ -193,7 +190,7 @@ mod tests {
     fn unknown_file_is_no_op() {
         let mut r = SetRegistry::new();
         assert_eq!(r.invalidate_file(999), None);
-        assert_eq!(r.invalid_count_for_file(999), 0);
+        assert_eq!(r.region_of(999), None);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The store facade: a configured [`DbCore`] plus snapshotting of every
-//! quantity the paper's figures report.
+//! The store facade: a configured [`DbCore`](lsm_core::DbCore) plus
+//! snapshotting of every quantity the paper's figures report.
 
 use crate::config::StoreKind;
 use lsm_core::{CompactionRecord, DbCore, Result, ScrubConfig, ScrubReport, SetStats, WriteBatch};
@@ -109,11 +109,6 @@ impl MetricsSnapshot {
             self.clock_ns,
             self.obs.to_json(trace_tail)
         )
-    }
-
-    /// Deterministic CSV of every counter, gauge, and histogram.
-    pub fn to_csv(&self) -> String {
-        self.obs.to_csv()
     }
 }
 
@@ -425,16 +420,14 @@ impl Store {
     }
 
     /// The scan/relocate/fixup half of one cooperative-GC step: picks
-    /// the victim scan, verifies liveness, relocates live records, and
-    /// writes pointer fixups through the unaccounted write path (with
-    /// the checkpoint-before-pointer ordering the append path uses).
-    /// Returns the victim segment id, whether its scan finished, and
-    /// the relocated live records with the sequence range their fixups
-    /// consumed — the caller owns the durability barrier, the
-    /// retirement, and (on a replication primary) shipping the consumed
-    /// range. Shared by [`Store::vlog_gc_step_shipping`] (correct
-    /// barrier) and the chaos knob in `chaos_knobs.rs` (deliberately
-    /// missing barrier).
+    /// the victim scan and hands its records to
+    /// [`Store::relocate_live`]. Returns the victim segment id, whether
+    /// its scan finished, and the relocated live records with the
+    /// sequence range their fixups consumed — the caller owns the
+    /// durability barrier, the retirement, and (on a replication
+    /// primary) shipping the consumed range. Shared by
+    /// [`Store::vlog_gc_step_shipping`] (correct barrier) and the chaos
+    /// knob in `chaos_knobs.rs` (deliberately missing barrier).
     pub(crate) fn vlog_gc_relocate(&mut self, budget_bytes: u64) -> Result<Option<GcRelocation>> {
         let Some(vlog) = self.vlog.as_mut() else {
             return Ok(None);
@@ -457,12 +450,41 @@ impl Store {
         // and the per-entry LSM point lookup — a head seek each on a
         // cold key — can be skipped. After recovery the accounting is
         // rebuilt lazily, so each entry must be verified the slow way.
-        let exact = vlog.dead_is_exact();
+        let verify = !vlog.dead_is_exact();
+        let relocation = self.relocate_live(scan.segment, scan.entries, verify)?;
+        // A fixup batch that committed and then errored reports the scan
+        // as unfinished, deferring the retire barrier; the next step
+        // rescans the victim and finds these records dead.
+        let finished = scan.finished && relocation.error.is_none();
+        Ok(Some(GcRelocation {
+            finished,
+            ..relocation
+        }))
+    }
+
+    /// Moves the live records among `entries` out of segment `victim`:
+    /// the liveness check (current LSM pointer equals the record's
+    /// address; skipped when `verify` is false), `relocate`, the
+    /// segment-directory checkpoint before any pointer can reach the
+    /// WAL, then one audited unaccounted fixup write. `Err` means the
+    /// fixup batch never committed, so no sequence number was consumed.
+    /// A batch that committed and then errored in post-commit
+    /// maintenance (e.g. a faulted flush) comes back as `Ok` with
+    /// `error` set: its sequence range IS consumed, and a replication
+    /// primary has to ship it or every replica inherits a gap. The
+    /// relocation is returned unfinished; the caller decides.
+    fn relocate_live(
+        &mut self,
+        victim: u64,
+        entries: Vec<seal_vlog::GcEntry>,
+        verify: bool,
+    ) -> Result<GcRelocation> {
+        let vlog = self.vlog.as_mut().expect("caller checked vlog");
         let mut fixups = WriteBatch::new();
         let mut ptr_segments: Vec<u64> = Vec::new();
-        let mut shipped: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for entry in &scan.entries {
-            let live = exact
+        let mut relocated: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        for entry in entries {
+            let live = !verify
                 || match self.db.get(&entry.key)? {
                     Some(stored) => matches!(
                         decode_stored(&stored),
@@ -478,12 +500,13 @@ impl Store {
             })?;
             ptr_segments.push(new_ptr.segment);
             fixups.put(&entry.key, &encode_pointer(new_ptr));
-            shipped.push((entry.key.clone(), entry.value.clone()));
+            relocated.push((entry.key, entry.value));
         }
         // Same ordering rule as the append path: if relocation opened a
         // new band, the segment directory must commit before any fixup
         // pointer can reach the WAL, or recovery could drop the band the
-        // pointers reference as an orphan and leave them dangling.
+        // pointers reference as an orphan and leave them dangling
+        // (seal-lint's checkpoint-before-pointer rule).
         if vlog.take_dirty() {
             let blob = vlog.checkpoint();
             self.db.commit_aux_state(blob)?;
@@ -492,6 +515,7 @@ impl Store {
             }
         }
         let first_seq = self.db.last_sequence() + 1;
+        let mut error = None;
         if !fixups.is_empty() {
             let count = u64::from(fixups.count());
             if let Some(a) = self.ord_audit.as_mut() {
@@ -499,37 +523,22 @@ impl Store {
                 for &seg in &ptr_segments {
                     a.record_pointer_write(now, seg);
                 }
-                a.record_fixup_write(now, scan.segment);
+                a.record_fixup_write(now, victim);
             }
             if let Err(e) = self.db.write_unaccounted(fixups) {
                 if self.db.last_sequence() < first_seq + count - 1 {
-                    // The fixup batch never committed: no sequence
-                    // numbers were consumed, nothing to ship.
                     return Err(e);
                 }
-                // Committed, then errored in post-commit maintenance
-                // (e.g. a faulted flush): the sequence range IS
-                // consumed, so the caller must still see the
-                // relocation — a replication primary has to ship it or
-                // every replica inherits a gap. Reporting the scan as
-                // unfinished defers the retire barrier; the next step
-                // rescans the victim and finds these records dead.
-                return Ok(Some(GcRelocation {
-                    victim: scan.segment,
-                    finished: false,
-                    entries: shipped,
-                    first_seq,
-                    error: Some(e),
-                }));
+                error = Some(e);
             }
         }
-        Ok(Some(GcRelocation {
-            victim: scan.segment,
-            finished: scan.finished,
-            entries: shipped,
+        Ok(GcRelocation {
+            victim,
+            finished: false,
+            entries: relocated,
             first_seq,
-            error: None,
-        }))
+            error,
+        })
     }
 
     /// Whether the value log has a sealed segment awaiting GC.
@@ -697,11 +706,6 @@ impl Store {
         self.db.stall_stats()
     }
 
-    /// Whether any level is over its compaction budget.
-    pub fn needs_compaction(&self) -> bool {
-        self.db.needs_compaction()
-    }
-
     /// Flips serve mode on or off (see
     /// [`lsm_core::DbCore::set_deferred_compaction`]).
     pub fn set_deferred_compaction(&mut self, on: bool) {
@@ -722,16 +726,48 @@ impl Store {
     /// on, the same byte budget then walks value-log records: a CRC
     /// mismatch condemns the whole segment (record framing cannot
     /// resync), its readable live prefix is salvaged by relocation, and
-    /// the band is fenced out of the allocator.
+    /// the band is fenced out of the allocator. This is
+    /// [`Store::scrub_step_shipping`] with nobody to ship to, so a
+    /// salvage error surfaces immediately.
     pub fn scrub_step(&mut self, cfg: &ScrubConfig) -> Result<ScrubReport> {
-        let mut report = self.db.scrub_step(cfg)?;
-        if self.vlog.is_some() {
-            self.vlog_scrub_step(cfg, &mut report)?;
+        let (report, shipments) = self.scrub_step_shipping(cfg)?;
+        match shipments.into_iter().find_map(|s| s.barrier_error) {
+            Some(e) => Err(e),
+            None => Ok(report),
         }
-        Ok(report)
     }
 
-    fn vlog_scrub_step(&mut self, cfg: &ScrubConfig, report: &mut ScrubReport) -> Result<()> {
+    /// Runs one budgeted scrub step and returns, beside its report,
+    /// what a replication primary must ship: one shipment per salvaged
+    /// value-log segment. Salvage fixups consume sequence numbers just
+    /// as GC fixups do (see [`Store::vlog_gc_step_shipping`]); the
+    /// caller (`seal-replica`'s `Cluster::scrub_step`) ships them. An
+    /// error raised after a range was consumed rides in the last
+    /// shipment's `barrier_error` instead of discarding the shipments.
+    pub fn scrub_step_shipping(
+        &mut self,
+        cfg: &ScrubConfig,
+    ) -> Result<(ScrubReport, Vec<GcShipment>)> {
+        let mut report = self.db.scrub_step(cfg)?;
+        let mut shipments = Vec::new();
+        if let Err(e) = self.vlog_scrub_step(cfg, &mut report, &mut shipments) {
+            let Some(last) = shipments.last_mut() else {
+                return Err(e);
+            };
+            last.barrier_error = Some(e);
+        }
+        Ok((report, shipments))
+    }
+
+    /// The value-log half of a scrub step. Stops at the first salvage
+    /// that failed after its fixups committed: that shipment carries
+    /// the error.
+    fn vlog_scrub_step(
+        &mut self,
+        cfg: &ScrubConfig,
+        report: &mut ScrubReport,
+        shipments: &mut Vec<GcShipment>,
+    ) -> Result<()> {
         let step = {
             let Some(vlog) = self.vlog.as_mut() else {
                 return Ok(());
@@ -746,7 +782,16 @@ impl Store {
             return Ok(());
         }
         for seg in step.damaged {
-            self.vlog_salvage_and_quarantine(seg, report)?;
+            let salvage = self.vlog_salvage_and_quarantine(seg, report)?;
+            let failed = salvage.error.is_some();
+            shipments.push(GcShipment {
+                entries: salvage.entries,
+                first_seq: salvage.first_seq,
+                barrier_error: salvage.error,
+            });
+            if failed {
+                break;
+            }
         }
         Ok(())
     }
@@ -757,7 +802,11 @@ impl Store {
     /// (fail-closed reads) from here on. Returns what the salvage
     /// relocated, unfinished because nothing is left to retire: its
     /// fixups consumed sequence numbers a replication primary must ship
-    /// like a GC step's.
+    /// like a GC step's. Once the fixups committed, any later error —
+    /// their own post-commit maintenance, the barrier, the fence —
+    /// comes back in `error`, never as `Err`; a segment left unfenced
+    /// stays sealed, and the next scrub pass condemns it again and finds
+    /// the relocated records dead.
     fn vlog_salvage_and_quarantine(
         &mut self,
         seg: u64,
@@ -775,78 +824,39 @@ impl Store {
             a.record_fence(now, seg);
             a.record_repair(now, seg);
         }
-        let mut fixups = WriteBatch::new();
-        let mut ptr_segments: Vec<u64> = Vec::new();
-        let mut salvaged: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for entry in entries {
-            let live = match self.db.get(&entry.key)? {
-                Some(stored) => {
-                    matches!(decode_stored(&stored), Ok(StoredValue::Pointer(p)) if p == entry.ptr)
+        let mut salvage = self.relocate_live(seg, entries, true)?;
+        report.blocks_corrected += salvage.entries.len() as u64;
+        if salvage.error.is_some() {
+            return Ok(salvage);
+        }
+        // The fixups consumed their sequence numbers: an error past this
+        // point rides in the relocation, as GC's barrier error does.
+        let fence = self.db.sync_wal().and_then(|()| {
+            if let Some(a) = self.ord_audit.as_mut() {
+                a.record_durable(self.db.clock_ns());
+            }
+            let vlog = self.vlog.as_mut().expect("caller checked vlog");
+            let fenced = self
+                .db
+                .with_fs_and_policy(|fs, policy| vlog.quarantine_segment(fs, policy, seg))?;
+            if let Some(a) = self.ord_audit.as_mut() {
+                a.record_fence(self.db.clock_ns(), seg);
+            }
+            report.files_quarantined += 1;
+            report.extents_fenced += 1;
+            report.bytes_fenced += fenced;
+            // The quarantine flag itself still needs a commit of its own.
+            if vlog.take_dirty() {
+                let blob = vlog.checkpoint();
+                self.db.commit_aux_state(blob)?;
+                if let Some(a) = self.ord_audit.as_mut() {
+                    a.record_checkpoint_commit(self.db.clock_ns(), &vlog.segment_ids());
                 }
-                None => false,
-            };
-            if !live {
-                continue;
             }
-            let new_ptr = self.db.with_fs_and_policy(|fs, policy| {
-                vlog.relocate(fs, policy, &entry.key, &entry.value)
-            })?;
-            ptr_segments.push(new_ptr.segment);
-            fixups.put(&entry.key, &encode_pointer(new_ptr));
-            report.blocks_corrected += 1;
-            salvaged.push((entry.key, entry.value));
-        }
-        // Commit the segment directory *before* the fixup pointers reach
-        // the WAL: relocation may have opened a new band, and a crash
-        // after the pointers land but before the commit would recover
-        // live pointers into an orphaned segment (the PR 8 bug class —
-        // found by seal-lint's checkpoint-before-pointer rule).
-        if vlog.take_dirty() {
-            let blob = vlog.checkpoint();
-            self.db.commit_aux_state(blob)?;
-            if let Some(a) = self.ord_audit.as_mut() {
-                a.record_checkpoint_commit(self.db.clock_ns(), &vlog.segment_ids());
-            }
-        }
-        let first_seq = self.db.last_sequence() + 1;
-        if !fixups.is_empty() {
-            if let Some(a) = self.ord_audit.as_mut() {
-                let now = self.db.clock_ns();
-                for &s in &ptr_segments {
-                    a.record_pointer_write(now, s);
-                }
-                a.record_fixup_write(now, seg);
-            }
-            self.db.write_unaccounted(fixups)?;
-        }
-        self.db.sync_wal()?;
-        if let Some(a) = self.ord_audit.as_mut() {
-            a.record_durable(self.db.clock_ns());
-        }
-        let fenced = self
-            .db
-            .with_fs_and_policy(|fs, policy| vlog.quarantine_segment(fs, policy, seg))?;
-        if let Some(a) = self.ord_audit.as_mut() {
-            a.record_fence(self.db.clock_ns(), seg);
-        }
-        report.files_quarantined += 1;
-        report.extents_fenced += 1;
-        report.bytes_fenced += fenced;
-        // The quarantine flag itself still needs a commit of its own.
-        if vlog.take_dirty() {
-            let blob = vlog.checkpoint();
-            self.db.commit_aux_state(blob)?;
-            if let Some(a) = self.ord_audit.as_mut() {
-                a.record_checkpoint_commit(self.db.clock_ns(), &vlog.segment_ids());
-            }
-        }
-        Ok(GcRelocation {
-            victim: seg,
-            finished: false,
-            entries: salvaged,
-            first_seq,
-            error: None,
-        })
+            Ok(())
+        });
+        salvage.error = fence.err();
+        Ok(salvage)
     }
 
     /// Scrubs every live table once (see [`DbCore::scrub_full`]).
@@ -1052,6 +1062,17 @@ mod tests {
     use crate::config::{StoreConfig, StoreKind};
     use smr_sim::ObsLayer;
 
+    /// A SEALDB configuration with key-value separation on: segments
+    /// sized to one whole band, default thresholds.
+    fn vlog_config() -> StoreConfig {
+        let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30);
+        let params = seal_vlog::VlogParams {
+            segment_bytes: cfg.band_size(),
+            ..seal_vlog::VlogParams::default()
+        };
+        cfg.with_vlog(params)
+    }
+
     fn exercised(kind: StoreKind) -> super::MetricsSnapshot {
         let cfg = StoreConfig::new(kind, 256 << 10, 1 << 30);
         let mut s = cfg.build().unwrap();
@@ -1146,13 +1167,13 @@ mod tests {
         let a = exercised(StoreKind::SealDb);
         let b = exercised(StoreKind::SealDb);
         assert_eq!(a.to_json(128), b.to_json(128));
-        assert_eq!(a.to_csv(), b.to_csv());
+        assert_eq!(a.obs.to_csv(), b.obs.to_csv());
         assert!(!a.to_json(128).contains("NaN"));
     }
 
     #[test]
     fn vlog_roundtrip_across_value_sizes_and_deletes() {
-        let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_default_vlog();
+        let cfg = vlog_config();
         let mut s = cfg.build().unwrap();
         // Small values stay inline, large ones divert; both read back.
         for i in 0..500u64 {
@@ -1191,7 +1212,7 @@ mod tests {
 
     #[test]
     fn vlog_survives_reopen() {
-        let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_default_vlog();
+        let cfg = vlog_config();
         let mut s = cfg.build().unwrap();
         for i in 0..200u64 {
             let key = format!("p{i:05}");
@@ -1211,7 +1232,7 @@ mod tests {
 
     #[test]
     fn vlog_gc_reclaims_dead_segments_and_preserves_live_data() {
-        let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_default_vlog();
+        let cfg = vlog_config();
         let mut s = cfg.build().unwrap();
         // Overwrite a small key set many times: earlier segments fill
         // with dead records.
@@ -1254,7 +1275,7 @@ mod tests {
     #[test]
     fn vlog_store_metrics_are_deterministic() {
         let run = || {
-            let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_default_vlog();
+            let cfg = vlog_config();
             let mut s = cfg.build().unwrap();
             for i in 0..800u64 {
                 let key = format!("d{:05}", i % 120);
@@ -1276,7 +1297,7 @@ mod tests {
     /// frame is rejected before it can litter the replica's log.
     #[test]
     fn apply_replicated_with_vlog_rewrites_through_own_log() {
-        let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_default_vlog();
+        let cfg = vlog_config();
         let mut primary = cfg.clone().build().unwrap();
         let mut replica = cfg.build().unwrap();
         let mut wires: Vec<(Vec<u8>, u64)> = Vec::new();

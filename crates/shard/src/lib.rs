@@ -10,7 +10,7 @@
 //! * **Routing** — a consistent-hash [`HashRing`] with virtual nodes
 //!   maps keys to shards; placement imbalance is bounded by the vnode
 //!   count, not luck.
-//! * **Serving** — [`serve`] runs `seal-front`'s serve loop
+//! * **Serving** — [`serve()`] runs `seal-front`'s serve loop
 //!   ([`seal_front::serve_queues`]) with one request queue per active
 //!   shard and the ring as its router: same arrivals, group commit,
 //!   degraded reads and idle background work as a single store, ties
@@ -289,16 +289,6 @@ impl<N: KvNode> ShardCluster<N> {
         Ok(all)
     }
 
-    /// Keys currently resident on each shard slot (merged-away shards
-    /// report 0).
-    pub fn shard_key_counts(&mut self) -> Result<Vec<u64>> {
-        let mut counts = vec![0u64; self.shards.len()];
-        for idx in self.active_shards() {
-            counts[idx] = self.resident_keys(idx)?.len() as u64;
-        }
-        Ok(counts)
-    }
-
     /// Re-reads records `0..n` of `gen` through the router and counts
     /// keys whose routed shard no longer returns the generator value —
     /// the acked-key loss audit migration gates on.
@@ -357,7 +347,7 @@ impl ShardCluster {
     /// write stalls, then write amplification break ties, and the
     /// lowest index wins exact ties — fully deterministic, so the
     /// split decision replays identically.
-    pub fn hottest_shard(&self) -> usize {
+    fn hottest_shard(&self) -> usize {
         let mut best: Option<(u64, u64, u64, std::cmp::Reverse<usize>)> = None;
         let mut who = 0usize;
         for idx in self.active_shards() {
@@ -418,6 +408,16 @@ fn build_shard_store(cfg: &ShardConfig, idx: usize) -> Result<Store> {
 mod tests {
     use super::*;
 
+    /// Keys currently resident on each shard slot (merged-away shards
+    /// report 0).
+    pub(crate) fn shard_key_counts<N: KvNode>(c: &mut ShardCluster<N>) -> Vec<u64> {
+        let mut counts = vec![0u64; c.shards.len()];
+        for idx in c.active_shards() {
+            counts[idx] = c.resident_keys(idx).unwrap().len() as u64;
+        }
+        counts
+    }
+
     const SST: u64 = 32 << 10;
     const CAP: u64 = 1 << 30;
 
@@ -436,7 +436,7 @@ mod tests {
             assert_eq!(c.get(&gen.key(i)).unwrap(), Some(gen.value(i)), "key {i}");
         }
         // Every shard took part of the keyspace.
-        let counts = c.shard_key_counts().unwrap();
+        let counts = shard_key_counts(&mut c);
         assert!(counts.iter().all(|&n| n > 0), "placement {counts:?}");
         assert_eq!(counts.iter().sum::<u64>(), 300);
         // A delete routes to the same shard its put did.

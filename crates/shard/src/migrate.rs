@@ -219,6 +219,7 @@ impl<N: KvNode> ShardCluster<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::shard_key_counts;
     use crate::{imbalance, ShardConfig};
     use workloads::RecordGenerator;
 
@@ -235,7 +236,7 @@ mod tests {
     fn split_moves_about_half_the_victim_and_loses_nothing() {
         let gen = RecordGenerator::new(16, 64, 5);
         let mut c = loaded(2, 2000, &gen);
-        let before = c.shard_key_counts().unwrap();
+        let before = shard_key_counts(&mut c);
         let r = c.split_hottest().unwrap();
         let MigrationKind::Split { from, to } = r.kind else {
             panic!("expected a split")
@@ -244,7 +245,7 @@ mod tests {
         assert!(r.moved_keys > 0);
         assert!(r.batches > 0);
         assert!(r.duration_ns > 0, "moving bands must cost simulated time");
-        let after = c.shard_key_counts().unwrap();
+        let after = shard_key_counts(&mut c);
         // The victim gave up roughly half (alternate arcs), nobody else
         // changed, and the new shard holds exactly what moved.
         assert_eq!(after[to], r.moved_keys);
@@ -264,7 +265,7 @@ mod tests {
         let gen = RecordGenerator::new(16, 64, 5);
         let mut c = loaded(4, 4000, &gen);
         c.split_hottest().unwrap();
-        let counts = c.shard_key_counts().unwrap();
+        let counts = shard_key_counts(&mut c);
         assert_eq!(counts.iter().sum::<u64>(), 4000);
         assert_eq!(counts.len(), 5);
         assert!(counts.iter().all(|&n| n > 0), "{counts:?}");
@@ -275,13 +276,13 @@ mod tests {
     fn merge_redistributes_everything_and_deactivates() {
         let gen = RecordGenerator::new(16, 64, 5);
         let mut c = loaded(3, 1500, &gen);
-        let before = c.shard_key_counts().unwrap();
+        let before = shard_key_counts(&mut c);
         let r = c.merge_shard(1).unwrap();
         assert_eq!(r.kind, MigrationKind::Merge { removed: 1 });
         assert_eq!(r.moved_keys, before[1]);
         assert!(!c.is_active(1));
         assert_eq!(c.active_shards(), vec![0, 2]);
-        let after = c.shard_key_counts().unwrap();
+        let after = shard_key_counts(&mut c);
         assert_eq!(after[1], 0);
         assert_eq!(after.iter().sum::<u64>(), 1500);
         assert_eq!(c.audit(&gen, 1500).unwrap().lost, 0);
@@ -387,7 +388,7 @@ mod tests {
         assert!(c.is_active(1));
         assert_eq!(routes(&c, &gen), before);
         assert_eq!(c.audit(&gen, FLAKY_KEYS).unwrap().lost, 0);
-        let resident: u64 = c.shard_key_counts().unwrap().iter().sum();
+        let resident: u64 = shard_key_counts(&mut c).iter().sum();
         assert_eq!(resident, FLAKY_KEYS, "copies already sent were taken back");
         // Both migrations go through once the nodes behave.
         c.split(0, FlakyNode::default()).unwrap();

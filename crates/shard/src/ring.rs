@@ -48,11 +48,6 @@ impl HashRing {
         }
     }
 
-    /// Points per full shard.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
-    }
-
     /// Total points currently on the ring.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -83,7 +78,7 @@ impl HashRing {
 
     /// Removes every point `shard` owns; its arcs fall to the next
     /// clockwise owners.
-    pub fn remove_shard(&mut self, shard: usize) {
+    pub(crate) fn remove_shard(&mut self, shard: usize) {
         self.points.retain(|_, &mut s| s != shard);
     }
 
@@ -110,7 +105,7 @@ impl HashRing {
     /// # Panics
     ///
     /// Panics if the ring is empty.
-    pub fn route_hash(&self, h: u64) -> usize {
+    fn route_hash(&self, h: u64) -> usize {
         match self.points.range(h..).next() {
             Some((_, &s)) => s,
             None => {
@@ -120,22 +115,14 @@ impl HashRing {
         }
     }
 
-    /// Routes a key to its owning shard (FNV-1a hash, then
-    /// [`HashRing::route_hash`]).
+    /// Routes a key to its owning shard (FNV-1a hash, then the first
+    /// ring point at or after it, wrapping).
     pub fn route(&self, key: &[u8]) -> usize {
         self.route_hash(fnv1a64(key))
     }
 
-    /// Distinct shard indices with at least one point, ascending.
-    pub fn owners(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.points.values().copied().collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Number of points `shard` currently owns.
-    pub fn points_of(&self, shard: usize) -> usize {
+    pub(crate) fn points_of(&self, shard: usize) -> usize {
         self.points.values().filter(|&&s| s == shard).count()
     }
 }
@@ -217,7 +204,7 @@ mod tests {
         }
         r.remove_shard(2);
         assert_eq!(r.points_of(2), 0);
-        assert_eq!(r.owners(), vec![0, 1, 3]);
+        assert!([0, 1, 3].iter().all(|&s| r.points_of(s) == 64));
         for i in 0..2000u64 {
             assert_ne!(r.route(format!("k{i:07}").as_bytes()), 2);
         }

@@ -30,12 +30,8 @@ pub struct ClusterServeResult {
     /// to last completion on any shard — and `queue_depth_max` the
     /// deepest per-shard queue.
     pub serve: ServeResult,
-    /// Active shards that served the run.
-    pub shards: usize,
     /// Operations served by each shard slot (merged-away slots read 0).
     pub per_shard_ops: Vec<u64>,
-    /// `Store::write` calls issued by each shard slot.
-    pub per_shard_write_calls: Vec<u64>,
     /// Keyspace size after the run (preload plus serve-phase inserts) —
     /// the audit horizon.
     pub records_after: u64,
@@ -79,21 +75,17 @@ pub fn serve(
     let served = serve_queues(&mut stores, |key| queue_of[ring.route(key)], gen, cfg)?;
 
     let mut per_shard_ops = vec![0u64; queue_of.len()];
-    let mut per_shard_write_calls = vec![0u64; queue_of.len()];
     // The cluster frontier advances to the last completion.
     let end = cluster.now_ns + served.result.sim_ns;
     for (&slot, q) in active.iter().zip(&served.queues) {
         per_shard_ops[slot] = q.ops;
-        per_shard_write_calls[slot] = q.write_calls;
         cluster.publish_router_obs(slot, q.ops, q.write_calls, q.depth_max);
         cluster.node_mut(slot).advance_clock_to(end);
     }
     cluster.now_ns = end;
     Ok(ClusterServeResult {
         serve: served.result,
-        shards: active.len(),
         per_shard_ops,
-        per_shard_write_calls,
         records_after: served.records_after,
     })
 }
@@ -130,7 +122,6 @@ mod tests {
         let mut c = serving_cluster(4, 1200, &gen);
         let r = serve(&mut c, &gen, &closed(8, 800, 1200)).unwrap();
         assert_eq!(r.serve.ops, 800);
-        assert_eq!(r.shards, 4);
         assert!(r.serve.sim_ns > 0);
         assert_eq!(r.serve.misses, 0, "preloaded zipfian reads must not miss");
         assert_eq!(r.per_shard_ops.iter().sum::<u64>(), 800);

@@ -67,7 +67,7 @@ impl ShingleAuditor {
     }
 
     /// Records an invalidation (trim / region fade).
-    pub fn record_invalidate(&mut self, ext: Extent) {
+    pub(crate) fn record_invalidate(&mut self, ext: Extent) {
         let (start, end) = (ext.offset, ext.end());
         let mut next = Vec::with_capacity(self.ranges.len() + 1);
         for &(s, e) in &self.ranges {
@@ -87,14 +87,9 @@ impl ShingleAuditor {
 
     /// Resets the shadow model to exactly `ranges` (used after a crash
     /// restore, where the disk's valid set is rolled back wholesale).
-    pub fn reset_to(&mut self, ranges: impl Iterator<Item = Extent>) {
+    pub(crate) fn reset_to(&mut self, ranges: impl Iterator<Item = Extent>) {
         self.ranges = ranges.map(|e| (e.offset, e.end())).collect();
         self.ranges.sort_unstable();
-    }
-
-    /// Total valid bytes tracked by the shadow model.
-    pub fn valid_bytes(&self) -> u64 {
-        self.ranges.iter().map(|&(s, e)| e - s).sum()
     }
 
     fn insert(&mut self, start: u64, end: u64) {
@@ -123,6 +118,11 @@ impl ShingleAuditor {
 mod tests {
     use super::*;
 
+    /// Total valid bytes tracked by the shadow model.
+    fn valid_bytes(a: &ShingleAuditor) -> u64 {
+        a.ranges.iter().map(|&(s, e)| e - s).sum()
+    }
+
     #[test]
     fn legal_sequence_is_silent() {
         let mut a = ShingleAuditor::new(1 << 20, 4096);
@@ -130,13 +130,13 @@ mod tests {
         // Past the first write's guard shadow is fine; earlier free space
         // is fine as long as *its* guard window stays clear.
         a.record_write(Extent::new(8192, 1000));
-        assert_eq!(a.valid_bytes(), 2000);
+        assert_eq!(valid_bytes(&a), 2000);
         a.record_invalidate(Extent::new(0, 1000));
-        assert_eq!(a.valid_bytes(), 1000);
+        assert_eq!(valid_bytes(&a), 1000);
         // Space reclaimed: rewriting it is legal again (guard window of
         // [0,1000) is [1000,5096), which holds no valid data).
         a.record_write(Extent::new(0, 1000));
-        assert_eq!(a.valid_bytes(), 2000);
+        assert_eq!(valid_bytes(&a), 2000);
     }
 
     #[test]
@@ -144,10 +144,10 @@ mod tests {
         let mut a = ShingleAuditor::new(1 << 20, 0);
         a.record_write(Extent::new(0, 3000));
         a.record_invalidate(Extent::new(1000, 1000));
-        assert_eq!(a.valid_bytes(), 2000);
+        assert_eq!(valid_bytes(&a), 2000);
         // The hole is writable again.
         a.record_write(Extent::new(1000, 1000));
-        assert_eq!(a.valid_bytes(), 3000);
+        assert_eq!(valid_bytes(&a), 3000);
     }
 
     #[cfg(debug_assertions)]
@@ -180,6 +180,6 @@ mod tests {
         let mut b = ShingleAuditor::new(1 << 20, 4096);
         b.record_write(Extent::new(8192, 1000));
         b.record_write(Extent::new(4000, 1000));
-        assert_eq!(a.valid_bytes(), 1500);
+        assert_eq!(valid_bytes(&a), 1500);
     }
 }

@@ -3,16 +3,9 @@
 //!
 //! All of them used to hand-roll the same doubling-and-capping formula;
 //! this module is the single home so the semantics stay pinned in one
-//! place. Two knobs:
-//!
-//! * **Exponential bound** — [`bounded_backoff_ns`] doubles a base delay
-//!   per attempt and saturates at a cap; overflow-safe for any input.
-//! * **Seeded jitter** — [`Backoff`] optionally spreads each delay by a
-//!   deterministic ±25% so a population of retrying clients does not
-//!   synchronize into a retry storm, while the same (seed, attempt)
-//!   always yields the same delay (runs stay byte-reproducible).
-
-use crate::fault::mix;
+//! place: [`bounded_backoff_ns`] doubles a base delay per attempt and
+//! saturates at a cap, overflow-safe for any input, and [`Backoff`]
+//! carries one such policy.
 
 /// Bounded exponential backoff: `base * 2^attempt`, floored at 1 ns,
 /// capped at `max` (or at `base` when `max < base`). Saturates instead
@@ -24,60 +17,25 @@ pub fn bounded_backoff_ns(base: u64, max: u64, attempt: u32) -> u64 {
         .min(max.max(floor))
 }
 
-/// A reusable backoff policy: bounded exponential growth with optional
-/// deterministic seeded jitter.
-///
-/// Without jitter, [`Backoff::delay_ns`] is exactly
-/// [`bounded_backoff_ns`]. With jitter, each delay is spread uniformly
-/// over ±25% of the exponential value — derived from the seed and the
-/// attempt number only, so identical configurations reproduce identical
-/// delay sequences.
+/// A reusable backoff policy: bounded exponential growth, so
+/// [`Backoff::delay_ns`] is exactly [`bounded_backoff_ns`].
 #[derive(Clone, Copy, Debug)]
 pub struct Backoff {
     /// First-attempt delay, ns.
     base_ns: u64,
     /// Delay cap, ns (raised to `base_ns` when smaller).
     max_ns: u64,
-    /// Jitter seed; `None` disables jitter entirely.
-    jitter_seed: Option<u64>,
 }
 
 impl Backoff {
-    /// A jitter-free policy: delays follow [`bounded_backoff_ns`].
+    /// A policy whose delays follow [`bounded_backoff_ns`].
     pub fn new(base_ns: u64, max_ns: u64) -> Self {
-        Backoff {
-            base_ns,
-            max_ns,
-            jitter_seed: None,
-        }
-    }
-
-    /// A policy with deterministic ±25% jitter derived from `seed`.
-    pub fn with_jitter(base_ns: u64, max_ns: u64, seed: u64) -> Self {
-        Backoff {
-            base_ns,
-            max_ns,
-            jitter_seed: Some(seed),
-        }
+        Backoff { base_ns, max_ns }
     }
 
     /// The delay before retry number `attempt` (0-based), ns.
-    ///
-    /// Jittered delays stay within `[1, max(base, max)]`: the jitter is
-    /// applied to the exponential value first, then the floor and cap
-    /// are re-imposed so the contract of the jitter-free policy holds.
     pub fn delay_ns(&self, attempt: u32) -> u64 {
-        let d = bounded_backoff_ns(self.base_ns, self.max_ns, attempt);
-        match self.jitter_seed {
-            None => d,
-            Some(seed) => {
-                // Uniform offset over [-d/4, +d/4]: span d/2 + 1 values.
-                let quarter = d / 4;
-                let span = quarter * 2 + 1;
-                let offset = mix(seed ^ u64::from(attempt).rotate_left(17)) % span;
-                (d - quarter + offset).clamp(1, self.max_ns.max(self.base_ns.max(1)))
-            }
-        }
+        bounded_backoff_ns(self.base_ns, self.max_ns, attempt)
     }
 }
 
@@ -101,56 +59,13 @@ mod tests {
     }
 
     #[test]
-    fn jitter_free_policy_matches_free_function() {
+    fn policy_matches_free_function() {
         let b = Backoff::new(250, 10_000);
         for attempt in 0..20 {
             assert_eq!(
                 b.delay_ns(attempt),
                 bounded_backoff_ns(250, 10_000, attempt)
             );
-        }
-    }
-
-    /// Property sweep: for every (seed, attempt) cell the jittered delay
-    /// is reproducible, stays within ±25% of the exponential value, and
-    /// respects the global floor and cap.
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        for seed in [0u64, 1, 42, 0xDEAD_BEEF, u64::MAX] {
-            let b = Backoff::with_jitter(200, 50_000, seed);
-            let twin = Backoff::with_jitter(200, 50_000, seed);
-            for attempt in 0..24 {
-                let d = b.delay_ns(attempt);
-                assert_eq!(d, twin.delay_ns(attempt), "seed {seed} attempt {attempt}");
-                let nominal = bounded_backoff_ns(200, 50_000, attempt);
-                let quarter = nominal / 4;
-                assert!(
-                    d >= (nominal - quarter).max(1) && d <= (nominal + quarter).min(50_000),
-                    "seed {seed} attempt {attempt}: {d} outside ±25% of {nominal}"
-                );
-            }
-        }
-    }
-
-    /// Different seeds actually spread: across a population of jittered
-    /// clients at the same attempt, at least two distinct delays appear
-    /// (the whole point of jitter — no synchronized retry storm).
-    #[test]
-    fn jitter_decorrelates_across_seeds() {
-        let mut distinct = std::collections::BTreeSet::new();
-        for seed in 0..16u64 {
-            distinct.insert(Backoff::with_jitter(1_000, 1 << 30, seed).delay_ns(5));
-        }
-        assert!(distinct.len() > 1, "16 seeds produced identical delays");
-    }
-
-    /// Jittered delays never exceed the cap even when the exponential
-    /// value already sits at the cap (jitter cannot push past it).
-    #[test]
-    fn jitter_respects_cap_at_saturation() {
-        let b = Backoff::with_jitter(1_000, 4_000, 7);
-        for attempt in 2..40 {
-            assert!(b.delay_ns(attempt) <= 4_000);
         }
     }
 }

@@ -210,11 +210,6 @@ impl Disk {
         }
     }
 
-    /// HA-SMR: bytes currently staged in the media cache.
-    pub fn media_cache_used(&self) -> u64 {
-        self.cache_used
-    }
-
     /// HA-SMR: number of cleaning passes performed.
     pub fn cleaning_passes(&self) -> u64 {
         self.cleanings
@@ -848,18 +843,6 @@ impl Disk {
             IoKind::Raw,
         );
     }
-
-    /// Write pointer (relative) of the fixed band containing `offset`,
-    /// if the layout has bands and the band was ever written.
-    pub fn band_write_pointer(&self, offset: u64) -> Option<u64> {
-        match self.layout {
-            Layout::FixedBand { band_size } => {
-                let band_start = offset / band_size * band_size;
-                self.bands.get(&band_start).map(|b| b.wp)
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1305,7 +1288,7 @@ mod tests {
         d.write(Extent::new(MB, MB), &data(MB), IoKind::Flush)
             .unwrap();
         d.restore(&snap);
-        assert_eq!(d.band_write_pointer(0), Some(MB));
+        assert_eq!(d.bands.get(&0).map(|b| b.wp), Some(MB));
         // Appending at the restored write pointer is penalty-free.
         d.write(Extent::new(MB, MB), &data(MB), IoKind::Flush)
             .unwrap();
@@ -1355,7 +1338,7 @@ mod ha_smr_tests {
             d.write(Extent::new(i * MB, MB), &data(MB), IoKind::Flush)
                 .unwrap();
         }
-        assert_eq!(d.media_cache_used(), 0);
+        assert_eq!(d.cache_used, 0);
         assert_eq!(d.cleaning_passes(), 0);
         let c = d.stats().kind(IoKind::Flush);
         assert_eq!(c.device_written, c.logical_written);
@@ -1374,7 +1357,7 @@ mod ha_smr_tests {
         d.write(Extent::new(MB, MB), &data(MB), IoKind::CompactionWrite)
             .unwrap();
         let fast = d.clock_ns() - t0;
-        assert_eq!(d.media_cache_used(), MB);
+        assert_eq!(d.cache_used, MB);
         assert_eq!(d.cleaning_passes(), 0);
         // Third staged MiB exceeds the 2 MiB cache: cleaning stalls it.
         d.write(Extent::new(5 * MB, MB), &data(MB), IoKind::CompactionWrite)

@@ -49,12 +49,12 @@ impl Extent {
     }
 
     /// Whether the byte at `pos` falls inside the extent.
-    pub fn contains_pos(&self, pos: u64) -> bool {
+    fn contains_pos(&self, pos: u64) -> bool {
         self.offset <= pos && pos < self.end()
     }
 
     /// The intersection of two extents, or `None` if they are disjoint.
-    pub fn intersection(&self, other: &Extent) -> Option<Extent> {
+    fn intersection(&self, other: &Extent) -> Option<Extent> {
         let lo = self.offset.max(other.offset);
         let hi = self.end().min(other.end());
         if lo < hi {
@@ -88,11 +88,6 @@ impl ExtentSet {
         Self::default()
     }
 
-    /// Number of distinct (coalesced) extents stored.
-    pub fn extent_count(&self) -> usize {
-        self.map.len()
-    }
-
     /// Total number of bytes covered by the set.
     pub fn covered_bytes(&self) -> u64 {
         self.total
@@ -123,7 +118,7 @@ impl ExtentSet {
     }
 
     /// Returns `true` if every byte of `ext` is covered.
-    pub fn covers(&self, ext: Extent) -> bool {
+    pub(crate) fn covers(&self, ext: Extent) -> bool {
         if ext.is_empty() {
             return true;
         }
@@ -224,7 +219,7 @@ impl ExtentSet {
     }
 
     /// Largest end offset of any stored extent (the "high water mark"), or 0.
-    pub fn max_end(&self) -> u64 {
+    pub(crate) fn max_end(&self) -> u64 {
         self.map.iter().next_back().map_or(0, |(&s, &l)| s + l)
     }
 }
@@ -268,7 +263,7 @@ mod tests {
         let mut s = ExtentSet::new();
         s.insert(Extent::new(0, 10));
         s.insert(Extent::new(10, 10));
-        assert_eq!(s.extent_count(), 1);
+        assert_eq!(s.map.len(), 1);
         assert_eq!(s.covered_bytes(), 20);
         assert!(s.covers(Extent::new(0, 20)));
     }
@@ -280,7 +275,7 @@ mod tests {
         s.insert(Extent::new(20, 5));
         s.insert(Extent::new(40, 5));
         s.insert(Extent::new(3, 40)); // swallows all three
-        assert_eq!(s.extent_count(), 1);
+        assert_eq!(s.map.len(), 1);
         assert_eq!(s.covered_bytes(), 45);
         assert!(s.covers(Extent::new(0, 45)));
         assert!(!s.covers(Extent::new(0, 46)));
@@ -291,7 +286,7 @@ mod tests {
         let mut s = ExtentSet::new();
         s.insert(Extent::new(0, 100));
         s.remove(Extent::new(40, 20));
-        assert_eq!(s.extent_count(), 2);
+        assert_eq!(s.map.len(), 2);
         assert_eq!(s.covered_bytes(), 80);
         assert!(s.covers(Extent::new(0, 40)));
         assert!(s.covers(Extent::new(60, 40)));

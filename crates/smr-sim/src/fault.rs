@@ -155,11 +155,6 @@ impl FaultPlan {
         &self.failed_bands
     }
 
-    /// The registered latent sector errors, in registration order.
-    pub fn unrecoverable_extents(&self) -> &[Extent] {
-        &self.unrecoverable
-    }
-
     /// Clears all persistent read faults (sector errors and bands).
     pub fn clear_persistent_faults(&mut self) {
         self.unrecoverable.clear();
@@ -291,7 +286,7 @@ impl FaultPlan {
 /// partitioned node are buffered by the network and released when the
 /// window closes; `to_ns == u64::MAX` means the partition never heals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PartitionWindow {
+struct PartitionWindow {
     /// Cluster node index the window applies to.
     pub node: usize,
     /// Start of the window (inclusive), simulated ns.
@@ -305,7 +300,7 @@ pub struct PartitionWindow {
 /// from a fresh store plus catch-up streaming; promotion of a replica
 /// uses its own disk via the crash-image recovery path).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NodeKill {
+struct NodeKill {
     /// Cluster node index to kill.
     pub node: usize,
     /// Kill time, simulated ns.
@@ -354,7 +349,7 @@ impl ClusterFaultPlan {
     /// Earliest time `>= t_ns` at which `node` is unpartitioned, or
     /// `None` if a never-healing window covers it. Chained windows are
     /// followed to a fixpoint.
-    pub fn heal_ns(&self, node: usize, t_ns: u64) -> Option<u64> {
+    pub(crate) fn heal_ns(&self, node: usize, t_ns: u64) -> Option<u64> {
         let mut t = t_ns;
         loop {
             let covering = self
@@ -372,7 +367,7 @@ impl ClusterFaultPlan {
     }
 
     /// True once `node` has been killed at or before `t_ns`.
-    pub fn killed_at(&self, node: usize, t_ns: u64) -> bool {
+    pub(crate) fn killed_at(&self, node: usize, t_ns: u64) -> bool {
         self.kills.iter().any(|k| k.node == node && k.at_ns <= t_ns)
     }
 
@@ -380,16 +375,6 @@ impl ClusterFaultPlan {
     /// the cluster as a fresh process and may receive traffic again.
     pub fn revive(&mut self, node: usize) {
         self.kills.retain(|k| k.node != node);
-    }
-
-    /// The scheduled partition windows, in registration order.
-    pub fn partitions(&self) -> &[PartitionWindow] {
-        &self.partitions
-    }
-
-    /// The scheduled node kills, in registration order.
-    pub fn kills(&self) -> &[NodeKill] {
-        &self.kills
     }
 }
 
@@ -578,7 +563,7 @@ mod tests {
         assert!(!p.persistent_fault(Extent::new(0, 4096)));
         assert!(!p.persistent_fault(Extent::new(4608, 100)));
         assert_eq!(p.failed_bands().len(), 1);
-        assert_eq!(p.unrecoverable_extents().len(), 1);
+        assert_eq!(p.unrecoverable.len(), 1);
         p.clear_persistent_faults();
         assert!(!p.persistent_fault(Extent::new(4096, 512)));
         assert!(p.failed_bands().is_empty());
@@ -624,8 +609,8 @@ mod tests {
         assert!(plan.killed_at(0, 500));
         assert!(plan.killed_at(0, u64::MAX));
         assert!(!plan.killed_at(1, u64::MAX));
-        assert_eq!(plan.kills().len(), 1);
-        assert!(plan.partitions().is_empty());
+        assert_eq!(plan.kills.len(), 1);
+        assert!(plan.partitions.is_empty());
         plan.revive(0);
         assert!(!plan.killed_at(0, u64::MAX));
     }

@@ -38,7 +38,7 @@ pub mod disk;
 /// Disk fault and constraint-violation errors.
 pub mod error;
 /// Byte extents and the interval set tracking valid data.
-pub mod extent;
+mod extent;
 /// Seeded fault-injection plans (torn writes, read errors).
 pub mod fault;
 /// Seeded cluster network: latency, drops, partitions, kills.
@@ -52,7 +52,7 @@ pub mod stats;
 /// Copy-on-write sparse chunk store backing disk contents.
 pub mod store;
 /// Mechanical time model (seek, rotation, transfer).
-pub mod timemodel;
+mod timemodel;
 /// Optional per-I/O trace recording.
 pub mod trace;
 
@@ -61,9 +61,7 @@ pub use backoff::{bounded_backoff_ns, Backoff};
 pub use disk::{Disk, DiskSnapshot, Layout};
 pub use error::{DiskError, DiskResult};
 pub use extent::{Extent, ExtentSet};
-pub use fault::{
-    ClusterFaultClass, ClusterFaultPlan, DeviceFaultClass, FaultPlan, NodeKill, PartitionWindow,
-};
+pub use fault::{ClusterFaultClass, ClusterFaultPlan, DeviceFaultClass, FaultPlan};
 pub use net::NetModel;
 pub use obs::{
     AllocEvent, EventTracer, LatencyHistogram, MetricsRegistry, Obs, ObsEvent, ObsEventKind,

@@ -55,11 +55,6 @@ impl NetModel {
         }
     }
 
-    /// Base one-way link latency, ns.
-    pub fn base_latency_ns(&self) -> u64 {
-        self.base_latency_ns
-    }
-
     /// Sets the per-message drop probability in permille (clamped to
     /// 999 — a lossy link, not a severed one; use partitions for that).
     pub fn set_drop_permille(&mut self, permille: u64) {

@@ -202,7 +202,7 @@ pub struct EventTracer {
 
 /// Default ring capacity: enough for the tail of a bench run without
 /// letting traces dominate snapshot memory.
-pub const DEFAULT_TRACE_CAP: usize = 4096;
+const DEFAULT_TRACE_CAP: usize = 4096;
 
 impl Default for EventTracer {
     fn default() -> Self {
@@ -237,12 +237,12 @@ impl EventTracer {
     }
 
     /// Total events ever recorded.
-    pub fn recorded(&self) -> u64 {
+    fn recorded(&self) -> u64 {
         self.recorded
     }
 
     /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    fn dropped(&self) -> u64 {
         self.dropped
     }
 
@@ -305,7 +305,7 @@ impl LatencyHistogram {
 
     /// Index of the bucket covering `ns`: the first bucket whose upper
     /// bound exceeds the value.
-    pub fn bucket_index(ns: u64) -> usize {
+    fn bucket_index(ns: u64) -> usize {
         for i in 0..HIST_BUCKETS - 1 {
             if ns < Self::bucket_upper_bound(i) {
                 return i;
@@ -328,7 +328,7 @@ impl LatencyHistogram {
     }
 
     /// Sum of all samples, ns (saturating).
-    pub fn sum_ns(&self) -> u64 {
+    fn sum_ns(&self) -> u64 {
         self.sum_ns
     }
 
@@ -354,7 +354,7 @@ impl LatencyHistogram {
     /// Quantile estimate: upper bound of the bucket holding the sample of
     /// rank `ceil(q * count)`, clamped to the observed maximum. Returns 0
     /// when empty. `q` is clamped to [0, 1].
-    pub fn quantile_ns(&self, q: f64) -> u64 {
+    fn quantile_ns(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -464,7 +464,7 @@ impl MetricsRegistry {
     }
 
     /// Gauges in deterministic (layer, name) order.
-    pub fn gauges(&self) -> impl Iterator<Item = ((ObsLayer, &str), &f64)> {
+    fn gauges(&self) -> impl Iterator<Item = ((ObsLayer, &str), &f64)> {
         self.gauges.iter()
     }
 }
@@ -507,12 +507,12 @@ impl Obs {
     }
 
     /// Histograms in deterministic (layer, name) order.
-    pub fn histograms(&self) -> impl Iterator<Item = ((ObsLayer, &str), &LatencyHistogram)> {
+    fn histograms(&self) -> impl Iterator<Item = ((ObsLayer, &str), &LatencyHistogram)> {
         self.hists.iter()
     }
 
     /// Records a trace event.
-    pub fn event(&mut self, t_ns: u64, layer: ObsLayer, kind: ObsEventKind, a: u64, b: u64) {
+    pub(crate) fn event(&mut self, t_ns: u64, layer: ObsLayer, kind: ObsEventKind, a: u64, b: u64) {
         self.tracer.record(ObsEvent {
             t_ns,
             layer,
@@ -600,7 +600,7 @@ impl Obs {
 }
 
 /// Serializes one histogram summary as JSON.
-pub fn hist_json(h: &LatencyHistogram) -> String {
+fn hist_json(h: &LatencyHistogram) -> String {
     format!(
         "{{\"count\":{},\"sum_ns\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
         h.count(),
@@ -616,7 +616,7 @@ pub fn hist_json(h: &LatencyHistogram) -> String {
 /// Fixed-precision float formatting for export: finite values render with
 /// six decimals; non-finite values (which the registry already refuses)
 /// render as 0 so NaN can never appear in a JSON or CSV artifact.
-pub fn fmt_f64(v: f64) -> String {
+fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
     } else {

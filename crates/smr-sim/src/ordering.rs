@@ -131,11 +131,6 @@ impl OrderingAuditor {
         self.pending_fixups.clear();
         self.last_durable_ns = now_ns;
     }
-
-    /// Number of GC victims with undurable fixups (observability hook).
-    pub fn pending_victims(&self) -> usize {
-        self.pending_fixups.len()
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +148,7 @@ mod tests {
         a.record_fence(15, 1);
         a.record_repair(16, 1);
         a.record_ack(17, 0);
-        assert_eq!(a.pending_victims(), 0);
+        assert_eq!(a.pending_fixups.len(), 0);
     }
 
     #[test]
@@ -161,7 +156,7 @@ mod tests {
         let mut a = OrderingAuditor::new();
         a.record_fixup_write(5, 9);
         a.reset_recovered(20, &[3]);
-        assert_eq!(a.pending_victims(), 0);
+        assert_eq!(a.pending_fixups.len(), 0);
         a.record_pointer_write(21, 3);
     }
 

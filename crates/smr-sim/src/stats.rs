@@ -169,7 +169,7 @@ impl IoStats {
     }
 
     /// Adds extra device-side read bytes (RMW prefix reads) to a kind.
-    pub fn record_device_read_overhead(&mut self, kind: IoKind, bytes: u64) {
+    pub(crate) fn record_device_read_overhead(&mut self, kind: IoKind, bytes: u64) {
         self.by_kind[kind.index()].device_read += bytes;
     }
 
@@ -181,16 +181,6 @@ impl IoStats {
     /// Total bytes the host asked to write, all kinds.
     pub fn logical_written_total(&self) -> u64 {
         self.by_kind.iter().map(|c| c.logical_written).sum()
-    }
-
-    /// Total bytes the host asked to read, all kinds.
-    pub fn logical_read_total(&self) -> u64 {
-        self.by_kind.iter().map(|c| c.logical_read).sum()
-    }
-
-    /// Total bytes the device physically wrote, all kinds.
-    pub fn device_written_total(&self) -> u64 {
-        self.by_kind.iter().map(|c| c.device_written).sum()
     }
 
     /// Bytes written by the LSM-tree itself (flush + compaction outputs):
@@ -210,7 +200,7 @@ impl IoStats {
     /// Device bytes attributable to rewrite traffic (flush + compaction +
     /// value-log writes, including RMW overhead): the numerator of AWA
     /// restricted to store-internal write traffic.
-    pub fn lsm_device_written(&self) -> u64 {
+    fn lsm_device_written(&self) -> u64 {
         self.kind(IoKind::Flush).device_written
             + self.kind(IoKind::CompactionWrite).device_written
             + self.kind(IoKind::VlogAppend).device_written
@@ -413,6 +403,7 @@ mod tests {
         s.record_read(IoKind::CompactionRead, 1 << 20, 1 << 20, 6_000_000);
         assert_eq!(s.kind(IoKind::Get).ops, 1);
         assert_eq!(s.kind(IoKind::Get).logical_read, 4096);
-        assert_eq!(s.logical_read_total(), 4096 + (1 << 20));
+        let read: u64 = s.by_kind.iter().map(|c| c.logical_read).sum();
+        assert_eq!(read, 4096 + (1 << 20));
     }
 }

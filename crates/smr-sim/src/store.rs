@@ -27,11 +27,6 @@ impl SparseStore {
         Self::default()
     }
 
-    /// Number of chunks currently materialised (for memory diagnostics).
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Writes `data` starting at byte `offset`.
     pub fn write(&mut self, offset: u64, data: &[u8]) {
         let mut pos = offset;
@@ -55,7 +50,7 @@ impl SparseStore {
     /// is the one allocation of a device read: the vector is filled
     /// chunk by chunk (never zero-initialised first) and handed up, by
     /// value, to whoever asked the disk for the bytes.
-    pub fn read_vec(&self, offset: u64, len: usize) -> Vec<u8> {
+    pub(crate) fn read_vec(&self, offset: u64, len: usize) -> Vec<u8> {
         let mut out = Vec::with_capacity(len);
         let mut pos = offset;
         while out.len() < len {
@@ -81,7 +76,7 @@ mod tests {
         let mut s = SparseStore::new();
         s.write(100, b"hello world");
         assert_eq!(s.read_vec(100, 11), b"hello world");
-        assert_eq!(s.chunk_count(), 1);
+        assert_eq!(s.chunks.len(), 1);
     }
 
     #[test]
@@ -91,7 +86,7 @@ mod tests {
         let offset = (CHUNK_SIZE as u64) - 37;
         s.write(offset, &data);
         assert_eq!(s.read_vec(offset, data.len()), data);
-        assert!(s.chunk_count() >= 3);
+        assert!(s.chunks.len() >= 3);
     }
 
     #[test]
@@ -127,7 +122,7 @@ mod tests {
         let mut s = SparseStore::new();
         s.write(0, b"x");
         s.write(1 << 34, b"y");
-        assert_eq!(s.chunk_count(), 2);
+        assert_eq!(s.chunks.len(), 2);
         assert_eq!(s.read_vec(1 << 34, 1), b"y");
     }
 }

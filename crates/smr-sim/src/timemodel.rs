@@ -19,20 +19,20 @@ pub struct TimeModel {
     /// Total addressable capacity, used to normalise seek distance.
     pub capacity: u64,
     /// Track-to-track (minimum) seek time.
-    pub min_seek_ns: u64,
+    min_seek_ns: u64,
     /// Full-stroke (maximum) seek time.
-    pub max_seek_ns: u64,
+    max_seek_ns: u64,
     /// Average rotational latency added to every non-sequential access
     /// (half a revolution; 4.17 ms at 7200 rpm).
-    pub rot_latency_ns: u64,
+    pub(crate) rot_latency_ns: u64,
     /// Streaming read rate, bytes/second.
-    pub read_bps: u64,
+    pub(crate) read_bps: u64,
     /// Streaming write rate, bytes/second.
-    pub write_bps: u64,
+    pub(crate) write_bps: u64,
     /// If set, a non-sequential *write* is absorbed by the drive's
     /// write-back cache: it costs this flat latency instead of
     /// seek + rotation. Reads always pay the mechanical cost.
-    pub write_cache_ns: Option<u64>,
+    write_cache_ns: Option<u64>,
 }
 
 impl TimeModel {
@@ -70,7 +70,7 @@ impl TimeModel {
     /// Seek time between two byte positions. Zero when the head is already
     /// there; otherwise the classical `min + (max-min) * sqrt(d/capacity)`
     /// short-stroke model.
-    pub fn seek_ns(&self, from: u64, to: u64) -> u64 {
+    pub(crate) fn seek_ns(&self, from: u64, to: u64) -> u64 {
         if from == to {
             return 0;
         }
@@ -79,14 +79,14 @@ impl TimeModel {
     }
 
     /// Pure transfer time for `len` bytes at `bps` bytes/second.
-    pub fn xfer_ns(len: u64, bps: u64) -> u64 {
+    pub(crate) fn xfer_ns(len: u64, bps: u64) -> u64 {
         // len / bps seconds, in ns, rounded up.
         ((len as u128 * 1_000_000_000).div_ceil(bps.max(1) as u128)) as u64
     }
 
     /// Service time for a read of `len` bytes at `offset` given the current
     /// head position. Returns `(time_ns, new_head_position)`.
-    pub fn read_time(&self, head: u64, offset: u64, len: u64) -> (u64, u64) {
+    pub(crate) fn read_time(&self, head: u64, offset: u64, len: u64) -> (u64, u64) {
         let mut t = 0;
         if head != offset {
             t += self.seek_ns(head, offset) + self.rot_latency_ns;
@@ -97,7 +97,7 @@ impl TimeModel {
 
     /// Service time for a write of `len` bytes at `offset` given the current
     /// head position. Returns `(time_ns, new_head_position)`.
-    pub fn write_time(&self, head: u64, offset: u64, len: u64) -> (u64, u64) {
+    pub(crate) fn write_time(&self, head: u64, offset: u64, len: u64) -> (u64, u64) {
         let mut t = 0;
         if head != offset {
             t += match self.write_cache_ns {

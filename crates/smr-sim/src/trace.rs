@@ -73,15 +73,6 @@ impl TraceRecorder {
     pub fn clear(&mut self) {
         self.events.clear();
     }
-
-    /// Write events with the given tag.
-    pub fn writes_for_tag(&self, tag: u64) -> Vec<TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.tag == tag && e.dir == TraceDir::Write)
-            .copied()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +100,11 @@ mod tests {
             IoKind::CompactionWrite,
         );
         assert_eq!(t.events().len(), 3);
-        let w1 = t.writes_for_tag(1);
+        let w1: Vec<_> = t
+            .events()
+            .iter()
+            .filter(|e| e.tag == 1 && e.dir == TraceDir::Write)
+            .collect();
         assert_eq!(w1.len(), 1);
         assert_eq!(w1[0].file, 10);
         t.clear();

@@ -27,16 +27,16 @@ use lsm_core::Options;
 /// Fraction of a band usable by a table: the builder may overshoot its
 /// split threshold by up to one block, so tables target 15/16 of the
 /// band and always fit their dedicated band.
-pub const BAND_FILL_NUM: u64 = 15;
+const BAND_FILL_NUM: u64 = 15;
 /// Denominator of the band-fill fraction.
-pub const BAND_FILL_DEN: u64 = 16;
+const BAND_FILL_DEN: u64 = 16;
 
 /// SMRDB's L0 flush-count compaction trigger. Larger than LevelDB's 4:
 /// with band-sized flushes, triggering less often amortises the huge
 /// level-merge over more fresh data, which is what keeps SMRDB's
 /// LSM-tree write amplification *below* LevelDB's (Fig. 12(a)) even
 /// though each compaction is enormous.
-pub const L0_TRIGGER: usize = 8;
+const L0_TRIGGER: usize = 8;
 
 /// Engine options for SMRDB given the SMR band size.
 ///

@@ -31,12 +31,12 @@ use smr_sim::{Extent, IoKind, ObsEventKind, ObsLayer};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Byte tag prefixing an LSM value stored inline (the raw bytes follow).
-pub const INLINE_TAG: u8 = 0;
+const INLINE_TAG: u8 = 0;
 /// Byte tag prefixing an LSM value that is a value-log pointer.
-pub const POINTER_TAG: u8 = 1;
+const POINTER_TAG: u8 = 1;
 
 /// Fixed on-disk size of an encoded pointer: tag + segment + offset + length.
-pub const POINTER_BYTES: usize = 1 + 8 + 8 + 8;
+const POINTER_BYTES: usize = 1 + 8 + 8 + 8;
 
 /// Per-record framing overhead: crc32c + key length + value length.
 const RECORD_HEADER: u64 = 4 + 4 + 4;
@@ -162,11 +162,11 @@ pub struct VlogRecoveryReport {
     pub segments_recovered: usize,
     /// Bytes discarded from active-segment tails (records written but
     /// torn or never acked — their pointers never reached the WAL).
-    pub torn_tail_bytes: u64,
+    torn_tail_bytes: u64,
     /// Segment files on disk that no checkpoint referenced (crash
     /// between allocation and checkpoint commit); returned to the
     /// allocator.
-    pub orphan_segments_dropped: usize,
+    orphan_segments_dropped: usize,
 }
 
 /// One record surfaced by a GC or salvage scan.
@@ -742,7 +742,7 @@ impl ValueLog {
     }
 
     /// Known-garbage bytes in a segment (0 for unknown segments).
-    pub fn dead_bytes(&self, segment: u64) -> u64 {
+    fn dead_bytes(&self, segment: u64) -> u64 {
         self.dead.get(&segment).map_or(0, |d| d.bytes)
     }
 

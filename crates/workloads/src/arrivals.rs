@@ -12,10 +12,9 @@
 //!   With zero think time this measures the store's saturation
 //!   throughput.
 //!
-//! Gaps are drawn from a deterministic [`XorShift64`] stream, so a
+//! Gaps are drawn from a deterministic `XorShift64` stream, so a
 //! (process, seed) pair always produces the same arrival schedule.
 
-use crate::ycsb::WorkloadSpec;
 use lsm_core::util::rng::XorShift64;
 
 /// Traffic shape of one virtual client.
@@ -31,21 +30,6 @@ pub enum ArrivalProcess {
         /// Think time between completion and the next request, ns.
         think_ns: u64,
     },
-}
-
-impl ArrivalProcess {
-    /// Derives the process a spec asks for: a positive
-    /// [`WorkloadSpec::ops_per_sec`] selects open-loop Poisson at that
-    /// rate; zero (the default) selects closed-loop with no think time.
-    pub fn from_spec(spec: &WorkloadSpec) -> Self {
-        if spec.ops_per_sec > 0.0 {
-            ArrivalProcess::OpenLoopPoisson {
-                ops_per_sec: spec.ops_per_sec,
-            }
-        } else {
-            ArrivalProcess::ClosedLoop { think_ns: 0 }
-        }
-    }
 }
 
 /// Seeded generator of inter-arrival (or think) gaps for one client.
@@ -125,21 +109,5 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(ia.next_gap_ns(), 250);
         }
-    }
-
-    #[test]
-    fn from_spec_selects_by_rate() {
-        let mut spec = WorkloadSpec::a();
-        assert_eq!(
-            ArrivalProcess::from_spec(&spec),
-            ArrivalProcess::ClosedLoop { think_ns: 0 }
-        );
-        spec.ops_per_sec = 2_000.0;
-        assert_eq!(
-            ArrivalProcess::from_spec(&spec),
-            ArrivalProcess::OpenLoopPoisson {
-                ops_per_sec: 2_000.0
-            }
-        );
     }
 }

@@ -1,27 +1,16 @@
-//! Request distributions, following the YCSB core generators: uniform,
-//! zipfian (Gray et al.'s "Quickly generating billion-record synthetic
+//! Request distributions, following the YCSB core generators: zipfian (Gray et al.'s "Quickly generating billion-record synthetic
 //! databases" method, constant 0.99), scrambled zipfian, and latest.
 
 use lsm_core::util::rng::XorShift64;
 
 /// YCSB's default zipfian constant.
-pub const ZIPFIAN_CONSTANT: f64 = 0.99;
+const ZIPFIAN_CONSTANT: f64 = 0.99;
 
 /// A generator of item indices in `[0, n)`.
 pub trait Distribution {
     /// Next item index; `n_now` is the current item count (the latest
     /// and insert-following distributions track growing keyspaces).
     fn next(&mut self, rng: &mut XorShift64, n_now: u64) -> u64;
-}
-
-/// Uniform over `[0, n)`.
-#[derive(Clone, Debug, Default)]
-pub struct Uniform;
-
-impl Distribution for Uniform {
-    fn next(&mut self, rng: &mut XorShift64, n_now: u64) -> u64 {
-        rng.next_below(n_now.max(1))
-    }
 }
 
 fn uniform_f64(rng: &mut XorShift64) -> f64 {
@@ -127,7 +116,7 @@ impl ScatterPermutation {
     }
 
     /// Number of items in the domain.
-    pub fn domain(&self) -> u64 {
+    fn domain(&self) -> u64 {
         self.n
     }
 
@@ -159,7 +148,7 @@ impl ScatterPermutation {
 
     /// Maps `v` to its scattered image; a bijection on `[0, n)`.
     /// Values at or past `n` are first folded in with `% n`.
-    pub fn scatter(&self, v: u64) -> u64 {
+    fn scatter(&self, v: u64) -> u64 {
         // Cycle-walking: iterate the power-of-two-domain bijection until
         // it lands inside [0, n). Restricting a permutation this way is
         // itself a permutation of [0, n).
@@ -226,20 +215,6 @@ mod tests {
 
     fn rng() -> XorShift64 {
         XorShift64::new(0xABCD)
-    }
-
-    #[test]
-    fn uniform_covers_range() {
-        let mut d = Uniform;
-        let mut r = rng();
-        let n = 100;
-        let mut seen = vec![false; n as usize];
-        for _ in 0..10_000 {
-            let v = d.next(&mut r, n);
-            assert!(v < n);
-            seen[v as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     /// Share of traffic taken by the hot prefix (the top 1% of items,

@@ -50,11 +50,6 @@ impl RecordGenerator {
         v
     }
 
-    /// Key size in bytes.
-    pub fn key_size(&self) -> usize {
-        self.key_size
-    }
-
     /// Value size in bytes.
     pub fn value_size(&self) -> usize {
         self.value_size
@@ -63,11 +58,6 @@ impl RecordGenerator {
     /// Bytes per record (key + value).
     pub fn record_size(&self) -> u64 {
         (self.key_size + self.value_size) as u64
-    }
-
-    /// Number of records that amount to `total_bytes` of payload.
-    pub fn records_for_bytes(&self, total_bytes: u64) -> u64 {
-        total_bytes / self.record_size()
     }
 }
 
@@ -104,6 +94,5 @@ mod tests {
         assert_eq!(g.key(0).len(), 16);
         assert_eq!(g.value(0).len(), 4096);
         assert_eq!(g.record_size(), 4112);
-        assert_eq!(g.records_for_bytes(4112 * 10), 10);
     }
 }

@@ -8,19 +8,17 @@
 
 /// Open-loop arrival processes for latency-under-load sweeps.
 pub mod arrivals;
-/// Key-choice distributions: uniform, zipfian, latest.
-pub mod distributions;
+/// Key-choice distributions: zipfian, scrambled zipfian, latest.
+mod distributions;
 /// Deterministic operation-stream generation.
 pub mod generator;
 /// LevelDB-style micro-benchmark workloads.
 pub mod micro;
 /// YCSB core workloads A-F.
-pub mod ycsb;
+mod ycsb;
 
 pub use arrivals::{ArrivalProcess, InterArrival};
-pub use distributions::{
-    Distribution, Latest, ScatterPermutation, ScrambledZipfian, Uniform, Zipfian,
-};
+pub use distributions::{Distribution, Latest, ScatterPermutation, ScrambledZipfian, Zipfian};
 pub use generator::RecordGenerator;
 pub use micro::{fill_random, fill_seq, permute, read_random, read_seq, MicroResult};
-pub use ycsb::{run as run_ycsb, Dist, Mix, OpStream, WorkloadSpec, YcsbOp, YcsbResult};
+pub use ycsb::{run as run_ycsb, Mix, OpStream, WorkloadSpec, YcsbOp, YcsbResult};

@@ -41,6 +41,11 @@ cargo test -q --workspace --no-fail-fast
 stage_done "workspace tests"
 cargo clippy --workspace --all-targets -- -D warnings
 stage_done "clippy"
+# Public docs build warning-free: no unresolved link, and no public doc
+# linking an item that is not public (the pub-without-outside-user rule
+# below keeps making items private).
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps
+stage_done "rustdoc"
 
 # seal-lint: workspace determinism/recovery-safety/durability-ordering
 # invariants (DESIGN.md §11, §16). Any non-baselined finding is a hard
@@ -55,6 +60,7 @@ cargo run -q -p seal-lint --release -- --root crates/lint/tests/fixtures --every
 cmp lint-fixtures-a.json lint-fixtures-b.json
 grep -q '"rule":"checkpoint-before-pointer"' lint-fixtures-a.json
 grep -q '"rule":"recycle-after-fixups-durable"' lint-fixtures-a.json
+grep -q '"rule":"pub-without-outside-user"' lint-fixtures-a.json
 rm -f lint-fixtures-a.json lint-fixtures-b.json
 echo "seal-lint json self-check ok"
 stage_done "seal-lint"

@@ -386,6 +386,52 @@ pub fn parse(text: &str) -> Result<Row, String> {
     Ok(doc)
 }
 
+/// The leaves that differ between two artifacts, one `path: old → new`
+/// line each: keys joined by `.`, list items as `[i]`, a leaf only one
+/// side has printed as `(absent)` on the other. Lines follow the old
+/// document's order; keys only the new one has come after their
+/// siblings.
+pub fn diff(old: &Row, new: &Row) -> Vec<String> {
+    let mut lines = Vec::new();
+    diff_rows("", old, new, &mut lines);
+    lines
+}
+
+fn diff_rows(path: &str, old: &Row, new: &Row, lines: &mut Vec<String>) {
+    let added = new.0.iter().filter(|(k, _)| old.get(k).is_err());
+    for (key, _) in old.0.iter().chain(added) {
+        let path = if path.is_empty() {
+            key.clone()
+        } else {
+            format!("{path}.{key}")
+        };
+        diff_vals(&path, old.get(key).ok(), new.get(key).ok(), lines);
+    }
+}
+
+fn diff_vals(path: &str, old: Option<&Val>, new: Option<&Val>, lines: &mut Vec<String>) {
+    match (old, new) {
+        (Some(Val::Obj(a)), Some(Val::Obj(b))) => diff_rows(path, a, b, lines),
+        (Some(Val::List(a)), Some(Val::List(b))) => {
+            for i in 0..a.len().max(b.len()) {
+                diff_vals(&format!("{path}[{i}]"), a.get(i), b.get(i), lines);
+            }
+        }
+        _ if old != new => {
+            let show = |v: Option<&Val>| {
+                let mut out = String::new();
+                match v {
+                    Some(v) => v.write(&mut out),
+                    None => out.push_str("(absent)"),
+                }
+                out
+            };
+            lines.push(format!("{path}: {} → {}", show(old), show(new)));
+        }
+        _ => {}
+    }
+}
+
 /// Validates an artifact: parses it, requires `"schema":schema`, and runs
 /// `gates`, which push what they find wrong onto the problem list and may
 /// stop early with `?` on a key that is missing or mistyped. Empty means
@@ -556,6 +602,27 @@ mod tests {
             doc.to_json(),
             "{\"schema\":\"t\",\"n\":-3,\"x\":0.50,\"big\":18446744073709551615,\"cells\":[[7]]}\n"
         );
+    }
+
+    #[test]
+    fn diff_prints_each_changed_leaf_with_its_path() {
+        let old = doc(r#""seed":1,"cells":[{"n":2,"p99":1.50},{"n":4,"p99":2.00}],"gone":true"#);
+        let new =
+            doc(r#""seed":1,"cells":[{"n":2,"p99":1.25},{"n":4,"p99":2.00},{"n":8}],"new":"x""#);
+        let (old, new) = (old.unwrap(), new.unwrap());
+        assert_eq!(
+            diff(&old, &new),
+            [
+                "cells[0].p99: 1.50 → 1.25",
+                r#"cells[2]: (absent) → {"n":8}"#,
+                "gone: true → (absent)",
+                r#"new: (absent) → "x""#,
+            ]
+        );
+        assert!(diff(&old, &old).is_empty());
+        // A precision change is a change of bytes, so it is reported.
+        let wider = doc(r#""seed":1,"cells":[{"n":2,"p99":1.500},{"n":4,"p99":2.00}],"gone":true"#);
+        assert_eq!(diff(&old, &wider.unwrap()), ["cells[0].p99: 1.50 → 1.500"]);
     }
 
     #[test]

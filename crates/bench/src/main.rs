@@ -25,6 +25,10 @@
 //!                       multi-shard scale-out), vlog (pr8, key-value
 //!                       separation), chaos (pr10, composed faults)
 //!   --chaos-schedules N  seeded schedules in the chaos sweep (default 25)
+//!
+//! seal-bench --artifact-diff OLD NEW
+//!   prints every leaf that differs between two artifacts as
+//!   `path: old → new`; exits 1 if any does
 //! ```
 //!
 //! `serve` as an experiment name runs the sweep and prints the latency
@@ -98,6 +102,8 @@ struct Args {
     /// Per [`ARTIFACTS`] entry: the `--X-check` path, if given.
     check: [Option<String>; ARTIFACTS.len()],
     chaos_schedules: usize,
+    /// `--artifact-diff OLD NEW`.
+    diff: Option<(String, String)>,
 }
 
 fn parse_args() -> (BenchScale, Args) {
@@ -108,6 +114,7 @@ fn parse_args() -> (BenchScale, Args) {
         out: Default::default(),
         check: Default::default(),
         chaos_schedules: 25,
+        diff: None,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -136,6 +143,7 @@ fn parse_args() -> (BenchScale, Args) {
             "--serving" => scale = BenchScale::serving(),
             "--out" => parsed.out_dir = text(&mut i),
             "--chaos-schedules" => parsed.chaos_schedules = need(&mut i) as usize,
+            "--artifact-diff" => parsed.diff = Some((text(&mut i), text(&mut i))),
             other => {
                 let artifact_flag = other.strip_prefix("--").and_then(|rest| {
                     let (flag, slot) = rest.rsplit_once('-')?;
@@ -241,8 +249,33 @@ fn run_artifacts(scale: &BenchScale, args: &Args) -> bool {
     any
 }
 
+/// `--artifact-diff`: parses both artifacts and prints the leaves that
+/// differ; exits 1 if any does, 2 if either does not parse.
+fn artifact_diff(old: &str, new: &str) -> ! {
+    let read = |path: &str| {
+        let text = std::fs::read_to_string(path).map_err(|e| e.to_string());
+        text.and_then(|t| bench::artifact::parse(&t))
+            .unwrap_or_else(|e| {
+                eprintln!("{path}: {e}");
+                std::process::exit(2);
+            })
+    };
+    let lines = bench::artifact::diff(&read(old), &read(new));
+    let mut out = std::io::stdout().lock();
+    // A closed pipe (`| head`) ends the listing, not the process.
+    for line in &lines {
+        if writeln!(out, "{line}").is_err() {
+            break;
+        }
+    }
+    std::process::exit(i32::from(!lines.is_empty()));
+}
+
 fn main() {
     let (scale, args) = parse_args();
+    if let Some((old, new)) = &args.diff {
+        artifact_diff(old, new);
+    }
     let ran_artifacts = run_artifacts(&scale, &args);
     let mut wanted = args.experiments;
     if wanted.is_empty() {
@@ -257,6 +290,7 @@ fn main() {
             );
         }
         eprintln!("       (--chaos-out also takes --chaos-schedules N)");
+        eprintln!("       seal-bench --artifact-diff OLD NEW");
         std::process::exit(2);
     }
     let out_dir = args.out_dir;

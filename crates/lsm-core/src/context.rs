@@ -82,9 +82,13 @@ pub fn get_table(ctx: &SharedCtx, id: FileId, size: u64) -> Result<Arc<Table>> {
     Ok(table)
 }
 
-/// Evicts a deleted file from the caches. Stale block-cache entries for
-/// the file simply age out (file ids are never reused), but the table
-/// reader is dropped eagerly.
+/// Evicts a deleted file from both caches: its table reader and every
+/// `(id, *)` block. The blocks could not age out on their own — a hot
+/// block of a table a compaction just consumed sits in the block cache's
+/// protected segment, holding budget no future read can use, until
+/// enough other blocks are promoted past it.
 pub(crate) fn evict_file(ctx: &SharedCtx, id: FileId) {
-    ctx.lock().table_cache.remove(&id);
+    let mut guard = ctx.lock();
+    guard.table_cache.remove(&id);
+    guard.block_cache.remove_range((id, 0)..=(id, u64::MAX));
 }

@@ -25,6 +25,8 @@ pub struct LevelIterator {
     kind: IoKind,
     idx: usize,
     cur: Option<TableIterator>,
+    /// Set by [`LevelIterator::with_cache`].
+    use_cache: bool,
     error: Option<Error>,
 }
 
@@ -37,8 +39,16 @@ impl LevelIterator {
             kind,
             idx: 0,
             cur: None,
+            use_cache: true,
             error: None,
         }
+    }
+
+    /// Passes `on` to every table iterator this opens
+    /// (`TableIterator::with_cache`).
+    pub(crate) fn with_cache(mut self, on: bool) -> Self {
+        self.use_cache = on;
+        self
     }
 
     fn open_current(&mut self) {
@@ -48,7 +58,13 @@ impl LevelIterator {
             return;
         };
         match get_table(&self.ctx, f.id, f.size) {
-            Ok(table) => self.cur = Some(table.iter(self.ctx.clone(), self.kind)),
+            Ok(table) => {
+                self.cur = Some(
+                    table
+                        .iter(self.ctx.clone(), self.kind)
+                        .with_cache(self.use_cache),
+                )
+            }
             Err(e) => self.error = Some(e),
         }
     }

@@ -487,6 +487,14 @@ pub struct TableIterator {
 }
 
 impl TableIterator {
+    /// With `on == false`, the iterator reads every block from the
+    /// device and leaves the block cache as it found it (see
+    /// `DbCore::scan_bulk`); `true` keeps what `kind` chose.
+    pub(crate) fn with_cache(mut self, on: bool) -> Self {
+        self.use_cache &= on;
+        self
+    }
+
     fn load_block(&mut self) {
         self.block_iter = None;
         if !self.index_iter.valid() {

@@ -1059,6 +1059,10 @@ impl KvNode for Cluster {
             .scan(start, limit)
     }
 
+    fn scan_bulk(&mut self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        self.live_store_at_now(self.primary, "scan")?.scan_bulk()
+    }
+
     fn clock_ns(&self) -> u64 {
         self.now_ns
     }

@@ -16,6 +16,9 @@ pub trait KvNode {
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>>;
     /// Range scan of up to `limit` entries from `start`.
     fn scan(&mut self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>>;
+    /// Every record, key order, read past the block cache — the bulk
+    /// read a migration makes of its source.
+    fn scan_bulk(&mut self) -> Result<Vec<(Vec<u8>, Vec<u8>)>>;
     /// The node's simulated clock, ns.
     fn clock_ns(&self) -> u64;
     /// Lets the node idle until its clock reads at least `t_ns`.
@@ -33,6 +36,10 @@ impl KvNode for Store {
 
     fn scan(&mut self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         Store::scan(self, start, limit)
+    }
+
+    fn scan_bulk(&mut self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        Store::scan_bulk(self)
     }
 
     fn clock_ns(&self) -> u64 {

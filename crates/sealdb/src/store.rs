@@ -282,6 +282,17 @@ impl Store {
     /// value-log pointers transparently.
     pub fn scan(&mut self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let raw = self.db.scan(start, limit)?;
+        self.resolve_rows(raw)
+    }
+
+    /// Every record, read past the block cache (`DbCore::scan_bulk`);
+    /// chases value-log pointers like [`Store::scan`].
+    pub(crate) fn scan_bulk(&mut self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let raw = self.db.scan_bulk()?;
+        self.resolve_rows(raw)
+    }
+
+    fn resolve_rows(&mut self, raw: Vec<(Vec<u8>, Vec<u8>)>) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         if self.vlog.is_none() {
             return Ok(raw);
         }
@@ -923,6 +934,7 @@ impl Store {
         let ctx = self.db.ctx();
         let mut guard = ctx.lock();
         let (bh, bm) = guard.block_cache.hit_stats();
+        let (promotions, purged) = guard.block_cache.policy_stats();
         let (th, tm) = guard.table_cache.hit_stats();
         let stats = guard.fs.disk().stats().clone();
         let clock_ns = guard.fs.disk().clock_ns();
@@ -932,6 +944,8 @@ impl Store {
         // see `smr_sim::neutral_ratio` and DESIGN.md, "Ratio conventions".
         obs.gauge_set(ObsLayer::Cache, "block_hits", bh as f64);
         obs.gauge_set(ObsLayer::Cache, "block_misses", bm as f64);
+        obs.gauge_set(ObsLayer::Cache, "block_promotions", promotions as f64);
+        obs.gauge_set(ObsLayer::Cache, "block_purged", purged as f64);
         obs.gauge_set(
             ObsLayer::Cache,
             "block_hit_ratio",

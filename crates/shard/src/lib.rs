@@ -270,23 +270,13 @@ impl<N: KvNode> ShardCluster<N> {
 
     // ----- state inspection -----
 
-    /// Every record resident on shard `idx`, key order (paged scans).
+    /// Every record resident on shard `idx`, key order, in one bulk read
+    /// past the block cache ([`KvNode::scan_bulk`]). Paged user scans
+    /// re-seek every sorted run at each page boundary, and under the
+    /// segmented block cache they take hits on the blocks serving made
+    /// hot, each of which breaks a device stream.
     pub(crate) fn resident_keys(&mut self, idx: usize) -> Result<Records> {
-        let mut all = Vec::new();
-        let mut start: Vec<u8> = Vec::new();
-        loop {
-            let page = self.shards[idx].node.scan(&start, 1024)?;
-            let full = page.len() == 1024;
-            all.extend(page);
-            match all.last() {
-                Some((k, _)) if full => {
-                    start = k.clone();
-                    start.push(0);
-                }
-                _ => break,
-            }
-        }
-        Ok(all)
+        self.shards[idx].node.scan_bulk()
     }
 
     /// Re-reads records `0..n` of `gen` through the router and counts

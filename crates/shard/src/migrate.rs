@@ -341,6 +341,10 @@ mod tests {
                 .collect())
         }
 
+        fn scan_bulk(&mut self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+            self.scan(&[], usize::MAX)
+        }
+
         fn clock_ns(&self) -> u64 {
             self.clock
         }

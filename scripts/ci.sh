@@ -82,11 +82,24 @@ stage_done "ordering-oracle suites"
 # ownership, checksum kernels, allocation reuse) must pass this gate
 # untouched, and a change that means to move an artifact commits the new
 # bytes with it.
+#
+# On a mismatch a JSON artifact is compared field by field (`seal-bench
+# --artifact-diff`: one `path: old → new` line per changed leaf) with the
+# copy `git diff` compared it to — the index, which is HEAD in a clean
+# checkout; the one-line JSON's own `git diff` would be unreadable. The
+# CSV and text artifacts are line-oriented, so `git diff` shows them.
 same_as_committed() {
-    git diff --exit-code -- "$1" || {
-        echo "$1: regenerated artifact differs from the committed one"
-        exit 1
-    }
+    git diff --quiet -- "$1" && return
+    echo "$1: regenerated artifact differs from the committed one"
+    if [[ $1 == *.json ]]; then
+        committed=$(mktemp)
+        git show ":$1" > "$committed"
+        cargo run -q --release -p bench -- --artifact-diff "$committed" "$1" || true
+        rm -f "$committed"
+    else
+        git diff -- "$1"
+    fi
+    exit 1
 }
 
 # One row per artifact: file | seal-bench flag | cargo profile | scale.

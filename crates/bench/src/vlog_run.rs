@@ -7,7 +7,7 @@
 //! baseline every prior PR measured) versus values in the band-aligned
 //! value log with pointers in the LSM. After the serve phase each store
 //! pays its deferred debt — the inline store drains compaction, the vlog
-//! store drains compaction plus one garbage-collection lap — so the
+//! store drains compaction plus value-log GC while it is due — so the
 //! update write-amplification each cell reports covers the *whole* cost
 //! of the traffic, not just the foreground slice. The invariants the CI
 //! gate enforces: vlog-on update-WA strictly below inline at every cell,
@@ -92,25 +92,17 @@ fn run_cell(workload: &str, with_vlog: bool, scale: &BenchScale) -> Result<Row> 
 
     // Pay the deferred debt the closed-loop phase left behind, on the
     // simulated clock: the inline build drains its compaction backlog;
-    // the vlog build drains compaction plus one GC lap over the
-    // segments sealed so far (bounded — endless laps would churn live
-    // data forever, which no real collector does).
+    // the vlog build drains compaction plus GC for as long as GC is due
+    // — until the log's garbage is back under the tree's space budget.
+    // The loop ends: with no user writes, a retire only removes dead
+    // bytes (every live record of the victim was relocated first, which
+    // moved its bytes to the head and left the old copy dead), so each
+    // victim lowers the log's known-dead bytes by its own garbage, and
+    // nothing else adds any.
     let drain_start = store.clock_ns();
     store.compact_until(u64::MAX, &mut 0)?;
     let gc_budget = scale.band_size();
-    let lap = store.vlog.as_ref().map_or(0, |v| v.segment_count() as u64);
-    let retired_before = store
-        .vlog
-        .as_ref()
-        .map_or(0, |v| v.stats().segments_retired);
-    while store.vlog_gc_pending()
-        && store
-            .vlog
-            .as_ref()
-            .map_or(0, |v| v.stats().segments_retired)
-            - retired_before
-            < lap
-    {
+    while store.vlog_gc_due() {
         store.vlog_gc_step(gc_budget)?;
         store.compact_until(u64::MAX, &mut 0)?;
     }

@@ -496,8 +496,10 @@ fn idle_until(store: &mut Store, until: u64, cfg: &ServeConfig, r: &mut ServeRes
     // segments. It runs *before* the compaction loop because that loop
     // is greedy (it eats the gap), while a budgeted GC step is bounded —
     // ordered the other way, update-heavy traffic starves the value log
-    // and dead segments pile up.
-    if cfg.idle_vlog_gc_bytes > 0 && store.vlog_gc_pending() {
+    // and dead segments pile up. A new victim starts only once the log's
+    // garbage reaches the tree's space budget (1/AF of the live bytes);
+    // below it a step would mostly relocate live values.
+    if cfg.idle_vlog_gc_bytes > 0 && store.vlog_gc_due() {
         match store.vlog_gc_step(cfg.idle_vlog_gc_bytes) {
             Ok(_) => r.vlog_gc_steps += 1,
             Err(_) => r.idle_errors += 1,
@@ -1324,22 +1326,12 @@ mod tests {
         // with key-value separation on: every update routes its value
         // through the vlog, idle gaps drive the cooperative GC, and the
         // closed keyspace proves no pointer ever dangles.
-        let gen = RecordGenerator::new(16, 600, 1);
-        let n = 400u64;
         // GC step counts frozen so that the loop's two idle sites, which
-        // see the same gap here, run the step once, not twice. A's was
-        // re-frozen (242 before) when the log went to one append head:
-        // segments now seal in write order, so its victims differ.
-        for (spec, gc_steps) in [(WorkloadSpec::a(), 266), (WorkloadSpec::f(), 174)] {
-            let params = sealdb::VlogParams {
-                segment_bytes: 16 << 10,
-                value_threshold: 256,
-            };
-            let mut store = StoreConfig::new(StoreKind::SealDb, 32 << 10, 1 << 30)
-                .with_vlog(params)
-                .build()
-                .unwrap();
-            fill_random(&mut store, &gen, n, 3).unwrap();
+        // see the same gap here, run the step once, not twice. Steps run
+        // only while the log's garbage is at least 1/AF of its live
+        // bytes (or a started victim is unfinished).
+        for (spec, gc_steps) in [(WorkloadSpec::a(), 52), (WorkloadSpec::f(), 54)] {
+            let (gen, mut store, n) = preloaded_vlog_store();
             let mut cfg = ServeConfig::new(
                 spec,
                 ArrivalProcess::ClosedLoop {
@@ -1365,6 +1357,82 @@ mod tests {
         }
     }
 
+    /// 400 keys of 600-byte values on a store with key-value separation
+    /// on: 16 KiB segments, every value in the log.
+    fn preloaded_vlog_store() -> (RecordGenerator, Store, u64) {
+        let gen = RecordGenerator::new(16, 600, 1);
+        let n = 400u64;
+        let params = sealdb::VlogParams {
+            segment_bytes: 16 << 10,
+            value_threshold: 256,
+        };
+        let mut store = StoreConfig::new(StoreKind::SealDb, 32 << 10, 1 << 30)
+            .with_vlog(params)
+            .build()
+            .unwrap();
+        fill_random(&mut store, &gen, n, 3).unwrap();
+        (gen, store, n)
+    }
+
+    /// A vlog store whose sealed segments hold garbage, but less than
+    /// 1/AF of its live bytes: a GC victim exists, yet GC is not due.
+    fn vlog_store_under_its_gc_budget() -> (RecordGenerator, Store, u64) {
+        let (gen, mut store, n) = preloaded_vlog_store();
+        // 20 overwrites leave 20 dead records against 400 live ones.
+        for i in 0..20 {
+            store.put(&gen.key(i), &gen.value(i)).unwrap();
+        }
+        assert!(store.vlog_gc_pending(), "sealed garbage is a victim");
+        assert!(!store.vlog_gc_due(), "20 dead per 400 live is under 1/AF");
+        (gen, store, n)
+    }
+
+    #[test]
+    fn idle_gaps_leave_garbage_under_the_space_budget_alone() {
+        let (gen, mut store, n) = vlog_store_under_its_gc_budget();
+        // Reads only, 40 ms apart per client: hundreds of idle gaps and
+        // no new garbage.
+        let mut cfg = ServeConfig::new(
+            WorkloadSpec::c(),
+            ArrivalProcess::ClosedLoop {
+                think_ns: 40_000_000,
+            },
+            4,
+            200,
+            n,
+        );
+        cfg.idle_vlog_gc_bytes = 32 << 10;
+        let relocated = store.vlog.as_ref().unwrap().stats().relocated_bytes;
+        let r = run_serve(&mut store, &gen, &cfg).unwrap();
+        assert_eq!(r.ops, 200);
+        assert_eq!(r.vlog_gc_steps, 0, "no idle gap may churn live values");
+        let stats = store.vlog.as_ref().unwrap().stats();
+        assert_eq!(stats.relocated_bytes, relocated);
+        assert_eq!(stats.segments_retired, 0);
+    }
+
+    #[test]
+    fn explicit_gc_steps_still_drain_a_victim_under_the_budget() {
+        let (gen, mut store, n) = vlog_store_under_its_gc_budget();
+        // Explicit callers (chaos drains, crash-point suites) drain any
+        // victim, budget or not.
+        let mut steps = 0;
+        while store.vlog.as_ref().unwrap().stats().segments_retired == 0 {
+            assert!(store.vlog_gc_step(32 << 10).unwrap(), "step {steps}");
+            steps += 1;
+        }
+        let stats = store.vlog.as_ref().unwrap().stats();
+        assert!(stats.relocated_bytes > 0, "the victim's live values moved");
+        assert_eq!(stats.segments_retired, 1);
+        for i in 0..n {
+            assert_eq!(
+                store.get(&gen.key(i)).unwrap(),
+                Some(gen.value(i)),
+                "key {i}"
+            );
+        }
+    }
+
     #[test]
     fn damaged_vlog_segments_never_end_a_serving_run() {
         // Two ways a value-log band goes bad under a read-only serve
@@ -1381,19 +1449,9 @@ mod tests {
             |faults, seg| faults.corrupt_extent(smr_sim::Extent::new(seg.offset + 16_000, 8));
         let dead_region: Plant = |faults, seg| faults.fail_reads_permanently(seg);
         for (plant, gc_errors) in [(flipped_bits, false), (dead_region, true)] {
-            let gen = RecordGenerator::new(16, 600, 1);
-            let n = 400u64;
-            let params = sealdb::VlogParams {
-                segment_bytes: 16 << 10,
-                value_threshold: 256,
-            };
-            let mut store = StoreConfig::new(StoreKind::SealDb, 32 << 10, 1 << 30)
-                .with_vlog(params)
-                .build()
-                .unwrap();
             // The second pass overwrites half the keys, so sealed
             // segments hold a mix of live and dead records.
-            fill_random(&mut store, &gen, n, 3).unwrap();
+            let (gen, mut store, n) = preloaded_vlog_store();
             fill_random(&mut store, &gen, 200, 4).unwrap();
             // Damage every other segment.
             let mut damaged = Vec::new();

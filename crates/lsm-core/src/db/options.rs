@@ -87,6 +87,11 @@ impl Options {
         Options::scaled(4 << 20)
     }
 
+    /// The amplification factor AF between adjacent levels.
+    pub fn level_multiplier(&self) -> u64 {
+        self.level_multiplier
+    }
+
     /// Level parameters for the version set.
     pub(crate) fn level_params(&self) -> crate::version::LevelParams {
         crate::version::LevelParams {

@@ -559,6 +559,16 @@ impl Store {
             .is_some_and(|v| v.gc_candidate().is_some())
     }
 
+    /// Whether background GC should run a step now: a victim is half
+    /// drained, or the log's known garbage has reached `1/AF` of its
+    /// live bytes, AF being the tree's own level multiplier (see
+    /// [`ValueLog::gc_due`]). [`Store::vlog_gc_pending`] answers the
+    /// weaker "is there any victim" for explicit drains.
+    pub fn vlog_gc_due(&self) -> bool {
+        let af = self.db.options().level_multiplier();
+        self.vlog.as_ref().is_some_and(|v| v.gc_due(af))
+    }
+
     /// Applies a batch shipped by a replication primary, preserving its
     /// primary-assigned sequence range (see
     /// [`DbCore::apply_replicated`]). Returns `false` when the batch
@@ -990,6 +1000,9 @@ impl Store {
                 "gc_wa",
                 neutral_ratio(vs.appended_bytes + vs.relocated_bytes, vs.appended_bytes),
             );
+            // The two sides of the idle-GC space budget.
+            obs.gauge_set(ObsLayer::ValueLog, "live_bytes", vlog.live_bytes() as f64);
+            obs.gauge_set(ObsLayer::ValueLog, "dead_bytes", vlog.dead_bytes() as f64);
         }
         let f = stats.faults;
         obs.gauge_set(
@@ -1259,16 +1272,31 @@ mod tests {
         }
         s.flush().unwrap();
         assert!(s.vlog_gc_pending(), "overwrites must seal segments");
+        assert!(s.vlog_gc_due(), "39 dead versions per live one");
         let before = s.vlog.as_ref().unwrap().segment_count();
         let mut steps = 0;
         while s.vlog_gc_pending() && steps < 10_000 {
             s.vlog_gc_step(64 << 10).unwrap();
             steps += 1;
         }
-        let stats = s.vlog.as_ref().unwrap().stats();
+        assert!(!s.vlog_gc_due());
+        let vlog = s.vlog.as_ref().unwrap();
+        let stats = vlog.stats();
         assert!(stats.segments_retired > 0, "GC must retire segments");
         assert!(stats.reclaimed_bytes > stats.relocated_bytes);
-        assert!(s.vlog.as_ref().unwrap().segment_count() < before);
+        assert!(vlog.segment_count() < before);
+        // The space-budget gauges export the log's running totals.
+        let (live, dead) = (vlog.live_bytes(), vlog.dead_bytes());
+        assert!(live >= 60 * 2048, "every key's value is live");
+        let m = s.metrics_snapshot();
+        assert_eq!(
+            m.obs.registry.gauge(ObsLayer::ValueLog, "live_bytes"),
+            live as f64
+        );
+        assert_eq!(
+            m.obs.registry.gauge(ObsLayer::ValueLog, "dead_bytes"),
+            dead as f64
+        );
         // Every key still reads its final value.
         for i in 0..60u64 {
             let key = format!("g{i:03}");

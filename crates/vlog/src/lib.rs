@@ -335,9 +335,17 @@ pub struct ValueLog {
     active: Option<u64>,
     next_seg: u64,
     gc_cursor: Option<(u64, u64)>,
+    /// The victim whose scan has started and which is not yet retired
+    /// or quarantined; it keeps [`ValueLog::gc_due`] true.
+    gc_victim: Option<u64>,
     scrub_cursor: Option<(u64, u64)>,
     gc_relocated_from_victim: u64,
     dead: BTreeMap<u64, DeadSet>,
+    /// Record bytes in the directory not known dead, and known-dead
+    /// bytes; together they are every segment's `used`. Kept running so
+    /// [`ValueLog::gc_due`] costs no directory walk.
+    live_total: u64,
+    dead_total: u64,
     latest: BTreeMap<Vec<u8>, VlogPtr>,
     dead_exact: bool,
     dirty: bool,
@@ -353,9 +361,12 @@ impl ValueLog {
             active: None,
             next_seg: 0,
             gc_cursor: None,
+            gc_victim: None,
             scrub_cursor: None,
             gc_relocated_from_victim: 0,
             dead: BTreeMap::new(),
+            live_total: 0,
+            dead_total: 0,
             latest: BTreeMap::new(),
             dead_exact: true,
             dirty: false,
@@ -371,6 +382,19 @@ impl ValueLog {
     /// Lifetime byte counters.
     pub fn stats(&self) -> VlogStats {
         self.stats
+    }
+
+    /// Record bytes in the directory not known to be dead: an upper
+    /// bound on the live data (exact until a reopen forgets the dead
+    /// marks).
+    pub fn live_bytes(&self) -> u64 {
+        self.live_total
+    }
+
+    /// Record bytes in the directory known to be dead, the active
+    /// segment's included.
+    pub fn dead_bytes(&self) -> u64 {
+        self.dead_total
     }
 
     /// Number of segments currently in the directory.
@@ -476,6 +500,7 @@ impl ValueLog {
         if let Some(seg) = self.segments.get_mut(&id) {
             seg.used += rec_len;
         }
+        self.live_total += rec_len;
         let counter = match kind {
             IoKind::VlogGc => {
                 self.stats.relocated_bytes += rec_len;
@@ -609,6 +634,7 @@ impl ValueLog {
         self.active = None;
         self.next_seg = 0;
         self.gc_cursor = None;
+        self.gc_victim = None;
         self.scrub_cursor = None;
         self.gc_relocated_from_victim = 0;
         if let Some(mut src) = blob {
@@ -657,10 +683,7 @@ impl ValueLog {
             .copied()
             .collect();
         for id in missing {
-            self.segments.remove(&id);
-            if self.active == Some(id) {
-                self.active = None;
-            }
+            self.remove_segment(id);
             self.dirty = true;
         }
         // Drop segment files no checkpoint references.
@@ -709,7 +732,19 @@ impl ValueLog {
         // recovered segment may hold garbage we no longer know about,
         // so GC must re-verify liveness through the LSM from here on.
         self.dead_exact = self.segments.is_empty();
+        (self.live_total, self.dead_total) = self.recount();
         Ok(report)
+    }
+
+    /// The live and dead byte totals recounted from the directory and
+    /// the dead sets — what the running totals must always equal.
+    fn recount(&self) -> (u64, u64) {
+        self.segments
+            .iter()
+            .fold((0, 0), |(live, dead), (id, seg)| {
+                let d = self.segment_dead_bytes(*id);
+                (live + seg.used - d, dead + d)
+            })
     }
 
     // ----- garbage collection -----
@@ -723,12 +758,20 @@ impl ValueLog {
     /// query. They are advisory and not checkpointed: a reopen starts
     /// from zero and rebuilds as traffic arrives.
     pub fn note_dead(&mut self, ptr: VlogPtr) {
-        if !self.segments.contains_key(&ptr.segment) {
+        // A pointer past the segment's tail names no record the log
+        // holds (recovery cut the tail before it): nothing to account.
+        if self
+            .segments
+            .get(&ptr.segment)
+            .is_none_or(|seg| ptr.offset + ptr.len > seg.used)
+        {
             return;
         }
         let set = self.dead.entry(ptr.segment).or_default();
         if set.offsets.insert(ptr.offset) {
             set.bytes += ptr.len;
+            self.live_total -= ptr.len;
+            self.dead_total += ptr.len;
         }
     }
 
@@ -742,7 +785,7 @@ impl ValueLog {
     }
 
     /// Known-garbage bytes in a segment (0 for unknown segments).
-    fn dead_bytes(&self, segment: u64) -> u64 {
+    fn segment_dead_bytes(&self, segment: u64) -> u64 {
         self.dead.get(&segment).map_or(0, |d| d.bytes)
     }
 
@@ -768,15 +811,34 @@ impl ValueLog {
     /// Chooses the next GC victim: the sealed segment with the most
     /// known-dead bytes, ties broken oldest-first. Returns `None` when
     /// no sealed segment has any noted garbage — draining a fully live
-    /// band would only churn data, so the GC idles instead. (After a
-    /// reopen the dead counters start empty; garbage becomes visible
-    /// again as overwrites land.)
+    /// band would only churn data. (After a reopen the dead counters
+    /// start empty; garbage becomes visible again as overwrites land.)
+    /// Whether a victim is *worth* draining yet is
+    /// [`ValueLog::gc_due`]'s call.
     pub fn gc_candidate(&self) -> Option<u64> {
         self.segments
             .iter()
-            .filter(|(id, s)| s.sealed && self.dead_bytes(**id) > 0)
-            .max_by_key(|(id, _)| (self.dead_bytes(**id), std::cmp::Reverse(**id)))
+            .filter(|(id, s)| s.sealed && self.segment_dead_bytes(**id) > 0)
+            .max_by_key(|(id, _)| (self.segment_dead_bytes(**id), std::cmp::Reverse(**id)))
             .map(|(id, _)| *id)
+    }
+
+    /// Whether background GC should run a step: a victim's scan has
+    /// started and the victim is not yet retired (finish it, so no band
+    /// is left half-drained), or the known garbage in sealed segments
+    /// has reached `1/multiplier` of the live bytes. That is the space
+    /// budget of a leveled tree whose levels grow by `multiplier` (its
+    /// obsolete versions are about one level's worth, `1/AF` of the
+    /// data); below it a step would mostly relocate live values. The
+    /// active segment's garbage does not count — it cannot be a victim.
+    /// No directory walk: two running totals and one dead-set lookup.
+    pub fn gc_due(&self, multiplier: u64) -> bool {
+        if self.gc_victim.is_some() {
+            return true;
+        }
+        let active_dead = self.active.map_or(0, |id| self.segment_dead_bytes(id));
+        let garbage = self.dead_total - active_dead;
+        garbage > 0 && garbage.saturating_mul(multiplier) >= self.live_total
     }
 
     /// Scans up to `budget_bytes` of the current victim (choosing one if
@@ -832,6 +894,7 @@ impl ValueLog {
         // A walk stops on damage before it reaches `used`.
         let finished = off >= used;
         self.gc_cursor = (!finished && !damaged).then_some((victim, off));
+        self.gc_victim = Some(victim);
         let damaged = damaged.then_some(off);
         Ok(Some(GcScan {
             segment: victim,
@@ -863,8 +926,7 @@ impl ValueLog {
         let reclaimed = seg.used;
         let relocated = std::mem::take(&mut self.gc_relocated_from_victim);
         policy.delete_file(fs, id)?;
-        self.segments.remove(&id);
-        self.dead.remove(&id);
+        self.remove_segment(id);
         self.stats.segments_retired += 1;
         self.stats.reclaimed_bytes += reclaimed;
         self.dirty = true;
@@ -884,6 +946,22 @@ impl ValueLog {
         disk.obs_mut()
             .counter_add(ObsLayer::ValueLog, "reclaimed_bytes", reclaimed);
         Ok(reclaimed)
+    }
+
+    /// Takes a segment and its dead set out of the directory, moving
+    /// its bytes out of the running totals.
+    fn remove_segment(&mut self, id: u64) -> Option<Segment> {
+        let seg = self.segments.remove(&id)?;
+        let dead = self.dead.remove(&id).map_or(0, |d| d.bytes);
+        self.live_total -= seg.used - dead;
+        self.dead_total -= dead;
+        if self.active == Some(id) {
+            self.active = None;
+        }
+        if self.gc_victim == Some(id) {
+            self.gc_victim = None;
+        }
+        Some(seg)
     }
 
     // ----- scrub -----
@@ -967,20 +1045,16 @@ impl ValueLog {
         policy: &mut dyn PlacementPolicy,
         id: u64,
     ) -> Result<u64> {
-        let Some(seg) = self.segments.remove(&id) else {
+        let Some(seg) = self.remove_segment(id) else {
             return Err(Error::InvalidArgument(format!(
                 "quarantine of unknown value-log segment {id}"
             )));
         };
-        if self.active == Some(id) {
-            self.active = None;
-        }
         // Return the extent through the policy (keeps its region
         // bookkeeping honest), then fence it out of the free pool so the
         // allocator never hands the bad band out again.
         policy.delete_file(fs, id)?;
         policy.quarantine_extent(fs, seg.ext);
-        self.dead.remove(&id);
         self.stats.segments_retired += 1;
         self.stats.reclaimed_bytes += seg.used;
         self.dirty = true;
@@ -1155,7 +1229,7 @@ mod tests {
         // Mark the second record of the first segment dead (as the
         // store does when an overwrite supersedes a pointer).
         vl.note_dead(ptrs[1]);
-        assert_eq!(vl.dead_bytes(ptrs[1].segment), ptrs[1].len);
+        assert_eq!(vl.segment_dead_bytes(ptrs[1].segment), ptrs[1].len);
         let victim = vl.gc_candidate().expect("a sealed segment with garbage");
         assert_eq!(victim, ptrs[1].segment);
         // Drain with a small budget: multiple steps.
@@ -1350,5 +1424,166 @@ mod tests {
                 assert_eq!(damaged, Some(ptrs[bad].offset), "gc {bad} budget {budget}");
             }
         }
+    }
+
+    /// Appends `n` 404-byte records (keys `k000`..) — ten fill one
+    /// 4 KiB test segment.
+    fn append_records(
+        vl: &mut ValueLog,
+        fs: &mut FileStore,
+        policy: &mut PerFilePolicy,
+        range: std::ops::Range<u32>,
+    ) -> Vec<VlogPtr> {
+        range
+            .map(|i| {
+                let key = format!("k{i:03}");
+                vl.append(fs, policy, key.as_bytes(), &[i as u8; 388])
+                    .unwrap()
+            })
+            .collect()
+    }
+
+    /// The running totals equal a full recount, and together they are
+    /// every segment's `used`.
+    fn assert_totals(vl: &ValueLog, when: &str) {
+        assert_eq!((vl.live_bytes(), vl.dead_bytes()), vl.recount(), "{when}");
+        let used: u64 = vl.segments.values().map(|s| s.used).sum();
+        assert_eq!(vl.live_bytes() + vl.dead_bytes(), used, "{when}");
+    }
+
+    #[test]
+    fn gc_is_due_once_sealed_garbage_reaches_one_af_of_live_bytes() {
+        let (mut fs, mut policy) = fixture();
+        let mut vl = ValueLog::new(small_params());
+        // Two sealed segments of ten records and an active one of two.
+        let ptrs = append_records(&mut vl, &mut fs, &mut policy, 0..22);
+        assert_eq!(ptrs[0].len, 404);
+        assert_eq!(ptrs[20].segment, ptrs[21].segment);
+        assert_ne!(ptrs[19].segment, ptrs[20].segment);
+        assert!(!vl.gc_due(10), "no garbage at all");
+        // One dead record: 404 × 10 < 21 × 404 live.
+        vl.note_dead(ptrs[0]);
+        assert!(vl.gc_candidate().is_some(), "a victim exists");
+        assert!(!vl.gc_due(10), "just below the budget");
+        // Two: 808 × 10 ≥ 20 × 404 — exactly at it.
+        vl.note_dead(ptrs[1]);
+        assert_eq!(vl.dead_bytes() * 10, vl.live_bytes());
+        assert!(vl.gc_due(10), "at the budget");
+        // A shallower tree tolerates less garbage per live byte.
+        assert!(!vl.gc_due(5));
+    }
+
+    #[test]
+    fn active_segment_garbage_is_not_due() {
+        let (mut fs, mut policy) = fixture();
+        let mut vl = ValueLog::new(small_params());
+        let ptrs = append_records(&mut vl, &mut fs, &mut policy, 0..22);
+        // Both records of the active segment die: far past 1/AF of the
+        // live bytes, but the active segment cannot be a victim.
+        vl.note_dead(ptrs[20]);
+        vl.note_dead(ptrs[21]);
+        assert_eq!(vl.dead_bytes(), 2 * 404);
+        assert!(vl.gc_candidate().is_none());
+        assert!(!vl.gc_due(10));
+        // Sealed, the same garbage counts.
+        vl.seal(&mut fs, ptrs[21].segment);
+        assert!(vl.gc_due(10));
+    }
+
+    #[test]
+    fn a_started_victim_stays_due_until_it_retires() {
+        let (mut fs, mut policy) = fixture();
+        let mut vl = ValueLog::new(small_params());
+        let ptrs = append_records(&mut vl, &mut fs, &mut policy, 0..22);
+        vl.note_dead(ptrs[0]);
+        vl.note_dead(ptrs[1]);
+        assert!(vl.gc_due(10));
+        // The first step reads one record of the victim...
+        let mut scan = vl.gc_scan(&mut fs, 404).unwrap().expect("a victim");
+        let victim = scan.segment;
+        assert!(!scan.finished);
+        // ...then fresh values push the garbage far below the budget.
+        append_records(&mut vl, &mut fs, &mut policy, 22..62);
+        assert!(vl.dead_bytes() * 10 < vl.live_bytes());
+        let mut live = std::mem::take(&mut scan.entries);
+        while !scan.finished {
+            assert!(vl.gc_due(10), "a started scan is finished");
+            scan = vl.gc_scan(&mut fs, 404).unwrap().expect("same victim");
+            assert_eq!(scan.segment, victim);
+            live.append(&mut scan.entries);
+        }
+        assert!(vl.gc_due(10), "scanned but not yet retired");
+        for e in &live {
+            vl.relocate(&mut fs, &mut policy, &e.key, &e.value).unwrap();
+        }
+        vl.retire_segment(&mut fs, &mut policy, victim).unwrap();
+        assert!(!vl.gc_due(10), "retired, and no garbage is left");
+        assert_eq!(vl.dead_bytes(), 0);
+    }
+
+    #[test]
+    fn running_totals_equal_a_recount() {
+        let (mut fs, mut policy) = fixture();
+        let mut vl = ValueLog::new(small_params());
+        let ptrs = append_records(&mut vl, &mut fs, &mut policy, 0..25);
+        assert_totals(&vl, "appends");
+        assert_eq!(vl.live_bytes(), 25 * 404);
+        // Overwrites supersede the first five keys' records.
+        append_records(&mut vl, &mut fs, &mut policy, 0..5);
+        assert_totals(&vl, "overwrites");
+        assert_eq!(vl.dead_bytes(), 5 * 404);
+        // Deletes, a repeated mark, and a pointer past the tail.
+        vl.note_delete(b"k005");
+        vl.note_delete(b"k006");
+        vl.note_dead(ptrs[5]);
+        let torn = VlogPtr {
+            offset: vl.segments[&ptrs[24].segment].used,
+            ..ptrs[24]
+        };
+        vl.note_dead(torn);
+        assert_totals(&vl, "deletes");
+        assert_eq!(vl.dead_bytes(), 7 * 404);
+        // A GC lap: relocate the victim's live records, retire it.
+        let victim = vl.gc_candidate().expect("garbage in a sealed segment");
+        let mut live = Vec::new();
+        loop {
+            let scan = vl.gc_scan(&mut fs, 1024).unwrap().expect("victim");
+            live.extend(scan.entries);
+            if scan.finished {
+                break;
+            }
+        }
+        for e in &live {
+            vl.relocate(&mut fs, &mut policy, &e.key, &e.value).unwrap();
+            assert_totals(&vl, "relocation");
+        }
+        let live_before = vl.live_bytes();
+        vl.retire_segment(&mut fs, &mut policy, victim).unwrap();
+        assert_totals(&vl, "retire");
+        assert_eq!(
+            vl.live_bytes(),
+            live_before,
+            "a retire drops only dead bytes"
+        );
+        // Salvage and quarantine of a damaged sealed segment.
+        let seg = ptrs[12].segment;
+        let ext = fs.file_extent(seg).unwrap();
+        fs.disk_mut()
+            .faults_mut()
+            .corrupt_extent(Extent::new(ext.offset + ptrs[14].offset + 20, 1));
+        let salvaged = vl.salvage_prefix(&mut fs, seg).unwrap();
+        assert_eq!(salvaged.len(), 4, "the records before the damage");
+        for e in &salvaged {
+            vl.relocate(&mut fs, &mut policy, &e.key, &e.value).unwrap();
+        }
+        vl.quarantine_segment(&mut fs, &mut policy, seg).unwrap();
+        assert_totals(&vl, "quarantine");
+        // A reopen forgets every dead mark: all bytes count live.
+        let blob = vl.checkpoint();
+        let mut reopened = ValueLog::new(small_params());
+        reopened.recover(&mut fs, &mut policy, Some(&blob)).unwrap();
+        assert_totals(&reopened, "reopen");
+        assert_eq!(reopened.dead_bytes(), 0);
+        assert_eq!(reopened.live_bytes(), vl.live_bytes() + vl.dead_bytes());
     }
 }

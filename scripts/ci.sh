@@ -68,10 +68,11 @@ stage_done "seal-lint"
 # Runtime half of the ordering contract: the debug-profile crash-point
 # suites run with the OrderingAuditor live (debug_assert!s active), so
 # a violated happens-before edge fails here even if every recovered
-# value happens to read back correctly. (`cargo test --workspace` above
-# also runs debug, but these suites are the designated ordering oracle —
-# keep them green by name.)
-cargo test -q --test vlog_crash_points --test crash_points --test recovery_hardening
+# value happens to read back correctly; chaos_regressions holds the
+# pinned retire-before-sync repro the auditor must keep catching.
+# (`cargo test --workspace` above also runs debug, but these suites are
+# the designated ordering oracle — keep them green by name.)
+cargo test -q --test vlog_crash_points --test crash_points --test recovery_hardening --test chaos_regressions
 stage_done "ordering-oracle suites"
 
 # Byte-identity oracle. Every BENCH_pr*.json below is a pure function of

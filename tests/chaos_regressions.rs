@@ -1,6 +1,6 @@
 //! Pinned chaos repros and schedule-generator coverage regressions.
 //!
-//! The first test pins the **minimized repro** the chaos shrinker
+//! The first two tests pin the **minimized repro** the chaos shrinker
 //! produced for the PR 8 retire-before-sync regression (re-injected on
 //! demand via `ChaosConfig::buggy_gc`): the exact event core the
 //! delta-debugging pass converged on, kept here verbatim so the
@@ -23,13 +23,10 @@ fn buggy_cfg() -> ChaosConfig {
 /// The shrinker's minimized output for the re-injected PR 8 bug: three
 /// write bursts arm the value log (hot keys need two puts to divert,
 /// and sealed segments need dead records worth reclaiming), then one
-/// GC drain through the barrier-free entry point trips the oracle. The
-/// same schedule through the *correct* GC path must pass — the failure
-/// is the ordering bug, not the schedule.
-#[test]
-fn minimized_retire_before_sync_repro_is_pinned() {
+/// GC drain.
+fn minimized_repro() -> Vec<ChaosEvent> {
     use ChaosEvent::*;
-    let core = vec![
+    vec![
         WriteBurst { base: 0, count: 60 },
         WriteBurst { base: 0, count: 60 },
         WriteBurst {
@@ -37,17 +34,32 @@ fn minimized_retire_before_sync_repro_is_pinned() {
             count: 50,
         },
         GcDrain { group: 0 },
-    ];
+    ]
+}
+
+/// The drain through the barrier-free entry point trips the oracle.
+/// Only the debug-build `OrderingAuditor` sees the missing barrier
+/// (release builds carry the latent bug silently), so this half runs
+/// in debug builds only, like the shrinker's own test.
+#[test]
+#[cfg(debug_assertions)]
+fn minimized_retire_before_sync_repro_is_pinned() {
     assert!(
-        schedule_fails(&buggy_cfg(), 7, &core),
+        schedule_fails(&buggy_cfg(), 7, &minimized_repro()),
         "the pinned minimized repro no longer reproduces the retire-before-sync bug"
     );
+}
+
+/// The same schedule through the *correct* GC path passes in every
+/// profile — the failure above is the ordering bug, not the schedule.
+#[test]
+fn correct_gc_path_survives_the_pinned_repro() {
     let fixed = ChaosConfig {
         buggy_gc: false,
         ..buggy_cfg()
     };
     assert!(
-        !schedule_fails(&fixed, 7, &core),
+        !schedule_fails(&fixed, 7, &minimized_repro()),
         "the correct GC path must survive the pinned repro schedule"
     );
 }

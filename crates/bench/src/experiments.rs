@@ -716,6 +716,7 @@ pub fn ablation(scale: &BenchScale) -> Result<Report> {
             instance: None,
             vlog: None,
             ord_audit,
+            tables_dropped: 0,
         })
     };
 

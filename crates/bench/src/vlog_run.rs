@@ -96,7 +96,7 @@ fn run_cell(workload: &str, with_vlog: bool, scale: &BenchScale) -> Result<Row> 
     // — until the log's garbage is back under the tree's space budget.
     // The loop ends: with no user writes, a retire only removes dead
     // bytes (every live record of the victim was relocated first, which
-    // moved its bytes to the head and left the old copy dead), so each
+    // moved its bytes to the survivor head and left the old copy dead), so each
     // victim lowers the log's known-dead bytes by its own garbage, and
     // nothing else adds any.
     let drain_start = store.clock_ns();

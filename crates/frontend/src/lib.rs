@@ -1330,7 +1330,7 @@ mod tests {
         // see the same gap here, run the step once, not twice. Steps run
         // only while the log's garbage is at least 1/AF of its live
         // bytes (or a started victim is unfinished).
-        for (spec, gc_steps) in [(WorkloadSpec::a(), 52), (WorkloadSpec::f(), 54)] {
+        for (spec, gc_steps) in [(WorkloadSpec::a(), 45), (WorkloadSpec::f(), 45)] {
             let (gen, mut store, n) = preloaded_vlog_store();
             let mut cfg = ServeConfig::new(
                 spec,

@@ -601,10 +601,19 @@ impl Cluster {
     /// promises no client ack) — unreachable replicas catch up from
     /// the frame history on rejoin. Returns whether any GC work was
     /// done.
+    ///
+    /// A primary that has dropped a table ([`Store::tables_dropped`])
+    /// runs no GC and ships nothing: the drop resurrected the older
+    /// versions the table shadowed, GC's liveness check would find
+    /// their pointers live, and the shipped stale values would
+    /// overwrite every replica's good copy.
     pub fn vlog_gc_step(&mut self, budget_bytes: u64) -> Result<bool> {
         self.pump_all(self.now_ns)?;
         let (shipment, clock) = {
             let store = self.live_store_at_now(self.primary, "run GC")?;
+            if store.tables_dropped > 0 {
+                return Ok(false);
+            }
             let shipment = store.vlog_gc_step_shipping(budget_bytes)?;
             (shipment, store.clock_ns())
         };
@@ -1409,6 +1418,69 @@ mod tests {
                 assert_eq!(h1, c.state_hash_of(0).unwrap());
             }
         }
+    }
+
+    #[test]
+    fn a_primary_that_dropped_a_table_runs_no_shipping_gc() {
+        // A table scrub cannot repair leaves the tree, and the older
+        // versions it shadowed read again. GC on that primary would find
+        // their pointers live and ship the stale values over every
+        // replica's good copy, so the cluster step does nothing there.
+        let conf = cfg(2).with_vlog(sealdb::VlogParams {
+            segment_bytes: 8 << 10,
+            value_threshold: 64,
+        });
+        let mut c = Cluster::new(conf).unwrap();
+        for round in 0..6u32 {
+            for i in 0..40u32 {
+                c.put(&key(i), &vec![(round + 1) as u8; 512]).unwrap();
+            }
+        }
+        let primary = c.primary_store_mut();
+        primary.flush().unwrap();
+        assert!(primary.vlog_gc_pending(), "overwrites leave GC work");
+        let table = {
+            let version = primary.db.current_version();
+            let file = version
+                .files
+                .iter()
+                .flatten()
+                .max_by_key(|f| f.size)
+                .cloned();
+            file.expect("the flush wrote a table")
+        };
+        let ctx = primary.db.ctx().clone();
+        let ext = ctx.lock().fs.file_extent(table.id).unwrap();
+        ctx.lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .fail_reads_permanently(ext);
+        let scrub = ScrubConfig {
+            bytes_per_step: 1 << 20,
+            repair: true,
+        };
+        let mut steps = 0;
+        while c.primary_store_mut().scrub_report().files_quarantined == 0 {
+            c.scrub_step(&scrub).unwrap();
+            steps += 1;
+            assert!(steps < 64, "scrub never dropped the unreadable table");
+        }
+        ctx.lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .clear_persistent_faults();
+        let before = c.primary_store_mut().last_sequence();
+        let shipped = [c.nodes[1].durable_seq, c.nodes[2].durable_seq];
+        assert!(
+            !c.vlog_gc_step(1 << 20).unwrap(),
+            "no GC on a damaged primary"
+        );
+        assert_eq!(c.primary_store_mut().last_sequence(), before);
+        c.advance_ns(50_000_000).unwrap();
+        assert_eq!([c.nodes[1].durable_seq, c.nodes[2].durable_seq], shipped);
+        assert!(c.primary_store_mut().vlog_gc_pending(), "the garbage stays");
     }
 
     #[test]

@@ -199,6 +199,7 @@ impl StoreConfig {
             db,
             vlog,
             ord_audit,
+            tables_dropped: 0,
         })
     }
 }

@@ -30,6 +30,15 @@ pub struct Store {
     /// `seal-lint`'s ordering rules. `None` in release builds, where the
     /// audit compiles to nothing.
     pub ord_audit: Option<smr_sim::OrderingAuditor>,
+    /// LSM tables dropped from the tree over this store's life, reopens
+    /// and crash restores included: by a scrub that found a table past
+    /// repair, or by a reopen's [`DbCore::quarantine_invalid_files`].
+    /// A dropped table resurrects the older versions it shadowed, and
+    /// nothing on disk records the hole yet, so a replication primary
+    /// with any dropped table must not run shipping GC (see
+    /// `seal-replica`'s `Cluster::vlog_gc_step`). Held in memory only:
+    /// durable hole records in the manifest are to replace it.
+    pub tables_dropped: u64,
 }
 
 /// Snapshot of everything the figures need.
@@ -649,7 +658,7 @@ impl Store {
     /// than letting it load-bear reads.
     pub fn reopen(self) -> Result<Store> {
         let mut db = self.db.reopen()?;
-        db.quarantine_invalid_files()?;
+        let dropped = db.quarantine_invalid_files()?.len() as u64;
         let vlog = Self::recover_vlog(self.vlog, &mut db)?;
         let ord_audit = Self::fresh_auditor(&db, vlog.as_ref());
         Ok(Store {
@@ -658,12 +667,13 @@ impl Store {
             db,
             vlog,
             ord_audit,
+            tables_dropped: self.tables_dropped + dropped,
         })
     }
 
     /// Rebuilds the value log after recovery: the segment directory
-    /// comes back from the manifest's auxiliary checkpoint, active
-    /// segments are re-scanned for their true tails (torn records are
+    /// comes back from the manifest's auxiliary checkpoint, both open
+    /// heads are re-scanned for their true tails (torn records are
     /// discarded — their pointers never reached the WAL), and segment
     /// files no checkpoint references are returned to the allocator.
     fn recover_vlog(prev: Option<ValueLog>, db: &mut DbCore) -> Result<Option<ValueLog>> {
@@ -686,7 +696,7 @@ impl Store {
     /// restored state (see [`DbCore::restore_crash_image`]).
     pub fn restore_crash_image(self, image: &lsm_core::CrashImage) -> Result<Store> {
         let mut db = self.db.restore_crash_image(image)?;
-        db.quarantine_invalid_files()?;
+        let dropped = db.quarantine_invalid_files()?.len() as u64;
         let vlog = Self::recover_vlog(self.vlog, &mut db)?;
         let ord_audit = Self::fresh_auditor(&db, vlog.as_ref());
         Ok(Store {
@@ -695,6 +705,7 @@ impl Store {
             db,
             vlog,
             ord_audit,
+            tables_dropped: self.tables_dropped + dropped,
         })
     }
 
@@ -770,6 +781,7 @@ impl Store {
         cfg: &ScrubConfig,
     ) -> Result<(ScrubReport, Vec<GcShipment>)> {
         let mut report = self.db.scrub_step(cfg)?;
+        self.tables_dropped += report.files_quarantined;
         let mut shipments = Vec::new();
         if let Err(e) = self.vlog_scrub_step(cfg, &mut report, &mut shipments) {
             let Some(last) = shipments.last_mut() else {
@@ -882,9 +894,10 @@ impl Store {
 
     /// Scrubs every live table once (see [`DbCore::scrub_full`]).
     pub fn scrub_full(&mut self, cfg: &ScrubConfig) -> Result<ScrubReport> {
-        self.db.scrub_full(cfg)
+        let report = self.db.scrub_full(cfg)?;
+        self.tables_dropped += report.files_quarantined;
+        Ok(report)
     }
-
     /// Lifetime scrub totals across all steps.
     pub fn scrub_report(&self) -> &ScrubReport {
         self.db.scrub_report()
@@ -1312,6 +1325,115 @@ mod tests {
             let key = format!("g{i:03}");
             assert!(s.get(key.as_bytes()).unwrap().is_some(), "{key} lost");
         }
+    }
+
+    /// Where `key`'s current value lives in the log.
+    fn pointer_of(s: &mut super::Store, key: &[u8]) -> seal_vlog::VlogPtr {
+        let stored = s.db.get(key).unwrap().expect("key present");
+        match seal_vlog::decode_stored(&stored).unwrap() {
+            seal_vlog::StoredValue::Pointer(p) => p,
+            other => panic!("{key:?} is stored inline: {other:?}"),
+        }
+    }
+
+    /// Scrub condemns the open survivor head like any other segment.
+    /// Salvage seals it first, so its readable records move into a
+    /// fresh survivor band, never back into the band being fenced.
+    #[test]
+    fn salvage_of_the_open_survivor_head_relocates_into_a_fresh_band() {
+        let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_vlog(
+            seal_vlog::VlogParams {
+                segment_bytes: 32 << 10,
+                value_threshold: 64,
+            },
+        );
+        let mut s = cfg.build().unwrap();
+        // k000..k009 are written once; the rest is overwritten until
+        // the bands holding the first ten are mostly garbage.
+        for round in 0..4u64 {
+            let from = if round == 0 { 0 } else { 10 };
+            for i in from..60u64 {
+                let key = format!("k{i:03}");
+                s.put(key.as_bytes(), &vec![(round * 60 + i) as u8; 1024])
+                    .unwrap();
+            }
+        }
+        s.flush().unwrap();
+        // GC drains the all-garbage bands, then the first one: its ten
+        // live records open the survivor head and fill a third of it.
+        let first = pointer_of(&mut s, b"k000").segment;
+        while pointer_of(&mut s, b"k000").segment == first {
+            assert!(s.vlog_gc_step(1 << 20).unwrap(), "GC stopped short");
+        }
+        let moved: Vec<_> = (0..10u64)
+            .map(|i| pointer_of(&mut s, format!("k{i:03}").as_bytes()))
+            .collect();
+        let head = moved[0].segment;
+        assert!(moved.iter().all(|p| p.segment == head), "{moved:?}");
+        let relocated = s.vlog.as_ref().unwrap().stats().relocated_bytes;
+        assert_eq!(relocated, 10 * moved[0].len, "only the ten moved");
+        // Flipped bits in k005's record condemn the head.
+        let ext = s.db.ctx().lock().fs.file_extent(head).unwrap();
+        s.db.ctx()
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .corrupt_extent(smr_sim::Extent::new(ext.offset + moved[5].offset + 20, 4));
+        let scrub = lsm_core::ScrubConfig {
+            bytes_per_step: 1 << 20,
+            repair: true,
+        };
+        let mut corrected = 0;
+        while s.vlog.as_ref().unwrap().segment_ids().contains(&head) {
+            corrected += s.scrub_step(&scrub).unwrap().blocks_corrected;
+        }
+        assert_eq!(corrected, 5, "the records in front of the damage");
+        for i in 0..5u64 {
+            let key = format!("k{i:03}");
+            let p = pointer_of(&mut s, key.as_bytes());
+            assert_ne!(p.segment, head, "{key} relocated into the condemned band");
+            assert_eq!(s.get(key.as_bytes()).unwrap(), Some(vec![i as u8; 1024]));
+        }
+        assert!(s.get(b"k005").is_err(), "lost records fail closed");
+    }
+
+    #[test]
+    fn a_table_dropped_on_reopen_stays_counted() {
+        let mut s = StoreConfig::new(StoreKind::SealDb, 32 << 10, 1 << 30)
+            .build()
+            .unwrap();
+        for i in 0..400u64 {
+            s.put(format!("t{i:04}").as_bytes(), &[i as u8; 100])
+                .unwrap();
+        }
+        s.flush().unwrap();
+        assert_eq!(s.tables_dropped, 0);
+        let table =
+            s.db.current_version()
+                .files
+                .iter()
+                .flatten()
+                .next()
+                .unwrap()
+                .id;
+        let ext = s.db.ctx().lock().fs.file_extent(table).unwrap();
+        s.db.ctx()
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .fail_reads_permanently(ext);
+        let s = s.reopen().unwrap();
+        assert_eq!(s.tables_dropped, 1, "the unreadable table left the tree");
+        s.db.ctx()
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .clear_persistent_faults();
+        let s = s.reopen().unwrap();
+        assert_eq!(s.tables_dropped, 1, "a reopen does not forget the hole");
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! - a value record is on disk **before** its pointer enters the WAL, so
 //!   an acked pointer always resolves;
 //! - the segment directory is checkpointed through the manifest's
-//!   auxiliary blob ([`ValueLog::checkpoint`]); the active segment is
-//!   re-scanned on recovery and a torn tail is discarded;
+//!   auxiliary blob ([`ValueLog::checkpoint`]); both open heads — the
+//!   user head and the GC survivor head — are re-scanned on recovery
+//!   and a torn tail is discarded;
 //! - GC frees a victim segment only after the pointer fixups for every
 //!   relocated record are durable, so no surviving pointer can reference
 //!   freed bytes.
@@ -160,13 +161,17 @@ pub struct VlogStats {
 pub struct VlogRecoveryReport {
     /// Segments restored from the manifest checkpoint.
     pub segments_recovered: usize,
-    /// Bytes discarded from active-segment tails (records written but
-    /// torn or never acked — their pointers never reached the WAL).
+    /// Bytes discarded from open-head tails (records written but torn
+    /// or never acked — their pointers never reached the WAL).
     torn_tail_bytes: u64,
+    /// Intact record bytes the rescan found in the survivor head past
+    /// the tail its checkpoint recorded: GC relocations written after
+    /// the last directory commit.
+    pub survivor_tail_bytes: u64,
     /// Segment files on disk that no checkpoint referenced (crash
     /// between allocation and checkpoint commit); returned to the
     /// allocator.
-    orphan_segments_dropped: usize,
+    pub orphan_segments_dropped: usize,
 }
 
 /// One record surfaced by a GC or salvage scan.
@@ -326,13 +331,21 @@ fn walk_records<B: AsRef<[u8]>>(
     (offset, offset < end)
 }
 
-/// The value log: a directory of band-sized segments, one active append
-/// head, and cursors for the cooperative GC and scrub walks.
+/// The value log: a directory of band-sized segments, two open append
+/// heads, and cursors for the cooperative GC and scrub walks.
+///
+/// User values append at the `active` head. GC and salvage relocations
+/// append at the `survivor` head, a band of their own: a value that
+/// outlived a victim is cold by construction, so mixing it with fresh
+/// updates would only carry it into the next victim again (the
+/// age-sorting of LFS's and SMORE's cleaners). Neither head is a GC
+/// victim until it seals.
 #[derive(Debug)]
 pub struct ValueLog {
     params: VlogParams,
     segments: BTreeMap<u64, Segment>,
     active: Option<u64>,
+    survivor: Option<u64>,
     next_seg: u64,
     gc_cursor: Option<(u64, u64)>,
     /// The victim whose scan has started and which is not yet retired
@@ -350,6 +363,7 @@ pub struct ValueLog {
     dead_exact: bool,
     dirty: bool,
     stats: VlogStats,
+    recovery: VlogRecoveryReport,
 }
 
 impl ValueLog {
@@ -359,6 +373,7 @@ impl ValueLog {
             params,
             segments: BTreeMap::new(),
             active: None,
+            survivor: None,
             next_seg: 0,
             gc_cursor: None,
             gc_victim: None,
@@ -371,6 +386,7 @@ impl ValueLog {
             dead_exact: true,
             dirty: false,
             stats: VlogStats::default(),
+            recovery: VlogRecoveryReport::default(),
         }
     }
 
@@ -384,6 +400,12 @@ impl ValueLog {
         self.stats
     }
 
+    /// What the last [`ValueLog::recover`] found (all zero for a log
+    /// that was never recovered).
+    pub fn recovery_report(&self) -> VlogRecoveryReport {
+        self.recovery
+    }
+
     /// Record bytes in the directory not known to be dead: an upper
     /// bound on the live data (exact until a reopen forgets the dead
     /// marks).
@@ -391,8 +413,8 @@ impl ValueLog {
         self.live_total
     }
 
-    /// Record bytes in the directory known to be dead, the active
-    /// segment's included.
+    /// Record bytes in the directory known to be dead, the open heads'
+    /// included.
     pub fn dead_bytes(&self) -> u64 {
         self.dead_total
     }
@@ -420,10 +442,29 @@ impl ValueLog {
         std::mem::take(&mut self.dirty)
     }
 
+    /// The head an append of `kind` writes at: GC relocations at the
+    /// survivor head, everything else at the user head.
+    fn head(&mut self, kind: IoKind) -> &mut Option<u64> {
+        match kind {
+            IoKind::VlogGc => &mut self.survivor,
+            _ => &mut self.active,
+        }
+    }
+
+    /// Closes whichever head `id` is.
+    fn clear_head(&mut self, id: u64) {
+        for head in [&mut self.active, &mut self.survivor] {
+            if *head == Some(id) {
+                *head = None;
+            }
+        }
+    }
+
     fn open_segment(
         &mut self,
         fs: &mut FileStore,
         policy: &mut dyn PlacementPolicy,
+        kind: IoKind,
     ) -> Result<u64> {
         let id = VLOG_FILE_BASE + self.next_seg;
         self.next_seg += 1;
@@ -436,7 +477,7 @@ impl ValueLog {
                 sealed: false,
             },
         );
-        self.active = Some(id);
+        *self.head(kind) = Some(id);
         self.dirty = true;
         fs.disk_mut().obs_event(
             ObsLayer::ValueLog,
@@ -448,15 +489,13 @@ impl ValueLog {
     }
 
     /// Seals a segment so no further appends land in it: when it is
-    /// full, and before salvaging a damaged active segment — relocation
-    /// must not write into the band about to be quarantined.
+    /// full, and before salvaging a damaged open head — relocation must
+    /// not write into the band about to be quarantined.
     pub fn seal(&mut self, fs: &mut FileStore, id: u64) {
         if let Some(seg) = self.segments.get_mut(&id) {
             seg.sealed = true;
             let used = seg.used;
-            if self.active == Some(id) {
-                self.active = None;
-            }
+            self.clear_head(id);
             self.dirty = true;
             fs.disk_mut()
                 .obs_event(ObsLayer::ValueLog, ObsEventKind::VlogSegmentSeal, id, used);
@@ -479,9 +518,9 @@ impl ValueLog {
                 self.params.segment_bytes
             )));
         }
-        // Seal the active segment when the record does not fit, then
-        // open a fresh band.
-        if let Some(id) = self.active {
+        // Seal the head when the record does not fit, then open a fresh
+        // band.
+        if let Some(id) = *self.head(kind) {
             let seg = self.segments[&id];
             // Writable capacity is `segment_bytes` even when the policy
             // over-allocated the extent: on raw HM-SMR the surplus is
@@ -491,9 +530,9 @@ impl ValueLog {
                 self.seal(fs, id);
             }
         }
-        let id = match self.active {
+        let id = match *self.head(kind) {
             Some(id) => id,
-            None => self.open_segment(fs, policy)?,
+            None => self.open_segment(fs, policy, kind)?,
         };
         let offset = self.segments[&id].used;
         fs.write_file_range(id, offset, &rec, kind)?;
@@ -530,7 +569,7 @@ impl ValueLog {
         Ok(ptr)
     }
 
-    /// Appends a user value at the log's head. The record is on disk
+    /// Appends a user value at the log's user head. The record is on disk
     /// when this returns — the caller may then safely commit the
     /// pointer through the WAL.
     pub fn append(
@@ -543,7 +582,9 @@ impl ValueLog {
         self.append_record(fs, policy, key, value, IoKind::VlogAppend)
     }
 
-    /// Rewrites a live record during GC at the log's head.
+    /// Rewrites a live record during GC or salvage at the survivor head,
+    /// never at the user head: survivors are cold, so they fill bands
+    /// of their own that later victims seldom pick.
     pub fn relocate(
         &mut self,
         fs: &mut FileStore,
@@ -588,7 +629,9 @@ impl ValueLog {
 
     /// Serialises the segment directory for the manifest's auxiliary
     /// blob. Cheap and rare: only segment opens/seals/retirements dirty
-    /// the directory; record appends do not.
+    /// the directory; record appends do not. The blob names the user
+    /// head only: the survivor head is the one unsealed segment the
+    /// active slot does not name ([`ValueLog::recover`]).
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut out = vec![CHECKPOINT_VERSION];
         put_varint64(&mut out, self.next_seg);
@@ -618,7 +661,7 @@ impl ValueLog {
     }
 
     /// Rebuilds the directory from a manifest checkpoint (or from
-    /// nothing), re-scans the active segment for its true tail, and
+    /// nothing), re-scans both open heads for their true tails, and
     /// reconciles the segment files on disk against the directory:
     /// checkpointed-but-missing segments are forgotten, on-disk-but-
     /// unreferenced segments (a crash between allocation and checkpoint
@@ -632,6 +675,7 @@ impl ValueLog {
         let mut report = VlogRecoveryReport::default();
         self.segments.clear();
         self.active = None;
+        self.survivor = None;
         self.next_seg = 0;
         self.gc_cursor = None;
         self.gc_victim = None;
@@ -665,7 +709,27 @@ impl ValueLog {
                 );
             }
             if active_raw > 0 {
-                self.active = Some(VLOG_FILE_BASE + active_raw - 1);
+                let id = VLOG_FILE_BASE + active_raw - 1;
+                if !self.segments.contains_key(&id) {
+                    return Err(Error::Corruption(format!(
+                        "value-log checkpoint names segment {id} active but does not list it"
+                    )));
+                }
+                self.active = Some(id);
+            }
+            // The blob names the user head only; the survivor head is the
+            // one unsealed segment the active slot does not name.
+            let mut unnamed = self
+                .segments
+                .iter()
+                .filter(|(id, seg)| !seg.sealed && self.active != Some(**id))
+                .map(|(id, _)| *id);
+            self.survivor = unnamed.next();
+            if let (Some(first), Some(second)) = (self.survivor, unnamed.next()) {
+                return Err(Error::Corruption(format!(
+                    "value-log checkpoint leaves segments {first} and {second} open beside \
+                     the active slot"
+                )));
             }
         }
         // Forget checkpointed segments whose file is gone (should not
@@ -693,14 +757,10 @@ impl ValueLog {
                 report.orphan_segments_dropped += 1;
             }
         }
-        // Recompute the active tail: records past the last checkpoint
+        // Recompute both heads' tails: records past the last checkpoint
         // may be intact (their pointers replay from the WAL) or torn.
-        if let Some(id) = self.active {
-            let Some(seg) = self.segments.get(&id) else {
-                return Err(Error::Corruption(format!(
-                    "value-log checkpoint names segment {id} active but does not list it"
-                )));
-            };
+        for id in [self.active, self.survivor].into_iter().flatten() {
+            let seg = self.segments[&id];
             // The recovered tail: the first byte that is not part of an
             // intact record.
             let span = (0, seg.ext.len, seg.ext.len);
@@ -713,17 +773,16 @@ impl ValueLog {
             // contiguous prefix); if present, seal the segment so new
             // writes open a fresh band instead.
             let dirty_tail = fs.read_file(id, scanned, 1, IoKind::Meta).is_ok();
+            report.torn_tail_bytes += seg.used.saturating_sub(scanned);
+            if self.survivor == Some(id) {
+                report.survivor_tail_bytes += scanned.saturating_sub(seg.used);
+            }
             if let Some(seg) = self.segments.get_mut(&id) {
-                if scanned < seg.used {
-                    report.torn_tail_bytes += seg.used - scanned;
-                }
                 seg.used = scanned;
-                if dirty_tail {
-                    seg.sealed = true;
-                }
+                seg.sealed |= dirty_tail;
             }
             if dirty_tail {
-                self.active = None;
+                self.clear_head(id);
                 self.dirty = true;
             }
         }
@@ -733,6 +792,7 @@ impl ValueLog {
         // so GC must re-verify liveness through the LSM from here on.
         self.dead_exact = self.segments.is_empty();
         (self.live_total, self.dead_total) = self.recount();
+        self.recovery = report;
         Ok(report)
     }
 
@@ -830,14 +890,18 @@ impl ValueLog {
     /// budget of a leveled tree whose levels grow by `multiplier` (its
     /// obsolete versions are about one level's worth, `1/AF` of the
     /// data); below it a step would mostly relocate live values. The
-    /// active segment's garbage does not count — it cannot be a victim.
-    /// No directory walk: two running totals and one dead-set lookup.
+    /// open heads' garbage does not count — neither can be a victim.
+    /// No directory walk: two running totals and two dead-set lookups.
     pub fn gc_due(&self, multiplier: u64) -> bool {
         if self.gc_victim.is_some() {
             return true;
         }
-        let active_dead = self.active.map_or(0, |id| self.segment_dead_bytes(id));
-        let garbage = self.dead_total - active_dead;
+        let open_dead: u64 = [self.active, self.survivor]
+            .into_iter()
+            .flatten()
+            .map(|id| self.segment_dead_bytes(id))
+            .sum();
+        let garbage = self.dead_total - open_dead;
         garbage > 0 && garbage.saturating_mul(multiplier) >= self.live_total
     }
 
@@ -920,7 +984,7 @@ impl ValueLog {
         };
         if !seg.sealed {
             return Err(Error::InvalidArgument(format!(
-                "refusing to retire active value-log segment {id}"
+                "refusing to retire open value-log segment {id}"
             )));
         }
         let reclaimed = seg.used;
@@ -955,9 +1019,7 @@ impl ValueLog {
         let dead = self.dead.remove(&id).map_or(0, |d| d.bytes);
         self.live_total -= seg.used - dead;
         self.dead_total -= dead;
-        if self.active == Some(id) {
-            self.active = None;
-        }
+        self.clear_head(id);
         if self.gc_victim == Some(id) {
             self.gc_victim = None;
         }
@@ -1156,33 +1218,99 @@ mod tests {
     fn checkpoint_recover_roundtrip() {
         let (mut fs, mut policy) = fixture();
         let mut vl = ValueLog::new(small_params());
-        let mut ptrs = Vec::new();
-        for i in 0..6u8 {
-            let key = format!("k{i}");
-            ptrs.push((
-                key.clone(),
-                vl.append(&mut fs, &mut policy, key.as_bytes(), &[i; 900])
-                    .unwrap(),
-            ));
-        }
+        // 914-byte records, four to a segment: k0..k3 seal the first
+        // band, k4 opens the user head, and a relocation of k0 opens
+        // the survivor head.
+        let mut ptrs: Vec<(Vec<u8>, VlogPtr)> = (0..5u8)
+            .map(|i| {
+                let key = format!("k{i}").into_bytes();
+                let ptr = vl.append(&mut fs, &mut policy, &key, &[i; 900]).unwrap();
+                (key, ptr)
+            })
+            .collect();
+        ptrs[0].1 = vl.relocate(&mut fs, &mut policy, b"k0", &[0; 900]).unwrap();
+        let (user, survivor) = (ptrs[4].1.segment, ptrs[0].1.segment);
+        assert_ne!(user, survivor);
+        assert_eq!((vl.active, vl.survivor), (Some(user), Some(survivor)));
         let blob = vl.checkpoint();
+        // Both heads take records the checkpoint does not know about.
+        let late_user = vl.append(&mut fs, &mut policy, b"k5", &[5; 900]).unwrap();
+        let late_survivor = vl.relocate(&mut fs, &mut policy, b"k1", &[1; 900]).unwrap();
+        assert_eq!((late_user.segment, late_survivor.segment), (user, survivor));
+        ptrs.push((b"k5".to_vec(), late_user));
+        ptrs[1].1 = late_survivor;
+        let assert_reads = |vl: &ValueLog, fs: &mut FileStore, ptrs: &[(Vec<u8>, VlogPtr)]| {
+            for (key, ptr) in ptrs {
+                let i = key[1] - b'0';
+                assert_eq!(vl.read(fs, *ptr, key).unwrap(), vec![i; 900]);
+            }
+        };
+
         let mut vl2 = ValueLog::new(small_params());
         let report = vl2.recover(&mut fs, &mut policy, Some(&blob)).unwrap();
         assert_eq!(report.segments_recovered, vl.segment_count());
-        assert_eq!(report.orphan_segments_dropped, 0);
-        assert_eq!(report.torn_tail_bytes, 0);
-        for (i, (key, ptr)) in ptrs.iter().enumerate() {
+        assert_eq!((vl2.active, vl2.survivor), (Some(user), Some(survivor)));
+        assert_eq!(report.survivor_tail_bytes, late_survivor.len);
+        assert_eq!(vl2.recovery_report().survivor_tail_bytes, late_survivor.len);
+        assert_eq!(
+            (report.torn_tail_bytes, report.orphan_segments_dropped),
+            (0, 0)
+        );
+        for seg in [user, survivor] {
             assert_eq!(
-                vl2.read(&mut fs, *ptr, key.as_bytes()).unwrap(),
-                vec![i as u8; 900]
+                vl2.segments[&seg].used, vl.segments[&seg].used,
+                "segment {seg}"
             );
         }
-        // Appends continue into the recovered active segment without
+        assert_reads(&vl2, &mut fs, &ptrs);
+        // Appends continue into the recovered user head without
         // clobbering earlier records.
         let p = vl2
             .append(&mut fs, &mut policy, b"after", &[9u8; 100])
             .unwrap();
+        assert_eq!(p.segment, user);
         assert_eq!(vl2.read(&mut fs, p, b"after").unwrap(), vec![9u8; 100]);
+
+        // A relocation torn by a power cut: recovery keeps the survivor
+        // head's intact records, drops the torn one, and seals the head
+        // because the tear left bytes past its tail on the disk.
+        fs.disk_mut().faults_mut().tear_write_after(0);
+        assert!(vl2
+            .relocate(&mut fs, &mut policy, b"k2", &[2; 900])
+            .is_err());
+        fs.disk_mut().faults_mut().disarm_torn_writes();
+        let blob = vl2.checkpoint();
+        let mut vl3 = ValueLog::new(small_params());
+        let report = vl3.recover(&mut fs, &mut policy, Some(&blob)).unwrap();
+        assert_eq!(report.survivor_tail_bytes, 0);
+        let seg = vl3.segments[&survivor];
+        assert_eq!(seg.used, late_survivor.offset + late_survivor.len);
+        assert!(seg.sealed, "bytes past the tail seal the head");
+        assert_eq!((vl3.active, vl3.survivor), (Some(user), None));
+        assert_reads(&vl3, &mut fs, &ptrs);
+        let moved = vl3
+            .relocate(&mut fs, &mut policy, b"k2", &[2; 900])
+            .unwrap();
+        assert!(![user, survivor].contains(&moved.segment), "a fresh band");
+        assert_eq!(vl3.read(&mut fs, moved, b"k2").unwrap(), vec![2; 900]);
+    }
+
+    #[test]
+    fn a_second_unnamed_open_segment_is_corruption() {
+        let (mut fs, mut policy) = fixture();
+        let mut vl = ValueLog::new(small_params());
+        vl.append(&mut fs, &mut policy, b"user", &[1; 100]).unwrap();
+        vl.relocate(&mut fs, &mut policy, b"moved", &[2; 100])
+            .unwrap();
+        let mut blob = vl.checkpoint();
+        // Version, next segment, then the active slot: clearing it
+        // leaves both open segments unnamed.
+        assert_eq!(blob[2], 1, "the user head is segment 0");
+        blob[2] = 0;
+        let mut vl2 = ValueLog::new(small_params());
+        let err = vl2.recover(&mut fs, &mut policy, Some(&blob)).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
+        assert!(err.to_string().contains("open beside"), "{err}");
     }
 
     #[test]
@@ -1247,8 +1375,14 @@ mod tests {
         assert!(!seen.contains(&b"gc-001".to_vec()));
         // Relocate one record, then retire: bytes land in stats and the
         // segment file is gone.
-        vl.relocate(&mut fs, &mut policy, b"gc-000", &[0u8; 900])
+        let moved = vl
+            .relocate(&mut fs, &mut policy, b"gc-000", &[0u8; 900])
             .unwrap();
+        assert_ne!(
+            Some(moved.segment),
+            vl.active,
+            "survivors have a head of their own"
+        );
         let reclaimed = vl.retire_segment(&mut fs, &mut policy, victim).unwrap();
         assert!(reclaimed > 0);
         assert!(!fs.has_file(victim));
@@ -1485,9 +1619,56 @@ mod tests {
         assert_eq!(vl.dead_bytes(), 2 * 404);
         assert!(vl.gc_candidate().is_none());
         assert!(!vl.gc_due(10));
+        // Nor can the survivor head: a value GC moves again leaves its
+        // previous copy there as garbage.
+        let moved: Vec<VlogPtr> = (0..4)
+            .map(|_| {
+                vl.relocate(&mut fs, &mut policy, b"k020", &[20; 388])
+                    .unwrap()
+            })
+            .collect();
+        let survivor = moved[0].segment;
+        assert!(moved.iter().all(|p| p.segment == survivor));
+        assert_eq!(vl.segment_dead_bytes(survivor), 3 * 404);
+        assert!(vl.gc_candidate().is_none());
+        assert!(!vl.gc_due(10), "garbage in either open head is not due");
         // Sealed, the same garbage counts.
-        vl.seal(&mut fs, ptrs[21].segment);
+        vl.seal(&mut fs, survivor);
+        assert_eq!(vl.gc_candidate(), Some(survivor));
         assert!(vl.gc_due(10));
+    }
+
+    #[test]
+    fn relocations_and_user_appends_never_share_a_segment() {
+        let (mut fs, mut policy) = fixture();
+        let mut vl = ValueLog::new(small_params());
+        let ptrs = append_records(&mut vl, &mut fs, &mut policy, 0..22);
+        vl.note_dead(ptrs[0]);
+        let mut live = Vec::new();
+        loop {
+            let scan = vl.gc_scan(&mut fs, 1024).unwrap().expect("a victim");
+            live.extend(scan.entries);
+            if scan.finished {
+                break;
+            }
+        }
+        assert_eq!(live.len(), 9);
+        // Interleave the victim's survivors with fresh user appends,
+        // across rollovers of both heads.
+        let (mut moved, mut fresh) = (BTreeSet::new(), BTreeSet::new());
+        for (i, e) in live.iter().enumerate() {
+            moved.insert(
+                vl.relocate(&mut fs, &mut policy, &e.key, &e.value)
+                    .unwrap()
+                    .segment,
+            );
+            let start = 100 + 3 * i as u32;
+            for p in append_records(&mut vl, &mut fs, &mut policy, start..start + 3) {
+                fresh.insert(p.segment);
+            }
+        }
+        assert!(!moved.is_empty() && fresh.len() >= 3, "{moved:?} {fresh:?}");
+        assert!(moved.is_disjoint(&fresh), "{moved:?} {fresh:?}");
     }
 
     #[test]
@@ -1557,6 +1738,20 @@ mod tests {
             vl.relocate(&mut fs, &mut policy, &e.key, &e.value).unwrap();
             assert_totals(&vl, "relocation");
         }
+        // Moving the same survivors again rolls the survivor head over
+        // and leaves garbage in the band it sealed.
+        let first_survivor = vl.survivor.expect("relocation opened the survivor head");
+        for e in live.iter().cycle().take(12) {
+            vl.relocate(&mut fs, &mut policy, &e.key, &e.value).unwrap();
+            assert_totals(&vl, "survivor rollover");
+        }
+        assert_ne!(
+            vl.survivor,
+            Some(first_survivor),
+            "the survivor head rolled over"
+        );
+        assert!(vl.segments[&first_survivor].sealed);
+        assert!(vl.segment_dead_bytes(first_survivor) > 0);
         let live_before = vl.live_bytes();
         vl.retire_segment(&mut fs, &mut policy, victim).unwrap();
         assert_totals(&vl, "retire");
@@ -1582,6 +1777,10 @@ mod tests {
         let blob = vl.checkpoint();
         let mut reopened = ValueLog::new(small_params());
         reopened.recover(&mut fs, &mut policy, Some(&blob)).unwrap();
+        assert_eq!(
+            (reopened.active, reopened.survivor),
+            (vl.active, vl.survivor)
+        );
         assert_totals(&reopened, "reopen");
         assert_eq!(reopened.dead_bytes(), 0);
         assert_eq!(reopened.live_bytes(), vl.live_bytes() + vl.dead_bytes());

@@ -146,7 +146,10 @@ fn torn_vlog_append_sweep_recovers_exact_values() {
 /// Power-cut sweep across a full GC drain over half-dead segments: the
 /// answers are fully durable before GC starts, so *no* crash image
 /// taken during relocation, pointer fixup, or segment recycle may
-/// change what any key reads. After each restore, fresh churn plus a
+/// change what any key reads. The sweep must include cuts that leave
+/// relocations past the survivor head's checkpointed tail (recovery
+/// rescans them) and cuts between a survivor band's open and the
+/// checkpoint naming it (recovery drops the band as an orphan). After each restore, fresh churn plus a
 /// second drain exercises the post-recovery GC path, which must
 /// re-verify liveness rather than trust pre-crash accounting.
 #[test]
@@ -187,9 +190,17 @@ fn power_cut_during_gc_never_changes_answers() {
 
     let stride = (images.len() / MIN_IMAGES).max(1);
     let mut tested = 0usize;
+    // Recoveries that found relocations past the survivor head's
+    // checkpointed tail, and that dropped a band opened after the last
+    // checkpoint. A drain writes no user values, so every band it opens
+    // is a survivor band.
+    let (mut survivor_tails, mut orphans) = (0usize, 0usize);
     for img in images.iter().step_by(stride) {
         store = store.restore_crash_image(img).unwrap();
         tested += 1;
+        let recovery = store.vlog.as_ref().unwrap().recovery_report();
+        survivor_tails += usize::from(recovery.survivor_tail_bytes > 0);
+        orphans += usize::from(recovery.orphan_segments_dropped > 0);
         assert_mixed(
             &mut store,
             &old,
@@ -220,6 +231,14 @@ fn power_cut_during_gc_never_changes_answers() {
         assert_eq!(store.get(b"post-cut").unwrap(), Some(b"alive".to_vec()));
     }
     assert!(tested >= MIN_IMAGES, "swept only {tested} GC crash points");
+    assert!(
+        survivor_tails > 0,
+        "no crash image left post-checkpoint records in an open survivor head"
+    );
+    assert!(
+        orphans > 0,
+        "no crash image fell between a survivor band's open and its checkpoint"
+    );
 }
 
 /// Pin the fixup/recycle boundary specifically: snapshot every single

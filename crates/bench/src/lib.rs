@@ -12,6 +12,7 @@
 pub mod artifact;
 pub mod chaos_run;
 pub mod experiments;
+pub mod fidelity;
 pub mod metrics_run;
 pub mod replicate_run;
 pub mod scale;

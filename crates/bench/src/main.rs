@@ -29,6 +29,10 @@
 //! seal-bench --artifact-diff OLD NEW
 //!   prints every leaf that differs between two artifacts as
 //!   `path: old → new`; exits 1 if any does
+//!
+//! seal-bench --fidelity-check DIR
+//!   holds the paper's order facts (Fig. 8, Fig. 14) against the figure
+//!   CSVs in DIR; prints each broken one and exits 1 if any is
 //! ```
 //!
 //! `serve` as an experiment name runs the sweep and prints the latency
@@ -104,6 +108,8 @@ struct Args {
     chaos_schedules: usize,
     /// `--artifact-diff OLD NEW`.
     diff: Option<(String, String)>,
+    /// `--fidelity-check DIR`.
+    fidelity: Option<String>,
 }
 
 fn parse_args() -> (BenchScale, Args) {
@@ -115,6 +121,7 @@ fn parse_args() -> (BenchScale, Args) {
         check: Default::default(),
         chaos_schedules: 25,
         diff: None,
+        fidelity: None,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -144,6 +151,7 @@ fn parse_args() -> (BenchScale, Args) {
             "--out" => parsed.out_dir = text(&mut i),
             "--chaos-schedules" => parsed.chaos_schedules = need(&mut i) as usize,
             "--artifact-diff" => parsed.diff = Some((text(&mut i), text(&mut i))),
+            "--fidelity-check" => parsed.fidelity = Some(text(&mut i)),
             other => {
                 let artifact_flag = other.strip_prefix("--").and_then(|rest| {
                     let (flag, slot) = rest.rsplit_once('-')?;
@@ -271,10 +279,26 @@ fn artifact_diff(old: &str, new: &str) -> ! {
     std::process::exit(i32::from(!lines.is_empty()));
 }
 
+/// `--fidelity-check`: prints every broken order fact; exits 1 if any
+/// is broken, 0 if all hold.
+fn fidelity_check(dir: &str) -> ! {
+    let problems = bench::fidelity::check_dir(dir);
+    for p in &problems {
+        eprintln!("fidelity: {p}");
+    }
+    if problems.is_empty() {
+        println!("fidelity: the paper's order facts hold in {dir}");
+    }
+    std::process::exit(i32::from(!problems.is_empty()));
+}
+
 fn main() {
     let (scale, args) = parse_args();
     if let Some((old, new)) = &args.diff {
         artifact_diff(old, new);
+    }
+    if let Some(dir) = &args.fidelity {
+        fidelity_check(dir);
     }
     let ran_artifacts = run_artifacts(&scale, &args);
     let mut wanted = args.experiments;
@@ -291,6 +315,7 @@ fn main() {
         }
         eprintln!("       (--chaos-out also takes --chaos-schedules N)");
         eprintln!("       seal-bench --artifact-diff OLD NEW");
+        eprintln!("       seal-bench --fidelity-check DIR");
         std::process::exit(2);
     }
     let out_dir = args.out_dir;

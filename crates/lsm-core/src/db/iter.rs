@@ -15,9 +15,9 @@ use std::cmp::Ordering;
 /// LevelDB's "concatenating" iterator. Keeps merging fan-in at one child
 /// per level regardless of file counts.
 ///
-/// Driving a compaction (`IoKind::CompactionRead`), it also keeps a
-/// physically contiguous run of tables one device stream: see
-/// `LevelIterator::bridge_to_next`.
+/// Driving a compaction (`IoKind::CompactionRead`) or a user scan
+/// (`IoKind::Scan`), it also keeps a physically contiguous run of tables
+/// one device stream: see `LevelIterator::bridge_to_next`.
 #[derive(Debug)]
 pub struct LevelIterator {
     ctx: SharedCtx,
@@ -27,6 +27,8 @@ pub struct LevelIterator {
     cur: Option<TableIterator>,
     /// Set by [`LevelIterator::with_cache`].
     use_cache: bool,
+    /// Set by [`LevelIterator::streaming`].
+    streams: bool,
     error: Option<Error>,
 }
 
@@ -40,6 +42,7 @@ impl LevelIterator {
             idx: 0,
             cur: None,
             use_cache: true,
+            streams: false,
             error: None,
         }
     }
@@ -51,7 +54,19 @@ impl LevelIterator {
         self
     }
 
-    fn open_current(&mut self) {
+    /// Makes every table iterator this opens keep its device stream off
+    /// the block cache (`TableIterator::streaming`); a bridged boundary
+    /// carries the stream into the next table, whose first block the
+    /// bridge read has put at the head. A user scan sets it on the
+    /// deepest level, whose child is the stream of the merge.
+    pub(crate) fn streaming(mut self) -> Self {
+        self.streams = true;
+        self
+    }
+
+    /// Opens the table at `idx`; `on_device` says the device stream has
+    /// reached its first block (a bridged boundary).
+    fn open_current(&mut self, on_device: bool) {
         self.stash_cur_error();
         self.cur = None;
         let Some(f) = self.files.get(self.idx) else {
@@ -59,11 +74,14 @@ impl LevelIterator {
         };
         match get_table(&self.ctx, f.id, f.size) {
             Ok(table) => {
-                self.cur = Some(
-                    table
-                        .iter(self.ctx.clone(), self.kind)
-                        .with_cache(self.use_cache),
-                )
+                let it = table
+                    .iter(self.ctx.clone(), self.kind)
+                    .with_cache(self.use_cache);
+                self.cur = Some(if self.streams {
+                    it.streaming(on_device)
+                } else {
+                    it
+                });
             }
             Err(e) => self.error = Some(e),
         }
@@ -90,39 +108,44 @@ impl LevelIterator {
     /// and so is a failed read: the next block then pays the seek it
     /// would have paid anyway, and the merge cannot depend on bytes it
     /// does not use. With no adjacent successor nothing extra is read.
-    fn bridge_to_next(&mut self) {
-        if !matches!(self.kind, IoKind::CompactionRead) {
-            return;
-        }
+    /// Compactions and user scans bridge; a point read never leaves its
+    /// table. Returns whether the tail was read.
+    fn bridge_to_next(&mut self) -> bool {
+        let counter = match self.kind {
+            IoKind::CompactionRead => "compaction.bridged_bytes",
+            IoKind::Scan => "scan.bridged_bytes",
+            _ => return false,
+        };
         let (Some(from), Some(next)) = (self.files.get(self.idx), self.files.get(self.idx + 1))
         else {
-            return;
+            return false;
         };
         let Some((offset, len)) = self.cur.as_ref().and_then(|c| c.unread_tail()) else {
-            return;
+            return false;
         };
         let mut guard = self.ctx.lock();
-        if guard.fs.file_follows(from.id, next.id)
-            && guard.fs.read_file(from.id, offset, len, self.kind).is_ok()
-        {
-            guard.fs.disk_mut().obs_mut().counter_add(
-                ObsLayer::Lsm,
-                "compaction.bridged_bytes",
-                len,
-            );
+        let bridged = guard.fs.file_follows(from.id, next.id)
+            && guard.fs.read_file(from.id, offset, len, self.kind).is_ok();
+        if bridged {
+            guard
+                .fs
+                .disk_mut()
+                .obs_mut()
+                .counter_add(ObsLayer::Lsm, counter, len);
         }
+        bridged
     }
 
     fn skip_exhausted(&mut self) {
         while self.cur.as_ref().is_some_and(|c| !c.valid()) {
-            self.bridge_to_next();
+            let bridged = self.bridge_to_next();
             self.idx += 1;
             if self.idx >= self.files.len() {
                 self.stash_cur_error();
                 self.cur = None;
                 return;
             }
-            self.open_current();
+            self.open_current(bridged);
             if let Some(c) = self.cur.as_mut() {
                 c.seek_to_first();
             }
@@ -137,7 +160,7 @@ impl InternalIterator for LevelIterator {
 
     fn seek_to_first(&mut self) {
         self.idx = 0;
-        self.open_current();
+        self.open_current(false);
         if let Some(c) = self.cur.as_mut() {
             c.seek_to_first();
         }
@@ -148,7 +171,7 @@ impl InternalIterator for LevelIterator {
         self.idx = self
             .files
             .partition_point(|f| internal_compare(&f.largest, target) == Ordering::Less);
-        self.open_current();
+        self.open_current(false);
         if let Some(c) = self.cur.as_mut() {
             c.seek(target);
         }
@@ -333,13 +356,22 @@ mod tests {
     /// deferred error, and what the pass cost the device:
     /// (seeks, bytes read under `kind`).
     fn drain(laid: &Laid, kind: IoKind) -> (Entries, Option<Error>, u64, u64) {
+        let it = LevelIterator::new(laid.ctx.clone(), laid.files.clone(), kind);
+        drain_iter(laid, kind, it)
+    }
+
+    /// [`drain`] over an iterator the caller built.
+    fn drain_iter(
+        laid: &Laid,
+        kind: IoKind,
+        mut it: impl InternalIterator,
+    ) -> (Entries, Option<Error>, u64, u64) {
         let cost = |ctx: &SharedCtx| {
             let guard = ctx.lock();
             let stats = guard.fs.disk().stats();
             (stats.seeks, stats.kind(kind).logical_read)
         };
         let (seeks0, bytes0) = cost(&laid.ctx);
-        let mut it = LevelIterator::new(laid.ctx.clone(), laid.files.clone(), kind);
         let mut out = Vec::new();
         it.seek_to_first();
         while it.valid() {
@@ -350,10 +382,32 @@ mod tests {
         (out, it.take_error(), seeks1 - seeks0, bytes1 - bytes0)
     }
 
-    fn bridged_bytes(laid: &Laid) -> u64 {
+    /// The `kind` reads' bridged-tail counter.
+    fn bridged_bytes(laid: &Laid, kind: IoKind) -> u64 {
+        let name = match kind {
+            IoKind::CompactionRead => "compaction.bridged_bytes",
+            _ => "scan.bridged_bytes",
+        };
         let guard = laid.ctx.lock();
-        let reg = &guard.fs.disk().obs().registry;
-        reg.counter(ObsLayer::Lsm, "compaction.bridged_bytes")
+        guard.fs.disk().obs().registry.counter(ObsLayer::Lsm, name)
+    }
+
+    /// Reads the block holding key `i` of table `t` through the block
+    /// cache, as a get does.
+    fn warm(laid: &Laid, t: usize, i: u64) {
+        let f = &laid.files[t];
+        let table = get_table(&laid.ctx, f.id, f.size).unwrap();
+        let mut it = table.iter(laid.ctx.clone(), IoKind::Get);
+        let key = format!("key{:06}", t as u64 * 1000 + i);
+        it.seek(&lookup_key(key.as_bytes(), 1));
+        assert!(it.valid() && user_key(it.key()) == key.as_bytes());
+    }
+
+    /// The block cache's (hits, misses, entries).
+    fn cache_counts(laid: &Laid) -> (u64, u64, usize) {
+        let guard = laid.ctx.lock();
+        let (hits, misses) = guard.block_cache.hit_stats();
+        (hits, misses, guard.block_cache.len())
     }
 
     #[test]
@@ -371,33 +425,36 @@ mod tests {
         // successor, so its tail is not read.
         assert_eq!(seeks, 1);
         assert_eq!(bytes, data + tails);
-        assert_eq!(bridged_bytes(&laid), tails);
-        // A user scan is not a compaction: same entries, no tails, and a
-        // seek at every table boundary.
+        assert_eq!(bridged_bytes(&laid, IoKind::CompactionRead), tails);
+        // A user scan bridges the same way, on its own counter.
         let (scanned, err, seeks, bytes) = drain(&laid, IoKind::Scan);
         assert!(err.is_none());
         assert_eq!(scanned, entries);
-        assert_eq!((seeks, bytes), (3, data));
-        assert_eq!(bridged_bytes(&laid), tails);
+        assert_eq!((seeks, bytes), (1, data + tails));
+        assert_eq!(bridged_bytes(&laid, IoKind::Scan), tails);
+        assert_eq!(bridged_bytes(&laid, IoKind::CompactionRead), tails);
     }
 
     #[test]
     fn tables_placed_apart_are_read_exactly_as_before() {
         let laid = lay_out(4096);
         let data: u64 = laid.images.iter().map(|i| data_len(i)).sum();
-        let (entries, err, seeks, bytes) = drain(&laid, IoKind::CompactionRead);
-        assert!(err.is_none());
-        assert_eq!(entries.len(), 600);
-        assert_eq!((seeks, bytes), (3, data));
-        assert_eq!(bridged_bytes(&laid), 0);
+        for kind in [IoKind::CompactionRead, IoKind::Scan] {
+            let (entries, err, seeks, bytes) = drain(&laid, kind);
+            assert!(err.is_none());
+            assert_eq!(entries.len(), 600);
+            assert_eq!((seeks, bytes), (3, data), "{kind:?}");
+            assert_eq!(bridged_bytes(&laid, kind), 0);
+        }
     }
 
-    #[test]
-    fn a_failed_bridge_read_costs_a_seek_and_nothing_else() {
+    /// A latent sector error inside table 1's filter block: the bridge
+    /// into table 2 fails, table 2's first block re-seeks, and table 2 → 3
+    /// still bridges.
+    fn failed_bridge(kind: IoKind) {
         let clean = lay_out(0);
-        let (want, _, _, _) = drain(&clean, IoKind::CompactionRead);
+        let (want, _, _, _) = drain(&clean, kind);
         let laid = lay_out(0);
-        // A latent sector error inside table 1's filter block.
         let tail_at = laid.extents[0].offset + data_len(&laid.images[0]);
         laid.ctx
             .lock()
@@ -405,14 +462,63 @@ mod tests {
             .disk_mut()
             .faults_mut()
             .fail_reads_permanently(Extent::new(tail_at + 100, 64));
-        let (entries, err, seeks, _) = drain(&laid, IoKind::CompactionRead);
+        let (entries, err, seeks, _) = drain(&laid, kind);
         assert!(err.is_none(), "{err:?}");
         assert_eq!(entries, want);
-        // Table 2's first block re-seeks; table 2 → 3 still bridges.
         assert_eq!(seeks, 2);
         let tail3 = laid.images[1].len() as u64 - data_len(&laid.images[1]);
-        assert_eq!(bridged_bytes(&laid), tail3);
+        assert_eq!(bridged_bytes(&laid, kind), tail3);
         let guard = laid.ctx.lock();
         assert_eq!(guard.fs.disk().stats().faults.unrecoverable_reads, 1);
+    }
+
+    #[test]
+    fn a_failed_bridge_read_costs_a_seek_and_nothing_else() {
+        failed_bridge(IoKind::CompactionRead);
+    }
+
+    #[test]
+    fn a_failed_scan_bridge_read_costs_a_seek_and_nothing_else() {
+        failed_bridge(IoKind::Scan);
+    }
+
+    #[test]
+    fn a_streaming_scan_reads_past_a_cached_block() {
+        let laid = lay_out(0);
+        let data: u64 = laid.images.iter().map(|i| data_len(i)).sum();
+        let tails: u64 = laid.images[..2]
+            .iter()
+            .map(|i| i.len() as u64 - data_len(i))
+            .sum();
+        // A block in the middle of the run, cached by a get.
+        warm(&laid, 1, 100);
+        let (hits0, misses0, len0) = cache_counts(&laid);
+        let it = LevelIterator::new(laid.ctx.clone(), laid.files.clone(), IoKind::Scan).streaming();
+        let (entries, err, seeks, bytes) = drain_iter(&laid, IoKind::Scan, it);
+        assert!(err.is_none());
+        assert_eq!(entries.len(), 600);
+        // The block the scan starts on goes through the cache (a miss and
+        // an insert); every later one, the warm block included, comes off
+        // the device in the one stream.
+        assert_eq!(seeks, 1);
+        assert_eq!(bytes, data + tails);
+        let (hits1, misses1, len1) = cache_counts(&laid);
+        assert_eq!((hits1 - hits0, misses1 - misses0, len1 - len0), (0, 1, 1));
+
+        // Two levels: the shallower level is not the stream, so its warm
+        // block still hits; the deeper one's is read past.
+        let laid = lay_out(0);
+        warm(&laid, 0, 100);
+        warm(&laid, 2, 100);
+        let (hits0, _, _) = cache_counts(&laid);
+        let shallow = LevelIterator::new(laid.ctx.clone(), laid.files[..1].to_vec(), IoKind::Scan);
+        let deep = LevelIterator::new(laid.ctx.clone(), laid.files[1..].to_vec(), IoKind::Scan)
+            .streaming();
+        let merged = MergingIterator::new(vec![Box::new(shallow), Box::new(deep)]);
+        let (entries, err, _, _) = drain_iter(&laid, IoKind::Scan, merged);
+        assert!(err.is_none());
+        assert_eq!(entries.len(), 600);
+        let (hits1, _, _) = cache_counts(&laid);
+        assert_eq!(hits1 - hits0, 1);
     }
 }

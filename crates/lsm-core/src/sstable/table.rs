@@ -423,18 +423,20 @@ impl Table {
         self.bloom.as_ref().is_some_and(|b| !b.may_contain(ukey))
     }
 
+    /// Reads one data block, through the block cache when `use_cache`;
+    /// the flag is whether the cache served it.
     fn read_block(
         &self,
         ctx: &SharedCtx,
         handle: BlockHandle,
         kind: IoKind,
         use_cache: bool,
-    ) -> Result<Arc<Block>> {
+    ) -> Result<(Arc<Block>, bool)> {
         let key = (self.file, handle.offset);
         let mut guard = ctx.lock();
         if use_cache {
             if let Some(block) = guard.block_cache.get(&key) {
-                return Ok(block);
+                return Ok((block, true));
             }
         }
         let block = read_verified(&mut guard, self.file, handle, kind)
@@ -449,7 +451,7 @@ impl Table {
             let charge = block.size() as u64;
             guard.block_cache.insert(key, Arc::clone(&block), charge);
         }
-        Ok(block)
+        Ok((block, false))
     }
 
     /// An iterator over the whole table; blocks are fetched lazily and
@@ -464,6 +466,7 @@ impl Table {
             // block cache so they neither pollute nor benefit from it
             // (LevelDB's `fill_cache=false` read option).
             use_cache: !matches!(kind, IoKind::CompactionRead),
+            stream: None,
             index_iter: self.index.iter(),
             block_iter: None,
             fetched_to: None,
@@ -479,6 +482,9 @@ pub struct TableIterator {
     ctx: SharedCtx,
     kind: IoKind,
     use_cache: bool,
+    /// Set by [`TableIterator::streaming`]: whether the data block
+    /// loaded last came off the device.
+    stream: Option<bool>,
     index_iter: BlockIter,
     block_iter: Option<BlockIter>,
     /// File offset one past the data block loaded last.
@@ -495,20 +501,34 @@ impl TableIterator {
         self
     }
 
+    /// Keeps a device stream off the block cache: once a data block has
+    /// come off the device, the blocks after it are read from the device
+    /// too, with no cache lookup and no insert. A hit in the middle of a
+    /// stream saves one block's transfer but ends the drive's read-ahead
+    /// stream, so the next miss pays a seek and half a rotation. The
+    /// block a seek lands on, and the block after a hit, still go through
+    /// the cache. `on_device` says the stream already stands at this
+    /// table's first block: the caller has read through its predecessor's
+    /// tail (`LevelIterator::bridge_to_next`).
+    pub(crate) fn streaming(mut self, on_device: bool) -> Self {
+        self.stream = Some(on_device);
+        self
+    }
+
     fn load_block(&mut self) {
         self.block_iter = None;
         if !self.index_iter.valid() {
             return;
         }
+        let use_cache = self.use_cache && self.stream != Some(true);
         match BlockHandle::decode(self.index_iter.value()).and_then(|(h, _)| {
-            let block = self
-                .table
-                .read_block(&self.ctx, h, self.kind, self.use_cache)?;
-            Ok((block, h.disk_span()?.1))
+            let (block, hit) = self.table.read_block(&self.ctx, h, self.kind, use_cache)?;
+            Ok((block, hit, h.disk_span()?.1))
         }) {
-            Ok((block, end)) => {
+            Ok((block, hit, end)) => {
                 self.block_iter = Some(block.iter());
                 self.fetched_to = Some(end);
+                self.stream = self.stream.map(|_| !hit);
             }
             Err(e) => self.error = Some(e),
         }
@@ -559,6 +579,7 @@ impl InternalIterator for TableIterator {
     }
 
     fn seek(&mut self, target: &[u8]) {
+        self.stream = self.stream.map(|_| false);
         self.index_iter.seek(target);
         self.load_block();
         if let Some(b) = self.block_iter.as_mut() {

@@ -166,6 +166,13 @@ if (( full )); then
     stage_done "results/ (--full)"
 fi
 
+# Fidelity order gate: the paper's order facts (SEALDB beats LevelDB on
+# every Fig. 8 phase; on random load SEALDB > SMRDB > LevelDB; sets alone
+# do not improve sequential write, Fig. 14) hold in the figure CSVs —
+# the committed ones, which --full has just regenerated byte-identically.
+cargo run -q --release -p bench -- --fidelity-check results
+stage_done "fidelity order gate"
+
 # seal-perf (benchmark/) is a workspace of its own that binds the crates'
 # public surface by name (benchmark/src/surface.rs): build and test it
 # against this tree, then let it check itself and run every workload once

@@ -1,5 +1,7 @@
 //! The fidelity order gate: the paper's qualitative order facts, held
-//! against the committed figure CSVs (`seal-bench --fidelity-check DIR`).
+//! against the committed figure CSVs (`seal-bench --fidelity-check DIR`):
+//! the micro-benchmark orders of Fig. 8 and Fig. 14, and Fig. 12's write
+//! amplification rows.
 //!
 //! A magnitude may drift with the scale (EXPERIMENTS.md, "Known
 //! divergences"); the order the paper reports must not. Each fact names
@@ -33,6 +35,21 @@ const FIG14: Figure = Figure {
 };
 
 const FIGURES: [&Figure; 2] = [&FIG08, &FIG14];
+
+/// Fig. 12's CSV: one row of write amplifications per store, in
+/// [`FIG12_STORES`] order.
+const FIG12_FILE: &str = "fig12_write_amplification.csv";
+const FIG12_HEADER: &str = "store,wa,awa,mwa";
+const FIG12_COLUMNS: [&str; 3] = ["wa", "awa", "mwa"];
+const FIG12_STORES: [&str; 3] = ["LevelDB", "SMRDB", "SEALDB"];
+
+/// One store's row of Fig. 12.
+#[derive(Clone, Copy)]
+struct Amplification {
+    wa: f64,
+    awa: f64,
+    mwa: f64,
+}
 
 /// One order fact: on `phase` of `figure`, `upper`'s throughput is above
 /// `lower`'s (`strict`) or at least equal to it.
@@ -79,6 +96,59 @@ const FACTS: [Fact; 7] = [
     },
 ];
 
+/// The fields of line `line_no` of `file`, which must be the row
+/// labelled `label` (its leading comma-separated fields) with `width`
+/// fields in all.
+fn row<'a>(
+    file: &str,
+    line_no: usize,
+    line: Option<&'a str>,
+    label: &str,
+    width: usize,
+) -> Result<Vec<&'a str>, String> {
+    let Some(line) = line else {
+        return Err(format!("{file}: ends before row {label}"));
+    };
+    let fields: Vec<&str> = line.split(',').collect();
+    let labelled = label
+        .split(',')
+        .enumerate()
+        .all(|(i, l)| fields.get(i) == Some(&l));
+    if fields.len() != width || !labelled {
+        return Err(format!(
+            "{file} line {line_no}: expected row {label}, found `{line}`"
+        ));
+    }
+    Ok(fields)
+}
+
+/// Parses column `column` of a row as a finite non-negative number.
+fn number(file: &str, line_no: usize, column: &str, field: &str) -> Result<f64, String> {
+    match field.parse::<f64>() {
+        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        _ => Err(format!(
+            "{file} line {line_no}: {column} `{field}` is not a number"
+        )),
+    }
+}
+
+/// Checks a CSV's header, returning its remaining lines.
+fn body<'a>(file: &str, csv: &'a str, header: &str) -> Result<std::str::Lines<'a>, String> {
+    let mut lines = csv.lines();
+    if lines.next() != Some(header) {
+        return Err(format!("{file}: header is not `{header}`"));
+    }
+    Ok(lines)
+}
+
+/// Errs on a row past the last one a figure lays out.
+fn no_more(file: &str, mut lines: std::str::Lines<'_>) -> Result<(), String> {
+    match lines.next() {
+        Some(extra) => Err(format!("{file}: unexpected row `{extra}`")),
+        None => Ok(()),
+    }
+}
+
 /// Reads `figure`'s rows from `csv`: the ops/s of each (store, phase) in
 /// the order [`Figure::stores`] × [`PHASES`] lays them out. A row out of
 /// that order is a problem of its own — the normalised column is relative
@@ -86,10 +156,7 @@ const FACTS: [Fact; 7] = [
 /// fact still holds.
 fn read_figure(figure: &Figure, csv: &str) -> Result<Vec<f64>, String> {
     let file = figure.file;
-    let mut lines = csv.lines();
-    if lines.next() != Some(HEADER) {
-        return Err(format!("{file}: header is not `{HEADER}`"));
-    }
+    let mut lines = body(file, csv, HEADER)?;
     let want = figure
         .stores
         .iter()
@@ -97,29 +164,76 @@ fn read_figure(figure: &Figure, csv: &str) -> Result<Vec<f64>, String> {
     let mut ops = Vec::new();
     for (n, (store, phase)) in want.enumerate() {
         let line_no = n + 2;
-        let Some(line) = lines.next() else {
-            return Err(format!("{file}: ends before row {store},{phase}"));
-        };
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 5 || fields[0] != store || fields[1] != phase {
-            return Err(format!(
-                "{file} line {line_no}: expected row {store},{phase}, found `{line}`"
-            ));
-        }
-        match fields[2].parse::<f64>() {
-            Ok(v) if v.is_finite() && v >= 0.0 => ops.push(v),
-            _ => {
-                return Err(format!(
-                    "{file} line {line_no}: ops_per_sec `{}` is not a throughput",
-                    fields[2]
-                ))
-            }
-        }
+        let fields = row(file, line_no, lines.next(), &format!("{store},{phase}"), 5)?;
+        ops.push(number(file, line_no, "ops_per_sec", fields[2])?);
     }
-    if let Some(extra) = lines.next() {
-        return Err(format!("{file}: unexpected row `{extra}`"));
-    }
+    no_more(file, lines)?;
     Ok(ops)
+}
+
+/// Reads Fig. 12's rows from `csv`, one per store of [`FIG12_STORES`]
+/// in that order.
+fn read_fig12(csv: &str) -> Result<Vec<Amplification>, String> {
+    let file = FIG12_FILE;
+    let mut lines = body(file, csv, FIG12_HEADER)?;
+    let mut rows = Vec::new();
+    for (n, store) in FIG12_STORES.iter().enumerate() {
+        let line_no = n + 2;
+        let fields = row(file, line_no, lines.next(), store, 4)?;
+        let [wa, awa, mwa] =
+            [0, 1, 2].map(|i| number(file, line_no, FIG12_COLUMNS[i], fields[i + 1]));
+        rows.push(Amplification {
+            wa: wa?,
+            awa: awa?,
+            mwa: mwa?,
+        });
+    }
+    no_more(file, lines)?;
+    Ok(rows)
+}
+
+/// Fig. 12's facts: SEALDB's dynamic bands eliminate auxiliary write
+/// amplification (AWA ≡ 1.000 as printed), SMRDB's band-sized tables
+/// nearly do (AWA at most 1.01), SEALDB's MWA is below LevelDB's, and
+/// SMRDB, compacting least, has the lowest WA of the three.
+fn fig12_problems(rows: &[Amplification]) -> Vec<String> {
+    let [leveldb, smrdb, sealdb] = [rows[0], rows[1], rows[2]];
+    let facts = [
+        (
+            sealdb.awa == 1.0,
+            format!(
+                "SEALDB's AWA must be exactly 1.000, but it is {:.3}",
+                sealdb.awa
+            ),
+        ),
+        (
+            smrdb.awa <= 1.01,
+            format!(
+                "SMRDB's AWA must be at most 1.01, but it is {:.3}",
+                smrdb.awa
+            ),
+        ),
+        (
+            sealdb.mwa < leveldb.mwa,
+            format!(
+                "SEALDB's MWA must be below LevelDB's, but {:.3} is not below {:.3}",
+                sealdb.mwa, leveldb.mwa
+            ),
+        ),
+        (
+            smrdb.wa < leveldb.wa && smrdb.wa < sealdb.wa,
+            format!(
+                "SMRDB's WA must be the lowest of the three, but it is {:.3} against \
+                 LevelDB's {:.3} and SEALDB's {:.3}",
+                smrdb.wa, leveldb.wa, sealdb.wa
+            ),
+        ),
+    ];
+    facts
+        .into_iter()
+        .filter(|(holds, _)| !holds)
+        .map(|(_, fact)| format!("{FIG12_FILE}: Fig. 12 order broken: {fact}"))
+        .collect()
 }
 
 /// Holds the order facts against the figure CSVs `read` returns by file
@@ -167,6 +281,10 @@ fn check_with(read: impl Fn(&str) -> Result<String, String>) -> Vec<String> {
                 fig.file, fig.name, fact.phase, fact.upper, fact.lower
             ));
         }
+    }
+    match read(FIG12_FILE).and_then(|csv| read_fig12(&csv)) {
+        Ok(rows) => problems.extend(fig12_problems(&rows)),
+        Err(e) => problems.push(e),
     }
     problems
 }
@@ -269,5 +387,56 @@ mod tests {
             other => Ok(committed(other)),
         });
         assert_eq!(problems, ["fig08_micro.csv: not found"]);
+    }
+    #[test]
+    fn a_moved_fig12_row_is_named() {
+        // SMRDB and SEALDB trade lines 3 and 4.
+        let problems = check_doctored(FIG12_FILE, |csv| swap_lines(csv, 2, 3));
+        assert_eq!(
+            problems,
+            ["fig12_write_amplification.csv line 3: expected row SMRDB, found `SEALDB,13.458,1.000,13.458`"]
+        );
+    }
+
+    #[test]
+    fn each_broken_fig12_fact_reads_as_one_line() {
+        /// Swaps field `column` of lines `a` and `b`.
+        fn swap_field(csv: String, column: usize, a: usize, b: usize) -> String {
+            let mut rows: Vec<Vec<String>> = csv
+                .lines()
+                .map(|l| l.split(',').map(str::to_string).collect())
+                .collect();
+            let v = rows[a][column].clone();
+            rows[a][column] = std::mem::replace(&mut rows[b][column], v);
+            rows.iter().map(|r| r.join(",") + "\n").collect()
+        }
+        // (column, lines swapped, the fact that breaks)
+        let cases = [
+            (
+                2,
+                2,
+                3,
+                "SEALDB's AWA must be exactly 1.000, but it is 1.002",
+            ),
+            (2, 1, 2, "SMRDB's AWA must be at most 1.01, but it is 5.830"),
+            (
+                3,
+                1,
+                3,
+                "SEALDB's MWA must be below LevelDB's, but 67.090 is not below 13.458",
+            ),
+            (
+                1,
+                1,
+                2,
+                "SMRDB's WA must be the lowest of the three, but it is 11.508",
+            ),
+        ];
+        for (column, a, b, fact) in cases {
+            let problems = check_doctored(FIG12_FILE, |csv| swap_field(csv, column, a, b));
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            let want = format!("fig12_write_amplification.csv: Fig. 12 order broken: {fact}");
+            assert!(problems[0].starts_with(&want), "{}", problems[0]);
+        }
     }
 }

@@ -214,7 +214,8 @@ impl DbCore {
     pub fn open(disk: Disk, opts: Options, policy: Box<dyn PlacementPolicy>) -> Result<DbCore> {
         opts.validate()
             .map_err(crate::error::Error::InvalidArgument)?;
-        let fs = FileStore::new(disk, opts.log_zone_bytes);
+        let mut fs = FileStore::new(disk, opts.log_zone_bytes);
+        fs.set_hold_limit(opts.wal_buffer_bytes);
         let ctx = new_ctx(fs, opts.block_cache_bytes, opts.table_cache_entries);
         let mut versions = VersionSet::new(opts.level_params());
         let mem = MemTable::new(opts.seed);
@@ -272,6 +273,9 @@ impl DbCore {
         let mut report = RecoveryReport::default();
         {
             let mut guard = ctx.lock();
+            // Held value-log appends die with the process, like the
+            // WAL's unsynced tail.
+            guard.fs.discard_held();
             // A restart keeps no open readers: every table the recovered
             // version references is opened — and so verified — from the
             // device again, and a file id the recovered counter hands out
@@ -628,11 +632,14 @@ impl DbCore {
         Ok(())
     }
 
-    /// Forces any buffered WAL bytes to disk. Value-log GC calls this
-    /// after a pointer-fixup batch so the fixups are durable before the
-    /// victim segment is recycled — otherwise a crash could replay the
-    /// world to a state where live pointers still reference freed bytes.
+    /// Forces any buffered WAL bytes to disk, after the value-log
+    /// appends the file store holds back (the records their pointers
+    /// name). Value-log GC calls this after a pointer-fixup batch so the
+    /// fixups are durable before the victim segment is recycled —
+    /// otherwise a crash could replay the world to a state where live
+    /// pointers still reference freed bytes.
     pub fn sync_wal(&mut self) -> Result<()> {
+        self.ctx.lock().fs.drain_held()?;
         self.flush_wal_buffer(true)
     }
 

@@ -46,7 +46,10 @@ pub struct Options {
     pub wal_enabled: bool,
     /// WAL bytes buffered in memory before reaching the disk (models the
     /// OS page cache under a no-sync LevelDB; 0 = every write synced).
-    /// Buffered bytes are lost on a crash, like `sync=false` writes.
+    /// The same page cache holds back each value-log file's appends up
+    /// to this size; they drain before any WAL, manifest or table write,
+    /// so a durable pointer always names durable bytes. Buffered and
+    /// held bytes are lost on a crash, like `sync=false` writes.
     pub wal_buffer_bytes: usize,
     /// Seed for the engine's deterministic internal randomness.
     pub seed: u64,

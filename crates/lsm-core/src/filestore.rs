@@ -6,7 +6,7 @@
 
 use crate::error::{Error, Result};
 use crate::types::FileId;
-use smr_sim::{Disk, DiskSnapshot, Extent, IoKind};
+use smr_sim::{Disk, DiskError, DiskSnapshot, Extent, IoKind, ObsLayer};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Chunk granularity of the conventional log zone.
@@ -22,6 +22,27 @@ const READ_RETRY_BACKOFF_NS: u64 = 500_000;
 struct LogFile {
     chunks: Vec<u64>,
     len: u64,
+}
+
+/// Appends to one file held back from the device (see
+/// [`FileStore::write_file_range`]): `bytes` belong at `offset` within
+/// the file.
+#[derive(Debug)]
+struct Held {
+    offset: u64,
+    bytes: Vec<u8>,
+    /// What the drain is billed as: the first append's kind (each of
+    /// the value log's heads appends one kind only).
+    kind: IoKind,
+    /// The drain that failed. The bytes stay readable from memory, but
+    /// never reach the device: every later drain returns this error.
+    failed: Option<DiskError>,
+}
+
+impl Held {
+    fn end(&self) -> u64 {
+        self.offset + self.bytes.len() as u64
+    }
 }
 
 #[derive(Debug)]
@@ -67,6 +88,10 @@ pub struct FileStore {
     zone: LogZone,
     /// Crash images pending collection by the fault harness.
     crash_images: Vec<CrashImage>,
+    /// Appends held back per file, and the size at which a file's held
+    /// bytes drain (0 = every append writes through).
+    held: BTreeMap<FileId, Held>,
+    hold_limit: usize,
 }
 
 impl FileStore {
@@ -88,7 +113,16 @@ impl FileStore {
                 free: (0..chunk_count).collect(),
             },
             crash_images: Vec::new(),
+            held: BTreeMap::new(),
+            hold_limit: 0,
         }
+    }
+
+    /// Sets how many bytes of appends a file may hold back before they
+    /// drain to the device ([`FileStore::write_file_range`]); 0 makes
+    /// every append write through.
+    pub(crate) fn set_hold_limit(&mut self, bytes: usize) {
+        self.hold_limit = bytes;
     }
 
     /// Reads from the disk with a bounded retry budget on injected
@@ -147,6 +181,7 @@ impl FileStore {
     /// `sealdb::Store`'s crash-recovery constructor.
     pub fn restore_crash_image(&mut self, img: &CrashImage) {
         self.disk.restore(&img.disk);
+        self.held.clear();
         self.files = img.files.clone();
         self.logs = img.logs.clone();
         self.zone.free = img.zone_free.clone();
@@ -187,6 +222,7 @@ impl FileStore {
         kind: IoKind,
     ) -> Result<()> {
         debug_assert_eq!(ext.len as usize, data.len());
+        self.drain_held()?;
         self.disk.set_trace_file(id);
         self.disk.write(ext, data, kind)?;
         self.files.insert(id, ext);
@@ -204,6 +240,15 @@ impl FileStore {
     /// each write lands at a fresh offset inside the file's extent, so on
     /// a host-managed SMR layout it is a legal sequential append as long
     /// as callers never rewrite a covered range.
+    ///
+    /// With a hold limit set, appends are held back in memory like the
+    /// WAL's unsynced tail and reach the device as one write: when the
+    /// file's held bytes reach the limit, when the next append to the
+    /// file does not continue them, and before any other device write
+    /// ([`FileStore::write_file_at`], [`FileStore::log_append`], a WAL
+    /// sync). Pointers to these bytes become durable only through those
+    /// writes, so none can outlive its record in a crash. A file whose
+    /// drain failed takes no further appends.
     pub fn write_file_range(
         &mut self,
         id: FileId,
@@ -219,14 +264,75 @@ impl FileStore {
                 ext.len
             )));
         }
-        self.disk.set_trace_file(id);
-        self.disk.write(
-            Extent::new(ext.offset + offset, data.len() as u64),
-            data,
+        if self.hold_limit == 0 {
+            self.disk.set_trace_file(id);
+            self.disk.write(
+                Extent::new(ext.offset + offset, data.len() as u64),
+                data,
+                kind,
+            )?;
+            self.maybe_capture_crash_image();
+            return Ok(());
+        }
+        if self
+            .held
+            .get(&id)
+            .is_some_and(|h| h.failed.is_some() || h.end() != offset)
+        {
+            self.drain(id)?;
+        }
+        let capacity = self.hold_limit + data.len();
+        let held = self.held.entry(id).or_insert_with(|| Held {
+            offset,
+            bytes: Vec::with_capacity(capacity),
             kind,
-        )?;
+            failed: None,
+        });
+        held.bytes.extend_from_slice(data);
+        if held.bytes.len() >= self.hold_limit {
+            self.drain(id)?;
+        }
+        Ok(())
+    }
+
+    /// Writes file `id`'s held bytes to the device in one write. A
+    /// failed drain keeps the bytes (readable from memory) and is never
+    /// retried: every later drain of the file fails the same way.
+    fn drain(&mut self, id: FileId) -> Result<()> {
+        let (Some(held), Some(file)) = (self.held.get_mut(&id), self.files.get(&id)) else {
+            return Ok(());
+        };
+        if let Some(err) = &held.failed {
+            return Err(err.clone().into());
+        }
+        self.disk.set_trace_file(id);
+        let ext = Extent::new(file.offset + held.offset, held.bytes.len() as u64);
+        if let Err(err) = self.disk.write(ext, &held.bytes, held.kind) {
+            held.failed = Some(err.clone());
+            return Err(err.into());
+        }
+        self.held.remove(&id);
+        self.disk
+            .obs_mut()
+            .counter_add(ObsLayer::ValueLog, "held_drains", 1);
         self.maybe_capture_crash_image();
         Ok(())
+    }
+
+    /// Drains every file's held bytes, lowest file id first.
+    pub(crate) fn drain_held(&mut self) -> Result<()> {
+        let ids: Vec<FileId> = self.held.keys().copied().collect();
+        ids.into_iter().try_for_each(|id| self.drain(id))
+    }
+
+    /// Forgets every held byte, as a crash does.
+    pub(crate) fn discard_held(&mut self) {
+        self.held.clear();
+    }
+
+    /// Bytes appended but still held back from the device.
+    pub fn held_bytes(&self) -> u64 {
+        self.held.values().map(|h| h.bytes.len() as u64).sum()
     }
 
     /// The extent a file occupies.
@@ -268,6 +374,20 @@ impl FileStore {
                 ext.len
             )));
         }
+        if let Some(held) = self.held.get(&id) {
+            let end = offset + len;
+            if offset >= held.offset && end <= held.end() {
+                let at = (offset - held.offset) as usize;
+                let bytes = held.bytes[at..at + len as usize].to_vec();
+                self.disk
+                    .obs_mut()
+                    .counter_add(ObsLayer::ValueLog, "held_read_hits", 1);
+                return Ok(bytes);
+            }
+            if offset < held.end() && end > held.offset {
+                self.drain(id)?;
+            }
+        }
         self.disk.set_trace_file(id);
         self.read_disk_retrying(Extent::new(ext.offset + offset, len), kind)
     }
@@ -275,6 +395,7 @@ impl FileStore {
     /// Reads a whole file in one sequential access.
     pub fn read_full(&mut self, id: FileId, kind: IoKind) -> Result<Vec<u8>> {
         let ext = self.file_extent(id)?;
+        self.drain(id)?;
         self.disk.set_trace_file(id);
         self.read_disk_retrying(ext, kind)
     }
@@ -286,6 +407,7 @@ impl FileStore {
             .files
             .remove(&id)
             .ok_or_else(|| Error::InvalidArgument(format!("unknown file {id}")))?;
+        self.held.remove(&id);
         self.disk.set_trace_file(id);
         self.disk.invalidate(ext);
         Ok(ext)
@@ -313,8 +435,10 @@ impl FileStore {
         self.logs.contains_key(&id)
     }
 
-    /// Appends bytes to a log file.
+    /// Appends bytes to a log file, after any held file bytes
+    /// ([`FileStore::write_file_range`]).
     pub fn log_append(&mut self, id: FileId, data: &[u8], kind: IoKind) -> Result<()> {
+        self.drain_held()?;
         // Gather the chunk-spanning pieces first so `self` isn't borrowed
         // across the disk writes.
         let (mut len, mut chunks_needed) = {
@@ -457,7 +581,7 @@ impl FileStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smr_sim::{Layout, TimeModel};
+    use smr_sim::{Layout, TimeModel, TraceDir};
 
     const MB: u64 = 1 << 20;
 
@@ -679,5 +803,195 @@ mod tests {
         s.create_log(1).unwrap();
         s.log_append(1, &[7u8; 4096], IoKind::Wal).unwrap();
         assert_eq!(s.disk().stats().kind(IoKind::Wal).logical_written, 4096);
+    }
+
+    /// A store holding value-log appends back, with file 9 registered
+    /// as a 64 KiB segment and tracing on.
+    fn holding(limit: usize) -> FileStore {
+        let mut s = fs();
+        s.set_hold_limit(limit);
+        s.register_file(9, Extent::new(0, 1 << 16));
+        s.disk_mut().trace_mut().set_enabled(true);
+        s
+    }
+
+    /// The traced device writes as `(file, kind, length)`.
+    fn writes(s: &FileStore) -> Vec<(u64, IoKind, u64)> {
+        s.disk()
+            .trace()
+            .events()
+            .iter()
+            .filter(|e| e.dir == smr_sim::TraceDir::Write)
+            .map(|e| (e.file, e.kind, e.ext.len))
+            .collect()
+    }
+
+    #[test]
+    fn held_appends_are_read_back_from_memory_at_no_device_cost() {
+        let mut s = holding(1024);
+        s.write_file_range(9, 0, &[1u8; 100], IoKind::VlogAppend)
+            .unwrap();
+        s.write_file_range(9, 100, &[2u8; 200], IoKind::VlogAppend)
+            .unwrap();
+        let t0 = s.disk().clock_ns();
+        assert_eq!(s.read_file(9, 100, 200, IoKind::Get).unwrap(), [2u8; 200]);
+        assert_eq!(
+            s.read_file(9, 50, 100, IoKind::Get).unwrap()[49..51],
+            [1, 2]
+        );
+        assert_eq!(s.disk().clock_ns(), t0, "no device time");
+        assert!(s.disk().trace().events().is_empty(), "no device op");
+        assert_eq!(s.held_bytes(), 300);
+        let obs = s
+            .disk()
+            .obs()
+            .registry
+            .counter(ObsLayer::ValueLog, "held_read_hits");
+        assert_eq!(obs, 2);
+        // Reaching the limit drains everything held as one write; a
+        // non-contiguous append drains first, then holds.
+        s.write_file_range(9, 300, &[3u8; 800], IoKind::VlogAppend)
+            .unwrap();
+        s.write_file_range(9, 1200, &[4u8; 10], IoKind::VlogAppend)
+            .unwrap();
+        s.write_file_range(9, 2000, &[5u8; 10], IoKind::VlogAppend)
+            .unwrap();
+        assert_eq!(
+            writes(&s),
+            [(9, IoKind::VlogAppend, 1100), (9, IoKind::VlogAppend, 10)]
+        );
+        assert_eq!(s.held_bytes(), 10);
+        assert_eq!(
+            s.disk()
+                .obs()
+                .registry
+                .counter(ObsLayer::ValueLog, "held_drains"),
+            2
+        );
+    }
+
+    #[test]
+    fn any_other_device_write_drains_held_bytes_first() {
+        let mut s = holding(1 << 16);
+        s.create_log(100).unwrap();
+        s.write_file_range(9, 0, &[1u8; 64], IoKind::VlogAppend)
+            .unwrap();
+        s.log_append(100, &[2u8; 32], IoKind::Wal).unwrap();
+        s.write_file_range(9, 64, &[3u8; 64], IoKind::VlogAppend)
+            .unwrap();
+        s.write_file_at(7, Extent::new(64 << 20, 16), &[4u8; 16], IoKind::Flush)
+            .unwrap();
+        s.write_file_range(9, 128, &[5u8; 64], IoKind::VlogAppend)
+            .unwrap();
+        s.drain_held().unwrap();
+        assert_eq!(
+            writes(&s),
+            [
+                (9, IoKind::VlogAppend, 64),
+                (100, IoKind::Wal, 32),
+                (9, IoKind::VlogAppend, 64),
+                (7, IoKind::Flush, 16),
+                (9, IoKind::VlogAppend, 64),
+            ]
+        );
+        assert_eq!(s.held_bytes(), 0);
+        assert_eq!(
+            s.read_file(9, 64, 128, IoKind::Get).unwrap()[63..65],
+            [3, 5]
+        );
+    }
+
+    #[test]
+    fn a_crash_loses_held_bytes_and_so_does_a_dropped_file() {
+        let mut s = holding(1 << 16);
+        s.write_file_range(9, 0, &[1u8; 64], IoKind::VlogAppend)
+            .unwrap();
+        let img = s.crash_image();
+        s.write_file_range(9, 64, &[2u8; 64], IoKind::VlogAppend)
+            .unwrap();
+        s.restore_crash_image(&img);
+        assert_eq!(s.held_bytes(), 0);
+        assert!(s.read_file(9, 0, 64, IoKind::Get).is_err(), "never written");
+        // The image itself never saw the held bytes either.
+        s.write_file_range(9, 0, &[3u8; 64], IoKind::VlogAppend)
+            .unwrap();
+        s.discard_held();
+        assert!(s.read_file(9, 0, 64, IoKind::Get).is_err());
+        s.write_file_range(9, 0, &[4u8; 64], IoKind::VlogAppend)
+            .unwrap();
+        s.drop_file(9).unwrap();
+        assert_eq!(s.held_bytes(), 0);
+        s.drain_held().unwrap();
+        assert!(
+            writes(&s).is_empty(),
+            "nothing held ever reached the device"
+        );
+    }
+
+    #[test]
+    fn a_read_partly_over_held_bytes_drains_them_first() {
+        let mut s = holding(1 << 16);
+        s.write_file_range(9, 0, &[1u8; 100], IoKind::VlogAppend)
+            .unwrap();
+        s.drain_held().unwrap();
+        s.write_file_range(9, 100, &[2u8; 100], IoKind::VlogAppend)
+            .unwrap();
+        // Wholly on the device: read as ever, the held bytes stay.
+        assert_eq!(s.read_file(9, 0, 100, IoKind::Get).unwrap(), [1u8; 100]);
+        assert_eq!(s.held_bytes(), 100);
+        let got = s.read_file(9, 50, 100, IoKind::Get).unwrap();
+        assert_eq!((got[0], got[49], got[50], got[99]), (1, 1, 2, 2));
+        assert_eq!(s.held_bytes(), 0);
+        let trace: Vec<(TraceDir, u64, u64)> = s
+            .disk()
+            .trace()
+            .events()
+            .iter()
+            .map(|e| (e.dir, e.ext.offset, e.ext.len))
+            .collect();
+        assert_eq!(
+            trace,
+            [
+                (TraceDir::Write, 0, 100),
+                (TraceDir::Read, 0, 100),
+                (TraceDir::Write, 100, 100),
+                (TraceDir::Read, 50, 100),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_failed_drain_keeps_its_bytes_readable_and_blocks_later_writes() {
+        let mut s = holding(1 << 16);
+        s.create_log(100).unwrap();
+        s.write_file_range(9, 0, &[1u8; 64], IoKind::VlogAppend)
+            .unwrap();
+        s.disk_mut().faults_mut().tear_write_after(0);
+        assert!(s.log_append(100, &[2u8; 32], IoKind::Wal).is_err());
+        s.disk_mut().faults_mut().disarm_torn_writes();
+        assert_eq!(s.log_len(100).unwrap(), 0, "the log write never ran");
+        assert_eq!(s.read_file(9, 0, 64, IoKind::Get).unwrap(), [1u8; 64]);
+        // Nothing that could make a pointer to these bytes durable
+        // reaches the device, and the file takes no further appends.
+        assert!(s.log_append(100, &[2u8; 32], IoKind::Wal).is_err());
+        assert!(s
+            .write_file_at(7, Extent::new(64 << 20, 16), &[4u8; 16], IoKind::Flush)
+            .is_err());
+        assert!(s
+            .write_file_range(9, 64, &[3u8; 8], IoKind::VlogAppend)
+            .is_err());
+        assert_eq!(s.disk().stats().faults.torn_writes, 1);
+        // A restart forgets them, and writes flow again.
+        s.discard_held();
+        s.log_append(100, &[2u8; 32], IoKind::Wal).unwrap();
+    }
+
+    #[test]
+    fn without_a_hold_limit_appends_write_through() {
+        let mut s = holding(0);
+        s.write_file_range(9, 0, &[1u8; 64], IoKind::VlogAppend)
+            .unwrap();
+        assert_eq!(s.held_bytes(), 0);
+        assert_eq!(writes(&s), [(9, IoKind::VlogAppend, 64)]);
     }
 }

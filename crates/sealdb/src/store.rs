@@ -175,8 +175,8 @@ impl Store {
     /// (group commit merges concurrent writers into one such batch).
     ///
     /// With key-value separation on, values over the threshold are
-    /// appended to the value log *first* (a pointer must never enter
-    /// the WAL before its record is on disk) and the batch is rewritten
+    /// appended to the value log *first* (a pointer must never reach
+    /// the device before its record does) and the batch is rewritten
     /// to carry tagged inline values or pointers. A segment-directory
     /// change (a new band opened) commits a manifest checkpoint before
     /// the pointers are written, so recovery can never drop a band an
@@ -723,12 +723,13 @@ impl Store {
     }
 
     /// Debug-build ack hook: asserts that every byte the caller is about
-    /// to acknowledge is durable (no unsynced WAL tail). Serving layers
-    /// call this at the point they report success to a client; in
-    /// release builds it is a no-op.
+    /// to acknowledge is durable (no unsynced WAL tail, no held
+    /// value-log append). Serving layers call this at the point they
+    /// report success to a client; in release builds it is a no-op.
     pub fn ordering_ack(&mut self) {
         if let Some(a) = self.ord_audit.as_mut() {
-            a.record_ack(self.db.clock_ns(), self.db.wal_pending_bytes());
+            let held = self.db.ctx().lock().fs.held_bytes();
+            a.record_ack(self.db.clock_ns(), self.db.wal_pending_bytes() + held);
         }
     }
 
@@ -1396,6 +1397,55 @@ mod tests {
             assert_eq!(s.get(key.as_bytes()).unwrap(), Some(vec![i as u8; 1024]));
         }
         assert!(s.get(b"k005").is_err(), "lost records fail closed");
+    }
+
+    /// Scrub condemns a GC victim whose drain is half done. The GC
+    /// cursor goes with the quarantined band: the next step picks a new
+    /// victim, or none, instead of resuming inside the fenced one.
+    #[test]
+    fn a_victim_quarantined_mid_drain_takes_its_gc_cursor_with_it() {
+        let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_vlog(
+            seal_vlog::VlogParams {
+                segment_bytes: 32 << 10,
+                value_threshold: 64,
+            },
+        );
+        let mut s = cfg.build().unwrap();
+        for round in 0..3u64 {
+            let from = if round == 0 { 0 } else { 10 };
+            for i in from..60u64 {
+                let key = format!("c{i:03}");
+                s.put(key.as_bytes(), &vec![(round * 60 + i) as u8; 1024])
+                    .unwrap();
+            }
+        }
+        s.flush().unwrap();
+        let victim = s.vlog.as_ref().unwrap().gc_candidate().expect("a victim");
+        assert!(s.vlog_gc_step(4 << 10).unwrap());
+        assert!(
+            s.vlog.as_ref().unwrap().segment_ids().contains(&victim),
+            "one 4 KiB step leaves the victim half drained"
+        );
+        // Flipped bits past the cursor condemn the victim.
+        let ext = s.db.ctx().lock().fs.file_extent(victim).unwrap();
+        s.db.ctx()
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .corrupt_extent(smr_sim::Extent::new(ext.offset + (24 << 10), 4));
+        let scrub = lsm_core::ScrubConfig {
+            bytes_per_step: 1 << 20,
+            repair: true,
+        };
+        while s.vlog.as_ref().unwrap().segment_ids().contains(&victim) {
+            s.scrub_step(&scrub).unwrap();
+        }
+        s.vlog_gc_step(4 << 10).unwrap();
+        for i in 0..10u64 {
+            let key = format!("c{i:03}");
+            assert_eq!(s.get(key.as_bytes()).unwrap(), Some(vec![i as u8; 1024]));
+        }
     }
 
     #[test]

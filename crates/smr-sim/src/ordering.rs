@@ -13,7 +13,8 @@
 //!   been covered by a durable barrier;
 //! - a salvage/rebuild repair touches only fenced (sealed or
 //!   quarantined) segments;
-//! - a client ack is issued only with zero unsynced WAL bytes.
+//! - a client ack is issued only with zero unsynced WAL bytes and no held
+//!   value-log appends.
 //!
 //! Like [`crate::audit::ShingleAuditor`], it is an independent shadow
 //! model: it keeps its own sets rather than peeking at the store's
@@ -111,13 +112,14 @@ impl OrderingAuditor {
         );
     }
 
-    /// Records a client ack, asserting the WAL had no unsynced bytes
-    /// (`pending_bytes` is the store's count at ack time).
+    /// Records a client ack, asserting the store had no bytes short of
+    /// the device (`pending_bytes` is its unsynced WAL tail plus its
+    /// held value-log appends at ack time).
     pub fn record_ack(&mut self, now_ns: u64, pending_bytes: u64) {
         debug_assert!(
             pending_bytes == 0,
             "ordering audit: ack at {now_ns}ns with {pending_bytes} unsynced \
-             WAL bytes (last durable barrier {}ns)",
+             WAL or held value-log bytes (last durable barrier {}ns)",
             self.last_durable_ns
         );
     }

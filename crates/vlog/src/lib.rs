@@ -15,8 +15,9 @@
 //! dependency on the database core's internals.
 //!
 //! Crash-safety contract:
-//! - a value record is on disk **before** its pointer enters the WAL, so
-//!   an acked pointer always resolves;
+//! - a durable pointer has durable record bytes: the file store may hold
+//!   appends back in memory, but drains them before any write that could
+//!   make a pointer durable, so a pointer that survives a crash resolves;
 //! - the segment directory is checkpointed through the manifest's
 //!   auxiliary blob ([`ValueLog::checkpoint`]); both open heads — the
 //!   user head and the GC survivor head — are re-scanned on recovery
@@ -331,6 +332,22 @@ fn walk_records<B: AsRef<[u8]>>(
     (offset, offset < end)
 }
 
+/// Where a GC victim's scan stands: the next record starts at `offset`,
+/// and `carry` holds its first bytes, the ones the last step's read
+/// already brought in. The next step's read starts right after them, so
+/// it continues the drive's stream instead of seeking back.
+#[derive(Debug)]
+struct GcCursor {
+    victim: u64,
+    offset: u64,
+    carry: Vec<u8>,
+}
+
+/// `len` bytes at `at` within `chunk`, or `None` past its end.
+fn chunk_slice(chunk: &[u8], at: u64, len: u64) -> Option<&[u8]> {
+    chunk.get(at as usize..)?.get(..len as usize)
+}
+
 /// The value log: a directory of band-sized segments, two open append
 /// heads, and cursors for the cooperative GC and scrub walks.
 ///
@@ -347,7 +364,7 @@ pub struct ValueLog {
     active: Option<u64>,
     survivor: Option<u64>,
     next_seg: u64,
-    gc_cursor: Option<(u64, u64)>,
+    gc_cursor: Option<GcCursor>,
     /// The victim whose scan has started and which is not yet retired
     /// or quarantined; it keeps [`ValueLog::gc_due`] true.
     gc_victim: Option<u64>,
@@ -535,7 +552,13 @@ impl ValueLog {
             None => self.open_segment(fs, policy, kind)?,
         };
         let offset = self.segments[&id].used;
-        fs.write_file_range(id, offset, &rec, kind)?;
+        if let Err(e) = fs.write_file_range(id, offset, &rec, kind) {
+            // The band's device tail is unknown now (a torn write, or
+            // held appends that could not drain): later records go to a
+            // fresh band.
+            self.seal(fs, id);
+            return Err(e);
+        }
         if let Some(seg) = self.segments.get_mut(&id) {
             seg.used += rec_len;
         }
@@ -569,9 +592,10 @@ impl ValueLog {
         Ok(ptr)
     }
 
-    /// Appends a user value at the log's user head. The record is on disk
-    /// when this returns — the caller may then safely commit the
-    /// pointer through the WAL.
+    /// Appends a user value at the log's user head. The record reaches
+    /// the device no later than any write that could make its pointer
+    /// durable (the file store holds appends back only until then), so
+    /// the caller may commit the pointer through the WAL.
     pub fn append(
         &mut self,
         fs: &mut FileStore,
@@ -910,21 +934,29 @@ impl ValueLog {
     /// Records already marked dead via [`ValueLog::note_dead`] are
     /// skipped outright — their bytes count against the budget but no
     /// entry (and hence no LSM liveness query) is produced for them.
-    /// The caller checks each remaining entry's liveness against the
-    /// LSM, relocates live ones, and — once `finished` — makes the
-    /// pointer fixups durable before retiring the victim. A crash
-    /// mid-scan is safe: the cursor is not persisted, the rescan skips
-    /// already-relocated records because they are no longer live at
-    /// their old address.
+    /// The step's read continues where the last one ended: the cursor
+    /// carries the bytes of the record the last chunk cut, and they
+    /// count against the budget. The caller checks each remaining
+    /// entry's liveness against the LSM, relocates live ones, and — once
+    /// `finished` — makes the pointer fixups durable before retiring
+    /// the victim. A crash mid-scan is safe: the cursor is not
+    /// persisted, the rescan skips already-relocated records because
+    /// they are no longer live at their old address.
     pub fn gc_scan(&mut self, fs: &mut FileStore, budget_bytes: u64) -> Result<Option<GcScan>> {
-        let (victim, from) = match self.gc_cursor {
-            Some(cur) => cur,
+        // A failed read leaves the cursor in place, its carry spent: the
+        // next step reads those bytes again.
+        let (victim, from, carry) = match self.gc_cursor.as_mut() {
+            Some(cursor) => (
+                cursor.victim,
+                cursor.offset,
+                std::mem::take(&mut cursor.carry),
+            ),
             None => {
                 let Some(victim) = self.gc_candidate() else {
                     return Ok(None);
                 };
                 self.gc_relocated_from_victim = 0;
-                (victim, 0)
+                (victim, 0, Vec::new())
             }
         };
         let used = self.segments[&victim].used;
@@ -932,32 +964,46 @@ impl ValueLog {
         let mut entries = Vec::new();
         // One sequential read covers the whole step: GC is a streaming
         // scan, and per-record reads would pay a head seek each on the
-        // simulated disk.
-        let chunk_end = used.min(from + budget_bytes);
-        let chunk = if chunk_end > from {
-            fs.read_file(victim, from, chunk_end - from, IoKind::VlogGc)?
-        } else {
-            Vec::new()
+        // simulated disk. The chunk is the carry plus the bytes after
+        // it, `budget_bytes` in all.
+        let mut chunk = carry;
+        let mut extend = |chunk: &mut Vec<u8>, to: u64| -> Result<()> {
+            let at = from + chunk.len() as u64;
+            if to > at {
+                chunk.extend(fs.read_file(victim, at, to - at, IoKind::VlogGc)?);
+            }
+            Ok(())
         };
-        let span = (from, chunk_end, used);
-        let from_chunk =
-            |off: u64, len: u64| chunk.get((off - from) as usize..)?.get(..len as usize);
-        let (mut off, mut damaged) = walk_records(victim, span, dead, from_chunk, |_, entry| {
-            entries.extend(entry);
-            true
-        });
-        if off == from && !damaged && off < used {
-            // The budget is smaller than the next record: read it
-            // whole anyway so the scan always advances.
-            let read = |off, len| fs.read_file(victim, off, len, IoKind::VlogGc).ok();
-            (off, damaged) = walk_records(victim, (from, used, used), dead, read, |_, entry| {
+        extend(&mut chunk, used.min(from + budget_bytes))?;
+        let mut walk = |chunk: &[u8]| {
+            let span = (from, from + chunk.len() as u64, used);
+            let fetch = |o: u64, l| chunk_slice(chunk, o - from, l);
+            walk_records(victim, span, dead, fetch, |_, entry| {
                 entries.extend(entry);
-                false
-            });
+                true
+            })
+        };
+        let (mut off, mut damaged) = walk(&chunk);
+        if off == from && !damaged && off < used {
+            // The budget is smaller than the next record: stretch the
+            // chunk over it whole anyway so the scan always advances.
+            extend(&mut chunk, used.min(from + RECORD_HEADER))?;
+            if let Some(header) = chunk.get(..RECORD_HEADER as usize) {
+                // A length past `used` is damage the walk reports.
+                let end = from.saturating_add(parse_header(header).1);
+                if end <= used {
+                    extend(&mut chunk, end)?;
+                }
+            }
+            (off, damaged) = walk(&chunk);
         }
         // A walk stops on damage before it reaches `used`.
         let finished = off >= used;
-        self.gc_cursor = (!finished && !damaged).then_some((victim, off));
+        self.gc_cursor = (!finished && !damaged).then(|| GcCursor {
+            victim,
+            offset: off,
+            carry: chunk[(off - from) as usize..].to_vec(),
+        });
         self.gc_victim = Some(victim);
         let damaged = damaged.then_some(off);
         Ok(Some(GcScan {
@@ -1022,6 +1068,9 @@ impl ValueLog {
         self.clear_head(id);
         if self.gc_victim == Some(id) {
             self.gc_victim = None;
+        }
+        if self.gc_cursor.as_ref().is_some_and(|c| c.victim == id) {
+            self.gc_cursor = None;
         }
         Some(seg)
     }
@@ -1430,19 +1479,11 @@ mod tests {
         let reads: Vec<Extent> = fs.disk().trace().events().iter().map(|e| e.ext).collect();
         // The victim holds four 918-byte records, the second one dead.
         // A chunk stops at the first record it does not hold whole, dead
-        // or not; the fallback frames a dead record from its header
-        // alone and reads a live one whole.
+        // or not, and carries its bytes; the fallback reads the rest of
+        // that record, so every read starts where the last one ended.
         let base = reads[0].offset;
         let relative: Vec<(u64, u64)> = reads.iter().map(|e| (e.offset - base, e.len)).collect();
-        let expected = [
-            (0, 1024),
-            (918, 16),
-            (918, 12),
-            (1836, 1024),
-            (2754, 16),
-            (2754, 12),
-            (2754, 918),
-        ];
+        let expected = [(0, 1024), (1024, 812), (1836, 1024), (2860, 812)];
         assert_eq!(relative, expected, "both scan paths read");
         let elapsed = fs.disk().clock_ns() - t0;
         let after = fs.disk().stats().clone();
@@ -1460,6 +1501,73 @@ mod tests {
             twin.disk().stats().kind(IoKind::Meta).time_ns - before.kind(IoKind::Meta).time_ns,
             elapsed
         );
+    }
+
+    #[test]
+    fn consecutive_gc_steps_read_one_contiguous_stream() {
+        for budget in [700, 1000, 1500, 4096] {
+            let (mut fs, mut policy) = fixture();
+            let mut vl = ValueLog::new(small_params());
+            let mut ptrs = Vec::new();
+            for i in 0..10u8 {
+                let key = format!("st-{i:03}");
+                ptrs.push(
+                    vl.append(&mut fs, &mut policy, key.as_bytes(), &[i; 900])
+                        .unwrap(),
+                );
+            }
+            vl.note_dead(ptrs[2]);
+            let victim = ptrs[0].segment;
+            let used = vl.segments[&victim].used;
+            let base = fs.file_extent(victim).unwrap().offset;
+            fs.disk_mut().trace_mut().set_enabled(true);
+            let mut live = 0;
+            loop {
+                let scan = vl.gc_scan(&mut fs, budget).unwrap().expect("victim");
+                assert_eq!(scan.segment, victim);
+                live += scan.entries.len();
+                if scan.finished {
+                    break;
+                }
+            }
+            assert_eq!(live, 3, "budget {budget}: every live record, once");
+            let reads: Vec<(u64, u64)> = fs
+                .disk()
+                .trace()
+                .events()
+                .iter()
+                .map(|e| (e.ext.offset - base, e.ext.len))
+                .collect();
+            let mut at = 0;
+            for &(offset, len) in &reads {
+                assert_eq!(offset, at, "budget {budget}: reads {reads:?}");
+                at += len;
+            }
+            assert_eq!(at, used, "budget {budget}: the victim is read once");
+        }
+    }
+
+    #[test]
+    fn quarantining_a_half_drained_victim_drops_its_cursor() {
+        let (mut fs, mut policy) = fixture();
+        let mut vl = ValueLog::new(small_params());
+        let mut ptrs = Vec::new();
+        for i in 0..10u8 {
+            let key = format!("q-{i:03}");
+            ptrs.push(
+                vl.append(&mut fs, &mut policy, key.as_bytes(), &[i; 900])
+                    .unwrap(),
+            );
+        }
+        vl.note_dead(ptrs[1]);
+        let scan = vl.gc_scan(&mut fs, 1024).unwrap().expect("victim");
+        assert!(!scan.finished, "the scan stops mid-victim");
+        vl.quarantine_segment(&mut fs, &mut policy, scan.segment)
+            .unwrap();
+        // No other sealed band holds garbage: the next step finds no
+        // victim rather than resuming inside the fenced one.
+        assert!(vl.gc_scan(&mut fs, 1024).unwrap().is_none());
+        assert!(!vl.gc_due(10));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! resurrect overwritten values.
 
 use sealdb::{Store, StoreConfig, StoreKind, VlogParams};
+use smr_sim::{IoKind, TraceDir};
 use workloads::RecordGenerator;
 
 const KEYS: u64 = 600;
@@ -76,44 +77,127 @@ fn drain_gc(store: &mut Store) {
     }
 }
 
-/// Torn-write sweep through the append path: the tear lands on vlog
-/// record writes, WAL pointer commits, or the segment allocations in
-/// between, depending on the arming point. The durable prefix must
-/// survive byte-exact and every surviving churn key must read one of
-/// its two exact values — a pointer into a torn record must never
+fn faults(store: &Store) -> smr_sim::FaultStats {
+    store.db.ctx().lock().fs.disk().stats().faults
+}
+
+fn set_tear(store: &mut Store, tear_after: Option<u64>) {
+    let mut guard = store.db.ctx().lock();
+    let plan = guard.fs.disk_mut().faults_mut();
+    match tear_after {
+        Some(n) => plan.tear_write_after(n),
+        None => plan.disarm_torn_writes(),
+    }
+}
+
+/// The sweep's store, preloaded at the old values and flushed: what
+/// every torn-append point starts from.
+fn preloaded(seed: u64, old: &RecordGenerator) -> Store {
+    let mut store = vlog_store(seed);
+    for i in 0..KEYS {
+        store.put(&old.key(i), &old.value(i)).unwrap();
+    }
+    store.flush().unwrap();
+    store
+}
+
+/// The kinds of the device writes the update window makes, in order:
+/// a fault-free dry run of the window with tracing on. The `n`th entry
+/// is the write `tear_write_after(n)` tears.
+fn window_writes(seed: u64) -> Vec<IoKind> {
+    let (old, new) = gens();
+    let mut store = preloaded(seed, &old);
+    store.set_tracing(true);
+    for i in 0..KEYS {
+        store.put(&new.key(i), &new.value(i)).unwrap();
+    }
+    store
+        .take_trace()
+        .iter()
+        .filter(|e| e.dir == TraceDir::Write)
+        .map(|e| e.kind)
+        .collect()
+}
+
+/// Which write of the update window a sweep point tears.
+#[derive(Clone, Copy, Debug)]
+enum Tear {
+    /// The `n`th write since arming.
+    At(u64),
+    /// The first, a middle and the last write that drains held
+    /// value-log appends.
+    FirstDrain,
+    MiddleDrain,
+    LastDrain,
+    /// The first log write (the manifest's: the window's WAL tail
+    /// never fills its buffer before a flush retires it) and the first
+    /// table write.
+    Log,
+    Table,
+}
+
+impl Tear {
+    fn index(self, writes: &[IoKind]) -> u64 {
+        let of = |kind: IoKind| {
+            writes
+                .iter()
+                .enumerate()
+                .filter(move |(_, k)| **k == kind)
+                .map(|(i, _)| i as u64)
+        };
+        let drains: Vec<u64> = of(IoKind::VlogAppend).collect();
+        let found = match self {
+            Tear::At(n) => Some(n),
+            Tear::FirstDrain => drains.first().copied(),
+            Tear::MiddleDrain => drains.get(drains.len() / 2).copied(),
+            Tear::LastDrain => drains.last().copied(),
+            Tear::Log => of(IoKind::Meta).next(),
+            Tear::Table => of(IoKind::Flush).next(),
+        };
+        found.unwrap_or_else(|| panic!("{self:?}: no such write in the window {writes:?}"))
+    }
+}
+
+/// Torn-write sweep through the append path: the tear lands on a drain
+/// of held vlog records, a manifest commit, a table flush, or the
+/// segment allocations in between, each point chosen from the window's
+/// measured write sequence so that every one fires. The durable prefix
+/// must survive byte-exact and every surviving churn key must read one
+/// of its two exact values — a pointer into a torn record must never
 /// surface garbage.
 #[test]
 fn torn_vlog_append_sweep_recovers_exact_values() {
-    const POINTS: [u64; 8] = [0, 1, 3, 7, 19, 47, 113, 251];
-    for (pt, &tear_after) in POINTS.iter().enumerate() {
-        let mut store = vlog_store(0xB10C + pt as u64);
+    const POINTS: [Tear; 10] = [
+        Tear::At(0),
+        Tear::At(1),
+        Tear::At(3),
+        Tear::At(7),
+        Tear::At(19),
+        Tear::FirstDrain,
+        Tear::MiddleDrain,
+        Tear::LastDrain,
+        Tear::Log,
+        Tear::Table,
+    ];
+    for (pt, &point) in POINTS.iter().enumerate() {
+        let seed = 0xB10C + pt as u64;
+        let writes = window_writes(seed);
+        let tear_after = point.index(&writes);
         let (old, new) = gens();
-        for i in 0..KEYS {
-            store.put(&old.key(i), &old.value(i)).unwrap();
-        }
-        store.flush().unwrap();
-
-        store
-            .db
-            .ctx()
-            .lock()
-            .fs
-            .disk_mut()
-            .faults_mut()
-            .tear_write_after(tear_after);
+        let mut store = preloaded(seed, &old);
+        set_tear(&mut store, Some(tear_after));
         for i in 0..KEYS {
             if store.put(&new.key(i), &new.value(i)).is_err() {
                 break;
             }
         }
-        store
-            .db
-            .ctx()
-            .lock()
-            .fs
-            .disk_mut()
-            .faults_mut()
-            .disarm_torn_writes();
+        assert_eq!(
+            faults(&store).torn_writes,
+            1,
+            "point {pt} ({point:?}, write {tear_after} of {}) never fired",
+            writes.len()
+        );
+        set_tear(&mut store, None);
         let mut store = store.reopen().unwrap();
 
         for i in 0..KEYS {
@@ -121,8 +205,8 @@ fn torn_vlog_append_sweep_recovers_exact_values() {
             let ok = got == Some(old.value(i)) || got == Some(new.value(i));
             assert!(
                 ok,
-                "point {pt} (tear after {tear_after}): key {i} reads neither its \
-                 durable nor its updated value"
+                "point {pt} ({point:?}, tear after {tear_after}): key {i} reads neither \
+                 its durable nor its updated value"
             );
         }
 
@@ -141,6 +225,60 @@ fn torn_vlog_append_sweep_recovers_exact_values() {
             );
         }
     }
+}
+
+/// A drain torn by the hold limit inside a put's own append, on bands
+/// larger than the limit. The put fails; every update acked before it
+/// still reads back while the process lives, from the held bytes the
+/// drain could not write; nothing else reaches the device; and a
+/// restart recovers each key at one of its two exact values.
+#[test]
+fn a_torn_drain_keeps_acked_updates_readable_until_restart() {
+    let mut cfg = StoreConfig::new(StoreKind::SealDb, 16 << 10, 512 << 20).with_vlog(VlogParams {
+        segment_bytes: 256 << 10,
+        value_threshold: 64,
+    });
+    cfg.seed = 0xD4A1;
+    let (old, new) = gens();
+    let mut store = cfg.build().unwrap();
+    for i in 0..KEYS {
+        store.put(&old.key(i), &old.value(i)).unwrap();
+    }
+    store.flush().unwrap();
+    set_tear(&mut store, Some(0));
+    let mut acked = 0;
+    while acked < KEYS && store.put(&new.key(acked), &new.value(acked)).is_ok() {
+        acked += 1;
+    }
+    assert_eq!(faults(&store).torn_writes, 1, "a drain must have torn");
+    // Records are 540 bytes: 121 stay under the 64 KiB hold limit, and
+    // the 122nd append drains them, the window's first device write.
+    assert_eq!(acked, (64 << 10) / 540, "the limit drain tore");
+    set_tear(&mut store, None);
+    for i in 0..acked {
+        assert_eq!(
+            store.get(&new.key(i)).unwrap(),
+            Some(new.value(i)),
+            "acked update {i} unreadable after the failed drain"
+        );
+    }
+    // The held bytes block every write that could make a pointer to
+    // them durable: the flush fails before the device sees a write.
+    let issued = |s: &Store| s.db.ctx().lock().fs.disk().writes_issued();
+    let before = issued(&store);
+    assert!(store.flush().is_err(), "a flush past stranded bytes");
+    assert_eq!(issued(&store), before);
+
+    let mut store = store.reopen().unwrap();
+    for i in 0..KEYS {
+        let got = store.get(&old.key(i)).unwrap();
+        assert!(
+            got == Some(old.value(i)) || got == Some(new.value(i)),
+            "key {i} reads neither its durable nor its updated value"
+        );
+    }
+    store.put(&new.key(0), &new.value(0)).unwrap();
+    store.flush().unwrap();
 }
 
 /// Power-cut sweep across a full GC drain over half-dead segments: the

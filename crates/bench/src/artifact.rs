@@ -7,7 +7,7 @@
 //! it accepts exactly the writer's language: no whitespace but the final
 //! newline, no escapes, no exponents, no duplicate keys. Any byte state
 //! of an artifact is therefore either read as the rows that wrote it or
-//! reported with its offset, and the checkers ([`check`]) gate on typed
+//! reported with its offset, and the checkers (`check`) gate on typed
 //! values of named keys, never on where a substring happens to sit.
 
 use std::fmt::Write as _;
@@ -19,7 +19,7 @@ const MAX_DEPTH: usize = 16;
 
 /// One JSON value of an artifact.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Val {
+pub(crate) enum Val {
     /// Integers stay `u64`: state hashes and chaos seeds exceed 2^53.
     U(u64),
     /// A float and the decimals it prints with — carried so that
@@ -184,7 +184,7 @@ impl Row {
     }
 
     /// The boolean at `key`.
-    pub fn b(&self, key: &str) -> Result<bool, String> {
+    pub(crate) fn b(&self, key: &str) -> Result<bool, String> {
         match self.get(key)? {
             Val::B(b) => Ok(*b),
             other => Err(mistyped(key, "a boolean", other)),
@@ -192,7 +192,7 @@ impl Row {
     }
 
     /// The object at `key`.
-    pub fn obj(&self, key: &str) -> Result<&Row, String> {
+    pub(crate) fn obj(&self, key: &str) -> Result<&Row, String> {
         match self.get(key)? {
             Val::Obj(row) => Ok(row),
             other => Err(mistyped(key, "an object", other)),
@@ -436,7 +436,7 @@ fn diff_vals(path: &str, old: Option<&Val>, new: Option<&Val>, lines: &mut Vec<S
 /// `gates`, which push what they find wrong onto the problem list and may
 /// stop early with `?` on a key that is missing or mistyped. Empty means
 /// valid.
-pub fn check(
+pub(crate) fn check(
     text: &str,
     schema: &str,
     gates: impl FnOnce(&Row, &mut Vec<String>) -> Result<(), String>,

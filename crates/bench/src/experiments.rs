@@ -294,7 +294,7 @@ pub fn table2(scale: &BenchScale) -> Result<Report> {
 #[derive(Debug)]
 struct MicroSuite {
     /// Store kind.
-    pub kind: StoreKind,
+    pub(crate) kind: StoreKind,
     /// Sequential load.
     fillseq: MicroResult,
     /// Random load.

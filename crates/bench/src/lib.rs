@@ -25,10 +25,10 @@ pub use scale::BenchScale;
 
 use lsm_core::Result;
 use sealdb::{Store, StoreConfig, StoreKind};
-use workloads::{MicroResult, RecordGenerator};
+use workloads::MicroResult;
 
 /// Builds a store of `kind` at the given scale.
-pub fn build_store(kind: StoreKind, scale: &BenchScale) -> Result<Store> {
+pub(crate) fn build_store(kind: StoreKind, scale: &BenchScale) -> Result<Store> {
     let mut cfg = StoreConfig::new(kind, scale.sstable, scale.disk_capacity());
     cfg.seed = scale.seed;
     cfg.build()
@@ -66,16 +66,6 @@ where
     artifact::run_cells(kinds.len(), |i| f(kinds[i]))
 }
 
-/// A generator matching the scale's record shape.
-pub fn generator(scale: &BenchScale) -> RecordGenerator {
-    scale.generator()
-}
-
-/// Formats a byte count as mebibytes.
-pub fn mib(bytes: u64) -> String {
-    format!("{:.2}", bytes as f64 / (1u64 << 20) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,10 +85,5 @@ mod tests {
             store.put(b"k", b"v").unwrap();
             assert_eq!(store.get(b"k").unwrap(), Some(b"v".to_vec()));
         }
-    }
-
-    #[test]
-    fn formatting_helpers() {
-        assert_eq!(mib(3 << 20), "3.00");
     }
 }

@@ -14,7 +14,7 @@ pub struct BenchScale {
     /// SSTable size (paper: 4 MiB).
     pub sstable: u64,
     /// Key size in bytes (paper: 16).
-    pub key_size: usize,
+    pub(crate) key_size: usize,
     /// Value size in bytes (paper: 4096).
     pub value_size: usize,
     /// Total payload to load (paper: 100 GB).
@@ -76,21 +76,6 @@ impl BenchScale {
         }
     }
 
-    /// The paper's full-size parameters (hours of simulation; provided
-    /// for completeness).
-    pub fn paper() -> Self {
-        BenchScale {
-            sstable: 4 << 20,
-            key_size: 16,
-            value_size: 4096,
-            load_bytes: 100 << 30,
-            read_ops: 100_000,
-            ycsb_ops: 100_000,
-            capacity_ratio: 10,
-            seed: 0x5EA1DB,
-        }
-    }
-
     /// Record generator for this scale.
     pub fn generator(&self) -> RecordGenerator {
         RecordGenerator::new(self.key_size, self.value_size, self.seed ^ 0x5EED)
@@ -131,7 +116,12 @@ mod tests {
 
     #[test]
     fn paper_scale_is_full_size() {
-        let p = BenchScale::paper();
+        // The paper's full-size parameters: 4 MiB tables, 100 GB loaded.
+        let p = BenchScale {
+            sstable: 4 << 20,
+            load_bytes: 100 << 30,
+            ..Default::default()
+        };
         assert_eq!(p.linear_factor(), 1.0);
         assert_eq!(p.load_records(), (100u64 << 30) / 4112);
     }

@@ -22,7 +22,7 @@ use workloads::{ArrivalProcess, WorkloadSpec};
 const SERVE_SCHEMA: &str = "sealdb-serve-v1";
 
 /// Virtual clients per serving run.
-pub const CLIENTS: usize = 4;
+pub(crate) const CLIENTS: usize = 4;
 
 /// Offered load as a fraction of the measured saturation throughput.
 const LOAD_MULTIPLIERS: [f64; 4] = [0.5, 0.8, 1.0, 1.3];

@@ -23,7 +23,7 @@ use workloads::{ArrivalProcess, WorkloadSpec};
 const SHARD_SCHEMA: &str = "sealdb-shard-v1";
 
 /// Virtual clients per cluster run (cluster-wide, not per shard).
-pub const CLIENTS: usize = 16;
+pub(crate) const CLIENTS: usize = 16;
 
 /// Shard counts swept, ascending; saturation must rise strictly.
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];

@@ -26,10 +26,10 @@ use workloads::{ArrivalProcess, WorkloadSpec};
 const VLOG_SCHEMA: &str = "sealdb-vlog-v1";
 
 /// Virtual clients per serving run.
-pub const CLIENTS: usize = 4;
+pub(crate) const CLIENTS: usize = 4;
 
 /// The update-heavy workloads of the sweep, in artifact order.
-pub const WORKLOADS: [&str; 2] = ["A", "F"];
+pub(crate) const WORKLOADS: [&str; 2] = ["A", "F"];
 
 fn spec_for(workload: &str) -> WorkloadSpec {
     match workload {

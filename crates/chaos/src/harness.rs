@@ -127,7 +127,7 @@ impl Coverage {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct OracleReport {
     /// Replica groups in the run, extra migration slots included.
-    pub groups: usize,
+    pub(crate) groups: usize,
     /// Schedule events actually applied.
     pub events_applied: u64,
     /// Schedule events skipped as inapplicable (e.g. a kill with no
@@ -282,7 +282,7 @@ fn key_bytes(idx: u32) -> Vec<u8> {
 
 /// Deterministic value payload for key `idx` at operation `seq` —
 /// large enough to divert through the value log.
-pub fn value_bytes(idx: u32, seq: u64) -> Vec<u8> {
+pub(crate) fn value_bytes(idx: u32, seq: u64) -> Vec<u8> {
     let mut v = format!("value-{idx:05}-{seq:010}-").into_bytes();
     v.resize(400, b'x');
     v
@@ -314,7 +314,7 @@ impl ChaosHarness {
     }
 
     /// The group key index `idx` currently routes to.
-    pub fn route(&self, idx: u32) -> usize {
+    pub(crate) fn route(&self, idx: u32) -> usize {
         self.cluster.route(&key_bytes(idx))
     }
 
@@ -696,7 +696,7 @@ impl ChaosHarness {
     /// and the oracle. Consumes nothing: the harness can still be
     /// inspected afterwards, but `check` is meant to run once, after
     /// the full schedule.
-    pub fn check(&mut self) -> Result<OracleReport> {
+    pub(crate) fn check(&mut self) -> Result<OracleReport> {
         let mut report = OracleReport {
             groups: self.cluster.total_shards(),
             events_applied: self.applied,

@@ -46,7 +46,7 @@ impl SplitMix {
     }
 
     /// A draw uniform in `[0, n)`; `n` must be non-zero.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "below(0) is meaningless");
         self.next_u64() % n
     }
@@ -205,26 +205,6 @@ impl ChaosEvent {
             }
             ChaosEvent::Revive { .. } => &[ClusterFaultClass::Revive],
             _ => &[],
-        }
-    }
-
-    /// The replica group the event targets, if it targets one.
-    pub fn group(&self) -> Option<usize> {
-        match *self {
-            ChaosEvent::TornWrite { group }
-            | ChaosEvent::CorruptExtent { group }
-            | ChaosEvent::TransientReads { group, .. }
-            | ChaosEvent::UnrecoverableRead { group }
-            | ChaosEvent::BandFailure { group }
-            | ChaosEvent::FailSlow { group, .. }
-            | ChaosEvent::Partition { group, .. }
-            | ChaosEvent::KillReplica { group, .. }
-            | ChaosEvent::Revive { group }
-            | ChaosEvent::Failover { group }
-            | ChaosEvent::RestartPrimary { group }
-            | ChaosEvent::GcDrain { group }
-            | ChaosEvent::ScrubPass { group } => Some(group),
-            ChaosEvent::WriteBurst { .. } | ChaosEvent::Migrate { .. } => None,
         }
     }
 }

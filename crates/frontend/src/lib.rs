@@ -32,7 +32,7 @@
 
 use lsm_core::{Result, ScrubConfig, StallStats, WriteBatch};
 use sealdb::Store;
-use smr_sim::ObsLayer;
+use smr_sim::{bounded_backoff_ns, ObsLayer};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use workloads::{ArrivalProcess, InterArrival, OpStream, RecordGenerator, WorkloadSpec, YcsbOp};
@@ -41,17 +41,17 @@ use workloads::{ArrivalProcess, InterArrival, OpStream, RecordGenerator, Workloa
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Number of virtual clients.
-    pub clients: usize,
+    pub(crate) clients: usize,
     /// Total operations to serve across all clients.
-    pub total_ops: u64,
+    pub(crate) total_ops: u64,
     /// Records preloaded into the store (the YCSB keyspace).
-    pub record_count: u64,
+    pub(crate) record_count: u64,
     /// Operation mix and key distribution.
-    pub spec: WorkloadSpec,
+    pub(crate) spec: WorkloadSpec,
     /// Traffic shape (per client).
-    pub arrival: ArrivalProcess,
+    pub(crate) arrival: ArrivalProcess,
     /// Seed for every RNG stream the run owns.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Group-commit size cap in batch wire bytes (LevelDB: 1 MiB).
     pub max_group_bytes: usize,
     /// In-request retries for a read — point get or range scan — that
@@ -61,12 +61,12 @@ pub struct ServeConfig {
     pub read_retries: u32,
     /// Backoff before the first read retry, ns; doubles per retry up to
     /// [`ServeConfig::retry_backoff_max_ns`].
-    pub retry_backoff_ns: u64,
+    pub(crate) retry_backoff_ns: u64,
     /// Cap on the doubling retry backoff, ns: long fault bursts (or a
     /// replication failover holding reads off) must not balloon a
     /// single wait past the sweep horizon. Values below
     /// `retry_backoff_ns` clamp up to it.
-    pub retry_backoff_max_ns: u64,
+    pub(crate) retry_backoff_max_ns: u64,
     /// Failed operations a client tolerates before giving up and
     /// abandoning the rest of its operations (degraded-mode SLO: a
     /// client facing a broken shard walks away rather than hammering
@@ -165,7 +165,7 @@ impl LatencySummary {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServeResult {
     /// Display name of the store served.
-    pub store: &'static str,
+    pub(crate) store: &'static str,
     /// Operations completed.
     pub ops: u64,
     /// Simulated duration of the serving phase, ns.
@@ -302,16 +302,6 @@ fn group_fits(head: &WriteBatch, next: &WriteBatch, cap: usize) -> bool {
     head.byte_size() + next.body_bytes() <= cap
 }
 
-/// Capped exponential backoff: `base_ns * 2^attempt` (attempt 0 is the
-/// first wait), saturating, clamped to `max_ns` — with both knobs
-/// floored at 1 ns so a zero config cannot spin the retry loop without
-/// advancing the simulated clock. Shared by the degraded read path and
-/// by replication failover clients modelling redirect retries. The
-/// formula now lives in [`smr_sim::backoff`] (with an optional
-/// jittered [`smr_sim::Backoff`] policy); this re-export keeps the
-/// historical `seal_front::bounded_backoff_ns` path working.
-pub use smr_sim::backoff::bounded_backoff_ns;
-
 /// Per-client error-budget accounting with *at-most-once-per-op*
 /// failure counting.
 ///
@@ -323,7 +313,7 @@ pub use smr_sim::backoff::bounded_backoff_ns;
 /// pins the contract that one operation costs at most one unit of
 /// budget no matter how many ways it failed.
 #[derive(Clone, Debug)]
-pub struct ClientBudget {
+pub(crate) struct ClientBudget {
     /// Failure budget per client; a client at or past it gives up.
     budget: u64,
     /// Failed-op tally per client.
@@ -335,7 +325,7 @@ pub struct ClientBudget {
 impl ClientBudget {
     /// A fresh accountant for `clients` clients with the given budget
     /// (floored at 1, like the serve loop always did).
-    pub fn new(clients: usize, budget: u64) -> Self {
+    pub(crate) fn new(clients: usize, budget: u64) -> Self {
         ClientBudget {
             budget: budget.max(1),
             failures: vec![0; clients],
@@ -1152,21 +1142,6 @@ mod tests {
             .expect("preload left no tables")
             .clone();
         store.db.ctx().lock().fs.file_extent(f.id).unwrap()
-    }
-
-    #[test]
-    fn backoff_doubles_then_caps() {
-        // Doubles from the base, clamps at the cap, never overflows.
-        assert_eq!(bounded_backoff_ns(500_000, 2_000_000, 0), 500_000);
-        assert_eq!(bounded_backoff_ns(500_000, 2_000_000, 1), 1_000_000);
-        assert_eq!(bounded_backoff_ns(500_000, 2_000_000, 2), 2_000_000);
-        assert_eq!(bounded_backoff_ns(500_000, 2_000_000, 3), 2_000_000);
-        assert_eq!(bounded_backoff_ns(500_000, 2_000_000, 200), 2_000_000);
-        assert_eq!(bounded_backoff_ns(u64::MAX, u64::MAX, 63), u64::MAX);
-        // A cap below the base clamps up to the base; zeros floor at 1.
-        assert_eq!(bounded_backoff_ns(500_000, 1, 5), 500_000);
-        assert_eq!(bounded_backoff_ns(0, 0, 0), 1);
-        assert_eq!(bounded_backoff_ns(0, 0, 10), 1);
     }
 
     /// The boundary the redirect-plus-retry bug lived on: an op that

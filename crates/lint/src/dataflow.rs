@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 /// Per-function effect summary: what a call to it guarantees (`must`)
 /// and what it might do (`may`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FnSummary {
+pub(crate) struct FnSummary {
     /// Effects present on every path through the function.
     must: u8,
     /// Effects present on at least one path.
@@ -41,20 +41,20 @@ pub struct FnSummary {
 /// Call-graph summaries keyed by bare function name. Same-named
 /// functions merge conservatively: `must` intersects, `may` unions.
 #[derive(Clone, Debug, Default)]
-pub struct Summaries {
+pub(crate) struct Summaries {
     map: BTreeMap<String, FnSummary>,
 }
 
 impl Summaries {
     /// The summary for a bare callee name, if any function by that
     /// name was seen.
-    pub fn get(&self, name: &str) -> Option<FnSummary> {
+    pub(crate) fn get(&self, name: &str) -> Option<FnSummary> {
         self.map.get(name).copied()
     }
 }
 
 /// Computes fixed-point effect summaries for every parsed function.
-pub fn summarize(fns: &[FnDef]) -> Summaries {
+pub(crate) fn summarize(fns: &[FnDef]) -> Summaries {
     let mut sums = Summaries::default();
     // Monotone iteration from bottom (no effects); the effect lattice
     // is tiny so this converges in a handful of rounds.

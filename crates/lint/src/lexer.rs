@@ -13,7 +13,7 @@
 
 /// Kind of a lexed token.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword.
     Ident,
     /// String literal (`"..."`, `r"..."`, `r#"..."#`, byte strings).
@@ -35,14 +35,14 @@ pub enum TokenKind {
 
 /// One lexed token with its 1-based source line.
 #[derive(Clone, Debug)]
-pub struct Token {
+pub(crate) struct Token {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind,
     /// The token text. For string literals this is the *unquoted* raw
     /// source contents; for comments it includes the comment markers.
-    pub text: String,
+    pub(crate) text: String,
     /// 1-based line on which the token starts.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 impl Token {

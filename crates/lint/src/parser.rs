@@ -26,20 +26,20 @@ use crate::lexer::{Token, TokenKind};
 
 /// One function definition with its parsed body.
 #[derive(Clone, Debug)]
-pub struct FnDef {
+pub(crate) struct FnDef {
     /// Bare function name (no path).
-    pub name: String,
+    pub(crate) name: String,
     /// Self type when defined inside an `impl` block.
     pub(crate) impl_ty: Option<String>,
     /// True when the enclosing impl is `impl Drop for ...`.
     pub(crate) is_drop: bool,
     /// The function body.
-    pub body: Block,
+    pub(crate) body: Block,
 }
 
 /// A `{ ... }` region: an ordered statement list.
 #[derive(Clone, Debug, Default)]
-pub struct Block {
+pub(crate) struct Block {
     /// Statements in source order.
     pub(crate) stmts: Vec<Stmt>,
 }
@@ -60,9 +60,9 @@ pub(crate) enum Stmt {
 #[derive(Clone, Debug)]
 pub(crate) struct CallSite {
     /// The called function or method name (last path segment).
-    pub name: String,
+    pub(crate) name: String,
     /// 1-based source line of the call.
-    pub line: u32,
+    pub(crate) line: u32,
 }
 
 /// Keywords that can never be call names.
@@ -74,7 +74,7 @@ const KEYWORDS: [&str; 30] = [
 
 /// Parses the code view (`code` indexes into `tokens`, comments and
 /// test-masked tokens already removed) into function definitions.
-pub fn parse(tokens: &[Token], code: &[usize]) -> Vec<FnDef> {
+pub(crate) fn parse(tokens: &[Token], code: &[usize]) -> Vec<FnDef> {
     let view: Vec<&Token> = code.iter().map(|&i| &tokens[i]).collect();
     let mut p = Parser {
         t: view,

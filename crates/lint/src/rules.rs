@@ -100,7 +100,7 @@ impl Rule {
     }
 
     /// Parses a kebab-case rule name (for suppression comments).
-    pub fn from_name(name: &str) -> Option<Rule> {
+    pub(crate) fn from_name(name: &str) -> Option<Rule> {
         Rule::ALL.iter().copied().find(|r| r.name() == name)
     }
 
@@ -147,7 +147,7 @@ pub struct Finding {
     /// Workspace-relative path with `/` separators.
     pub path: String,
     /// 1-based source line.
-    pub line: u32,
+    pub(crate) line: u32,
     /// The violated rule.
     pub rule: Rule,
     /// What was found and what to do instead.

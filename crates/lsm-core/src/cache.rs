@@ -194,7 +194,7 @@ impl<K: Ord + Clone, V> LruCache<K, V> {
 
     /// Removes a key (e.g. when the file is deleted). The stale queue
     /// record is reclaimed by the bounded compaction.
-    pub fn remove(&mut self, key: &K) {
+    pub(crate) fn remove(&mut self, key: &K) {
         self.remove_entry(key);
         self.maybe_compact_order();
     }
@@ -211,12 +211,14 @@ impl<K: Ord + Clone, V> LruCache<K, V> {
     }
 
     /// Number of cached entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
     /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 

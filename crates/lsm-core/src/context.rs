@@ -18,7 +18,7 @@ use crate::types::FileId;
 use std::sync::Arc;
 
 /// Key of a cached block: (file id, block offset within the file).
-pub type BlockCacheKey = (FileId, u64);
+pub(crate) type BlockCacheKey = (FileId, u64);
 
 /// A mutex whose `lock()` never returns a poison error: a panic while
 /// holding the store context must not cascade into every other path that
@@ -29,7 +29,7 @@ pub struct CtxMutex<T>(std::sync::Mutex<T>);
 
 impl<T> CtxMutex<T> {
     /// Wraps `value` in a poison-forgiving mutex.
-    pub fn new(value: T) -> Self {
+    pub(crate) fn new(value: T) -> Self {
         CtxMutex(std::sync::Mutex::new(value))
     }
 

@@ -19,7 +19,7 @@ use std::cmp::Ordering;
 /// (`IoKind::Scan`), it also keeps a physically contiguous run of tables
 /// one device stream: see `LevelIterator::bridge_to_next`.
 #[derive(Debug)]
-pub struct LevelIterator {
+pub(crate) struct LevelIterator {
     ctx: SharedCtx,
     files: Vec<FileMetaHandle>,
     kind: IoKind,
@@ -34,7 +34,7 @@ pub struct LevelIterator {
 
 impl LevelIterator {
     /// Creates an iterator over `files` (sorted by key, non-overlapping).
-    pub fn new(ctx: SharedCtx, files: Vec<FileMetaHandle>, kind: IoKind) -> Self {
+    pub(crate) fn new(ctx: SharedCtx, files: Vec<FileMetaHandle>, kind: IoKind) -> Self {
         LevelIterator {
             ctx,
             files,
@@ -204,19 +204,19 @@ impl InternalIterator for LevelIterator {
 /// The user-facing iterator: merges all sources and resolves versions —
 /// newest visible entry per user key, tombstones hide older values.
 #[derive(Debug)]
-pub struct DbIterator<'a> {
+pub(crate) struct DbIterator<'a> {
     inner: MergingIterator<'a>,
     snapshot: SequenceNumber,
 }
 
 impl<'a> DbIterator<'a> {
     /// Wraps a merging iterator at the given snapshot.
-    pub fn new(inner: MergingIterator<'a>, snapshot: SequenceNumber) -> Self {
+    pub(crate) fn new(inner: MergingIterator<'a>, snapshot: SequenceNumber) -> Self {
         DbIterator { inner, snapshot }
     }
 
     /// Positions before the first user key >= `ukey`.
-    pub fn seek(&mut self, ukey: &[u8]) {
+    pub(crate) fn seek(&mut self, ukey: &[u8]) {
         self.inner.seek(&lookup_key(ukey, self.snapshot));
     }
 
@@ -254,7 +254,7 @@ impl<'a> DbIterator<'a> {
     /// that failed a read went invalid, which looks exactly like one that
     /// reached its end, so its deferred error is taken afterwards and
     /// returned in place of the rows: a scan is complete or it is `Err`.
-    pub fn collect(&mut self, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+    pub(crate) fn collect(&mut self, limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         let mut out = Vec::with_capacity(limit.min(1024));
         while out.len() < limit {
             match self.next_entry()? {

@@ -60,8 +60,6 @@ pub const VLOG_FILE_BASE: FileId = 1 << 48;
 pub struct CompactionRecord {
     /// 1-based compaction sequence number.
     pub id: u64,
-    /// Input level (outputs land in `level + 1`).
-    pub level: usize,
     /// Number of input SSTables (victims + overlapped set).
     pub input_files: usize,
     /// Device streams the inputs need: every level-0 victim is one (they
@@ -172,7 +170,7 @@ pub struct DbCore {
     ctx: SharedCtx,
     mem: MemTable,
     versions: VersionSet,
-    wal: Option<LogWriter>,
+    wal: LogWriter,
     wal_id: FileId,
     policy: Box<dyn PlacementPolicy>,
     compactions: Vec<CompactionRecord>,
@@ -219,27 +217,23 @@ impl DbCore {
         let ctx = new_ctx(fs, opts.block_cache_bytes, opts.table_cache_entries);
         let mut versions = VersionSet::new(opts.level_params());
         let mem = MemTable::new(opts.seed);
-        let (wal, wal_id) = {
+        let wal_id = {
             let mut guard = ctx.lock();
             versions.create(&mut guard.fs)?;
-            if opts.wal_enabled {
-                let id = versions.new_file_id();
-                guard.fs.create_log(id)?;
-                versions.set_log_number(id);
-                // Persist the counters so a crash before the first flush
-                // still recovers a consistent next-file id.
-                versions.log_and_apply(&mut guard.fs, VersionEdit::default())?;
-                (Some(LogWriter::new()), id)
-            } else {
-                (None, 0)
-            }
+            let id = versions.new_file_id();
+            guard.fs.create_log(id)?;
+            versions.set_log_number(id);
+            // Persist the counters so a crash before the first flush
+            // still recovers a consistent next-file id.
+            versions.log_and_apply(&mut guard.fs, VersionEdit::default())?;
+            id
         };
         Ok(DbCore {
             opts,
             ctx,
             mem,
             versions,
-            wal,
+            wal: LogWriter::new(),
             wal_id,
             policy,
             compactions: Vec::new(),
@@ -344,7 +338,7 @@ impl DbCore {
         }
         // Start a fresh WAL for new writes (replayed logs stay until the
         // recovered memtable flushes).
-        let (wal, wal_id) = if opts.wal_enabled {
+        let wal_id = {
             let mut guard = ctx.lock();
             let mut id = versions.new_file_id();
             while guard.fs.has_log(id) {
@@ -352,16 +346,14 @@ impl DbCore {
             }
             guard.fs.create_log(id)?;
             versions.log_and_apply(&mut guard.fs, VersionEdit::default())?;
-            (Some(LogWriter::new()), id)
-        } else {
-            (None, 0)
+            id
         };
         Ok(DbCore {
             opts,
             ctx,
             mem,
             versions,
-            wal,
+            wal: LogWriter::new(),
             wal_id,
             policy,
             compactions: Vec::new(),
@@ -582,9 +574,7 @@ impl DbCore {
         }
         let seq = self.versions.last_sequence() + 1;
         batch.set_sequence(seq);
-        if let Some(wal) = self.wal.as_mut() {
-            wal.add_record(batch.rep());
-        }
+        self.wal.add_record(batch.rep());
         // The OS page cache absorbs small appends; bytes reach the
         // disk in `wal_buffer_bytes` chunks (sync=false semantics).
         self.flush_wal_buffer(false)?;
@@ -615,13 +605,10 @@ impl DbCore {
         } else {
             self.opts.wal_buffer_bytes.max(1)
         };
-        let Some(wal) = self.wal.as_mut() else {
-            return Ok(());
-        };
-        if wal.pending_len() == 0 || wal.pending_len() < threshold {
+        if self.wal.pending_len() < threshold {
             return Ok(());
         }
-        let bytes = wal.take();
+        let bytes = self.wal.take();
         let mut guard = self.ctx.lock();
         let s0 = guard.fs.disk().clock_ns();
         guard.fs.log_append(self.wal_id, &bytes, IoKind::Wal)?;
@@ -647,7 +634,7 @@ impl DbCore {
     /// acked record is durable; the debug-build ordering auditor asserts
     /// this at ack time.
     pub fn wal_pending_bytes(&self) -> u64 {
-        self.wal.as_ref().map_or(0, |w| w.pending_len() as u64)
+        self.wal.pending_len() as u64
     }
 
     /// Applies a batch exactly like [`DbCore::write`] but without
@@ -713,9 +700,7 @@ impl DbCore {
         if self.deferred_compaction {
             self.make_room_for_write()?;
         }
-        if let Some(wal) = self.wal.as_mut() {
-            wal.add_record(batch.rep());
-        }
+        self.wal.add_record(batch.rep());
         self.flush_wal_buffer(false)?;
         for (s, ty, key, value) in batch.iter() {
             self.mem.add(s, ty, key, value);
@@ -733,13 +718,13 @@ impl DbCore {
     /// the end of load phases).
     pub fn flush(&mut self) -> Result<()> {
         self.flush_memtable()?;
-        self.compact_until_quiescent()
+        self.compact_until(u64::MAX, &mut 0)
     }
 
     fn maybe_flush_and_compact(&mut self) -> Result<()> {
         if self.mem.approximate_memory_usage() >= self.opts.write_buffer_size {
             self.flush_memtable()?;
-            self.compact_until_quiescent()?;
+            self.compact_until(u64::MAX, &mut 0)?;
         }
         Ok(())
     }
@@ -831,13 +816,6 @@ impl DbCore {
         self.deferred_compaction = on;
     }
 
-    /// Whether the version tree currently wants a compaction (any level's
-    /// score at or above 1.0) — the front-end's cue to spend idle disk
-    /// time on background work.
-    pub(crate) fn needs_compaction(&self) -> bool {
-        self.versions.compaction_score().1 >= 1.0
-    }
-
     /// The background compaction thread, run until the simulated clock
     /// reads `until`: while a compaction is due, one `compact_step`,
     /// each one that ran counted into `steps`. A step is never cut short,
@@ -847,10 +825,7 @@ impl DbCore {
     /// serving front-end's idle gaps and the writer's sleep on the
     /// slowdown rung of `make_room_for_write`.
     pub fn compact_until(&mut self, until: u64, steps: &mut u64) -> Result<()> {
-        while self.clock_ns() < until && self.needs_compaction() {
-            if !self.compact_step()? {
-                break;
-            }
+        while self.clock_ns() < until && self.compact_step()? {
             *steps += 1;
         }
         Ok(())
@@ -915,22 +890,15 @@ impl DbCore {
             },
         );
         // Rotate the WAL: records up to here are now durable in the table.
-        let new_wal = if self.wal.is_some() {
-            let id = self.versions.new_file_id();
-            self.versions.set_log_number(id);
-            Some(id)
-        } else {
-            None
-        };
+        let new_wal = self.versions.new_file_id();
+        self.versions.set_log_number(new_wal);
         self.install_tables(edit, &output)?;
         {
             let mut guard = self.ctx.lock();
-            if let Some(id) = new_wal {
-                guard.fs.delete_log(self.wal_id)?;
-                guard.fs.create_log(id)?;
-                self.wal_id = id;
-                self.wal = Some(LogWriter::new());
-            }
+            guard.fs.delete_log(self.wal_id)?;
+            guard.fs.create_log(new_wal)?;
+            self.wal_id = new_wal;
+            self.wal = LogWriter::new();
             /// Rewrite the manifest as one snapshot record once it
             /// exceeds this many bytes (keeps the log zone bounded on
             /// long runs).
@@ -943,14 +911,7 @@ impl DbCore {
         self.obs_counter(ObsLayer::Lsm, "flush_bytes", size);
         self.obs_latency(ObsLayer::Lsm, "flush_ns", self.clock_ns() - t0);
         self.obs_event(ObsLayer::Lsm, ObsEventKind::Flush, size, file_id);
-        if let Some(id) = new_wal {
-            self.obs_event(ObsLayer::Wal, ObsEventKind::WalRotate, id, old_wal);
-        }
-        Ok(())
-    }
-
-    fn compact_until_quiescent(&mut self) -> Result<()> {
-        while self.compact_step()? {}
+        self.obs_event(ObsLayer::Wal, ObsEventKind::WalRotate, new_wal, old_wal);
         Ok(())
     }
 
@@ -995,7 +956,7 @@ impl DbCore {
             };
             self.do_compaction(c)?;
         }
-        self.compact_until_quiescent()
+        self.compact_until(u64::MAX, &mut 0)
     }
 
     /// Whether a compaction can move its single input file down a level
@@ -1033,7 +994,6 @@ impl DbCore {
             drop(guard);
             self.compactions.push(CompactionRecord {
                 id: cid,
-                level: c.level,
                 input_files: 1,
                 input_runs: 1,
                 input_bytes: f_size,
@@ -1237,7 +1197,6 @@ impl DbCore {
         let end_ns = self.clock_ns();
         self.compactions.push(CompactionRecord {
             id: cid,
-            level: c.level,
             input_files: c.num_input_files(),
             input_runs,
             input_bytes,
@@ -2169,6 +2128,48 @@ mod tests {
     fn put_scrambled(db: &mut DbCore, i: u64, n: u64) {
         let (k, v) = kv((i * 2654435761) % n);
         db.put(&k, &v).unwrap();
+    }
+
+    /// `compact_until`'s contract: no step at or past the deadline, one
+    /// uncut step for any deadline ahead of the clock, `steps` counting
+    /// each step that ran, and `u64::MAX` running the tree to quiescence.
+    #[test]
+    fn compact_until_runs_whole_steps_until_the_deadline() {
+        let n = 3000u64;
+        let mut db = deferred_db();
+        // Neither the slowdown nor the stop rung compacts: L0 only grows.
+        db.opts.l0_slowdown_trigger = usize::MAX;
+        db.opts.l0_stop_trigger = usize::MAX;
+        let mut i = 0;
+        let mut fill_l0 = |db: &mut DbCore| {
+            while db.current_version().level_file_count(0) < 4 {
+                put_scrambled(db, i, n);
+                i += 1;
+            }
+        };
+        fill_l0(&mut db);
+        assert!(db.versions.compaction_score().1 >= 1.0);
+
+        let mut steps = 0;
+        let now = db.clock_ns();
+        db.compact_until(now, &mut steps).unwrap();
+        db.compact_until(now - 1, &mut steps).unwrap();
+        assert_eq!(steps, 0);
+        assert!(db.compaction_log().is_empty());
+        assert_eq!(db.clock_ns(), now);
+
+        let deadline = now + 1;
+        db.compact_until(deadline, &mut steps).unwrap();
+        assert_eq!(steps, 1);
+        assert_eq!(db.compaction_log().len(), 1);
+        assert!(db.clock_ns() > deadline, "a step is never cut short");
+
+        fill_l0(&mut db);
+        db.compact_until(u64::MAX, &mut steps).unwrap();
+        assert_eq!(steps, db.compaction_log().len() as u64);
+        assert!(steps > 1);
+        let (level, score) = db.versions.compaction_score();
+        assert!(score < 1.0, "level {level} still scores {score}");
     }
 
     #[test]

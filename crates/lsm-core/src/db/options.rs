@@ -12,11 +12,7 @@ pub struct Options {
     /// Target SSTable size (paper: 4 MB).
     pub sstable_size: u64,
     /// Data block size inside tables (LevelDB: 4 KiB).
-    pub block_size: usize,
-    /// Restart interval inside blocks (LevelDB: 16).
-    pub restart_interval: usize,
-    /// Bloom bits per key (0 disables filters).
-    pub bloom_bits_per_key: usize,
+    pub(crate) block_size: usize,
     /// Number of levels (LevelDB: 7).
     pub num_levels: usize,
     /// L0 file-count compaction trigger (LevelDB: 4).
@@ -42,8 +38,6 @@ pub struct Options {
     pub table_cache_entries: u64,
     /// Conventional-zone bytes reserved for WAL/manifest logs.
     pub log_zone_bytes: u64,
-    /// Whether puts are logged to the WAL before being applied.
-    pub wal_enabled: bool,
     /// WAL bytes buffered in memory before reaching the disk (models the
     /// OS page cache under a no-sync LevelDB; 0 = every write synced).
     /// The same page cache holds back each value-log file's appends up
@@ -64,11 +58,6 @@ impl Options {
             write_buffer_size: sstable_size as usize,
             sstable_size,
             block_size: 4096,
-            restart_interval: 16,
-            // LevelDB 1.19 ships with no filter policy configured; the
-            // paper evaluates defaults, so blooms are off here. The
-            // engine still supports them (set > 0).
-            bloom_bits_per_key: 0,
             num_levels: 7,
             l0_compaction_trigger: 4,
             l0_slowdown_trigger: 8,
@@ -79,15 +68,9 @@ impl Options {
             block_cache_bytes: 2 * sstable_size,
             table_cache_entries: 1000,
             log_zone_bytes: (16 * sstable_size).max(16 << 20),
-            wal_enabled: true,
             wal_buffer_bytes: 64 << 10,
             seed: 0x5EA1DB,
         }
-    }
-
-    /// The paper's configuration at full scale (4 MB SSTables).
-    pub fn paper() -> Self {
-        Options::scaled(4 << 20)
     }
 
     /// The amplification factor AF between adjacent levels.
@@ -138,12 +121,15 @@ impl Options {
         Ok(())
     }
 
-    /// Table-build options.
+    /// Table-build options: LevelDB's restart interval of 16, and no
+    /// filter block — LevelDB 1.19 ships with no filter policy
+    /// configured and the paper evaluates defaults. The table format
+    /// still reads and writes blooms.
     pub(crate) fn table_options(&self) -> crate::sstable::TableOptions {
         crate::sstable::TableOptions {
             block_size: self.block_size,
-            restart_interval: self.restart_interval,
-            bloom_bits_per_key: self.bloom_bits_per_key,
+            restart_interval: 16,
+            bloom_bits_per_key: 0,
         }
     }
 }
@@ -154,7 +140,7 @@ mod tests {
 
     #[test]
     fn paper_ratios() {
-        let o = Options::paper();
+        let o = Options::scaled(4 << 20);
         assert_eq!(o.sstable_size, 4 << 20);
         assert_eq!(o.level_base_bytes, 40 << 20);
         assert_eq!(o.level_multiplier, 10);
@@ -163,7 +149,7 @@ mod tests {
 
     #[test]
     fn scaling_preserves_ratios() {
-        let a = Options::paper();
+        let a = Options::scaled(4 << 20);
         let b = Options::scaled(256 << 10);
         assert_eq!(
             a.level_base_bytes / a.sstable_size,
@@ -182,25 +168,25 @@ mod validate_tests {
 
     #[test]
     fn default_options_validate() {
-        Options::paper().validate().unwrap();
+        Options::scaled(4 << 20).validate().unwrap();
         Options::scaled(64 << 10).validate().unwrap();
     }
 
     #[test]
     fn bad_combinations_rejected() {
-        let mut o = Options::paper();
+        let mut o = Options::scaled(4 << 20);
         o.num_levels = 1;
         assert!(o.validate().is_err());
-        let mut o = Options::paper();
+        let mut o = Options::scaled(4 << 20);
         o.sstable_size = 0;
         assert!(o.validate().is_err());
-        let mut o = Options::paper();
+        let mut o = Options::scaled(4 << 20);
         o.block_size = 16;
         assert!(o.validate().is_err());
-        let mut o = Options::paper();
+        let mut o = Options::scaled(4 << 20);
         o.level_multiplier = 1;
         assert!(o.validate().is_err());
-        let mut o = Options::paper();
+        let mut o = Options::scaled(4 << 20);
         o.log_zone_bytes = 1024;
         assert!(o.validate().is_err());
     }

@@ -124,7 +124,7 @@ pub struct ScrubReport {
 
 impl ScrubReport {
     /// Accumulates `other` into `self`.
-    pub fn merge(&mut self, other: &ScrubReport) {
+    pub(crate) fn merge(&mut self, other: &ScrubReport) {
         self.files_scanned += other.files_scanned;
         self.bytes_verified += other.bytes_verified;
         self.blocks_verified += other.blocks_verified;

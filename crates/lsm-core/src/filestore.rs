@@ -63,7 +63,7 @@ impl LogZone {
 /// operation boundary after each Kth disk write once
 /// [`smr_sim::FaultPlan::snapshot_every`] is armed (sub-operation crash
 /// points are covered by torn-write injection, which needs no image), and
-/// restored with [`FileStore::restore_crash_image`].
+/// restored with [`crate::DbCore::restore_crash_image`].
 #[derive(Debug, Clone)]
 pub struct CrashImage {
     disk: DiskSnapshot,
@@ -179,7 +179,7 @@ impl FileStore {
     /// boundary and the machine rebooted. Callers must rebuild any state
     /// layered above (version set, placement allocator) afterwards — see
     /// `sealdb::Store`'s crash-recovery constructor.
-    pub fn restore_crash_image(&mut self, img: &CrashImage) {
+    pub(crate) fn restore_crash_image(&mut self, img: &CrashImage) {
         self.disk.restore(&img.disk);
         self.held.clear();
         self.files = img.files.clone();

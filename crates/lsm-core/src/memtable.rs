@@ -71,12 +71,12 @@ impl MemTable {
     }
 
     /// Number of entries added.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries
     }
 
     /// Whether the memtable holds no entries.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries == 0
     }
 

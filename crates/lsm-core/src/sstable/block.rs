@@ -101,13 +101,8 @@ impl BlockBuilder {
         self.buf.len() + self.restarts.len() * 4 + 4
     }
 
-    /// Entries added so far.
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
     /// Whether no entries were added.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries == 0
     }
 }
@@ -141,7 +136,7 @@ impl Block {
     }
 
     /// Size of the underlying buffer.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.data.len()
     }
 

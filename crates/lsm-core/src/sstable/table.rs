@@ -38,7 +38,7 @@ pub struct BlockHandle {
     /// Byte offset of the block contents.
     pub offset: u64,
     /// Size of the block contents (excluding the trailer).
-    pub size: u64,
+    pub(crate) size: u64,
 }
 
 impl BlockHandle {
@@ -379,7 +379,7 @@ pub struct Table {
 impl Table {
     /// Opens a table by reading its footer, index and filter off the
     /// device (charged as `Meta` reads; amortised by the table cache).
-    pub fn open(ctx: &SharedCtx, file: FileId, file_size: u64) -> Result<Table> {
+    pub(crate) fn open(ctx: &SharedCtx, file: FileId, file_size: u64) -> Result<Table> {
         // `file_size` comes from the manifest — disk bytes, like the
         // handles below.
         let Some(footer_offset) = file_size.checked_sub(FOOTER_SIZE as u64) else {

@@ -48,7 +48,7 @@ impl BloomFilter {
     }
 
     /// Reconstructs a filter from its serialised form.
-    pub fn decode(data: &[u8]) -> Option<Self> {
+    pub(crate) fn decode(data: &[u8]) -> Option<Self> {
         let (&k, bits) = data.split_last()?;
         if k == 0 || k > 30 {
             return None;
@@ -60,7 +60,7 @@ impl BloomFilter {
     }
 
     /// Serialises the filter (bit array + probe count byte).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = self.bits.clone();
         out.push(self.k as u8);
         out

@@ -59,7 +59,7 @@ pub fn crc32c(data: &[u8]) -> u32 {
 }
 
 /// Extends a running CRC-32C with more data.
-pub fn extend(crc: u32, data: &[u8]) -> u32 {
+pub(crate) fn extend(crc: u32, data: &[u8]) -> u32 {
     let t = &TABLES;
     let mut crc = !crc;
     let mut chunks = data.chunks_exact(16);
@@ -93,7 +93,7 @@ const MASK_DELTA: u32 = 0xa282ead8;
 
 /// LevelDB's CRC masking: stored CRCs are masked so that computing the
 /// CRC of a string containing embedded CRCs stays well-behaved.
-pub fn mask(crc: u32) -> u32 {
+pub(crate) fn mask(crc: u32) -> u32 {
     crc.rotate_right(15).wrapping_add(MASK_DELTA)
 }
 

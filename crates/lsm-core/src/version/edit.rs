@@ -25,13 +25,13 @@ pub struct FileMetaData {
 
 /// A delta against the current version.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct VersionEdit {
+pub(crate) struct VersionEdit {
     /// New WAL id; logs older than this are obsolete after recovery.
     pub(crate) log_number: Option<u64>,
     /// Next file id counter.
     pub(crate) next_file: Option<u64>,
     /// Last sequence number.
-    pub last_sequence: Option<u64>,
+    pub(crate) last_sequence: Option<u64>,
     /// Compaction pointers (level, internal key).
     pub(crate) compact_pointers: Vec<(usize, Vec<u8>)>,
     /// Files removed (level, file id).
@@ -54,7 +54,7 @@ const TAG_AUX: u64 = 7;
 
 impl VersionEdit {
     /// Serialises the edit for the manifest.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut dst = Vec::new();
         if let Some(v) = self.log_number {
             put_varint64(&mut dst, TAG_LOG_NUMBER);
@@ -95,7 +95,7 @@ impl VersionEdit {
     }
 
     /// Parses a manifest record.
-    pub fn decode(mut src: &[u8]) -> Result<VersionEdit> {
+    pub(crate) fn decode(mut src: &[u8]) -> Result<VersionEdit> {
         let mut edit = VersionEdit::default();
         fn take_u64(src: &mut &[u8]) -> Result<u64> {
             match get_varint64(src) {
@@ -169,7 +169,7 @@ impl VersionEdit {
     }
 
     /// Convenience: records a file deletion.
-    pub fn delete_file(&mut self, level: usize, id: FileId) {
+    pub(crate) fn delete_file(&mut self, level: usize, id: FileId) {
         self.deleted.push((level, id));
     }
 }

@@ -9,7 +9,8 @@ pub mod set;
 /// One immutable snapshot of the file layout per level.
 pub mod version;
 
-pub use edit::{FileMetaData, FileMetaHandle, VersionEdit};
-pub(crate) use set::MANIFEST_LOG_ID;
-pub use set::{Compaction, LevelParams, ManifestRecovery, VersionSet, FSMETA_LOG_ID};
+pub(crate) use edit::VersionEdit;
+pub use edit::{FileMetaData, FileMetaHandle};
+pub use set::{Compaction, FSMETA_LOG_ID};
+pub(crate) use set::{LevelParams, VersionSet, MANIFEST_LOG_ID};
 pub use version::Version;

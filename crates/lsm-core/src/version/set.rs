@@ -23,7 +23,7 @@ type VictimPriority<'a> = &'a dyn Fn(&[FileMetaHandle]) -> u64;
 /// Outcome of a manifest recovery: how much of the log was intact and
 /// how many trailing records were abandoned as corrupt or half-written.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ManifestRecovery {
+pub(crate) struct ManifestRecovery {
     /// Version edits decoded and applied.
     pub(crate) edits_applied: u64,
     /// Records dropped after the first corrupt one (the recovery falls
@@ -37,15 +37,15 @@ const FIRST_FILE_ID: FileId = 10;
 
 /// Level sizing/trigger parameters (a subset of the DB options).
 #[derive(Clone, Copy, Debug)]
-pub struct LevelParams {
+pub(crate) struct LevelParams {
     /// Number of levels (LevelDB: 7).
-    pub num_levels: usize,
+    pub(crate) num_levels: usize,
     /// L0 file-count compaction trigger (LevelDB: 4).
     pub(crate) l0_trigger: usize,
     /// Byte limit of L1; level `i` allows `base * multiplier^(i-1)`.
     pub(crate) base_bytes: u64,
     /// The paper's amplification factor AF (10).
-    pub multiplier: u64,
+    pub(crate) multiplier: u64,
 }
 
 impl LevelParams {
@@ -65,7 +65,7 @@ impl LevelParams {
 #[derive(Clone, Debug)]
 pub struct Compaction {
     /// Input level.
-    pub level: usize,
+    pub(crate) level: usize,
     /// `inputs[0]` = victims in `level`, `inputs[1]` = overlapped set in
     /// `level + 1`.
     pub(crate) inputs: [Vec<FileMetaHandle>; 2],
@@ -75,11 +75,6 @@ pub struct Compaction {
 }
 
 impl Compaction {
-    /// Total input bytes.
-    pub fn input_bytes(&self) -> u64 {
-        self.inputs.iter().flatten().map(|f| f.size).sum()
-    }
-
     /// Total number of input files.
     pub(crate) fn num_input_files(&self) -> usize {
         self.inputs[0].len() + self.inputs[1].len()
@@ -88,7 +83,7 @@ impl Compaction {
 
 /// Owns versions, counters and the manifest.
 #[derive(Debug)]
-pub struct VersionSet {
+pub(crate) struct VersionSet {
     params: LevelParams,
     current: Arc<Version>,
     next_file: FileId,
@@ -105,7 +100,7 @@ pub struct VersionSet {
 impl VersionSet {
     /// Creates a fresh, empty version set (no manifest I/O yet; call
     /// [`VersionSet::create`] or [`VersionSet::recover`]).
-    pub fn new(params: LevelParams) -> Self {
+    pub(crate) fn new(params: LevelParams) -> Self {
         VersionSet {
             current: Arc::new(Version::empty(params.num_levels)),
             compact_pointer: vec![Vec::new(); params.num_levels],
@@ -119,7 +114,7 @@ impl VersionSet {
     }
 
     /// Initialises the manifest log for a brand-new database.
-    pub fn create(&mut self, fs: &mut FileStore) -> Result<()> {
+    pub(crate) fn create(&mut self, fs: &mut FileStore) -> Result<()> {
         fs.create_log(MANIFEST_LOG_ID)?;
         let edit = VersionEdit {
             next_file: Some(self.next_file),
@@ -141,7 +136,7 @@ impl VersionSet {
     /// counters into every record — any intact prefix carries a complete
     /// `next_file` / `last_sequence` / `log_number`). Only a manifest
     /// with no intact edit at all is an error.
-    pub fn recover(&mut self, fs: &mut FileStore) -> Result<ManifestRecovery> {
+    pub(crate) fn recover(&mut self, fs: &mut FileStore) -> Result<ManifestRecovery> {
         if !fs.has_log(MANIFEST_LOG_ID) {
             return corruption(format!(
                 "missing manifest log (expected log id {MANIFEST_LOG_ID})"
@@ -277,13 +272,8 @@ impl VersionSet {
     }
 
     /// The current version.
-    pub fn current(&self) -> Arc<Version> {
+    pub(crate) fn current(&self) -> Arc<Version> {
         Arc::clone(&self.current)
-    }
-
-    /// Level parameters.
-    pub fn params(&self) -> LevelParams {
-        self.params
     }
 
     /// Allocates a fresh file id.
@@ -294,7 +284,7 @@ impl VersionSet {
     }
 
     /// Last sequence number issued.
-    pub fn last_sequence(&self) -> SequenceNumber {
+    pub(crate) fn last_sequence(&self) -> SequenceNumber {
         self.last_sequence
     }
 
@@ -695,7 +685,8 @@ mod tests {
         assert_eq!(c.inputs[1].len(), 1);
         assert_eq!(c.inputs[1][0].id, 30);
         assert_eq!(c.num_input_files(), 5);
-        assert_eq!(c.input_bytes(), 5 * MB);
+        let input_bytes: u64 = c.inputs.iter().flatten().map(|f| f.size).sum();
+        assert_eq!(input_bytes, 5 * MB);
     }
 
     #[test]

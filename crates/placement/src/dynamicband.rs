@@ -65,11 +65,6 @@ impl DynamicBandAlloc {
         }
     }
 
-    /// Guard-region size in bytes.
-    pub fn guard_bytes(&self) -> u64 {
-        self.guard
-    }
-
     /// Current frontier (end of the banded region).
     pub fn frontier(&self) -> u64 {
         self.frontier

@@ -39,11 +39,6 @@ impl FixedBandAlloc {
             events: Vec::new(),
         }
     }
-
-    /// Band size in bytes.
-    pub fn band_size(&self) -> u64 {
-        self.band_size
-    }
 }
 
 impl Allocator for FixedBandAlloc {

@@ -31,7 +31,7 @@ struct Node {
 
 /// The sorted-array-of-doubly-linked-lists free-space structure.
 #[derive(Debug)]
-pub struct FreeSpaceList {
+pub(crate) struct FreeSpaceList {
     /// Size-class granularity (one SSTable in the paper: 4 MB).
     align: u64,
     /// Sorted array of (size class, head slab index) pairs; classes with
@@ -50,7 +50,7 @@ pub struct FreeSpaceList {
 impl FreeSpaceList {
     /// Creates an empty list with the given size-class alignment
     /// (the SSTable size in the paper).
-    pub fn new(align: u64) -> Self {
+    pub(crate) fn new(align: u64) -> Self {
         assert!(align > 0, "alignment must be positive");
         FreeSpaceList {
             align,
@@ -63,7 +63,7 @@ impl FreeSpaceList {
     }
 
     /// Size-class granularity.
-    pub fn align(&self) -> u64 {
+    pub(crate) fn align(&self) -> u64 {
         self.align
     }
 
@@ -138,7 +138,7 @@ impl FreeSpaceList {
     }
 
     /// Inserts a free region, coalescing with address-adjacent regions.
-    pub fn insert(&mut self, ext: Extent) {
+    pub(crate) fn insert(&mut self, ext: Extent) {
         if ext.is_empty() {
             return;
         }
@@ -196,7 +196,7 @@ impl FreeSpaceList {
     /// class of `need`, scan that class's list first-fit, then fall back
     /// to the head of the next non-empty class (whose every region is
     /// guaranteed large enough). Returns `None` when nothing fits.
-    pub fn take(&mut self, need: u64) -> Option<Extent> {
+    pub(crate) fn take(&mut self, need: u64) -> Option<Extent> {
         if need == 0 {
             return Some(Extent::new(0, 0));
         }
@@ -236,7 +236,7 @@ impl FreeSpaceList {
     }
 
     /// All free regions in address order.
-    pub fn regions(&self) -> Vec<Extent> {
+    pub(crate) fn regions(&self) -> Vec<Extent> {
         self.by_offset
             .iter()
             .map(|(&off, &idx)| Extent::new(off, self.slab[idx].len))

@@ -31,7 +31,6 @@ mod freelist;
 pub use dynamicband::DynamicBandAlloc;
 pub use ext4sim::Ext4Sim;
 pub use fixedband::FixedBandAlloc;
-pub use freelist::FreeSpaceList;
 
 use smr_sim::Extent;
 use std::fmt;

@@ -34,7 +34,7 @@ use lsm_core::{
     Error, LogWriter, Result, ScrubConfig, ScrubReport, ValueType, WalStream, WriteBatch,
 };
 use sealdb::{GcShipment, KvNode, Store, StoreConfig, StoreKind, VlogParams};
-use smr_sim::{Backoff, IoKind, NetModel, ObsLayer};
+use smr_sim::{bounded_backoff_ns, IoKind, NetModel, ObsLayer};
 use std::collections::BTreeMap;
 
 /// File id of the replica-side ship log in [`ShipMode::IndexLazy`].
@@ -44,6 +44,13 @@ const SHIP_LOG_ID: lsm_core::FileId = 1 << 40;
 
 /// Upper bound on modelled client redirect retries during one failover.
 const MAX_CLIENT_RETRIES: u32 = 10_000;
+
+/// Client redirect retry backoff base, ns; doubles per retry (see
+/// [`smr_sim::bounded_backoff_ns`]).
+const RETRY_BACKOFF_NS: u64 = 500_000;
+
+/// Client redirect retry backoff cap, ns.
+const RETRY_BACKOFF_MAX_NS: u64 = 8_000_000;
 
 /// What the primary ships and what a replica does with it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,8 +105,6 @@ pub const DETECT_TIMEOUT_NS: u64 = 10_000_000;
 /// Configuration of one replication cluster.
 #[derive(Clone, Debug)]
 pub struct ReplicaConfig {
-    /// Which store kind every node runs.
-    pub kind: StoreKind,
     /// Number of replicas (nodes are `0..=replicas`, node 0 is the
     /// initial primary).
     pub replicas: usize,
@@ -110,36 +115,27 @@ pub struct ReplicaConfig {
     /// Determinism seed for the network and every node store.
     pub seed: u64,
     /// SSTable size of every node store.
-    pub sstable_size: u64,
+    pub(crate) sstable_size: u64,
     /// Disk capacity of every node store.
-    pub disk_capacity: u64,
+    pub(crate) disk_capacity: u64,
     /// Base one-way link latency, ns.
     pub link_latency_ns: u64,
-    /// Per-message drop probability, permille (drops delay via
-    /// retransmit, they never lose frames).
-    pub drop_permille: u64,
     /// Under [`AckPolicy::PrimaryOnly`], ship after this many buffered
     /// writes.
     ship_every: usize,
-    /// Client redirect retry backoff base, ns (see
-    /// [`smr_sim::Backoff`]).
-    pub retry_backoff_ns: u64,
-    /// Client redirect retry backoff cap, ns.
-    pub retry_backoff_max_ns: u64,
     /// Key-value separation parameters for every node store; `None`
     /// stores values inline. Only valid with [`ShipMode::WalApply`]:
     /// the primary ships its *original* batch bytes and each node
     /// rewrites them through its own value log, whereas `IndexLazy`
     /// promotion replays the raw ship log straight into the engine,
     /// bypassing the rewrite and leaving diverted values unreadable.
-    pub vlog: Option<VlogParams>,
+    pub(crate) vlog: Option<VlogParams>,
 }
 
 impl ReplicaConfig {
     /// A SEALDB cluster with `replicas` replicas and quorum-1 acks.
     pub fn new(replicas: usize, sstable_size: u64, disk_capacity: u64) -> Self {
         ReplicaConfig {
-            kind: StoreKind::SealDb,
             replicas,
             mode: ShipMode::WalApply,
             ack: AckPolicy::Quorum(1),
@@ -147,10 +143,7 @@ impl ReplicaConfig {
             sstable_size,
             disk_capacity,
             link_latency_ns: 1_000_000,
-            drop_permille: 0,
             ship_every: 8,
-            retry_backoff_ns: 500_000,
-            retry_backoff_max_ns: 8_000_000,
             vlog: None,
         }
     }
@@ -166,7 +159,7 @@ impl ReplicaConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClusterStats {
     /// Key/value entries acknowledged to clients.
-    pub acked_writes: u64,
+    pub(crate) acked_writes: u64,
     /// Frames shipped onto the network.
     pub shipped_frames: u64,
     /// Total shipped frame bytes (per frame, not per link).
@@ -174,7 +167,7 @@ pub struct ClusterStats {
     /// Frames that died in the primary's async ship buffer at a kill.
     lost_unshipped_frames: u64,
     /// Frames replayed to a rejoining node by catch-up streaming.
-    pub catchup_frames: u64,
+    pub(crate) catchup_frames: u64,
     /// Failovers performed.
     pub failovers: u64,
 }
@@ -320,8 +313,7 @@ impl Cluster {
                     .to_string(),
             ));
         }
-        let mut net = NetModel::new(cfg.seed ^ 0x05EA_14E7, cfg.link_latency_ns);
-        net.set_drop_permille(cfg.drop_permille);
+        let net = NetModel::new(cfg.seed ^ 0x05EA_14E7, cfg.link_latency_ns);
         let mut cluster = Cluster {
             nodes: Vec::new(),
             primary: 0,
@@ -343,7 +335,11 @@ impl Cluster {
     }
 
     fn build_store(&self, idx: usize) -> Result<Store> {
-        let mut sc = StoreConfig::new(self.cfg.kind, self.cfg.sstable_size, self.cfg.disk_capacity);
+        let mut sc = StoreConfig::new(
+            StoreKind::SealDb,
+            self.cfg.sstable_size,
+            self.cfg.disk_capacity,
+        );
         sc.seed = self
             .cfg
             .seed
@@ -878,11 +874,10 @@ impl Cluster {
         let redirect_ns = self.net.sample_latency_ns(client, candidate, m3)
             + self.net.sample_latency_ns(candidate, client, m4);
         let rto_ns = detect_ns + fence_ns + replay_ns + redirect_ns;
-        let backoff = Backoff::new(self.cfg.retry_backoff_ns, self.cfg.retry_backoff_max_ns);
         let mut waited = 0u64;
         let mut retries = 0u32;
         while waited < rto_ns && retries < MAX_CLIENT_RETRIES {
-            waited += backoff.delay_ns(retries);
+            waited += bounded_backoff_ns(RETRY_BACKOFF_NS, RETRY_BACKOFF_MAX_NS, retries);
             retries += 1;
         }
         {

@@ -54,16 +54,14 @@ impl StoreKind {
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Which system to build.
-    pub kind: StoreKind,
+    pub(crate) kind: StoreKind,
     /// SSTable size — the single scale knob. The paper uses 4 MiB; the
     /// default bench scale is 256 KiB (1/16 linear scale).
-    pub sstable_size: u64,
+    pub(crate) sstable_size: u64,
     /// Band size as a multiple of the SSTable size (paper default: 10).
     pub band_ratio: u64,
     /// Disk capacity in bytes.
-    pub disk_capacity: u64,
-    /// Whether writes go through the WAL.
-    pub wal: bool,
+    pub(crate) disk_capacity: u64,
     /// Determinism seed.
     pub seed: u64,
     /// Overrides the disk layout chosen by the kind (e.g. Fig. 2 runs
@@ -79,12 +77,12 @@ pub struct StoreConfig {
     /// (shards, replicas): namespaces the store's metrics exports so
     /// per-instance registries stay distinguishable when aggregated.
     /// `None` falls back to the kind's display name.
-    pub instance: Option<String>,
+    pub(crate) instance: Option<String>,
     /// Key-value separation: when set, values at or above the threshold
     /// live in a band-aligned value log and the LSM stores pointers
     /// (off by default — inline values, byte-identical legacy
     /// behaviour). See [`seal_vlog::ValueLog`].
-    pub vlog: Option<seal_vlog::VlogParams>,
+    pub(crate) vlog: Option<seal_vlog::VlogParams>,
 }
 
 impl StoreConfig {
@@ -95,7 +93,6 @@ impl StoreConfig {
             sstable_size,
             band_ratio: 10,
             disk_capacity,
-            wal: true,
             seed: 0x5EA1DB,
             layout_override: None,
             sync_writes: false,
@@ -110,8 +107,9 @@ impl StoreConfig {
         self
     }
 
-    /// Same configuration under an instance label (see
-    /// [`StoreConfig::instance`]).
+    /// Same configuration under an instance label, which namespaces the
+    /// store's metrics exports so per-instance registries stay
+    /// distinguishable when aggregated.
     pub fn with_instance(mut self, label: impl Into<String>) -> Self {
         self.instance = Some(label.into());
         self
@@ -123,7 +121,7 @@ impl StoreConfig {
     }
 
     /// Guard-region size (one SSTable, per the paper).
-    pub fn guard_bytes(&self) -> u64 {
+    pub(crate) fn guard_bytes(&self) -> u64 {
         self.sstable_size
     }
 
@@ -137,7 +135,6 @@ impl StoreConfig {
             StoreKind::SmrDb => smrdb::smrdb_options(self.band_size()),
             _ => Options::scaled(self.sstable_size),
         };
-        o.wal_enabled = self.wal;
         o.seed = self.seed;
         if self.sync_writes {
             o.wal_buffer_bytes = 0;

@@ -10,7 +10,7 @@
 //!    concatenated into a contiguous on-disk region, so the next
 //!    compaction over that key range reads and writes one large
 //!    sequential extent instead of ~10 scattered files
-//!    ([`set::SetRegistry`], [`policy::SetPolicy`]).
+//!    (`set::SetRegistry`, [`policy::SetPolicy`]).
 //! 2. **Dynamic bands** (§III-B) — variable-size bands on a raw
 //!    host-managed SMR drive, managed by a free-space list that serves
 //!    inserts under `S_free ≥ S_req + S_guard` (Eq. 1) and otherwise
@@ -33,8 +33,7 @@
 //! let mut store = cfg.build().unwrap();
 //! store.put(b"key", b"value").unwrap();
 //! assert_eq!(store.get(b"key").unwrap(), Some(b"value".to_vec()));
-//! let snap = store.snapshot();
-//! assert_eq!(snap.name, "SEALDB");
+//! assert_eq!(store.kind.name(), "SEALDB");
 //! ```
 
 /// Deliberately-broken entry points for chaos fault injection.
@@ -54,5 +53,4 @@ pub use config::{StoreConfig, StoreKind};
 pub use node::KvNode;
 pub use policy::SetPolicy;
 pub use seal_vlog::{ValueLog, VlogParams};
-pub use set::{SetRegion, SetRegistry};
 pub use store::{GcShipment, MetricsSnapshot, Store, StoreSnapshot};

@@ -61,7 +61,7 @@ impl SetPolicy {
 
     /// Enables per-operation filesystem metadata writes (the
     /// LevelDB-with-sets ablation runs above a filesystem).
-    pub fn with_fs_journal(mut self) -> Self {
+    pub(crate) fn with_fs_journal(mut self) -> Self {
         self.fs_journal = true;
         self
     }
@@ -80,11 +80,6 @@ impl SetPolicy {
             fs.log_append(FSMETA_LOG_ID, &[0u8; 4096], IoKind::Meta)?;
         }
         Ok(())
-    }
-
-    /// The set registry (inspection).
-    pub fn registry(&self) -> &SetRegistry {
-        &self.registry
     }
 }
 

@@ -15,13 +15,13 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// One on-disk set region.
 #[derive(Clone, Debug)]
-pub struct SetRegion {
+pub(crate) struct SetRegion {
     /// The contiguous extent the allocator handed out for the region.
-    pub ext: Extent,
+    pub(crate) ext: Extent,
     /// All member files written into the region.
-    pub members: Vec<FileId>,
+    pub(crate) members: Vec<FileId>,
     /// Members still valid (not yet consumed by a compaction).
-    pub live: BTreeSet<FileId>,
+    pub(crate) live: BTreeSet<FileId>,
     /// Whether the region came from a compaction (vs a flush).
     pub(crate) from_compaction: bool,
 }
@@ -35,7 +35,7 @@ impl SetRegion {
 
 /// Registry of all live set regions.
 #[derive(Debug, Default)]
-pub struct SetRegistry {
+pub(crate) struct SetRegistry {
     next_id: u64,
     regions: BTreeMap<u64, SetRegion>,
     file_region: BTreeMap<FileId, u64>,
@@ -44,7 +44,7 @@ pub struct SetRegistry {
 
 impl SetRegistry {
     /// Creates an empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SetRegistry {
             next_id: 1,
             ..Default::default()
@@ -136,7 +136,7 @@ impl SetRegistry {
     /// Removes a region wholesale (garbage-collection relocation): all
     /// live members are unmapped and the region counts as faded. Returns
     /// the removed region so the caller can rewrite its live members.
-    pub fn take_region(&mut self, id: u64) -> Option<SetRegion> {
+    pub(crate) fn take_region(&mut self, id: u64) -> Option<SetRegion> {
         let region = self.regions.remove(&id)?;
         for f in &region.members {
             self.file_region.remove(f);
@@ -147,7 +147,7 @@ impl SetRegistry {
     }
 
     /// Live regions, in ascending id order.
-    pub fn regions(&self) -> impl Iterator<Item = (&u64, &SetRegion)> {
+    pub(crate) fn regions(&self) -> impl Iterator<Item = (&u64, &SetRegion)> {
         self.regions.iter()
     }
 
@@ -157,7 +157,7 @@ impl SetRegistry {
     }
 
     /// Aggregate statistics.
-    pub fn stats(&self) -> SetStats {
+    pub(crate) fn stats(&self) -> SetStats {
         self.stats
     }
 }

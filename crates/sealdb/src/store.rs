@@ -19,12 +19,12 @@ pub struct Store {
     /// Which system this is.
     pub kind: StoreKind,
     /// Instance label for multi-store deployments (see
-    /// [`crate::StoreConfig::instance`]).
+    /// [`crate::StoreConfig::with_instance`]).
     pub instance: Option<String>,
     /// The underlying engine.
     pub db: DbCore,
     /// Band-aligned value log when key-value separation is enabled (see
-    /// [`crate::StoreConfig::vlog`]); `None` stores values inline.
+    /// [`crate::StoreConfig::with_vlog`]); `None` stores values inline.
     pub vlog: Option<ValueLog>,
     /// Debug-build happens-before auditor: the runtime twin of
     /// `seal-lint`'s ordering rules. `None` in release builds, where the
@@ -44,8 +44,6 @@ pub struct Store {
 /// Snapshot of everything the figures need.
 #[derive(Clone, Debug)]
 pub struct StoreSnapshot {
-    /// Display name of the store.
-    pub name: &'static str,
     /// Simulated time elapsed, ns.
     pub clock_ns: u64,
     /// Full I/O accounting (WA / AWA / MWA per Table I).
@@ -97,12 +95,12 @@ impl StoreSnapshot {
 #[derive(Clone, Debug)]
 pub struct MetricsSnapshot {
     /// Display name of the store.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Instance label (equals `name` for unlabeled stores); namespaces
     /// per-shard/per-replica registries in aggregated exports.
-    pub instance: String,
+    pub(crate) instance: String,
     /// Simulated clock at snapshot time, ns.
-    pub clock_ns: u64,
+    pub(crate) clock_ns: u64,
     /// The observability bundle, including derived gauges.
     pub obs: Obs,
 }
@@ -657,7 +655,15 @@ impl Store {
     /// quarantines any version file that fails table validation rather
     /// than letting it load-bear reads.
     pub fn reopen(self) -> Result<Store> {
-        let mut db = self.db.reopen()?;
+        self.recover(DbCore::reopen)
+    }
+
+    /// The recovery tail of [`Store::reopen`] and
+    /// [`Store::restore_crash_image`]: `engine` recovers the tree, then
+    /// invalid tables are quarantined, the value log is rebuilt and the
+    /// ordering auditor starts afresh.
+    fn recover(self, engine: impl FnOnce(DbCore) -> Result<DbCore>) -> Result<Store> {
+        let mut db = engine(self.db)?;
         let dropped = db.quarantine_invalid_files()?.len() as u64;
         let vlog = Self::recover_vlog(self.vlog, &mut db)?;
         let ord_audit = Self::fresh_auditor(&db, vlog.as_ref());
@@ -695,18 +701,7 @@ impl Store {
     /// surviving extents, and the usual crash recovery runs on the
     /// restored state (see [`DbCore::restore_crash_image`]).
     pub fn restore_crash_image(self, image: &lsm_core::CrashImage) -> Result<Store> {
-        let mut db = self.db.restore_crash_image(image)?;
-        let dropped = db.quarantine_invalid_files()?.len() as u64;
-        let vlog = Self::recover_vlog(self.vlog, &mut db)?;
-        let ord_audit = Self::fresh_auditor(&db, vlog.as_ref());
-        Ok(Store {
-            kind: self.kind,
-            instance: self.instance,
-            db,
-            vlog,
-            ord_audit,
-            tables_dropped: self.tables_dropped + dropped,
-        })
+        self.recover(|db| db.restore_crash_image(image))
     }
 
     /// Builds the debug-build ordering auditor, seeded with the segments
@@ -1084,7 +1079,6 @@ impl Store {
         let guard = ctx.lock();
         let policy = self.db.policy();
         StoreSnapshot {
-            name: self.kind.name(),
             clock_ns: guard.fs.disk().clock_ns(),
             io: guard.fs.disk().stats().clone(),
             compactions: self.db.compaction_log().to_vec(),

@@ -44,30 +44,27 @@ use workloads::RecordGenerator;
 /// Configuration of one shard cluster.
 #[derive(Clone, Debug)]
 pub struct ShardConfig {
-    /// Which store kind every shard runs.
-    pub kind: StoreKind,
     /// Initial number of shards.
-    pub shards: usize,
+    pub(crate) shards: usize,
     /// SSTable size of every shard store.
-    pub sstable_size: u64,
+    pub(crate) sstable_size: u64,
     /// Disk capacity of every shard store.
-    pub disk_capacity: u64,
+    pub(crate) disk_capacity: u64,
     /// Determinism seed; each shard derives its own store seed from it.
-    pub seed: u64,
-    /// Virtual nodes per shard on the routing ring.
-    pub vnodes: usize,
+    pub(crate) seed: u64,
 }
+
+/// Virtual nodes per shard on the routing ring.
+const VNODES: usize = 256;
 
 impl ShardConfig {
     /// A SEALDB cluster of `shards` shards with 256 vnodes each.
     pub fn new(shards: usize, sstable_size: u64, disk_capacity: u64) -> Self {
         ShardConfig {
-            kind: StoreKind::SealDb,
             shards,
             sstable_size,
             disk_capacity,
             seed: 0x5EA1_5AD5,
-            vnodes: 256,
         }
     }
 
@@ -79,7 +76,7 @@ impl ShardConfig {
 
     /// Band size at the paper's ratio (10 × SSTable) — the unit
     /// migration moves data in.
-    pub fn band_size(&self) -> u64 {
+    pub(crate) fn band_size(&self) -> u64 {
         self.sstable_size * 10
     }
 }
@@ -138,7 +135,7 @@ impl<N: KvNode> ShardCluster<N> {
     pub fn from_nodes(cfg: ShardConfig, nodes: Vec<N>) -> ShardCluster<N> {
         assert!(!nodes.is_empty(), "a cluster needs at least one shard");
         assert_eq!(cfg.shards, nodes.len(), "one node per configured shard");
-        let mut ring = HashRing::new(cfg.vnodes);
+        let mut ring = HashRing::new(VNODES);
         for idx in 0..nodes.len() {
             ring.add_shard(idx);
         }
@@ -152,16 +149,6 @@ impl<N: KvNode> ShardCluster<N> {
             ring,
             now_ns: 0,
         }
-    }
-
-    /// The cluster configuration.
-    pub fn config(&self) -> &ShardConfig {
-        &self.cfg
-    }
-
-    /// The routing ring.
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
     }
 
     /// Shards currently taking traffic, ascending index order.
@@ -253,19 +240,6 @@ impl<N: KvNode> ShardCluster<N> {
         let mut b = WriteBatch::new();
         b.delete(key);
         self.routed(key)?.write(b)
-    }
-
-    /// Scatter-gather range scan: every active shard scans locally from
-    /// `start`, and the cluster merges the fronts to the globally first
-    /// `limit` keys.
-    pub fn scan(&mut self, start: &[u8], limit: usize) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
-        let mut merged: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for idx in self.active_shards() {
-            merged.extend(self.shards[idx].node.scan(start, limit)?);
-        }
-        merged.sort();
-        merged.truncate(limit);
-        Ok(merged)
     }
 
     // ----- state inspection -----
@@ -386,7 +360,7 @@ impl ShardCluster {
 /// Builds shard `idx`'s store: own derived seed, instance label
 /// `shard-{idx}` so per-shard metrics stay distinguishable.
 fn build_shard_store(cfg: &ShardConfig, idx: usize) -> Result<Store> {
-    let mut sc = StoreConfig::new(cfg.kind, cfg.sstable_size, cfg.disk_capacity);
+    let mut sc = StoreConfig::new(StoreKind::SealDb, cfg.sstable_size, cfg.disk_capacity);
     sc.seed = cfg
         .seed
         .wrapping_add((idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -446,26 +420,6 @@ mod tests {
             imbalance(&placed)
         );
         assert_eq!(c.audit(&gen, 4000).unwrap().lost, 0);
-    }
-
-    #[test]
-    fn scatter_gather_scan_merges_shards() {
-        let mut c = cluster(3);
-        let gen = RecordGenerator::new(16, 32, 3);
-        for i in 0..200u64 {
-            c.put(&gen.key(i), &gen.value(i)).unwrap();
-        }
-        let page = c.scan(b"", 50).unwrap();
-        assert_eq!(page.len(), 50);
-        // Globally sorted and globally first: a single-store oracle
-        // loaded with the same records returns the same page.
-        let mut oracle = StoreConfig::new(StoreKind::SealDb, SST, CAP)
-            .build()
-            .unwrap();
-        for i in 0..200u64 {
-            oracle.put(&gen.key(i), &gen.value(i)).unwrap();
-        }
-        assert_eq!(page, oracle.scan(b"", 50).unwrap());
     }
 
     #[test]

@@ -410,7 +410,7 @@ mod tests {
         c.node_mut(0).fail_at = c.node(0).writes + 2;
         assert!(c.split(0, FlakyNode::default()).is_err());
         assert_eq!(c.total_shards(), 4);
-        assert!(c.ring().points_of(3) > 0);
+        assert!(c.ring.points_of(3) > 0);
         c.node_mut(1).fail_at = c.node(1).writes + 2;
         assert!(c.merge_shard(1).is_err());
         assert!(!c.is_active(1));

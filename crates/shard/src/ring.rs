@@ -48,16 +48,6 @@ impl HashRing {
         }
     }
 
-    /// Total points currently on the ring.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the ring has no points (routing is impossible).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// Inserts `shard`'s virtual-node points. Point positions depend
     /// only on (shard, replica), so rebuilding a ring with the same
     /// membership yields the same layout; the rare position collision
@@ -85,7 +75,7 @@ impl HashRing {
     /// Splits `from` by handing every other of its points (odd
     /// positions in point order) to `to`: about half of `from`'s arcs
     /// — and only `from`'s — change owner. Returns the points moved.
-    pub fn split(&mut self, from: usize, to: usize) -> usize {
+    pub(crate) fn split(&mut self, from: usize, to: usize) -> usize {
         let mine: Vec<u64> = self
             .points
             .iter()
@@ -137,7 +127,7 @@ mod tests {
         for s in 0..4 {
             r.add_shard(s);
         }
-        assert_eq!(r.len(), 4 * 64);
+        assert_eq!(r.points.len(), 4 * 64);
         for i in 0..1000u64 {
             let key = format!("key{i:08}");
             let a = r.route(key.as_bytes());

@@ -52,8 +52,7 @@ impl ClusterServeResult {
 
 /// Serves `cfg.total_ops` operations against a preloaded cluster and
 /// reports aggregate latency and per-shard load. Scans are
-/// partition-local (the routed shard's range); cross-shard scans are
-/// the scatter-gather [`ShardCluster::scan`] API.
+/// partition-local (the routed shard's range).
 pub fn serve(
     cluster: &mut ShardCluster,
     gen: &RecordGenerator,

@@ -1,6 +1,6 @@
 //! Debug-build shingle auditor for the raw HM-SMR layout.
 //!
-//! [`ShingleAuditor`] is an *independent* shadow model of which byte
+//! `ShingleAuditor` is an *independent* shadow model of which byte
 //! ranges hold valid data. It deliberately does not reuse
 //! [`crate::extent::ExtentSet`] — the whole point is to double-check the
 //! disk's own bookkeeping with a second implementation, so a bug in the
@@ -19,7 +19,7 @@ use crate::extent::Extent;
 /// Caveat-Scriptor contract (no overlap of valid data; no valid data in
 /// the `guard_bytes` damage window past a write) with `debug_assert!`.
 #[derive(Clone, Debug)]
-pub struct ShingleAuditor {
+pub(crate) struct ShingleAuditor {
     /// Valid half-open ranges `(start, end)`, sorted, pairwise disjoint.
     ranges: Vec<(u64, u64)>,
     guard_bytes: u64,
@@ -29,7 +29,7 @@ pub struct ShingleAuditor {
 impl ShingleAuditor {
     /// Creates an auditor for a disk of `capacity` bytes whose writes
     /// damage `guard_bytes` in the shingle direction.
-    pub fn new(capacity: u64, guard_bytes: u64) -> Self {
+    pub(crate) fn new(capacity: u64, guard_bytes: u64) -> Self {
         ShingleAuditor {
             ranges: Vec::new(),
             guard_bytes,
@@ -48,7 +48,7 @@ impl ShingleAuditor {
     }
 
     /// Records a write the disk accepted, asserting the shingle contract.
-    pub fn record_write(&mut self, ext: Extent) {
+    pub(crate) fn record_write(&mut self, ext: Extent) {
         let (start, end) = (ext.offset, ext.end());
         debug_assert!(
             self.first_overlap(start, end).is_none(),

@@ -44,7 +44,7 @@ impl Extent {
     }
 
     /// Whether `other` is entirely contained in `self`.
-    pub fn contains(&self, other: &Extent) -> bool {
+    pub(crate) fn contains(&self, other: &Extent) -> bool {
         other.is_empty() || (self.offset <= other.offset && other.end() <= self.end())
     }
 
@@ -93,11 +93,6 @@ impl ExtentSet {
         self.total
     }
 
-    /// Whether the set covers no bytes.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Returns `true` if any byte of `ext` is covered by the set.
     pub fn overlaps(&self, ext: Extent) -> bool {
         if ext.is_empty() {
@@ -129,7 +124,7 @@ impl ExtentSet {
     }
 
     /// All stored extents that overlap `ext`, clipped to `ext`.
-    pub fn overlapping(&self, ext: Extent) -> Vec<Extent> {
+    pub(crate) fn overlapping(&self, ext: Extent) -> Vec<Extent> {
         let mut out = Vec::new();
         if ext.is_empty() {
             return out;

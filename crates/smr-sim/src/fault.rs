@@ -83,17 +83,14 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Creates an inert plan with the given determinism seed.
-    pub fn new(seed: u64) -> Self {
+    /// Creates an inert plan with the given determinism seed (a disk's
+    /// own plan is the seed-0 default).
+    #[cfg(test)]
+    pub(crate) fn new(seed: u64) -> Self {
         FaultPlan {
             seed,
             ..Default::default()
         }
-    }
-
-    /// The determinism seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Arms a torn write: the next `n` writes succeed, the one after
@@ -288,11 +285,11 @@ impl FaultPlan {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PartitionWindow {
     /// Cluster node index the window applies to.
-    pub node: usize,
+    pub(crate) node: usize,
     /// Start of the window (inclusive), simulated ns.
-    pub from_ns: u64,
+    pub(crate) from_ns: u64,
     /// End of the window (exclusive), simulated ns.
-    pub to_ns: u64,
+    pub(crate) to_ns: u64,
 }
 
 /// A scheduled node kill: at `at_ns` the node's process dies and never
@@ -302,9 +299,9 @@ struct PartitionWindow {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct NodeKill {
     /// Cluster node index to kill.
-    pub node: usize,
+    pub(crate) node: usize,
     /// Kill time, simulated ns.
-    pub at_ns: u64,
+    pub(crate) at_ns: u64,
 }
 
 /// Cluster-level fault schedule: partitions and node kills keyed by
@@ -319,7 +316,7 @@ pub struct ClusterFaultPlan {
 
 impl ClusterFaultPlan {
     /// An empty schedule: every node healthy forever.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ClusterFaultPlan::default()
     }
 

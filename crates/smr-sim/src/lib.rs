@@ -31,7 +31,7 @@
 
 /// Debug-build shingle auditor shadow-checking raw HM-SMR writes.
 pub mod audit;
-/// Shared retry backoff: bounded exponential with seeded jitter.
+/// Shared retry backoff: bounded exponential.
 pub mod backoff;
 /// The simulated disk: layouts, timing, write-constraint checks.
 pub mod disk;
@@ -56,16 +56,14 @@ mod timemodel;
 /// Optional per-I/O trace recording.
 pub mod trace;
 
-pub use audit::ShingleAuditor;
-pub use backoff::{bounded_backoff_ns, Backoff};
+pub use backoff::bounded_backoff_ns;
 pub use disk::{Disk, DiskSnapshot, Layout};
 pub use error::{DiskError, DiskResult};
 pub use extent::{Extent, ExtentSet};
 pub use fault::{ClusterFaultClass, ClusterFaultPlan, DeviceFaultClass, FaultPlan};
 pub use net::NetModel;
 pub use obs::{
-    AllocEvent, EventTracer, LatencyHistogram, MetricsRegistry, Obs, ObsEvent, ObsEventKind,
-    ObsLayer,
+    AllocEvent, EventTracer, LatencyHistogram, MetricsRegistry, Obs, ObsEventKind, ObsLayer,
 };
 pub use ordering::OrderingAuditor;
 pub use stats::{neutral_ratio, FaultStats, IoKind, IoStats, KindCounters};

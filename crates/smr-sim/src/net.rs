@@ -2,18 +2,13 @@
 //!
 //! A [`NetModel`] is a pure function of (seed, link, message id): the
 //! same question always gets the same answer, so cluster runs are fully
-//! deterministic without any mutable RNG state. Three effects compose:
+//! deterministic without any mutable RNG state. Two effects compose:
 //!
 //! * **Per-link latency jitter** — each one-way delivery takes the base
 //!   link latency plus a seeded jitter of up to a quarter of the base.
 //!   Keeping the jitter proportional to the base preserves cross-cell
 //!   monotonicity: a sweep over link latencies can assert that measured
 //!   recovery times grow with the link, jitter notwithstanding.
-//! * **Drops with retransmit** — a seeded per-message drop probability
-//!   (in permille). Each consecutive drop charges one retransmit
-//!   timeout (four base latencies) before the resend; delivery is
-//!   delayed, never lost, modelling a reliable transport over a lossy
-//!   link.
 //! * **Partitions and kills** — a [`ClusterFaultPlan`] schedule. A
 //!   partitioned sender holds its message until the window heals; a
 //!   message reaching a partitioned receiver is buffered by the network
@@ -27,20 +22,12 @@
 
 use crate::fault::{mix, ClusterFaultPlan};
 
-/// Retransmit timeout as a multiple of the base one-way latency.
-const RETRANSMIT_TIMEOUT_FACTOR: u64 = 4;
-
-/// Retransmit attempts before the model gives up jittering and delivers
-/// anyway (a reliable transport never loses the message for good).
-const MAX_RETRANSMITS: u64 = 8;
-
-/// Deterministic cluster network: seeded per-link latency, drops with
-/// retransmit penalties, and a partition/kill schedule.
+/// Deterministic cluster network: seeded per-link latency and a
+/// partition/kill schedule.
 #[derive(Clone, Debug)]
 pub struct NetModel {
     seed: u64,
     base_latency_ns: u64,
-    drop_permille: u64,
     faults: ClusterFaultPlan,
 }
 
@@ -50,15 +37,8 @@ impl NetModel {
         NetModel {
             seed,
             base_latency_ns: base_latency_ns.max(1),
-            drop_permille: 0,
             faults: ClusterFaultPlan::new(),
         }
-    }
-
-    /// Sets the per-message drop probability in permille (clamped to
-    /// 999 — a lossy link, not a severed one; use partitions for that).
-    pub fn set_drop_permille(&mut self, permille: u64) {
-        self.drop_permille = permille.min(999);
     }
 
     /// The installed cluster fault schedule.
@@ -78,23 +58,12 @@ impl NetModel {
     }
 
     /// One-way latency for a message on `from -> to`, ns: base latency,
-    /// plus seeded jitter bounded by a quarter of the base, plus one
-    /// retransmit timeout per seeded consecutive drop. Pure — the same
-    /// arguments always sample the same latency.
+    /// plus seeded jitter bounded by a quarter of the base. Pure — the
+    /// same arguments always sample the same latency.
     pub fn sample_latency_ns(&self, from: usize, to: usize, msg_id: u64) -> u64 {
         let h = self.link_hash(from, to, msg_id);
         let jitter = h % (self.base_latency_ns / 4 + 1);
-        let mut penalty = 0u64;
-        if self.drop_permille > 0 {
-            for attempt in 0..MAX_RETRANSMITS {
-                if mix(h ^ attempt) % 1000 < self.drop_permille {
-                    penalty += RETRANSMIT_TIMEOUT_FACTOR * self.base_latency_ns;
-                } else {
-                    break;
-                }
-            }
-        }
-        self.base_latency_ns + jitter + penalty
+        self.base_latency_ns + jitter
     }
 
     /// Arrival time of a message sent on `from -> to` at `send_ns`, or
@@ -152,25 +121,6 @@ mod tests {
             }
         }
         assert!(reordered, "no reordering across 100 message pairs");
-    }
-
-    #[test]
-    fn drops_add_retransmit_penalties() {
-        let mut lossy = NetModel::new(3, 100_000);
-        lossy.set_drop_permille(400);
-        let clean = NetModel::new(3, 100_000);
-        let penalized = (0..500u64)
-            .filter(|&m| lossy.sample_latency_ns(0, 1, m) > clean.sample_latency_ns(0, 1, m))
-            .count();
-        assert!(
-            penalized > 100,
-            "40% drop rate penalized only {penalized}/500"
-        );
-        // Penalties come in whole retransmit timeouts.
-        for m in 0..500u64 {
-            let delta = lossy.sample_latency_ns(0, 1, m) - clean.sample_latency_ns(0, 1, m);
-            assert_eq!(delta % (RETRANSMIT_TIMEOUT_FACTOR * 100_000), 0);
-        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub enum ObsLayer {
 
 impl ObsLayer {
     /// Stable lowercase name used in export keys.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ObsLayer::Device => "device",
             ObsLayer::Wal => "wal",
@@ -66,7 +66,7 @@ impl ObsLayer {
     }
 }
 
-/// What happened, for trace events. `a`/`b` operands of [`ObsEvent`] are
+/// What happened, for trace events. `a`/`b` operands of `ObsEvent` are
 /// kind-specific and documented per variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ObsEventKind {
@@ -176,17 +176,17 @@ impl ObsEventKind {
 /// One timestamped trace event. Timestamps come from the simulated disk
 /// clock, never from wall time.
 #[derive(Clone, Copy, Debug)]
-pub struct ObsEvent {
+pub(crate) struct ObsEvent {
     /// Simulated time the event was recorded, ns.
-    pub t_ns: u64,
+    pub(crate) t_ns: u64,
     /// Layer that emitted the event.
-    pub layer: ObsLayer,
+    pub(crate) layer: ObsLayer,
     /// Event kind; see [`ObsEventKind`] for `a`/`b` meanings.
-    pub kind: ObsEventKind,
+    pub(crate) kind: ObsEventKind,
     /// First kind-specific operand.
-    pub a: u64,
+    pub(crate) a: u64,
     /// Second kind-specific operand.
-    pub b: u64,
+    pub(crate) b: u64,
 }
 
 /// Bounded ring buffer of trace events. When full, the oldest event is
@@ -212,7 +212,7 @@ impl Default for EventTracer {
 
 impl EventTracer {
     /// Creates a tracer retaining at most `cap` events.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         Self {
             buf: VecDeque::with_capacity(cap.min(DEFAULT_TRACE_CAP)),
             cap: cap.max(1),
@@ -222,7 +222,7 @@ impl EventTracer {
     }
 
     /// Appends an event, evicting the oldest if the ring is full.
-    pub fn record(&mut self, ev: ObsEvent) {
+    pub(crate) fn record(&mut self, ev: ObsEvent) {
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;
@@ -232,7 +232,7 @@ impl EventTracer {
     }
 
     /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &ObsEvent> {
+    pub(crate) fn events(&self) -> impl Iterator<Item = &ObsEvent> {
         self.buf.iter()
     }
 
@@ -247,7 +247,7 @@ impl EventTracer {
     }
 
     /// Retained event count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
@@ -260,7 +260,7 @@ impl EventTracer {
 /// Number of histogram buckets. Bucket `i < HIST_BUCKETS - 1` covers
 /// `[upper(i-1), upper(i))` ns with `upper(i) = 1024 << i`; the last bucket
 /// is unbounded. The span is 1 µs to ~9.6 hours of simulated time.
-pub const HIST_BUCKETS: usize = 36;
+pub(crate) const HIST_BUCKETS: usize = 36;
 
 /// Fixed-bucket latency histogram over simulated nanoseconds.
 ///
@@ -315,7 +315,7 @@ impl LatencyHistogram {
     }
 
     /// Records one sample.
-    pub fn record(&mut self, ns: u64) {
+    pub(crate) fn record(&mut self, ns: u64) {
         self.counts[Self::bucket_index(ns)] += 1;
         self.count += 1;
         self.sum_ns = self.sum_ns.saturating_add(ns);
@@ -338,7 +338,7 @@ impl LatencyHistogram {
     }
 
     /// Mean sample, ns. 0.0 when empty (never NaN).
-    pub fn mean_ns(&self) -> f64 {
+    pub(crate) fn mean_ns(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -381,7 +381,7 @@ impl LatencyHistogram {
     }
 
     /// 99th percentile estimate, ns.
-    pub fn p99(&self) -> u64 {
+    pub(crate) fn p99(&self) -> u64 {
         self.quantile_ns(0.99)
     }
 }
@@ -438,7 +438,7 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// Adds `delta` to a counter, creating it at zero first if absent.
-    pub fn counter_add(&mut self, layer: ObsLayer, name: &str, delta: u64) {
+    pub(crate) fn counter_add(&mut self, layer: ObsLayer, name: &str, delta: u64) {
         *self.counters.slot(layer, name) += delta;
     }
 
@@ -449,7 +449,7 @@ impl MetricsRegistry {
 
     /// Sets a gauge. Non-finite values are clamped to 0.0 so NaN can never
     /// reach an export.
-    pub fn gauge_set(&mut self, layer: ObsLayer, name: &str, value: f64) {
+    pub(crate) fn gauge_set(&mut self, layer: ObsLayer, name: &str, value: f64) {
         *self.gauges.slot(layer, name) = if value.is_finite() { value } else { 0.0 };
     }
 
@@ -459,7 +459,7 @@ impl MetricsRegistry {
     }
 
     /// Counters in deterministic (layer, name) order.
-    pub fn counters(&self) -> impl Iterator<Item = ((ObsLayer, &str), &u64)> {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = ((ObsLayer, &str), &u64)> {
         self.counters.iter()
     }
 

@@ -16,7 +16,7 @@
 //! - a client ack is issued only with zero unsynced WAL bytes and no held
 //!   value-log appends.
 //!
-//! Like [`crate::audit::ShingleAuditor`], it is an independent shadow
+//! Like `crate::audit::ShingleAuditor`, it is an independent shadow
 //! model: it keeps its own sets rather than peeking at the store's
 //! bookkeeping, so a bug in the store cannot hide itself. In release
 //! builds the asserts compile out and the store never constructs an

@@ -117,7 +117,7 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// True if any fault-path counter is non-zero.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         self.injected_write_failures != 0
             || self.torn_writes != 0
             || self.read_corruptions != 0

@@ -17,18 +17,18 @@ const CHUNK_SIZE: usize = 1 << CHUNK_SHIFT;
 /// one at every Kth write): the clone shares every chunk until either
 /// side writes, at which point only the touched chunk is copied.
 #[derive(Debug, Default, Clone)]
-pub struct SparseStore {
+pub(crate) struct SparseStore {
     chunks: std::collections::BTreeMap<u64, std::sync::Arc<[u8; CHUNK_SIZE]>>,
 }
 
 impl SparseStore {
     /// Creates an empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Writes `data` starting at byte `offset`.
-    pub fn write(&mut self, offset: u64, data: &[u8]) {
+    pub(crate) fn write(&mut self, offset: u64, data: &[u8]) {
         let mut pos = offset;
         let mut rest = data;
         while !rest.is_empty() {

@@ -17,7 +17,7 @@
 #[derive(Clone, Copy, Debug)]
 pub struct TimeModel {
     /// Total addressable capacity, used to normalise seek distance.
-    pub capacity: u64,
+    pub(crate) capacity: u64,
     /// Track-to-track (minimum) seek time.
     min_seek_ns: u64,
     /// Full-stroke (maximum) seek time.

@@ -42,7 +42,7 @@ pub struct TraceRecorder {
 
 impl TraceRecorder {
     /// Creates a disabled recorder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -52,7 +52,7 @@ impl TraceRecorder {
     }
 
     /// Records one event if enabled.
-    pub fn record(&mut self, tag: u64, file: u64, ext: Extent, dir: TraceDir, kind: IoKind) {
+    pub(crate) fn record(&mut self, tag: u64, file: u64, ext: Extent, dir: TraceDir, kind: IoKind) {
         if self.enabled {
             self.events.push(TraceEvent {
                 tag,

@@ -19,7 +19,7 @@ fn uniform_f64(rng: &mut XorShift64) -> f64 {
 
 /// Zipfian over `[0, n)`: item 0 is the most popular.
 #[derive(Clone, Debug)]
-pub struct Zipfian {
+pub(crate) struct Zipfian {
     n: u64,
     theta: f64,
     alpha: f64,
@@ -33,7 +33,7 @@ fn zeta(n: u64, theta: f64) -> f64 {
 
 impl Zipfian {
     /// Creates a zipfian generator over `n` items.
-    pub fn new(n: u64) -> Self {
+    pub(crate) fn new(n: u64) -> Self {
         let theta = ZIPFIAN_CONSTANT;
         let zetan = zeta(n, theta);
         let zeta2 = zeta(2, theta);
@@ -71,7 +71,7 @@ impl Distribution for Zipfian {
 /// Zipfian popularity spread over the keyspace by hashing (YCSB's
 /// `ScrambledZipfianGenerator`): hot items are scattered, not clustered.
 ///
-/// The scatter is a *bijection* on `[0, n)` ([`ScatterPermutation`]), not
+/// The scatter is a *bijection* on `[0, n)` (`ScatterPermutation`), not
 /// a hash-mod: `fnv1a64(rank) % n` collides, so distinct ranks alias the
 /// same item, the effective keyspace shrinks, and anything partitioning
 /// the keyspace downstream (the shard router) inherits a silent skew.
@@ -86,7 +86,7 @@ pub struct ScrambledZipfian {
 /// cycle-walking to stay inside `[0, n)`. Every rank maps to a distinct
 /// item, so scattering never shrinks the keyspace.
 #[derive(Clone, Copy, Debug)]
-pub struct ScatterPermutation {
+pub(crate) struct ScatterPermutation {
     n: u64,
     /// Bits per Feistel half; the walked domain is `2^(2*half_bits)`.
     half_bits: u32,
@@ -103,7 +103,7 @@ const SCATTER_KEYS: [u64; 4] = [
 
 impl ScatterPermutation {
     /// A permutation of `[0, n)`; `n = 0` behaves as `n = 1`.
-    pub fn new(n: u64) -> Self {
+    pub(crate) fn new(n: u64) -> Self {
         let n = n.max(1);
         // Smallest even bit width whose power of two covers n, so the
         // Feistel halves are equal-width and the walk terminates fast
@@ -188,13 +188,13 @@ impl Distribution for ScrambledZipfian {
 /// YCSB's latest distribution: recently inserted items are the hottest
 /// (used by workload D).
 #[derive(Clone, Debug)]
-pub struct Latest {
+pub(crate) struct Latest {
     inner: Zipfian,
 }
 
 impl Latest {
     /// Creates a latest-skewed generator sized for up to `n_max` items.
-    pub fn new(n_max: u64) -> Self {
+    pub(crate) fn new(n_max: u64) -> Self {
         Latest {
             inner: Zipfian::new(n_max),
         }

@@ -24,11 +24,6 @@ impl RecordGenerator {
         }
     }
 
-    /// The paper's record shape: 16-byte keys, 4 KB values.
-    pub fn paper() -> Self {
-        RecordGenerator::new(16, 4096, 0x5EED)
-    }
-
     /// Key bytes for item index `i`: `"k"` + zero-padded decimal,
     /// exactly `key_size` bytes, so lexicographic order == numeric order.
     pub fn key(&self, i: u64) -> Vec<u8> {
@@ -48,11 +43,6 @@ impl RecordGenerator {
         }
         v.truncate(self.value_size);
         v
-    }
-
-    /// Value size in bytes.
-    pub fn value_size(&self) -> usize {
-        self.value_size
     }
 
     /// Bytes per record (key + value).
@@ -90,7 +80,7 @@ mod tests {
 
     #[test]
     fn paper_shape() {
-        let g = RecordGenerator::paper();
+        let g = RecordGenerator::new(16, 4096, 0x5EED);
         assert_eq!(g.key(0).len(), 16);
         assert_eq!(g.value(0).len(), 4096);
         assert_eq!(g.record_size(), 4112);

@@ -18,7 +18,7 @@ pub mod micro;
 mod ycsb;
 
 pub use arrivals::{ArrivalProcess, InterArrival};
-pub use distributions::{Distribution, Latest, ScatterPermutation, ScrambledZipfian, Zipfian};
+pub use distributions::{Distribution, ScrambledZipfian};
 pub use generator::RecordGenerator;
 pub use micro::{fill_random, fill_seq, permute, read_random, read_seq, MicroResult};
 pub use ycsb::{run as run_ycsb, Mix, OpStream, WorkloadSpec, YcsbOp, YcsbResult};

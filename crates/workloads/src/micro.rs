@@ -12,11 +12,11 @@ use sealdb::Store;
 #[derive(Clone, Copy, Debug)]
 pub struct MicroResult {
     /// Operations executed.
-    pub ops: u64,
+    pub(crate) ops: u64,
     /// Simulated time the phase took, ns.
     pub sim_ns: u64,
     /// Payload bytes moved.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 impl MicroResult {

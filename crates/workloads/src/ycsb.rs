@@ -48,11 +48,6 @@ pub struct WorkloadSpec {
     dist: Dist,
     /// Maximum scan length (workload E; YCSB default 100).
     pub max_scan_len: usize,
-    /// Target offered load per client in ops per simulated second for
-    /// the serving front-end's open-loop mode; 0.0 (the default) means
-    /// unpaced — `run` issues back-to-back and the front-end falls back
-    /// to closed-loop traffic.
-    pub ops_per_sec: f64,
 }
 
 impl WorkloadSpec {
@@ -68,7 +63,6 @@ impl WorkloadSpec {
             },
             dist: Dist::Zipfian,
             max_scan_len: 100,
-            ops_per_sec: 0.0,
         }
     }
 
@@ -84,7 +78,6 @@ impl WorkloadSpec {
             },
             dist: Dist::Zipfian,
             max_scan_len: 100,
-            ops_per_sec: 0.0,
         }
     }
 
@@ -100,12 +93,11 @@ impl WorkloadSpec {
             },
             dist: Dist::Zipfian,
             max_scan_len: 100,
-            ops_per_sec: 0.0,
         }
     }
 
     /// Workload D: read latest (95% reads, 5% inserts).
-    pub fn d() -> Self {
+    pub(crate) fn d() -> Self {
         WorkloadSpec {
             name: "D",
             mix: Mix {
@@ -116,7 +108,6 @@ impl WorkloadSpec {
             },
             dist: Dist::Latest,
             max_scan_len: 100,
-            ops_per_sec: 0.0,
         }
     }
 
@@ -132,7 +123,6 @@ impl WorkloadSpec {
             },
             dist: Dist::Zipfian,
             max_scan_len: 100,
-            ops_per_sec: 0.0,
         }
     }
 
@@ -148,7 +138,6 @@ impl WorkloadSpec {
             },
             dist: Dist::Zipfian,
             max_scan_len: 100,
-            ops_per_sec: 0.0,
         }
     }
 
@@ -171,7 +160,6 @@ impl WorkloadSpec {
             },
             dist: Dist::Zipfian,
             max_scan_len: 100,
-            ops_per_sec: 0.0,
         }
     }
 
@@ -192,11 +180,9 @@ impl WorkloadSpec {
 #[derive(Clone, Copy, Debug)]
 pub struct YcsbResult {
     /// Operations executed.
-    pub ops: u64,
+    pub(crate) ops: u64,
     /// Simulated duration, ns.
-    pub sim_ns: u64,
-    /// Reads that found their key.
-    pub hits: u64,
+    pub(crate) sim_ns: u64,
     /// Reads that missed (should stay 0 in our closed keyspace).
     pub misses: u64,
 }
@@ -315,12 +301,9 @@ pub fn run(
     op_count: u64,
     seed: u64,
 ) -> Result<YcsbResult> {
-    let mut hits = 0;
     let mut misses = 0;
     let mut read = |store: &mut Store, key: &[u8]| -> Result<()> {
-        if store.get(key)?.is_some() {
-            hits += 1;
-        } else {
+        if store.get(key)?.is_none() {
             misses += 1;
         }
         Ok(())
@@ -343,7 +326,6 @@ pub fn run(
     Ok(YcsbResult {
         ops: op_count,
         sim_ns: store.clock_ns() - start,
-        hits,
         misses,
     })
 }

@@ -3,15 +3,28 @@
 # items and `opts` per crate, each file counted up to its first
 # `#[cfg(test)]`. `opts` is the number of `pub` fields in the
 # configuration structs named below — each an independently settable
-# value. Report-only; CHANGES.md entries copy the TOTAL row before and
-# after.
+# value. CHANGES.md entries copy the TOTAL row before and after.
 #
-#   scripts/size.sh [repo-root]     (default: the repo this script is in)
+#   scripts/size.sh [repo-root]                  report only
+#   scripts/size.sh --check CEILING [repo-root]  report, then fail when the
+#                                                TOTAL pub items or opts exceed
+#                                                the ceiling file's numbers
+#
+# CEILING holds one `pub N` and one `opts N` line (`#` starts a comment).
+# Lines are never gated: a perf change may add lines on purpose. A change
+# that adds a pub item or an option raises the ceiling in its own diff.
 set -euo pipefail
+
+ceiling=
+if [[ "${1:-}" == "--check" ]]; then
+    ceiling="$(cd "$(dirname "$2")" && pwd)/$(basename "$2")"
+    shift 2
+fi
 cd "${1:-$(dirname "$0")/..}"
 
 configs='Options|StoreConfig|VlogParams|ServeConfig|ReplicaConfig|ShardConfig|ChaosConfig|ScrubConfig|GcConfig'
 
+report=$(
 printf '%-12s %8s %6s %5s\n' crate lines pub opts
 for crate in crates/*/; do
     find "$crate" \( -path "${crate}src/*" -o -path "${crate}benches/*" \) -name '*.rs' | sort |
@@ -27,3 +40,24 @@ for crate in crates/*/; do
             END { printf "%-12s %8d %6d %5d\n", crate, lines, items, opts }'
 done | awk '{ print; lines += $2; items += $3; opts += $4 }
             END { printf "%-12s %8d %6d %5d\n", "TOTAL", lines, items, opts }'
+)
+echo "$report"
+[[ -z "$ceiling" ]] && exit 0
+
+read -r _ _ pub opts <<< "$(tail -n 1 <<< "$report")"
+max_pub=$(awk '$1 == "pub" { print $2 }' "$ceiling")
+max_opts=$(awk '$1 == "opts" { print $2 }' "$ceiling")
+if [[ -z "$max_pub" || -z "$max_opts" ]]; then
+    echo "size.sh: $ceiling needs a \`pub N\` and an \`opts N\` line" >&2
+    exit 2
+fi
+status=0
+if (( pub > max_pub )); then
+    echo "size.sh: $pub pub items exceed the ceiling of $max_pub ($ceiling)" >&2
+    status=1
+fi
+if (( opts > max_opts )); then
+    echo "size.sh: $opts opts exceed the ceiling of $max_opts ($ceiling)" >&2
+    status=1
+fi
+exit $status

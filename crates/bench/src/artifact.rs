@@ -504,7 +504,7 @@ mod tests {
             (include_str!("../../../BENCH_pr5.json"), "sealdb-scrub-v1"),
             (
                 include_str!("../../../BENCH_pr6.json"),
-                "sealdb-replicate-v1",
+                "sealdb-replicate-v2",
             ),
             (PR7, "sealdb-shard-v1"),
             (include_str!("../../../BENCH_pr8.json"), "sealdb-vlog-v1"),

@@ -58,7 +58,6 @@ fn chaos_config(scale: &BenchScale) -> ChaosConfig {
         events: events_per_schedule(scale),
         sstable_size: scale.sstable,
         disk_capacity: scale.disk_capacity(),
-        buggy_gc: false,
     }
 }
 

@@ -2,12 +2,11 @@
 //! `--replicate-check` (`BENCH_pr6.json`).
 //!
 //! Each cell builds a fresh three-node cluster (one primary, two
-//! replicas) on the seeded simulated network, streams writes through
-//! the configured ship mode and ack policy, kills the primary at a
-//! sweep-chosen point, fails over, lets the old primary rejoin by
-//! catch-up streaming, finishes the write stream on the new primary,
-//! and audits every acked write. The sweep crosses ship mode (WAL
-//! apply vs index-lazy) × ack policy (primary-only vs quorum-1) ×
+//! replicas) on the seeded simulated network, streams writes under the
+//! configured ack policy, kills the primary at a sweep-chosen point,
+//! fails over, lets the old primary rejoin by catch-up streaming,
+//! finishes the write stream on the new primary, and audits every acked
+//! write. The sweep crosses ack policy (primary-only vs quorum-1) ×
 //! base link latency × kill point.
 //!
 //! Headline invariants, re-checked by CI:
@@ -16,7 +15,7 @@
 //!   at least one primary-only cell loses its unshipped tail (the kill
 //!   points are odd, so the async ship buffer is never empty).
 //! * **RTO** — every failover completes in finite positive time, and
-//!   within each (mode, ack, kill point) group the measured RTO is
+//!   within each (ack, kill point) group the measured RTO is
 //!   strictly monotone in the base link latency: detection is constant,
 //!   fencing and client redirect scale with the link, and replay is
 //!   latency-independent.
@@ -27,14 +26,11 @@
 use crate::artifact::{self, expect_count, row, run_cells, Row};
 use crate::BenchScale;
 use lsm_core::Result;
-use seal_replica::{AckPolicy, Cluster, ReplicaConfig, ShipMode};
+use seal_replica::{AckPolicy, Cluster, ReplicaConfig};
 use std::collections::BTreeMap;
 
 /// Schema marker the checker requires at the top of the artifact.
-const REPLICATE_SCHEMA: &str = "sealdb-replicate-v1";
-
-/// Ship modes swept.
-const MODES: [ShipMode; 2] = [ShipMode::WalApply, ShipMode::IndexLazy];
+const REPLICATE_SCHEMA: &str = "sealdb-replicate-v2";
 
 /// Ack policies swept.
 const ACKS: [AckPolicy; 2] = [AckPolicy::PrimaryOnly, AckPolicy::Quorum(1)];
@@ -61,14 +57,12 @@ fn kill_points(scale: &BenchScale) -> [u64; 2] {
 
 fn run_cell(
     scale: &BenchScale,
-    mode: ShipMode,
     ack: AckPolicy,
     link_latency_ns: u64,
     kill_after: u64,
 ) -> Result<Row> {
     let writes = writes_per_cell(scale);
     let mut conf = ReplicaConfig::new(REPLICAS, scale.sstable, scale.disk_capacity());
-    conf.mode = mode;
     conf.ack = ack;
     conf.seed = scale.seed;
     conf.link_latency_ns = link_latency_ns;
@@ -91,14 +85,13 @@ fn run_cell(
     let audit = cluster.audit()?;
     let state_hash = cluster.state_hash()?;
     Ok(row! {
-        "mode" => mode.name(),
         "ack" => ack.name(),
         "link_latency_ns" => link_latency_ns,
         "kill_after" => kill_after,
         "writes" => writes,
         "acked_writes" => audit.acked_writes,
-        // Acked writes the post-failover audit could not read back.
-        "acked_lost" => audit.acked_lost,
+        // Acked writes the post-failover primary could not read back.
+        "acked_lost" => audit.primary_misses,
         "rto_ns" => report.rto_ns,
         "detect_ns" => report.detect_ns,
         "fence_ns" => report.fence_ns,
@@ -115,22 +108,20 @@ fn run_cell(
     })
 }
 
-/// Runs the full mode × ack × kill-point × link-latency grid and returns
-/// the artifact as JSON.
+/// Runs the full ack × kill-point × link-latency grid and returns the
+/// artifact as JSON.
 pub fn replicate_sweep(scale: &BenchScale) -> Result<String> {
     let mut grid = Vec::new();
-    for mode in MODES {
-        for ack in ACKS {
-            for kill_after in kill_points(scale) {
-                for link in LINK_LATENCIES_NS {
-                    grid.push((mode, ack, link, kill_after));
-                }
+    for ack in ACKS {
+        for kill_after in kill_points(scale) {
+            for link in LINK_LATENCIES_NS {
+                grid.push((ack, link, kill_after));
             }
         }
     }
     let cells = run_cells(grid.len(), |i| {
-        let (mode, ack, link, kill_after) = grid[i];
-        run_cell(scale, mode, ack, link, kill_after)
+        let (ack, link, kill_after) = grid[i];
+        run_cell(scale, ack, link, kill_after)
     });
     let doc = row! {
         "schema" => REPLICATE_SCHEMA,
@@ -143,15 +134,15 @@ pub fn replicate_sweep(scale: &BenchScale) -> Result<String> {
     Ok(doc.to_json())
 }
 
-/// What an RTO series is grouped by: (mode, ack, kill point).
-type RtoGroup<'a> = (&'a str, &'a str, u64);
+/// What an RTO series is grouped by: (ack, kill point).
+type RtoGroup<'a> = (&'a str, u64);
 
 /// Validates a replication artifact: schema marker, the full cell grid,
 /// no NaN/Inf — and the durability invariants themselves: zero acked
 /// loss in every quorum cell (with at least one primary-only cell
 /// losing its tail, proving the audit has teeth), and an RTO that is
 /// finite, positive, and strictly monotone in the link latency within
-/// each (mode, ack, kill point) group. Returns the list of problems;
+/// each (ack, kill point) group. Returns the list of problems;
 /// empty means valid.
 pub fn check_replicate_json(content: &str) -> Vec<String> {
     artifact::check(content, REPLICATE_SCHEMA, |doc, problems| {
@@ -159,22 +150,25 @@ pub fn check_replicate_json(content: &str) -> Vec<String> {
             doc.u(key)?;
         }
         let cells = doc.rows("cells")?;
-        let expected_cells = MODES.len() * ACKS.len() * 2 * LINK_LATENCIES_NS.len();
+        let expected_cells = ACKS.len() * 2 * LINK_LATENCIES_NS.len();
         expect_count(problems, expected_cells, "cells", cells.len());
         let mut saw_quorum = false;
         let mut primary_lost = 0u64;
         let mut groups: BTreeMap<RtoGroup, Vec<(u64, u64)>> = BTreeMap::new();
         for cell in cells {
-            let (mode, ack) = (cell.s("mode")?, cell.s("ack")?);
+            let ack = cell.s("ack")?;
             let link = cell.u("link_latency_ns")?;
+            // The column is the audit's `primary_misses` (acked writes
+            // the post-failover primary cannot serve), not the report's
+            // cluster-wide `acked_lost`; see `run_cell`.
             let lost = cell.u("acked_lost")?;
             let rto = cell.u("rto_ns")?;
             match ack {
-                "quorum" | "all" => {
+                "quorum" => {
                     saw_quorum = true;
                     if lost != 0 {
                         problems.push(format!(
-                            "durability invariant violated: {ack}-ack cell (mode {mode}, link {link}) lost {lost} acked writes"
+                            "durability invariant violated: {ack}-ack cell (link {link}) lost {lost} acked writes"
                         ));
                     }
                 }
@@ -183,10 +177,10 @@ pub fn check_replicate_json(content: &str) -> Vec<String> {
             }
             if rto == 0 || rto < cell.u("detect_ns")? {
                 problems.push(format!(
-                    "cell (mode {mode}, ack {ack}, link {link}) has implausible rto {rto}"
+                    "cell (ack {ack}, link {link}) has implausible rto {rto}"
                 ));
             }
-            let group = (mode, ack, cell.u("kill_after")?);
+            let group = (ack, cell.u("kill_after")?);
             groups.entry(group).or_default().push((link, rto));
         }
         if !saw_quorum {
@@ -197,12 +191,12 @@ pub fn check_replicate_json(content: &str) -> Vec<String> {
                 "primary-only baselines lost no acked writes: the kill points never caught the async ship buffer".to_string(),
             );
         }
-        for ((mode, ack, kill), mut series) in groups {
+        for ((ack, kill), mut series) in groups {
             series.sort_unstable();
             for pair in series.windows(2) {
                 if pair[1].1 <= pair[0].1 {
                     problems.push(format!(
-                        "rto not monotone in link latency for (mode {mode}, ack {ack}, kill {kill}): {} ns @ link {} vs {} ns @ link {}",
+                        "rto not monotone in link latency for (ack {ack}, kill {kill}): {} ns @ link {} vs {} ns @ link {}",
                         pair[0].1, pair[0].0, pair[1].1, pair[1].0
                     ));
                 }
@@ -226,7 +220,7 @@ mod tests {
     }
 
     /// One sweep shared by the read-only tests (each cell drives a
-    /// three-node cluster through a failover; running the 24-cell grid
+    /// three-node cluster through a failover; running the 12-cell grid
     /// once keeps the suite fast).
     fn artifact() -> &'static str {
         static ARTIFACT: OnceLock<String> = OnceLock::new();

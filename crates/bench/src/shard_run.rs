@@ -122,9 +122,9 @@ fn run_migration(scale: &BenchScale) -> Result<Row> {
         // Band-sized batches the move took.
         "batches" => report.batches,
         "duration_ns" => report.duration_ns,
-        "checked_keys" => audit.checked,
+        "checked_keys" => audit.acked_writes,
         // Audited keys whose routed shard lost the acked value (gate: 0).
-        "lost_keys" => audit.lost,
+        "lost_keys" => audit.acked_lost,
         "state_hashes" => hashes(&mut cluster)?,
     })
 }

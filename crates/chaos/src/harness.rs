@@ -19,9 +19,9 @@
 //! After the schedule, [`ChaosHarness::check`] runs the oracle:
 //!
 //! 1. **No acked loss** — every group's
-//!    [`Cluster::audit_deep`](seal_replica::Cluster::audit_deep) must
-//!    report zero acked writes that *no* survivor holds (a lagging or
-//!    damaged primary is a repairable miss, not loss).
+//!    [`Cluster::audit`](seal_replica::Cluster::audit) must report zero
+//!    acked writes that *no* survivor holds (a lagging or damaged
+//!    primary is a repairable miss, not loss).
 //! 2. **Routing durability** — every promised key must be served with
 //!    its promised value by some live node of the group it currently
 //!    routes to, across migrations (the vlog pointer path included:
@@ -66,11 +66,6 @@ pub struct ChaosConfig {
     pub sstable_size: u64,
     /// Disk capacity of every node store.
     pub disk_capacity: u64,
-    /// Route value-log GC through the deliberately broken
-    /// retire-before-sync entry point
-    /// (`Store::vlog_gc_step_retire_before_sync`) — the re-injected
-    /// PR 8 regression the shrinker demo minimizes down to.
-    pub buggy_gc: bool,
 }
 
 impl Default for ChaosConfig {
@@ -81,7 +76,6 @@ impl Default for ChaosConfig {
             events: 24,
             sstable_size: 32 << 10,
             disk_capacity: 1 << 30,
-            buggy_gc: false,
         }
     }
 }
@@ -623,24 +617,14 @@ impl ChaosHarness {
     }
 
     fn ev_gc_drain(&mut self, g: usize) -> Result<bool> {
-        let buggy = self.cfg.buggy_gc;
         let c = self.cluster.node_mut(g);
         flush_with_retry(c.primary_store_mut());
         let mut errs = 0u32;
         for _ in 0..64 {
-            // The correct path is the *cluster-level* GC step, which
-            // replicates the sequence range the fixups consume. The
-            // buggy knob deliberately runs store-level GC with the
-            // retire-before-sync bug — in debug builds the ordering
-            // auditor panics, and either way the unshipped sequence
-            // range diverges the replicas, so the oracle fails too.
-            let step = if buggy {
-                c.primary_store_mut()
-                    .vlog_gc_step_retire_before_sync(1 << 20)
-            } else {
-                c.vlog_gc_step(1 << 20)
-            };
-            match step {
+            // The *cluster-level* GC step: it replicates the sequence
+            // range the fixups consume, which store-level GC would leave
+            // as a gap in every replica's stream.
+            match c.vlog_gc_step(1 << 20) {
                 Ok(true) => {}
                 Ok(false) => break,
                 Err(_) => {
@@ -729,13 +713,13 @@ impl ChaosHarness {
                     .push(format!("group {g}: epilogue scrub never finished a pass"));
             }
             // 4. Durability: no acked write may be lost cluster-wide.
-            let mut deep = c.audit_deep();
+            let mut audit = c.audit();
             for _ in 0..4 {
-                if deep.is_err() {
-                    deep = c.audit_deep();
+                if audit.is_err() {
+                    audit = c.audit();
                 }
             }
-            match deep {
+            match audit {
                 Ok(r) => {
                     report.acked_writes += r.acked_writes;
                     report.primary_misses += r.primary_misses;
@@ -749,7 +733,7 @@ impl ChaosHarness {
                 }
                 Err(e) => report
                     .violations
-                    .push(format!("group {g}: deep audit kept failing: {e}")),
+                    .push(format!("group {g}: audit kept failing: {e}")),
             }
             // 5. Survivor agreement among undamaged live nodes.
             let mut hashes: Vec<(usize, u64)> = Vec::new();

@@ -156,8 +156,7 @@ pub enum ChaosEvent {
         group: usize,
     },
     /// Flush the primary, then run its value-log garbage collector
-    /// until idle (budget-capped). Under `buggy_gc` this routes
-    /// through the deliberately broken retire-before-sync entry point.
+    /// until idle (budget-capped).
     GcDrain {
         /// Target replica group.
         group: usize,

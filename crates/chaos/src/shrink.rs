@@ -11,10 +11,11 @@
 //! partition the schedule into chunks, try dropping each chunk and each
 //! chunk's complement, keep any reduction that still fails, double
 //! granularity when stuck — then polish with a 1-minimal single-removal
-//! sweep. Every candidate is judged by `schedule_fails`, so the
-//! reduction is exactly as deterministic as the harness itself, and
-//! `snippet` renders the result ready to paste into a regression test.
-//! To minimize a new failure, call `shrink` from a test in that module.
+//! sweep. Every candidate is judged by the failure predicate it is
+//! given, so the reduction is exactly as deterministic as that
+//! predicate (`schedule_fails` is), and `snippet` renders the result
+//! ready to paste into a regression test. To minimize a new failure,
+//! call `shrink` with `schedule_fails` from a test in that module.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -57,103 +58,106 @@ mod tests {
         s
     }
 
-    /// Runs `f` with the panic hook silenced, restoring the previous hook
-    /// afterwards. The shrinker replays panicking candidates dozens of
-    /// times; without this every probe would spray a backtrace.
-    fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let out = f();
-        std::panic::set_hook(prev);
-        out
-    }
-
-    /// Minimizes a failing schedule with ddmin plus a 1-minimal polish;
-    /// the result reproduces under the same `cfg` and `seed`. Panics if
-    /// `events` does not fail to begin with — shrinking a passing
-    /// schedule is always a caller bug.
-    fn shrink(cfg: &ChaosConfig, seed: u64, events: &[ChaosEvent]) -> Vec<ChaosEvent> {
-        with_quiet_panics(|| {
-            assert!(
-                schedule_fails(cfg, seed, events),
-                "shrink() requires a failing schedule"
-            );
-            let mut current = events.to_vec();
-            let mut chunks = 2usize;
-            while current.len() >= 2 {
-                let len = current.len();
-                let n = chunks.min(len);
-                let mut reduced = false;
-                // Chunk boundaries: n near-equal slices of `current`.
-                let bounds: Vec<(usize, usize)> =
-                    (0..n).map(|i| (i * len / n, (i + 1) * len / n)).collect();
-                // Try each complement (drop one chunk), then each chunk
-                // alone. Complements first keeps reductions large.
-                for &(lo, hi) in &bounds {
-                    let mut cand = Vec::with_capacity(len - (hi - lo));
-                    cand.extend_from_slice(&current[..lo]);
-                    cand.extend_from_slice(&current[hi..]);
-                    if !cand.is_empty() && schedule_fails(cfg, seed, &cand) {
-                        current = cand;
-                        chunks = (chunks - 1).max(2);
-                        reduced = true;
-                        break;
-                    }
-                }
-                if reduced {
-                    continue;
-                }
-                for &(lo, hi) in &bounds {
-                    let cand = current[lo..hi].to_vec();
-                    if cand.len() < current.len() && schedule_fails(cfg, seed, &cand) {
-                        current = cand;
-                        chunks = 2;
-                        reduced = true;
-                        break;
-                    }
-                }
-                if reduced {
-                    continue;
-                }
-                if chunks >= current.len() {
+    /// Minimizes a schedule `fails` rejects with ddmin plus a
+    /// 1-minimal polish; the result still fails. For a real chaos
+    /// failure pass `|events| schedule_fails(&cfg, seed, events)`, with
+    /// the panic hook silenced if its candidates can panic (each probe
+    /// would print a backtrace otherwise). Panics if `events` does not
+    /// fail to begin with — shrinking a passing schedule is always a
+    /// caller bug.
+    fn shrink(
+        events: &[ChaosEvent],
+        mut fails: impl FnMut(&[ChaosEvent]) -> bool,
+    ) -> Vec<ChaosEvent> {
+        assert!(fails(events), "shrink() requires a failing schedule");
+        let mut current = events.to_vec();
+        let mut chunks = 2usize;
+        while current.len() >= 2 {
+            let len = current.len();
+            let n = chunks.min(len);
+            let mut reduced = false;
+            // Chunk boundaries: n near-equal slices of `current`.
+            let bounds: Vec<(usize, usize)> =
+                (0..n).map(|i| (i * len / n, (i + 1) * len / n)).collect();
+            // Try each complement (drop one chunk), then each chunk
+            // alone. Complements first keeps reductions large.
+            for &(lo, hi) in &bounds {
+                let mut cand = Vec::with_capacity(len - (hi - lo));
+                cand.extend_from_slice(&current[..lo]);
+                cand.extend_from_slice(&current[hi..]);
+                if !cand.is_empty() && fails(&cand) {
+                    current = cand;
+                    chunks = (chunks - 1).max(2);
+                    reduced = true;
                     break;
                 }
-                chunks = (chunks * 2).min(current.len());
             }
-            // 1-minimal polish: drop single events until no single removal
-            // still fails.
-            let mut polished = true;
-            while polished && current.len() > 1 {
-                polished = false;
-                for i in 0..current.len() {
-                    let mut cand = current.clone();
-                    cand.remove(i);
-                    if schedule_fails(cfg, seed, &cand) {
-                        current = cand;
-                        polished = true;
-                        break;
-                    }
+            if reduced {
+                continue;
+            }
+            for &(lo, hi) in &bounds {
+                let cand = current[lo..hi].to_vec();
+                if cand.len() < current.len() && fails(&cand) {
+                    current = cand;
+                    chunks = 2;
+                    reduced = true;
+                    break;
                 }
             }
-            current
+            if reduced {
+                continue;
+            }
+            if chunks >= current.len() {
+                break;
+            }
+            chunks = (chunks * 2).min(current.len());
+        }
+        // 1-minimal polish: drop single events until no single removal
+        // still fails.
+        let mut polished = true;
+        while polished && current.len() > 1 {
+            polished = false;
+            for i in 0..current.len() {
+                let mut cand = current.clone();
+                cand.remove(i);
+                if fails(&cand) {
+                    current = cand;
+                    polished = true;
+                    break;
+                }
+            }
+        }
+        current
+    }
+
+    /// A synthetic failure: the schedule fails once a GC drain follows
+    /// two full-keyspace write bursts — the shape of the value-log
+    /// ordering repros — judged without running a store, so the test
+    /// pins what ddmin does, not what the harness finds.
+    fn drain_after_two_full_bursts(events: &[ChaosEvent]) -> bool {
+        let mut bursts = 0;
+        events.iter().any(|e| match e {
+            WriteBurst { base: 0, count: 60 } => {
+                bursts += 1;
+                false
+            }
+            GcDrain { .. } => bursts >= 2,
+            _ => false,
         })
     }
 
-    fn buggy_cfg() -> ChaosConfig {
-        ChaosConfig {
-            groups: 1,
-            replicas: 1,
-            buggy_gc: true,
-            ..ChaosConfig::default()
-        }
+    /// The three events [`drain_after_two_full_bursts`] needs.
+    fn core() -> Vec<ChaosEvent> {
+        vec![
+            WriteBurst { base: 0, count: 60 },
+            WriteBurst { base: 0, count: 60 },
+            GcDrain { group: 0 },
+        ]
     }
 
-    /// The noisy schedule the shrinker demo starts from: the four
-    /// events that actually matter (two full-keyspace rounds make the
-    /// keys hot, a churn round kills round-2 versions inside a sealed
-    /// hot segment, the drain relocates the survivors and recycles
-    /// before their fixups are durable) buried in unrelated noise.
-    fn noisy_schedule() -> Vec<crate::schedule::ChaosEvent> {
+    /// [`core`] buried in unrelated noise: scrubs, transient reads,
+    /// fail-slow, and write bursts that do not count.
+    fn noisy_schedule() -> Vec<ChaosEvent> {
         vec![
             WriteBurst { base: 0, count: 60 },
             ScrubPass { group: 0 },
@@ -174,78 +178,51 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    fn shrinks_the_reinjected_gc_ordering_bug_to_its_core() {
-        let cfg = buggy_cfg();
-        assert!(
-            schedule_fails(&cfg, 7, &noisy_schedule()),
-            "the noisy buggy-GC schedule must fail under ordering audits"
-        );
-        let repro = with_quiet_panics(|| shrink(&cfg, 7, &noisy_schedule()));
-        assert!(
-            repro.len() <= 5,
-            "expected a ≤5-event core, got {:?}",
-            repro
-        );
-        assert!(
-            schedule_fails(&cfg, 7, &repro),
-            "the minimized schedule must still fail"
-        );
-        assert!(
-            repro.iter().any(|e| matches!(e, GcDrain { .. })),
-            "the GC drain must survive shrinking: {:?}",
-            repro
-        );
-        assert!(snippet(&repro).contains("GcDrain"));
+    fn shrinks_a_noisy_failure_to_exactly_its_core() {
+        let repro = shrink(&noisy_schedule(), drain_after_two_full_bursts);
+        assert_eq!(repro, core());
+        assert!(snippet(&repro).contains("GcDrain { group: 0 }"));
         // Shrinking is deterministic: a second reduction of the same
         // input lands on the same core.
-        let again = with_quiet_panics(|| shrink(&cfg, 7, &noisy_schedule()));
-        assert_eq!(repro, again);
+        assert_eq!(
+            shrink(&noisy_schedule(), drain_after_two_full_bursts),
+            repro
+        );
         // 1-minimality: removing any single surviving event yields a
         // passing schedule.
         for i in 0..repro.len() {
             let mut cand = repro.clone();
             cand.remove(i);
             assert!(
-                !schedule_fails(&cfg, 7, &cand),
+                !drain_after_two_full_bursts(&cand),
                 "dropping event {i} should make the schedule pass: {cand:?}"
             );
         }
     }
 
     #[test]
-    fn correct_gc_passes_the_same_schedule() {
-        let cfg = ChaosConfig {
-            buggy_gc: false,
-            ..buggy_cfg()
-        };
-        assert!(
-            !schedule_fails(&cfg, 7, &noisy_schedule()),
-            "the same schedule must pass once GC syncs before recycling"
-        );
+    fn shrink_is_a_noop_on_an_already_minimal_failure() {
+        assert_eq!(shrink(&core(), drain_after_two_full_bursts), core());
     }
 
     #[test]
-    fn shrink_is_a_noop_on_an_already_minimal_failure() {
-        // A schedule that fails because of a single impossible
-        // expectation is already 1-minimal modulo the traffic that
-        // arms it.
-        let cfg = buggy_cfg();
-        let core = vec![
-            WriteBurst { base: 0, count: 60 },
-            WriteBurst { base: 0, count: 60 },
-            WriteBurst {
-                base: 10,
-                count: 50,
-            },
-            GcDrain { group: 0 },
-        ];
-        if !schedule_fails(&cfg, 7, &core) {
-            // The harness evolved; the outer demo test will catch it.
-            return;
-        }
-        let repro = with_quiet_panics(|| shrink(&cfg, 7, &core));
-        assert!(repro.len() <= core.len());
-        assert!(schedule_fails(&cfg, 7, &repro));
+    #[should_panic(expected = "requires a failing schedule")]
+    fn shrink_refuses_a_passing_schedule() {
+        shrink(&core()[1..], drain_after_two_full_bursts);
+    }
+
+    /// The noisy schedule drives real GC drains and scrubs over a real
+    /// group, and the harness's oracle passes it.
+    #[test]
+    fn the_noisy_schedule_passes_the_real_harness() {
+        let cfg = ChaosConfig {
+            groups: 1,
+            replicas: 1,
+            ..ChaosConfig::default()
+        };
+        assert!(
+            !schedule_fails(&cfg, 7, &noisy_schedule()),
+            "the GC path must survive the noisy schedule"
+        );
     }
 }

@@ -568,12 +568,30 @@ impl DbCore {
         if batch.is_empty() {
             return Ok(());
         }
+        batch.set_sequence(self.versions.last_sequence() + 1);
+        // Whole-op latency, flush/compaction stalls included: the paper's
+        // Fig. 10 bimodality lives in this histogram's tail.
+        self.commit(&batch, account, ObsLayer::Store, "write_ns")
+    }
+
+    /// The commit step a local write and a replicated batch share, for a
+    /// non-empty `batch` already stamped with its sequence range:
+    /// make-room backpressure (deferred-compaction mode), the WAL record
+    /// and its buffered flush, the memtable insert, the sequence
+    /// advance, payload accounting when `account`, and inline
+    /// compaction otherwise. The whole step's latency lands in the
+    /// caller's `histogram`.
+    fn commit(
+        &mut self,
+        batch: &WriteBatch,
+        account: bool,
+        layer: ObsLayer,
+        histogram: &'static str,
+    ) -> Result<()> {
         let t0 = self.clock_ns();
         if self.deferred_compaction {
             self.make_room_for_write()?;
         }
-        let seq = self.versions.last_sequence() + 1;
-        batch.set_sequence(seq);
         self.wal.add_record(batch.rep());
         // The OS page cache absorbs small appends; bytes reach the
         // disk in `wal_buffer_bytes` chunks (sync=false semantics).
@@ -582,16 +600,14 @@ impl DbCore {
             self.mem.add(s, ty, key, value);
         }
         self.versions
-            .set_last_sequence(seq + u64::from(batch.count()) - 1);
+            .set_last_sequence(batch.sequence() + u64::from(batch.count()) - 1);
         if account {
             self.ctx.lock().fs.disk_mut().stats_mut().user_payload += batch.payload_bytes();
         }
         if !self.deferred_compaction {
             self.maybe_flush_and_compact()?;
         }
-        // Whole-op latency, flush/compaction stalls included: the paper's
-        // Fig. 10 bimodality lives in this histogram's tail.
-        self.obs_latency(ObsLayer::Store, "write_ns", self.clock_ns() - t0);
+        self.obs_latency(layer, histogram, self.clock_ns() - t0);
         Ok(())
     }
 
@@ -685,7 +701,6 @@ impl DbCore {
         if batch.is_empty() {
             return Ok(false);
         }
-        let t0 = self.clock_ns();
         let first = batch.sequence();
         let last = first + u64::from(batch.count()) - 1;
         let applied = self.versions.last_sequence();
@@ -697,20 +712,7 @@ impl DbCore {
                 "replicated batch covers sequences {first}..={last} but local state is at {applied}"
             )));
         }
-        if self.deferred_compaction {
-            self.make_room_for_write()?;
-        }
-        self.wal.add_record(batch.rep());
-        self.flush_wal_buffer(false)?;
-        for (s, ty, key, value) in batch.iter() {
-            self.mem.add(s, ty, key, value);
-        }
-        self.versions.set_last_sequence(last);
-        self.ctx.lock().fs.disk_mut().stats_mut().user_payload += batch.payload_bytes();
-        if !self.deferred_compaction {
-            self.maybe_flush_and_compact()?;
-        }
-        self.obs_latency(ObsLayer::Replication, "apply_ns", self.clock_ns() - t0);
+        self.commit(&batch, true, ObsLayer::Replication, "apply_ns")?;
         Ok(true)
     }
 

@@ -2,45 +2,33 @@
 //!
 //! Runs one primary [`Store`] and N replica [`Store`]s on the shared
 //! simulated clock, connected by a seeded [`NetModel`]. The primary
-//! ships its WAL as framed records over the network; two modes decide
-//! what a replica does with a received frame:
+//! ships its WAL as framed records over the network, and every replica
+//! applies each batch through its own write path
+//! ([`Store::apply_replicated`]), keeping the primary-assigned sequence
+//! numbers: a hot standby with a tiny replay tail.
 //!
-//! * [`ShipMode::WalApply`] — the replica applies every batch through
-//!   its own write path ([`Store::apply_replicated`]), preserving the
-//!   primary-assigned sequence numbers: a hot standby with a tiny
-//!   replay tail and the fastest takeover.
-//! * [`ShipMode::IndexLazy`] — the replica only appends the shipped
-//!   frames durably to a dedicated ship log and materialises nothing,
-//!   after the RDMA index-replication design (PAPERS.md): near-zero
-//!   steady-state replica CPU, paid back at promotion when the
-//!   recovery path replays the whole ship log.
+//! Acked-write semantics are set by [`AckPolicy`]: under `Quorum(k)`, a
+//! write returns only once `k` replicas hold its frame, so a primary
+//! kill can lose no acked write (RPO = 0); under `PrimaryOnly`, frames
+//! are shipped asynchronously in batches and a kill deterministically
+//! loses the unshipped tail — the baseline the sweeps contrast against.
 //!
-//! Acked-write semantics are quorum-configurable ([`AckPolicy`]): under
-//! `Quorum`/`All`, a write returns only once enough replicas hold its
-//! frame, so a primary kill can lose no acked write (RPO = 0); under
-//! `PrimaryOnly`, frames are shipped asynchronously in batches and a
-//! kill deterministically loses the unshipped tail — the baseline the
-//! sweeps contrast against.
-//!
-//! Failover composes the earlier PRs: detection timeout, a fencing
-//! round with the surviving voters, promotion of the most-caught-up
-//! unpartitioned replica via the PR 1 crash-image recovery path, and a
-//! client redirect modelled with `smr-sim`'s shared bounded backoff.
-//! The old primary rejoins as a replica by catch-up streaming of the
-//! full replicated log. Everything rides the simulated clock: the same
-//! configuration and seed replays byte-identically.
+//! Failover: detection timeout, a fencing round with the surviving
+//! voters, promotion of the most-caught-up unpartitioned replica through
+//! the crash-image recovery path (which replays only that node's own
+//! WAL tail), and a client redirect modelled with `smr-sim`'s shared
+//! bounded backoff. The old primary rejoins as a replica by catch-up
+//! streaming of the full replicated log. [`Cluster::audit`] checks every
+//! acked write against the primary and every survivor. Everything rides
+//! the simulated clock: the same configuration and seed replays
+//! byte-identically.
 
 use lsm_core::{
     Error, LogWriter, Result, ScrubConfig, ScrubReport, ValueType, WalStream, WriteBatch,
 };
-use sealdb::{GcShipment, KvNode, Store, StoreConfig, StoreKind, VlogParams};
-use smr_sim::{bounded_backoff_ns, IoKind, NetModel, ObsLayer};
+use sealdb::{AuditReport, GcShipment, KvNode, Store, StoreConfig, StoreKind, VlogParams};
+use smr_sim::{bounded_backoff_ns, NetModel, ObsLayer};
 use std::collections::BTreeMap;
-
-/// File id of the replica-side ship log in [`ShipMode::IndexLazy`].
-/// High above any id the engine allocates, so recovery's "replay every
-/// log at or past the current WAL id" sweep always includes it.
-const SHIP_LOG_ID: lsm_core::FileId = 1 << 40;
 
 /// Upper bound on modelled client redirect retries during one failover.
 const MAX_CLIENT_RETRIES: u32 = 10_000;
@@ -51,27 +39,6 @@ const RETRY_BACKOFF_NS: u64 = 500_000;
 
 /// Client redirect retry backoff cap, ns.
 const RETRY_BACKOFF_MAX_NS: u64 = 8_000_000;
-
-/// What the primary ships and what a replica does with it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShipMode {
-    /// Replicas apply every shipped batch through their own WAL and
-    /// memtable immediately (hot standby).
-    WalApply,
-    /// Replicas append shipped frames to a durable ship log and defer
-    /// all materialisation to promotion time (lazy rebuild).
-    IndexLazy,
-}
-
-impl ShipMode {
-    /// Stable lowercase name used in artifact cells.
-    pub fn name(self) -> &'static str {
-        match self {
-            ShipMode::WalApply => "wal",
-            ShipMode::IndexLazy => "index",
-        }
-    }
-}
 
 /// When a write is acknowledged to the client.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,8 +51,6 @@ pub enum AckPolicy {
     /// delivery, every earlier frame — the prefix property that makes
     /// the most-caught-up replica hold every acked write).
     Quorum(usize),
-    /// Acked only when every live replica holds the frame.
-    All,
 }
 
 impl AckPolicy {
@@ -94,7 +59,6 @@ impl AckPolicy {
         match self {
             AckPolicy::PrimaryOnly => "primary",
             AckPolicy::Quorum(_) => "quorum",
-            AckPolicy::All => "all",
         }
     }
 }
@@ -108,8 +72,6 @@ pub struct ReplicaConfig {
     /// Number of replicas (nodes are `0..=replicas`, node 0 is the
     /// initial primary).
     pub replicas: usize,
-    /// What ships to replicas.
-    pub mode: ShipMode,
     /// When writes are acknowledged.
     pub ack: AckPolicy,
     /// Determinism seed for the network and every node store.
@@ -124,11 +86,8 @@ pub struct ReplicaConfig {
     /// writes.
     ship_every: usize,
     /// Key-value separation parameters for every node store; `None`
-    /// stores values inline. Only valid with [`ShipMode::WalApply`]:
-    /// the primary ships its *original* batch bytes and each node
-    /// rewrites them through its own value log, whereas `IndexLazy`
-    /// promotion replays the raw ship log straight into the engine,
-    /// bypassing the rewrite and leaving diverted values unreadable.
+    /// stores values inline. The primary ships its *original* batch
+    /// bytes and each node rewrites them through its own value log.
     pub(crate) vlog: Option<VlogParams>,
 }
 
@@ -137,7 +96,6 @@ impl ReplicaConfig {
     pub fn new(replicas: usize, sstable_size: u64, disk_capacity: u64) -> Self {
         ReplicaConfig {
             replicas,
-            mode: ShipMode::WalApply,
             ack: AckPolicy::Quorum(1),
             seed: 0x5EA1C1D5,
             sstable_size,
@@ -158,16 +116,10 @@ impl ReplicaConfig {
 /// Lifetime counters of one cluster run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClusterStats {
-    /// Key/value entries acknowledged to clients.
-    pub(crate) acked_writes: u64,
     /// Frames shipped onto the network.
     pub shipped_frames: u64,
     /// Total shipped frame bytes (per frame, not per link).
     pub shipped_bytes: u64,
-    /// Frames that died in the primary's async ship buffer at a kill.
-    lost_unshipped_frames: u64,
-    /// Frames replayed to a rejoining node by catch-up streaming.
-    pub(crate) catchup_frames: u64,
     /// Failovers performed.
     pub failovers: u64,
 }
@@ -184,7 +136,7 @@ pub struct FailoverReport {
     pub detect_ns: u64,
     /// Fencing round trips with the surviving voters.
     pub fence_ns: u64,
-    /// Replay of the promoted node's WAL / ship-log tail.
+    /// Replay of the promoted node's own WAL tail.
     pub replay_ns: u64,
     /// Client redirect round trip to the new primary.
     pub redirect_ns: u64,
@@ -193,28 +145,6 @@ pub struct FailoverReport {
     /// Bounded-backoff retries a redirected client issued while the
     /// new primary came up.
     pub client_retries: u64,
-}
-
-/// Result of checking every acked write against the current primary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AuditReport {
-    /// Distinct keys acknowledged to clients.
-    pub acked_writes: u64,
-    /// Acked keys the current primary no longer serves correctly.
-    pub acked_lost: u64,
-}
-
-/// Result of checking every acked write against every live node (see
-/// [`Cluster::audit_deep`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DeepAuditReport {
-    /// Distinct keys acknowledged to clients.
-    pub acked_writes: u64,
-    /// Acked keys the current primary misserves (repairable as long as
-    /// some other live node still holds them).
-    pub primary_misses: u64,
-    /// Acked keys no live node serves correctly — unrecoverable loss.
-    pub acked_lost: u64,
 }
 
 /// A frame delivered to (but not yet processed by) one replica.
@@ -256,7 +186,7 @@ struct Node {
     eff_tail: u64,
     /// Streaming reassembly of the shipped WAL byte stream.
     stream: WalStream,
-    /// Highest sequence this node holds durably (applied or logged).
+    /// Highest sequence this node holds durably.
     durable_seq: u64,
 }
 
@@ -305,14 +235,6 @@ impl Cluster {
     /// the primary.
     pub fn new(cfg: ReplicaConfig) -> Result<Cluster> {
         assert!(cfg.replicas >= 1, "a cluster needs at least one replica");
-        if cfg.mode == ShipMode::IndexLazy && cfg.vlog.is_some() {
-            return Err(Error::InvalidArgument(
-                "IndexLazy replication cannot run with key-value separation: \
-                 promotion replays the raw ship log, bypassing the per-node \
-                 value-log rewrite"
-                    .to_string(),
-            ));
-        }
         let net = NetModel::new(cfg.seed ^ 0x05EA_14E7, cfg.link_latency_ns);
         let mut cluster = Cluster {
             nodes: Vec::new(),
@@ -434,7 +356,7 @@ impl Cluster {
         // Opportunistically drain replica deliveries that are due.
         self.pump_all(self.now_ns)?;
         let p = self.primary;
-        let (rep, last, entries, clock, write_err) = {
+        let (rep, last, entries, clock, written, committed) = {
             let store = self.live_store_at_now(p, "write")?;
             let first = store.last_sequence() + 1;
             batch.set_sequence(first);
@@ -450,12 +372,14 @@ impl Cluster {
                     (k.to_vec(), promised)
                 })
                 .collect();
-            let res = store.write(batch);
+            let written = store.write(batch);
             let committed = store.last_sequence() >= last;
-            let clock = store.clock_ns();
-            (rep, last, entries, clock, res.err().map(|e| (e, committed)))
+            (rep, last, entries, store.clock_ns(), written, committed)
         };
         self.now_ns = self.now_ns.max(clock);
+        if !committed {
+            return written;
+        }
         // The store commits (WAL + memtable, sequence advanced) before
         // background maintenance runs, so a write can error *after* the
         // batch is locally durable — e.g. a transient device fault
@@ -464,39 +388,26 @@ impl Cluster {
         // refuse sequence gaps, so swallowing it would poison every
         // later frame and quietly diverge the primary from its replicas
         // (found by the chaos harness's composed-fault schedules).
-        if let Some((e, committed)) = write_err {
-            if committed {
-                match self.cfg.ack {
-                    AckPolicy::PrimaryOnly => {
-                        self.unshipped.push(Unshipped {
-                            rep,
-                            last_seq: last,
-                        });
-                    }
-                    AckPolicy::Quorum(_) | AckPolicy::All => {
-                        // Best-effort ship; no ack was promised.
-                        let _ = self.ship_rep(&rep, last);
-                    }
-                }
-            }
-            return Err(e);
-        }
-        match self.cfg.ack {
+        let shipped = match self.cfg.ack {
             AckPolicy::PrimaryOnly => {
                 self.unshipped.push(Unshipped {
                     rep,
                     last_seq: last,
                 });
+                None
+            }
+            AckPolicy::Quorum(k) => Some((k.max(1), self.ship_rep(&rep, last))),
+        };
+        // No ack was promised for a write that errored: it returns
+        // without waiting for one (or flushing the async buffer).
+        written?;
+        match shipped {
+            None => {
                 if self.unshipped.len() >= self.cfg.ship_every.max(1) {
-                    self.flush_unshipped()?;
+                    self.flush_unshipped();
                 }
             }
-            AckPolicy::Quorum(_) | AckPolicy::All => {
-                let mut acks = self.ship_rep(&rep, last);
-                let need = match self.cfg.ack {
-                    AckPolicy::Quorum(k) => k.max(1),
-                    _ => self.live_replicas().len(),
-                };
+            Some((need, mut acks)) => {
                 if acks.len() < need {
                     return Err(Error::InvalidArgument(format!(
                         "ack policy needs {need} replica acks but only {} replicas can answer",
@@ -514,7 +425,6 @@ impl Cluster {
             if let Some(store) = self.nodes[p].store.as_mut() {
                 store.ordering_ack();
             }
-            self.stats.acked_writes += entries.len() as u64;
             for (k, v) in entries {
                 self.acked.insert(k, v);
             }
@@ -572,12 +482,11 @@ impl Cluster {
     }
 
     /// Ships everything in the async buffer (PrimaryOnly mode).
-    fn flush_unshipped(&mut self) -> Result<()> {
+    fn flush_unshipped(&mut self) {
         let frames = std::mem::take(&mut self.unshipped);
         for f in frames {
             self.ship_rep(&f.rep, f.last_seq);
         }
-        Ok(())
     }
 
     /// Runs one budgeted cooperative value-log GC step on the primary
@@ -604,21 +513,13 @@ impl Cluster {
     /// their pointers live, and the shipped stale values would
     /// overwrite every replica's good copy.
     pub fn vlog_gc_step(&mut self, budget_bytes: u64) -> Result<bool> {
-        self.pump_all(self.now_ns)?;
-        let (shipment, clock) = {
-            let store = self.live_store_at_now(self.primary, "run GC")?;
+        self.step_primary_shipping("run GC", |store| {
             if store.tables_dropped > 0 {
-                return Ok(false);
+                return Ok((false, Vec::new()));
             }
             let shipment = store.vlog_gc_step_shipping(budget_bytes)?;
-            (shipment, store.clock_ns())
-        };
-        self.now_ns = self.now_ns.max(clock);
-        let Some(shipment) = shipment else {
-            return Ok(false);
-        };
-        self.ship_fixups(shipment)?;
-        Ok(true)
+            Ok((shipment.is_some(), Vec::from_iter(shipment)))
+        })
     }
 
     /// Runs one budgeted scrub step on the primary and replicates the
@@ -628,45 +529,42 @@ impl Cluster {
     /// so a primary scrubbed directly through
     /// [`Cluster::primary_store_mut`] opens the same sequence gap.
     pub fn scrub_step(&mut self, cfg: &ScrubConfig) -> Result<ScrubReport> {
+        self.step_primary_shipping("scrub", |store| store.scrub_step_shipping(cfg))
+    }
+
+    /// Runs a maintenance `step` on the primary, then ships every GC or
+    /// salvage shipment it returned as one frame each, stamped with the
+    /// sequence range its fixups consumed on the primary. Shipping is
+    /// best-effort (no client ack was promised); the first shipment
+    /// error surfaces only after every consumed range has shipped.
+    fn step_primary_shipping<R>(
+        &mut self,
+        what: &str,
+        step: impl FnOnce(&mut Store) -> Result<(R, Vec<GcShipment>)>,
+    ) -> Result<R> {
         self.pump_all(self.now_ns)?;
-        let (step, clock) = {
-            let store = self.live_store_at_now(self.primary, "scrub")?;
-            let step = store.scrub_step_shipping(cfg)?;
-            (step, store.clock_ns())
-        };
+        let store = self.live_store_at_now(self.primary, what)?;
+        let (out, shipments) = step(store)?;
+        let clock = store.clock_ns();
         self.now_ns = self.now_ns.max(clock);
-        let (report, shipments) = step;
-        // Every consumed range ships before the first error surfaces.
         let mut first_error = None;
         for shipment in shipments {
-            if let Err(e) = self.ship_fixups(shipment) {
+            if !shipment.entries.is_empty() {
+                let mut batch = WriteBatch::new();
+                for (k, v) in &shipment.entries {
+                    batch.put(k, v);
+                }
+                batch.set_sequence(shipment.first_seq);
+                let last = shipment.first_seq + u64::from(batch.count()) - 1;
+                self.ship_rep(batch.rep(), last);
+            }
+            if let Some(e) = shipment.barrier_error {
                 first_error.get_or_insert(e);
             }
         }
         match first_error {
             Some(e) => Err(e),
-            None => Ok(report),
-        }
-    }
-
-    /// Ships a GC or salvage shipment's relocated records as one frame
-    /// stamped with the sequence range their fixups consumed on the
-    /// primary, then surfaces the shipment's error. Shipping is
-    /// best-effort (no client ack was promised); the error waits until
-    /// after it because the range was consumed either way.
-    fn ship_fixups(&mut self, shipment: GcShipment) -> Result<()> {
-        if !shipment.entries.is_empty() {
-            let mut batch = WriteBatch::new();
-            for (k, v) in &shipment.entries {
-                batch.put(k, v);
-            }
-            batch.set_sequence(shipment.first_seq);
-            let last = shipment.first_seq + u64::from(batch.count()) - 1;
-            let _ = self.ship_rep(batch.rep(), last);
-        }
-        match shipment.barrier_error {
-            Some(e) => Err(e),
-            None => Ok(()),
+            None => Ok(out),
         }
     }
 
@@ -726,23 +624,10 @@ impl Cluster {
             .store
             .as_mut()
             .ok_or_else(|| Error::InvalidArgument(format!("frame delivered to dead node {idx}")))?;
-        match self.cfg.mode {
-            ShipMode::WalApply => {
-                node.stream.feed(&frame.bytes);
-                while let Some(rec) = node.stream.next_record() {
-                    let batch = WriteBatch::decode(&rec?)?;
-                    store.apply_replicated(batch)?;
-                }
-            }
-            ShipMode::IndexLazy => {
-                let mut guard = store.db.ctx().lock();
-                if !guard.fs.has_log(SHIP_LOG_ID) {
-                    guard.fs.create_log(SHIP_LOG_ID)?;
-                }
-                guard
-                    .fs
-                    .log_append(SHIP_LOG_ID, &frame.bytes, IoKind::Wal)?;
-            }
+        node.stream.feed(&frame.bytes);
+        while let Some(rec) = node.stream.next_record() {
+            let batch = WriteBatch::decode(&rec?)?;
+            store.apply_replicated(batch)?;
         }
         node.durable_seq = node.durable_seq.max(frame.last_seq);
         Ok(())
@@ -762,7 +647,6 @@ impl Cluster {
         self.net.faults_mut().kill(old, kill_ns);
         self.nodes[old].store = None;
         self.nodes[old].pending.clear();
-        self.stats.lost_unshipped_frames += self.unshipped.len() as u64;
         self.unshipped.clear();
         self.stats.failovers += 1;
         self.failover(kill_ns)
@@ -850,21 +734,14 @@ impl Cluster {
         self.pump_node(candidate, fence_end)?;
         // Anything still in flight to the candidate is fenced off.
         self.nodes[candidate].pending.clear();
-        // Promotion: the PR 1 crash-image + recovery path. For
-        // IndexLazy the reopen replays the ship log (its id sits above
-        // the WAL id horizon), materialising the replica lazily.
+        // Promotion: the crash-image + recovery path, replaying only
+        // the candidate's own WAL tail.
         self.sync_node_clock(candidate, fence_end);
         let store = self.nodes[candidate].store.take().ok_or_else(|| {
             Error::InvalidArgument(format!("candidate {candidate} lost its store mid-failover"))
         })?;
         let store = store.reopen()?;
         let replayed = store.db.recovery_report().wal_records_recovered;
-        if self.cfg.mode == ShipMode::IndexLazy {
-            let mut guard = store.db.ctx().lock();
-            if guard.fs.has_log(SHIP_LOG_ID) {
-                guard.fs.delete_log(SHIP_LOG_ID)?;
-            }
-        }
         let replay_ns = store.clock_ns().saturating_sub(fence_end);
         // Client redirect: one round trip to the promoted node,
         // retried on seal-front's capped backoff while it came up.
@@ -937,48 +814,27 @@ impl Cluster {
                 },
             )?;
         }
-        self.stats.catchup_frames += caught;
         Ok(caught)
     }
 
     // ----- audit -----
-
-    /// Checks every acked write against the current primary. Quorum
-    /// and all-ack clusters must report zero loss after any single
-    /// kill (RPO = 0); primary-only clusters lose the unshipped tail.
-    pub fn audit(&mut self) -> Result<AuditReport> {
-        self.pump_all(self.now_ns)?;
-        let expected: Vec<(Vec<u8>, Option<Vec<u8>>)> = self
-            .acked
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let store = self.live_store_at_now(self.primary, "audit")?;
-        let mut lost = 0u64;
-        for (k, v) in expected {
-            if store.get(&k)? != v {
-                lost += 1;
-            }
-        }
-        Ok(AuditReport {
-            acked_writes: self.acked.len() as u64,
-            acked_lost: lost,
-        })
-    }
 
     /// Checks every acked write against the primary *and*, for keys the
     /// primary misserves, against every other live node. A key counts
     /// as lost only when **no** live store returns the promised value —
     /// the cluster-wide durability oracle the chaos harness asserts on:
     /// a lagging primary is a repairable inconsistency, but a key no
-    /// survivor holds is unrecoverable acked-write loss.
+    /// survivor holds is unrecoverable acked-write loss. Quorum clusters
+    /// must report zero loss after any single kill (RPO = 0);
+    /// primary-only clusters lose the unshipped tail, on the primary and
+    /// everywhere else.
     ///
     /// A node whose `get` *errors* counts as not holding the key — a
     /// degraded read (for example a fail-closed pointer chase into a
     /// quarantined value-log segment after media failure) is a miss on
     /// that node, not grounds to abort the audit: the question the
     /// oracle answers is whether any survivor still serves the value.
-    pub fn audit_deep(&mut self) -> Result<DeepAuditReport> {
+    pub fn audit(&mut self) -> Result<AuditReport> {
         self.pump_all(self.now_ns)?;
         let expected: Vec<(Vec<u8>, Option<Vec<u8>>)> = self
             .acked
@@ -1015,7 +871,7 @@ impl Cluster {
                 lost += 1;
             }
         }
-        Ok(DeepAuditReport {
+        Ok(AuditReport {
             acked_writes: self.acked.len() as u64,
             primary_misses,
             acked_lost: lost,
@@ -1112,7 +968,11 @@ mod tests {
         load(&mut c, 40, 60);
         let audit = c.audit().unwrap();
         assert_eq!(audit.acked_writes, 60);
-        assert_eq!(audit.acked_lost, 0, "quorum acks must make RPO zero");
+        assert_eq!(
+            (audit.primary_misses, audit.acked_lost),
+            (0, 0),
+            "quorum acks must make RPO zero"
+        );
         // Reads on the promoted primary see pre-kill values.
         let got = c.primary_store_mut().get(&key(7)).unwrap();
         assert_eq!(got, Some(value(7)));
@@ -1127,47 +987,12 @@ mod tests {
         // 21 writes: 16 ship in two batches, 5 die in the buffer.
         load(&mut c, 0, 21);
         c.kill_primary().unwrap();
-        assert_eq!(c.stats.lost_unshipped_frames, 5);
         let audit = c.audit().unwrap();
         assert_eq!(audit.acked_writes, 21);
         assert_eq!(
-            audit.acked_lost, 5,
+            audit.primary_misses, 5,
             "async shipping must lose exactly the unshipped tail"
         );
-    }
-
-    #[test]
-    fn index_lazy_mode_materialises_at_promotion() {
-        let mut conf = cfg(2);
-        conf.mode = ShipMode::IndexLazy;
-        let mut c = Cluster::new(conf).unwrap();
-        load(&mut c, 0, 30);
-        // Replicas hold the frames durably but have applied nothing.
-        c.settle().unwrap();
-        assert_eq!(c.nodes[1].durable_seq, 30);
-        let r = c.kill_primary().unwrap();
-        assert!(
-            r.replayed_records >= 30,
-            "promotion must replay the ship log ({} records)",
-            r.replayed_records
-        );
-        let audit = c.audit().unwrap();
-        assert_eq!(audit.acked_lost, 0);
-        assert_eq!(c.primary_store_mut().get(&key(3)).unwrap(), Some(value(3)));
-    }
-
-    #[test]
-    fn lazy_promotion_replays_more_than_hot_standby() {
-        let run = |mode: ShipMode| {
-            let mut conf = cfg(2);
-            conf.mode = mode;
-            let mut c = Cluster::new(conf).unwrap();
-            load(&mut c, 0, 30);
-            c.kill_primary().unwrap().replay_ns
-        };
-        // The lazy replica defers all materialisation to promotion, so
-        // its takeover replay cannot be cheaper than the hot standby's.
-        assert!(run(ShipMode::IndexLazy) >= run(ShipMode::WalApply));
     }
 
     #[test]
@@ -1185,7 +1010,7 @@ mod tests {
         assert_ne!(second.promoted, first.promoted);
         let audit = c.audit().unwrap();
         assert_eq!(audit.acked_writes, 35);
-        assert_eq!(audit.acked_lost, 0);
+        assert_eq!((audit.primary_misses, audit.acked_lost), (0, 0));
     }
 
     #[test]
@@ -1272,14 +1097,12 @@ mod tests {
         // half-done repair; every acked write survives.
         let audit = c.audit().unwrap();
         assert_eq!(audit.acked_writes, 40);
-        assert_eq!(audit.acked_lost, 0);
+        assert_eq!((audit.primary_misses, audit.acked_lost), (0, 0));
     }
 
     #[test]
-    fn double_failover_under_all_acks_keeps_every_write() {
-        let mut conf = cfg(2);
-        conf.ack = AckPolicy::All;
-        let mut c = Cluster::new(conf).unwrap();
+    fn double_failover_under_quorum_acks_keeps_every_write() {
+        let mut c = Cluster::new(cfg(2)).unwrap();
         load(&mut c, 0, 15);
         let first = c.kill_primary().unwrap();
         load(&mut c, 15, 25);
@@ -1288,7 +1111,11 @@ mod tests {
         assert_eq!(c.stats.failovers, 2);
         let audit = c.audit().unwrap();
         assert_eq!(audit.acked_writes, 25);
-        assert_eq!(audit.acked_lost, 0, "all-acks survive two failovers");
+        assert_eq!(
+            (audit.primary_misses, audit.acked_lost),
+            (0, 0),
+            "quorum acks survive two failovers"
+        );
     }
 
     #[test]
@@ -1304,7 +1131,7 @@ mod tests {
             "a partitioned replica cannot win the election"
         );
         let audit = c.audit().unwrap();
-        assert_eq!(audit.acked_lost, 0);
+        assert_eq!((audit.primary_misses, audit.acked_lost), (0, 0));
     }
 
     #[test]
@@ -1323,11 +1150,10 @@ mod tests {
         // Key-value separation on every node: values large enough to
         // divert, shipped as original bytes and rewritten through each
         // node's own log.
-        let mut conf = cfg(2).with_vlog(sealdb::VlogParams {
+        let conf = cfg(2).with_vlog(sealdb::VlogParams {
             segment_bytes: 32 << 10,
             value_threshold: 64,
         });
-        conf.ack = AckPolicy::All;
         let mut c = Cluster::new(conf).unwrap();
         for i in 0..40u32 {
             c.put(&key(i), &vec![(i % 250) as u8; 1024]).unwrap();
@@ -1342,7 +1168,11 @@ mod tests {
         c.kill_primary().unwrap();
         let audit = c.audit().unwrap();
         assert_eq!(audit.acked_writes, 40);
-        assert_eq!(audit.acked_lost, 0, "vlog values must survive failover");
+        assert_eq!(
+            (audit.primary_misses, audit.acked_lost),
+            (0, 0),
+            "vlog values must survive failover"
+        );
         let got = c.primary_store_mut().get(&key(11)).unwrap();
         assert_eq!(got.as_deref(), Some(vec![11u8; 1024].as_slice()));
     }
@@ -1407,8 +1237,11 @@ mod tests {
             let h1 = c.state_hash_of(1).unwrap();
             assert_eq!(h1, c.state_hash_of(2).unwrap());
             if damaged {
-                // The primary fails closed on what it lost.
+                // The primary fails closed on what it lost; the replicas
+                // still serve it, so the audit counts misses, not loss.
                 assert!(c.get_of(0, &key(7)).is_err());
+                let audit = c.audit().unwrap();
+                assert_eq!((audit.primary_misses, audit.acked_lost), (5, 0));
             } else {
                 assert_eq!(h1, c.state_hash_of(0).unwrap());
             }
@@ -1538,14 +1371,6 @@ mod tests {
     }
 
     #[test]
-    fn index_lazy_with_vlog_is_refused() {
-        let mut conf = cfg(1).with_vlog(sealdb::VlogParams::default());
-        conf.mode = ShipMode::IndexLazy;
-        let err = Cluster::new(conf).unwrap_err();
-        assert!(format!("{err:?}").contains("IndexLazy"));
-    }
-
-    #[test]
     fn killed_replica_rejoins_and_catches_up() {
         let mut c = Cluster::new(cfg(2)).unwrap();
         load(&mut c, 0, 10);
@@ -1576,34 +1401,40 @@ mod tests {
         let _ = replayed; // sync_writes: the tail may already be in tables
         let audit = c.audit().unwrap();
         assert_eq!(audit.acked_writes, 30);
-        assert_eq!(audit.acked_lost, 0, "power-cycle must lose nothing acked");
+        assert_eq!(
+            (audit.primary_misses, audit.acked_lost),
+            (0, 0),
+            "power-cycle must lose nothing acked"
+        );
         // Still a functional primary afterwards.
         load(&mut c, 30, 35);
-        assert_eq!(c.audit().unwrap().acked_lost, 0);
+        let audit = c.audit().unwrap();
+        assert_eq!((audit.primary_misses, audit.acked_lost), (0, 0));
     }
 
     #[test]
-    fn deep_audit_distinguishes_lagging_primary_from_true_loss() {
+    fn audit_distinguishes_lagging_primary_from_true_loss() {
         // PrimaryOnly + a kill: the unshipped tail is truly lost — no
-        // live node holds it — so the deep audit agrees with the
-        // primary-facing audit.
+        // live node holds it — so every primary miss is a loss. (A
+        // primary that lost keys its replicas still hold counts them as
+        // misses only: see the damaged GC case above.)
         let mut conf = cfg(2);
         conf.ack = AckPolicy::PrimaryOnly;
         conf.ship_every = 8;
         let mut c = Cluster::new(conf).unwrap();
         load(&mut c, 0, 21);
         c.kill_primary().unwrap();
-        let deep = c.audit_deep().unwrap();
-        assert_eq!(deep.acked_writes, 21);
-        assert_eq!(deep.primary_misses, 5);
-        assert_eq!(deep.acked_lost, 5, "an unshipped tail is lost everywhere");
+        let audit = c.audit().unwrap();
+        assert_eq!(audit.acked_writes, 21);
+        assert_eq!(audit.primary_misses, 5);
+        assert_eq!(audit.acked_lost, 5, "an unshipped tail is lost everywhere");
         // Quorum acks: nothing is ever lost anywhere.
         let mut c = Cluster::new(cfg(2)).unwrap();
         load(&mut c, 0, 21);
         c.kill_primary().unwrap();
-        let deep = c.audit_deep().unwrap();
-        assert_eq!(deep.acked_lost, 0);
-        assert_eq!(deep.primary_misses, 0);
+        let audit = c.audit().unwrap();
+        assert_eq!(audit.acked_lost, 0);
+        assert_eq!(audit.primary_misses, 0);
     }
 
     #[test]
@@ -1664,8 +1495,8 @@ mod tests {
         let h0 = c.state_hash_of(0).unwrap();
         assert_eq!(h0, c.state_hash_of(1).unwrap());
         assert_eq!(h0, c.state_hash_of(2).unwrap());
-        let deep = c.audit_deep().unwrap();
-        assert_eq!(deep.acked_lost, 0);
+        let audit = c.audit().unwrap();
+        assert_eq!(audit.acked_lost, 0);
     }
 
     #[test]

@@ -36,8 +36,6 @@
 //! assert_eq!(store.kind.name(), "SEALDB");
 //! ```
 
-/// Deliberately-broken entry points for chaos fault injection.
-mod chaos_knobs;
 /// Store construction configuration (drive kind, policy, sizes).
 pub mod config;
 /// The node interface routing layers are generic over.
@@ -50,7 +48,7 @@ pub mod set;
 pub mod store;
 
 pub use config::{StoreConfig, StoreKind};
-pub use node::KvNode;
+pub use node::{AuditReport, KvNode};
 pub use policy::SetPolicy;
 pub use seal_vlog::{ValueLog, VlogParams};
 pub use store::{GcShipment, MetricsSnapshot, Store, StoreSnapshot};

@@ -1,4 +1,6 @@
-//! [`KvNode`]: what a routing layer needs from whatever it routes to.
+//! [`KvNode`]: what a routing layer needs from whatever it routes to,
+//! and [`AuditReport`]: what a deployment of such nodes still serves of
+//! what it acknowledged.
 
 use crate::Store;
 use lsm_core::{Result, WriteBatch};
@@ -23,6 +25,21 @@ pub trait KvNode {
     fn clock_ns(&self) -> u64;
     /// Lets the node idle until its clock reads at least `t_ns`.
     fn advance_clock_to(&mut self, t_ns: u64);
+}
+
+/// Result of re-reading every write a deployment acknowledged — the
+/// one loss audit a replication group (`seal_replica::Cluster::audit`)
+/// and a sharded cluster (`seal_shard::ShardCluster::audit`) both fill.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AuditReport {
+    /// Distinct keys acknowledged to clients.
+    pub acked_writes: u64,
+    /// Acked keys the serving node (a group's primary, a key's routed
+    /// shard) no longer serves correctly.
+    pub primary_misses: u64,
+    /// Acked keys no live node serves correctly — unrecoverable loss.
+    /// Equals `primary_misses` wherever a key lives on one node only.
+    pub acked_lost: u64,
 }
 
 impl KvNode for Store {

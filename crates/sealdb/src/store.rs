@@ -144,20 +144,20 @@ pub struct GcShipment {
 /// Result of [`Store::vlog_gc_relocate`]: the victim scan's identity
 /// and progress plus everything a caller needs to finish (barrier,
 /// retirement) and, on a replication primary, to ship.
-pub(crate) struct GcRelocation {
+struct GcRelocation {
     /// Victim segment id.
-    pub(crate) victim: u64,
+    victim: u64,
     /// Whether the victim's scan finished (retire it after the barrier).
-    pub(crate) finished: bool,
+    finished: bool,
     /// Relocated live `(key, original value)` pairs, in fixup order.
-    pub(crate) entries: Vec<(Vec<u8>, Vec<u8>)>,
+    entries: Vec<(Vec<u8>, Vec<u8>)>,
     /// First sequence number the fixup batch consumed; meaningful only
     /// when `entries` is non-empty.
-    pub(crate) first_seq: u64,
+    first_seq: u64,
     /// Post-commit error from the fixup write, if any. The sequence
     /// range was consumed regardless — surface this only after any
     /// shipping obligation is met.
-    pub(crate) error: Option<lsm_core::Error>,
+    error: Option<lsm_core::Error>,
 }
 
 impl Store {
@@ -183,15 +183,30 @@ impl Store {
         if self.vlog.is_none() {
             return self.db.write(batch);
         }
+        self.commit_through_vlog(&batch, DbCore::write)
+    }
+
+    /// The commit both write entry points ([`Store::write`] and
+    /// [`Store::apply_replicated`]) share with key-value separation on:
+    /// rewrites `batch` through the value log, hands the rewritten batch
+    /// to `commit`, then rebases the user-payload denominator so WA
+    /// stays comparable with the inline baseline — the engine accounted
+    /// the rewritten bytes, but the user handed over the original ones
+    /// whether the store kept a pointer or a tagged copy.
+    fn commit_through_vlog<R>(
+        &mut self,
+        batch: &WriteBatch,
+        commit: impl FnOnce(&mut DbCore, WriteBatch) -> Result<R>,
+    ) -> Result<R> {
         let legacy_payload = batch.payload_bytes();
-        let rewritten = self.rewrite_through_vlog(&batch)?;
+        let rewritten = self.rewrite_through_vlog(batch)?;
         let new_payload = rewritten.payload_bytes();
-        self.db.write(rewritten)?;
-        // Keep the WA denominator comparable with the inline baseline:
-        // the user handed over the same bytes either way, regardless of
-        // whether the store kept a pointer or a tagged copy.
-        self.adjust_user_payload(legacy_payload, new_payload);
-        Ok(())
+        let out = commit(&mut self.db, rewritten)?;
+        let ctx = self.db.ctx();
+        let mut guard = ctx.lock();
+        let stats = guard.fs.disk_mut().stats_mut();
+        stats.user_payload = stats.user_payload - new_payload + legacy_payload;
+        Ok(out)
     }
 
     /// Rewrites `batch` through the value log: over-threshold values
@@ -258,16 +273,6 @@ impl Store {
             }
         }
         Ok(rewritten)
-    }
-
-    /// Rebases the user-payload denominator after a vlog rewrite so WA
-    /// stays comparable with the inline baseline (the engine accounted
-    /// the rewritten bytes; the user handed over the legacy bytes).
-    fn adjust_user_payload(&mut self, legacy_payload: u64, new_payload: u64) {
-        let ctx = self.db.ctx();
-        let mut guard = ctx.lock();
-        let stats = guard.fs.disk_mut().stats_mut();
-        stats.user_payload = stats.user_payload - new_payload + legacy_payload;
     }
 
     /// Point lookup; chases value-log pointers transparently.
@@ -443,10 +448,10 @@ impl Store {
     /// its scan finished, and the relocated live records with the
     /// sequence range their fixups consumed — the caller owns the
     /// durability barrier, the retirement, and (on a replication
-    /// primary) shipping the consumed range. Shared by
-    /// [`Store::vlog_gc_step_shipping`] (correct barrier) and the chaos
-    /// knob in `chaos_knobs.rs` (deliberately missing barrier).
-    pub(crate) fn vlog_gc_relocate(&mut self, budget_bytes: u64) -> Result<Option<GcRelocation>> {
+    /// primary) shipping the consumed range. [`Store::vlog_gc_step_shipping`]
+    /// is its one production caller; a unit test drives it without the
+    /// barrier to prove the ordering auditor watches this path.
+    fn vlog_gc_relocate(&mut self, budget_bytes: u64) -> Result<Option<GcRelocation>> {
         let Some(vlog) = self.vlog.as_mut() else {
             return Ok(None);
         };
@@ -601,13 +606,10 @@ impl Store {
         if last <= self.db.last_sequence() {
             return Ok(false);
         }
-        let legacy_payload = batch.payload_bytes();
-        let mut rewritten = self.rewrite_through_vlog(&batch)?;
-        rewritten.set_sequence(first);
-        let new_payload = rewritten.payload_bytes();
-        let applied = self.db.apply_replicated(rewritten)?;
-        self.adjust_user_payload(legacy_payload, new_payload);
-        Ok(applied)
+        self.commit_through_vlog(&batch, |db, mut rewritten| {
+            rewritten.set_sequence(first);
+            db.apply_replicated(rewritten)
+        })
     }
 
     /// Highest sequence number assigned (primary) or applied (replica).
@@ -1562,9 +1564,35 @@ mod tests {
         }
     }
 
-    /// The chaos knob really re-introduces the PR 8 bug: retiring a
-    /// victim whose pointer fixups are not yet durable trips the debug
-    /// ordering auditor at the recycle record.
+    /// One cooperative-GC step with the durability barrier **removed**:
+    /// [`Store::vlog_gc_step`] except that a finished victim is retired
+    /// without syncing the WAL first, so the step's pointer fixups are
+    /// still volatile when the band returns to the allocator.
+    #[cfg(debug_assertions)]
+    fn vlog_gc_step_retire_before_sync(s: &mut super::Store, budget_bytes: u64) {
+        let Some(relocation) = s.vlog_gc_relocate(budget_bytes).unwrap() else {
+            return;
+        };
+        assert!(relocation.error.is_none(), "{:?}", relocation.error);
+        if !relocation.finished {
+            return;
+        }
+        // The missing barrier: no sync_wal() and no record_durable()
+        // before the recycle record.
+        if let Some(a) = s.ord_audit.as_mut() {
+            a.record_recycle(s.db.clock_ns(), relocation.victim);
+        }
+        let vlog = s.vlog.as_mut().expect("relocate checked vlog");
+        s.db.with_fs_and_policy(|fs, policy| vlog.retire_segment(fs, policy, relocation.victim))
+            .unwrap();
+        if vlog.take_dirty() {
+            s.db.commit_aux_state(vlog.checkpoint()).unwrap();
+        }
+    }
+
+    /// The ordering auditor watches the real GC path: retiring a victim
+    /// whose pointer fixups are not yet durable (a retire-before-sync
+    /// ordering bug) trips it at the recycle record.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "were not yet durable")]
@@ -1601,7 +1629,7 @@ mod tests {
         // the first mixed victim trips the auditor.
         let mut steps = 0;
         while s.vlog_gc_pending() && steps < 1_000 {
-            s.vlog_gc_step_retire_before_sync(1 << 20).unwrap();
+            vlog_gc_step_retire_before_sync(&mut s, 1 << 20);
             steps += 1;
         }
         unreachable!("ordering auditor must catch the missing barrier");

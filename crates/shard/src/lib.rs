@@ -37,7 +37,7 @@ pub use ring::{fnv1a64, HashRing};
 pub use serve::{serve, ClusterServeResult};
 
 use lsm_core::{Error, Result, WriteBatch};
-use sealdb::{KvNode, Store, StoreConfig, StoreKind};
+use sealdb::{AuditReport, KvNode, Store, StoreConfig, StoreKind};
 use smr_sim::ObsLayer;
 use workloads::RecordGenerator;
 
@@ -92,15 +92,6 @@ struct Shard<N> {
 
 /// Resident records of one shard, as `(key, value)` pairs.
 type Records = Vec<(Vec<u8>, Vec<u8>)>;
-
-/// Result of re-reading every key the cluster has acknowledged.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AuditReport {
-    /// Keys checked against their routed shard.
-    pub checked: u64,
-    /// Keys whose routed shard no longer serves the promised value.
-    pub lost: u64,
-}
 
 /// Max-over-mean of a count vector — the load-imbalance figure the
 /// BENCH_pr7 artifact gates on. Empty or all-zero input reads 1.0.
@@ -255,7 +246,8 @@ impl<N: KvNode> ShardCluster<N> {
 
     /// Re-reads records `0..n` of `gen` through the router and counts
     /// keys whose routed shard no longer returns the generator value —
-    /// the acked-key loss audit migration gates on.
+    /// the acked-key loss audit migration gates on. Each key lives on
+    /// its routed shard only, so every miss is a loss.
     pub fn audit(&mut self, gen: &RecordGenerator, n: u64) -> Result<AuditReport> {
         let mut lost = 0u64;
         for i in 0..n {
@@ -264,7 +256,11 @@ impl<N: KvNode> ShardCluster<N> {
                 lost += 1;
             }
         }
-        Ok(AuditReport { checked: n, lost })
+        Ok(AuditReport {
+            acked_writes: n,
+            primary_misses: lost,
+            acked_lost: lost,
+        })
     }
 }
 
@@ -419,7 +415,7 @@ mod tests {
             "load imbalance {:.3} over {placed:?}",
             imbalance(&placed)
         );
-        assert_eq!(c.audit(&gen, 4000).unwrap().lost, 0);
+        assert_eq!(c.audit(&gen, 4000).unwrap().acked_lost, 0);
     }
 
     #[test]

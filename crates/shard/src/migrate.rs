@@ -257,7 +257,7 @@ mod tests {
             r.moved_keys,
             before[from]
         );
-        assert_eq!(c.audit(&gen, 2000).unwrap().lost, 0);
+        assert_eq!(c.audit(&gen, 2000).unwrap().acked_lost, 0);
     }
 
     #[test]
@@ -285,7 +285,7 @@ mod tests {
         let after = shard_key_counts(&mut c);
         assert_eq!(after[1], 0);
         assert_eq!(after.iter().sum::<u64>(), 1500);
-        assert_eq!(c.audit(&gen, 1500).unwrap().lost, 0);
+        assert_eq!(c.audit(&gen, 1500).unwrap().acked_lost, 0);
         // Routing a key to the dead shard is impossible; ops still work.
         for i in 0..1500u64 {
             assert_ne!(c.route(&gen.key(i)), 1);
@@ -391,13 +391,13 @@ mod tests {
         assert!(c.merge_shard(1).is_err());
         assert!(c.is_active(1));
         assert_eq!(routes(&c, &gen), before);
-        assert_eq!(c.audit(&gen, FLAKY_KEYS).unwrap().lost, 0);
+        assert_eq!(c.audit(&gen, FLAKY_KEYS).unwrap().acked_lost, 0);
         let resident: u64 = shard_key_counts(&mut c).iter().sum();
         assert_eq!(resident, FLAKY_KEYS, "copies already sent were taken back");
         // Both migrations go through once the nodes behave.
         c.split(0, FlakyNode::default()).unwrap();
         c.merge_shard(1).unwrap();
-        assert_eq!(c.audit(&gen, FLAKY_KEYS).unwrap().lost, 0);
+        assert_eq!(c.audit(&gen, FLAKY_KEYS).unwrap().acked_lost, 0);
     }
 
     /// A source delete failing after the switch loses nothing either:
@@ -414,7 +414,7 @@ mod tests {
         c.node_mut(1).fail_at = c.node(1).writes + 2;
         assert!(c.merge_shard(1).is_err());
         assert!(!c.is_active(1));
-        assert_eq!(c.audit(&gen, FLAKY_KEYS).unwrap().lost, 0);
+        assert_eq!(c.audit(&gen, FLAKY_KEYS).unwrap().acked_lost, 0);
     }
 
     #[test]

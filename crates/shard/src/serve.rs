@@ -132,7 +132,7 @@ mod tests {
         // Serve-phase inserts grew the keyspace; audit re-reads all of it.
         assert!(r.records_after > 1200);
         let audit = c.audit(&gen, r.records_after).unwrap();
-        assert_eq!(audit.lost, 0);
+        assert_eq!(audit.acked_lost, 0);
     }
 
     #[test]

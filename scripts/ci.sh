@@ -72,7 +72,9 @@ stage_done "seal-lint"
 # suites run with the OrderingAuditor live (debug_assert!s active), so
 # a violated happens-before edge fails here even if every recovered
 # value happens to read back correctly; chaos_regressions holds the
-# pinned retire-before-sync repro the auditor must keep catching.
+# pinned retire-before-sync repro schedule the GC path must keep
+# passing (the proof that the auditor catches that bug is a sealdb
+# unit test, run with the workspace tests above).
 # (`cargo test --workspace` above also runs debug, but these suites are
 # the designated ordering oracle — keep them green by name.)
 cargo test -q --test vlog_crash_points --test crash_points --test recovery_hardening --test chaos_regressions

@@ -1,29 +1,22 @@
 //! Pinned chaos repros and schedule-generator coverage regressions.
 //!
-//! The first two tests pin the **minimized repro** the chaos shrinker
-//! produced for the PR 8 retire-before-sync regression (re-injected on
-//! demand via `ChaosConfig::buggy_gc`): the exact event core the
-//! delta-debugging pass converged on, kept here verbatim so the
-//! ordering bug can never quietly come back. The remaining tests gate
-//! the schedule generator itself — CI's composed-fault smoke is only as
-//! strong as the fault classes the generator keeps emitting.
+//! The first test pins the **minimized repro** the chaos shrinker
+//! produced for the value-log retire-before-sync ordering bug: the
+//! exact event core the delta-debugging pass converged on, kept here
+//! verbatim as a schedule the GC path must keep surviving. (The proof
+//! that the debug-build ordering auditor still watches that path is a
+//! unit test in `sealdb`'s store module that drives GC without its
+//! barrier.) The remaining tests gate the schedule generator itself —
+//! CI's composed-fault smoke is only as strong as the fault classes the
+//! generator keeps emitting.
 
 use seal_chaos::{generate, schedule_fails, ChaosConfig, ChaosEvent};
 use std::collections::BTreeSet;
 
-fn buggy_cfg() -> ChaosConfig {
-    ChaosConfig {
-        groups: 1,
-        replicas: 1,
-        buggy_gc: true,
-        ..ChaosConfig::default()
-    }
-}
-
-/// The shrinker's minimized output for the re-injected PR 8 bug: three
-/// write bursts arm the value log (hot keys need two puts to divert,
-/// and sealed segments need dead records worth reclaiming), then one
-/// GC drain.
+/// The shrinker's minimized output for the retire-before-sync bug:
+/// three write bursts arm the value log (hot keys need two puts to
+/// divert, and sealed segments need dead records worth reclaiming),
+/// then one GC drain.
 fn minimized_repro() -> Vec<ChaosEvent> {
     use ChaosEvent::*;
     vec![
@@ -37,29 +30,16 @@ fn minimized_repro() -> Vec<ChaosEvent> {
     ]
 }
 
-/// The drain through the barrier-free entry point trips the oracle.
-/// Only the debug-build `OrderingAuditor` sees the missing barrier
-/// (release builds carry the latent bug silently), so this half runs
-/// in debug builds only, like the shrinker's own test.
-#[test]
-#[cfg(debug_assertions)]
-fn minimized_retire_before_sync_repro_is_pinned() {
-    assert!(
-        schedule_fails(&buggy_cfg(), 7, &minimized_repro()),
-        "the pinned minimized repro no longer reproduces the retire-before-sync bug"
-    );
-}
-
-/// The same schedule through the *correct* GC path passes in every
-/// profile — the failure above is the ordering bug, not the schedule.
+/// The pinned schedule through the GC path passes in every profile.
 #[test]
 fn correct_gc_path_survives_the_pinned_repro() {
-    let fixed = ChaosConfig {
-        buggy_gc: false,
-        ..buggy_cfg()
+    let cfg = ChaosConfig {
+        groups: 1,
+        replicas: 1,
+        ..ChaosConfig::default()
     };
     assert!(
-        !schedule_fails(&fixed, 7, &minimized_repro()),
+        !schedule_fails(&cfg, 7, &minimized_repro()),
         "the correct GC path must survive the pinned repro schedule"
     );
 }

@@ -64,9 +64,9 @@ fn episode() -> (Vec<Vec<u64>>, Vec<usize>, u64) {
     for g in 0..c.total_shards() {
         let node = c.node_mut(g);
         node.advance_ns(5_000_000).expect("drain in-flight frames");
-        let deep = node.audit_deep().expect("deep audit");
-        assert!(deep.acked_writes > 0, "group {g} acked nothing");
-        assert_eq!(deep.acked_lost, 0, "group {g} lost acked writes");
+        let audit = node.audit().expect("audit");
+        assert!(audit.acked_writes > 0, "group {g} acked nothing");
+        assert_eq!(audit.acked_lost, 0, "group {g} lost acked writes");
         let mut live = Vec::new();
         for i in 0..=node.config().replicas {
             if node.alive(i) {

@@ -81,7 +81,11 @@ fn partitioned_episode() -> (u64, u64, usize) {
             .expect("post-rejoin write");
     }
     let audit = c.audit().expect("audit");
-    assert_eq!(audit.acked_lost, 0, "quorum acks must survive the episode");
+    assert_eq!(
+        (audit.primary_misses, audit.acked_lost),
+        (0, 0),
+        "quorum acks must survive the episode"
+    );
     let hash = c.state_hash().expect("state hash");
     (hash, report.rto_ns, report.promoted)
 }

@@ -64,12 +64,12 @@ fn mid_run_migration_replays_identically_and_loses_nothing() {
         let split = c.split_hottest().unwrap();
         assert!(split.moved_keys > 0);
         let audit1 = c.audit(&gen, r1.records_after).unwrap();
-        assert_eq!(audit1.lost, 0, "split lost acked keys");
+        assert_eq!(audit1.acked_lost, 0, "split lost acked keys");
 
         let r2 = serve(&mut c, &gen, &serve_cfg(6, 400, r1.records_after, 32)).unwrap();
         let merge = c.merge_shard(0).unwrap();
         let audit2 = c.audit(&gen, r2.records_after).unwrap();
-        assert_eq!(audit2.lost, 0, "merge lost acked keys");
+        assert_eq!(audit2.acked_lost, 0, "merge lost acked keys");
 
         let r3 = serve(&mut c, &gen, &serve_cfg(6, 200, r2.records_after, 33)).unwrap();
         (

@@ -459,9 +459,11 @@ pub fn fig10(scale: &BenchScale) -> Result<Report> {
             snap.total_compaction_ns() as f64 / 1e9,
         ));
         // DESIGN.md §5's stream claim as numbers: how many tables a
-        // compaction reads, and in how many contiguous device runs.
+        // compaction reads, and in how many device streams — a sorted
+        // level's contiguous run of tables, a back-to-back level-0 run
+        // read whole, or one lone table each.
         report.line(format!(
-            "{:<13} avg input files {:.2}, avg input runs {:.2} per compaction",
+            "{:<13} avg input files {:.2}, avg input runs (device streams) {:.2} per compaction",
             "",
             real.iter().map(|c| c.input_files as f64).sum::<f64>() / n,
             real.iter().map(|c| c.input_runs as f64).sum::<f64>() / n,

@@ -1,7 +1,7 @@
 //! The fidelity order gate: the paper's qualitative order facts, held
 //! against the committed figure CSVs (`seal-bench --fidelity-check DIR`):
-//! the micro-benchmark orders of Fig. 8 and Fig. 14, and Fig. 12's write
-//! amplification rows.
+//! the micro-benchmark orders of Fig. 8 and Fig. 14, Fig. 10's compaction
+//! totals and Fig. 12's write amplification rows.
 //!
 //! A magnitude may drift with the scale (EXPERIMENTS.md, "Known
 //! divergences"); the order the paper reports must not. Each fact names
@@ -49,6 +49,26 @@ struct Amplification {
     wa: f64,
     awa: f64,
     mwa: f64,
+}
+
+/// Fig. 10's CSV: one row per real compaction, each store's rows
+/// together and the stores in [`FIG10_STORES`] order.
+const FIG10_FILE: &str = "fig10_compactions.csv";
+const FIG10_HEADER: &str = "store,compaction,start_s,latency_ms,output_mb,input_files,input_runs";
+const FIG10_STORES: [&str; 3] = ["LevelDB", "SMRDB", "SEALDB"];
+
+/// One store's compactions in Fig. 10, summed.
+#[derive(Clone, Copy, Default)]
+struct Compactions {
+    count: usize,
+    latency_ms: f64,
+    output_mb: f64,
+}
+
+impl Compactions {
+    fn mean_mb(&self) -> f64 {
+        self.output_mb / self.count as f64
+    }
 }
 
 /// One order fact: on `phase` of `figure`, `upper`'s throughput is above
@@ -192,6 +212,79 @@ fn read_fig12(csv: &str) -> Result<Vec<Amplification>, String> {
     Ok(rows)
 }
 
+/// Reads Fig. 10's rows from `csv` into one sum per store of
+/// [`FIG10_STORES`]. A row of a store whose rows are over, or of no
+/// store at all, is named; so is a store with no rows.
+fn read_fig10(csv: &str) -> Result<Vec<Compactions>, String> {
+    let file = FIG10_FILE;
+    let mut sums = [Compactions::default(); 3];
+    let mut at = 0;
+    for (n, line) in body(file, csv, FIG10_HEADER)?.enumerate() {
+        let line_no = n + 2;
+        let fields: Vec<&str> = line.split(',').collect();
+        let store = FIG10_STORES[at..]
+            .iter()
+            .position(|s| fields.first() == Some(s));
+        let (Some(s), 7) = (store, fields.len()) else {
+            return Err(format!(
+                "{file} line {line_no}: expected a row of {}, found `{line}`",
+                FIG10_STORES[at..].join(" or ")
+            ));
+        };
+        at += s;
+        sums[at].count += 1;
+        sums[at].latency_ms += number(file, line_no, "latency_ms", fields[3])?;
+        sums[at].output_mb += number(file, line_no, "output_mb", fields[4])?;
+    }
+    if let Some(s) = sums.iter().position(|c| c.count == 0) {
+        return Err(format!("{file}: no rows for {}", FIG10_STORES[s]));
+    }
+    Ok(sums.to_vec())
+}
+
+/// Fig. 10's facts: sets make SEALDB's compactions cost the least time
+/// in total — less than LevelDB's and less than SMRDB's — and SMRDB's
+/// band-sized tables make its compactions the largest of the three.
+fn fig10_problems(sums: &[Compactions]) -> Vec<String> {
+    let [leveldb, smrdb, sealdb] = [sums[0], sums[1], sums[2]];
+    let total_s = |c: Compactions| c.latency_ms / 1e3;
+    let facts = [
+        (
+            sealdb.latency_ms < leveldb.latency_ms,
+            format!(
+                "SEALDB's total compaction latency must be below LevelDB's, but {:.2} s is \
+                 not below {:.2} s",
+                total_s(sealdb),
+                total_s(leveldb)
+            ),
+        ),
+        (
+            sealdb.latency_ms < smrdb.latency_ms,
+            format!(
+                "SEALDB's total compaction latency must be below SMRDB's, but {:.2} s is \
+                 not below {:.2} s",
+                total_s(sealdb),
+                total_s(smrdb)
+            ),
+        ),
+        (
+            smrdb.mean_mb() > leveldb.mean_mb() && smrdb.mean_mb() > sealdb.mean_mb(),
+            format!(
+                "SMRDB's mean compaction size must be the largest of the three, but it is \
+                 {:.3} MiB against LevelDB's {:.3} MiB and SEALDB's {:.3} MiB",
+                smrdb.mean_mb(),
+                leveldb.mean_mb(),
+                sealdb.mean_mb()
+            ),
+        ),
+    ];
+    facts
+        .into_iter()
+        .filter(|(holds, _)| !holds)
+        .map(|(_, fact)| format!("{FIG10_FILE}: Fig. 10 order broken: {fact}"))
+        .collect()
+}
+
 /// Fig. 12's facts: SEALDB's dynamic bands eliminate auxiliary write
 /// amplification (AWA ≡ 1.000 as printed), SMRDB's band-sized tables
 /// nearly do (AWA at most 1.01), SEALDB's MWA is below LevelDB's, and
@@ -281,6 +374,10 @@ fn check_with(read: impl Fn(&str) -> Result<String, String>) -> Vec<String> {
                 fig.file, fig.name, fact.phase, fact.upper, fact.lower
             ));
         }
+    }
+    match read(FIG10_FILE).and_then(|csv| read_fig10(&csv)) {
+        Ok(sums) => problems.extend(fig10_problems(&sums)),
+        Err(e) => problems.push(e),
     }
     match read(FIG12_FILE).and_then(|csv| read_fig12(&csv)) {
         Ok(rows) => problems.extend(fig12_problems(&rows)),
@@ -396,6 +493,79 @@ mod tests {
             problems,
             ["fig12_write_amplification.csv line 3: expected row SMRDB, found `SEALDB,13.458,1.000,13.458`"]
         );
+    }
+
+    /// Multiplies field `column` of every row of `store` by `factor`.
+    fn scale_field(csv: String, store: &str, column: usize, factor: f64) -> String {
+        csv.lines()
+            .map(|l| {
+                let mut fields: Vec<String> = l.split(',').map(str::to_string).collect();
+                if fields[0] == store {
+                    let v: f64 = fields[column].parse().unwrap();
+                    fields[column] = format!("{:.3}", v * factor);
+                }
+                fields.join(",") + "\n"
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_moved_fig10_row_is_named() {
+        // The last SEALDB row moves to the top, above every LevelDB row.
+        let problems = check_doctored(FIG10_FILE, |csv| {
+            let mut lines: Vec<&str> = csv.lines().collect();
+            let last = lines.pop().unwrap();
+            lines.insert(1, last);
+            lines.join("\n") + "\n"
+        });
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(
+            problems[0].starts_with(
+                "fig10_compactions.csv line 3: expected a row of SEALDB, found `LevelDB,"
+            ),
+            "{}",
+            problems[0]
+        );
+        // A store with no rows at all.
+        let problems = check_doctored(FIG10_FILE, |csv| {
+            csv.lines()
+                .filter(|l| !l.starts_with("SMRDB,"))
+                .map(|l| l.to_string() + "\n")
+                .collect()
+        });
+        assert_eq!(problems, ["fig10_compactions.csv: no rows for SMRDB"]);
+    }
+
+    #[test]
+    fn each_broken_fig10_fact_reads_as_one_line() {
+        // (store, column, factor, the fact that breaks)
+        let cases = [
+            (
+                "LevelDB",
+                3,
+                0.1,
+                "SEALDB's total compaction latency must be below LevelDB's, but ",
+            ),
+            (
+                "SEALDB",
+                3,
+                4.0,
+                "SEALDB's total compaction latency must be below SMRDB's, but ",
+            ),
+            (
+                "SMRDB",
+                4,
+                0.01,
+                "SMRDB's mean compaction size must be the largest of the three, but ",
+            ),
+        ];
+        for (store, column, factor, fact) in cases {
+            let problems =
+                check_doctored(FIG10_FILE, |csv| scale_field(csv, store, column, factor));
+            assert_eq!(problems.len(), 1, "{store}: {problems:?}");
+            let want = format!("fig10_compactions.csv: Fig. 10 order broken: {fact}");
+            assert!(problems[0].starts_with(&want), "{}", problems[0]);
+        }
     }
 
     #[test]

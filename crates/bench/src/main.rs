@@ -31,7 +31,7 @@
 //!   `path: old → new`; exits 1 if any does
 //!
 //! seal-bench --fidelity-check DIR
-//!   holds the paper's order facts (Fig. 8, 12, 14) against the figure
+//!   holds the paper's order facts (Fig. 8, 10, 12, 14) against the figure
 //!   CSVs in DIR; prints each broken one and exits 1 if any is
 //! ```
 //!

@@ -35,6 +35,7 @@ use batch::WriteBatch;
 use iter::{DbIterator, LevelIterator};
 use options::Options;
 use smr_sim::{Disk, IoKind, ObsEventKind, ObsLayer};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Finished compaction outputs awaiting placement. The encoded tables
@@ -62,10 +63,11 @@ pub struct CompactionRecord {
     pub id: u64,
     /// Number of input SSTables (victims + overlapped set).
     pub input_files: usize,
-    /// Device streams the inputs need: every level-0 victim is one (they
-    /// overlap and are merged concurrently), and a sorted level's inputs
-    /// count one per physically contiguous run of tables — DESIGN.md §5's
-    /// "victim + contiguous set" as a number.
+    /// Device streams the inputs need: level-0 victims overlap and are
+    /// merged concurrently, so each is one, except that a back-to-back run
+    /// of them is read in one device read and counts once; a sorted
+    /// level's inputs count one per physically contiguous run of tables —
+    /// DESIGN.md §5's "victim + contiguous set" as a number.
     pub input_runs: usize,
     /// Total input bytes.
     pub input_bytes: u64,
@@ -877,8 +879,9 @@ impl DbCore {
         let set_id = {
             let mut guard = self.ctx.lock();
             guard.fs.disk_mut().set_trace_tag(0);
+            let run = self.opts.l0_compaction_trigger as u64 * self.opts.write_buffer_size as u64;
             self.policy
-                .place_flush(&mut guard.fs, file_id, &output[0].1)?
+                .place_flush(&mut guard.fs, file_id, &output[0].1, run)?
         };
         let mut edit = VersionEdit::default();
         edit.add_file(
@@ -981,6 +984,35 @@ impl DbCore {
         files.len() - joined
     }
 
+    /// Level-0 `files` as device runs of `(offset, id)`: taken in device
+    /// order, a table that starts where the one before it ends joins that
+    /// table's run.
+    fn level0_runs(&self, files: &[FileMetaHandle]) -> Vec<Vec<(u64, FileId)>> {
+        let guard = self.ctx.lock();
+        let mut by_offset: Vec<(u64, FileId)> = files
+            .iter()
+            .map(|f| {
+                let at = guard.fs.file_extent(f.id).map_or(u64::MAX, |e| e.offset);
+                (at, f.id)
+            })
+            .collect();
+        by_offset.sort_unstable();
+        let mut runs: Vec<Vec<(u64, FileId)>> = Vec::new();
+        for (at, id) in by_offset {
+            match runs.last_mut() {
+                Some(run)
+                    if run
+                        .last()
+                        .is_some_and(|&(_, prev)| guard.fs.file_follows(prev, id)) =>
+                {
+                    run.push((at, id))
+                }
+                _ => runs.push(vec![(at, id)]),
+            }
+        }
+        runs
+    }
+
     fn do_compaction(&mut self, c: Compaction) -> Result<()> {
         let cid = self.compactions.len() as u64 + 1;
         let start_ns = self.clock_ns();
@@ -1029,26 +1061,46 @@ impl DbCore {
     fn merge_compaction(&mut self, c: &Compaction, cid: u64, start_ns: u64) -> Result<()> {
         // Read inputs the way LevelDB does: a merging iterator pulling
         // blocks on demand, uncached. Level-0 victims overlap, so each is
-        // its own concurrent stream. Sorted-level inputs are disjoint and
-        // stream file after file in key order — which for set-placed
-        // files is also disk order: there the level iterator reads
-        // through each table's filter/index/footer tail into the next
-        // table, and the set arrives as the paper's one large sequential
-        // read (`LevelIterator::bridge_to_next`). Files placed apart are
-        // read exactly as before. `input_runs` is the resulting stream
-        // count; measured against the drive's read-ahead segments, it is
-        // what separates the three systems' compaction efficiency.
+        // its own concurrent stream — except where flushes were chained
+        // back-to-back (`Allocator::allocate_in_run`): such a run is read
+        // in one device read and merged from memory, every block still
+        // verified. Sorted-level inputs are disjoint and stream file after
+        // file in key order — which for set-placed files is also disk
+        // order: there the level iterator reads through each table's
+        // filter/index/footer tail into the next table, and the set
+        // arrives as the paper's one large sequential read
+        // (`LevelIterator::bridge_to_next`). Files placed apart are read
+        // exactly as before. `input_runs` is the resulting stream count;
+        // measured against the drive's read-ahead segments, it is what
+        // separates the three systems' compaction efficiency.
         let mut children: Vec<Box<dyn InternalIterator>> = Vec::new();
         let mut input_bytes = 0u64;
         let mut input_runs = self.contiguous_runs(&c.inputs[1]);
         if c.level == 0 {
-            input_runs += c.inputs[0].len();
+            let runs = self.level0_runs(&c.inputs[0]);
+            input_runs += runs.len();
+            let mut in_run: BTreeMap<FileId, (Arc<Vec<u8>>, usize)> = BTreeMap::new();
+            for run in runs.iter().filter(|run| run.len() > 1) {
+                let ids: Vec<FileId> = run.iter().map(|&(_, id)| id).collect();
+                let image = self.ctx.lock().fs.read_run(&ids, IoKind::CompactionRead)?;
+                let image = Arc::new(image);
+                for &(at, id) in run {
+                    in_run.insert(id, (Arc::clone(&image), (at - run[0].0) as usize));
+                }
+                self.obs_counter(
+                    ObsLayer::Lsm,
+                    "compaction.run_read_bytes",
+                    image.len() as u64,
+                );
+            }
             for f in &c.inputs[0] {
                 input_bytes += f.size;
                 let table = get_table(&self.ctx, f.id, f.size)?;
-                children.push(Box::new(
-                    table.iter(self.ctx.clone(), IoKind::CompactionRead),
-                ));
+                let it = table.iter(self.ctx.clone(), IoKind::CompactionRead);
+                children.push(Box::new(match in_run.remove(&f.id) {
+                    Some((image, at)) => it.in_run(image, at),
+                    None => it,
+                }));
             }
         } else if !c.inputs[0].is_empty() {
             input_runs += self.contiguous_runs(&c.inputs[0]);
@@ -1416,6 +1468,7 @@ impl DbCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use placement::Ext4Sim;
     use smr_sim::{Extent, Layout, TimeModel};
 
@@ -1888,12 +1941,13 @@ mod tests {
             reg.counter(ObsLayer::Lsm, "compaction.bridged_bytes")
         };
         // The clean run streamed the old level as one run next to the
-        // four level-0 victims; the faulted one lost exactly one bridge.
-        // (What that costs in seeks is pinned in `iter.rs`, on one stream:
-        // here five streams share six read-ahead segments.)
+        // four level-0 victims, which first fit flushed back to back and
+        // so are one run read whole; the faulted one lost exactly one
+        // bridge. (What that costs in seeks is pinned in `iter.rs`, on one
+        // stream.)
         let rec = clean.compaction_log().last().unwrap().clone();
         assert!(rec.input_files > 8, "{rec:?}");
-        assert_eq!(rec.input_runs, 4 + 1, "{rec:?}");
+        assert_eq!(rec.input_runs, 1 + 1, "{rec:?}");
         assert!(bridged(&clean) > 0);
         assert_eq!(bridged(&faulted), bridged(&clean) - tail);
         let faults = faulted.ctx().lock().fs.disk().stats().faults;
@@ -1910,6 +1964,151 @@ mod tests {
         assert_eq!(tables(&faulted), tables(&clean));
         let all = |db: &mut DbCore| db.scan(b"", usize::MAX).unwrap();
         assert_eq!(all(&mut faulted), all(&mut clean));
+    }
+
+    /// Four level-0 tables awaiting their L0→L1 compaction, flushed onto
+    /// one first-fit group (back to back: a run) or spread over 16 MiB
+    /// block groups (scattered).
+    fn level0_awaiting_compaction(run: bool) -> DbCore {
+        let cap = 1024 * MB;
+        let disk = Disk::new(cap, Layout::Hdd, TimeModel::hdd_st1000dm003(cap));
+        let mut opts = Options::scaled(8 << 10);
+        opts.write_buffer_size = 32 << 10;
+        opts.wal_buffer_bytes = 0;
+        let data = cap - opts.log_zone_bytes;
+        let group = if run { data } else { 16 * MB };
+        let policy = crate::policy::PerFilePolicy::new(Box::new(Ext4Sim::new(data, group)));
+        let mut db = DbCore::open(disk, opts, Box::new(policy)).unwrap();
+        db.set_deferred_compaction(true);
+        let mut n = 0u64;
+        while db.current_version().level_file_count(0) < 4 {
+            let (k, v) = kv((n * 2654435761) % 100_000);
+            db.put(&k, &v).unwrap();
+            n += 1;
+        }
+        let level0 = db.current_version().files[0].clone();
+        let runs = db.level0_runs(&level0);
+        assert_eq!(runs.len(), if run { 1 } else { 4 }, "{runs:?}");
+        db
+    }
+
+    /// Runs the pending compaction with the trace on; returns its
+    /// `CompactionRead` accesses.
+    fn traced_compaction(db: &mut DbCore) -> Result<Vec<smr_sim::TraceEvent>> {
+        db.ctx().lock().fs.disk_mut().trace_mut().set_enabled(true);
+        let done = db.compact_step();
+        let mut guard = db.ctx().lock();
+        let trace = guard.fs.disk_mut().trace_mut();
+        let reads = trace
+            .events()
+            .iter()
+            .filter(|e| e.kind == IoKind::CompactionRead)
+            .copied()
+            .collect();
+        trace.set_enabled(false);
+        trace.clear();
+        assert!(done?, "a compaction was due");
+        Ok(reads)
+    }
+
+    /// Every live table's device bytes, level by level in key order.
+    fn live_tables(db: &DbCore) -> Vec<Vec<u8>> {
+        let version = db.current_version();
+        let mut guard = db.ctx().lock();
+        let files = version.files.iter().flatten();
+        files
+            .map(|f| guard.fs.read_full(f.id, IoKind::Raw).unwrap())
+            .collect()
+    }
+
+    fn run_read_bytes(db: &DbCore) -> u64 {
+        let guard = db.ctx().lock();
+        let reg = &guard.fs.disk().obs().registry;
+        reg.counter(ObsLayer::Lsm, "compaction.run_read_bytes")
+    }
+
+    #[test]
+    fn a_level0_run_is_merged_from_one_device_read() {
+        let mut run = level0_awaiting_compaction(true);
+        let inputs: Vec<FileMetaHandle> = run.current_version().files[0].clone();
+        let span: u64 = inputs.iter().map(|f| f.size).sum();
+        let reads = traced_compaction(&mut run).unwrap();
+        assert_eq!(reads.len(), 1, "{reads:?}");
+        assert_eq!(reads[0].ext.len, span);
+        assert_eq!(run_read_bytes(&run), span);
+        let rec = run.compaction_log().last().unwrap().clone();
+        assert_eq!((rec.input_files, rec.input_runs), (4, 1), "{rec:?}");
+
+        // Scattered tables keep block-on-demand reads, one stream each.
+        let mut scattered = level0_awaiting_compaction(false);
+        let reads = traced_compaction(&mut scattered).unwrap();
+        assert!(reads.len() > 4, "{} reads", reads.len());
+        assert_eq!(run_read_bytes(&scattered), 0);
+        let rec = scattered.compaction_log().last().unwrap().clone();
+        assert_eq!((rec.input_files, rec.input_runs), (4, 4), "{rec:?}");
+
+        // Same merge either way: the same rows, the same output bytes.
+        assert_eq!(run.scan_bulk().unwrap(), scattered.scan_bulk().unwrap());
+        assert_eq!(live_tables(&run), live_tables(&scattered));
+    }
+
+    #[test]
+    fn a_flipped_byte_in_a_level0_run_fails_the_compaction_and_installs_nothing() {
+        let mut clean = level0_awaiting_compaction(true);
+        traced_compaction(&mut clean).unwrap();
+        let mut db = level0_awaiting_compaction(true);
+        let before = live_ids(&db);
+        {
+            let mut guard = db.ctx().lock();
+            let second = db.current_version().files[0]
+                .iter()
+                .map(|f| guard.fs.file_extent(f.id).unwrap())
+                .min_by_key(|e| e.offset)
+                .map(|first| first.end())
+                .unwrap();
+            // Inside the first data block of the run's second table.
+            let bad = Extent::new(second + 10, 1);
+            guard.fs.disk_mut().faults_mut().corrupt_extent(bad);
+        }
+        let err = traced_compaction(&mut db).unwrap_err();
+        assert!(
+            matches!(&err, Error::Corruption(m) if m.contains("block at offset 0")),
+            "{err}"
+        );
+        assert_eq!(live_ids(&db), before, "nothing was installed");
+        assert_eq!(db.current_version().level_file_count(1), 0);
+        assert_eq!(
+            db.ctx().lock().fs.disk().stats().faults.checksum_failures,
+            1
+        );
+        // The inputs are untouched: with the damage gone, the retry (under
+        // fresh file ids) writes what the clean run wrote.
+        db.ctx()
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .clear_corruption();
+        traced_compaction(&mut db).unwrap();
+        assert_eq!(live_tables(&db), live_tables(&clean));
+    }
+
+    #[test]
+    fn a_transient_error_on_the_level0_run_read_is_retried() {
+        let mut clean = level0_awaiting_compaction(true);
+        traced_compaction(&mut clean).unwrap();
+        let mut db = level0_awaiting_compaction(true);
+        db.ctx()
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .fail_reads_transiently(1);
+        let reads = traced_compaction(&mut db).unwrap();
+        assert_eq!(reads.len(), 1, "the retry is the one read: {reads:?}");
+        let faults = db.ctx().lock().fs.disk().stats().faults;
+        assert_eq!((faults.transient_read_errors, faults.read_retries), (1, 1));
+        assert_eq!(live_tables(&db), live_tables(&clean));
     }
 
     #[test]

@@ -353,6 +353,26 @@ impl FileStore {
         }
     }
 
+    /// Reads the files of `run`, each starting on the device where the one
+    /// before it ends ([`FileStore::file_follows`]), in one sequential
+    /// access with the usual retry budget: the bytes from the first
+    /// file's start to the last one's end.
+    pub(crate) fn read_run(&mut self, run: &[FileId], kind: IoKind) -> Result<Vec<u8>> {
+        let (Some(&first), Some(&last)) = (run.first(), run.last()) else {
+            return Ok(Vec::new());
+        };
+        if let Some(w) = run.windows(2).find(|w| !self.file_follows(w[0], w[1])) {
+            return Err(Error::InvalidArgument(format!(
+                "file {} does not start where file {} ends",
+                w[1], w[0]
+            )));
+        }
+        let start = self.file_extent(first)?.offset;
+        let end = self.file_extent(last)?.end();
+        self.disk.set_trace_file(first);
+        self.read_disk_retrying(Extent::new(start, end - start), kind)
+    }
+
     /// Whether a file id is registered.
     pub fn has_file(&self, id: FileId) -> bool {
         self.files.contains_key(&id)

@@ -53,9 +53,18 @@ pub trait PlacementPolicy: Send {
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 
-    /// Places one memtable-flush output. Returns the set id the file
-    /// belongs to (0 = no set).
-    fn place_flush(&mut self, fs: &mut FileStore, file: FileId, data: &[u8]) -> Result<u64>;
+    /// Places one memtable-flush output. `run` is how many bytes the
+    /// level-0 run it joins grows to before an L0→L1 compaction reads it
+    /// (`l0_compaction_trigger × write_buffer_size`): a policy may keep
+    /// the run back-to-back ([`Allocator::allocate_in_run`]). Returns the
+    /// set id the file belongs to (0 = no set).
+    fn place_flush(
+        &mut self,
+        fs: &mut FileStore,
+        file: FileId,
+        data: &[u8],
+        run: u64,
+    ) -> Result<u64>;
 
     /// Places all outputs of one compaction. Returns the set id shared by
     /// the files (0 = no set).
@@ -260,7 +269,13 @@ impl PlacementPolicy for PerFilePolicy {
         "per-file"
     }
 
-    fn place_flush(&mut self, fs: &mut FileStore, file: FileId, data: &[u8]) -> Result<u64> {
+    fn place_flush(
+        &mut self,
+        fs: &mut FileStore,
+        file: FileId,
+        data: &[u8],
+        _run: u64,
+    ) -> Result<u64> {
         self.place_one(fs, file, data)?;
         Ok(0)
     }
@@ -330,7 +345,9 @@ mod tests {
         let mut store = fs();
         let alloc = Ext4Sim::new(store.data_capacity(), 64 * MB);
         let mut p = PerFilePolicy::new(Box::new(alloc));
-        let set = p.place_flush(&mut store, 10, &vec![1u8; 1 << 20]).unwrap();
+        let set = p
+            .place_flush(&mut store, 10, &vec![1u8; 1 << 20], 4 << 20)
+            .unwrap();
         assert_eq!(set, 0);
         assert!(store.has_file(10));
         assert_eq!(p.allocator().allocated_bytes(), 1 << 20);
@@ -360,7 +377,8 @@ mod tests {
         let mut store = fs();
         let alloc = Ext4Sim::new(store.data_capacity(), 64 * MB);
         let mut p = PerFilePolicy::with_fs_journal(Box::new(alloc));
-        p.place_flush(&mut store, 10, &vec![1u8; 4096]).unwrap();
+        p.place_flush(&mut store, 10, &vec![1u8; 4096], 4 << 20)
+            .unwrap();
         p.delete_file(&mut store, 10).unwrap();
         assert_eq!(store.log_len(FSMETA_LOG_ID).unwrap(), 2 * 4096);
     }

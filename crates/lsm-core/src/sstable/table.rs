@@ -454,6 +454,39 @@ impl Table {
         Ok((block, false))
     }
 
+    /// Cuts the data block at `handle` out of `run`, the bytes of a run of
+    /// adjacent tables read in one device access, in which this table
+    /// starts at `at`. The block is verified as a device read would verify
+    /// it, and a failed check is counted the same way.
+    fn run_block(
+        &self,
+        ctx: &SharedCtx,
+        run: &[u8],
+        at: usize,
+        handle: BlockHandle,
+    ) -> Result<Arc<Block>> {
+        let image = at
+            .checked_add(self.file_size as usize)
+            .and_then(|end| run.get(at..end));
+        let contents = match image {
+            Some(image) => image_block(image, handle).inspect_err(|_| {
+                ctx.lock()
+                    .fs
+                    .disk_mut()
+                    .stats_mut()
+                    .faults
+                    .checksum_failures += 1;
+            }),
+            None => corruption("table past the end of its run"),
+        };
+        let block = contents.and_then(Block::new).map_err(|e| {
+            locate(e, || {
+                format!("file {} block at offset {}", self.file, handle.offset)
+            })
+        })?;
+        Ok(Arc::new(block))
+    }
+
     /// An iterator over the whole table; blocks are fetched lazily and
     /// charged with the supplied `kind` (Scan for user scans,
     /// CompactionRead when driven by a compaction).
@@ -467,6 +500,7 @@ impl Table {
             // (LevelDB's `fill_cache=false` read option).
             use_cache: !matches!(kind, IoKind::CompactionRead),
             stream: None,
+            run: None,
             index_iter: self.index.iter(),
             block_iter: None,
             fetched_to: None,
@@ -485,6 +519,9 @@ pub struct TableIterator {
     /// Set by [`TableIterator::streaming`]: whether the data block
     /// loaded last came off the device.
     stream: Option<bool>,
+    /// Set by [`TableIterator::in_run`]: the run image this table's
+    /// blocks are cut from, and where in it the table starts.
+    run: Option<(Arc<Vec<u8>>, usize)>,
     index_iter: BlockIter,
     block_iter: Option<BlockIter>,
     /// File offset one past the data block loaded last.
@@ -515,6 +552,15 @@ impl TableIterator {
         self
     }
 
+    /// Takes every data block from `run`, the bytes of a run of adjacent
+    /// tables one device read brought in, in which this table starts at
+    /// `at`: no device read and no block cache, and every block verified
+    /// as it is cut out (`Table::run_block`).
+    pub(crate) fn in_run(mut self, run: Arc<Vec<u8>>, at: usize) -> Self {
+        self.run = Some((run, at));
+        self
+    }
+
     fn load_block(&mut self) {
         self.block_iter = None;
         if !self.index_iter.valid() {
@@ -522,7 +568,10 @@ impl TableIterator {
         }
         let use_cache = self.use_cache && self.stream != Some(true);
         match BlockHandle::decode(self.index_iter.value()).and_then(|(h, _)| {
-            let (block, hit) = self.table.read_block(&self.ctx, h, self.kind, use_cache)?;
+            let (block, hit) = match &self.run {
+                Some((run, at)) => (self.table.run_block(&self.ctx, run, *at, h)?, false),
+                None => self.table.read_block(&self.ctx, h, self.kind, use_cache)?,
+            };
             Ok((block, hit, h.disk_span()?.1))
         }) {
             Ok((block, hit, end)) => {

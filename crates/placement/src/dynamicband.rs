@@ -12,6 +12,12 @@
 //!   (beyond data + guard) to the free-space list.
 //! * **Coalesce** — adjacent freed regions merge (handled inside
 //!   [`FreeSpaceList`]).
+//! * **Chain** — the level-0 tables between two L0→L1 compactions form
+//!   one run, `[t1|t2|…|guard]`. The run's first table takes the highest
+//!   hole that holds the whole run plus one guard when there is one; each later
+//!   table lands exactly where the previous one's data ends, taking over
+//!   its trailing guard plus the head of the free region behind it, so
+//!   Eq. 1 holds with one guard at the run's end.
 //!
 //! Byte ranges between two guard gaps form a *dynamic band*; the
 //! [`DynamicBandAlloc::bands`] snapshot reconstructs them for Fig. 13.
@@ -47,6 +53,9 @@ pub struct DynamicBandAlloc {
     fenced: Vec<Extent>,
     /// Band-lifecycle events queued for [`Allocator::take_events`].
     events: Vec<AllocEvent>,
+    /// Offset of the last table of the level-0 run being chained
+    /// ([`Allocator::allocate_in_run`]); cleared when it is freed.
+    run_tail: Option<u64>,
 }
 
 impl DynamicBandAlloc {
@@ -62,6 +71,7 @@ impl DynamicBandAlloc {
             allocated: 0,
             fenced: Vec::new(),
             events: Vec::new(),
+            run_tail: None,
         }
     }
 
@@ -94,6 +104,76 @@ impl DynamicBandAlloc {
         }
     }
 
+    /// Places `size` bytes at the start of `hole` (taken from the free
+    /// list, at least `size + guard` long): data | guard | remainder, the
+    /// remainder going back to the pool.
+    fn place_in_hole(&mut self, hole: Extent, size: u64) -> Extent {
+        let need = size + self.guard;
+        debug_assert!(hole.len >= need);
+        self.free
+            .insert(Extent::new(hole.offset + need, hole.len - need));
+        self.live.insert(
+            hole.offset,
+            AllocRecord {
+                data_len: size,
+                reserved_len: need,
+            },
+        );
+        self.allocated += size;
+        self.events.push(AllocEvent {
+            kind: ObsEventKind::BandAllocate,
+            offset: hole.offset,
+            len: size,
+        });
+        Extent::new(hole.offset, size)
+    }
+
+    /// Appends the next table of the level-0 run right behind its tail.
+    /// Inside a hole the table takes over the tail's trailing guard plus
+    /// the head of the free region behind it, and reserves a fresh guard
+    /// after itself; at the frontier it is a plain append with no guard.
+    /// `None` when there is no live tail, when the bytes behind it are
+    /// fenced, taken or too short, or when the frontier has moved on.
+    fn extend_run(&mut self, size: u64) -> Option<Extent> {
+        let tail_at = self.run_tail?;
+        let tail = *self.live.get(&tail_at)?;
+        let ext = Extent::new(tail_at + tail.data_len, size);
+        if self.fenced.iter().any(|f| f.overlaps(&ext)) {
+            return None;
+        }
+        let spare = tail.reserved_len - tail.data_len;
+        let (reserved_len, kind) = if spare == 0 {
+            if ext.offset != self.frontier || ext.end() > self.capacity {
+                return None;
+            }
+            self.frontier = ext.end();
+            (size, ObsEventKind::BandAppend)
+        } else {
+            let need = size + self.guard;
+            if need > spare {
+                self.free.take_at(ext.offset + spare, need - spare)?;
+            }
+            (need.max(spare), ObsEventKind::BandAllocate)
+        };
+        if let Some(rec) = self.live.get_mut(&tail_at) {
+            rec.reserved_len = rec.data_len;
+        }
+        self.live.insert(
+            ext.offset,
+            AllocRecord {
+                data_len: size,
+                reserved_len,
+            },
+        );
+        self.allocated += size;
+        self.events.push(AllocEvent {
+            kind,
+            offset: ext.offset,
+            len: size,
+        });
+        Some(ext)
+    }
+
     /// Reconstructs the dynamic bands: maximal runs of live allocations
     /// uninterrupted by free space, as in Fig. 6 / Fig. 13. Returns
     /// (band extent, number of live allocations inside).
@@ -120,28 +200,8 @@ impl Allocator for DynamicBandAlloc {
             return Err(AllocError::Unsupported("zero-size allocation".into()));
         }
         // Eq. 1: a recycled hole must hold the data plus a guard region.
-        let need = size + self.guard;
-        if let Some(hole) = self.free.take(need) {
-            debug_assert!(hole.len >= need);
-            // Split: data | guard | remainder (returned to the pool).
-            let remainder = hole.len - need;
-            if remainder > 0 {
-                self.free.insert(Extent::new(hole.offset + need, remainder));
-            }
-            self.live.insert(
-                hole.offset,
-                AllocRecord {
-                    data_len: size,
-                    reserved_len: need,
-                },
-            );
-            self.allocated += size;
-            self.events.push(AllocEvent {
-                kind: ObsEventKind::BandAllocate,
-                offset: hole.offset,
-                len: size,
-            });
-            return Ok(Extent::new(hole.offset, size));
+        if let Some(hole) = self.free.take(size + self.guard) {
+            return Ok(self.place_in_hole(hole, size));
         }
         // Append at the frontier of the banded region. No guard is
         // reserved: the space past the frontier holds no valid data.
@@ -181,6 +241,25 @@ impl Allocator for DynamicBandAlloc {
         Ok(ext)
     }
 
+    fn allocate_in_run(&mut self, size: u64, run: u64) -> Result<Extent, AllocError> {
+        if size == 0 {
+            return self.allocate(size);
+        }
+        // Behind the run's tail; failing that, this is the run's first
+        // table: the highest hole that holds the whole run plus its one
+        // guard — the one nearest the frontier, where the newest sets
+        // are written — else wherever a lone table would go.
+        let ext = match self.extend_run(size) {
+            Some(ext) => ext,
+            None => match self.free.take_last(run.max(size) + self.guard) {
+                Some(hole) => self.place_in_hole(hole, size),
+                None => self.allocate(size)?,
+            },
+        };
+        self.run_tail = Some(ext.offset);
+        Ok(ext)
+    }
+
     fn free(&mut self, ext: Extent) {
         let rec = self
             .live
@@ -188,6 +267,9 @@ impl Allocator for DynamicBandAlloc {
             .unwrap_or_else(|| panic!("free of unknown extent {ext:?}"));
         assert_eq!(rec.data_len, ext.len, "free with wrong length for {ext:?}");
         self.allocated -= rec.data_len;
+        if self.run_tail == Some(ext.offset) {
+            self.run_tail = None;
+        }
         // The guard bytes reserved with the allocation are recycled too;
         // coalescing happens inside the free list. Parts overlapping a
         // fenced region are dropped, not recycled.
@@ -271,6 +353,7 @@ impl Allocator for DynamicBandAlloc {
         // the restarted scrubber re-discovers and re-fences bad regions.
         self.fenced.clear();
         self.events.clear();
+        self.run_tail = None;
         for ext in live {
             // Guard bytes the lost allocation had reserved past its data
             // are unknown here, so each survivor keeps only its data
@@ -524,6 +607,176 @@ mod tests {
         a.quarantine(Extent::new(16 * MB, 4 * MB));
         a.rebuild(&[s1]);
         assert_eq!(a.quarantined_bytes(), 0);
+    }
+
+    /// Eq. 1 over the whole layout: the data of every live allocation is
+    /// followed either by the next table of its run, written after it, or
+    /// by `guard` bytes holding no live data.
+    fn assert_eq1(a: &DynamicBandAlloc) {
+        let live: Vec<Extent> = a
+            .live
+            .iter()
+            .map(|(&off, rec)| Extent::new(off, rec.data_len))
+            .collect();
+        for (i, ext) in live.iter().enumerate() {
+            if live.get(i + 1).is_some_and(|next| next.offset == ext.end()) {
+                continue;
+            }
+            let guard = Extent::new(ext.end(), a.guard);
+            assert!(
+                live.iter().all(|other| !other.overlaps(&guard)),
+                "{ext:?} has live data inside its guard: {live:?}"
+            );
+        }
+    }
+
+    /// A 40 MB hole at [0, 40 MB) with a live 8 MB set right behind it.
+    fn with_hole() -> DynamicBandAlloc {
+        let mut a = alloc();
+        let hole = a.allocate(40 * MB).unwrap();
+        a.allocate(8 * MB).unwrap();
+        a.free(hole);
+        a
+    }
+
+    /// A level-0 run of four 4 MB tables.
+    const RUN: u64 = 16 * MB;
+
+    #[test]
+    fn a_run_chains_back_to_back_inside_one_hole() {
+        let mut a = with_hole();
+        let mut run = Vec::new();
+        for i in 0..4u64 {
+            let t = a.allocate_in_run(SST, RUN).unwrap();
+            assert_eq!(t, Extent::new(i * SST, SST), "table {i}");
+            assert_eq1(&a);
+            // [t1|…|ti|guard], the rest of the hole still free.
+            let run_end = (i + 1) * SST;
+            assert_eq!(
+                a.free_regions(),
+                vec![Extent::new(run_end + SST, 40 * MB - run_end - SST)]
+            );
+            run.push(t);
+        }
+        assert_eq!(
+            a.bands(),
+            vec![
+                (Extent::new(0, 20 * MB), 4),
+                (Extent::new(40 * MB, 8 * MB), 1)
+            ]
+        );
+        // The run's first table skips a hole too small for the run and
+        // takes the highest of those that hold it.
+        let mut a = alloc();
+        let small = a.allocate(10 * MB).unwrap();
+        a.allocate(SST).unwrap();
+        let low = a.allocate(24 * MB).unwrap();
+        a.allocate(SST).unwrap();
+        let high = a.allocate(24 * MB).unwrap();
+        a.allocate(SST).unwrap();
+        for hole in [small, low, high] {
+            a.free(hole);
+        }
+        let head = a.allocate_in_run(SST, RUN).unwrap();
+        assert_eq!(
+            head.offset, high.offset,
+            "the highest hole that fits the run"
+        );
+        assert_eq!(
+            a.allocate(SST).unwrap().offset,
+            0,
+            "a lone table takes the small hole"
+        );
+    }
+
+    #[test]
+    fn a_run_falls_back_when_the_region_behind_its_guard_is_short() {
+        // A 10 MB hole: no hole holds the run, so the first table goes
+        // where a lone one would (4 data + 4 guard), leaving 2 MB behind.
+        let mut a = alloc();
+        let hole = a.allocate(10 * MB).unwrap();
+        a.allocate(8 * MB).unwrap();
+        a.free(hole);
+        assert_eq!(a.allocate_in_run(SST, RUN).unwrap().offset, 0);
+        // 2 MB cannot take the next table's guard: it appends instead,
+        // and the run continues from there.
+        assert_eq!(a.allocate_in_run(SST, RUN).unwrap().offset, 18 * MB);
+        assert_eq!(a.allocate_in_run(SST, RUN).unwrap().offset, 22 * MB);
+        assert_eq1(&a);
+        assert_eq!(a.free_regions(), vec![Extent::new(8 * MB, 2 * MB)]);
+    }
+
+    #[test]
+    fn a_run_falls_back_when_its_tail_was_freed() {
+        let mut a = alloc();
+        let t1 = a.allocate_in_run(SST, RUN).unwrap();
+        let t2 = a.allocate_in_run(SST, RUN).unwrap();
+        assert_eq!(t2.offset, t1.end());
+        a.free(t2);
+        // Nothing chains behind t1 into t2's old place: the next table is
+        // a run's first, and the 4 MB hole cannot hold it plus a guard.
+        assert_eq!(a.allocate_in_run(SST, RUN).unwrap().offset, 8 * MB);
+        assert_eq1(&a);
+    }
+
+    #[test]
+    fn a_run_falls_back_after_rebuild() {
+        let mut a = with_hole();
+        let t1 = a.allocate_in_run(SST, RUN).unwrap();
+        let set = Extent::new(40 * MB, 8 * MB);
+        a.rebuild(&[t1, set]);
+        assert_eq!(a.run_tail, None, "a recovered layout has no run");
+        // t1 lost its guard and the free pool is gone: the next table is
+        // a plain append, not t1's successor.
+        assert_eq!(a.allocate_in_run(SST, RUN).unwrap().offset, 48 * MB);
+        assert_eq1(&a);
+    }
+
+    #[test]
+    fn freeing_a_run_in_any_order_restores_the_hole() {
+        let orders = [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2], [2, 0, 3, 1]];
+        for order in orders {
+            let mut a = with_hole();
+            let run: Vec<Extent> = (0..4)
+                .map(|_| a.allocate_in_run(SST, RUN).unwrap())
+                .collect();
+            for i in order {
+                a.free(run[i]);
+                assert_eq1(&a);
+            }
+            assert_eq!(a.free_regions(), vec![Extent::new(0, 40 * MB)], "{order:?}");
+            assert_eq!(a.allocated_bytes(), 8 * MB);
+        }
+    }
+
+    #[test]
+    fn a_run_at_the_frontier_reserves_no_guard() {
+        let mut a = alloc();
+        let run: Vec<Extent> = (0..3)
+            .map(|_| a.allocate_in_run(SST, RUN).unwrap())
+            .collect();
+        assert_eq!(
+            run.iter().map(|e| e.offset).collect::<Vec<_>>(),
+            [0, SST, 2 * SST]
+        );
+        assert_eq!(a.frontier(), 3 * SST);
+        let kinds: Vec<ObsEventKind> = a.take_events().iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [ObsEventKind::BandAppend; 3]);
+        for t in run {
+            a.free(t);
+        }
+        assert_eq!(a.free_regions(), vec![Extent::new(0, 3 * SST)]);
+    }
+
+    #[test]
+    fn a_run_never_chains_onto_a_fence() {
+        let mut a = with_hole();
+        a.allocate_in_run(SST, RUN).unwrap();
+        // The scrubber fences the first table's guard.
+        a.quarantine(Extent::new(SST, MB));
+        let t2 = a.allocate_in_run(SST, RUN).unwrap();
+        assert!(!t2.overlaps(&Extent::new(SST, MB)), "{t2:?}");
+        assert_eq1(&a);
     }
 
     #[test]

@@ -225,6 +225,34 @@ impl FreeSpaceList {
         None
     }
 
+    /// Takes (removes and returns) the highest-addressed free region of
+    /// at least `need` bytes, the one nearest the frontier. A linear
+    /// walk down the by-offset index: its caller, the first table of a
+    /// level-0 run, asks once per run. `None` when nothing fits.
+    pub(crate) fn take_last(&mut self, need: u64) -> Option<Extent> {
+        let idx = self
+            .by_offset
+            .values()
+            .rev()
+            .copied()
+            .find(|&idx| self.slab[idx].len >= need)?;
+        Some(self.take_region(idx))
+    }
+
+    /// Takes the first `n` bytes of the free region that starts exactly at
+    /// `offset`, returning the rest of that region to the list. `None`
+    /// when no region starts there or it is shorter than `n`.
+    pub(crate) fn take_at(&mut self, offset: u64, n: u64) -> Option<Extent> {
+        let idx = *self.by_offset.get(&offset)?;
+        let region = self.slab[idx];
+        if region.len < n {
+            return None;
+        }
+        self.take_region(idx);
+        self.insert(Extent::new(offset + n, region.len - n));
+        Some(Extent::new(offset, n))
+    }
+
     fn take_region(&mut self, idx: usize) -> Extent {
         let node = self.slab[idx];
         debug_assert!(node.live);
@@ -336,6 +364,53 @@ mod tests {
         }
         // All rounds reused the same slot.
         assert!(fl.slab.len() <= 2, "slab grew to {}", fl.slab.len());
+    }
+
+    #[test]
+    fn take_at_cuts_the_head_of_the_region_starting_there() {
+        let mut fl = FreeSpaceList::new(MB);
+        fl.insert(Extent::new(10 * MB, 6 * MB));
+        fl.insert(Extent::new(30 * MB, 2 * MB));
+        // Only a region that starts exactly at the offset counts.
+        assert_eq!(fl.take_at(11 * MB, MB), None);
+        assert_eq!(fl.take_at(20 * MB, MB), None);
+        // Too short: nothing is taken.
+        assert_eq!(fl.take_at(30 * MB, 3 * MB), None);
+        assert_eq!(fl.total_bytes(), 8 * MB);
+        // The head goes, the rest stays free where it was.
+        assert_eq!(
+            fl.take_at(10 * MB, 4 * MB),
+            Some(Extent::new(10 * MB, 4 * MB))
+        );
+        assert_eq!(
+            fl.regions(),
+            vec![Extent::new(14 * MB, 2 * MB), Extent::new(30 * MB, 2 * MB)]
+        );
+        assert_eq!(fl.total_bytes(), 4 * MB);
+        // The whole region: nothing is left behind.
+        assert_eq!(
+            fl.take_at(30 * MB, 2 * MB),
+            Some(Extent::new(30 * MB, 2 * MB))
+        );
+        assert_eq!(fl.regions(), vec![Extent::new(14 * MB, 2 * MB)]);
+        // The shrunk region is found by its new size class.
+        assert_eq!(fl.take(2 * MB), Some(Extent::new(14 * MB, 2 * MB)));
+        assert!(fl.classes.is_empty());
+    }
+
+    #[test]
+    fn take_last_takes_the_highest_region_that_fits() {
+        let mut fl = FreeSpaceList::new(MB);
+        fl.insert(Extent::new(0, 8 * MB));
+        fl.insert(Extent::new(20 * MB, 2 * MB));
+        fl.insert(Extent::new(40 * MB, 6 * MB));
+        fl.insert(Extent::new(60 * MB, MB));
+        assert_eq!(fl.take_last(9 * MB), None);
+        assert_eq!(fl.take_last(5 * MB), Some(Extent::new(40 * MB, 6 * MB)));
+        assert_eq!(fl.take_last(5 * MB), Some(Extent::new(0, 8 * MB)));
+        assert_eq!(fl.take_last(MB), Some(Extent::new(60 * MB, MB)));
+        assert_eq!(fl.regions(), vec![Extent::new(20 * MB, 2 * MB)]);
+        assert_eq!(fl.total_bytes(), 2 * MB);
     }
 
     #[test]

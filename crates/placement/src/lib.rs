@@ -14,7 +14,8 @@
 //!   (§III-B): a free-space list organised as a sorted array of
 //!   SSTable-aligned size classes, each holding a doubly-linked list of
 //!   free regions; allocation satisfies `S_free ≥ S_req + S_guard`
-//!   (Eq. 1) with split/coalesce/append-at-the-frontier semantics.
+//!   (Eq. 1) with split/coalesce/append-at-the-frontier semantics, and
+//!   chains a run of level-0 tables back-to-back inside one hole.
 //!
 //! All allocators speak the same [`Allocator`] trait so the LSM engine's
 //! file store can be parameterised over them.
@@ -67,6 +68,16 @@ impl std::error::Error for AllocError {}
 pub trait Allocator: Send {
     /// Allocates `size` bytes, returning the extent the caller may write.
     fn allocate(&mut self, size: u64) -> Result<Extent, AllocError>;
+
+    /// Allocates `size` bytes for one table of a run that grows to about
+    /// `run` data bytes through later calls — the level-0 tables between
+    /// two L0→L1 compactions. An allocator that can keeps the run
+    /// back-to-back on the device, so a compaction reads it as one
+    /// stream. Default: a plain [`Allocator::allocate`].
+    fn allocate_in_run(&mut self, size: u64, run: u64) -> Result<Extent, AllocError> {
+        let _ = run;
+        self.allocate(size)
+    }
 
     /// Returns a previously allocated extent to the allocator. `ext` must
     /// be exactly an extent returned by [`Allocator::allocate`].

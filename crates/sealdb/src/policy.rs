@@ -1,8 +1,9 @@
 //! The set-aware placement policy: the glue between the LSM engine's
 //! compactions and the on-disk set regions.
 //!
-//! * **Flush** outputs become single-member regions appended/inserted by
-//!   the allocator.
+//! * **Flush** outputs become single-member regions, each level-0 run
+//!   chained back-to-back by the allocator so an L0→L1 compaction reads
+//!   it as one stream.
 //! * **Compaction** outputs are written back-to-back into *one*
 //!   allocation — the regenerated set — turning "multiple random accesses
 //!   on scattered SSTables into a large sequential one" (§III-A).
@@ -88,8 +89,14 @@ impl PlacementPolicy for SetPolicy {
         "sets"
     }
 
-    fn place_flush(&mut self, fs: &mut FileStore, file: FileId, data: &[u8]) -> Result<u64> {
-        let ext = self.alloc.allocate(data.len() as u64)?;
+    fn place_flush(
+        &mut self,
+        fs: &mut FileStore,
+        file: FileId,
+        data: &[u8],
+        run: u64,
+    ) -> Result<u64> {
+        let ext = self.alloc.allocate_in_run(data.len() as u64, run)?;
         drain_alloc_events(self.alloc.as_mut(), fs);
         fs.write_file_at(file, ext, data, IoKind::Flush)?;
         self.journal(fs)?;
@@ -380,7 +387,8 @@ mod tests {
     fn flush_regions_count_as_sets() {
         let mut fs = store();
         let mut p = policy(&fs);
-        p.place_flush(&mut fs, 60, &vec![9u8; 1000]).unwrap();
+        p.place_flush(&mut fs, 60, &vec![9u8; 1000], 4 * SST)
+            .unwrap();
         let stats = p.set_stats().unwrap();
         assert_eq!(stats.sets_created, 1);
         assert_eq!(stats.compaction_sets, 0);

@@ -172,8 +172,10 @@ if (( full )); then
 fi
 
 # Fidelity order gate: the paper's order facts (SEALDB beats LevelDB on
-# every Fig. 8 phase; on random load SEALDB > SMRDB > LevelDB; sets alone
-# do not improve sequential write, Fig. 14) hold in the figure CSVs —
+# every Fig. 8 phase; on random load SEALDB > SMRDB > LevelDB; SEALDB's
+# compactions cost the least time in total and SMRDB's are the largest,
+# Fig. 10; Fig. 12's write amplification rows; sets alone do not improve
+# sequential write, Fig. 14) hold in the figure CSVs —
 # the committed ones, which --full has just regenerated byte-identically.
 cargo run -q --release -p bench -- --fidelity-check results
 stage_done "fidelity order gate"

@@ -99,18 +99,24 @@ fn store_metrics_after_fixed_run_are_pinned() {
         store.get(key.as_bytes()).expect("get");
     }
     let json = store.metrics_snapshot().to_json(0);
-    // Re-recorded for the segmented block cache: the snapshot gained the
-    // `cache.block_promotions` and `cache.block_purged` gauges, and the
-    // gets' block hits moved, 241 → 197 of 374 lookups. The budget here
-    // is 8 blocks, so probation holds under 2, and these strided gets
-    // revisit a block a few blocks later: the distance SLRU
-    // gives up (DESIGN.md §5, "Segmented block cache"). (Before that: set-run streaming,
-    // which gained `lsm.compaction.input_runs` and
-    // `lsm.compaction.bridged_bytes`, and the build-time table handoff.)
-    // The two format pins above did not move.
+    // Re-recorded for level-0 runs: each run of flushes is chained
+    // back-to-back, so every L0→L1 merge reads its victims in one device
+    // read. The snapshot gained `lsm.compaction.run_read_bytes` (556 257,
+    // all 40 flushes' bytes); `input_runs` fell 73 → 44, the clock
+    // 1.326 → 0.856 s, flush time 250 → 82 ms and compaction time
+    // 679 → 371 ms; one band append became a band allocate.
+    // Earlier re-recordings: the segmented block cache gained the
+    // `cache.block_promotions` and `cache.block_purged` gauges and moved
+    // the gets' block hits, 241 → 197 of 374 lookups (the budget here is
+    // 8 blocks, so probation holds under 2, and these strided gets
+    // revisit a block a few blocks later: the distance SLRU gives up,
+    // DESIGN.md §5, "Segmented block cache"); set-run streaming gained
+    // `lsm.compaction.input_runs` and `lsm.compaction.bridged_bytes`;
+    // and the build-time table handoff. The two format pins above did
+    // not move.
     assert_eq!(
         (json.len(), fnv1a(json.as_bytes())),
-        (2291, 0xd4f0_ae20_355b_1130),
+        (2323, 0xdcb2_ceb1_8786_e2fa),
         "metrics snapshot moved"
     );
 }

@@ -3,13 +3,14 @@
 //! load never reads its own footers back — and the device copy is still
 //! verified wherever it *is* read (reopen, scrub, an evicted reader).
 //! The readers handed over are also what lets a compaction stream a
-//! contiguous set as one device run (set-run streaming): its store-level
-//! checks live here too.
+//! contiguous set as one device run (set-run streaming), and an L0→L1
+//! merge read a chained level-0 run in one device read: their
+//! store-level checks live here too.
 
 use lsm_core::sstable::table::parse_footer;
 use lsm_core::sstable::FOOTER_SIZE;
 use lsm_core::ScrubConfig;
-use sealdb::{Store, StoreConfig, StoreKind};
+use sealdb::{Store, StoreConfig, StoreKind, VlogParams};
 use smr_sim::{Extent, IoKind, ObsLayer};
 use workloads::RecordGenerator;
 
@@ -129,6 +130,40 @@ fn smrdb_device_statistics_are_what_they_were_before_the_bridge() {
         (1_309_544_630, 221, 1557, 0x8c28_f08f_a341_50f3),
         "{stats}"
     );
+}
+
+/// SEALDB chains each level-0 run back to back inside one hole, so L0→L1
+/// merges read their victims in one device read. In a debug build the
+/// disk's shingle auditor checks every write of the load against Eq. 1
+/// and the store's ordering auditor every value-log step — key-value
+/// separation is on, so segment appends share the holes with the
+/// chains — and both stay silent.
+#[test]
+fn chained_level0_runs_keep_the_shingle_and_ordering_audits_silent() {
+    let params = VlogParams {
+        segment_bytes: 32 << 10,
+        value_threshold: 64,
+    };
+    let mut store = StoreConfig::new(StoreKind::SealDb, 4 << 10, 512 << 20)
+        .with_vlog(params)
+        .build()
+        .expect("store builds");
+    assert_eq!(store.ord_audit.is_some(), cfg!(debug_assertions));
+    let gen = RecordGenerator::new(16, 256, 11);
+    for n in 0..RECORDS {
+        let i = (n * 2654435761) % RECORDS;
+        store.put(&gen.key(i), &gen.value(i)).expect("put");
+    }
+    store.flush().expect("flush");
+    let merged_whole = {
+        let guard = store.db.ctx().lock();
+        let reg = &guard.fs.disk().obs().registry;
+        reg.counter(ObsLayer::Lsm, "compaction.run_read_bytes")
+    };
+    assert!(merged_whole > 0, "no level-0 run was read whole");
+    for i in 0..RECORDS {
+        assert_eq!(store.get(&gen.key(i)).expect("get"), Some(gen.value(i)));
+    }
 }
 
 #[test]

@@ -326,7 +326,7 @@ mod tests {
     fn analyze(src: &str, rules: &[Rule]) -> Vec<(u32, Rule)> {
         let tokens = lex(src);
         let code: Vec<usize> = (0..tokens.len())
-            .filter(|&i| !matches!(tokens[i].kind, TokenKind::Comment | TokenKind::DocComment))
+            .filter(|&i| tokens[i].kind != TokenKind::Comment)
             .collect();
         let fns = parse(&tokens, &code);
         let sums = summarize(&fns);

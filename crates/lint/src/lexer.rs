@@ -26,10 +26,8 @@ pub(crate) enum TokenKind {
     Number,
     /// Single punctuation character (`(`, `)`, `{`, `:`, `#`, ...).
     Punct,
-    /// Outer or inner doc comment (`///`, `//!`, `/** */`, `/*! */`).
-    DocComment,
-    /// Ordinary comment (`//`, `/* */`) — kept so suppression markers
-    /// can be read back out of the stream.
+    /// Comment, doc comments included (`//`, `///`, `/* */`, ...) —
+    /// kept so suppression markers can be read back out of the stream.
     Comment,
 }
 
@@ -113,9 +111,6 @@ impl Lexer {
 
     fn line_comment(&mut self) {
         let start_line = self.line;
-        let doc = matches!(self.peek(2), Some('/') | Some('!'))
-            // `////...` is an ordinary comment, not a doc comment.
-            && !(self.peek(2) == Some('/') && self.peek(3) == Some('/'));
         let mut text = String::new();
         while let Some(c) = self.peek(0) {
             if c == '\n' {
@@ -124,17 +119,11 @@ impl Lexer {
             text.push(c);
             self.pos += 1;
         }
-        let kind = if doc {
-            TokenKind::DocComment
-        } else {
-            TokenKind::Comment
-        };
-        self.push(kind, text, start_line);
+        self.push(TokenKind::Comment, text, start_line);
     }
 
     fn block_comment(&mut self) {
         let start_line = self.line;
-        let doc = matches!(self.peek(2), Some('*') | Some('!')) && self.peek(3) != Some('/');
         let mut text = String::new();
         let mut depth = 0usize;
         while let Some(c) = self.peek(0) {
@@ -157,12 +146,7 @@ impl Lexer {
                 self.pos += 1;
             }
         }
-        let kind = if doc {
-            TokenKind::DocComment
-        } else {
-            TokenKind::Comment
-        };
-        self.push(kind, text, start_line);
+        self.push(TokenKind::Comment, text, start_line);
     }
 
     fn string(&mut self) {
@@ -393,14 +377,8 @@ mod tests {
         let src = "/// doc\n// seal-lint: allow(x)\nfn f() {}\n/* block */ /** docblock */";
         let t = kinds(src);
         assert_eq!(
-            t.iter()
-                .filter(|(k, _)| *k == TokenKind::DocComment)
-                .count(),
-            2
-        );
-        assert_eq!(
             t.iter().filter(|(k, _)| *k == TokenKind::Comment).count(),
-            2
+            4
         );
         assert!(t
             .iter()

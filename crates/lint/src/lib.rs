@@ -1,10 +1,13 @@
 //! seal-lint: workspace-native static analysis for sealdb.
 //!
-//! Enforces the determinism and recovery-safety invariants the benchmark
-//! artifacts depend on — no wall clock or ambient randomness in simulated
-//! code, ordered iteration wherever bytes are exported, no panics in
-//! crash-recovery paths — with zero external dependencies so the
-//! workspace builds offline. See `DESIGN.md` §11 for the rule catalogue.
+//! Enforces the invariants the benchmark artifacts and crash recovery
+//! depend on that no rustc or clippy lint expresses — no wall clock or
+//! ambient randomness in any `.rs` file, `benchmark/` included, which
+//! clippy never compiles; corruption errors that say where the bad bytes live;
+//! snake_case metric names; the five durability-ordering rules; every
+//! `pub` item used outside its crate — with zero external dependencies
+//! so the workspace builds offline. See `DESIGN.md` §11 for the rule
+//! catalogue, and for the invariants rustc and clippy hold instead.
 
 /// Rule scoping, path matching and the justified allowlist.
 pub mod config;
@@ -96,12 +99,7 @@ pub fn lint_root(root: &Path, opts: &Options) -> std::io::Result<Vec<Finding>> {
         let tokens = lexer::lex(src);
         let test_mask = rules::mask_test_code(&tokens);
         let code: Vec<usize> = (0..tokens.len())
-            .filter(|&i| {
-                !matches!(
-                    tokens[i].kind,
-                    lexer::TokenKind::Comment | lexer::TokenKind::DocComment
-                ) && !test_mask[i]
-            })
+            .filter(|&i| tokens[i].kind != lexer::TokenKind::Comment && !test_mask[i])
             .collect();
         all_fns.extend(parser::parse(&tokens, &code));
         lexed.push(surface::LexedFile {
@@ -336,13 +334,12 @@ mod tests {
         let rules = applicable_rules("crates/bench/src/main.rs", &opts, &allow);
         assert!(!rules.contains(&Rule::NoWallClock));
         assert!(rules.contains(&Rule::NoAmbientRandomness));
-        // disk.rs: ordered-iteration rule in force.
+        // disk.rs: determinism rules in force, recovery rules not.
         let rules = applicable_rules("crates/smr-sim/src/disk.rs", &opts, &allow);
-        assert!(rules.contains(&Rule::NoUnorderedIteration));
         assert!(rules.contains(&Rule::NoWallClock));
-        // wal.rs: recovery rules in force.
+        assert!(!rules.contains(&Rule::ErrorContext));
+        // wal.rs: recovery rule in force.
         let rules = applicable_rules("crates/lsm-core/src/wal.rs", &opts, &allow);
-        assert!(rules.contains(&Rule::NoUnwrapInRecovery));
         assert!(rules.contains(&Rule::ErrorContext));
     }
 

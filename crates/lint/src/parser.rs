@@ -536,7 +536,7 @@ mod tests {
     fn parse_src(src: &str) -> Vec<FnDef> {
         let tokens = lex(src);
         let code: Vec<usize> = (0..tokens.len())
-            .filter(|&i| !matches!(tokens[i].kind, TokenKind::Comment | TokenKind::DocComment))
+            .filter(|&i| tokens[i].kind != TokenKind::Comment)
             .collect();
         parse(&tokens, &code)
     }

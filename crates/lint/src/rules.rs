@@ -3,7 +3,7 @@
 //! Rules operate on the token stream produced by the lexer. Two
 //! stream-wide analyses run before any rule: test-code masking (tokens
 //! inside `#[cfg(test)]`-gated modules and `#[test]` functions are
-//! invisible to every rule — tests may unwrap freely) and suppression
+//! invisible to every rule — tests may read the host clock) and suppression
 //! collection (`// seal-lint: allow(rule-name)` on the same line or the
 //! line above a finding silences it).
 
@@ -21,25 +21,13 @@ pub enum Rule {
     /// `thread_rng`/`RandomState`/argless `from_entropy`: all randomness
     /// must flow from an explicit seed.
     NoAmbientRandomness,
-    /// `HashMap`/`HashSet` in artifact-adjacent modules: anything that
-    /// feeds metrics, JSON/CSV artifacts or manifest bytes must iterate
-    /// in a defined order (`BTreeMap`/`BTreeSet`, or an explicit sort).
-    NoUnorderedIteration,
-    /// `.unwrap()`/`.expect()` in WAL/manifest/crash-restore paths:
-    /// recovery must degrade to contextful errors, never panic.
-    NoUnwrapInRecovery,
     /// Corruption errors built from a bare string literal: recovery
     /// diagnostics must say *where* (file, offset, record) the bad bytes
     /// live.
     ErrorContext,
-    /// Truncating integer casts (`as u32` and narrower) in
-    /// byte-accounting code, where silent wraparound corrupts WA/AWA/MWA.
-    NoLossyCastInAccounting,
     /// Metric names passed to the obs layer must be snake_case and the
     /// call must name a declared `ObsLayer`.
     ObsMetricNaming,
-    /// Public items of library crates carry doc comments.
-    PubItemDocs,
     /// A write acknowledgement must be dominated by a durability
     /// barrier (`sync_wal`/`append_durable`) on every path.
     SyncBeforeAck,
@@ -62,15 +50,11 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in diagnostic order.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 10] = [
         Rule::NoWallClock,
         Rule::NoAmbientRandomness,
-        Rule::NoUnorderedIteration,
-        Rule::NoUnwrapInRecovery,
         Rule::ErrorContext,
-        Rule::NoLossyCastInAccounting,
         Rule::ObsMetricNaming,
-        Rule::PubItemDocs,
         Rule::SyncBeforeAck,
         Rule::CheckpointBeforePointer,
         Rule::FenceBeforeRepair,
@@ -84,12 +68,8 @@ impl Rule {
         match self {
             Rule::NoWallClock => "no-wall-clock",
             Rule::NoAmbientRandomness => "no-ambient-randomness",
-            Rule::NoUnorderedIteration => "no-unordered-iteration",
-            Rule::NoUnwrapInRecovery => "no-unwrap-in-recovery",
             Rule::ErrorContext => "error-context",
-            Rule::NoLossyCastInAccounting => "no-lossy-cast-in-accounting",
             Rule::ObsMetricNaming => "obs-metric-naming",
-            Rule::PubItemDocs => "pub-item-docs",
             Rule::SyncBeforeAck => "sync-before-ack",
             Rule::CheckpointBeforePointer => "checkpoint-before-pointer",
             Rule::FenceBeforeRepair => "fence-before-repair",
@@ -109,16 +89,10 @@ impl Rule {
         match self {
             Rule::NoWallClock => "no Instant/SystemTime outside the bench crate",
             Rule::NoAmbientRandomness => "no thread_rng/RandomState/argless from_entropy",
-            Rule::NoUnorderedIteration => {
-                "no HashMap/HashSet in modules that feed artifacts or manifests"
-            }
-            Rule::NoUnwrapInRecovery => "no unwrap/expect in WAL/manifest/crash-restore paths",
             Rule::ErrorContext => "corruption errors must carry file/offset context",
-            Rule::NoLossyCastInAccounting => "no truncating casts in byte-accounting code",
             Rule::ObsMetricNaming => {
                 "metric names snake_case, registered under a declared ObsLayer"
             }
-            Rule::PubItemDocs => "public items of library crates carry doc comments",
             Rule::SyncBeforeAck => "write acks dominated by a durability barrier on every path",
             Rule::CheckpointBeforePointer => {
                 "segment-directory checkpoint commits before vlog pointers reach the WAL"
@@ -180,9 +154,7 @@ pub(crate) fn check_file(
     // Code view: comments and doc comments removed, with a map back to
     // the full stream so the test mask stays aligned.
     let code: Vec<usize> = (0..tokens.len())
-        .filter(|&i| {
-            !matches!(tokens[i].kind, TokenKind::Comment | TokenKind::DocComment) && !test_mask[i]
-        })
+        .filter(|&i| tokens[i].kind != TokenKind::Comment && !test_mask[i])
         .collect();
     let mut out = Vec::new();
     let mut emit = |line: u32, rule: Rule, message: String| {
@@ -200,12 +172,8 @@ pub(crate) fn check_file(
         match rule {
             Rule::NoWallClock => no_wall_clock(&tokens, &code, rule, &mut emit),
             Rule::NoAmbientRandomness => no_ambient_randomness(&tokens, &code, rule, &mut emit),
-            Rule::NoUnorderedIteration => no_unordered_iteration(&tokens, &code, rule, &mut emit),
-            Rule::NoUnwrapInRecovery => no_unwrap_in_recovery(&tokens, &code, rule, &mut emit),
             Rule::ErrorContext => error_context(&tokens, &code, rule, &mut emit),
-            Rule::NoLossyCastInAccounting => no_lossy_cast(&tokens, &code, rule, &mut emit),
             Rule::ObsMetricNaming => obs_metric_naming(&tokens, &code, rule, &mut emit),
-            Rule::PubItemDocs => pub_item_docs(&tokens, &test_mask, rule, &mut emit),
             Rule::SyncBeforeAck
             | Rule::CheckpointBeforePointer
             | Rule::FenceBeforeRepair
@@ -238,7 +206,7 @@ pub(crate) fn is_suppressed(map: &BTreeMap<u32, Vec<Rule>>, line: u32, rule: Rul
 pub(crate) fn collect_suppressions(tokens: &[Token]) -> BTreeMap<u32, Vec<Rule>> {
     let mut map: BTreeMap<u32, Vec<Rule>> = BTreeMap::new();
     for t in tokens {
-        if !matches!(t.kind, TokenKind::Comment | TokenKind::DocComment) {
+        if t.kind != TokenKind::Comment {
             continue;
         }
         let Some(at) = t.text.find("seal-lint:") else {
@@ -404,49 +372,6 @@ fn no_ambient_randomness(tokens: &[Token], code: &[usize], rule: Rule, emit: &mu
     }
 }
 
-fn no_unordered_iteration(tokens: &[Token], code: &[usize], rule: Rule, emit: &mut Emit) {
-    for &i in code {
-        let t = &tokens[i];
-        if t.is_ident("HashMap") || t.is_ident("HashSet") {
-            let ordered = if t.text == "HashMap" {
-                "BTreeMap"
-            } else {
-                "BTreeSet"
-            };
-            emit(
-                t.line,
-                rule,
-                format!(
-                    "`{}` in an artifact-adjacent module: iteration order feeds \
-                     exported bytes; use `{}` or sort explicitly before export",
-                    t.text, ordered
-                ),
-            );
-        }
-    }
-}
-
-fn no_unwrap_in_recovery(tokens: &[Token], code: &[usize], rule: Rule, emit: &mut Emit) {
-    for (pos, &i) in code.iter().enumerate() {
-        let t = &tokens[i];
-        let is_call = (t.is_ident("unwrap") || t.is_ident("expect"))
-            && pos > 0
-            && tokens[code[pos - 1]].is_punct('.')
-            && code.get(pos + 1).is_some_and(|&a| tokens[a].is_punct('('));
-        if is_call {
-            emit(
-                t.line,
-                rule,
-                format!(
-                    "`.{}()` in a recovery path can turn a recoverable torn tail \
-                     into a panic; return a contextful error instead",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
 fn error_context(tokens: &[Token], code: &[usize], rule: Rule, emit: &mut Emit) {
     for (pos, &i) in code.iter().enumerate() {
         let t = &tokens[i];
@@ -466,32 +391,6 @@ fn error_context(tokens: &[Token], code: &[usize], rule: Rule, emit: &mut Emit) 
                  the bad bytes live (file id, byte offset, record index)"
                     .to_string(),
             );
-        }
-    }
-}
-
-const LOSSY_CAST_TARGETS: [&str; 7] = ["u8", "u16", "u32", "i8", "i16", "i32", "f32"];
-
-fn no_lossy_cast(tokens: &[Token], code: &[usize], rule: Rule, emit: &mut Emit) {
-    for (pos, &i) in code.iter().enumerate() {
-        let t = &tokens[i];
-        if !t.is_ident("as") {
-            continue;
-        }
-        if let Some(&n) = code.get(pos + 1) {
-            let target = &tokens[n];
-            if target.kind == TokenKind::Ident && LOSSY_CAST_TARGETS.contains(&target.text.as_str())
-            {
-                emit(
-                    t.line,
-                    rule,
-                    format!(
-                        "`as {}` silently truncates in byte-accounting code; use \
-                         `try_from` with an error, or keep the wider type",
-                        target.text
-                    ),
-                );
-            }
         }
     }
 }
@@ -579,100 +478,6 @@ fn is_snake_case(s: &str) -> bool {
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
 }
 
-const ITEM_KEYWORDS: [&str; 9] = [
-    "fn", "struct", "enum", "trait", "const", "static", "type", "mod", "union",
-];
-
-fn pub_item_docs(tokens: &[Token], test_mask: &[bool], rule: Rule, emit: &mut Emit) {
-    // This rule needs doc comments, so it walks the full stream (minus
-    // test code) rather than the comment-stripped view.
-    let stream: Vec<usize> = (0..tokens.len())
-        .filter(|&i| !test_mask[i] && tokens[i].kind != TokenKind::Comment)
-        .collect();
-    for (pos, &i) in stream.iter().enumerate() {
-        let t = &tokens[i];
-        if !t.is_ident("pub") {
-            continue;
-        }
-        // `pub(crate)` / `pub(super)` items are not public API.
-        if stream
-            .get(pos + 1)
-            .is_some_and(|&a| tokens[a].is_punct('('))
-        {
-            continue;
-        }
-        // Find the item keyword, skipping modifiers (`pub async unsafe fn`).
-        let mut kw: Option<&Token> = None;
-        for &a in stream.iter().skip(pos + 1).take(3) {
-            let cand = &tokens[a];
-            if cand.kind != TokenKind::Ident {
-                break;
-            }
-            if ITEM_KEYWORDS.contains(&cand.text.as_str()) {
-                kw = Some(cand);
-                break;
-            }
-            if !matches!(cand.text.as_str(), "async" | "unsafe" | "extern") {
-                break;
-            }
-        }
-        let Some(kw) = kw else {
-            continue;
-        };
-        // Walk backwards over attributes to the token before the item.
-        let mut back = pos;
-        loop {
-            if back == 0 {
-                break;
-            }
-            let prev = &tokens[stream[back - 1]];
-            if prev.is_punct(']') {
-                // Skip the attribute group `#[...]`.
-                let mut depth = 0usize;
-                let mut b = back - 1;
-                loop {
-                    let tok = &tokens[stream[b]];
-                    if tok.is_punct(']') {
-                        depth += 1;
-                    } else if tok.is_punct('[') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    if b == 0 {
-                        break;
-                    }
-                    b -= 1;
-                }
-                // Expect `#` before the `[`.
-                back = b.saturating_sub(1);
-                continue;
-            }
-            break;
-        }
-        // Inner docs (`//!`, `/*!`) document the enclosing module, not
-        // the item that happens to follow them.
-        let documented = back > 0 && {
-            let prev = &tokens[stream[back - 1]];
-            prev.kind == TokenKind::DocComment
-                && !prev.text.starts_with("//!")
-                && !prev.text.starts_with("/*!")
-        };
-        if !documented {
-            emit(
-                t.line,
-                rule,
-                format!(
-                    "public `{}` item lacks a doc comment; library crates document \
-                     their public API",
-                    kw.text
-                ),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,10 +488,7 @@ mod tests {
         let tokens = lex(src);
         let test_mask = mask_test_code(&tokens);
         let code: Vec<usize> = (0..tokens.len())
-            .filter(|&i| {
-                !matches!(tokens[i].kind, TokenKind::Comment | TokenKind::DocComment)
-                    && !test_mask[i]
-            })
+            .filter(|&i| tokens[i].kind != TokenKind::Comment && !test_mask[i])
             .collect();
         let fns = crate::parser::parse(&tokens, &code);
         let summaries = crate::dataflow::summarize(&fns);
@@ -748,26 +550,14 @@ mod tests {
     }
 
     #[test]
-    fn unordered_iteration_and_unwraps() {
-        let f = run(
-            "use std::collections::HashMap;\nfn r() { x.unwrap(); y.expect(\"m\"); }",
-            &[Rule::NoUnorderedIteration, Rule::NoUnwrapInRecovery],
-        );
-        assert_eq!(f.len(), 3);
-        // `unwrap` as a free identifier (fn name) is not a call.
-        let ok = run("fn unwrap() {}", &[Rule::NoUnwrapInRecovery]);
-        assert!(ok.is_empty());
-    }
-
-    #[test]
     fn test_code_is_invisible() {
-        let src = "#[cfg(test)]\nmod tests {\n fn f() { x.unwrap(); let m = HashMap::new(); }\n}";
+        let src = "#[cfg(test)]\nmod tests {\n fn f() { let t = Instant::now(); }\n}";
         assert!(run(src, &Rule::ALL).is_empty());
-        let src2 = "#[test]\nfn t() { x.unwrap(); }";
+        let src2 = "#[test]\nfn t() { let t = Instant::now(); }";
         assert!(run(src2, &Rule::ALL).is_empty());
         // ...but cfg(not(test)) code is linted.
-        let src3 = "#[cfg(not(test))]\nfn f() { x.unwrap(); }";
-        assert_eq!(run(src3, &[Rule::NoUnwrapInRecovery]).len(), 1);
+        let src3 = "#[cfg(not(test))]\nfn f() { let t = Instant::now(); }";
+        assert_eq!(run(src3, &[Rule::NoWallClock]).len(), 1);
     }
 
     #[test]
@@ -779,16 +569,6 @@ mod tests {
             &[Rule::ErrorContext],
         );
         assert!(good.is_empty());
-    }
-
-    #[test]
-    fn lossy_casts() {
-        let f = run(
-            "let x = total as u32; let y = n as u64;",
-            &[Rule::NoLossyCastInAccounting],
-        );
-        assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("as u32"));
     }
 
     #[test]
@@ -818,23 +598,6 @@ mod tests {
         );
         assert_eq!(undeclared.len(), 1);
         assert!(undeclared[0].message.contains("ObsLayer"));
-    }
-
-    #[test]
-    fn pub_docs() {
-        let bad = run("pub fn f() {}", &[Rule::PubItemDocs]);
-        assert_eq!(bad.len(), 1);
-        let good = run("/// Documented.\npub fn f() {}", &[Rule::PubItemDocs]);
-        assert!(good.is_empty());
-        let attr = run(
-            "/// Doc.\n#[derive(Debug)]\npub struct S;",
-            &[Rule::PubItemDocs],
-        );
-        assert!(attr.is_empty());
-        let crate_vis = run("pub(crate) fn f() {}", &[Rule::PubItemDocs]);
-        assert!(crate_vis.is_empty());
-        let field = run("struct S { pub x: u64 }", &[Rule::PubItemDocs]);
-        assert!(field.is_empty());
     }
 
     #[test]

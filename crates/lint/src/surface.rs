@@ -93,7 +93,7 @@ pub(crate) fn check(files: &[LexedFile]) -> Vec<(usize, Finding)> {
         let code: Vec<&Token> = file
             .tokens
             .iter()
-            .filter(|t| !matches!(t.kind, TokenKind::Comment | TokenKind::DocComment))
+            .filter(|t| t.kind != TokenKind::Comment)
             .collect();
         for t in &code {
             if t.kind == TokenKind::Ident {
@@ -110,9 +110,7 @@ pub(crate) fn check(files: &[LexedFile]) -> Vec<(usize, Finding)> {
             .tokens
             .iter()
             .zip(&file.test_mask)
-            .filter(|(t, &test)| {
-                !test && !matches!(t.kind, TokenKind::Comment | TokenKind::DocComment)
-            })
+            .filter(|(t, &test)| !test && t.kind != TokenKind::Comment)
             .map(|(t, _)| t)
             .collect();
         let assoc = interface.entry(krate.clone()).or_default();

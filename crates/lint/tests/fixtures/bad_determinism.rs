@@ -1,22 +1,16 @@
 //! Fixture: determinism violations. Never compiled — consumed as lexer
 //! input by the golden test.
 
-pub fn timing() -> u64 {
+fn timing() -> u64 {
     let t = Instant::now();
     let s = SystemTime::now();
     drop((t, s));
     0
 }
 
-pub fn randomness() {
+fn randomness() {
     let mut rng = thread_rng();
     let state = RandomState::new();
     let seeded = SmallRng::from_entropy();
     drop((rng, state, seeded));
-}
-
-pub fn collections() {
-    let m: HashMap<u64, u64> = HashMap::new();
-    let s: HashSet<u64> = HashSet::new();
-    drop((m, s));
 }

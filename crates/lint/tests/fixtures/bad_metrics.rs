@@ -6,5 +6,3 @@ pub fn emit(obs: &mut Obs) {
     obs.gauge_set(UNDECLARED, "fine_name", 2);
     obs.latency(ObsLayer::Store, "get_latency_ns", 3);
 }
-
-pub struct Undocumented;

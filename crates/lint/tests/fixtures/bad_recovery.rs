@@ -1,26 +1,19 @@
 //! Fixture: recovery-safety violations.
 
-/// Replays a log, panicking where it should degrade.
+/// Replays a log, raising a corruption error that never says where.
 pub fn replay(bytes: &[u8]) -> Vec<u8> {
-    let head = bytes.first().unwrap();
-    let tail = bytes.last().expect("log has a tail");
-    if *head != *tail {
+    if bytes.first() != bytes.last() {
         return corruption("bad record crc");
     }
     bytes.to_vec()
 }
 
-/// Accounts bytes with a truncating cast.
-pub fn account(total: u64) -> u32 {
-    total as u32
-}
-
 #[cfg(test)]
 mod tests {
-    // Test code may unwrap freely: none of these are findings.
+    // Test code is exempt: none of these are findings.
     #[test]
-    fn unwraps_are_fine_here() {
-        let v = vec![1u8].first().copied().unwrap();
-        assert_eq!(v, 1);
+    fn bare_literals_are_fine_here() {
+        let e = corruption("test corruption");
+        drop(e);
     }
 }

@@ -1,7 +1,6 @@
 //! Fixture: replication-path violations. The cluster's failover and
 //! shipping decisions feed the BENCH_pr6 artifact directly, so a host
-//! clock read or unordered map iteration here breaks byte-identical
-//! same-seed replays.
+//! clock read here breaks byte-identical same-seed replays.
 
 /// Measures a failover with the host clock instead of the simulated one.
 pub fn measure_rto() -> u64 {
@@ -9,19 +8,12 @@ pub fn measure_rto() -> u64 {
     started.elapsed().as_nanos() as u64
 }
 
-/// Tracks per-replica ack state in a map whose iteration order varies
-/// across runs, so the elected candidate can differ replay to replay.
-pub fn elect(acks: &std::collections::HashMap<usize, u64>) -> Option<usize> {
-    acks.iter().map(|(&node, _)| node).next()
-}
-
 #[cfg(test)]
 mod tests {
     // Test code is exempt: none of these are findings.
     #[test]
-    fn hash_maps_are_fine_here() {
-        let mut m = std::collections::HashMap::new();
-        m.insert(1usize, 2u64);
-        assert_eq!(m.len(), 1);
+    fn host_clock_is_fine_here() {
+        let started = std::time::Instant::now();
+        assert!(started.elapsed().as_nanos() < u128::MAX);
     }
 }

@@ -1,14 +1,11 @@
 //! Fixture: scrub/repair-path violations. The scrub module walks live
-//! tables and rebuilds damaged ones; like crash recovery, it must
-//! degrade to errors instead of panicking, and its corruption errors
-//! must say where the bad bytes live.
+//! tables and rebuilds damaged ones; like crash recovery, its corruption
+//! errors must say where the bad bytes live.
 
-/// Verifies one table during a scrub pass, panicking where it should
-/// report a verdict.
+/// Verifies one table during a scrub pass; the bare literal hides which
+/// block failed.
 pub fn scan_table(blocks: &[Vec<u8>]) -> Result<(), String> {
-    let footer = blocks.last().unwrap();
-    let head = blocks.first().expect("table has a first block");
-    if footer.len() != head.len() {
+    if blocks.first() != blocks.last() {
         return Err(corruption("scrub found a bad block"));
     }
     Ok(())
@@ -24,10 +21,10 @@ pub fn rebuild_table(ok: bool) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
-    // Test code may unwrap freely: none of these are findings.
+    // Test code is exempt: none of these are findings.
     #[test]
-    fn unwraps_are_fine_here() {
-        let v = [1u8].first().copied().unwrap();
-        assert_eq!(v, 1);
+    fn bare_literals_are_fine_here() {
+        let e = corruption("test corruption");
+        drop(e);
     }
 }

@@ -1,7 +1,7 @@
 //! Fixture: cluster-router violations. Shard routing, the serving
 //! schedule, and migration move order feed the BENCH_pr7 artifact
-//! directly, so ambient randomness or unordered iteration here breaks
-//! byte-identical same-seed replays and non-deterministic placement.
+//! directly, so ambient randomness here breaks byte-identical same-seed
+//! replays and makes placement non-deterministic.
 
 /// Routes a key by hashing with the process-random default hasher, so
 /// the owning shard differs run to run.
@@ -12,23 +12,12 @@ pub fn route(key: &[u8], shards: usize) -> usize {
     (h.finish() as usize) % shards
 }
 
-/// Walks per-shard queues in HashMap order, so the serving schedule —
-/// and every latency percentile derived from it — varies across runs.
-pub fn drain(queues: &std::collections::HashMap<usize, Vec<u64>>) -> Vec<u64> {
-    let mut order = Vec::new();
-    for (&shard, _) in queues.iter() {
-        order.push(shard as u64);
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     // Test code is exempt: none of these are findings.
     #[test]
-    fn hash_maps_are_fine_here() {
-        let mut m = std::collections::HashMap::new();
-        m.insert(0usize, vec![1u64]);
-        assert_eq!(m.len(), 1);
+    fn ambient_randomness_is_fine_here() {
+        let state = std::collections::hash_map::RandomState::new();
+        drop(state);
     }
 }

@@ -1,27 +1,12 @@
-//! Fixture: value-log violations. The log's segment directory feeds
-//! the BENCH_pr8 artifact and its recovery path (checkpoint decode,
-//! torn-tail scan) runs on every reopen, so unordered iteration breaks
-//! byte-identical replays and a panic or context-free corruption error
-//! turns a recoverable torn tail into an outage.
+//! Fixture: value-log violations. The log's recovery path (checkpoint
+//! decode, torn-tail scan) runs on every reopen, so a context-free
+//! corruption error hides which segment holds the bad bytes.
 
-/// Recovers a segment directory by unwrapping the checkpoint decode and
-/// raising a corruption error that never says which segment or offset
-/// held the bad bytes.
-pub fn recover_segments(blob: Option<&[u8]>) -> Result<u64, String> {
-    let bytes = blob.unwrap();
-    let head: [u8; 8] = bytes[..8].try_into().expect("checkpoint header");
+/// Recovers a segment directory, raising a corruption error that never
+/// says which segment or offset held the bad bytes.
+pub fn recover_segments(head: [u8; 8]) -> Result<u64, String> {
     if head[0] != 1 {
         return Err(corruption("corrupt value-log checkpoint"));
     }
     Ok(u64::from_le_bytes(head))
-}
-
-/// Sums per-segment dead bytes in HashMap order, so the GC victim the
-/// caller derives from the walk differs run to run.
-pub fn dead_total(dead: &std::collections::HashMap<u64, u64>) -> u64 {
-    let mut total = 0;
-    for (_, bytes) in dead.iter() {
-        total += bytes;
-    }
-    total
 }

@@ -1,7 +1,6 @@
 //! Fixture: the dominating patterns each ordering rule accepts. This
 //! file must produce zero findings — it exercises every happy path the
-//! rules must not flag (non-`pub` functions keep `pub-item-docs` out
-//! of the picture for locals).
+//! rules must not flag.
 
 /// Syncs before acking, unconditionally.
 pub fn ack_after_sync(db: &mut Db) {

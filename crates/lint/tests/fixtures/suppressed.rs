@@ -6,10 +6,10 @@ pub fn waived() -> u64 {
     // seal-lint: allow(no-wall-clock)
     let t = Instant::now();
     let s = SystemTime::now(); // seal-lint: allow(no-wall-clock)
-    // seal-lint: allow(no-unordered-iteration)
-    let m: HashMap<u64, u64> = HashMap::new();
-    // seal-lint: allow(no-unwrap-in-recovery, error-context)
-    let v = m.get(&0).unwrap();
-    drop((t, s));
-    *v
+    // seal-lint: allow(no-ambient-randomness)
+    let state = RandomState::new();
+    // seal-lint: allow(no-ambient-randomness, error-context)
+    let e = (thread_rng(), corruption("waived"));
+    drop((t, s, state, e));
+    0
 }

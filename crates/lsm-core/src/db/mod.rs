@@ -920,50 +920,6 @@ impl DbCore {
         Ok(())
     }
 
-    /// Manually compacts every file overlapping `[begin, end]` (user
-    /// keys) down the tree, level by level — LevelDB's `CompactRange`.
-    /// Afterwards the range's data sits in the deepest populated level.
-    pub fn compact_range(&mut self, begin: &[u8], end: &[u8]) -> Result<()> {
-        self.flush_memtable()?;
-        for level in 0..self.opts.num_levels - 1 {
-            let version = self.versions.current();
-            let inputs0 = version.overlapping_files(level, begin, end);
-            if inputs0.is_empty() {
-                continue;
-            }
-            let (lo, hi) = {
-                let mut lo = user_key(&inputs0[0].smallest).to_vec();
-                let mut hi = user_key(&inputs0[0].largest).to_vec();
-                for f in &inputs0[1..] {
-                    if user_key(&f.smallest) < lo.as_slice() {
-                        lo = user_key(&f.smallest).to_vec();
-                    }
-                    if user_key(&f.largest) > hi.as_slice() {
-                        hi = user_key(&f.largest).to_vec();
-                    }
-                }
-                (lo, hi)
-            };
-            let inputs1 = if level + 1 < self.opts.num_levels {
-                version.overlapping_files(level + 1, &lo, &hi)
-            } else {
-                Vec::new()
-            };
-            let grandparents = if level + 2 < self.opts.num_levels {
-                version.overlapping_files(level + 2, &lo, &hi)
-            } else {
-                Vec::new()
-            };
-            let c = Compaction {
-                level,
-                inputs: [inputs0, inputs1],
-                grandparents,
-            };
-            self.do_compaction(c)?;
-        }
-        self.compact_until(u64::MAX, &mut 0)
-    }
-
     /// Whether a compaction can move its single input file down a level
     /// without rewriting (LevelDB's trivial move).
     fn is_trivial_move(&self, c: &Compaction) -> bool {
@@ -2261,9 +2217,17 @@ mod tests {
         };
         let level0: Vec<FileId> = db.current_version().files[0].iter().map(|f| f.id).collect();
         assert!(level0.iter().any(|id| cached_files(&db).contains(id)));
-        db.compact_range(b"", b"\xff").unwrap();
+        // One flush per put until level 0 reaches its trigger and the
+        // flush's compaction consumes the tables the gets cached.
+        let mut n = 0;
+        while level0.iter().any(|id| live_ids(&db).contains(id)) {
+            assert!(n < 16, "level-0 tables survived {n} flushes");
+            let (k, v) = kv(n);
+            db.put(&k, &v).unwrap();
+            db.flush().unwrap();
+            n += 1;
+        }
         let live = live_ids(&db);
-        assert!(level0.iter().all(|id| !live.contains(id)));
         let stale: Vec<FileId> = cached_files(&db).difference(&live).copied().collect();
         assert!(
             stale.is_empty(),

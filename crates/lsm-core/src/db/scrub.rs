@@ -46,6 +46,10 @@
 //! stored CRC field itself do not fold into the syndrome (the mask is
 //! non-linear), so those 32 candidates are tried directly.
 
+// Crash recovery and repair degrade to contextful errors, never panic:
+// a panic during reopen turns a recoverable torn tail into an outage.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use super::DbCore;
 use crate::error::{Error, Result};
 use crate::iterator::InternalIterator;

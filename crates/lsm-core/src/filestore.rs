@@ -4,6 +4,10 @@
 //! WAL/manifest logs live in a small conventional zone at the top of the
 //! address space (real HM-SMR drives expose such a zone for metadata).
 
+// Crash recovery and repair degrade to contextful errors, never panic:
+// a panic during reopen turns a recoverable torn tail into an outage.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::error::{Error, Result};
 use crate::types::FileId;
 use smr_sim::{Disk, DiskError, DiskSnapshot, Extent, IoKind, ObsLayer};

@@ -1,6 +1,10 @@
 //! Versioned file-layout metadata: edits, versions, and the version set
 //! with manifest logging and compaction picking.
 
+// Crash recovery and repair degrade to contextful errors, never panic:
+// a panic during reopen turns a recoverable torn tail into an outage.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// Manifest edit records (file adds/deletes, counters).
 mod edit;
 /// The version set: manifest log, recovery, compaction picking.

@@ -9,6 +9,10 @@
 //! parses a fully materialised log (recovery reads the log back in one
 //! sequential sweep), skipping corrupt tails the way LevelDB does.
 
+// Crash recovery and repair degrade to contextful errors, never panic:
+// a panic during reopen turns a recoverable torn tail into an outage.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::error::{corruption, Result};
 use crate::util::coding::decode_fixed32;
 use crate::util::crc32c;

@@ -1204,7 +1204,6 @@ mod tests {
         let a = exercised(StoreKind::SealDb);
         let b = exercised(StoreKind::SealDb);
         assert_eq!(a.to_json(128), b.to_json(128));
-        assert_eq!(a.obs.to_csv(), b.obs.to_csv());
         assert!(!a.to_json(128).contains("NaN"));
     }
 

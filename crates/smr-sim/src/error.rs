@@ -12,28 +12,55 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiskError {
     /// Access extends past the end of the disk.
-    OutOfRange { ext: Extent, capacity: u64 },
+    OutOfRange {
+        /// The requested extent.
+        ext: Extent,
+        /// The disk's size in bytes.
+        capacity: u64,
+    },
     /// A raw-SMR write would overwrite bytes currently holding valid data.
-    WouldOverlapValid { ext: Extent, valid: Extent },
+    WouldOverlapValid {
+        /// The requested write.
+        ext: Extent,
+        /// The valid extent it would overwrite.
+        valid: Extent,
+    },
     /// A raw-SMR write's shingle-direction damage window would destroy
     /// valid data (the host failed to reserve a guard region).
-    GuardViolation { ext: Extent, damaged: Extent },
+    GuardViolation {
+        /// The requested write.
+        ext: Extent,
+        /// The valid bytes its damage window would destroy.
+        damaged: Extent,
+    },
     /// A read touched bytes that were never written (or were invalidated).
-    ReadUnwritten { ext: Extent },
+    ReadUnwritten {
+        /// The requested read.
+        ext: Extent,
+    },
     /// Injected failure (fault-injection testing).
     Injected,
     /// An injected torn write: the drive acknowledged `ext` but persisted
     /// only a prefix of it before dying, so the extent reads back with a
     /// stale suffix that host-side checksums must catch.
-    TornWrite { ext: Extent },
+    TornWrite {
+        /// The write the drive acknowledged.
+        ext: Extent,
+    },
     /// An injected *transient* read error (latent sector error that a
     /// retry recovers): re-issuing the same read succeeds.
-    TransientRead { ext: Extent },
+    TransientRead {
+        /// The failed read.
+        ext: Extent,
+    },
     /// An injected *persistent* read error: the extent overlaps a latent
     /// sector error (or failed band) registered in the fault plan, so
     /// every read of it fails — no retry budget helps. Recovery requires
     /// relocating or re-materialising the data elsewhere.
-    UnrecoverableRead { ext: Extent },
+    UnrecoverableRead {
+        /// The failed read.
+        ext: Extent,
+    },
 }
 
 impl DiskError {

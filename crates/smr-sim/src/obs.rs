@@ -7,7 +7,7 @@
 //!
 //! * [`MetricsRegistry`] — named counters and gauges keyed by
 //!   ([`ObsLayer`], name). BTreeMap-backed so iteration (and therefore JSON
-//!   and CSV export) is deterministic.
+//!   export) is deterministic.
 //! * [`LatencyHistogram`] — fixed geometric buckets over simulated
 //!   nanoseconds. Percentiles are a pure function of the recorded counts;
 //!   no wall-clock time is ever involved, so two same-seed runs produce
@@ -15,9 +15,13 @@
 //! * [`EventTracer`] — bounded ring buffer of timestamped
 //!   flush/compaction/band/fault events with a dropped-event counter.
 //!
-//! Export is hand-rolled JSON/CSV (the workspace has no external
+//! Export is hand-rolled JSON (the workspace has no external
 //! dependencies); all floats are formatted with fixed precision and are
 //! finite by construction.
+
+// Byte accounting never truncates silently: a wrapped counter corrupts
+// WA/AWA/MWA.
+#![deny(clippy::cast_possible_truncation)]
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
@@ -359,6 +363,10 @@ impl LatencyHistogram {
             return 0;
         }
         let q = q.clamp(0.0, 1.0);
+        #[allow(
+            clippy::cast_possible_truncation,
+            reason = "q is clamped to [0, 1], so the product lies in [0, count] and fits u64"
+        )]
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
@@ -571,32 +579,6 @@ impl Obs {
         s.push_str("]}}");
         s
     }
-
-    /// Deterministic CSV: one `section,layer,name,...` row per metric.
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("section,layer,name,value,count,p50_ns,p95_ns,p99_ns,max_ns\n");
-        for ((layer, name), v) in self.registry.counters() {
-            let _ = writeln!(s, "counter,{},{},{},,,,,", layer.name(), name, v);
-        }
-        for ((layer, name), v) in self.registry.gauges() {
-            let _ = writeln!(s, "gauge,{},{},{},,,,,", layer.name(), name, fmt_f64(*v));
-        }
-        for ((layer, name), h) in self.histograms() {
-            let _ = writeln!(
-                s,
-                "histogram,{},{},{},{},{},{},{},{}",
-                layer.name(),
-                name,
-                fmt_f64(h.mean_ns()),
-                h.count(),
-                h.p50(),
-                h.p95(),
-                h.p99(),
-                h.max_ns()
-            );
-        }
-        s
-    }
 }
 
 /// Serializes one histogram summary as JSON.
@@ -615,7 +597,7 @@ fn hist_json(h: &LatencyHistogram) -> String {
 
 /// Fixed-precision float formatting for export: finite values render with
 /// six decimals; non-finite values (which the registry already refuses)
-/// render as 0 so NaN can never appear in a JSON or CSV artifact.
+/// render as 0 so NaN can never appear in a JSON artifact.
 fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v:.6}")
@@ -772,10 +754,6 @@ mod tests {
         assert!(a.contains("\"store.get_ns\""));
         assert!(a.contains("\"kind\":\"flush\""));
         assert!(!a.contains("NaN"));
-        let csv = o.to_csv();
-        assert!(csv.starts_with("section,layer,name"));
-        assert!(csv.contains("counter,device,writes,3"));
-        assert!(csv.contains("histogram,store,get_ns"));
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! * `MWA = WA × AWA` — multiplicative overall write amplification:
 //!   device bytes written per user payload byte.
 
+// Byte accounting never truncates silently: a wrapped counter corrupts
+// WA/AWA/MWA.
+#![deny(clippy::cast_possible_truncation)]
+
 use std::fmt;
 
 /// Classification of each host I/O, used to attribute bytes to the right

@@ -26,6 +26,10 @@
 //!   relocated record are durable, so no surviving pointer can reference
 //!   freed bytes.
 
+// Crash recovery and repair degrade to contextful errors, never panic:
+// a panic during reopen turns a recoverable torn tail into an outage.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use lsm_core::util::coding::{get_varint64, put_varint64};
 use lsm_core::util::crc32c::crc32c;
 use lsm_core::{Error, FileStore, PlacementPolicy, Result, VLOG_FILE_BASE};

@@ -66,6 +66,48 @@ grep -q '"rule":"recycle-after-fixups-durable"' lint-fixtures-a.json
 grep -q '"rule":"pub-without-outside-user"' lint-fixtures-a.json
 rm -f lint-fixtures-a.json lint-fixtures-b.json
 echo "seal-lint json self-check ok"
+
+# The invariants rustc/clippy hold instead of seal-lint (DESIGN.md §11).
+# The clippy stage above proves the workspace clean under them; here,
+# that they are still configured and still fire. First the attributes
+# and the lints-table entry, file by file...
+deny_recovery='#![deny(clippy::unwrap_used, clippy::expect_used)]'
+deny_cast='#![deny(clippy::cast_possible_truncation)]'
+for held in \
+    "crates/lsm-core/src/wal.rs|$deny_recovery" \
+    "crates/lsm-core/src/version/mod.rs|$deny_recovery" \
+    "crates/lsm-core/src/filestore.rs|$deny_recovery" \
+    "crates/lsm-core/src/db/scrub.rs|$deny_recovery" \
+    "crates/vlog/src/lib.rs|$deny_recovery" \
+    "crates/smr-sim/src/stats.rs|$deny_cast" \
+    "crates/smr-sim/src/obs.rs|$deny_cast" \
+    'Cargo.toml|missing_docs = "warn"'; do
+    IFS='|' read -r file line <<< "$held"
+    grep -qxF "$line" "$file" || { echo "$file lacks the line: $line"; exit 1; }
+done
+# ...then a known-bad crate of its own, below the root clippy.toml: clippy
+# must reject it with a finding of each lint, and leave the unwrap in its
+# test code alone (allow-unwrap-in-tests).
+fixture=crates/lint/tests/fixtures/clippy
+if cargo clippy -q --manifest-path "$fixture/Cargo.toml" --target-dir target/clippy-fixture \
+    --all-targets --keep-going --message-format=json -- -D warnings \
+    > clippy-fixture.json 2> /dev/null; then
+    echo "clippy accepted the known-bad crate $fixture"
+    exit 1
+fi
+for lint in clippy::disallowed_types clippy::unwrap_used clippy::expect_used \
+    clippy::cast_possible_truncation missing_docs; do
+    grep -qF "\"code\":{\"code\":\"$lint\"" clippy-fixture.json ||
+        { echo "clippy found no $lint in $fixture"; exit 1; }
+done
+grep -qF '"test":true' clippy-fixture.json ||
+    { echo "clippy did not check the test target of $fixture"; exit 1; }
+if grep -qF exempt_in_tests clippy-fixture.json; then
+    echo "clippy flagged the test code of $fixture"
+    exit 1
+fi
+rm -f clippy-fixture.json
+echo "clippy lint self-check ok"
 stage_done "seal-lint"
 
 # Runtime half of the ordering contract: the debug-profile crash-point

@@ -5,7 +5,7 @@
 //! append, SSTable placement, manifest commit, compaction output).
 
 use sealdb::{Store, StoreConfig, StoreKind};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use workloads::RecordGenerator;
 
 const KINDS: [StoreKind; 2] = [StoreKind::SealDb, StoreKind::LevelDb];
@@ -116,7 +116,7 @@ fn power_cut_snapshot_sweep_recovers_every_boundary() {
     for kind in KINDS {
         let mut store = build(kind, 0x9E37);
         let gen = RecordGenerator::new(16, 128, 7);
-        let expected: HashMap<Vec<u8>, Vec<u8>> = (0..ROUNDS * ROUND)
+        let expected: BTreeMap<Vec<u8>, Vec<u8>> = (0..ROUNDS * ROUND)
             .map(|i| (gen.key(i), gen.value(i)))
             .collect();
         store

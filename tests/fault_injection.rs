@@ -105,27 +105,3 @@ fn repeated_crashes_never_corrupt() {
         }
     }
 }
-
-#[test]
-fn compact_range_pushes_data_down_and_preserves_it() {
-    let mut store = StoreConfig::new(StoreKind::SealDb, 16 << 10, 512 << 20)
-        .build()
-        .unwrap();
-    let gen = RecordGenerator::new(16, 256, 3);
-    let n = 8000u64;
-    workloads::fill_random(&mut store, &gen, n, 31).unwrap();
-    let before = store.db.current_version();
-    let shallow_before: usize = (0..2).map(|l| before.level_file_count(l)).sum();
-    assert!(shallow_before > 0, "expect files in shallow levels");
-    store.db.compact_range(b"", &gen.key(n)).unwrap();
-    let after = store.db.current_version();
-    let shallow_after: usize = (0..2).map(|l| after.level_file_count(l)).sum();
-    assert!(
-        shallow_after < shallow_before || shallow_after == 0,
-        "compact_range must drain shallow levels ({shallow_before} -> {shallow_after})"
-    );
-    after.check_invariants().unwrap();
-    for i in (0..n).step_by(257) {
-        assert_eq!(store.get(&gen.key(i)).unwrap(), Some(gen.value(i)));
-    }
-}

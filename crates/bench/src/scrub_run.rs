@@ -18,7 +18,7 @@
 
 use crate::artifact::{self, expect_count, row, run_cells, Row};
 use crate::BenchScale;
-use lsm_core::{Result, ScrubConfig};
+use lsm_core::Result;
 use sealdb::{Store, StoreKind};
 use smr_sim::Extent;
 
@@ -79,10 +79,7 @@ fn run_cell(scale: &BenchScale, budget: u64, fault_regions: usize) -> Result<Row
         }
     }
     if budget > 0 {
-        store.scrub_full(&ScrubConfig {
-            bytes_per_step: budget,
-            repair: true,
-        })?;
+        store.scrub_full(budget)?;
     }
     // Full-keyspace audit: a key is lost if it errors, vanished, or
     // reads back with the wrong bytes.

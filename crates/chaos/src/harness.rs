@@ -42,7 +42,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use lsm_core::{Result, ScrubConfig, ScrubReport, WriteBatch};
+use lsm_core::{Result, ScrubReport, WriteBatch};
 use seal_replica::{Cluster, ReplicaConfig, DETECT_TIMEOUT_NS};
 use seal_shard::{ShardCluster, ShardConfig};
 use sealdb::{Store, VlogParams};
@@ -221,14 +221,10 @@ fn flush_with_retry(store: &mut Store) -> bool {
 /// salvage consumes reach the replicas. False if the pass could not be
 /// driven to completion.
 fn scrub_until_full_pass(c: &mut Cluster) -> bool {
-    let cfg = ScrubConfig {
-        bytes_per_step: 1 << 20,
-        repair: true,
-    };
     let before = c.primary_store_mut().scrub_report().full_passes;
     let mut errs = 0u32;
     for _ in 0..512 {
-        if c.scrub_step(&cfg).is_err() {
+        if c.scrub_step(1 << 20).is_err() {
             // Transient read faults fail a step; the retried step
             // re-reads the same offsets and succeeds.
             errs += 1;

@@ -30,7 +30,7 @@
 //!   standing in for the background compaction thread (which the store
 //!   itself also runs while a slowed-down writer sleeps).
 
-use lsm_core::{Result, ScrubConfig, StallStats, WriteBatch};
+use lsm_core::{Result, StallStats, WriteBatch};
 use sealdb::Store;
 use smr_sim::{bounded_backoff_ns, ObsLayer};
 use std::cmp::Reverse;
@@ -502,11 +502,7 @@ fn idle_until(store: &mut Store, until: u64, cfg: &ServeConfig, r: &mut ServeRes
     // gap, so repair makes progress under load without starving
     // foreground requests.
     if cfg.idle_scrub_bytes > 0 && store.clock_ns() < until {
-        let scrub_cfg = ScrubConfig {
-            bytes_per_step: cfg.idle_scrub_bytes,
-            repair: true,
-        };
-        match store.scrub_step(&scrub_cfg) {
+        match store.scrub_step(cfg.idle_scrub_bytes) {
             Ok(report) => r.repaired_in_flight += report.files_repaired,
             Err(_) => r.idle_errors += 1,
         }

@@ -63,29 +63,6 @@ use crate::util::crc32c;
 use crate::version::{FileMetaData, FileMetaHandle, VersionEdit};
 use smr_sim::{DiskError, Extent, IoKind, ObsEventKind, ObsLayer};
 
-/// Tuning for one scrub step.
-#[derive(Clone, Copy, Debug)]
-pub struct ScrubConfig {
-    /// Bytes of table data verified per [`DbCore::scrub_step`]. A step
-    /// always finishes the file it started (verdicts and repair are
-    /// file-granular), so this bounds when the step *stops picking up*
-    /// further files, not the final file's size.
-    pub bytes_per_step: u64,
-    /// Whether repair runs (fencing, rebuild, quarantine). With repair
-    /// off the scrubber only detects and counts — the mode the benches
-    /// use to quantify what an unscrubbed store loses.
-    pub repair: bool,
-}
-
-impl Default for ScrubConfig {
-    fn default() -> Self {
-        ScrubConfig {
-            bytes_per_step: 8 << 20,
-            repair: true,
-        }
-    }
-}
-
 /// Health verdict for one scanned file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum FileHealth {
@@ -240,12 +217,12 @@ impl DbCore {
         &self.scrub_totals
     }
 
-    /// Runs scrub steps until one full pass over the current version
-    /// completes, returning the summed report.
-    pub fn scrub_full(&mut self, cfg: &ScrubConfig) -> Result<ScrubReport> {
+    /// Runs scrub steps of `budget_bytes` each until one full pass over
+    /// the current version completes, returning the summed report.
+    pub fn scrub_full(&mut self, budget_bytes: u64) -> Result<ScrubReport> {
         let mut total = ScrubReport::default();
         loop {
-            let step = self.scrub_step(cfg)?;
+            let step = self.scrub_step(budget_bytes)?;
             total.merge(&step);
             if step.full_passes > 0 {
                 return Ok(total);
@@ -255,15 +232,15 @@ impl DbCore {
 
     /// Runs one budgeted scrub step: fences any failed bands the fault
     /// plan advertises, then verifies files from the resume cursor until
-    /// `cfg.bytes_per_step` table bytes have been checked or the pass
-    /// completes. Damaged files are repaired or quarantined immediately
-    /// (when `cfg.repair` is set) so a later read never trips over a
-    /// fault scrub already saw.
-    pub fn scrub_step(&mut self, cfg: &ScrubConfig) -> Result<ScrubReport> {
+    /// `budget_bytes` table bytes have been checked or the pass
+    /// completes. A step always finishes the file it started (verdicts
+    /// and repair are file-granular), so the budget bounds when the step
+    /// stops picking up further files, not the last file's size.
+    /// Damaged files are repaired or quarantined immediately so a later
+    /// read never trips over a fault scrub already saw.
+    pub fn scrub_step(&mut self, budget_bytes: u64) -> Result<ScrubReport> {
         let mut step = ScrubReport::default();
-        if cfg.repair {
-            self.fence_failed_bands(&mut step);
-        }
+        self.fence_failed_bands(&mut step);
         loop {
             let Some((level, file)) = self.next_scrub_target() else {
                 self.scrub_cursor = None;
@@ -278,7 +255,7 @@ impl DbCore {
             step.blocks_corrupt += scan.corrupt;
             step.blocks_corrected += scan.corrected;
             step.blocks_lost += scan.lost;
-            if cfg.repair && scan.health != FileHealth::Clean {
+            if scan.health != FileHealth::Clean {
                 // Fence first: replacement space must never be allocated
                 // over the region that just damaged this file.
                 for ext in &scan.bad_extents {
@@ -304,7 +281,7 @@ impl DbCore {
                     }
                 }
             }
-            if step.bytes_verified >= cfg.bytes_per_step {
+            if step.bytes_verified >= budget_bytes {
                 break;
             }
         }
@@ -700,6 +677,9 @@ mod tests {
         assert_eq!(correct_single_bit(&image), Some(image));
     }
 
+    /// Per-step byte budget of the full passes below.
+    const STEP_BYTES: u64 = 8 << 20;
+
     fn open_db() -> DbCore {
         let cap = 1024 * MB;
         let disk = Disk::new(
@@ -746,7 +726,7 @@ mod tests {
     #[test]
     fn clean_store_scrubs_to_a_clean_report() {
         let mut db = loaded_db(200);
-        let report = db.scrub_full(&ScrubConfig::default()).unwrap();
+        let report = db.scrub_full(STEP_BYTES).unwrap();
         assert!(report.files_scanned >= 1);
         assert!(report.blocks_verified >= 1);
         assert_eq!(report.blocks_corrupt, 0);
@@ -770,7 +750,7 @@ mod tests {
             .corrupt_extent(Extent::new(ext.offset + 100, 64));
         let (k0, _) = kv(0);
         assert!(db.get(&k0).is_err(), "corruption must be detected");
-        let report = db.scrub_full(&ScrubConfig::default()).unwrap();
+        let report = db.scrub_full(STEP_BYTES).unwrap();
         assert!(report.blocks_corrupt >= 1);
         assert!(report.blocks_corrected >= 1);
         assert_eq!(report.blocks_lost, 0);
@@ -817,7 +797,7 @@ mod tests {
             .disk_mut()
             .faults_mut()
             .corrupt_extent(Extent::new(ext.offset, 8192));
-        let report = db.scrub_full(&ScrubConfig::default()).unwrap();
+        let report = db.scrub_full(STEP_BYTES).unwrap();
         assert!(report.blocks_lost >= 1);
         assert_eq!(report.files_repaired, 1);
         // Keys from lost blocks read as misses (no error); later keys
@@ -852,7 +832,7 @@ mod tests {
             .faults_mut()
             .fail_reads_permanently(ext);
         assert!(db.get(&kv(0).0).is_err());
-        let report = db.scrub_full(&ScrubConfig::default()).unwrap();
+        let report = db.scrub_full(STEP_BYTES).unwrap();
         assert_eq!(report.files_quarantined, 1);
         assert_eq!(report.files_repaired, 0);
         assert!(report.bytes_fenced > 0);
@@ -868,7 +848,7 @@ mod tests {
         let ext = db.ctx().lock().fs.file_extent(f.id).unwrap();
         let band = Extent::new(ext.offset, 4 * MB);
         db.ctx().lock().fs.disk_mut().faults_mut().fail_band(band);
-        let report = db.scrub_full(&ScrubConfig::default()).unwrap();
+        let report = db.scrub_full(STEP_BYTES).unwrap();
         assert!(report.bytes_fenced >= 4 * MB);
         assert!(db.policy().allocator().quarantined_bytes() >= 4 * MB);
         assert_eq!(report.files_quarantined, 1);
@@ -877,16 +857,12 @@ mod tests {
     #[test]
     fn scrub_budget_bounds_each_step() {
         let mut db = loaded_db(2000);
-        let cfg = ScrubConfig {
-            bytes_per_step: 1,
-            repair: true,
-        };
         // A 1-byte budget still finishes the file it started, but picks
         // up exactly one file per step.
-        let step = db.scrub_step(&cfg).unwrap();
+        let step = db.scrub_step(1).unwrap();
         assert_eq!(step.files_scanned, 1);
         assert_eq!(step.full_passes, 0);
-        let total = db.scrub_full(&cfg).unwrap();
+        let total = db.scrub_full(1).unwrap();
         assert!(total.full_passes == 1);
         let files = db
             .current_version()
@@ -895,29 +871,6 @@ mod tests {
             .map(|l| l.len() as u64)
             .sum::<u64>();
         assert_eq!(step.files_scanned + total.files_scanned, files);
-    }
-
-    #[test]
-    fn detect_only_mode_repairs_nothing() {
-        let mut db = loaded_db(200);
-        let (_, f) = first_file(&db);
-        let ext = db.ctx().lock().fs.file_extent(f.id).unwrap();
-        db.ctx()
-            .lock()
-            .fs
-            .disk_mut()
-            .faults_mut()
-            .corrupt_extent(Extent::new(ext.offset + 100, 64));
-        let cfg = ScrubConfig {
-            repair: false,
-            ..ScrubConfig::default()
-        };
-        let report = db.scrub_full(&cfg).unwrap();
-        assert!(report.blocks_corrupt >= 1);
-        assert_eq!(report.files_repaired, 0);
-        assert_eq!(report.bytes_fenced, 0);
-        // The damage is still there.
-        assert!(db.get(&kv(0).0).is_err());
     }
 
     #[test]
@@ -932,7 +885,7 @@ mod tests {
                 .disk_mut()
                 .faults_mut()
                 .corrupt_extent(Extent::new(ext.offset + 4200, 32));
-            let report = db.scrub_full(&ScrubConfig::default()).unwrap();
+            let report = db.scrub_full(STEP_BYTES).unwrap();
             (report, db.clock_ns())
         };
         let (r1, c1) = run();

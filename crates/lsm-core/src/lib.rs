@@ -52,13 +52,11 @@ pub mod version;
 pub mod wal;
 
 pub use db::{
-    batch::WriteBatch,
-    options::Options,
-    scrub::{ScrubConfig, ScrubReport},
-    CompactionRecord, DbCore, RecoveryReport, Snapshot, StallStats, VLOG_FILE_BASE,
+    batch::WriteBatch, options::Options, scrub::ScrubReport, CompactionRecord, DbCore,
+    RecoveryReport, Snapshot, StallStats, VLOG_FILE_BASE,
 };
 pub use error::{Error, Result};
 pub use filestore::{CrashImage, FileStore};
 pub use policy::{GcConfig, GcReport, PerFilePolicy, PlacementPolicy, SetStats};
 pub use types::{FileId, SequenceNumber, ValueType};
-pub use wal::{LogWriter, WalStream};
+pub use wal::LogWriter;

@@ -226,170 +226,18 @@ impl<'a> LogReader<'a> {
             }
         }
     }
-
-    /// Collects all intact records, ignoring corruption (recovery policy).
-    pub fn all_records(&mut self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        while let Some(rec) = self.next_record() {
-            if let Ok(r) = rec {
-                out.push(r);
-            }
-        }
-        out
-    }
-}
-
-/// Incremental record reassembly over log-formatted bytes that arrive
-/// in chunks — the replication shipping path. [`LogReader`] parses a
-/// fully materialised log and treats an incomplete tail as a crash to
-/// drop; a stream must instead *wait*: [`WalStream::next_record`]
-/// returns `None` while a record's bytes are still in flight and
-/// resumes once [`WalStream::feed`] supplies the rest, preserving
-/// fragment chains across calls and block boundaries.
-#[derive(Debug, Default)]
-pub struct WalStream {
-    buf: Vec<u8>,
-    /// Parse cursor into `buf`.
-    pos: usize,
-    /// Absolute log offset of `buf[0]` (drained prefixes), so block
-    /// alignment survives buffer compaction.
-    consumed: usize,
-    /// Fragment chain in progress, carried across `next_record` calls.
-    partial: Option<Vec<u8>>,
-    /// Corrupt byte ranges skipped so far (for diagnostics).
-    pub(crate) dropped_bytes: usize,
-}
-
-impl WalStream {
-    /// Creates a stream positioned at the start of a log.
-    pub fn new() -> Self {
-        WalStream::default()
-    }
-
-    /// Appends newly arrived log bytes, compacting the parsed prefix.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.consumed += self.pos;
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Next fragment, `None` while its bytes are still in flight.
-    fn read_fragment(&mut self) -> Option<std::result::Result<(u8, Vec<u8>), ()>> {
-        loop {
-            let block_left = BLOCK_SIZE - (self.consumed + self.pos) % BLOCK_SIZE;
-            if block_left < HEADER_SIZE {
-                if self.buf.len() < self.pos + block_left {
-                    return None; // padding still in flight
-                }
-                self.pos += block_left;
-                continue;
-            }
-            if self.buf.len() < self.pos + HEADER_SIZE {
-                return None;
-            }
-            let hdr = &self.buf[self.pos..self.pos + HEADER_SIZE];
-            let crc = decode_fixed32(hdr);
-            let len = u16::from_le_bytes([hdr[4], hdr[5]]) as usize;
-            let ty = hdr[6];
-            if ty == 0 && len == 0 && crc == 0 {
-                // A live stream never writes zero headers (short block
-                // tails are the only padding, handled above): resync one
-                // header forward and report the corruption.
-                self.pos += HEADER_SIZE;
-                self.dropped_bytes += HEADER_SIZE;
-                return Some(Err(()));
-            }
-            if self.buf.len() < self.pos + HEADER_SIZE + len {
-                return None; // payload still in flight
-            }
-            let start = self.pos + HEADER_SIZE;
-            let frag = self.buf[start..start + len].to_vec();
-            self.pos = start + len;
-            let expect = crc32c::mask(crc32c::extend(crc32c::crc32c(&[ty]), &frag));
-            if expect != crc || !(FULL..=LAST).contains(&ty) {
-                self.dropped_bytes += HEADER_SIZE + len;
-                return Some(Err(()));
-            }
-            return Some(Ok((ty, frag)));
-        }
-    }
-
-    /// Next complete record, or `None` until more bytes arrive. Corrupt
-    /// fragments produce `Err`; parsing continues on the next call.
-    pub fn next_record(&mut self) -> Option<Result<Vec<u8>>> {
-        loop {
-            match self.read_fragment() {
-                None => return None,
-                Some(Err(())) => {
-                    self.partial = None;
-                    return Some(corruption(format!(
-                        "bad record crc near stream byte {} (dropped {} bytes so far)",
-                        self.consumed + self.pos,
-                        self.dropped_bytes
-                    )));
-                }
-                Some(Ok((ty, frag))) => match ty {
-                    FULL => {
-                        if self.partial.take().is_some() {
-                            return Some(corruption(format!(
-                                "FULL record inside fragment chain near stream byte {}",
-                                self.consumed + self.pos
-                            )));
-                        }
-                        return Some(Ok(frag));
-                    }
-                    FIRST => {
-                        if self.partial.replace(frag).is_some() {
-                            return Some(corruption(format!(
-                                "FIRST record inside fragment chain near stream byte {}",
-                                self.consumed + self.pos
-                            )));
-                        }
-                    }
-                    MIDDLE => match self.partial.as_mut() {
-                        Some(a) => a.extend_from_slice(&frag),
-                        None => {
-                            return Some(corruption(format!(
-                                "MIDDLE record without FIRST near stream byte {}",
-                                self.consumed + self.pos
-                            )))
-                        }
-                    },
-                    LAST => match self.partial.take() {
-                        Some(mut a) => {
-                            a.extend_from_slice(&frag);
-                            return Some(Ok(a));
-                        }
-                        None => {
-                            return Some(corruption(format!(
-                                "LAST record without FIRST near stream byte {}",
-                                self.consumed + self.pos
-                            )))
-                        }
-                    },
-                    _ => unreachable!("fragment type validated"),
-                },
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Drains every record currently completable, ignoring corruption.
-    fn drain_records(s: &mut WalStream) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        while let Some(rec) = s.next_record() {
-            if let Ok(r) = rec {
-                out.push(r);
-            }
-        }
-        out
+    /// Every intact record, skipping corrupt ones (the recovery policy).
+    fn all_records(bytes: &[u8]) -> Vec<Vec<u8>> {
+        let mut r = LogReader::new(bytes);
+        std::iter::from_fn(|| r.next_record())
+            .filter_map(|rec| rec.ok())
+            .collect()
     }
 
     fn roundtrip(records: &[Vec<u8>]) -> Vec<Vec<u8>> {
@@ -398,12 +246,12 @@ mod tests {
             w.add_record(r);
         }
         let bytes = w.take();
-        LogReader::new(&bytes).all_records()
+        all_records(&bytes)
     }
 
     #[test]
     fn empty_log() {
-        assert!(LogReader::new(&[]).all_records().is_empty());
+        assert!(all_records(&[]).is_empty());
     }
 
     #[test]
@@ -457,95 +305,8 @@ mod tests {
         let bytes = w.take();
         // Cut mid-way through the second record.
         let cut = &bytes[..bytes.len() - 2500];
-        let recs = LogReader::new(cut).all_records();
+        let recs = all_records(cut);
         assert_eq!(recs, vec![b"complete".to_vec()]);
-    }
-
-    #[test]
-    fn stream_reassembles_byte_at_a_time() {
-        let big = vec![0x5A; BLOCK_SIZE + 777];
-        let recs = vec![b"one".to_vec(), big.clone(), vec![], b"four".to_vec()];
-        let mut w = LogWriter::new();
-        for r in &recs {
-            w.add_record(r);
-        }
-        let bytes = w.take();
-        let mut s = WalStream::new();
-        let mut got = Vec::new();
-        for b in &bytes {
-            s.feed(std::slice::from_ref(b));
-            got.extend(drain_records(&mut s));
-        }
-        assert_eq!(got, recs);
-        assert_eq!(s.dropped_bytes, 0);
-        assert_eq!(s.buf.len(), s.pos, "every fed byte parsed");
-    }
-
-    #[test]
-    fn stream_waits_for_inflight_payload() {
-        let mut w = LogWriter::new();
-        w.add_record(&vec![3u8; 5000]);
-        let bytes = w.take();
-        let mut s = WalStream::new();
-        s.feed(&bytes[..2500]);
-        assert!(s.next_record().is_none(), "half a record must not parse");
-        s.feed(&bytes[2500..]);
-        let rec = s.next_record().expect("complete now").expect("intact");
-        assert_eq!(rec, vec![3u8; 5000]);
-    }
-
-    #[test]
-    fn stream_chain_survives_block_padding_gap() {
-        // First record forces padding; the chunk boundary lands inside
-        // the padding zone of the first block.
-        let a = vec![1u8; BLOCK_SIZE - HEADER_SIZE - 3];
-        let mut w = LogWriter::new();
-        w.add_record(&a);
-        w.add_record(b"next-block");
-        let bytes = w.take();
-        let cut = BLOCK_SIZE - 2; // inside the 3-byte zero padding
-        let mut s = WalStream::new();
-        s.feed(&bytes[..cut]);
-        assert_eq!(drain_records(&mut s), vec![a.clone()]);
-        s.feed(&bytes[cut..]);
-        assert_eq!(drain_records(&mut s), vec![b"next-block".to_vec()]);
-    }
-
-    #[test]
-    fn stream_surfaces_corruption_then_recovers() {
-        let mut w = LogWriter::new();
-        w.add_record(b"good");
-        w.add_record(b"evil");
-        w.add_record(b"tail");
-        let mut bytes = w.take();
-        // Flip a payload byte of the middle record.
-        let evil_start = (HEADER_SIZE + 4) + HEADER_SIZE;
-        bytes[evil_start] ^= 0xFF;
-        let mut s = WalStream::new();
-        s.feed(&bytes);
-        assert_eq!(s.next_record().unwrap().unwrap(), b"good");
-        assert!(s.next_record().unwrap().is_err());
-        assert!(s.dropped_bytes > 0);
-        assert_eq!(s.next_record().unwrap().unwrap(), b"tail");
-    }
-
-    #[test]
-    fn stream_matches_reader_on_same_bytes() {
-        let recs: Vec<Vec<u8>> = (0..50).map(|i| vec![i as u8; (i * 97) % 3000]).collect();
-        let mut w = LogWriter::new();
-        for r in &recs {
-            w.add_record(r);
-        }
-        let bytes = w.take();
-        let from_reader = LogReader::new(&bytes).all_records();
-        let mut s = WalStream::new();
-        let mut from_stream = Vec::new();
-        for chunk in bytes.chunks(311) {
-            s.feed(chunk);
-            from_stream.extend(drain_records(&mut s));
-        }
-        assert_eq!(from_stream, from_reader);
-        assert_eq!(from_stream, recs);
     }
 
     #[test]
@@ -558,7 +319,7 @@ mod tests {
         let second = w.take();
         let mut joined = first.clone();
         joined.extend_from_slice(&second);
-        let recs = LogReader::new(&joined).all_records();
+        let recs = all_records(&joined);
         assert_eq!(recs, vec![b"a".to_vec(), b"b".to_vec()]);
         assert_eq!(w.pending_len(), 0);
     }

@@ -125,7 +125,10 @@ fn wal_roundtrip() {
             w.add_record(r);
         }
         let bytes = w.take();
-        let back = LogReader::new(&bytes).all_records();
+        let mut reader = LogReader::new(&bytes);
+        let back: Vec<Vec<u8>> = std::iter::from_fn(|| reader.next_record())
+            .map(|rec| rec.expect("intact record"))
+            .collect();
         assert_eq!(back, records);
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! Runs one primary [`Store`] and N replica [`Store`]s on the shared
 //! simulated clock, connected by a seeded [`NetModel`]. The primary
-//! ships its WAL as framed records over the network, and every replica
-//! applies each batch through its own write path
-//! ([`Store::apply_replicated`]), keeping the primary-assigned sequence
-//! numbers: a hot standby with a tiny replay tail.
+//! ships each committed batch's own bytes ([`WriteBatch::rep`]) as one
+//! frame, and every replica decodes it ([`WriteBatch::decode`]) and
+//! applies it through its own write path ([`Store::apply_replicated`]),
+//! keeping the primary-assigned sequence numbers: a hot standby with a
+//! tiny replay tail.
 //!
 //! Acked-write semantics are set by [`AckPolicy`]: under `Quorum(k)`, a
 //! write returns only once `k` replicas hold its frame, so a primary
@@ -18,14 +19,12 @@
 //! the crash-image recovery path (which replays only that node's own
 //! WAL tail), and a client redirect modelled with `smr-sim`'s shared
 //! bounded backoff. The old primary rejoins as a replica by catch-up
-//! streaming of the full replicated log. [`Cluster::audit`] checks every
+//! streaming of every batch shipped so far. [`Cluster::audit`] checks every
 //! acked write against the primary and every survivor. Everything rides
 //! the simulated clock: the same configuration and seed replays
 //! byte-identically.
 
-use lsm_core::{
-    Error, LogWriter, Result, ScrubConfig, ScrubReport, ValueType, WalStream, WriteBatch,
-};
+use lsm_core::{Error, Result, ScrubReport, ValueType, WriteBatch};
 use sealdb::{AuditReport, GcShipment, KvNode, Store, StoreConfig, StoreKind, VlogParams};
 use smr_sim::{bounded_backoff_ns, NetModel, ObsLayer};
 use std::collections::BTreeMap;
@@ -153,24 +152,8 @@ struct PendingFrame {
     /// Effective receive time: delivery, deferred behind earlier frames
     /// so application is always in shipping order.
     ready_ns: u64,
-    /// Highest sequence number the frame carries.
-    last_seq: u64,
-    /// Framed WAL bytes.
-    bytes: Vec<u8>,
-}
-
-/// One entry of the replicated log, kept for catch-up streaming.
-#[derive(Clone, Debug)]
-struct HistFrame {
-    last_seq: u64,
-    bytes: Vec<u8>,
-}
-
-/// A write acked under `PrimaryOnly` but not yet shipped.
-#[derive(Debug)]
-struct Unshipped {
+    /// The shipped batch's bytes, its sequence stamped.
     rep: Vec<u8>,
-    last_seq: u64,
 }
 
 /// One cluster node: a store (None once killed) plus its receive state.
@@ -184,8 +167,6 @@ struct Node {
     /// Effective receive time of the last frame shipped to this node —
     /// the in-order-delivery hold-back watermark.
     eff_tail: u64,
-    /// Streaming reassembly of the shipped WAL byte stream.
-    stream: WalStream,
     /// Highest sequence this node holds durably.
     durable_seq: u64,
 }
@@ -197,7 +178,6 @@ impl Node {
             pending: BTreeMap::new(),
             next_pending: 0,
             eff_tail: 0,
-            stream: WalStream::new(),
             durable_seq: 0,
         }
     }
@@ -215,14 +195,10 @@ pub struct Cluster {
     now_ns: u64,
     /// Monotone message-id source for network sampling.
     msg_seq: u64,
-    /// The shared replicated-log writer. Survives failover: the new
-    /// primary continues the byte stream at the position every live
-    /// replica has already received up to.
-    ship_writer: LogWriter,
-    /// Full replicated log, for rejoin catch-up streaming.
-    history: Vec<HistFrame>,
-    /// Writes acked under `PrimaryOnly` awaiting an async ship.
-    unshipped: Vec<Unshipped>,
+    /// Every batch shipped so far, for rejoin catch-up streaming.
+    history: Vec<Vec<u8>>,
+    /// Batches acked under `PrimaryOnly` awaiting an async ship.
+    unshipped: Vec<Vec<u8>>,
     /// Every acked key and the value the client was promised
     /// (`None` = deletion), for RPO audits.
     acked: BTreeMap<Vec<u8>, Option<Vec<u8>>>,
@@ -242,7 +218,6 @@ impl Cluster {
             net,
             now_ns: 0,
             msg_seq: 0,
-            ship_writer: LogWriter::new(),
             history: Vec::new(),
             unshipped: Vec::new(),
             acked: BTreeMap::new(),
@@ -356,7 +331,7 @@ impl Cluster {
         // Opportunistically drain replica deliveries that are due.
         self.pump_all(self.now_ns)?;
         let p = self.primary;
-        let (rep, last, entries, clock, written, committed) = {
+        let (rep, entries, clock, written, committed) = {
             let store = self.live_store_at_now(p, "write")?;
             let first = store.last_sequence() + 1;
             batch.set_sequence(first);
@@ -374,7 +349,7 @@ impl Cluster {
                 .collect();
             let written = store.write(batch);
             let committed = store.last_sequence() >= last;
-            (rep, last, entries, store.clock_ns(), written, committed)
+            (rep, entries, store.clock_ns(), written, committed)
         };
         self.now_ns = self.now_ns.max(clock);
         if !committed {
@@ -390,13 +365,10 @@ impl Cluster {
         // (found by the chaos harness's composed-fault schedules).
         let shipped = match self.cfg.ack {
             AckPolicy::PrimaryOnly => {
-                self.unshipped.push(Unshipped {
-                    rep,
-                    last_seq: last,
-                });
+                self.unshipped.push(rep);
                 None
             }
-            AckPolicy::Quorum(k) => Some((k.max(1), self.ship_rep(&rep, last))),
+            AckPolicy::Quorum(k) => Some((k.max(1), self.ship_rep(rep))),
         };
         // No ack was promised for a write that errored: it returns
         // without waiting for one (or flushing the async buffer).
@@ -438,18 +410,13 @@ impl Cluster {
             .collect()
     }
 
-    /// Frames `rep` through the shared replicated log and ships it to
-    /// every live replica. Returns the ack arrival times that will
-    /// eventually reach the primary (one per replica that can answer).
-    fn ship_rep(&mut self, rep: &[u8], last_seq: u64) -> Vec<u64> {
-        self.ship_writer.add_record(rep);
-        let bytes = self.ship_writer.take();
-        self.history.push(HistFrame {
-            last_seq,
-            bytes: bytes.clone(),
-        });
+    /// Ships one committed batch's bytes to every live replica as one
+    /// frame and keeps them for catch-up. Returns the ack arrival times
+    /// that will eventually reach the primary (one per replica that can
+    /// answer).
+    fn ship_rep(&mut self, rep: Vec<u8>) -> Vec<u64> {
         self.stats.shipped_frames += 1;
-        self.stats.shipped_bytes += bytes.len() as u64;
+        self.stats.shipped_bytes += rep.len() as u64;
         let p = self.primary;
         let send = self.now_ns;
         let mut acks = Vec::new();
@@ -470,22 +437,21 @@ impl Cluster {
                 key,
                 PendingFrame {
                     ready_ns: eff,
-                    last_seq,
-                    bytes: bytes.clone(),
+                    rep: rep.clone(),
                 },
             );
             if let Some(a) = self.net.delivery_ns(r, p, ack_msg, eff) {
                 acks.push(a);
             }
         }
+        self.history.push(rep);
         acks
     }
 
     /// Ships everything in the async buffer (PrimaryOnly mode).
     fn flush_unshipped(&mut self) {
-        let frames = std::mem::take(&mut self.unshipped);
-        for f in frames {
-            self.ship_rep(&f.rep, f.last_seq);
+        for rep in std::mem::take(&mut self.unshipped) {
+            self.ship_rep(rep);
         }
     }
 
@@ -528,13 +494,13 @@ impl Cluster {
     /// fixups exactly as a GC step does (see [`Cluster::vlog_gc_step`]),
     /// so a primary scrubbed directly through
     /// [`Cluster::primary_store_mut`] opens the same sequence gap.
-    pub fn scrub_step(&mut self, cfg: &ScrubConfig) -> Result<ScrubReport> {
-        self.step_primary_shipping("scrub", |store| store.scrub_step_shipping(cfg))
+    pub fn scrub_step(&mut self, budget_bytes: u64) -> Result<ScrubReport> {
+        self.step_primary_shipping("scrub", |store| store.scrub_step_shipping(budget_bytes))
     }
 
     /// Runs a maintenance `step` on the primary, then ships every GC or
-    /// salvage shipment it returned as one frame each, stamped with the
-    /// sequence range its fixups consumed on the primary. Shipping is
+    /// salvage shipment it returned as one batch each, stamped with the
+    /// first sequence its fixups consumed on the primary. Shipping is
     /// best-effort (no client ack was promised); the first shipment
     /// error surfaces only after every consumed range has shipped.
     fn step_primary_shipping<R>(
@@ -555,8 +521,7 @@ impl Cluster {
                     batch.put(k, v);
                 }
                 batch.set_sequence(shipment.first_seq);
-                let last = shipment.first_seq + u64::from(batch.count()) - 1;
-                self.ship_rep(batch.rep(), last);
+                self.ship_rep(batch.rep().to_vec());
             }
             if let Some(e) = shipment.barrier_error {
                 first_error.get_or_insert(e);
@@ -616,7 +581,10 @@ impl Cluster {
         Ok(())
     }
 
-    /// Applies one received frame on node `idx` at its ready time.
+    /// Applies one received frame on node `idx` at its ready time. A
+    /// frame that does not decode, or whose sequence range overflows,
+    /// is an error that leaves the node as it was; an empty batch
+    /// changes nothing.
     fn apply_frame(&mut self, idx: usize, frame: PendingFrame) -> Result<()> {
         self.sync_node_clock(idx, frame.ready_ns);
         let node = &mut self.nodes[idx];
@@ -624,12 +592,21 @@ impl Cluster {
             .store
             .as_mut()
             .ok_or_else(|| Error::InvalidArgument(format!("frame delivered to dead node {idx}")))?;
-        node.stream.feed(&frame.bytes);
-        while let Some(rec) = node.stream.next_record() {
-            let batch = WriteBatch::decode(&rec?)?;
-            store.apply_replicated(batch)?;
+        let batch = WriteBatch::decode(&frame.rep)?;
+        if batch.is_empty() {
+            return Ok(());
         }
-        node.durable_seq = node.durable_seq.max(frame.last_seq);
+        // The apply path computes `first + count - 1`: refuse a range
+        // past the last sequence number before it gets there.
+        let Some(end) = batch.sequence().checked_add(u64::from(batch.count())) else {
+            return Err(Error::Corruption(format!(
+                "frame for node {idx} stamps sequence {} with {} records, past the last sequence number",
+                batch.sequence(),
+                batch.count()
+            )));
+        };
+        store.apply_replicated(batch)?;
+        node.durable_seq = node.durable_seq.max(end - 1);
         Ok(())
     }
 
@@ -785,7 +762,7 @@ impl Cluster {
     }
 
     /// Rebuilds a killed node as a fresh replica and catches it up by
-    /// streaming the full replicated log. Returns the frames streamed.
+    /// streaming every batch shipped so far. Returns the frames streamed.
     pub fn rejoin(&mut self, idx: usize) -> Result<u64> {
         if self.nodes[idx].store.is_some() {
             return Err(Error::InvalidArgument(format!(
@@ -801,18 +778,11 @@ impl Cluster {
         let mut node = Node::fresh(self.build_store(idx)?);
         node.eff_tail = self.now_ns;
         self.nodes[idx] = node;
-        let frames: Vec<HistFrame> = self.history.clone();
+        let frames = self.history.clone();
         let caught = frames.len() as u64;
-        let now = self.now_ns;
-        for f in frames {
-            self.apply_frame(
-                idx,
-                PendingFrame {
-                    ready_ns: now,
-                    last_seq: f.last_seq,
-                    bytes: f.bytes,
-                },
-            )?;
+        let ready_ns = self.now_ns;
+        for rep in frames {
+            self.apply_frame(idx, PendingFrame { ready_ns, rep })?;
         }
         Ok(caught)
     }
@@ -1086,11 +1056,7 @@ mod tests {
                 .disk_mut()
                 .faults_mut()
                 .corrupt_extent(smr_sim::Extent::new(ext.offset + 100, 64));
-            let scrub = ScrubConfig {
-                bytes_per_step: 1,
-                repair: true,
-            };
-            store.scrub_step(&scrub).unwrap();
+            store.scrub_step(1).unwrap();
         }
         c.kill_primary().unwrap();
         // The replica never saw the primary's local damage or its
@@ -1284,13 +1250,9 @@ mod tests {
             .disk_mut()
             .faults_mut()
             .fail_reads_permanently(ext);
-        let scrub = ScrubConfig {
-            bytes_per_step: 1 << 20,
-            repair: true,
-        };
         let mut steps = 0;
         while c.primary_store_mut().scrub_report().files_quarantined == 0 {
-            c.scrub_step(&scrub).unwrap();
+            c.scrub_step(1 << 20).unwrap();
             steps += 1;
             assert!(steps < 64, "scrub never dropped the unreadable table");
         }
@@ -1346,15 +1308,11 @@ mod tests {
                 .faults_mut()
                 .corrupt_extent(smr_sim::Extent::new(seg.offset + 5500, 8));
         }
-        let scrub = ScrubConfig {
-            bytes_per_step: 1 << 20,
-            repair: true,
-        };
         let before = c.primary_store_mut().last_sequence();
         let passes = c.primary_store_mut().scrub_report().full_passes;
         let mut corrected = 0;
         while c.primary_store_mut().scrub_report().full_passes == passes {
-            corrected += c.scrub_step(&scrub).unwrap().blocks_corrected;
+            corrected += c.scrub_step(1 << 20).unwrap().blocks_corrected;
         }
         assert_eq!(corrected, 5, "salvage relocates the five live records");
         assert_eq!(c.primary_store_mut().last_sequence() - before, 5);
@@ -1497,6 +1455,42 @@ mod tests {
         assert_eq!(h0, c.state_hash_of(2).unwrap());
         let audit = c.audit().unwrap();
         assert_eq!(audit.acked_lost, 0);
+    }
+
+    #[test]
+    fn a_bad_or_empty_frame_leaves_the_replica_as_it_was() {
+        let mut c = Cluster::new(cfg(1)).unwrap();
+        load(&mut c, 0, 5);
+        c.settle().unwrap();
+        let state = |c: &mut Cluster| {
+            let seq = c.nodes[1].store.as_ref().unwrap().last_sequence();
+            (c.nodes[1].durable_seq, seq)
+        };
+        let before = state(&mut c);
+        assert_eq!(before, (5, 5));
+        let mut empty_at_the_end = WriteBatch::new();
+        empty_at_the_end.set_sequence(u64::MAX);
+        let mut overflowing = WriteBatch::new();
+        overflowing.put(b"k", b"v");
+        overflowing.put(b"k2", b"v2");
+        overflowing.set_sequence(u64::MAX);
+        let frames = [
+            (b"not a batch".to_vec(), false),
+            (vec![0xFF; 40], false),
+            (overflowing.rep().to_vec(), false),
+            (WriteBatch::new().rep().to_vec(), true),
+            (empty_at_the_end.rep().to_vec(), true),
+        ];
+        for (rep, harmless) in frames {
+            let ready_ns = c.now_ns();
+            let applied = c.apply_frame(1, PendingFrame { ready_ns, rep });
+            assert_eq!(applied.is_ok(), harmless, "{applied:?}");
+            assert_eq!(state(&mut c), before);
+        }
+        // The stream goes on: the next real frame applies.
+        load(&mut c, 5, 6);
+        c.settle().unwrap();
+        assert_eq!(state(&mut c), (6, 6));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! snapshotting of every quantity the paper's figures report.
 
 use crate::config::StoreKind;
-use lsm_core::{CompactionRecord, DbCore, Result, ScrubConfig, ScrubReport, SetStats, WriteBatch};
+use lsm_core::{CompactionRecord, DbCore, Result, ScrubReport, SetStats, WriteBatch};
 use seal_vlog::{decode_stored, encode_inline, encode_pointer, StoredValue, ValueLog};
 use smr_sim::{neutral_ratio, Extent, IoStats, Obs, ObsLayer, TraceEvent};
 
@@ -139,6 +139,15 @@ pub struct GcShipment {
     /// `entries` even when this is set — only then surface the error to
     /// its caller.
     pub barrier_error: Option<lsm_core::Error>,
+}
+
+/// A scrub's report once nobody is left to ship its salvage to: the
+/// first shipment's barrier error, if any, is the result.
+fn surface_barrier_error(report: ScrubReport, shipments: Vec<GcShipment>) -> Result<ScrubReport> {
+    match shipments.into_iter().find_map(|s| s.barrier_error) {
+        Some(e) => Err(e),
+        None => Ok(report),
+    }
 }
 
 /// Result of [`Store::vlog_gc_relocate`]: the victim scan's identity
@@ -751,7 +760,7 @@ impl Store {
     }
 
     /// Runs one budgeted scrub step (see [`DbCore::scrub_step`]): verify
-    /// up to `cfg.bytes_per_step` bytes of live tables, repairing or
+    /// up to `budget_bytes` bytes of live tables, repairing or
     /// quarantining what fails its checksums. With key-value separation
     /// on, the same byte budget then walks value-log records: a CRC
     /// mismatch condemns the whole segment (record framing cannot
@@ -759,12 +768,9 @@ impl Store {
     /// the band is fenced out of the allocator. This is
     /// [`Store::scrub_step_shipping`] with nobody to ship to, so a
     /// salvage error surfaces immediately.
-    pub fn scrub_step(&mut self, cfg: &ScrubConfig) -> Result<ScrubReport> {
-        let (report, shipments) = self.scrub_step_shipping(cfg)?;
-        match shipments.into_iter().find_map(|s| s.barrier_error) {
-            Some(e) => Err(e),
-            None => Ok(report),
-        }
+    pub fn scrub_step(&mut self, budget_bytes: u64) -> Result<ScrubReport> {
+        let (report, shipments) = self.scrub_step_shipping(budget_bytes)?;
+        surface_barrier_error(report, shipments)
     }
 
     /// Runs one budgeted scrub step and returns, beside its report,
@@ -776,12 +782,12 @@ impl Store {
     /// shipment's `barrier_error` instead of discarding the shipments.
     pub fn scrub_step_shipping(
         &mut self,
-        cfg: &ScrubConfig,
+        budget_bytes: u64,
     ) -> Result<(ScrubReport, Vec<GcShipment>)> {
-        let mut report = self.db.scrub_step(cfg)?;
+        let mut report = self.db.scrub_step(budget_bytes)?;
         self.tables_dropped += report.files_quarantined;
         let mut shipments = Vec::new();
-        if let Err(e) = self.vlog_scrub_step(cfg, &mut report, &mut shipments) {
+        if let Err(e) = self.vlog_scrub_step(budget_bytes, &mut report, &mut shipments) {
             let Some(last) = shipments.last_mut() else {
                 return Err(e);
             };
@@ -795,7 +801,7 @@ impl Store {
     /// the error.
     fn vlog_scrub_step(
         &mut self,
-        cfg: &ScrubConfig,
+        budget_bytes: u64,
         report: &mut ScrubReport,
         shipments: &mut Vec<GcShipment>,
     ) -> Result<()> {
@@ -804,14 +810,11 @@ impl Store {
                 return Ok(());
             };
             self.db
-                .with_fs_and_policy(|fs, _| vlog.scrub_step(fs, cfg.bytes_per_step))?
+                .with_fs_and_policy(|fs, _| vlog.scrub_step(fs, budget_bytes))?
         };
         report.bytes_verified += step.bytes_scanned;
         report.blocks_verified += step.records_ok;
         report.blocks_corrupt += step.damaged.len() as u64;
-        if !cfg.repair {
-            return Ok(());
-        }
         for seg in step.damaged {
             let salvage = self.vlog_salvage_and_quarantine(seg, report)?;
             let failed = salvage.error.is_some();
@@ -890,12 +893,19 @@ impl Store {
         Ok(salvage)
     }
 
-    /// Scrubs every live table once (see [`DbCore::scrub_full`]).
-    pub fn scrub_full(&mut self, cfg: &ScrubConfig) -> Result<ScrubReport> {
-        let report = self.db.scrub_full(cfg)?;
+    /// Scrubs every live table once in steps of `budget_bytes` (see
+    /// [`DbCore::scrub_full`]), then, with key-value separation on,
+    /// takes one unbudgeted value-log step: it visits every segment
+    /// once, starting where the incremental walk stands, and salvages
+    /// and quarantines damaged segments as [`Store::scrub_step`] does.
+    pub fn scrub_full(&mut self, budget_bytes: u64) -> Result<ScrubReport> {
+        let mut report = self.db.scrub_full(budget_bytes)?;
         self.tables_dropped += report.files_quarantined;
-        Ok(report)
+        let mut shipments = Vec::new();
+        self.vlog_scrub_step(u64::MAX, &mut report, &mut shipments)?;
+        surface_barrier_error(report, shipments)
     }
+
     /// Lifetime scrub totals across all steps.
     pub fn scrub_report(&self) -> &ScrubReport {
         self.db.scrub_report()
@@ -1332,6 +1342,52 @@ mod tests {
         }
     }
 
+    /// A full scrub walks the value log as well as the tables: a record
+    /// with flipped bits is reported, the readable records in front of
+    /// it are salvaged, and its segment is quarantined.
+    #[test]
+    fn scrub_full_salvages_and_quarantines_a_damaged_log_segment() {
+        let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_vlog(
+            seal_vlog::VlogParams {
+                segment_bytes: 32 << 10,
+                value_threshold: 64,
+            },
+        );
+        let mut s = cfg.build().unwrap();
+        for i in 0..60u64 {
+            s.put(format!("s{i:03}").as_bytes(), &vec![i as u8; 1024])
+                .unwrap();
+        }
+        s.flush().unwrap();
+        let damaged = pointer_of(&mut s, b"s005");
+        assert_eq!(pointer_of(&mut s, b"s000").segment, damaged.segment);
+        let ext = s.db.ctx().lock().fs.file_extent(damaged.segment).unwrap();
+        s.db.ctx()
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .corrupt_extent(smr_sim::Extent::new(ext.offset + damaged.offset + 20, 4));
+        let report = s.scrub_full(1 << 20).unwrap();
+        assert_eq!(report.blocks_corrupt, 1, "{report:?}");
+        assert_eq!(
+            report.blocks_corrected, 5,
+            "the records in front of the damage"
+        );
+        assert_eq!(report.files_quarantined, 1, "{report:?}");
+        assert!(!s
+            .vlog
+            .as_ref()
+            .unwrap()
+            .segment_ids()
+            .contains(&damaged.segment));
+        for i in 0..5u64 {
+            let key = format!("s{i:03}");
+            assert_eq!(s.get(key.as_bytes()).unwrap(), Some(vec![i as u8; 1024]));
+        }
+        assert!(s.get(b"s005").is_err(), "lost records fail closed");
+    }
+
     /// Scrub condemns the open survivor head like any other segment.
     /// Salvage seals it first, so its readable records move into a
     /// fresh survivor band, never back into the band being fenced.
@@ -1376,13 +1432,9 @@ mod tests {
             .disk_mut()
             .faults_mut()
             .corrupt_extent(smr_sim::Extent::new(ext.offset + moved[5].offset + 20, 4));
-        let scrub = lsm_core::ScrubConfig {
-            bytes_per_step: 1 << 20,
-            repair: true,
-        };
         let mut corrected = 0;
         while s.vlog.as_ref().unwrap().segment_ids().contains(&head) {
-            corrected += s.scrub_step(&scrub).unwrap().blocks_corrected;
+            corrected += s.scrub_step(1 << 20).unwrap().blocks_corrected;
         }
         assert_eq!(corrected, 5, "the records in front of the damage");
         for i in 0..5u64 {
@@ -1429,12 +1481,8 @@ mod tests {
             .disk_mut()
             .faults_mut()
             .corrupt_extent(smr_sim::Extent::new(ext.offset + (24 << 10), 4));
-        let scrub = lsm_core::ScrubConfig {
-            bytes_per_step: 1 << 20,
-            repair: true,
-        };
         while s.vlog.as_ref().unwrap().segment_ids().contains(&victim) {
-            s.scrub_step(&scrub).unwrap();
+            s.scrub_step(1 << 20).unwrap();
         }
         s.vlog_gc_step(4 << 10).unwrap();
         for i in 0..10u64 {

@@ -29,9 +29,9 @@ stage_done() {
 }
 
 # The lines / pub-items / opts yardstick CHANGES.md entries quote. Pub
-# items and opts may not rise above scripts/size-ceiling.txt (a change
-# that adds one raises the ceiling in its own diff); lines are
-# report-only, since a perf change may add them on purpose.
+# items and opts must equal scripts/size-ceiling.txt (a change that adds
+# one raises the ceiling in its own diff, one that removes some lowers
+# it); lines are report-only, since a perf change may add them on purpose.
 scripts/size.sh --check scripts/size-ceiling.txt
 
 cargo fmt --all --check

@@ -7,12 +7,14 @@
 #
 #   scripts/size.sh [repo-root]                  report only
 #   scripts/size.sh --check CEILING [repo-root]  report, then fail when the
-#                                                TOTAL pub items or opts exceed
-#                                                the ceiling file's numbers
+#                                                TOTAL pub items or opts differ
+#                                                from the ceiling file's numbers
 #
 # CEILING holds one `pub N` and one `opts N` line (`#` starts a comment).
 # Lines are never gated: a perf change may add lines on purpose. A change
-# that adds a pub item or an option raises the ceiling in its own diff.
+# that adds a pub item or an option raises the ceiling in its own diff,
+# and one that removes some lowers it there too: a total below the
+# ceiling fails as well, printing the lines to write.
 set -euo pipefail
 
 ceiling=
@@ -22,7 +24,7 @@ if [[ "${1:-}" == "--check" ]]; then
 fi
 cd "${1:-$(dirname "$0")/..}"
 
-configs='Options|StoreConfig|VlogParams|ServeConfig|ReplicaConfig|ShardConfig|ChaosConfig|ScrubConfig|GcConfig'
+configs='Options|StoreConfig|VlogParams|ServeConfig|ReplicaConfig|ShardConfig|ChaosConfig|GcConfig'
 
 report=$(
 printf '%-12s %8s %6s %5s\n' crate lines pub opts
@@ -51,13 +53,18 @@ if [[ -z "$max_pub" || -z "$max_opts" ]]; then
     echo "size.sh: $ceiling needs a \`pub N\` and an \`opts N\` line" >&2
     exit 2
 fi
-status=0
+if (( pub == max_pub && opts == max_opts )); then
+    exit 0
+fi
 if (( pub > max_pub )); then
     echo "size.sh: $pub pub items exceed the ceiling of $max_pub ($ceiling)" >&2
-    status=1
 fi
 if (( opts > max_opts )); then
     echo "size.sh: $opts opts exceed the ceiling of $max_opts ($ceiling)" >&2
-    status=1
 fi
-exit $status
+if (( pub < max_pub || opts < max_opts )); then
+    echo "size.sh: the totals fell below the ceiling of pub $max_pub, opts $max_opts ($ceiling is stale)" >&2
+fi
+echo "size.sh: the ceiling that matches this tree:" >&2
+printf 'pub %d\nopts %d\n' "$pub" "$opts" >&2
+exit 1

@@ -9,7 +9,7 @@
 
 use lsm_core::sstable::table::parse_footer;
 use lsm_core::sstable::FOOTER_SIZE;
-use lsm_core::ScrubConfig;
+use lsm_core::FileId;
 use sealdb::{Store, StoreConfig, StoreKind, VlogParams};
 use smr_sim::{Extent, IoKind, ObsLayer};
 use workloads::RecordGenerator;
@@ -166,43 +166,52 @@ fn chained_level0_runs_keep_the_shingle_and_ordering_audits_silent() {
     }
 }
 
+/// Flips bits in the on-device index block of table `id` (`size`
+/// bytes long); its cached reader, made from the build-time image, is
+/// left as it is.
+fn damage_index(store: &Store, id: FileId, size: u64) {
+    let mut guard = store.db.ctx().lock();
+    let footer = guard
+        .fs
+        .read_file(
+            id,
+            size - FOOTER_SIZE as u64,
+            FOOTER_SIZE as u64,
+            IoKind::Raw,
+        )
+        .expect("footer");
+    let (_, index) = parse_footer(&footer).expect("footer parses");
+    let file = guard.fs.file_extent(id).expect("extent");
+    guard
+        .fs
+        .disk_mut()
+        .faults_mut()
+        .corrupt_extent(Extent::new(file.offset + index.offset + 2, 1));
+}
+
 #[test]
 fn damaged_device_index_is_still_caught_behind_a_cached_reader() {
     let (mut store, gen) = loaded(StoreKind::SealDb);
-    // The on-device index block of one live table, whose reader — made
-    // from the build-time image — sits in the table cache.
-    let victim = {
+    // Two live tables with damaged on-device index blocks: the first
+    // the scrubber visits (lowest level, then lowest id) and the last.
+    let (scrubbed, reopened) = {
         let version = store.db.current_version();
-        version
+        let mut order: Vec<(usize, FileId, u64)> = version
             .files
             .iter()
-            .flatten()
-            .next()
-            .expect("a table")
-            .clone()
+            .enumerate()
+            .flat_map(|(level, files)| files.iter().map(move |f| (level, f.id, f.size)))
+            .collect();
+        order.sort_unstable();
+        let (first, last) = (order[0], order[order.len() - 1]);
+        assert_ne!(first.1, last.1, "the load must leave several tables");
+        (first, last)
     };
-    {
-        let mut guard = store.db.ctx().lock();
-        let footer = guard
-            .fs
-            .read_file(
-                victim.id,
-                victim.size - FOOTER_SIZE as u64,
-                FOOTER_SIZE as u64,
-                IoKind::Raw,
-            )
-            .expect("footer");
-        let (_, index) = parse_footer(&footer).expect("footer parses");
-        let file = guard.fs.file_extent(victim.id).expect("extent");
-        guard
-            .fs
-            .disk_mut()
-            .faults_mut()
-            .corrupt_extent(Extent::new(file.offset + index.offset + 2, 1));
-    }
+    damage_index(&store, scrubbed.1, scrubbed.2);
+    damage_index(&store, reopened.1, reopened.2);
 
-    // Live reads go through the cached reader and never touch the
-    // damaged block; the data blocks they do read verify as always.
+    // Live reads go through the cached readers and never touch the
+    // damaged blocks; the data blocks they do read verify as always.
     let meta_before = meta_read_bytes(&store);
     for i in 0..RECORDS {
         assert_eq!(
@@ -213,23 +222,27 @@ fn damaged_device_index_is_still_caught_behind_a_cached_reader() {
     }
     assert_eq!(meta_read_bytes(&store), meta_before);
 
-    // Scrub reads the platter past the cache and reports the block.
-    let detect = ScrubConfig {
-        repair: false,
-        ..ScrubConfig::default()
-    };
-    let report = store.db.scrub_full(&detect).expect("scrub");
+    // A one-byte scrub step visits only the first table: it reads the
+    // platter past the cache, reports the block and takes the table
+    // out of the tree (rebuilt or quarantined).
+    let report = store.scrub_step(1).expect("scrub");
+    assert_eq!(
+        report.files_repaired + report.files_quarantined,
+        1,
+        "{report:?}"
+    );
     assert!(report.blocks_corrupt >= 1, "{report:?}");
+    let live = |store: &Store, id: FileId| {
+        let version = store.db.current_version();
+        let found = version.files.iter().flatten().any(|f| f.id == id);
+        found
+    };
+    assert!(!live(&store, scrubbed.1));
+    assert!(live(&store, reopened.1));
 
-    // A restart holds no readers: the table is opened from the device,
-    // fails its index check and is quarantined.
+    // A restart holds no readers: the other table is opened from the
+    // device, fails its index check and is quarantined.
     let store = store.reopen().expect("reopen");
     assert_eq!(store.db.recovery_report().files_quarantined, 1);
-    assert!(store
-        .db
-        .current_version()
-        .files
-        .iter()
-        .flatten()
-        .all(|f| f.id != victim.id));
+    assert!(!live(&store, reopened.1));
 }

@@ -15,8 +15,8 @@
 //!   writes durable cluster-wide, every promised value served on its
 //!   routed group, survivor state hashes agreeing, and scrub
 //!   remediation accounting balanced.
-//! * **Coverage with teeth** — across the sweep at least four device
-//!   fault classes and three cluster fault classes were actually
+//! * **Coverage with teeth** — across the sweep all six device fault
+//!   classes and all three cluster fault classes were actually
 //!   injected, so a green artifact can never mean the chaos did
 //!   nothing.
 //!
@@ -40,8 +40,10 @@ const GROUPS: usize = 2;
 /// Replicas per group (each group runs `REPLICAS + 1` nodes).
 const REPLICAS: usize = 2;
 
-/// Distinct device fault classes a valid artifact must have injected.
-const MIN_DEVICE_CLASSES: usize = 4;
+/// Distinct device fault classes a valid artifact must have injected:
+/// all of them (20-event schedules never reach a band failure or a
+/// latent sector error, so the committed sweep runs 40-event ones).
+const MIN_DEVICE_CLASSES: usize = 6;
 
 /// Distinct cluster fault classes a valid artifact must have injected.
 const MIN_CLUSTER_CLASSES: usize = 3;
@@ -199,6 +201,9 @@ mod tests {
     fn test_scale() -> BenchScale {
         let mut s = BenchScale::tiny();
         s.load_bytes = 4 << 20;
+        // 40-event schedules, as the committed sweep runs: shorter ones
+        // never inject every device fault class the checker requires.
+        s.ycsb_ops = 1000;
         s
     }
 

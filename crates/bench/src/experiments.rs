@@ -709,7 +709,7 @@ pub fn ablation(scale: &BenchScale) -> Result<Report> {
             Layout::RawHmSmr { guard_bytes: guard },
             TimeModel::smr_st5000as0011(cap),
         );
-        let data_cap = cap - opts.log_zone_bytes - guard;
+        let data_cap = cap - opts.log_zone_bytes() - guard;
         let db = DbCore::open(disk, opts, policy_for(data_cap))?;
         let ord_audit = sealdb::Store::fresh_auditor(&db, None);
         Ok(sealdb::Store {

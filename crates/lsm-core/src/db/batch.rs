@@ -3,10 +3,11 @@
 //! record is `type(1) | key | [value]` with length-prefixed slices.
 
 use crate::error::{corruption, Result};
-use crate::types::{SequenceNumber, ValueType};
+use crate::types::{SequenceNumber, ValueType, MAX_SEQUENCE};
 use crate::util::coding::{
     decode_fixed32, decode_fixed64, get_length_prefixed, put_length_prefixed,
 };
+use std::ops::Range;
 
 const HEADER: usize = 12;
 
@@ -53,8 +54,24 @@ impl WriteBatch {
     }
 
     /// Base sequence number of the batch.
-    pub fn sequence(&self) -> SequenceNumber {
+    pub(crate) fn sequence(&self) -> SequenceNumber {
         decode_fixed64(&self.rep[..8])
+    }
+
+    /// The sequence numbers the batch's records take, one each from the
+    /// base (empty for an empty batch). A stamped range whose end
+    /// overflows, or whose last sequence exceeds [`MAX_SEQUENCE`] — the
+    /// 56 bits an internal key holds — is corruption: applying it would
+    /// silently cut the sequences.
+    pub fn sequence_range(&self) -> Result<Range<SequenceNumber>> {
+        let first = self.sequence();
+        match first.checked_add(u64::from(self.count())) {
+            Some(end) if self.is_empty() || end - 1 <= MAX_SEQUENCE => Ok(first..end),
+            _ => corruption(format!(
+                "write batch stamps sequence {first} with {} record(s), past the last sequence number {MAX_SEQUENCE}",
+                self.count()
+            )),
+        }
     }
 
     /// Stamps the base sequence number.
@@ -193,6 +210,25 @@ impl<'a> Iterator for BatchIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sequence_range_refuses_what_an_internal_key_cannot_hold() {
+        let mut b = WriteBatch::new();
+        b.put(b"a", b"1");
+        b.put(b"b", b"2");
+        b.set_sequence(MAX_SEQUENCE - 1);
+        assert_eq!(
+            b.sequence_range().unwrap(),
+            MAX_SEQUENCE - 1..MAX_SEQUENCE + 1
+        );
+        for first in [MAX_SEQUENCE, u64::MAX - 1, u64::MAX] {
+            b.set_sequence(first);
+            assert!(b.sequence_range().is_err(), "{first}");
+        }
+        let mut empty = WriteBatch::new();
+        empty.set_sequence(u64::MAX);
+        assert!(empty.sequence_range().unwrap().is_empty());
+    }
 
     #[test]
     fn build_and_iterate() {

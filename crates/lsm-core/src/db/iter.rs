@@ -333,6 +333,7 @@ mod tests {
                 smallest,
                 largest,
                 set_id: 0,
+                order: t + 1,
             }));
             images.push(image);
             extents.push(ext);

@@ -214,7 +214,7 @@ impl DbCore {
     pub fn open(disk: Disk, opts: Options, policy: Box<dyn PlacementPolicy>) -> Result<DbCore> {
         opts.validate()
             .map_err(crate::error::Error::InvalidArgument)?;
-        let mut fs = FileStore::new(disk, opts.log_zone_bytes);
+        let mut fs = FileStore::new(disk, opts.log_zone_bytes());
         fs.set_hold_limit(opts.wal_buffer_bytes);
         let ctx = new_ctx(fs, opts.block_cache_bytes, opts.table_cache_entries);
         let mut versions = VersionSet::new(opts.level_params());
@@ -698,13 +698,15 @@ impl DbCore {
     /// sequence is skipped and `Ok(false)` returned, so duplicate
     /// frames (retransmits, catch-up overlap) are harmless. A batch
     /// that would open a sequence gap or straddle the applied boundary
-    /// is refused — the shipping layer must deliver frames in order.
+    /// is refused — the shipping layer must deliver frames in order —
+    /// and so is a range an internal key cannot hold
+    /// ([`WriteBatch::sequence_range`]).
     pub fn apply_replicated(&mut self, batch: WriteBatch) -> Result<bool> {
         if batch.is_empty() {
             return Ok(false);
         }
-        let first = batch.sequence();
-        let last = first + u64::from(batch.count()) - 1;
+        let seqs = batch.sequence_range()?;
+        let (first, last) = (seqs.start, seqs.end - 1);
         let applied = self.versions.last_sequence();
         if last <= applied {
             return Ok(false);
@@ -892,6 +894,7 @@ impl DbCore {
                 smallest,
                 largest,
                 set_id,
+                order: file_id,
             },
         );
         // Rotate the WAL: records up to here are now durable in the table.
@@ -1188,6 +1191,7 @@ impl DbCore {
                     smallest,
                     largest,
                     set_id,
+                    order: *id,
                 },
             );
         }
@@ -1436,7 +1440,7 @@ mod tests {
         let mut opts = Options::scaled(sstable);
         // Tests exercise durability: sync every write.
         opts.wal_buffer_bytes = 0;
-        let alloc = Ext4Sim::new(cap - opts.log_zone_bytes, 16 * MB);
+        let alloc = Ext4Sim::new(cap - opts.log_zone_bytes(), 16 * MB);
         let policy = crate::policy::PerFilePolicy::new(Box::new(alloc));
         DbCore::open(disk, opts, Box::new(policy)).unwrap()
     }
@@ -1765,7 +1769,7 @@ mod tests {
             let mut opts = Options::scaled(8 << 10);
             opts.write_buffer_size = 32 << 10;
             opts.wal_buffer_bytes = 0;
-            let alloc = Ext4Sim::new(cap - opts.log_zone_bytes, 16 * MB);
+            let alloc = Ext4Sim::new(cap - opts.log_zone_bytes(), 16 * MB);
             let policy = crate::policy::PerFilePolicy::new(Box::new(alloc));
             let mut db = DbCore::open(disk, opts, Box::new(policy)).unwrap();
             db.set_deferred_compaction(true);
@@ -1847,7 +1851,7 @@ mod tests {
         opts.wal_buffer_bytes = 0;
         // Level 1 holds both rounds: the second step is L0→L1 again.
         opts.level_base_bytes = 1 << 20;
-        let data = cap - opts.log_zone_bytes;
+        let data = cap - opts.log_zone_bytes();
         let policy = crate::policy::PerFilePolicy::new(Box::new(Ext4Sim::new(data, data)));
         let mut db = DbCore::open(disk, opts, Box::new(policy)).unwrap();
         db.set_deferred_compaction(true);
@@ -1931,7 +1935,7 @@ mod tests {
         let mut opts = Options::scaled(8 << 10);
         opts.write_buffer_size = 32 << 10;
         opts.wal_buffer_bytes = 0;
-        let data = cap - opts.log_zone_bytes;
+        let data = cap - opts.log_zone_bytes();
         let group = if run { data } else { 16 * MB };
         let policy = crate::policy::PerFilePolicy::new(Box::new(Ext4Sim::new(data, group)));
         let mut db = DbCore::open(disk, opts, Box::new(policy)).unwrap();
@@ -2281,7 +2285,7 @@ mod tests {
         opts.l0_compaction_trigger = 2;
         opts.l0_slowdown_trigger = 3;
         opts.l0_stop_trigger = 5;
-        let alloc = Ext4Sim::new(cap - opts.log_zone_bytes, 16 * MB);
+        let alloc = Ext4Sim::new(cap - opts.log_zone_bytes(), 16 * MB);
         let policy = crate::policy::PerFilePolicy::new(Box::new(alloc));
         let mut db = DbCore::open(disk, opts, Box::new(policy)).unwrap();
         db.set_deferred_compaction(true);

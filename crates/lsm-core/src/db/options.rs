@@ -36,8 +36,6 @@ pub struct Options {
     pub block_cache_bytes: u64,
     /// Open-table cache capacity in entries.
     pub table_cache_entries: u64,
-    /// Conventional-zone bytes reserved for WAL/manifest logs.
-    pub log_zone_bytes: u64,
     /// WAL bytes buffered in memory before reaching the disk (models the
     /// OS page cache under a no-sync LevelDB; 0 = every write synced).
     /// The same page cache holds back each value-log file's appends up
@@ -67,7 +65,6 @@ impl Options {
             max_grandparent_overlap_bytes: 10 * sstable_size,
             block_cache_bytes: 2 * sstable_size,
             table_cache_entries: 1000,
-            log_zone_bytes: (16 * sstable_size).max(16 << 20),
             wal_buffer_bytes: 64 << 10,
             seed: 0x5EA1DB,
         }
@@ -86,6 +83,13 @@ impl Options {
             base_bytes: self.level_base_bytes,
             multiplier: self.level_multiplier,
         }
+    }
+
+    /// Conventional-zone bytes reserved for WAL/manifest logs: sixteen
+    /// tables' worth, and never under 16 MiB (64 log chunks), so the
+    /// zone always holds the WAL and the manifest.
+    pub fn log_zone_bytes(&self) -> u64 {
+        (16 * self.sstable_size).max(16 << 20)
     }
 
     /// Sanity-checks the option combination, returning a description of
@@ -114,9 +118,6 @@ impl Options {
         }
         if self.level_multiplier < 2 {
             return Err("level_multiplier (AF) must be at least 2".into());
-        }
-        if self.log_zone_bytes < 4 * crate::filestore::LOG_CHUNK {
-            return Err("log zone too small for WAL + manifest".into());
         }
         Ok(())
     }
@@ -185,9 +186,6 @@ mod validate_tests {
         assert!(o.validate().is_err());
         let mut o = Options::scaled(4 << 20);
         o.level_multiplier = 1;
-        assert!(o.validate().is_err());
-        let mut o = Options::scaled(4 << 20);
-        o.log_zone_bytes = 1024;
         assert!(o.validate().is_err());
     }
 }

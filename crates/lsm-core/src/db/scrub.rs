@@ -555,9 +555,12 @@ impl DbCore {
 
     /// Re-materialises a damaged file from its salvaged entries as a new
     /// file on newly allocated (post-fencing) space, swapped in at the
-    /// *same level* through a committed `VersionEdit`. Same-level rebuild
-    /// keeps the L0 newest-to-oldest invariant intact — pushing a lone L0
-    /// file deeper would let an older L0 entry shadow it.
+    /// *same level* through a committed `VersionEdit`. The new file takes
+    /// a fresh id, the largest, but keeps the damaged file's order key:
+    /// level 0 is ordered by that key, so the rebuilt table keeps its
+    /// place behind every newer level-0 table instead of shadowing them.
+    /// (Pushing a lone L0 file deeper would let an older L0 entry shadow
+    /// it.)
     fn rebuild_file(
         &mut self,
         level: usize,
@@ -589,6 +592,7 @@ impl DbCore {
                 smallest,
                 largest,
                 set_id,
+                order: old.order,
             },
         );
         self.install_tables(edit, &output)?;
@@ -691,7 +695,7 @@ mod tests {
         );
         let mut opts = Options::scaled(64 << 10);
         opts.wal_buffer_bytes = 0;
-        let alloc = DynamicBandAlloc::new(cap - opts.log_zone_bytes, 64 << 10, 64 << 10);
+        let alloc = DynamicBandAlloc::new(cap - opts.log_zone_bytes(), 64 << 10, 64 << 10);
         DbCore::open(disk, opts, Box::new(PerFilePolicy::new(Box::new(alloc)))).unwrap()
     }
 
@@ -771,6 +775,55 @@ mod tests {
             next.end() <= ext.offset + 100 || next.offset >= ext.offset + 164,
             "rebuilt file must avoid the bad region"
         );
+    }
+
+    #[test]
+    fn rebuilt_level0_table_stays_behind_newer_ones() {
+        // Two level-0 tables: the older holds v1 of every key, the newer
+        // overwrites them with v2.
+        let mut db = open_db();
+        for i in 0..50 {
+            db.put(&kv(i).0, b"v1").unwrap();
+        }
+        db.flush_memtable().unwrap();
+        for i in 0..50 {
+            db.put(&kv(i).0, b"v2").unwrap();
+        }
+        db.flush_memtable().unwrap();
+        let (newer, older) = {
+            let v = db.current_version();
+            assert_eq!(v.files[0].len(), 2, "test needs two level-0 tables");
+            (v.files[0][0].clone(), v.files[0][1].clone())
+        };
+        let ext = db.ctx().lock().fs.file_extent(older.id).unwrap();
+        db.ctx()
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .corrupt_extent(Extent::new(ext.offset + 100, 16));
+        let report = db.scrub_full(STEP_BYTES).unwrap();
+        assert_eq!(report.files_repaired, 1);
+        let v = db.current_version();
+        let rebuilt = &v.files[0][1];
+        assert_eq!(v.files[0][0].id, newer.id);
+        assert!(rebuilt.id > newer.id, "the rebuild takes a fresh id");
+        assert_eq!(rebuilt.order, older.order, "the rebuild keeps the age");
+        // The repaired older table must not shadow the newer one...
+        for i in 0..50 {
+            assert_eq!(db.get(&kv(i).0).unwrap(), Some(b"v2".to_vec()), "key {i}");
+        }
+        // ...and the order key survives a reopen through the manifest.
+        db.ctx()
+            .lock()
+            .fs
+            .disk_mut()
+            .faults_mut()
+            .clear_corruption();
+        let mut db = db.reopen().unwrap();
+        for i in 0..50 {
+            assert_eq!(db.get(&kv(i).0).unwrap(), Some(b"v2".to_vec()), "key {i}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! let cap = 1 << 30;
 //! let disk = Disk::new(cap, Layout::Hdd, TimeModel::hdd_st1000dm003(cap));
 //! let opts = Options::scaled(256 << 10);
-//! let alloc = Ext4Sim::new(cap - opts.log_zone_bytes, 16 << 20);
+//! let alloc = Ext4Sim::new(cap - opts.log_zone_bytes(), 16 << 20);
 //! let mut db = DbCore::open(disk, opts, Box::new(PerFilePolicy::new(Box::new(alloc)))).unwrap();
 //! db.put(b"hello", b"world").unwrap();
 //! assert_eq!(db.get(b"hello").unwrap(), Some(b"world".to_vec()));

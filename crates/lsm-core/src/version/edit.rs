@@ -21,6 +21,11 @@ pub struct FileMetaData {
     pub largest: Vec<u8>,
     /// Set (on-disk region) this file belongs to; 0 = no set.
     pub(crate) set_id: u64,
+    /// Age of the file's data, the key level 0 is ordered by (larger is
+    /// newer). Equal to `id`, except for a table scrub rebuilt: the
+    /// rebuild takes a fresh id but keeps the key of the table it
+    /// replaces, so it does not shadow the newer level-0 tables.
+    pub(crate) order: u64,
 }
 
 /// A delta against the current version.
@@ -51,6 +56,9 @@ const TAG_COMPACT_POINTER: u64 = 4;
 const TAG_DELETED_FILE: u64 = 5;
 const TAG_NEW_FILE: u64 = 6;
 const TAG_AUX: u64 = 7;
+/// Order key of the file the preceding `TAG_NEW_FILE` added; written
+/// only when it differs from the file id.
+const TAG_FILE_ORDER: u64 = 8;
 
 impl VersionEdit {
     /// Serialises the edit for the manifest.
@@ -86,6 +94,10 @@ impl VersionEdit {
             put_varint64(&mut dst, f.set_id);
             put_length_prefixed(&mut dst, &f.smallest);
             put_length_prefixed(&mut dst, &f.largest);
+            if f.order != f.id {
+                put_varint64(&mut dst, TAG_FILE_ORDER);
+                put_varint64(&mut dst, f.order);
+            }
         }
         if let Some(blob) = &self.aux {
             put_varint64(&mut dst, TAG_AUX);
@@ -122,6 +134,7 @@ impl VersionEdit {
                 )),
             }
         }
+        let mut prev_tag = None;
         while !src.is_empty() {
             let tag = take_u64(&mut src)?;
             match tag {
@@ -153,12 +166,27 @@ impl VersionEdit {
                             smallest,
                             largest,
                             set_id,
+                            order: id,
                         },
                     ));
+                }
+                TAG_FILE_ORDER => {
+                    let amended = edit
+                        .added
+                        .last_mut()
+                        .filter(|_| prev_tag == Some(TAG_NEW_FILE));
+                    let Some((_, f)) = amended else {
+                        return corruption(format!(
+                            "file order tag follows no new file ({} byte(s) left in record)",
+                            src.len()
+                        ));
+                    };
+                    f.order = take_u64(&mut src)?;
                 }
                 TAG_AUX => edit.aux = Some(take_bytes(&mut src)?),
                 _ => return corruption(format!("unknown version edit tag {tag}")),
             }
+            prev_tag = Some(tag);
         }
         Ok(edit)
     }
@@ -189,6 +217,7 @@ mod tests {
             smallest: make_internal_key(format!("a{id}").as_bytes(), 1, ValueType::Value),
             largest: make_internal_key(format!("z{id}").as_bytes(), 9, ValueType::Value),
             set_id: id / 2,
+            order: id,
         }
     }
 
@@ -230,6 +259,31 @@ mod tests {
         };
         assert_eq!(VersionEdit::decode(&empty.encode()).unwrap(), empty);
         assert_ne!(empty, VersionEdit::default());
+    }
+
+    #[test]
+    fn order_key_is_written_only_when_it_differs_from_the_id() {
+        let mut e = VersionEdit::default();
+        e.add_file(0, meta(21));
+        let plain = e.encode();
+        e.added[0].1.order = 7;
+        let amended = e.encode();
+        // The new file's record, then tag 8 and the varint key.
+        assert_eq!(amended, [&plain[..], &[8, 7]].concat());
+        e.add_file(0, meta(22));
+        assert_eq!(VersionEdit::decode(&e.encode()).unwrap(), e);
+        // An order tag must amend the file added just before it.
+        let mut stray = Vec::new();
+        put_varint64(&mut stray, TAG_FILE_ORDER);
+        put_varint64(&mut stray, 7);
+        assert!(VersionEdit::decode(&stray).is_err());
+        let mut after_aux = VersionEdit {
+            aux: Some(vec![1]),
+            ..Default::default()
+        }
+        .encode();
+        after_aux.extend_from_slice(&stray);
+        assert!(VersionEdit::decode(&after_aux).is_err());
     }
 
     #[test]

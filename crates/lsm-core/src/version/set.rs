@@ -201,7 +201,7 @@ impl VersionSet {
             version.files[*level].push(Arc::new(meta.clone()));
         }
         // Restore ordering invariants.
-        version.files[0].sort_by_key(|f| std::cmp::Reverse(f.id));
+        version.files[0].sort_by_key(|f| std::cmp::Reverse(f.order));
         for level in 1..version.files.len() {
             version.files[level].sort_by(|a, b| a.smallest.cmp(&b.smallest).then(a.id.cmp(&b.id)));
         }
@@ -345,7 +345,7 @@ impl VersionSet {
         let v = &self.current;
         let inputs0: Vec<FileMetaHandle> = if level == 0 {
             // Seed with the oldest flush and pull in transitive overlaps.
-            let seed = v.files[0].iter().min_by_key(|f| f.id)?.clone();
+            let seed = v.files[0].iter().min_by_key(|f| f.order)?.clone();
             v.overlapping_files(0, user_key(&seed.smallest), user_key(&seed.largest))
         } else {
             let files = &v.files[level];
@@ -463,6 +463,7 @@ mod tests {
             smallest: make_internal_key(lo.as_bytes(), 100, ValueType::Value),
             largest: make_internal_key(hi.as_bytes(), 1, ValueType::Value),
             set_id: 0,
+            order: id,
         }
     }
 

@@ -9,8 +9,8 @@ use std::cmp::Ordering;
 /// One immutable layout snapshot.
 #[derive(Clone, Debug)]
 pub struct Version {
-    /// Files per level; level 0 ordered newest-first (descending id),
-    /// deeper levels ordered by smallest key.
+    /// Files per level; level 0 ordered newest-first (descending order
+    /// key, see `FileMetaData`), deeper levels ordered by smallest key.
     pub files: Vec<Vec<FileMetaHandle>>,
 }
 
@@ -90,7 +90,7 @@ impl Version {
             .filter(|f| user_key(&f.smallest) <= ukey && ukey <= user_key(&f.largest))
             .cloned()
             .collect();
-        l0.sort_by_key(|f| std::cmp::Reverse(f.id));
+        l0.sort_by_key(|f| std::cmp::Reverse(f.order));
         out.extend(l0.into_iter().map(|f| (0, f)));
         // Deeper levels: binary search the single candidate.
         for level in 1..self.files.len() {
@@ -148,6 +148,7 @@ mod tests {
             smallest: make_internal_key(lo.as_bytes(), 100, ValueType::Value),
             largest: make_internal_key(hi.as_bytes(), 1, ValueType::Value),
             set_id: 0,
+            order: id,
         })
     }
 

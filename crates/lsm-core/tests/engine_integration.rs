@@ -17,7 +17,7 @@ fn open_db(sstable: u64) -> DbCore {
     let disk = Disk::new(cap, Layout::Hdd, TimeModel::hdd_st1000dm003(cap));
     let mut opts = Options::scaled(sstable);
     opts.wal_buffer_bytes = 0;
-    let alloc = Ext4Sim::new(cap - opts.log_zone_bytes, 16 * MB);
+    let alloc = Ext4Sim::new(cap - opts.log_zone_bytes(), 16 * MB);
     DbCore::open(disk, opts, Box::new(PerFilePolicy::new(Box::new(alloc)))).unwrap()
 }
 

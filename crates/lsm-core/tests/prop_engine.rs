@@ -153,7 +153,7 @@ fn dbcore_matches_model() {
         let disk = Disk::new(cap, Layout::Hdd, TimeModel::hdd_st1000dm003(cap));
         let mut opts = Options::scaled(4 << 10);
         opts.wal_buffer_bytes = 0;
-        let alloc = Ext4Sim::new(cap - opts.log_zone_bytes, 1 << 20);
+        let alloc = Ext4Sim::new(cap - opts.log_zone_bytes(), 1 << 20);
         let mut db =
             DbCore::open(disk, opts, Box::new(PerFilePolicy::new(Box::new(alloc)))).unwrap();
         let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();

@@ -582,9 +582,9 @@ impl Cluster {
     }
 
     /// Applies one received frame on node `idx` at its ready time. A
-    /// frame that does not decode, or whose sequence range overflows,
-    /// is an error that leaves the node as it was; an empty batch
-    /// changes nothing.
+    /// frame that does not decode, or whose sequence range the store
+    /// refuses, is an error that leaves the node as it was; an empty
+    /// batch changes nothing.
     fn apply_frame(&mut self, idx: usize, frame: PendingFrame) -> Result<()> {
         self.sync_node_clock(idx, frame.ready_ns);
         let node = &mut self.nodes[idx];
@@ -596,17 +596,10 @@ impl Cluster {
         if batch.is_empty() {
             return Ok(());
         }
-        // The apply path computes `first + count - 1`: refuse a range
-        // past the last sequence number before it gets there.
-        let Some(end) = batch.sequence().checked_add(u64::from(batch.count())) else {
-            return Err(Error::Corruption(format!(
-                "frame for node {idx} stamps sequence {} with {} records, past the last sequence number",
-                batch.sequence(),
-                batch.count()
-            )));
-        };
+        let seqs = batch.sequence_range();
         store.apply_replicated(batch)?;
-        node.durable_seq = node.durable_seq.max(end - 1);
+        // The store refused a range `seqs` could not hold.
+        node.durable_seq = node.durable_seq.max(seqs?.end - 1);
         Ok(())
     }
 
@@ -1474,10 +1467,13 @@ mod tests {
         overflowing.put(b"k", b"v");
         overflowing.put(b"k2", b"v2");
         overflowing.set_sequence(u64::MAX);
+        let mut past_max = overflowing.clone();
+        past_max.set_sequence(lsm_core::types::MAX_SEQUENCE);
         let frames = [
             (b"not a batch".to_vec(), false),
             (vec![0xFF; 40], false),
             (overflowing.rep().to_vec(), false),
+            (past_max.rep().to_vec(), false),
             (WriteBatch::new().rep().to_vec(), true),
             (empty_at_the_end.rep().to_vec(), true),
         ];

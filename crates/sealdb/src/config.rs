@@ -81,8 +81,8 @@ pub struct StoreConfig {
     /// Key-value separation: when set, values at or above the threshold
     /// live in a band-aligned value log and the LSM stores pointers
     /// (off by default — inline values, byte-identical legacy
-    /// behaviour). See [`seal_vlog::ValueLog`].
-    pub(crate) vlog: Option<seal_vlog::VlogParams>,
+    /// behaviour). See [`crate::vlog::ValueLog`].
+    pub(crate) vlog: Option<crate::vlog::VlogParams>,
 }
 
 impl StoreConfig {
@@ -102,7 +102,7 @@ impl StoreConfig {
     }
 
     /// Enables key-value separation with explicit parameters.
-    pub fn with_vlog(mut self, params: seal_vlog::VlogParams) -> Self {
+    pub fn with_vlog(mut self, params: crate::vlog::VlogParams) -> Self {
         self.vlog = Some(params);
         self
     }
@@ -132,7 +132,7 @@ impl StoreConfig {
 
     fn engine_options(&self) -> Options {
         let mut o = match self.kind {
-            StoreKind::SmrDb => smrdb::smrdb_options(self.band_size()),
+            StoreKind::SmrDb => crate::smrdb::smrdb_options(self.band_size()),
             _ => Options::scaled(self.sstable_size),
         };
         o.seed = self.seed;
@@ -167,7 +167,7 @@ impl StoreConfig {
         // Data allocators must stay clear of the log zone at the top of
         // the address space, plus one guard window on raw SMR so the last
         // band's damage window cannot reach the zone.
-        let data_cap = self.disk_capacity - opts.log_zone_bytes - self.guard_bytes();
+        let data_cap = self.disk_capacity - opts.log_zone_bytes() - self.guard_bytes();
         let policy: Box<dyn PlacementPolicy> = match self.kind {
             StoreKind::LevelDb => Box::new(PerFilePolicy::with_fs_journal(Box::new(Ext4Sim::new(
                 data_cap,
@@ -188,7 +188,7 @@ impl StoreConfig {
             )))),
         };
         let db = DbCore::open(disk, opts, policy)?;
-        let vlog = self.vlog.map(seal_vlog::ValueLog::new);
+        let vlog = self.vlog.map(crate::vlog::ValueLog::new);
         let ord_audit = Store::fresh_auditor(&db, vlog.as_ref());
         Ok(Store {
             kind: self.kind,

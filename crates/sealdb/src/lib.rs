@@ -44,11 +44,15 @@ mod node;
 pub mod policy;
 /// Set-region bookkeeping: registration, fading, victim priority.
 pub mod set;
+/// The SMRDB baseline as a configuration of the shared engine.
+mod smrdb;
 /// The assembled SEALDB store facade.
 pub mod store;
+/// Band-aligned key-value separation: the value log.
+mod vlog;
 
 pub use config::{StoreConfig, StoreKind};
 pub use node::{AuditReport, KvNode};
 pub use policy::SetPolicy;
-pub use seal_vlog::{ValueLog, VlogParams};
 pub use store::{GcShipment, MetricsSnapshot, Store, StoreSnapshot};
+pub use vlog::{ValueLog, VlogParams};

@@ -2,8 +2,8 @@
 //! snapshotting of every quantity the paper's figures report.
 
 use crate::config::StoreKind;
+use crate::vlog::{decode_stored, encode_inline, encode_pointer, StoredValue, ValueLog};
 use lsm_core::{CompactionRecord, DbCore, Result, ScrubReport, SetStats, WriteBatch};
-use seal_vlog::{decode_stored, encode_inline, encode_pointer, StoredValue, ValueLog};
 use smr_sim::{neutral_ratio, Extent, IoStats, Obs, ObsLayer, TraceEvent};
 
 /// One of the paper's key-value stores, ready for workloads.
@@ -508,7 +508,7 @@ impl Store {
     fn relocate_live(
         &mut self,
         victim: u64,
-        entries: Vec<seal_vlog::GcEntry>,
+        entries: Vec<crate::vlog::GcEntry>,
         verify: bool,
     ) -> Result<GcRelocation> {
         let vlog = self.vlog.as_mut().expect("caller checked vlog");
@@ -582,8 +582,8 @@ impl Store {
 
     /// Whether background GC should run a step now: a victim is half
     /// drained, or the log's known garbage has reached `1/AF` of its
-    /// live bytes, AF being the tree's own level multiplier (see
-    /// [`ValueLog::gc_due`]). [`Store::vlog_gc_pending`] answers the
+    /// live bytes, AF being the tree's own level multiplier (see the
+    /// value log's `gc_due`). [`Store::vlog_gc_pending`] answers the
     /// weaker "is there any victim" for explicit drains.
     pub fn vlog_gc_due(&self) -> bool {
         let af = self.db.options().level_multiplier();
@@ -610,13 +610,12 @@ impl Store {
         if batch.is_empty() {
             return Ok(false);
         }
-        let first = batch.sequence();
-        let last = first + u64::from(batch.count()) - 1;
-        if last <= self.db.last_sequence() {
+        let seqs = batch.sequence_range()?;
+        if seqs.end - 1 <= self.db.last_sequence() {
             return Ok(false);
         }
         self.commit_through_vlog(&batch, |db, mut rewritten| {
-            rewritten.set_sequence(first);
+            rewritten.set_sequence(seqs.start);
             db.apply_replicated(rewritten)
         })
     }
@@ -1113,9 +1112,9 @@ mod tests {
     /// sized to one whole band, default thresholds.
     fn vlog_config() -> StoreConfig {
         let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30);
-        let params = seal_vlog::VlogParams {
+        let params = crate::vlog::VlogParams {
             segment_bytes: cfg.band_size(),
-            ..seal_vlog::VlogParams::default()
+            ..crate::vlog::VlogParams::default()
         };
         cfg.with_vlog(params)
     }
@@ -1334,10 +1333,10 @@ mod tests {
     }
 
     /// Where `key`'s current value lives in the log.
-    fn pointer_of(s: &mut super::Store, key: &[u8]) -> seal_vlog::VlogPtr {
+    fn pointer_of(s: &mut super::Store, key: &[u8]) -> crate::vlog::VlogPtr {
         let stored = s.db.get(key).unwrap().expect("key present");
-        match seal_vlog::decode_stored(&stored).unwrap() {
-            seal_vlog::StoredValue::Pointer(p) => p,
+        match crate::vlog::decode_stored(&stored).unwrap() {
+            crate::vlog::StoredValue::Pointer(p) => p,
             other => panic!("{key:?} is stored inline: {other:?}"),
         }
     }
@@ -1348,7 +1347,7 @@ mod tests {
     #[test]
     fn scrub_full_salvages_and_quarantines_a_damaged_log_segment() {
         let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_vlog(
-            seal_vlog::VlogParams {
+            crate::vlog::VlogParams {
                 segment_bytes: 32 << 10,
                 value_threshold: 64,
             },
@@ -1394,7 +1393,7 @@ mod tests {
     #[test]
     fn salvage_of_the_open_survivor_head_relocates_into_a_fresh_band() {
         let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_vlog(
-            seal_vlog::VlogParams {
+            crate::vlog::VlogParams {
                 segment_bytes: 32 << 10,
                 value_threshold: 64,
             },
@@ -1452,7 +1451,7 @@ mod tests {
     #[test]
     fn a_victim_quarantined_mid_drain_takes_its_gc_cursor_with_it() {
         let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_vlog(
-            seal_vlog::VlogParams {
+            crate::vlog::VlogParams {
                 segment_bytes: 32 << 10,
                 value_threshold: 64,
             },
@@ -1545,6 +1544,34 @@ mod tests {
             s.metrics_snapshot().to_json(64)
         };
         assert_eq!(run(), run());
+    }
+
+    /// A replicated batch whose sequences an internal key cannot hold
+    /// (the range overflows u64, or ends past `MAX_SEQUENCE`) is
+    /// corruption at both entry points, with and without the value log,
+    /// and changes nothing.
+    #[test]
+    fn replicated_ranges_past_the_last_sequence_are_refused() {
+        use lsm_core::types::MAX_SEQUENCE;
+        use lsm_core::{Error, WriteBatch};
+        let plain = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30);
+        for cfg in [plain, vlog_config()] {
+            let mut store = cfg.build().unwrap();
+            store.put(b"k", &[7; 1024]).unwrap();
+            let before = store.last_sequence();
+            for first in [u64::MAX, MAX_SEQUENCE] {
+                let mut b = WriteBatch::new();
+                b.put(b"a", &[1; 1024]);
+                b.put(b"b", &[2; 1024]);
+                b.set_sequence(first);
+                let through_store = store.apply_replicated(b.clone());
+                let through_db = store.db.apply_replicated(b);
+                for got in [through_store, through_db] {
+                    assert!(matches!(got, Err(Error::Corruption(_))), "{first}: {got:?}");
+                }
+                assert_eq!(store.last_sequence(), before);
+            }
+        }
     }
 
     /// Replication × key-value separation: the primary ships the batch
@@ -1645,7 +1672,7 @@ mod tests {
     #[should_panic(expected = "were not yet durable")]
     fn retire_before_sync_panics_under_ordering_audit() {
         let cfg = StoreConfig::new(StoreKind::SealDb, 256 << 10, 1 << 30).with_vlog(
-            seal_vlog::VlogParams {
+            crate::vlog::VlogParams {
                 segment_bytes: 32 << 10,
                 value_threshold: 64,
             },

@@ -78,7 +78,7 @@ for held in \
     "crates/lsm-core/src/version/mod.rs|$deny_recovery" \
     "crates/lsm-core/src/filestore.rs|$deny_recovery" \
     "crates/lsm-core/src/db/scrub.rs|$deny_recovery" \
-    "crates/vlog/src/lib.rs|$deny_recovery" \
+    "crates/sealdb/src/vlog.rs|$deny_recovery" \
     "crates/smr-sim/src/stats.rs|$deny_cast" \
     "crates/smr-sim/src/obs.rs|$deny_cast" \
     'Cargo.toml|missing_docs = "warn"'; do
@@ -116,7 +116,8 @@ stage_done "seal-lint"
 # value happens to read back correctly; chaos_regressions holds the
 # pinned retire-before-sync repro schedule the GC path must keep
 # passing (the proof that the auditor catches that bug is a sealdb
-# unit test, run with the workspace tests above).
+# unit test, run with the workspace tests above) and the five shrunk
+# level-0 scrub-rebuild repros.
 # (`cargo test --workspace` above also runs debug, but these suites are
 # the designated ordering oracle — keep them green by name.)
 cargo test -q --test vlog_crash_points --test crash_points --test recovery_hardening --test chaos_regressions
@@ -158,14 +159,14 @@ same_as_committed() {
 # cells lose zero keys; quorum cells lose zero acked writes; saturation
 # rises with shard count and the migration loses nothing; the value log
 # halves update-WA and lifts the knee; zero chaos-oracle violations
-# over >=4 device and >=3 cluster fault classes). The checkers are the
+# over all 6 device and all 3 cluster fault classes). The checkers are the
 # only place those gates are written down.
 #
 # pr3 and pr7 run at the canonical serving scale; pr8 in the large-value
 # regime where key-value separation pays. pr10 is deliberately a
 # DEBUG-profile run: debug builds arm the ordering auditors (DESIGN.md
 # par. 16), so every chaos schedule doubles as a happens-before oracle.
-chaos_schedules="${CHAOS_SCHEDULES:-25}"
+chaos_schedules="${CHAOS_SCHEDULES:-300}"
 artifacts=(
     "BENCH_pr2.json|metrics|release|--tiny"
     "BENCH_pr3.json|serve|release|--serving"
@@ -173,15 +174,15 @@ artifacts=(
     "BENCH_pr6.json|replicate|release|--tiny"
     "BENCH_pr7.json|shard|release|--serving"
     "BENCH_pr8.json|vlog|release|--tiny --value 4096 --load-mb 4 --ycsb-ops 4000"
-    "BENCH_pr10.json|chaos|dev|--tiny --chaos-schedules $chaos_schedules"
+    "BENCH_pr10.json|chaos|dev|--tiny --ycsb-ops 1000 --chaos-schedules $chaos_schedules"
 )
 for row in "${artifacts[@]}"; do
     IFS='|' read -r file flag profile scale <<< "$row"
     bench=(cargo run -q --profile "$profile" -p bench --)
     # shellcheck disable=SC2086  # $scale is a flag list
     "${bench[@]}" "--$flag-out" "$file" $scale
-    if [[ $flag == chaos && $chaos_schedules != 25 ]]; then
-        # Not the committed 25-schedule run: hold it to a second run.
+    if [[ $flag == chaos && $chaos_schedules != 300 ]]; then
+        # Not the committed 300-schedule run: hold it to a second run.
         # shellcheck disable=SC2086
         "${bench[@]}" "--$flag-out" "$file.rerun" $scale
         cmp "$file" "$file.rerun"

@@ -11,7 +11,8 @@ use lsm_core::sstable::{TableBuilder, TableOptions};
 use lsm_core::types::{make_internal_key, ValueType};
 use lsm_core::util::rng::XorShift64;
 use lsm_core::LogWriter;
-use sealdb::{StoreConfig, StoreKind, ValueLog, VlogParams};
+use sealdb::{Store, StoreConfig, StoreKind, ValueLog, VlogParams};
+use smr_sim::Extent;
 use workloads::{OpStream, WorkloadSpec, YcsbOp};
 
 fn fnv1a(data: &[u8]) -> u64 {
@@ -162,6 +163,45 @@ fn vlog_checkpoint_blob_is_pinned() {
         err.contains("unknown value-log checkpoint version"),
         "{err}"
     );
+}
+
+/// The manifest around a scrub rebuild of a level-0 table, by length:
+/// two flushes of 50 keys each (the second overwrites the first), then
+/// a one-bit fault in the older table, which scrub rebuilds. Before the
+/// rebuild the manifest holds no order key (a new table's key is its
+/// id, and only a differing key is written), so its length is the one
+/// the engine wrote before order keys existed. The rebuild's edit adds
+/// one `TAG_FILE_ORDER` (tag byte 8 and a one-byte varint key) to the
+/// 182 bytes it wrote then.
+#[test]
+fn manifest_around_a_level0_rebuild_is_pinned() {
+    let mut store = StoreConfig::new(StoreKind::LevelDb, 64 << 10, 256 << 20)
+        .build()
+        .expect("store builds");
+    for value in [b"v1", b"v2"] {
+        for i in 0..50 {
+            store
+                .put(format!("key{i:04}").as_bytes(), value)
+                .expect("put");
+        }
+        store.flush().expect("flush");
+    }
+    // Log 1 is the manifest.
+    let manifest_len = |store: &Store| store.db.ctx().lock().fs.log_len(1).expect("manifest");
+    assert_eq!(manifest_len(&store), 128);
+    let older = store.db.current_version().files[0][1].id;
+    let ext = store.db.ctx().lock().fs.file_extent(older).expect("extent");
+    store
+        .db
+        .ctx()
+        .lock()
+        .fs
+        .disk_mut()
+        .faults_mut()
+        .corrupt_extent(Extent::new(ext.offset + 100, 16));
+    let report = store.scrub_full(8 << 20).expect("scrub");
+    assert_eq!(report.files_repaired, 1);
+    assert_eq!(manifest_len(&store), 182 + 2);
 }
 
 /// The YCSB op stream every driver iterates: the first 10 000 operations
